@@ -29,6 +29,11 @@ ENV_RANK_TOL = 1e-12
 _MODES = ("conditional", "unconditional")
 
 
+def _check_unitary(u: np.ndarray, what: str):
+    if qlinalg.hs_norm(u.conj().T @ u - np.eye(u.shape[0])) > qstate.UNITARITY_ATOL:
+        raise ContractError(f"{what} is not unitary")
+
+
 @dataclass(frozen=True)
 class DilationSpec:
     """Unitary on system x environment plus the environment input state."""
@@ -45,8 +50,7 @@ class DilationSpec:
         u = qlinalg.as_complex_matrix(self.u)
         if u.shape != (d_s * d_e, d_s * d_e):
             raise ShapeError(f"unitary is {u.shape}, expected {(d_s * d_e,) * 2}")
-        if qlinalg.hs_norm(u.conj().T @ u - np.eye(d_s * d_e)) > qstate.UNITARITY_ATOL:
-            raise ContractError("dilation matrix is not unitary")
+        _check_unitary(u, "dilation matrix")
         env = qlinalg.as_complex_matrix(self.env_state)
         if env.shape != (d_e, d_e):
             raise ShapeError(f"environment state is {env.shape}, expected {(d_e, d_e)}")
@@ -57,13 +61,18 @@ class DilationSpec:
         object.__setattr__(self, "env_state", env)
 
 
-def apply_dilation(spec: DilationSpec, rho_s) -> np.ndarray:
-    """Evolve the joint product state and trace out the environment."""
+def _evolve_joint(spec: DilationSpec, rho_s) -> tuple[np.ndarray, np.ndarray]:
+    """Validated system state and the joint state U (rho_s x env) U+."""
     rho_s = qlinalg.as_complex_matrix(rho_s)
     if rho_s.shape != (spec.d_s, spec.d_s):
         raise ShapeError(f"system state is {rho_s.shape}, expected {(spec.d_s,) * 2}")
     qstate.check_density_matrix(rho_s)
-    joint = spec.u @ qlinalg.tensor(rho_s, spec.env_state) @ spec.u.conj().T
+    return rho_s, spec.u @ qlinalg.tensor(rho_s, spec.env_state) @ spec.u.conj().T
+
+
+def apply_dilation(spec: DilationSpec, rho_s) -> np.ndarray:
+    """Evolve the joint product state and trace out the environment."""
+    _, joint = _evolve_joint(spec, rho_s)
     return qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=0)
 
 
@@ -107,8 +116,7 @@ def _output_basis(d: int, out_basis) -> np.ndarray:
     w = qlinalg.as_complex_matrix(out_basis)
     if w.shape != (d, d):
         raise ShapeError(f"output basis is {w.shape}, expected {(d, d)}")
-    if qlinalg.hs_norm(w.conj().T @ w - np.eye(d)) > qstate.UNITARITY_ATOL:
-        raise ContractError("output basis matrix is not unitary")
+    _check_unitary(w, "output basis matrix")
     return w
 
 
@@ -244,8 +252,7 @@ class ResetScenario:
         for u in unitaries:
             if u.shape != (d_s * d_e, d_s * d_e):
                 raise ShapeError(f"reset unitary is {u.shape}, expected {(d_s * d_e,) * 2}")
-            if qlinalg.hs_norm(u.conj().T @ u - np.eye(d_s * d_e)) > qstate.UNITARITY_ATOL:
-                raise ContractError("reset unitary is not unitary")
+            _check_unitary(u, "reset unitary")
         object.__setattr__(self, "states", tuple(states))
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "unitaries", unitaries)
@@ -403,14 +410,9 @@ def heat_decomposition(spec: DilationSpec, rho_s, beta: float) -> dict:
     """
     if float(beta) <= 0.0 or not np.isfinite(beta):
         raise ContractError("beta must be positive and finite")
-    rho_s = qlinalg.as_complex_matrix(rho_s)
-    if rho_s.shape != (spec.d_s, spec.d_s):
-        raise ShapeError(f"system state is {rho_s.shape}, expected {(spec.d_s,) * 2}")
-    qstate.check_density_matrix(rho_s)
+    rho_s, joint = _evolve_joint(spec, rho_s)
     tau_e = spec.env_state
     log_tau = _log_state(tau_e)
-
-    joint = spec.u @ qlinalg.tensor(rho_s, tau_e) @ spec.u.conj().T
     rho_s_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=0)
     rho_e_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=1)
 
@@ -433,13 +435,9 @@ def partovi_check(spec: DilationSpec, rho_s) -> bool:
     beta * Delta U_E is recovered from ln tau_E, so no Hamiltonian or beta
     argument is needed.
     """
-    rho_s = qlinalg.as_complex_matrix(rho_s)
-    if rho_s.shape != (spec.d_s, spec.d_s):
-        raise ShapeError(f"system state is {rho_s.shape}, expected {(spec.d_s,) * 2}")
-    qstate.check_density_matrix(rho_s)
+    _, joint = _evolve_joint(spec, rho_s)
     tau_e = spec.env_state
     log_tau = _log_state(tau_e)
-    joint = spec.u @ qlinalg.tensor(rho_s, tau_e) @ spec.u.conj().T
     rho_e_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=1)
     delta_s_env = qstate.von_neumann_entropy(rho_e_out) - qstate.von_neumann_entropy(tau_e)
     beta_delta_u = -float(np.real(np.trace((rho_e_out - tau_e) @ log_tau)))

@@ -58,132 +58,110 @@ class SchemaViolation(Exception):
 
 
 # -- schema access -----------------------------------------------------------
+# Every payload field is read by _get through a kind: a function
+# (value, field_path) -> decoded value that raises SchemaViolation.
 
 
-def _get(obj, key, path, required=True, default=None):
+def _get(obj, key, path, kind, default=...):
+    """Read obj[key] through kind; a missing key gives default.
+
+    With no default (the Ellipsis) the field is required. null is never a
+    value: an optional field is left out instead.
+    """
     if not isinstance(obj, dict):
         raise SchemaViolation(path, "expected an object")
+    field = f"{path}.{key}"
     if key not in obj:
-        if required:
-            raise SchemaViolation(f"{path}.{key}", "missing required field")
+        if default is ...:
+            raise SchemaViolation(field, "missing required field")
         return default
-    return obj[key]
+    if obj[key] is None:
+        raise SchemaViolation(field, "null is not a value (omit the field)")
+    return kind(obj[key], field)
 
 
-def _get_number(obj, key, path, required=True, default=None) -> float | None:
-    v = _get(obj, key, path, required, default)
-    if v is default and not required:
-        return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaViolation(f"{path}.{key}", "expected a number")
+def _is_number(v) -> bool:
+    """A finite JSON number that fits a float; booleans are not numbers."""
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v, path) -> float:
+    if not _is_number(v):
+        raise SchemaViolation(path, "expected a finite number")
     return float(v)
 
-def _get_int(obj, key, path, required=True, default=None) -> int | None:
-    v = _get(obj, key, path, required, default)
-    if v is default and not required:
-        return default
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaViolation(f"{path}.{key}", "expected an integer")
-    return int(v)
 
-
-def _get_string(obj, key, path, required=True, default=None) -> str | None:
-    v = _get(obj, key, path, required, default)
-    if v is default and not required:
-        return default
-    if not isinstance(v, str):
-        raise SchemaViolation(f"{path}.{key}", "expected a string")
+def _int(v, path) -> int:
+    if not _is_int(v):
+        raise SchemaViolation(path, "expected an integer")
     return v
 
 
-def _get_array(obj, key, path, required=True, default=None) -> list | None:
-    v = _get(obj, key, path, required, default)
-    if v is default and not required:
-        return default
-    if not isinstance(v, list):
-        raise SchemaViolation(f"{path}.{key}", "expected an array")
-    return v
+def _instance(cls, expected):
+    """Kind that passes instances of cls through unchanged."""
+
+    def kind(v, path):
+        if not isinstance(v, cls):
+            raise SchemaViolation(path, f"expected {expected}")
+        return v
+
+    return kind
 
 
-def _get_object(obj, key, path, required=True, default=None) -> dict | None:
-    v = _get(obj, key, path, required, default)
-    if v is default and not required:
-        return default
-    if not isinstance(v, dict):
-        raise SchemaViolation(f"{path}.{key}", "expected an object")
-    return v
+_string = _instance(str, "a string")
+_bool = _instance(bool, "a boolean")
+_array = _instance(list, "an array")
+_object = _instance(dict, "an object")
 
 
-def _get_bool(obj, key, path, required=True, default=None) -> bool | None:
-    v = _get(obj, key, path, required, default)
-    if v is default and not required:
-        return default
-    if not isinstance(v, bool):
-        raise SchemaViolation(f"{path}.{key}", "expected a boolean")
-    return v
+def _array_of(kind, what):
+    """Kind for a nonempty array whose elements are read through kind."""
+
+    def read(node, path):
+        if not isinstance(node, list) or not node:
+            raise SchemaViolation(path, f"expected a nonempty array of {what}")
+        return [kind(v, f"{path}[{i}]") for i, v in enumerate(node)]
+
+    return read
 
 
-def _decode_complex_matrix(node, path) -> np.ndarray:
+_vector = _array_of(_number, "numbers")
+_indices = _array_of(_int, "indices")
+_blocks = _array_of(_indices, "index blocks")
+
+
+def _matrix(node, path) -> np.ndarray:
     if not isinstance(node, list) or not node:
         raise SchemaViolation(path, "expected a nonempty array of rows")
-    rows = []
-    width = None
     for i, row in enumerate(node):
         if not isinstance(row, list):
             raise SchemaViolation(f"{path}[{i}]", "expected an array of [re, im] pairs")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaViolation(f"{path}[{i}]", f"ragged row (expected {width} entries)")
-        out_row = []
-        for j, cell in enumerate(row):
-            ok = (
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell
-                )
+        if len(row) != len(node[0]):
+            raise SchemaViolation(
+                f"{path}[{i}]", f"ragged row (expected {len(node[0])} entries)"
             )
-            if not ok:
+        for j, cell in enumerate(row):
+            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_number, cell))):
                 raise SchemaViolation(f"{path}[{i}][{j}]", "expected an [re, im] pair")
-            out_row.append(complex(cell[0], cell[1]))
-        rows.append(out_row)
-    return np.array(rows, dtype=complex)
+    return np.array([[complex(*cell) for cell in row] for row in node], dtype=complex)
 
 
-def _decode_real_vector(node, path) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise SchemaViolation(path, "expected a nonempty array of numbers")
-    out = []
-    for i, v in enumerate(node):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaViolation(f"{path}[{i}]", "expected a number")
-        out.append(float(v))
-    return np.array(out)
-
-
-def _decode_blocks(node, path) -> tuple:
-    if not isinstance(node, list) or not node:
-        raise SchemaViolation(path, "expected a nonempty array of index blocks")
-    blocks = []
-    for i, b in enumerate(node):
-        if not isinstance(b, list) or not b:
-            raise SchemaViolation(f"{path}[{i}]", "expected a nonempty array of indices")
-        for j, v in enumerate(b):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise SchemaViolation(f"{path}[{i}][{j}]", "expected an integer index")
-        blocks.append(tuple(int(v) for v in b))
-    return tuple(blocks)
-
-
-def _decode_op(node, path) -> compops.StochasticOp:
-    n = _get_int(node, "n_states", path)
-    rows_node = _get_object(node, "rows", path)
+def _op(node, path) -> compops.StochasticOp:
+    n = _get(node, "n_states", path, _int)
+    rows_node = _get(node, "rows", path, _object)
     rows = {}
-    for key, arr in rows_node.items():
-        if not key.isdigit():
+    for key in rows_node:
+        if not key.isdecimal():
             raise SchemaViolation(f"{path}.rows.{key}", "row keys must be state indices")
-        rows[int(key)] = _decode_real_vector(arr, f"{path}.rows.{key}")
+        rows[int(key)] = _get(rows_node, key, f"{path}.rows", _vector)
     return compops.StochasticOp(n, rows)
 
 
@@ -228,26 +206,23 @@ def _entropy_divisor(units: str) -> float:
 
 def _handle_classify(payload, units, tol):
     div = _entropy_divisor(units)
-    op = _decode_op(payload, "payload")
-    over = payload.get("over")
+    op = _op(payload, "payload")
+    over = _get(payload, "over", "payload", _indices, None)
     outputs = {
         "domain": list(op.domain),
         "deterministic": compops.is_deterministic(op),
         "reversible": compops.is_reversible(op),
     }
     if over is not None:
-        over = [int(v) for v in _decode_real_vector(over, "payload.over")]
         outputs["reversible_over"] = compops.is_reversible(op, over)
     checks = []
     if outputs["deterministic"]:
         outputs["entropy_ejecting"] = compops.is_entropy_ejecting(op)
         outputs["traditional_theorem"] = compops.check_traditional_theorem(op)
         checks.append(outputs["traditional_theorem"])
-    dist = _get_array(payload, "input_dist", "payload", required=False)
+    dist = _get(payload, "input_dist", "payload", _vector, None)
     if dist is not None:
-        c = compops.ContextualizedComputation(
-            op, _decode_real_vector(dist, "payload.input_dist")
-        )
+        c = compops.ContextualizedComputation(op, dist)
         delta_h, min_delta_s = compops.computational_entropy_delta(c)
         outputs["delta_h_c"] = delta_h / div
         outputs["min_delta_s_nc"] = min_delta_s / div
@@ -265,8 +240,8 @@ def _handle_classify(payload, units, tol):
 
 def _handle_entropy_decompose(payload, units, tol):
     div = _entropy_divisor(units)
-    state = _decode_complex_matrix(_get(payload, "state", "payload"), "payload.state")
-    blocks = _decode_blocks(_get(payload, "blocks", "payload"), "payload.blocks")
+    state = _get(payload, "state", "payload", _matrix)
+    blocks = _get(payload, "blocks", "payload", _blocks)
     partition = compmodel.BasisPartition(state.shape[0], blocks)
     ctx = compmodel.QuantumContext(state, partition)
     s_total, h_c, s_nc = compmodel.entropy_decompose(ctx)
@@ -283,82 +258,61 @@ def _handle_entropy_decompose(payload, units, tol):
 
 
 def _handle_implements_check(payload, units, tol):
-    u = _decode_complex_matrix(_get(payload, "unitary", "payload"), "payload.unitary")
-    state = _decode_complex_matrix(_get(payload, "state", "payload"), "payload.state")
+    u = _get(payload, "unitary", "payload", _matrix)
+    state = _get(payload, "state", "payload", _matrix)
     d = state.shape[0]
-    p_in = compmodel.BasisPartition(
-        d, _decode_blocks(_get(payload, "p_in_blocks", "payload"), "payload.p_in_blocks")
-    )
-    out_blocks = payload.get("p_out_blocks")
-    p_out = (
-        compmodel.BasisPartition(d, _decode_blocks(out_blocks, "payload.p_out_blocks"))
-        if out_blocks is not None
-        else p_in
-    )
-    op = _decode_op(_get_object(payload, "op", "payload"), "payload.op")
+    p_in = compmodel.BasisPartition(d, _get(payload, "p_in_blocks", "payload", _blocks))
+    out_blocks = _get(payload, "p_out_blocks", "payload", _blocks, None)
+    p_out = compmodel.BasisPartition(d, out_blocks) if out_blocks is not None else p_in
+    op = _get(payload, "op", "payload", _op)
     ctx = compmodel.QuantumContext(state, p_in)
     tv_tol = tol if tol is not None else 1e-9
     ok = compops.implements(u, p_in, p_out, op, ctx, tol=tv_tol)
     return {"implements": ok}, ok, {"total_variation": tv_tol}, {}
 
 
-def _decode_reset_unitary(node, path, d_s, d_e):
-    if not isinstance(node, dict):
-        raise SchemaViolation(path, "expected an object")
-    if "matrix" in node:
-        return _decode_complex_matrix(node["matrix"], f"{path}.matrix")
-    if "swap" in node:
-        if node["swap"] is not True:
+def _reset_unitary(node, path, d_s, d_e):
+    matrix = _get(node, "matrix", path, _matrix, None)
+    if matrix is not None:
+        return matrix
+    swap = _get(node, "swap", path, _bool, None)
+    if swap is not None:
+        if not swap:
             raise SchemaViolation(f"{path}.swap", "must be true when present")
         if d_s != d_e:
             raise SchemaViolation(
                 f"{path}.swap", f"swap needs equal dimensions, got {d_s} and {d_e}"
             )
         return channels.swap_unitary(d_s)
-    if "transpositions" in node:
-        pairs = node["transpositions"]
-        if not isinstance(pairs, list):
-            raise SchemaViolation(f"{path}.transpositions", "expected an array of pairs")
-        clean = []
-        for i, pair in enumerate(pairs):
-            ok = (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+    pairs = _get(node, "transpositions", path, _array, None)
+    if pairs is None:
+        raise SchemaViolation(path, "expected one of: matrix, swap, transpositions")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise SchemaViolation(
+                f"{path}.transpositions[{i}]", "expected an [i, j] index pair"
             )
-            if not ok:
-                raise SchemaViolation(
-                    f"{path}.transpositions[{i}]", "expected an [i, j] index pair"
-                )
-            clean.append((pair[0], pair[1]))
-        return channels.basis_transposition(d_s * d_e, clean)
-    raise SchemaViolation(path, "expected one of: matrix, swap, transpositions")
+    return channels.basis_transposition(d_s * d_e, pairs)
+
+
+def _weighted_state(node, path) -> tuple:
+    return _get(node, "p", path, _number), _get(node, "state", path, _matrix)
 
 
 def _handle_landauer(payload, units, tol):
     div = _entropy_divisor(units)
-    mode = _get_string(payload, "mode", "payload")
+    mode = _get(payload, "mode", "payload", _string)
     if mode not in ("conditional", "unconditional"):
         raise SchemaViolation("payload.mode", f"unknown mode {mode!r}")
-    states_node = _get_array(payload, "states", "payload")
-    states = []
-    for i, entry in enumerate(states_node):
-        p = _get_number(entry, "p", f"payload.states[{i}]")
-        rho = _decode_complex_matrix(
-            _get(entry, "state", f"payload.states[{i}]"), f"payload.states[{i}].state"
-        )
-        states.append((p, rho))
-    target = _decode_complex_matrix(_get(payload, "target", "payload"), "payload.target")
-    h_e = _decode_complex_matrix(
-        _get(payload, "env_hamiltonian", "payload"), "payload.env_hamiltonian"
-    )
-    beta = _get_number(payload, "beta", "payload")
+    states = _get(payload, "states", "payload", _array_of(_weighted_state, "states"))
+    target = _get(payload, "target", "payload", _matrix)
+    h_e = _get(payload, "env_hamiltonian", "payload", _matrix)
+    beta = _get(payload, "beta", "payload", _number)
     env_ctx = qstate.ThermoContext(qstate.Hamiltonian(h_e), beta)
     d_s, d_e = states[0][1].shape[0], h_e.shape[0]
-    unitaries_node = _get_array(payload, "unitaries", "payload")
     unitaries = tuple(
-        _decode_reset_unitary(node, f"payload.unitaries[{i}]", d_s, d_e)
-        for i, node in enumerate(unitaries_node)
+        _reset_unitary(node, f"payload.unitaries[{i}]", d_s, d_e)
+        for i, node in enumerate(_get(payload, "unitaries", "payload", _array))
     )
     scenario = channels.ResetScenario(
         states=tuple(states),
@@ -378,7 +332,7 @@ def _handle_landauer(payload, units, tol):
     }
     passed = sim["satisfied"]
     tolerances = {"bound_slack": channels.BOUND_TOL}
-    if _get_bool(payload, "heat", "payload", required=False, default=False):
+    if _get(payload, "heat", "payload", _bool, False):
         if len(unitaries) != 1:
             raise SchemaViolation(
                 "payload.heat", "heat analysis needs a single shared unitary"
@@ -410,15 +364,11 @@ def _handle_landauer(payload, units, tol):
 
 
 def _handle_thermo_check(payload, units, tol):
-    p_in = _decode_real_vector(_get(payload, "p_in", "payload"), "payload.p_in")
-    p_out = _decode_real_vector(_get(payload, "p_out", "payload"), "payload.p_out")
-    energies = _decode_real_vector(
-        _get(payload, "energies", "payload"), "payload.energies"
-    )
-    beta = _get_number(payload, "beta", "payload")
-    convention = _get_string(
-        payload, "convention", "payload", required=False, default="paper"
-    )
+    p_in = _get(payload, "p_in", "payload", _vector)
+    p_out = _get(payload, "p_out", "payload", _vector)
+    energies = _get(payload, "energies", "payload", _vector)
+    beta = _get(payload, "beta", "payload", _number)
+    convention = _get(payload, "convention", "payload", _string, "paper")
     if convention not in ("paper", "standard"):
         raise SchemaViolation("payload.convention", f"unknown convention {convention!r}")
     feasible = resource.thermomaj_feasible(p_in, p_out, energies, beta, convention)
@@ -439,17 +389,13 @@ def _handle_thermo_check(payload, units, tol):
 
 
 def _handle_cto_check(payload, units, tol):
-    rho_in = _decode_complex_matrix(_get(payload, "rho_in", "payload"), "payload.rho_in")
-    rho_out = _decode_complex_matrix(
-        _get(payload, "rho_out", "payload"), "payload.rho_out"
-    )
-    h = _decode_complex_matrix(
-        _get(payload, "hamiltonian", "payload"), "payload.hamiltonian"
-    )
-    beta = _get_number(payload, "beta", "payload")
-    qmi = _get_number(payload, "qmi_budget", "payload")
+    rho_in = _get(payload, "rho_in", "payload", _matrix)
+    rho_out = _get(payload, "rho_out", "payload", _matrix)
+    h = _get(payload, "hamiltonian", "payload", _matrix)
+    beta = _get(payload, "beta", "payload", _number)
+    qmi = _get(payload, "qmi_budget", "payload", _number)
     ctx = qstate.ThermoContext(qstate.Hamiltonian(h), beta)
-    if _get_bool(payload, "cycle", "payload", required=False, default=False):
+    if _get(payload, "cycle", "payload", _bool, False):
         verdict = resource.compute_reset_cycle_verdict(rho_in, rho_out, ctx, qmi)
     else:
         verdict = resource.cto_feasible_general(rho_in, rho_out, ctx, qmi)
@@ -462,13 +408,8 @@ def _handle_cto_check(payload, units, tol):
     }
     passed = verdict.feasible
     tolerances = {"feasibility": resource.FEASIBILITY_TOL}
-    if _get_bool(payload, "second_laws", "payload", required=False, default=False):
-        alphas_node = _get_array(payload, "alphas", "payload", required=False)
-        alphas = (
-            tuple(float(a) for a in _decode_real_vector(alphas_node, "payload.alphas"))
-            if alphas_node is not None
-            else resource.DEFAULT_ALPHA_GRID
-        )
+    if _get(payload, "second_laws", "payload", _bool, False):
+        alphas = _get(payload, "alphas", "payload", _vector, resource.DEFAULT_ALPHA_GRID)
         ok, margins = resource.second_laws_check(rho_in, rho_out, ctx, alphas)
         outputs["second_laws"] = {
             "pass": ok,
@@ -478,46 +419,42 @@ def _handle_cto_check(payload, units, tol):
     return outputs, passed, tolerances, {}
 
 
-def _decode_lindbladian(payload) -> gksl.Lindbladian:
-    h = _decode_complex_matrix(
-        _get(payload, "hamiltonian", "payload"), "payload.hamiltonian"
+def _jump(node, path) -> tuple:
+    return _get(node, "operator", path, _matrix), _get(node, "rate", path, _number)
+
+
+def _lindbladian(payload) -> gksl.Lindbladian:
+    h = _get(payload, "hamiltonian", "payload", _matrix)
+    jumps = _get(payload, "jumps", "payload", _array, [])
+    return gksl.Lindbladian(
+        qstate.Hamiltonian(h),
+        tuple(_jump(node, f"payload.jumps[{i}]") for i, node in enumerate(jumps)),
     )
-    jumps_node = _get_array(payload, "jumps", "payload", required=False, default=[])
-    jumps = []
-    for i, node in enumerate(jumps_node):
-        op = _decode_complex_matrix(
-            _get(node, "operator", f"payload.jumps[{i}]"), f"payload.jumps[{i}].operator"
-        )
-        rate = _get_number(node, "rate", f"payload.jumps[{i}]")
-        jumps.append((op, rate))
-    return gksl.Lindbladian(qstate.Hamiltonian(h), tuple(jumps))
+
+
+def _times(node, path):
+    """{"t_max": T, "n": N} for an even grid on [0, T], or an explicit list."""
+    if not isinstance(node, dict):
+        return _vector(node, path)
+    t_max = _get(node, "t_max", path, _number)
+    n = _get(node, "n", path, _int)
+    if n < 1:
+        raise SchemaViolation(f"{path}.n", "need at least one point")
+    return np.linspace(0.0, t_max, n)
 
 
 def _handle_gksl_evolve(payload, units, tol):
-    l = _decode_lindbladian(payload)
-    state = _decode_complex_matrix(_get(payload, "state", "payload"), "payload.state")
-    times_node = _get(payload, "times", "payload")
-    if isinstance(times_node, dict):
-        t_max = _get_number(times_node, "t_max", "payload.times")
-        n = _get_int(times_node, "n", "payload.times")
-        if n < 1:
-            raise SchemaViolation("payload.times.n", "need at least one point")
-        times = np.linspace(0.0, t_max, n)
-    else:
-        times = _decode_real_vector(times_node, "payload.times")
-    trajectory = [gksl.propagate(l, state, t) for t in times]
+    l = _lindbladian(payload)
+    state = _get(payload, "state", "payload", _matrix)
+    times = _get(payload, "times", "payload", _times)
+    trajectory = np.array([gksl.propagate(l, state, t) for t in times])
     max_drift = max(abs(float(np.real(np.trace(r))) - 1.0) for r in trajectory)
     d = l.dim
     header = "t," + ",".join(
         f"re_{i}{j},im_{i}{j}" for i in range(d) for j in range(d)
     )
-    rows = []
-    for t, r in zip(times, trajectory):
-        flat = []
-        for i in range(d):
-            for j in range(d):
-                flat.extend((r[i, j].real, r[i, j].imag))
-        rows.append([float(t), *flat])
+    # each row: t, then re, im of every entry in row-major order
+    rows = np.column_stack((times, trajectory.reshape(len(times), -1).view(float)))
     outputs = {
         "n_points": int(len(times)),
         "max_trace_drift": float(max_drift),
@@ -525,10 +462,10 @@ def _handle_gksl_evolve(payload, units, tol):
     }
     passed = True
     tolerances = {"trace": gksl.TRAJECTORY_TRACE_TOL}
-    blocks_node = _get(payload, "blocks", "payload", required=False)
-    if blocks_node is not None:
-        partition = compmodel.BasisPartition(d, _decode_blocks(blocks_node, "payload.blocks"))
-        t_resolve = _get_number(payload, "t_resolve", "payload")
+    blocks = _get(payload, "blocks", "payload", _blocks, None)
+    if blocks is not None:
+        partition = compmodel.BasisPartition(d, blocks)
+        t_resolve = _get(payload, "t_resolve", "payload", _number)
         check = gksl.dephasing_check(l, partition, state, t_resolve)
         outputs["dephasing"] = {
             "residual_coherence": check["residual_coherence"],
@@ -540,8 +477,8 @@ def _handle_gksl_evolve(payload, units, tol):
 
 
 def _handle_gksl_asymptotic(payload, units, tol):
-    l = _decode_lindbladian(payload)
-    dec = gksl.decompose(l, _get_number(payload, "tol", "payload", required=False))
+    l = _lindbladian(payload)
+    dec = gksl.decompose(l, _get(payload, "tol", "payload", _number, None))
     evals = sorted(
         (complex(z) for z in dec.eigenvalues), key=lambda z: (z.real, z.imag)
     )
@@ -554,44 +491,40 @@ def _handle_gksl_asymptotic(payload, units, tol):
     }
     passed = True
     tolerances = {"asymptotic_re": dec.tol}
-    cesaro_node = _get_object(payload, "cesaro", "payload", required=False)
-    if cesaro_node is not None:
+    cesaro = _get(payload, "cesaro", "payload", _object, None)
+    if cesaro is not None:
         ces = gksl.cesaro_projector(
             l,
-            _get_number(cesaro_node, "horizon", "payload.cesaro"),
-            _get_int(cesaro_node, "samples", "payload.cesaro"),
+            _get(cesaro, "horizon", "payload.cesaro", _number),
+            _get(cesaro, "samples", "payload.cesaro", _int),
         )
         dist = qlinalg.hs_norm(ces.matrix - dec.p_inf.matrix)
         gate = tol if tol is not None else 1e-4
         outputs["cesaro_distance"] = float(dist)
         tolerances["cesaro_agreement"] = gate
         passed = bool(dist <= gate)
-    state_node = _get(payload, "state", "payload", required=False)
-    if state_node is not None:
-        state = _decode_complex_matrix(state_node, "payload.state")
-        h_inf_node = _get(payload, "h_inf", "payload", required=False)
-        h_inf = qstate.Hamiltonian(
-            _decode_complex_matrix(h_inf_node, "payload.h_inf")
-            if h_inf_node is not None
-            else np.zeros((l.dim, l.dim), dtype=complex)
+    state = _get(payload, "state", "payload", _matrix, None)
+    if state is not None:
+        h_inf = _get(
+            payload, "h_inf", "payload", _matrix, np.zeros((l.dim, l.dim), dtype=complex)
         )
-        s = _get_number(payload, "s", "payload", required=False, default=0.0)
-        final = gksl.asymptotic_evolution(dec, state, h_inf, s)
+        s = _get(payload, "s", "payload", _number, 0.0)
+        final = gksl.asymptotic_evolution(dec, state, qstate.Hamiltonian(h_inf), s)
         outputs["asymptotic_state"] = _encode_complex_matrix(final)
     return outputs, passed, tolerances, {}
 
 
 def _handle_adiabatic_sweep(payload, units, tol):
     params = adiabatic.AdiabaticParams(
-        e_sig=_get_number(payload, "e_sig", "payload"),
-        tau_r=_get_number(payload, "tau_r", "payload"),
-        tau_e=_get_number(payload, "tau_e", "payload"),
-        c_sw=_get_number(payload, "c_sw", "payload", required=False, default=1.0),
-        c_lk=_get_number(payload, "c_lk", "payload", required=False, default=1.0),
+        e_sig=_get(payload, "e_sig", "payload", _number),
+        tau_r=_get(payload, "tau_r", "payload", _number),
+        tau_e=_get(payload, "tau_e", "payload", _number),
+        c_sw=_get(payload, "c_sw", "payload", _number, 1.0),
+        c_lk=_get(payload, "c_lk", "payload", _number, 1.0),
     )
-    t_min = _get_number(payload, "t_min", "payload")
-    t_max = _get_number(payload, "t_max", "payload")
-    n_points = _get_int(payload, "n_points", "payload")
+    t_min = _get(payload, "t_min", "payload", _number)
+    t_max = _get(payload, "t_max", "payload", _number)
+    n_points = _get(payload, "n_points", "payload", _int)
     table = adiabatic.sweep(params, t_min, t_max, n_points)
     opt = adiabatic.optimal_ttr(params)
     floor = adiabatic.min_e_diss(params)
@@ -604,7 +537,7 @@ def _handle_adiabatic_sweep(payload, units, tol):
         "grid_min": grid_min,
         "n_points": int(n_points),
     }
-    c = _get_number(payload, "efficiency_c", "payload", required=False)
+    c = _get(payload, "efficiency_c", "payload", _number, None)
     if c is not None:
         outputs["efficiency_bound"] = float(adiabatic.efficiency_bound(params, c))
     closed_form_ok = abs(at_opt - floor) <= 1e-12 * max(1.0, floor)
@@ -630,6 +563,11 @@ _HANDLERS = {
 
 
 def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int:
+    """Run one scenario file and return its exit code.
+
+    task None runs whatever task the file declares (batch); otherwise the
+    declared task must match.
+    """
     try:
         raw = Path(scenario_path).read_bytes()
     except OSError as exc:
@@ -645,14 +583,16 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
             raise SchemaViolation("--units", f"unknown unit {units!r}")
         if tol is not None and (not math.isfinite(tol) or tol <= 0.0):
             raise SchemaViolation("--tol", "tolerance must be a positive number")
-        if not isinstance(doc, dict):
-            raise SchemaViolation("$", "scenario must be a JSON object")
-        declared = _get_string(doc, "task", "$")
-        if declared != task:
+        declared = _get(doc, "task", "$", _string)
+        if task is None:
+            task = declared
+        elif declared != task:
             raise SchemaViolation(
                 "$.task", f"scenario declares {declared!r}, command runs {task!r}"
             )
-        payload = _get_object(doc, "payload", "$")
+        if task not in _HANDLERS:
+            raise SchemaViolation("$.task", f"unknown task {task!r}")
+        payload = _get(doc, "payload", "$", _object)
         outputs, passed, tolerances, csvs = _HANDLERS[task](payload, units, tol)
         _scan_finite(outputs)
     except SchemaViolation as exc:
@@ -724,29 +664,16 @@ def batch(scenarios, out_dir, units, tol):
     """Run several scenario files; exit with the worst individual code."""
     worst = 0
     for path in scenarios:
-        task = None
-        try:
-            doc = json.loads(Path(path).read_bytes().decode("utf-8"))
-            if isinstance(doc, dict) and isinstance(doc.get("task"), str):
-                task = doc["task"]
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            pass
-        if task is not None and task not in TASKS:
-            click.echo(f"error: invalid scenario: $.task: unknown task {task!r}", err=True)
-            code = 3
-        else:
-            stem = Path(path).stem
-            code = _invoke(
-                # unreadable/malformed files fall through to _invoke for the
-                # usual exit-1/exit-2 handling; any declared task name works.
-                task if task is not None else TASKS[0],
-                path,
-                str(Path(out_dir) / f"{stem}.report.json"),
-                units,
-                tol,
-                out_dir,
-                csv_prefix=f"{stem}_",
-            )
+        stem = Path(path).stem
+        code = _invoke(
+            None,
+            path,
+            str(Path(out_dir) / f"{stem}.report.json"),
+            units,
+            tol,
+            out_dir,
+            csv_prefix=f"{stem}_",
+        )
         click.echo(f"{path}: exit {code}")
         worst = max(worst, code)
     sys.exit(worst)

@@ -258,7 +258,7 @@ def _check_spectrum_stability(evals: np.ndarray, tol: float):
 
 
 def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_{k<n} E^k by divide and conquer; O(log n) products."""
+    """(1/n) sum_{k<n} E^k for n >= 1 by divide and conquer; O(log n) products."""
     d2 = e.shape[0]
 
     def rec(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +273,7 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
             p = p @ e
         return s, p
 
-    if n < 1:
-        raise ContractError("sample count must be positive")
-    total, _ = rec(int(n))
+    total, _ = rec(n)
     return total / n
 
 
@@ -292,6 +290,9 @@ def cesaro_projector(
     gapped decaying sector, and vanishes to rounding when every spectral
     gap times the horizon is a multiple of 2 pi.
     """
+    samples = int(samples)
+    if samples < 1:
+        raise ContractError("sample count must be positive")
     horizon = float(horizon)
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ContractError("horizon must be positive and finite")
@@ -301,11 +302,11 @@ def cesaro_projector(
     _check_spectrum_stability(evals, tol)
     if frequencies is None:
         frequencies = _cluster_values(evals.imag[np.abs(evals.real) <= tol], tol)
-    dt = horizon / int(samples)
+    dt = horizon / samples
     step = qlinalg.matrix_exp(dt * sup.matrix)
     acc = np.zeros_like(sup.matrix)
     for lam in np.atleast_1d(frequencies):
-        acc += _geometric_mean(step * np.exp(-1j * float(lam) * dt), int(samples))
+        acc += _geometric_mean(step * np.exp(-1j * float(lam) * dt), samples)
     return SuperoperatorMatrix(acc, kind="approximation")
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -6,6 +7,9 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from revtherm import cli
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -29,6 +33,75 @@ def write_scenario(tmp_path, task, payload, name="scenario.json"):
 
 def load_report(path):
     return json.loads(Path(path).read_text())
+
+
+def load_scenario(name: str) -> dict:
+    return json.loads((SCENARIOS / name).read_text())
+
+
+def diag_matrix(*diag):
+    n = len(diag)
+    return [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+# One small passing scenario for each task without a bundled file. Every
+# optional field is present so that the field-mutation test reaches it.
+MINIMAL = {
+    "classify": {
+        "n_states": 2,
+        "rows": {"0": [0.0, 1.0], "1": [1.0, 0.0]},
+        "input_dist": [0.25, 0.75],
+        "over": [0, 1],
+    },
+    "entropy-decompose": {"state": diag_matrix(0.5, 0.5), "blocks": [[0], [1]]},
+    "implements-check": {
+        "unitary": diag_matrix(1.0, 1.0),
+        "state": diag_matrix(0.3, 0.7),
+        "p_in_blocks": [[0], [1]],
+        "p_out_blocks": [[0], [1]],
+        "op": {"n_states": 2, "rows": {"0": [1.0, 0.0], "1": [0.0, 1.0]}},
+    },
+    "thermo-check": {
+        "p_in": [0.5, 0.5],
+        "p_out": [0.5, 0.5],
+        "energies": [0.0, 1.0],
+        "beta": 1.0,
+        "convention": "standard",
+    },
+    "cto-check": {
+        "rho_in": diag_matrix(0.2, 0.8),
+        "rho_out": diag_matrix(0.2, 0.8),
+        "hamiltonian": diag_matrix(0.0, 1.0),
+        "beta": 1.0,
+        "qmi_budget": 0.0,
+        "cycle": False,
+        "second_laws": True,
+        "alphas": [0.5, 2.0],
+    },
+    "gksl-asymptotic": {
+        "hamiltonian": diag_matrix(0.0, 0.0),
+        "jumps": [{"operator": diag_matrix(1.0, -1.0), "rate": 0.25}],
+        "tol": 1e-8,
+        "cesaro": {"horizon": 1e5, "samples": 100000},
+        "state": diag_matrix(0.5, 0.5),
+        "h_inf": diag_matrix(0.0, 0.0),
+        "s": 1.0,
+    },
+}
+
+# Stand-in for the JSON literal 1e309, which Python reads as inf; json.dumps
+# would write inf as Infinity instead.
+OVERFLOW = "<1e309>"
+
+
+def mutated(doc, path, value) -> str:
+    """Scenario text with the payload field at path replaced by value."""
+    doc = copy.deepcopy(doc)
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc).replace(json.dumps(OVERFLOW), "1e309")
 
 
 class TestBundledScenarios:
@@ -178,6 +251,79 @@ class TestExitCodes:
         report = load_report(out)
         assert report["pass"] is False
         assert report["outputs"]["feasible"] is False
+
+    @pytest.mark.parametrize(
+        "doc,path,value,message",
+        [
+            (load_scenario("erasure_bit.json"), ("states",), [], "payload.states:"),
+            (
+                {"task": "classify", "payload": MINIMAL["classify"]},
+                ("over",),
+                [0.7],
+                "payload.over[0]: expected an integer",
+            ),
+            (
+                {"task": "gksl-asymptotic", "payload": MINIMAL["gksl-asymptotic"]},
+                ("tol",),
+                None,
+                "payload.tol: null is not a value",
+            ),
+            (
+                load_scenario("dephasing.json"),
+                ("blocks",),
+                None,
+                "payload.blocks: null is not a value",
+            ),
+            (
+                load_scenario("dephasing.json"),
+                ("times", "t_max"),
+                OVERFLOW,
+                "payload.times.t_max: expected a finite number",
+            ),
+            (
+                {"task": "gksl-asymptotic", "payload": MINIMAL["gksl-asymptotic"]},
+                ("cesaro", "samples"),
+                0,
+                "sample count must be positive",
+            ),
+            (
+                {"task": "thermo-check", "payload": MINIMAL["thermo-check"]},
+                ("beta",),
+                10**400,
+                "payload.beta: expected a finite number",
+            ),
+            (
+                {"task": "entropy-decompose", "payload": MINIMAL["entropy-decompose"]},
+                ("state", 0, 0),
+                [10**400, 0],
+                "payload.state[0][0]: expected an [re, im] pair",
+            ),
+            (
+                {"task": "classify", "payload": MINIMAL["classify"]},
+                ("rows",),
+                {"0": [0.0, 1.0], "\u00b2": [1.0, 0.0]},
+                "row keys must be state indices",
+            ),
+        ],
+        ids=[
+            "empty-states",
+            "fractional-over",
+            "null-tol",
+            "null-blocks",
+            "overflowing-t_max",
+            "zero-cesaro-samples",
+            "oversized-int-number",
+            "oversized-int-matrix-cell",
+            "superscript-digit-row-key",
+        ],
+    )
+    def test_bad_field_is_3(self, tmp_path, doc, path, value, message):
+        p = tmp_path / "scenario.json"
+        p.write_text(mutated(doc, path, value))
+        r = run_cli(doc["task"], "--scenario", str(p))
+        assert r.returncode == 3, r.stderr
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_numeric_overflow_is_5(self, tmp_path):
         p = write_scenario(
@@ -422,3 +568,69 @@ class TestBatch:
         r = run_cli("batch", "--scenario", str(p), "--out-dir", str(tmp_path))
         assert r.returncode == 2
         assert "broken.json: exit 2" in r.stdout
+
+
+class TestFieldMutation:
+    """Every payload field, replaced by each hostile value, keeps the exit-code
+    contract: no traceback, an exit code of 0, 3, 4 or 5, at most one error
+    line, and null always refused."""
+
+    VALUES = (None, [], {}, 0, -1, 0.7, True, "x", [[]], [0.7], OVERFLOW)
+
+    @staticmethod
+    def documents():
+        for path in sorted(SCENARIOS.iterdir()):
+            if path.name.endswith(".json"):
+                yield json.loads(path.read_text())
+        for task, payload in MINIMAL.items():
+            yield {"task": task, "payload": payload}
+
+    @classmethod
+    def field_paths(cls, node, path=()):
+        # descend into objects and arrays, but not into complex matrices
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list) and not cls.is_matrix(node):
+            items = enumerate(node)
+        else:
+            return
+        for key, child in items:
+            yield path + (key,)
+            yield from cls.field_paths(child, path + (key,))
+
+    @staticmethod
+    def is_matrix(node):
+        return bool(node) and all(
+            isinstance(row, list)
+            and row
+            and all(isinstance(cell, list) and len(cell) == 2 for cell in row)
+            for row in node
+        )
+
+    @staticmethod
+    def keeps_contract(result, value) -> bool:
+        lines = result.stderr.splitlines()
+        return (
+            (result.exception is None or isinstance(result.exception, SystemExit))
+            and result.exit_code in (0, 3, 4, 5)
+            and (value is not None or result.exit_code == 3)
+            and (lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")))
+        )
+
+    def test_contract_holds_for_every_field(self, tmp_path):
+        runner = CliRunner()
+        scenario_file = tmp_path / "scenario.json"
+        out = str(tmp_path / "report.json")
+        failures = []
+        n_cases = 0
+        for doc in self.documents():
+            for path in self.field_paths(doc["payload"]):
+                for value in self.VALUES:
+                    n_cases += 1
+                    scenario_file.write_text(mutated(doc, path, value))
+                    args = [doc["task"], "--scenario", str(scenario_file), "--out", out]
+                    r = runner.invoke(cli.main, args)
+                    if not self.keeps_contract(r, value):
+                        failures.append((doc["task"], path, value, r.exit_code, r.stderr))
+        assert n_cases > 1000
+        assert failures == []

@@ -189,6 +189,15 @@ class TestCesaro:
         with pytest.raises(ContractError):
             gksl.cesaro_projector(dephasing(), horizon=float("inf"), samples=100)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_checked_before_any_work(self, monkeypatch, samples):
+        def no_build(l):
+            raise AssertionError("generator built before the sample count was checked")
+
+        monkeypatch.setattr(gksl, "build_superoperator", no_build)
+        with pytest.raises(ContractError, match="sample count must be positive"):
+            gksl.cesaro_projector(dephasing(), horizon=10.0, samples=samples)
+
 
 class TestAsymptoticEvolution:
     def test_dephasing_then_slow_rotation(self):

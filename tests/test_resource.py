@@ -135,6 +135,36 @@ class TestFeasibility:
         assert resource.thermomaj_feasible(b, g, e, beta, "standard")
         assert resource.thermomaj_feasible(a, g, e, beta, "standard")
 
+    def test_breakpoint_check_matches_dense_grid(self):
+        # Reference: the curves compared on their breakpoints plus a dense
+        # uniform grid over [0, Z]. Repeated energies give degenerate levels;
+        # small integer weights give probability ties.
+        def dense_feasible(p_in, p_out, e, beta, conv):
+            cin = resource.thermomaj_curve(p_in, e, beta, conv)
+            cout = resource.thermomaj_curve(p_out, e, beta, conv)
+            grid = np.concatenate(
+                (cin.xs, cout.xs, np.linspace(0.0, cin.partition_weight, 4001))
+            )
+            return bool(
+                np.all(cout.evaluate(grid) <= cin.evaluate(grid) + resource.FEASIBILITY_TOL)
+            )
+
+        gen = rng(61)
+        for conv in ("paper", "standard"):
+            verdicts = []
+            for _ in range(500):
+                n = int(gen.integers(2, 6))
+                e = gen.choice([0.0, 0.5, 1.0, 2.0], size=n)
+                beta = float(gen.choice([0.0, 0.7, 2.0]))
+                w = gen.integers(1, 4, size=n).astype(float)
+                p_in = w / w.sum()
+                lam = gen.random()
+                p_out = (1.0 - lam) * p_in + lam * random_distribution(gen, n)
+                got = resource.thermomaj_feasible(p_in, p_out, e, beta, conv)
+                assert got == dense_feasible(p_in, p_out, e, beta, conv)
+                verdicts.append(got)
+            assert any(verdicts) and not all(verdicts)
+
 
 QUBIT_CTX = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 1.0])), 1.0)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
