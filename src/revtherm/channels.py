@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg, qstate
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 COMPLETENESS_TOL = 1e-9
 EIG_DROP = 1e-14
@@ -27,11 +27,6 @@ BOUND_TOL = 1e-9
 ENV_RANK_TOL = 1e-12
 
 _MODES = ("conditional", "unconditional")
-
-
-def _check_unitary(u: np.ndarray, what: str):
-    if qlinalg.hs_norm(u.conj().T @ u - np.eye(u.shape[0])) > qstate.UNITARITY_ATOL:
-        raise ContractError(f"{what} is not unitary")
 
 
 @dataclass(frozen=True)
@@ -47,14 +42,8 @@ class DilationSpec:
         d_s, d_e = int(self.d_s), int(self.d_e)
         if d_s < 1 or d_e < 1:
             raise ContractError("dimensions must be positive")
-        u = qlinalg.as_complex_matrix(self.u)
-        if u.shape != (d_s * d_e, d_s * d_e):
-            raise ShapeError(f"unitary is {u.shape}, expected {(d_s * d_e,) * 2}")
-        _check_unitary(u, "dilation matrix")
-        env = qlinalg.as_complex_matrix(self.env_state)
-        if env.shape != (d_e, d_e):
-            raise ShapeError(f"environment state is {env.shape}, expected {(d_e, d_e)}")
-        qstate.check_density_matrix(env)
+        u = qstate.require_unitary(self.u, d_s * d_e, "dilation matrix")
+        env = qstate.require_state(self.env_state, d_e, "environment state")
         object.__setattr__(self, "d_s", d_s)
         object.__setattr__(self, "d_e", d_e)
         object.__setattr__(self, "u", u)
@@ -63,10 +52,7 @@ class DilationSpec:
 
 def _evolve_joint(spec: DilationSpec, rho_s) -> tuple[np.ndarray, np.ndarray]:
     """Validated system state and the joint state U (rho_s x env) U+."""
-    rho_s = qlinalg.as_complex_matrix(rho_s)
-    if rho_s.shape != (spec.d_s, spec.d_s):
-        raise ShapeError(f"system state is {rho_s.shape}, expected {(spec.d_s,) * 2}")
-    qstate.check_density_matrix(rho_s)
+    rho_s = qstate.require_state(rho_s, spec.d_s, "system state")
     return rho_s, spec.u @ qlinalg.tensor(rho_s, spec.env_state) @ spec.u.conj().T
 
 
@@ -83,13 +69,11 @@ class KrausSet:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(qlinalg.as_complex_matrix(m) for m in self.operators)
+        ops = tuple(self.operators)
         if not ops:
             raise ContractError("empty Kraus set")
-        d = ops[0].shape[0]
-        for m in ops:
-            if m.shape != (d, d):
-                raise ShapeError("Kraus operators must share one square shape")
+        d = qlinalg.as_complex_matrix(ops[0]).shape[0]
+        ops = tuple(qlinalg.as_square(m, d, "Kraus operator") for m in ops)
         if self.completeness_residual_of(ops) > COMPLETENESS_TOL:
             raise ContractError("Kraus set violates the completeness relation")
         object.__setattr__(self, "operators", ops)
@@ -113,11 +97,7 @@ def _output_basis(d: int, out_basis) -> np.ndarray:
     """Columns of the returned matrix are the output-basis kets."""
     if out_basis is None:
         return np.eye(d, dtype=complex)
-    w = qlinalg.as_complex_matrix(out_basis)
-    if w.shape != (d, d):
-        raise ShapeError(f"output basis is {w.shape}, expected {(d, d)}")
-    _check_unitary(w, "output basis matrix")
-    return w
+    return qstate.require_unitary(out_basis, d, "output basis matrix")
 
 
 def extract_system_kraus(spec: DilationSpec, out_basis=None) -> KrausSet:
@@ -150,13 +130,8 @@ def extract_env_kraus(u, rho_s, dims, out_basis=None) -> KrausSet:
     environment. dims = (d_s, d_e).
     """
     d_s, d_e = int(dims[0]), int(dims[1])
-    u = qlinalg.as_complex_matrix(u)
-    if u.shape != (d_s * d_e, d_s * d_e):
-        raise ShapeError(f"unitary is {u.shape}, expected {(d_s * d_e,) * 2}")
-    rho_s = qlinalg.as_complex_matrix(rho_s)
-    if rho_s.shape != (d_s, d_s):
-        raise ShapeError(f"system state is {rho_s.shape}, expected {(d_s, d_s)}")
-    qstate.check_density_matrix(rho_s)
+    u = qlinalg.as_square(u, d_s * d_e, "unitary")
+    rho_s = qstate.require_state(rho_s, d_s, "system state")
     w_sys, v_sys = qstate._clipped_spectrum(rho_s)
     basis = _output_basis(d_s, out_basis)
     u4 = u.reshape(d_s, d_e, d_s, d_e)
@@ -173,9 +148,7 @@ def extract_env_kraus(u, rho_s, dims, out_basis=None) -> KrausSet:
 
 
 def apply_kraus(k: KrausSet, rho) -> np.ndarray:
-    rho = qlinalg.as_complex_matrix(rho)
-    if rho.shape != (k.dim, k.dim):
-        raise ShapeError(f"state is {rho.shape}, expected {(k.dim, k.dim)}")
+    rho = qlinalg.as_square(rho, k.dim, "state")
     out = np.zeros_like(rho)
     for m in k.operators:
         out += m @ rho @ m.conj().T
@@ -222,38 +195,25 @@ class ResetScenario:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ContractError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        states = []
-        for p, rho in self.states:
-            p = float(p)
-            if p < -1e-12:
-                raise ContractError("state probabilities must be nonnegative")
-            rho = qlinalg.as_complex_matrix(rho)
-            qstate.check_density_matrix(rho)
-            states.append((max(p, 0.0), rho))
-        if not states:
+        pairs = tuple(self.states)
+        if not pairs:
             raise ContractError("scenario needs at least one input state")
-        total = sum(p for p, _ in states)
-        if abs(total - 1.0) > 1e-9:
-            raise ContractError(f"state probabilities sum to {total!r}")
-        d_s = states[0][1].shape[0]
-        if any(rho.shape != (d_s, d_s) for _, rho in states):
-            raise ShapeError("input states must share one dimension")
-        target = qlinalg.as_complex_matrix(self.target)
-        if target.shape != (d_s, d_s):
-            raise ShapeError("target dimension differs from the input states")
-        qstate.check_density_matrix(target)
+        probs = qstate.require_distribution([p for p, _ in pairs], "state probabilities")
+        d_s = qlinalg.as_complex_matrix(pairs[0][1]).shape[0]
+        states = tuple(
+            (float(p), qstate.require_state(rho, d_s, "input state"))
+            for p, (_, rho) in zip(probs, pairs)
+        )
+        target = qstate.require_state(self.target, d_s, "target state")
         d_e = self.env_ctx.hamiltonian.dim
         n_unitaries = 1 if self.mode == "unconditional" else len(states)
-        unitaries = tuple(qlinalg.as_complex_matrix(u) for u in self.unitaries)
+        unitaries = tuple(self.unitaries)
         if len(unitaries) != n_unitaries:
             raise ContractError(
                 f"{self.mode} mode needs {n_unitaries} unitaries, got {len(unitaries)}"
             )
-        for u in unitaries:
-            if u.shape != (d_s * d_e, d_s * d_e):
-                raise ShapeError(f"reset unitary is {u.shape}, expected {(d_s * d_e,) * 2}")
-            _check_unitary(u, "reset unitary")
-        object.__setattr__(self, "states", tuple(states))
+        unitaries = tuple(qstate.require_unitary(u, d_s * d_e, "reset unitary") for u in unitaries)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "unitaries", unitaries)
 
@@ -373,10 +333,7 @@ def heat_mgf(env_kraus: KrausSet, tau_e) -> float:
 
     Equals 1 (bound 0) exactly when the environment channel is unital.
     """
-    tau_e = qlinalg.as_complex_matrix(tau_e)
-    qstate.check_density_matrix(tau_e)
-    if tau_e.shape != (env_kraus.dim, env_kraus.dim):
-        raise ShapeError("environment state dimension differs from the Kraus set")
+    tau_e = qstate.require_state(tau_e, env_kraus.dim, "environment state")
     acc = sum(n @ n.conj().T for n in env_kraus.operators)
     val = complex(np.trace(acc @ tau_e))
     if abs(val.imag) > 1e-10 or val.real <= 0.0:

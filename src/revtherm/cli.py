@@ -487,7 +487,7 @@ def _handle_gksl_asymptotic(payload, units, tol):
         "n_asymptotic": len(dec.asymptotic_indices),
         "p_a_rank": int(round(float(np.real(np.trace(dec.p_a))))),
         "asymptotic_frequencies": [float(f) for f in dec.asymptotic_frequencies],
-        "spectral_fallback": dec.right is None,
+        "spectral_fallback": dec.p_inf.kind == "approximation",
     }
     passed = True
     tolerances = {"asymptotic_re": dec.tol}

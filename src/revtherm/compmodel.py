@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg, qstate
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 BLOCK_DIAG_RTOL = 1e-10
 
@@ -70,9 +70,7 @@ class BasisPartition:
 
 def offblock_norm(a, partition: BasisPartition) -> float:
     """Hilbert-Schmidt mass of all entries outside the diagonal blocks."""
-    a = qlinalg.as_complex_matrix(a)
-    if a.shape != (partition.dim, partition.dim):
-        raise ShapeError(f"operator shape {a.shape} vs partition dim {partition.dim}")
+    a = qlinalg.as_square(a, partition.dim, "operator")
     off = a.copy()
     for b in partition.outcome_blocks:
         idx = np.asarray(b)
@@ -82,9 +80,7 @@ def offblock_norm(a, partition: BasisPartition) -> float:
 
 def pinch(a, partition: BasisPartition) -> np.ndarray:
     """Zero every cross-block entry (the fully decohered operator)."""
-    a = qlinalg.as_complex_matrix(a)
-    if a.shape != (partition.dim, partition.dim):
-        raise ShapeError(f"operator shape {a.shape} vs partition dim {partition.dim}")
+    a = qlinalg.as_square(a, partition.dim, "operator")
     out = np.zeros_like(a)
     for b in partition.outcome_blocks:
         idx = np.asarray(b)
@@ -94,9 +90,7 @@ def pinch(a, partition: BasisPartition) -> np.ndarray:
 
 def validate_block_diagonal(rho, partition: BasisPartition) -> bool:
     """True iff every cross-block entry is negligible relative to ||rho||."""
-    rho = qlinalg.as_complex_matrix(rho)
-    if rho.shape != (partition.dim, partition.dim):
-        raise ShapeError(f"state shape {rho.shape} vs partition dim {partition.dim}")
+    rho = qlinalg.as_square(rho, partition.dim, "state")
     gate = BLOCK_DIAG_RTOL * max(1.0, qlinalg.hs_norm(rho))
     off = rho - pinch(rho, partition)
     return bool(np.all(np.abs(off) <= gate))
@@ -110,7 +104,7 @@ class QuantumContext:
     partition: BasisPartition
 
     def __post_init__(self):
-        rho = qstate.check_density_matrix(self.state)
+        rho = qstate.require_state(self.state, self.partition.dim)
         object.__setattr__(self, "state", rho)
         if not validate_block_diagonal(rho, self.partition):
             raise ContractError(
@@ -121,20 +115,15 @@ class QuantumContext:
 
 def block_masses(rho, partition: BasisPartition) -> np.ndarray:
     """Diagonal mass in each outcome block (no block-diagonality required)."""
-    rho = qlinalg.as_complex_matrix(rho)
-    if rho.shape != (partition.dim, partition.dim):
-        raise ShapeError(f"state shape {rho.shape} vs partition dim {partition.dim}")
+    rho = qlinalg.as_square(rho, partition.dim, "state")
     diag = np.real(np.diag(rho))
     return np.array([diag[list(b)].sum() for b in partition.outcome_blocks])
 
 
 def computational_distribution(ctx: QuantumContext) -> np.ndarray:
     """P(c_j) = sum of diagonal entries over block j (catch-all included)."""
-    p = block_masses(ctx.state, ctx.partition)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"block masses sum to {total!r}, not 1")
-    return np.clip(p, 0.0, None)
+    # The masses sum to Tr rho, which QuantumContext holds within 1e-10 of 1.
+    return np.clip(block_masses(ctx.state, ctx.partition), 0.0, None)
 
 
 def entropy_decompose(ctx: QuantumContext) -> tuple[float, float, float]:

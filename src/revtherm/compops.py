@@ -85,9 +85,7 @@ class ContextualizedComputation:
         p = np.asarray(self.input_dist, dtype=float).reshape(-1)
         if p.size != self.op.n_states:
             raise ShapeError(f"distribution length {p.size} vs {self.op.n_states} states")
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-            raise ContractError("input_dist is not a probability distribution")
-        p = np.clip(p, 0.0, None)
+        p = qstate.require_distribution(p, "input_dist")
         missing = [i for i in range(p.size) if p[i] > SUPPORT_TOL and i not in self.op.rows]
         if missing:
             raise ContractError(f"input support {missing} outside the operation domain")
@@ -102,6 +100,8 @@ def _resolve_subset(op: StochasticOp, over) -> tuple[int, ...]:
     if over is None:
         return op.domain
     subset = tuple(sorted(int(i) for i in over))
+    if len(set(subset)) != len(subset):
+        raise ContractError(f"subset {list(subset)} repeats an index")
     outside = [i for i in subset if i not in op.rows]
     if outside:
         raise ContractError(f"subset {outside} outside the operation domain")
@@ -180,9 +180,7 @@ def landauer_cost_oblivious_erasure(joint) -> float:
     j = np.asarray(joint, dtype=float)
     if j.ndim != 2:
         raise ShapeError("joint distribution must be a matrix")
-    if j.min() < -1e-12 or abs(j.sum() - 1.0) > 1e-9:
-        raise ContractError("joint is not a probability distribution")
-    j = np.clip(j, 0.0, None)
+    j = qstate.require_distribution(j, "joint")
     h_x = qstate.shannon_entropy(j.sum(axis=1))
     h_y = qstate.shannon_entropy(j.sum(axis=0))
     h_xy = qstate.shannon_entropy(j.reshape(-1))

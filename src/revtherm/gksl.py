@@ -47,10 +47,8 @@ class Lindbladian:
         d = self.hamiltonian.dim
         clean = []
         for f, kappa in self.jumps:
-            f = qlinalg.as_complex_matrix(f)
+            f = qlinalg.as_square(f, d, "jump operator")
             kappa = float(kappa)
-            if f.shape != (d, d):
-                raise ShapeError(f"jump operator is {f.shape}, expected {(d, d)}")
             if kappa < 0.0 or not np.isfinite(kappa):
                 raise ContractError(f"jump rate {kappa!r} must be nonnegative")
             clean.append((f, kappa))
@@ -76,9 +74,9 @@ class SuperoperatorMatrix:
     kind: str
 
     def __post_init__(self):
-        m = qlinalg.as_complex_matrix(self.matrix)
+        m = qlinalg.as_square(self.matrix, None, "superoperator")
         d = int(round(np.sqrt(m.shape[0])))
-        if m.shape[0] != m.shape[1] or d * d != m.shape[0]:
+        if d * d != m.shape[0]:
             raise ShapeError(f"superoperator shape {m.shape} is not a square of a square")
         if self.kind not in _KINDS:
             raise ContractError(f"unknown superoperator kind {self.kind!r}")
@@ -154,10 +152,7 @@ def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
     t = float(t)
     if t < 0.0 or not np.isfinite(t):
         raise ContractError(f"time {t!r} must be nonnegative and finite")
-    rho0 = qlinalg.as_complex_matrix(rho0)
-    if rho0.shape != (l.dim, l.dim):
-        raise ShapeError(f"state is {rho0.shape}, expected {(l.dim, l.dim)}")
-    qstate.check_density_matrix(rho0)
+    rho0 = qstate.require_state(rho0, l.dim)
     sup = build_superoperator(l)
     out = qlinalg.devectorize(qlinalg.matrix_exp(t * sup.matrix) @ qlinalg.vectorize(rho0))
     drift = qlinalg.hs_norm(out - out.conj().T)
@@ -177,15 +172,13 @@ def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
 class AsymptoticDecomposition:
     """Spectral split of a generator into decaying and surviving sectors.
 
-    right/left hold eigenvectors as columns (biorthonormal pairing), or None
-    on the Cesaro fallback path for defective generators. p_inf projects
-    onto the asymptotic sector; p_a is the Hilbert-space support projector
-    of the projected maximally mixed state, q its complement.
+    p_inf projects onto the asymptotic sector: kind "trace_preserving" from
+    the eigenvectors, or "approximation" from the Cesaro fallback for
+    defective generators. p_a is the Hilbert-space support projector of the
+    projected maximally mixed state, q its complement.
     """
 
     eigenvalues: np.ndarray
-    right: np.ndarray | None
-    left: np.ndarray | None
     asymptotic_indices: tuple
     p_inf: SuperoperatorMatrix
     p_a: np.ndarray
@@ -277,18 +270,32 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
     return total / n
 
 
-def cesaro_projector(
-    l: Lindbladian, horizon: float, samples: int, frequencies=None
+def _cesaro_average(
+    m: np.ndarray, evals: np.ndarray, gate: float, horizon: float, samples: int
 ) -> SuperoperatorMatrix:
+    """Per-frequency means of exp(t(L - i w)) over the horizon, summed.
+
+    m is the generator matrix and evals its eigenvalues; the frequencies w
+    are the clustered imaginary parts of the eigenvalues with |Re| <= gate.
+    """
+    dt = horizon / samples
+    step = qlinalg.matrix_exp(dt * m)
+    acc = np.zeros_like(m)
+    for lam in _cluster_values(evals.imag[np.abs(evals.real) <= gate], gate):
+        acc += _geometric_mean(step * np.exp(-1j * float(lam) * dt), samples)
+    return SuperoperatorMatrix(acc, kind="approximation")
+
+
+def cesaro_projector(l: Lindbladian, horizon: float, samples: int) -> SuperoperatorMatrix:
     """Finite-time average approximating the asymptotic projection.
 
     For each asymptotic frequency L_, averages exp(t(L - i L_)) over the
     horizon at the given sampling resolution; the per-frequency means are
-    summed. Frequencies default to the imaginary parts of the near-zero-
-    real-part eigenvalues (eigenvalues need no diagonalizability), so this
-    path also serves defective generators. Error is O(1/horizon) for a
-    gapped decaying sector, and vanishes to rounding when every spectral
-    gap times the horizon is a multiple of 2 pi.
+    summed. Frequencies are the imaginary parts of the near-zero-real-part
+    eigenvalues (eigenvalues need no diagonalizability), so this path also
+    serves defective generators. Error is O(1/horizon) for a gapped
+    decaying sector, and vanishes to rounding when every spectral gap times
+    the horizon is a multiple of 2 pi.
     """
     samples = int(samples)
     if samples < 1:
@@ -296,18 +303,11 @@ def cesaro_projector(
     horizon = float(horizon)
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ContractError("horizon must be positive and finite")
-    sup = build_superoperator(l)
-    evals = np.linalg.eigvals(sup.matrix)
-    tol = _asymptotic_tol(evals, None)
-    _check_spectrum_stability(evals, tol)
-    if frequencies is None:
-        frequencies = _cluster_values(evals.imag[np.abs(evals.real) <= tol], tol)
-    dt = horizon / samples
-    step = qlinalg.matrix_exp(dt * sup.matrix)
-    acc = np.zeros_like(sup.matrix)
-    for lam in np.atleast_1d(frequencies):
-        acc += _geometric_mean(step * np.exp(-1j * float(lam) * dt), samples)
-    return SuperoperatorMatrix(acc, kind="approximation")
+    m = build_superoperator(l).matrix
+    evals = np.linalg.eigvals(m)
+    gate = _asymptotic_tol(evals, None)
+    _check_spectrum_stability(evals, gate)
+    return _cesaro_average(m, evals, gate, horizon, samples)
 
 
 def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
@@ -319,45 +319,29 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     falls back to a long-horizon Cesaro average; in that case the
     asymptotic eigenvalues are verified to carry no Jordan chains.
     """
-    sup = build_superoperator(l)
-    m = sup.matrix
+    m = build_superoperator(l).matrix
     try:
         evals, right, left = qlinalg.eig_general(m)
     except NonDiagonalizable:
-        evals = np.linalg.eigvals(m)
-        gate = _asymptotic_tol(evals, tol)
-        _check_spectrum_stability(evals, gate)
-        asym = [a for a in range(evals.size) if abs(evals[a].real) <= gate]
-        _assert_diagonal_asymptotic_blocks(m, evals, asym, gate)
-        decaying = [abs(evals[a].real) for a in range(evals.size) if a not in set(asym)]
-        gap = min(decaying) if decaying else 1.0
-        p_inf = cesaro_projector(
-            l, horizon=_FALLBACK_HORIZON_SCALE / gap, samples=_FALLBACK_SAMPLES
-        )
-        p_a, q = _support_projectors(p_inf.matrix, l.dim)
-        return AsymptoticDecomposition(
-            eigenvalues=evals,
-            right=None,
-            left=None,
-            asymptotic_indices=tuple(asym),
-            p_inf=p_inf,
-            p_a=p_a,
-            q=q,
-            tol=gate,
-        )
+        evals, right = np.linalg.eigvals(m), None
     gate = _asymptotic_tol(evals, tol)
     _check_spectrum_stability(evals, gate)
-    asym = tuple(a for a in range(evals.size) if abs(evals[a].real) <= gate)
-    idx = list(asym)
-    p_inf = SuperoperatorMatrix(
-        right[:, idx] @ left[:, idx].conj().T, kind="trace_preserving"
-    )
+    asym = np.abs(evals.real) <= gate
+    asym_indices = tuple(np.flatnonzero(asym).tolist())
+    if right is not None:
+        p_inf = SuperoperatorMatrix(
+            right[:, asym] @ left[:, asym].conj().T, kind="trace_preserving"
+        )
+    else:
+        _assert_diagonal_asymptotic_blocks(m, evals, asym_indices, gate)
+        gap = float(np.abs(evals.real[~asym]).min()) if not asym.all() else 1.0
+        p_inf = _cesaro_average(
+            m, evals, gate, _FALLBACK_HORIZON_SCALE / gap, _FALLBACK_SAMPLES
+        )
     p_a, q = _support_projectors(p_inf.matrix, l.dim)
     return AsymptoticDecomposition(
         eigenvalues=evals,
-        right=right,
-        left=left,
-        asymptotic_indices=asym,
+        asymptotic_indices=asym_indices,
         p_inf=p_inf,
         p_a=p_a,
         q=q,
@@ -395,14 +379,8 @@ def asymptotic_evolution(
     timescale separation justifying this picture is a modeling assumption,
     not something checkable here.
     """
-    rho_in = qlinalg.as_complex_matrix(rho_in)
-    qstate.check_density_matrix(rho_in)
-    d = dec.dim
-    if rho_in.shape != (d, d):
-        raise ShapeError(f"state is {rho_in.shape}, expected {(d, d)}")
-    h = h_inf.matrix
-    if h.shape != (d, d):
-        raise ShapeError(f"asymptotic Hamiltonian is {h.shape}, expected {(d, d)}")
+    rho_in = qstate.require_state(rho_in, dec.dim)
+    h = qlinalg.as_square(h_inf.matrix, dec.dim, "asymptotic Hamiltonian")
     leak = qlinalg.hs_norm(h - dec.p_a @ h @ dec.p_a)
     if leak > 1e-10 * max(1.0, qlinalg.hs_norm(h)):
         raise ContractError(
@@ -415,10 +393,7 @@ def asymptotic_evolution(
 
 def four_corners(a, dec: AsymptoticDecomposition):
     """(P_A a P_A, P_A a Q, Q a P_A, Q a Q); the parts sum back to a."""
-    a = qlinalg.as_complex_matrix(a)
-    d = dec.dim
-    if a.shape != (d, d):
-        raise ShapeError(f"operator is {a.shape}, expected {(d, d)}")
+    a = qlinalg.as_square(a, dec.dim, "operator")
     p, q = dec.p_a, dec.q
     return p @ a @ p, p @ a @ q, q @ a @ p, q @ a @ q
 
@@ -430,9 +405,7 @@ def dfs_commutes(op, partition: compmodel.BasisPartition) -> bool:
     1e-10 * max(1, ||op||); such operators act within the decoherence-free
     blocks and cannot change the computational state.
     """
-    op = qlinalg.as_complex_matrix(op)
-    if op.shape != (partition.dim, partition.dim):
-        raise ShapeError(f"operator shape {op.shape} vs partition dim {partition.dim}")
+    op = qlinalg.as_square(op, partition.dim, "operator")
     off = op - compmodel.pinch(op, partition)
     bound = CROSS_BLOCK_RTOL * max(1.0, qlinalg.hs_norm(op))
     return bool(np.abs(off).max() <= bound)

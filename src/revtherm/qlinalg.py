@@ -37,6 +37,15 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def as_square(a, d: int | None = None, what: str = "matrix") -> np.ndarray:
+    """as_complex_matrix, additionally d x d (any square size when d is None)."""
+    m = as_complex_matrix(a)
+    n = m.shape[0] if d is None else int(d)
+    if m.shape != (n, n):
+        raise ShapeError(f"{what} is {m.shape}, expected {'square' if d is None else (n, n)}")
+    return m
+
+
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(sum |a_ij|^2)."""
     return float(np.linalg.norm(np.asarray(a)))
@@ -53,9 +62,7 @@ def is_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
 
 
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> np.ndarray:
-    h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ShapeError(f"{what} must be square, got {h.shape}")
+    h = as_square(h, None, what)
     if not is_hermitian(h):
         raise ContractError(f"{what} is not Hermitian within tolerance")
     return h
@@ -72,11 +79,8 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     dims is (d_A, d_B) with subsystem A occupying the leading index slot;
     keep selects the surviving factor (0 for A, 1 for B).
     """
-    rho = as_complex_matrix(rho)
     d_a, d_b = int(dims[0]), int(dims[1])
-    if rho.shape != (d_a * d_b, d_a * d_b):
-        raise ShapeError(f"operator shape {rho.shape} != ({d_a * d_b}, {d_a * d_b})")
-    r = rho.reshape(d_a, d_b, d_a, d_b)
+    r = as_square(rho, d_a * d_b, "operator").reshape(d_a, d_b, d_a, d_b)
     if keep == 0:
         return np.einsum("ijkj->ik", r)
     if keep == 1:
@@ -99,9 +103,7 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     has condition number >= 1e8 is reported defective via NonDiagonalizable
     so callers can fall back to decomposition-free methods.
     """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"square matrix required, got {m.shape}")
+    m = as_square(m)
     evals, right = np.linalg.eig(m)
     cond = np.linalg.cond(right)
     if not np.isfinite(cond) or cond >= DIAG_COND_GATE:
@@ -139,9 +141,7 @@ def matrix_exp(m, method: str = "auto") -> np.ndarray:
     within the eig_general gate. "eig" and "series" force one route (the two
     are cross-checked in the test suite).
     """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"square matrix required, got {m.shape}")
+    m = as_square(m)
     if method not in ("auto", "eig", "series"):
         raise ContractError(f"unknown method {method!r}")
     if method == "series":
@@ -158,10 +158,7 @@ def matrix_exp(m, method: str = "auto") -> np.ndarray:
 
 def vectorize(a) -> np.ndarray:
     """Column-stack a square matrix: [[a, b], [c, d]] -> (a, c, b, d)."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"square matrix required, got {a.shape}")
-    return a.reshape(-1, order="F")
+    return as_square(a).reshape(-1, order="F")
 
 
 def devectorize(v) -> np.ndarray:

@@ -59,16 +59,43 @@ class ThermoContext:
         return 1.0 / self.beta
 
 
-def check_density_matrix(rho, atol_trace: float = 1e-10) -> np.ndarray:
-    """Validate hermiticity, positivity (>= -1e-10), and unit trace."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate hermiticity, positivity (>= -1e-10), and unit trace (within 1e-10)."""
     rho = qlinalg.require_hermitian(rho, "density matrix")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > atol_trace:
-        raise ContractError(f"trace {tr} differs from 1 beyond {atol_trace}")
+    if abs(tr - 1.0) > 1e-10:
+        raise ContractError(f"trace {tr} differs from 1 beyond 1e-10")
     w = np.linalg.eigvalsh(rho)
     if w.min() < -EIG_CLIP:
         raise ContractError(f"negative eigenvalue {w.min():.3e} below -{EIG_CLIP}")
     return rho
+
+
+def require_state(rho, d: int, what: str = "state") -> np.ndarray:
+    """A d x d density matrix (ShapeError on the shape, else check_density_matrix)."""
+    return check_density_matrix(qlinalg.as_square(rho, d, what))
+
+
+def require_distribution(p, what: str = "distribution") -> np.ndarray:
+    """Entries >= -1e-12 summing to 1 within 1e-9, returned clipped at 0.
+
+    Written so that NaN fails: a NaN entry is not >= -1e-12.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all(p >= -1e-12):
+        raise ContractError(f"{what}: an entry is below -1e-12 or NaN")
+    total = float(p.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ContractError(f"{what}: entries sum to {total!r}, not 1")
+    return np.clip(p, 0.0, None)
+
+
+def require_unitary(u, d: int, what: str = "operator") -> np.ndarray:
+    """A d x d matrix with ||U+ U - 1||_HS <= UNITARITY_ATOL."""
+    u = qlinalg.as_square(u, d, what)
+    if qlinalg.hs_norm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARITY_ATOL:
+        raise ContractError(f"{what} is not unitary within tolerance")
+    return u
 
 
 def _clipped_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,22 +128,13 @@ def log_partition_function(ctx: ThermoContext) -> float:
 def evolve_unitary(rho, u) -> np.ndarray:
     """U rho U†; u must be unitary within 1e-10 (Hilbert-Schmidt)."""
     rho = np.asarray(rho, dtype=complex)
-    u = qlinalg.as_complex_matrix(u)
-    if u.shape[0] != u.shape[1] or u.shape[0] != rho.shape[0]:
-        raise ShapeError(f"unitary shape {u.shape} incompatible with state {rho.shape}")
-    if qlinalg.hs_norm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARITY_ATOL:
-        raise ContractError("operator is not unitary within tolerance")
+    u = require_unitary(u, rho.shape[0], "operator")
     return u @ rho @ u.conj().T
 
 
 def shannon_entropy(p) -> float:
     """-sum p ln p in nats, with 0 ln 0 = 0."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.min() < -1e-12:
-        raise ContractError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError(f"probabilities sum to {p.sum()!r}, not 1")
-    p = np.clip(p, 0.0, None)
+    p = require_distribution(np.ravel(p), "probabilities")
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 

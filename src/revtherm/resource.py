@@ -36,11 +36,9 @@ def _check_classical_input(p, energies) -> tuple[np.ndarray, np.ndarray]:
     e = np.asarray(energies, dtype=float).reshape(-1)
     if p.size != e.size:
         raise ShapeError(f"{p.size} probabilities vs {e.size} energies")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError("p is not a probability distribution")
     if not np.all(np.isfinite(e)):
         raise ContractError("energies must be finite")
-    return np.clip(p, 0.0, None), e
+    return qstate.require_distribution(p, "p"), e
 
 
 def beta_order(p, energies, beta: float, convention: str = "paper") -> np.ndarray:

@@ -179,6 +179,7 @@ class TestGoldens:
             str(tmp_path / "report.json"),
         )
         assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
         golden_dir = GOLDEN / stem
         fresh = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         committed = {p.name: p.read_bytes() for p in golden_dir.iterdir()}
@@ -304,6 +305,12 @@ class TestExitCodes:
                 {"0": [0.0, 1.0], "\u00b2": [1.0, 0.0]},
                 "row keys must be state indices",
             ),
+            (
+                {"task": "classify", "payload": MINIMAL["classify"]},
+                ("over",),
+                [0, 0],
+                "repeats an index",
+            ),
         ],
         ids=[
             "empty-states",
@@ -315,6 +322,7 @@ class TestExitCodes:
             "oversized-int-number",
             "oversized-int-matrix-cell",
             "superscript-digit-row-key",
+            "duplicate-over",
         ],
     )
     def test_bad_field_is_3(self, tmp_path, doc, path, value, message):

@@ -66,6 +66,12 @@ class TestPredicates:
         with pytest.raises(ContractError):
             compops.is_reversible(op, over=(0, 7))
 
+    def test_repeated_subset_index_rejected(self):
+        # the NOT gate is reversible; a repeated index must not count its image twice
+        op = compops.deterministic_op(2, [1, 0])
+        with pytest.raises(ContractError):
+            compops.is_reversible(op, over=(0, 0))
+
 
 class TestTheorems:
     def test_traditional_exhaustive_n3(self):

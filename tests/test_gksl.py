@@ -152,7 +152,6 @@ class TestDecompose:
         kappa, omega = 1.0, 0.25
         l = gksl.Lindbladian(qstate.Hamiltonian(0.5 * omega * SX), ((SMINUS, kappa),))
         dec = gksl.decompose(l)
-        assert dec.right is None and dec.left is None
         assert dec.p_inf.kind == "approximation"
         assert len(dec.asymptotic_indices) == 1
         # resonance-fluorescence steady state for comparison

@@ -67,6 +67,17 @@ def test_hermiticity_checks():
         qlinalg.require_hermitian(np.zeros((2, 3)))
 
 
+def test_as_square_gates():
+    assert qlinalg.as_square(np.eye(3), 3).dtype == complex
+    assert qlinalg.as_square(np.eye(3)).shape == (3, 3)
+    with pytest.raises(ShapeError):
+        qlinalg.as_square(np.eye(3), 2)
+    with pytest.raises(ShapeError):
+        qlinalg.as_square(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        qlinalg.as_square([[np.nan]], 1)
+
+
 def test_as_complex_matrix_rejects_nonfinite():
     with pytest.raises(ContractError):
         qlinalg.as_complex_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))

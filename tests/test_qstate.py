@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from revtherm import qlinalg, qstate
+from revtherm import channels, compops, qlinalg, qstate, resource
 from revtherm.errors import ContractError, ShapeError
 
 from helpers import random_density, random_distribution, random_unitary, rng
@@ -233,3 +233,57 @@ def test_distribution_helper_normalized():
     gen = rng(29)
     p = random_distribution(gen, 5)
     assert np.isclose(p.sum(), 1.0) and p.min() > 0.0
+
+
+def test_require_distribution_clips_and_rejects():
+    p = qstate.require_distribution([1.0 + 1e-10, -1e-13])
+    assert np.array_equal(p, [1.0 + 1e-10, 0.0])
+    for bad in ([], [0.5, 0.4], [1.1, -0.1], [math.inf, 1.0]):
+        with pytest.raises(ContractError):
+            qstate.require_distribution(bad)
+
+
+def test_require_state_and_unitary_gates():
+    assert qstate.require_state(KET0, 2) is not None
+    with pytest.raises(ShapeError):
+        qstate.require_state(KET0, 3)
+    with pytest.raises(ContractError):
+        qstate.require_state(2.0 * KET0, 2)
+    with pytest.raises(ShapeError):
+        qstate.require_unitary(np.eye(2), 3)
+    with pytest.raises(ContractError):
+        qstate.require_unitary(2.0 * np.eye(2), 2)
+
+
+NAN_DIST = [math.nan, 1.0]
+QUBIT_ENV = qstate.ThermoContext(QUBIT, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qstate.shannon_entropy(NAN_DIST),
+        lambda: resource.thermomaj_curve(NAN_DIST, [0.0, 1.0], 1.0),
+        lambda: resource.thermomaj_feasible(NAN_DIST, [0.5, 0.5], [0.0, 1.0], 1.0),
+        lambda: compops.ContextualizedComputation(compops.identity_op(2), NAN_DIST),
+        lambda: compops.landauer_cost_oblivious_erasure([[math.nan, 0.5], [0.25, 0.25]]),
+        lambda: channels.ResetScenario(
+            ((math.nan, KET0), (1.0, KET1)),
+            KET0,
+            QUBIT_ENV,
+            "unconditional",
+            (channels.swap_unitary(2),),
+        ),
+    ],
+    ids=[
+        "shannon_entropy",
+        "thermomaj_curve",
+        "thermomaj_feasible",
+        "ContextualizedComputation",
+        "landauer_cost_oblivious_erasure",
+        "ResetScenario",
+    ],
+)
+def test_nan_distribution_is_rejected(call):
+    with pytest.raises(ContractError):
+        call()
