@@ -50,15 +50,15 @@ class DilationSpec:
         object.__setattr__(self, "env_state", env)
 
 
-def _evolve_joint(spec: DilationSpec, rho_s) -> tuple[np.ndarray, np.ndarray]:
-    """Validated system state and the joint state U (rho_s x env) U+."""
-    rho_s = qstate.require_state(rho_s, spec.d_s, "system state")
-    return rho_s, spec.u @ qlinalg.tensor(rho_s, spec.env_state) @ spec.u.conj().T
+def _evolve_joint(u: np.ndarray, rho_s: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """The joint state U (rho_s x env) U+."""
+    return u @ qlinalg.tensor(rho_s, env) @ u.conj().T
 
 
 def apply_dilation(spec: DilationSpec, rho_s) -> np.ndarray:
     """Evolve the joint product state and trace out the environment."""
-    _, joint = _evolve_joint(spec, rho_s)
+    rho_s = qstate.require_state(rho_s, spec.d_s, "system state")
+    joint = _evolve_joint(spec.u, rho_s, spec.env_state)
     return qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=0)
 
 
@@ -74,15 +74,9 @@ class KrausSet:
             raise ContractError("empty Kraus set")
         d = qlinalg.as_complex_matrix(ops[0]).shape[0]
         ops = tuple(qlinalg.as_square(m, d, "Kraus operator") for m in ops)
-        if self.completeness_residual_of(ops) > COMPLETENESS_TOL:
-            raise ContractError("Kraus set violates the completeness relation")
         object.__setattr__(self, "operators", ops)
-
-    @staticmethod
-    def completeness_residual_of(ops) -> float:
-        d = ops[0].shape[0]
-        acc = sum(m.conj().T @ m for m in ops)
-        return qlinalg.hs_norm(acc - np.eye(d))
+        if self.completeness_residual > COMPLETENESS_TOL:
+            raise ContractError("Kraus set violates the completeness relation")
 
     @property
     def dim(self) -> int:
@@ -90,7 +84,8 @@ class KrausSet:
 
     @property
     def completeness_residual(self) -> float:
-        return self.completeness_residual_of(self.operators)
+        acc = sum(m.conj().T @ m for m in self.operators)
+        return qlinalg.hs_norm(acc - np.eye(self.dim))
 
 
 def _output_basis(d: int, out_basis) -> np.ndarray:
@@ -100,6 +95,26 @@ def _output_basis(d: int, out_basis) -> np.ndarray:
     return qstate.require_unitary(out_basis, d, "output basis matrix")
 
 
+def _stinespring_kraus(u4: np.ndarray, rho_in, out_basis) -> KrausSet:
+    """K_ab = sqrt(w_a) <b| U |v_a> with U viewed as u4[out_kept, out_c, in_kept, in_c].
+
+    The contracted factor c starts in rho_in = sum_a w_a |v_a><v_a|.
+    """
+    w, v = qstate._clipped_spectrum(rho_in)
+    d = u4.shape[1]
+    basis = _output_basis(d, out_basis)
+    ops = []
+    for a in range(d):
+        if w[a] < EIG_DROP:
+            continue
+        sandwiched = np.einsum("pqsr,r->pqs", u4, v[:, a])
+        for b in range(d):
+            m = np.sqrt(w[a]) * np.einsum("q,pqs->ps", basis[:, b].conj(), sandwiched)
+            if qlinalg.hs_norm(m) >= OP_DROP:
+                ops.append(m)
+    return KrausSet(tuple(ops))
+
+
 def extract_system_kraus(spec: DilationSpec, out_basis=None) -> KrausSet:
     """System Kraus operators, indexed by (env eigenvector, env output ket).
 
@@ -107,19 +122,8 @@ def extract_system_kraus(spec: DilationSpec, out_basis=None) -> KrausSet:
     Zero-weight environment eigenvectors and numerically null operators are
     dropped; any unitary rotation of the output kets gives an equivalent set.
     """
-    w_env, v_env = qstate._clipped_spectrum(spec.env_state)
-    basis = _output_basis(spec.d_e, out_basis)
     u4 = spec.u.reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
-    ops = []
-    for a in range(spec.d_e):
-        if w_env[a] < EIG_DROP:
-            continue
-        sandwiched = np.einsum("pqsr,r->pqs", u4, v_env[:, a])
-        for b in range(spec.d_e):
-            m = np.sqrt(w_env[a]) * np.einsum("q,pqs->ps", basis[:, b].conj(), sandwiched)
-            if qlinalg.hs_norm(m) >= OP_DROP:
-                ops.append(m)
-    return KrausSet(tuple(ops))
+    return _stinespring_kraus(u4, spec.env_state, out_basis)
 
 
 def extract_env_kraus(u, rho_s, dims, out_basis=None) -> KrausSet:
@@ -132,19 +136,8 @@ def extract_env_kraus(u, rho_s, dims, out_basis=None) -> KrausSet:
     d_s, d_e = int(dims[0]), int(dims[1])
     u = qlinalg.as_square(u, d_s * d_e, "unitary")
     rho_s = qstate.require_state(rho_s, d_s, "system state")
-    w_sys, v_sys = qstate._clipped_spectrum(rho_s)
-    basis = _output_basis(d_s, out_basis)
-    u4 = u.reshape(d_s, d_e, d_s, d_e)
-    ops = []
-    for c in range(d_s):
-        if w_sys[c] < EIG_DROP:
-            continue
-        sandwiched = np.einsum("pqsr,s->pqr", u4, v_sys[:, c])
-        for d in range(d_s):
-            n = np.sqrt(w_sys[c]) * np.einsum("p,pqr->qr", basis[:, d].conj(), sandwiched)
-            if qlinalg.hs_norm(n) >= OP_DROP:
-                ops.append(n)
-    return KrausSet(tuple(ops))
+    u4 = u.reshape(d_s, d_e, d_s, d_e).transpose(1, 0, 3, 2)
+    return _stinespring_kraus(u4, rho_s, out_basis)
 
 
 def apply_kraus(k: KrausSet, rho) -> np.ndarray:
@@ -290,7 +283,7 @@ def simulate_reset(scenario: ResetScenario) -> dict:
     joint_finals = []
     for idx, (p, rho) in enumerate(scenario.states):
         u = scenario.unitaries[0 if scenario.mode == "unconditional" else idx]
-        joint = u @ qlinalg.tensor(rho, tau_e) @ u.conj().T
+        joint = _evolve_joint(u, rho, tau_e)
         rho_fe = qlinalg.partial_trace(joint, (d_s, d_e), keep=1)
         delta_e.append(float(np.real(np.trace(rho_fe @ h_e))) - e_env_in)
         joint_finals.append(joint)
@@ -350,6 +343,16 @@ def jensen_heat_bound(mgf_value: float, temperature: float) -> float:
     return -float(temperature) * float(np.log(m)) + 0.0
 
 
+def _env_heat(spec: DilationSpec, rho_s) -> tuple:
+    """Validated rho_S, the joint state, rho'_E and beta*Q = Tr[(rho'_E - tau_E) ln tau_E]."""
+    rho_s = qstate.require_state(rho_s, spec.d_s, "system state")
+    tau_e = spec.env_state
+    joint = _evolve_joint(spec.u, rho_s, tau_e)
+    log_tau = _log_state(tau_e)
+    rho_e_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=1)
+    return rho_s, joint, rho_e_out, float(np.real(np.trace((rho_e_out - tau_e) @ log_tau)))
+
+
 def heat_decomposition(spec: DilationSpec, rho_s, beta: float) -> dict:
     """Exact split of the dissipated heat for a thermal environment.
 
@@ -367,16 +370,11 @@ def heat_decomposition(spec: DilationSpec, rho_s, beta: float) -> dict:
     """
     if float(beta) <= 0.0 or not np.isfinite(beta):
         raise ContractError("beta must be positive and finite")
-    rho_s, joint = _evolve_joint(spec, rho_s)
-    tau_e = spec.env_state
-    log_tau = _log_state(tau_e)
+    rho_s, joint, rho_e_out, beta_q = _env_heat(spec, rho_s)
     rho_s_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=0)
-    rho_e_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=1)
-
     delta_s_system = qstate.von_neumann_entropy(rho_s) - qstate.von_neumann_entropy(rho_s_out)
     mutual_info = qstate.quantum_mutual_information(joint, (spec.d_s, spec.d_e))
-    rel_entropy_env = qstate.relative_entropy(rho_e_out, tau_e)
-    beta_q = float(np.real(np.trace((rho_e_out - tau_e) @ log_tau)))
+    rel_entropy_env = qstate.relative_entropy(rho_e_out, spec.env_state)
     return {
         "delta_s_system": float(delta_s_system),
         "mutual_info": float(mutual_info),
@@ -389,13 +387,9 @@ def partovi_check(spec: DilationSpec, rho_s) -> bool:
     """Entropy-energy inequality for an initially thermal environment.
 
     Delta S_E - beta * Delta U_E <= 0 (it equals -D(rho'_E || tau_E));
-    beta * Delta U_E is recovered from ln tau_E, so no Hamiltonian or beta
-    argument is needed.
+    beta * Delta U_E = -beta*Q is recovered from ln tau_E, so no Hamiltonian
+    or beta argument is needed.
     """
-    _, joint = _evolve_joint(spec, rho_s)
-    tau_e = spec.env_state
-    log_tau = _log_state(tau_e)
-    rho_e_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=1)
-    delta_s_env = qstate.von_neumann_entropy(rho_e_out) - qstate.von_neumann_entropy(tau_e)
-    beta_delta_u = -float(np.real(np.trace((rho_e_out - tau_e) @ log_tau)))
-    return bool(delta_s_env - beta_delta_u <= BOUND_TOL)
+    _, _, rho_e_out, beta_q = _env_heat(spec, rho_s)
+    delta_s_env = qstate.von_neumann_entropy(rho_e_out) - qstate.von_neumann_entropy(spec.env_state)
+    return bool(delta_s_env + beta_q <= BOUND_TOL)

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -34,18 +35,6 @@ from . import adiabatic, channels, compmodel, compops, gksl, qlinalg, qstate, re
 from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 LN2 = math.log(2.0)
-
-TASKS = (
-    "classify",
-    "entropy-decompose",
-    "implements-check",
-    "landauer",
-    "thermo-check",
-    "cto-check",
-    "gksl-evolve",
-    "gksl-asymptotic",
-    "adiabatic-sweep",
-)
 
 _UNITS = ("nats", "bits")
 
@@ -635,6 +624,9 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
 @click.group()
 def main():
     """Scenario-driven checks for reversible-computing thermodynamics."""
+    # stderr carries at most the error line: no warnings while a command runs
+    click.get_current_context().with_resource(warnings.catch_warnings())
+    warnings.simplefilter("ignore")
 
 
 def _register(task_name: str):
@@ -651,7 +643,7 @@ def _register(task_name: str):
     main.command(name=task_name)(cmd)
 
 
-for _task in TASKS:
+for _task in _HANDLERS:
     _register(_task)
 
 

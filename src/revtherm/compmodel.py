@@ -71,11 +71,7 @@ class BasisPartition:
 def offblock_norm(a, partition: BasisPartition) -> float:
     """Hilbert-Schmidt mass of all entries outside the diagonal blocks."""
     a = qlinalg.as_square(a, partition.dim, "operator")
-    off = a.copy()
-    for b in partition.outcome_blocks:
-        idx = np.asarray(b)
-        off[np.ix_(idx, idx)] = 0.0
-    return qlinalg.hs_norm(off)
+    return qlinalg.hs_norm(a - pinch(a, partition))
 
 
 def pinch(a, partition: BasisPartition) -> np.ndarray:

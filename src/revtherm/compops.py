@@ -43,9 +43,10 @@ class StochasticOp:
             r = np.asarray(row, dtype=float).reshape(-1)
             if r.size != self.n_states:
                 raise ShapeError(f"row {i} has length {r.size}, expected {self.n_states}")
-            if r.min() < -ROW_SUM_TOL:
+            # written so that NaN fails both tests
+            if not r.min() >= -ROW_SUM_TOL:
                 raise ContractError(f"row {i} has negative entry {r.min():.3e}")
-            if abs(r.sum() - 1.0) > ROW_SUM_TOL:
+            if not abs(r.sum() - 1.0) <= ROW_SUM_TOL:
                 raise ContractError(f"row {i} sums to {r.sum()!r}")
             clean[i] = np.clip(r, 0.0, None)
         object.__setattr__(self, "rows", clean)

@@ -97,11 +97,6 @@ class SuperoperatorMatrix:
             )
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        """Dimension d of the underlying Hilbert space (matrix is d^2 x d^2)."""
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
 
 def build_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
     """Vectorized generator: commutator part plus jump dissipators.

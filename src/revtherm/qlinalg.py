@@ -32,7 +32,7 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ContractError("matrix entries must be finite")
     return m
 
@@ -138,17 +138,14 @@ def matrix_exp(m, method: str = "auto") -> np.ndarray:
 
     method="auto" tries the eigendecomposition route and falls back to
     scaling-and-squaring with a truncated series when the input is defective
-    within the eig_general gate. "eig" and "series" force one route (the two
-    are cross-checked in the test suite).
+    within the eig_general gate. "series" forces the series route, the
+    independent cross-check of "auto".
     """
     m = as_square(m)
-    if method not in ("auto", "eig", "series"):
+    if method not in ("auto", "series"):
         raise ContractError(f"unknown method {method!r}")
     if method == "series":
         return _exp_series(m)
-    if method == "eig":
-        evals, right, left = eig_general(m)
-        return (right * np.exp(evals)) @ left.conj().T
     try:
         evals, right, left = eig_general(m)
     except NonDiagonalizable:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 # Eigenvalues in [-EIG_CLIP, 0) are treated as numerical zeros of a PSD
 # matrix; anything below -EIG_CLIP fails validation.
@@ -127,7 +127,7 @@ def log_partition_function(ctx: ThermoContext) -> float:
 
 def evolve_unitary(rho, u) -> np.ndarray:
     """U rho U†; u must be unitary within 1e-10 (Hilbert-Schmidt)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = qlinalg.as_square(rho, None, "state")
     u = require_unitary(u, rho.shape[0], "operator")
     return u @ rho @ u.conj().T
 
@@ -141,7 +141,7 @@ def shannon_entropy(p) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """Shannon entropy of the eigenvalue spectrum, in nats."""
-    w, _ = _clipped_spectrum(np.asarray(rho, dtype=complex))
+    w, _ = _clipped_spectrum(qlinalg.as_square(rho, None, "state"))
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -153,12 +153,15 @@ _SUPPORT_TOL = 1e-12
 _SUPPORT_VIOLATION = 1e-10
 
 
+def _state_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The two arguments of a divergence, square, finite and of one size."""
+    rho = qlinalg.as_square(rho, None, "state")
+    return rho, qlinalg.as_square(sigma, rho.shape[0], "reference state")
+
+
 def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when supp(rho) escapes supp(sigma)."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ShapeError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    rho, sigma = _state_pair(rho, sigma)
     wr, vr = _clipped_spectrum(rho)
     ws, vs = _clipped_spectrum(sigma)
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
@@ -193,10 +196,7 @@ def alpha_rre(rho, sigma, alpha: float) -> float:
         return relative_entropy(rho, sigma)
     if alpha == 0.0 or alpha == -1.0:
         raise ContractError(f"alpha = {alpha} is outside the defined branches")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ShapeError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    rho, sigma = _state_pair(rho, sigma)
     wr, vr = _clipped_spectrum(rho)
     ws, vs = _clipped_spectrum(sigma)
     tr_rho = float(wr.sum())
@@ -237,10 +237,8 @@ def alpha_rre(rho, sigma, alpha: float) -> float:
 
 def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
     """F(rho) = Tr[H rho] - T S(rho); minimized uniquely by the Gibbs state."""
-    rho = np.asarray(rho, dtype=complex)
     h = ctx.hamiltonian.matrix
-    if rho.shape != h.shape:
-        raise ShapeError(f"state shape {rho.shape} vs hamiltonian {h.shape}")
+    rho = qlinalg.as_square(rho, h.shape[0], "state")
     t = ctx.temperature
     energy = float(np.trace(h @ rho).real)
     return energy - t * von_neumann_entropy(rho)
@@ -255,7 +253,6 @@ def alpha_free_energy(rho, ctx: ThermoContext, alpha: float) -> float:
 
 def quantum_mutual_information(rho_ab, dims: tuple[int, int]) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) in nats; zero iff the state factorizes."""
-    rho_ab = np.asarray(rho_ab, dtype=complex)
     rho_a = qlinalg.partial_trace(rho_ab, dims, keep=0)
     rho_b = qlinalg.partial_trace(rho_ab, dims, keep=1)
     return (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qstate
+from . import qlinalg, qstate
 from .errors import ContractError, ShapeError
 
 FEASIBILITY_TOL = 1e-9
@@ -31,13 +31,15 @@ DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 50.0)
 _CONVENTIONS = ("paper", "standard")
 
 
-def _check_classical_input(p, energies) -> tuple[np.ndarray, np.ndarray]:
+def _check_classical_input(p, energies, beta: float) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float).reshape(-1)
     e = np.asarray(energies, dtype=float).reshape(-1)
     if p.size != e.size:
         raise ShapeError(f"{p.size} probabilities vs {e.size} energies")
     if not np.all(np.isfinite(e)):
         raise ContractError("energies must be finite")
+    if not np.isfinite(beta):
+        raise ContractError(f"beta must be finite, got {beta!r}")
     return qstate.require_distribution(p, "p"), e
 
 
@@ -47,7 +49,7 @@ def beta_order(p, energies, beta: float, convention: str = "paper") -> np.ndarra
     Key is p_i*exp(-beta*E_i) ("paper") or p_i*exp(+beta*E_i) ("standard").
     Ties broken by ascending energy, then ascending index.
     """
-    p, e = _check_classical_input(p, energies)
+    p, e = _check_classical_input(p, energies, beta)
     if convention not in _CONVENTIONS:
         raise ContractError(f"unknown ordering convention {convention!r}")
     sign = -1.0 if convention == "paper" else 1.0
@@ -108,7 +110,7 @@ def thermomaj_curve(
     p, energies, beta: float, convention: str = "paper"
 ) -> ThermomajorizationCurve:
     """Curve through the cumulative (Boltzmann weight, probability) pairs."""
-    p, e = _check_classical_input(p, energies)
+    p, e = _check_classical_input(p, energies, beta)
     order = beta_order(p, e, beta, convention)
     xs = np.concatenate(([0.0], np.cumsum(np.exp(-beta * e[order]))))
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
@@ -143,26 +145,17 @@ class CtoVerdict:
     the correlation budget charged to the catalyst, echoed from the caller.
     """
 
-    feasible: bool
     free_energy_in: float
     free_energy_out: float
     qmi: float
-    margin: float
 
-    def __post_init__(self):
-        ok = self.free_energy_out <= self.free_energy_in + FEASIBILITY_TOL
-        if bool(self.feasible) != ok:
-            raise ContractError("verdict flag contradicts the free-energy comparison")
+    @property
+    def feasible(self) -> bool:
+        return bool(self.free_energy_out <= self.free_energy_in + FEASIBILITY_TOL)
 
-
-def _verdict(f_in: float, f_out: float, qmi: float) -> CtoVerdict:
-    return CtoVerdict(
-        feasible=bool(f_out <= f_in + FEASIBILITY_TOL),
-        free_energy_in=float(f_in),
-        free_energy_out=float(f_out),
-        qmi=float(qmi),
-        margin=float(f_in - f_out),
-    )
+    @property
+    def margin(self) -> float:
+        return float(self.free_energy_in - self.free_energy_out)
 
 
 def cto_feasible_general(
@@ -177,14 +170,12 @@ def cto_feasible_general(
         raise ContractError("qmi budget must be nonnegative")
     f_in = qstate.helmholtz_free_energy(rho_in, ctx)
     f_out = qstate.helmholtz_free_energy(rho_out, ctx)
-    return _verdict(f_in, f_out, qmi_budget)
+    return CtoVerdict(float(f_in), float(f_out), float(qmi_budget))
 
 
 def _require_commuting(rho, ctx: qstate.ThermoContext, what: str):
-    rho = np.asarray(rho, dtype=complex)
     h = ctx.hamiltonian.matrix
-    if rho.shape != h.shape:
-        raise ShapeError(f"{what} is {rho.shape} but the Hamiltonian is {h.shape}")
+    rho = qlinalg.as_square(rho, h.shape[0], what)
     comm = rho @ h - h @ rho
     scale = max(1.0, float(np.linalg.norm(rho)) * float(np.linalg.norm(h)))
     if np.linalg.norm(comm) > COMMUTATOR_RTOL * scale:
@@ -223,17 +214,12 @@ def compute_reset_cycle_verdict(
 ) -> CtoVerdict:
     """Round trip reset -> computed -> reset as two chained transitions.
 
-    Feasible iff both Helmholtz legs pass; the reported free energies and
-    margin are those of the binding (smaller-margin) leg, and the total
-    correlation charge is twice the per-step budget.
+    The reported free energies are those of the binding (smaller-margin)
+    leg, so the verdict is feasible iff both legs are (the two margins are
+    negatives of each other); the total correlation charge is twice the
+    per-step budget.
     """
     forward = cto_feasible_general(rho_reset, rho_computed, ctx, qmi_per_step)
     backward = cto_feasible_general(rho_computed, rho_reset, ctx, qmi_per_step)
     binding = forward if forward.margin <= backward.margin else backward
-    return CtoVerdict(
-        feasible=forward.feasible and backward.feasible,
-        free_energy_in=binding.free_energy_in,
-        free_energy_out=binding.free_energy_out,
-        qmi=2.0 * float(qmi_per_step),
-        margin=binding.margin,
-    )
+    return CtoVerdict(binding.free_energy_in, binding.free_energy_out, 2.0 * float(qmi_per_step))

@@ -349,6 +349,46 @@ class TestExitCodes:
         r = run_cli("adiabatic-sweep", "--scenario", p)
         assert r.returncode == 5
         assert "numeric health" in r.stderr
+        # numpy's overflow warnings are not printed: stderr is the error line
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+    def test_success_prints_no_warning(self, tmp_path):
+        # tau_e / tau_r = 5 is below the efficiency bound's regime ratio,
+        # which the library flags with a RuntimeWarning
+        p = write_scenario(
+            tmp_path,
+            "adiabatic-sweep",
+            {
+                "e_sig": 1.0,
+                "tau_r": 1.0,
+                "tau_e": 5.0,
+                "t_min": 0.5,
+                "t_max": 10.0,
+                "n_points": 5,
+                "efficiency_c": 1.0,
+            },
+        )
+        r = run_cli("adiabatic-sweep", "--scenario", p, "--out", str(tmp_path / "r.json"))
+        assert r.returncode == 0
+        assert r.stderr == ""
+
+
+def test_help_lists_every_task_and_batch():
+    r = CliRunner().invoke(cli.main, ["--help"])
+    assert r.exit_code == 0
+    commands = r.output.split("Commands:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in commands if line.strip()] == [
+        "adiabatic-sweep",
+        "batch",
+        "classify",
+        "cto-check",
+        "entropy-decompose",
+        "gksl-asymptotic",
+        "gksl-evolve",
+        "implements-check",
+        "landauer",
+        "thermo-check",
+    ]
 
 
 class TestUnits:

@@ -25,6 +25,11 @@ class TestStochasticOp:
         with pytest.raises(ContractError):
             compops.StochasticOp(2, {5: [1.0, 0.0]})
 
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [0.0, math.nan], [math.nan, math.nan]])
+    def test_nan_row_rejected(self, row):
+        with pytest.raises(ContractError):
+            compops.StochasticOp(2, {0: row, 1: [1.0, 0.0]})
+
     def test_deterministic_builder(self):
         op = compops.deterministic_op(3, [1, 2, 0])
         assert np.array_equal(op.rows[0], [0, 1, 0])

@@ -287,3 +287,41 @@ QUBIT_ENV = qstate.ThermoContext(QUBIT, 1.0)
 def test_nan_distribution_is_rejected(call):
     with pytest.raises(ContractError):
         call()
+
+
+NAN_STATE = np.array([[math.nan, 0.0], [0.0, 0.5]], dtype=complex)
+HALF_STATE = np.eye(2, dtype=complex) / 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qstate.von_neumann_entropy(NAN_STATE),
+        lambda: qstate.relative_entropy(NAN_STATE, HALF_STATE),
+        lambda: qstate.relative_entropy(HALF_STATE, NAN_STATE),
+        lambda: qstate.alpha_rre(NAN_STATE, HALF_STATE, 2.0),
+        lambda: qstate.helmholtz_free_energy(NAN_STATE, QUBIT_ENV),
+        lambda: resource.cto_feasible_general(NAN_STATE, HALF_STATE, QUBIT_ENV, 0.0),
+        lambda: resource.second_laws_check(NAN_STATE, HALF_STATE, QUBIT_ENV),
+    ],
+    ids=[
+        "von_neumann_entropy",
+        "relative_entropy-rho",
+        "relative_entropy-sigma",
+        "alpha_rre",
+        "helmholtz_free_energy",
+        "cto_feasible_general",
+        "second_laws_check",
+    ],
+)
+def test_nan_state_is_rejected(call):
+    with pytest.raises(ContractError):
+        call()
+
+
+def test_divergence_accepts_finite_non_density_input():
+    # trace 2: refused by require_state, but the divergence formula applies
+    rho = np.diag([1.5, 0.5]).astype(complex)
+    sigma = np.diag([0.25, 0.75]).astype(complex)
+    expected = 1.5 * math.log(1.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
+    assert math.isclose(qstate.relative_entropy(rho, sigma), expected, rel_tol=1e-14)

@@ -17,6 +17,21 @@ def gibbs_dist(energies, beta):
     return w / w.sum()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: resource.beta_order(HALF, E2, beta),
+        lambda beta: resource.thermomaj_curve(HALF, E2, beta),
+        lambda beta: resource.thermomaj_feasible(HALF, HALF, E2, beta, "standard"),
+    ],
+    ids=["beta_order", "thermomaj_curve", "thermomaj_feasible"],
+)
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_non_finite_beta_is_rejected(call, beta):
+    with pytest.raises(ContractError):
+        call(beta)
+
+
 class TestBetaOrder:
     def test_conventions_disagree(self):
         # paper key p e^{-bE} favors low energies, standard key the reverse
@@ -171,15 +186,11 @@ KET1 = np.diag([0.0, 1.0]).astype(complex)
 
 
 class TestCtoVerdict:
-    def test_flag_must_match_comparison(self):
-        with pytest.raises(ContractError):
-            resource.CtoVerdict(
-                feasible=True, free_energy_in=0.0, free_energy_out=1.0, qmi=0.0, margin=-1.0
-            )
-        v = resource.CtoVerdict(
-            feasible=False, free_energy_in=0.0, free_energy_out=1.0, qmi=0.0, margin=-1.0
-        )
-        assert not v.feasible
+    def test_flag_and_margin_follow_free_energies(self):
+        v = resource.CtoVerdict(free_energy_in=0.0, free_energy_out=1.0, qmi=0.0)
+        assert not v.feasible and v.margin == -1.0
+        v = resource.CtoVerdict(free_energy_in=1.0, free_energy_out=1.0 + 5e-10, qmi=0.0)
+        assert v.feasible and v.margin == 1.0 - (1.0 + 5e-10)
 
     def test_excited_to_gibbs(self):
         tau = qstate.gibbs_state(QUBIT_CTX)
