@@ -436,26 +436,29 @@ def _handle_gksl_evolve(payload, units, tol):
     l = _lindbladian(payload)
     state = _get(payload, "state", "payload", _matrix)
     times = _get(payload, "times", "payload", _times)
-    trajectory = np.array([gksl.propagate(l, state, t) for t in times])
+    blocks = _get(payload, "blocks", "payload", _blocks, None)
+    d, n = l.dim, len(times)
+    if blocks is not None:
+        partition = compmodel.BasisPartition(d, blocks)
+        # one march serves the trajectory and the resolving time
+        times = np.append(times, _get(payload, "t_resolve", "payload", _number))
+    states = gksl.trajectory(l, state, times)
+    trajectory = states[:n]
     max_drift = max(abs(float(np.real(np.trace(r))) - 1.0) for r in trajectory)
-    d = l.dim
     header = "t," + ",".join(
         f"re_{i}{j},im_{i}{j}" for i in range(d) for j in range(d)
     )
     # each row: t, then re, im of every entry in row-major order
-    rows = np.column_stack((times, trajectory.reshape(len(times), -1).view(float)))
+    rows = np.column_stack((times[:n], trajectory.reshape(n, -1).view(float)))
     outputs = {
-        "n_points": int(len(times)),
+        "n_points": n,
         "max_trace_drift": float(max_drift),
         "final_state": _encode_complex_matrix(trajectory[-1]),
     }
     passed = True
     tolerances = {"trace": gksl.TRAJECTORY_TRACE_TOL}
-    blocks = _get(payload, "blocks", "payload", _blocks, None)
     if blocks is not None:
-        partition = compmodel.BasisPartition(d, blocks)
-        t_resolve = _get(payload, "t_resolve", "payload", _number)
-        check = gksl.dephasing_check(l, partition, state, t_resolve)
+        check = gksl.dephasing_check(partition, state, states[-1])
         outputs["dephasing"] = {
             "residual_coherence": check["residual_coherence"],
             "classical": check["classical"],

@@ -1,9 +1,14 @@
 """Markovian generators, their asymptotic structure, and the classical split.
 
-Generators act on column-stacked operators as d^2 x d^2 matrices, built
-exclusively from vec_product_map so the operator-ordering conventions live
-in one place. A spectral decomposition classifies eigenvalues into decaying
-(Re < 0) and asymptotic (Re ~ 0) sectors, yields the asymptotic projection
+A generator takes one of two routes. Propagation is matrix-free:
+trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
+products only, marching once along the sorted time grid with a scaled
+Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
+Spectra need the dense route: build_superoperator gives the d^2 x d^2
+matrix on column-stacked operators, built exclusively from vec_product_map
+so the operator-ordering conventions live in one place. A spectral
+decomposition of it classifies eigenvalues into decaying (Re < 0) and
+asymptotic (Re ~ 0) sectors, yields the asymptotic projection
 superoperator and the support projectors P_A / Q, and a Cesaro time average
 provides the same projection without diagonalizability. The split of an
 operator into a block-respecting ("noncomputational") and a cross-block
@@ -32,6 +37,21 @@ DEPHASED_FRACTION = 1e-6
 # Cesaro fallback horizon/sample count when the generator is defective.
 _FALLBACK_HORIZON_SCALE = 1e9
 _FALLBACK_SAMPLES = 2**30
+
+# Largest h ||L|| for which the degree-m Taylor polynomial of exp(h L) has
+# backward error below 2^-53 (Al-Mohy & Higham 2011, Tables A.3 and 3.1).
+_TAYLOR_DEGREE = np.array(list(range(1, 31)) + [35, 40, 45, 50, 55])
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9,
+])
+_TAYLOR_TOL = 2.0**-53
+
+# Cap on the work t_max * bound of one trajectory march. The march takes at
+# least work / 9.9 steps, so this bounds its run time (see trajectory).
+MAX_MARCH_WORK = 1e5
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
 
@@ -142,14 +162,82 @@ def build_adjoint_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
     return SuperoperatorMatrix(m, kind="adjoint_generator")
 
 
-def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
-    """State at time t: devectorize(exp(t L) |rho0>>), with health gates."""
-    t = float(t)
-    if t < 0.0 or not np.isfinite(t):
-        raise ContractError(f"time {t!r} must be nonnegative and finite")
-    rho0 = qstate.require_state(rho0, l.dim)
-    sup = build_superoperator(l)
-    out = qlinalg.devectorize(qlinalg.matrix_exp(t * sup.matrix) @ qlinalg.vectorize(rho0))
+def _matrix_free_form(l: Lindbladian):
+    """(K, G, mu, bound) with L rho = K rho + rho K+ + sum_k G_k rho G_k+ + mu rho.
+
+    Jumps are made traceless, G = sqrt(kappa) (F - tr F / d), and the
+    difference moves into the Hamiltonian as i kappa/2 (c* F - c F+) with
+    c = tr F / d: the GKSL gauge freedom, so L itself is unchanged. K =
+    -iH' - 1/2 sum G+G is shifted by its trace mean; mu = tr L / d^2 is the
+    real scalar that shift leaves behind (Al-Mohy & Higham 2011, sec. 3.1).
+    bound = 2 ||K||_2 + sum ||G||_2^2 bounds the norm of the shifted L on
+    Hilbert-Schmidt space.
+    """
+    d = l.dim
+    eye = np.eye(d)
+    h = l.hamiltonian.matrix
+    gs = np.empty((len(l.jumps), d, d), dtype=complex)
+    for i, (f, kappa) in enumerate(l.jumps):
+        c = np.trace(f) / d
+        gs[i] = np.sqrt(kappa) * (f - c * eye)
+        h = h + 0.5j * kappa * (np.conj(c) * f - c * f.conj().T)
+    k = -1j * h - 0.5 * np.einsum("kji,kjl->il", gs.conj(), gs)
+    shift = np.trace(k) / d
+    k = k - shift * eye
+    bound = 2.0 * np.linalg.norm(k, 2) + sum(np.linalg.norm(g, 2) ** 2 for g in gs)
+    return k, gs, 2.0 * shift.real, float(bound)
+
+
+def _taylor_plan(a: float) -> tuple[int, int]:
+    """(degree m, steps s) covering h ||L|| = a: min m * s with a / s <= theta_m."""
+    steps = np.ceil(a / _TAYLOR_THETA)
+    best = int(np.argmin(_TAYLOR_DEGREE * steps))
+    return int(_TAYLOR_DEGREE[best]), int(steps[best])
+
+
+def _march(rho: np.ndarray, dt: float, k, gs, mu: float, bound: float) -> np.ndarray:
+    """exp(dt L) rho for Hermitian rho by the scaled Taylor series.
+
+    Every term is built as Y + Y+, so each term and the state stay exactly
+    Hermitian. A step's series stops once two successive term norms sum to
+    at most 2^-53 |tr F| / sqrt(d), a lower bound on 2^-53 ||F|| for the
+    step's result F; tr F is known in advance, exp(-mu h) tr rho.
+    """
+    a = dt * bound
+    if a == 0.0:
+        return rho
+    m, s = _taylor_plan(a)
+    h = dt / s
+    d, n = k.shape[0], gs.shape[0]
+    # rows [h K; sqrt(h) G_1; ...]: one product gives h K x and every sqrt(h) G_k x
+    left = np.concatenate([h * k, np.sqrt(h) * gs.reshape(n * d, d)])
+    # [sqrt(h) G_1 x, ...] @ right = h/2 sum G_k x G_k+; Y + Y+ doubles it
+    right = (0.5 * np.sqrt(h)) * gs.conj().transpose(0, 2, 1).reshape(n * d, d)
+    decay = float(np.exp(mu * h))
+    floor = _TAYLOR_TOL * float(np.trace(rho).real) / (decay * np.sqrt(d))
+    for _ in range(s):
+        total = rho.copy()
+        term = rho
+        previous = np.inf
+        for j in range(1, m + 1):
+            prod = left @ term
+            y = prod[:d]
+            if n:
+                y = y + prod[d:].reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d) @ right
+            term = y + y.conj().T
+            term *= 1.0 / j
+            total += term
+            size = np.sqrt(np.vdot(term, term).real)
+            if previous + size <= floor:
+                break
+            previous = size
+        total *= decay
+        rho = total
+    return rho
+
+
+def _healthy(out: np.ndarray) -> np.ndarray:
+    """Health gates on a propagated state; returns it Hermitian-symmetrized."""
     drift = qlinalg.hs_norm(out - out.conj().T)
     if drift > 1e-9 * max(1.0, qlinalg.hs_norm(out)):
         raise NumericHealthError(f"propagated state lost Hermiticity ({drift:.3e})")
@@ -161,6 +249,45 @@ def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
     if w.min() < TRAJECTORY_EIG_FLOOR:
         raise NumericHealthError(f"propagated state has eigenvalue {w.min():.3e}")
     return out
+
+
+def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
+    """States exp(t L) rho0 for each t in times, in input order, with health gates.
+
+    One matrix-free march visits the distinct times in ascending order,
+    applying L through d x d products only; duplicate times share one
+    state. A march whose work t_max * bound exceeds MAX_MARCH_WORK is
+    refused before any step runs.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if times.size == 0:
+        raise ContractError("need at least one time")
+    bad = times[~((times >= 0.0) & np.isfinite(times))]
+    if bad.size:
+        raise ContractError(f"time {float(bad[0])!r} must be nonnegative and finite")
+    rho = qstate.require_state(rho0, l.dim)
+    # the march relies on (K x)+ = x K+, exact only for Hermitian x
+    rho = (rho + rho.conj().T) / 2.0
+    k, gs, mu, bound = _matrix_free_form(l)
+    grid, where = np.unique(times, return_inverse=True)
+    work = float(grid[-1]) * bound
+    if not work <= MAX_MARCH_WORK:
+        raise ContractError(
+            f"march to t = {float(grid[-1])!r} needs work t * norm bound = {work:.3e}, "
+            f"above the cap {MAX_MARCH_WORK:.0e}"
+        )
+    states = np.empty((grid.size, l.dim, l.dim), dtype=complex)
+    t = 0.0
+    for i, target in enumerate(grid):
+        rho = _healthy(_march(rho, float(target) - t, k, gs, mu, bound))
+        states[i] = rho
+        t = float(target)
+    return states[where]
+
+
+def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
+    """State at time t: the one-point trajectory."""
+    return trajectory(l, rho0, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -419,22 +546,17 @@ def split_comp_noncomp(op, partition: compmodel.BasisPartition):
 
 
 def dephasing_check(
-    l: Lindbladian,
-    partition: compmodel.BasisPartition,
-    rho_with_coherence,
-    t_resolve: float,
+    partition: compmodel.BasisPartition, rho_initial, rho_resolved
 ) -> dict:
     """Has cross-block coherence died out by the resolving time?
 
-    Propagates the state to t_resolve and measures the remaining cross-
-    block Hilbert-Schmidt mass. classical = residual <= max(1e-6 * initial
-    mass, 1e-12); the absolute floor keeps already-diagonal inputs from
-    failing on rounding noise.
+    rho_resolved is rho_initial propagated to the resolving time; the check
+    measures its remaining cross-block Hilbert-Schmidt mass. classical =
+    residual <= max(1e-6 * initial mass, 1e-12); the absolute floor keeps
+    already-diagonal inputs from failing on rounding noise.
     """
-    rho_with_coherence = qlinalg.as_complex_matrix(rho_with_coherence)
-    initial = compmodel.offblock_norm(rho_with_coherence, partition)
-    final_state = propagate(l, rho_with_coherence, t_resolve)
-    residual = compmodel.offblock_norm(final_state, partition)
+    initial = compmodel.offblock_norm(qlinalg.as_complex_matrix(rho_initial), partition)
+    residual = compmodel.offblock_norm(qlinalg.as_complex_matrix(rho_resolved), partition)
     return {
         "residual_coherence": float(residual),
         "classical": bool(residual <= max(DEPHASED_FRACTION * initial, 1e-12)),

@@ -50,6 +50,11 @@ def beta_order(p, energies, beta: float, convention: str = "paper") -> np.ndarra
     Ties broken by ascending energy, then ascending index.
     """
     p, e = _check_classical_input(p, energies, beta)
+    return _beta_order(p, e, beta, convention)
+
+
+def _beta_order(p: np.ndarray, e: np.ndarray, beta: float, convention: str) -> np.ndarray:
+    """beta_order on inputs already through _check_classical_input."""
     if convention not in _CONVENTIONS:
         raise ContractError(f"unknown ordering convention {convention!r}")
     sign = -1.0 if convention == "paper" else 1.0
@@ -111,7 +116,7 @@ def thermomaj_curve(
 ) -> ThermomajorizationCurve:
     """Curve through the cumulative (Boltzmann weight, probability) pairs."""
     p, e = _check_classical_input(p, energies, beta)
-    order = beta_order(p, e, beta, convention)
+    order = _beta_order(p, e, beta, convention)
     xs = np.concatenate(([0.0], np.cumsum(np.exp(-beta * e[order]))))
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
     # Cumulative rounding can leave the last y an ulp off 1.

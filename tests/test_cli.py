@@ -3,13 +3,17 @@ import json
 import math
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from revtherm import cli
+
+from helpers import random_density, rng
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -552,6 +556,61 @@ class TestRemainingTasks:
         assert final[0][0] == pytest.approx([0.7, 0.0])
         assert final[0][1] == pytest.approx([0.0, 0.0])
         assert final[1][1] == pytest.approx([0.3, 0.0])
+
+
+def complex_matrix(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+class TestGkslEvolve:
+    def test_explicit_times_give_rows_in_input_order(self, tmp_path):
+        doc = load_scenario("dephasing.json")
+        times = [3.0, 0.0, 1.5, 3.0, 0.25]
+        doc["payload"]["times"] = times
+        p = write_scenario(tmp_path, "gksl-evolve", doc["payload"])
+        r = run_cli("gksl-evolve", "--scenario", p, "--out", str(tmp_path / "report.json"))
+        assert r.returncode == 0, r.stderr
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert [row[0] for row in rows] == times
+        assert rows[0] == rows[3]
+        for row, t in zip(rows, times):
+            # dephasing at rate 0.25: the coherence decays as 0.3 exp(-t/2)
+            assert row[3] == pytest.approx(0.3 * math.exp(-0.5 * t), abs=1e-12)
+
+    def test_exceptional_point_is_0(self, tmp_path):
+        # the generator whose 15th grid point (t = 140/19) tripped a health
+        # gate on an eig-based expm
+        kappa = 1.88599068317103
+        sx = [[0.0, 1.0], [1.0, 0.0]]
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        h = 0.5 * (kappa / 4.0) * np.kron(sx, eye)
+        f = np.kron([[0.0, 1.0], [0.0, 0.0]], eye)
+        payload = {
+            "hamiltonian": complex_matrix(h),
+            "jumps": [{"operator": complex_matrix(f), "rate": kappa}],
+            "state": complex_matrix(random_density(rng(0), 4)),
+            "times": {"t_max": 10.0, "n": 20},
+        }
+        p = write_scenario(tmp_path, "gksl-evolve", payload)
+        r = run_cli("gksl-evolve", "--scenario", p, "--out", str(tmp_path / "report.json"))
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [(("times", "t_max"), 1e300), (("t_resolve",), 1e300), (("times",), [0, 1e300])],
+        ids=["t_max", "t_resolve", "times-list"],
+    )
+    def test_march_over_work_cap_is_3(self, tmp_path, path, value):
+        p = tmp_path / "scenario.json"
+        p.write_text(mutated(load_scenario("dephasing.json"), path, value))
+        start = time.perf_counter()
+        r = CliRunner().invoke(cli.main, ["gksl-evolve", "--scenario", str(p)])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
 
 
 class TestCsvPlacement:

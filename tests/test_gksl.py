@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,19 @@ def damping(kappa=0.8):
 
 def closed(h):
     return gksl.Lindbladian(qstate.Hamiltonian(h), ())
+
+
+def exceptional_point(kappa, d):
+    """Driven damped qubit at Omega = kappa/4, embedded as H x 1, F x 1."""
+    eye = np.eye(d // 2)
+    h = np.kron(0.5 * (kappa / 4.0) * SX, eye)
+    return gksl.Lindbladian(qstate.Hamiltonian(h), ((np.kron(SMINUS, eye), kappa),))
+
+
+def dense_series(l, rho0, t):
+    """Independent route: series expm of the d^2 x d^2 generator."""
+    propagator = qlinalg.matrix_exp(t * gksl.build_superoperator(l).matrix, method="series")
+    return qlinalg.devectorize(propagator @ qlinalg.vectorize(rho0))
 
 
 def random_lindbladian(gen, d, n_jumps=2):
@@ -115,6 +129,78 @@ class TestPropagate:
     def test_negative_time_rejected(self):
         with pytest.raises(ContractError):
             gksl.propagate(dephasing(), np.eye(2) / 2, -1.0)
+
+    def test_exceptional_point_passes_health_gates(self):
+        # kappa where the eigenvector condition of t L sits just under the
+        # 1e8 diagonalizability gate at t = 140/19; an eig-based expm there
+        # misses the 1e-9 trace or Hermiticity gate for about half the states
+        l = exceptional_point(1.88599068317103, d=4)
+        gen = rng(140)
+        for _ in range(20):
+            rho0 = random_density(gen, 4)
+            out = gksl.propagate(l, rho0, 140 / 19)
+            assert np.abs(out - dense_series(l, rho0, 140 / 19)).max() <= 1e-12
+
+
+class TestTrajectory:
+    TIMES = (2.5, 0.0, 0.7, 2.5, 6.0, 0.0, 0.7)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n_jumps", [0, 1, 2, 3])
+    def test_matches_dense_series(self, d, n_jumps):
+        gen = rng(1000 + 10 * d + n_jumps)
+        # traceful jumps: a random identity component on every operator
+        jumps = tuple(
+            (
+                gen.normal(size=(d, d))
+                + 1j * gen.normal(size=(d, d))
+                + gen.normal(0, 3) * np.eye(d),
+                float(gen.uniform(0.1, 1.0)),
+            )
+            for _ in range(n_jumps)
+        )
+        l = gksl.Lindbladian(qstate.Hamiltonian(random_hermitian(gen, d)), jumps)
+        rho0 = random_density(gen, d)
+        states = gksl.trajectory(l, rho0, self.TIMES)
+        assert states.shape == (len(self.TIMES), d, d)
+        for t, out in zip(self.TIMES, states):
+            assert np.abs(out - dense_series(l, rho0, t)).max() <= 1e-12
+            assert abs(np.trace(out).real - 1.0) <= gksl.TRAJECTORY_TRACE_TOL
+            assert np.linalg.eigvalsh(out).min() >= gksl.TRAJECTORY_EIG_FLOOR
+        for i, t in enumerate(self.TIMES):
+            for j in range(i):
+                if self.TIMES[j] == t:
+                    assert np.array_equal(states[i], states[j])
+
+    @pytest.mark.parametrize("times", [[], [0.0, -1.0], [math.nan], [math.inf]])
+    def test_bad_times_rejected(self, times):
+        with pytest.raises(ContractError):
+            gksl.trajectory(dephasing(), np.eye(2) / 2, times)
+
+    @pytest.mark.parametrize("times", [[1e300], [0.0, 1e300], [1e9, 0.5]])
+    def test_work_cap_refused_before_any_step(self, monkeypatch, times):
+        def no_step(*args):
+            raise AssertionError("march started")
+
+        monkeypatch.setattr(gksl, "_march", no_step)
+        with pytest.raises(ContractError, match="cap"):
+            gksl.trajectory(dephasing(), np.eye(2) / 2, times)
+
+    def test_zero_generator_needs_no_work(self):
+        rho0 = random_density(rng(76), 3)
+        out = gksl.trajectory(closed(np.eye(3)), rho0, [1e300])[0]
+        assert np.allclose(out, rho0, atol=1e-15)
+
+    def test_d32_twenty_points_is_fast(self):
+        # scaling guard, not an acceptance budget: the dense route took
+        # about 5 s per point at d = 32
+        gen = rng(77)
+        l = random_lindbladian(gen, 32)
+        rho0 = random_density(gen, 32)
+        start = time.perf_counter()
+        states = gksl.trajectory(l, rho0, np.linspace(0.0, 10.0, 20))
+        assert time.perf_counter() - start < 10.0
+        assert states.shape == (20, 32, 32)
 
 
 class TestDecompose:
@@ -258,14 +344,14 @@ class TestDephasingCheck:
     def test_resolved_after_long_time(self):
         p = compmodel.BasisPartition(2, ((0,), (1,)))
         rho = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        report = gksl.dephasing_check(dephasing(0.25), p, rho, t_resolve=80.0)
+        report = gksl.dephasing_check(p, rho, gksl.propagate(dephasing(0.25), rho, 80.0))
         assert report["classical"]
         assert report["residual_coherence"] < 1e-15
 
     def test_unresolved_at_short_time(self):
         p = compmodel.BasisPartition(2, ((0,), (1,)))
         rho = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        report = gksl.dephasing_check(dephasing(0.25), p, rho, t_resolve=1.0)
+        report = gksl.dephasing_check(p, rho, gksl.propagate(dephasing(0.25), rho, 1.0))
         assert not report["classical"]
         assert np.isclose(
             report["residual_coherence"], 0.3 * math.sqrt(2.0) * math.exp(-0.5)
@@ -273,5 +359,6 @@ class TestDephasingCheck:
 
     def test_already_diagonal_input_counts_as_classical(self):
         p = compmodel.BasisPartition(2, ((0,), (1,)))
-        report = gksl.dephasing_check(dephasing(0.25), p, np.diag([0.6, 0.4]), 1.0)
+        rho = np.diag([0.6, 0.4])
+        report = gksl.dephasing_check(p, rho, gksl.propagate(dephasing(0.25), rho, 1.0))
         assert report["classical"]

@@ -32,6 +32,23 @@ def test_non_finite_beta_is_rejected(call, beta):
         call(beta)
 
 
+def test_each_curve_validates_its_input_once(monkeypatch):
+    calls = []
+    check = resource._check_classical_input
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(resource, "_check_classical_input", counting)
+    resource.thermomaj_curve(HALF, E2, 1.0)
+    assert len(calls) == 1
+    resource.thermomaj_feasible(HALF, gibbs_dist(E2, 1.0), E2, 1.0, "standard")
+    assert len(calls) == 3
+    resource.beta_order(HALF, E2, 1.0)
+    assert len(calls) == 4
+
+
 class TestBetaOrder:
     def test_conventions_disagree(self):
         # paper key p e^{-bE} favors low energies, standard key the reverse
