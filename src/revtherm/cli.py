@@ -479,7 +479,7 @@ def _handle_gksl_asymptotic(payload, units, tol):
         "n_asymptotic": len(dec.asymptotic_indices),
         "p_a_rank": int(round(float(np.real(np.trace(dec.p_a))))),
         "asymptotic_frequencies": [float(f) for f in dec.asymptotic_frequencies],
-        "spectral_fallback": dec.p_inf.kind == "approximation",
+        "spectral_fallback": dec.route == "nullspace",
     }
     passed = True
     tolerances = {"asymptotic_re": dec.tol}
@@ -489,6 +489,7 @@ def _handle_gksl_asymptotic(payload, units, tol):
             l,
             _get(cesaro, "horizon", "payload.cesaro", _number),
             _get(cesaro, "samples", "payload.cesaro", _int),
+            dec.asymptotic_frequencies,
         )
         dist = qlinalg.hs_norm(ces.matrix - dec.p_inf.matrix)
         gate = tol if tol is not None else 1e-4

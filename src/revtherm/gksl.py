@@ -6,11 +6,13 @@ products only, marching once along the sorted time grid with a scaled
 Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
 Spectra need the dense route: build_superoperator gives the d^2 x d^2
 matrix on column-stacked operators, built exclusively from vec_product_map
-so the operator-ordering conventions live in one place. A spectral
-decomposition of it classifies eigenvalues into decaying (Re < 0) and
-asymptotic (Re ~ 0) sectors, yields the asymptotic projection
-superoperator and the support projectors P_A / Q, and a Cesaro time average
-provides the same projection without diagonalizability. The split of an
+so the operator-ordering conventions live in one place. One eig of it
+classifies eigenvalues into decaying (Re < 0) and asymptotic (Re ~ 0)
+sectors and yields the exact asymptotic projection superoperator, from the
+full eigenbasis or, for a defective generator, from the null spaces of
+L - lambda over the asymptotic eigenvalues, plus the support projectors
+P_A / Q. A Cesaro time average, stepped on the series route, is the
+independent cross-check of that projection. The split of an
 operator into a block-respecting ("noncomputational") and a cross-block
 ("pure computational") part connects the open-system picture to the
 computational one.
@@ -34,10 +36,6 @@ TRAJECTORY_EIG_FLOOR = -1e-8
 CROSS_BLOCK_RTOL = 1e-10
 DEPHASED_FRACTION = 1e-6
 
-# Cesaro fallback horizon/sample count when the generator is defective.
-_FALLBACK_HORIZON_SCALE = 1e9
-_FALLBACK_SAMPLES = 2**30
-
 # Largest h ||L|| for which the degree-m Taylor polynomial of exp(h L) has
 # backward error below 2^-53 (Al-Mohy & Higham 2011, Tables A.3 and 3.1).
 _TAYLOR_DEGREE = np.array(list(range(1, 31)) + [35, 40, 45, 50, 55])
@@ -54,6 +52,7 @@ _TAYLOR_TOL = 2.0**-53
 MAX_MARCH_WORK = 1e5
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
+_ROUTES = ("eigenbasis", "nullspace")
 
 
 @dataclass(frozen=True)
@@ -294,10 +293,13 @@ def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
 class AsymptoticDecomposition:
     """Spectral split of a generator into decaying and surviving sectors.
 
-    p_inf projects onto the asymptotic sector: kind "trace_preserving" from
-    the eigenvectors, or "approximation" from the Cesaro fallback for
-    defective generators. p_a is the Hilbert-space support projector of the
-    projected maximally mixed state, q its complement.
+    p_inf is the exact spectral projector onto the asymptotic sector and
+    must be idempotent. route says how it was built: "eigenbasis" from the
+    full biorthogonal eigenbasis, or "nullspace" from the null spaces of
+    L - lambda over the asymptotic eigenvalues when that eigenbasis failed
+    the eig_general condition gate (a defective generator). p_a is the
+    Hilbert-space support projector of the projected maximally mixed state,
+    q its complement.
     """
 
     eigenvalues: np.ndarray
@@ -306,8 +308,11 @@ class AsymptoticDecomposition:
     p_a: np.ndarray
     q: np.ndarray
     tol: float
+    route: str
 
     def __post_init__(self):
+        if self.route not in _ROUTES:
+            raise ContractError(f"unknown spectral route {self.route!r}")
         evals = np.asarray(self.eigenvalues, dtype=complex)
         for a in self.asymptotic_indices:
             if abs(evals[a].real) > self.tol:
@@ -315,10 +320,9 @@ class AsymptoticDecomposition:
                     f"asymptotic eigenvalue {evals[a]!r} has |Re| above {self.tol!r}"
                 )
         m = self.p_inf.matrix
-        if self.p_inf.kind == "trace_preserving":
-            gap = qlinalg.hs_norm(m @ m - m)
-            if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(m)):
-                raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
+        gap = qlinalg.hs_norm(m @ m - m)
+        if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(m)):
+            raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
         for name, p in (("p_a", self.p_a), ("q", self.q)):
             if qlinalg.hs_norm(p @ p - p) > 1e-10 * max(1.0, qlinalg.hs_norm(p)):
                 raise ContractError(f"{name} is not idempotent")
@@ -336,15 +340,21 @@ class AsymptoticDecomposition:
         return _cluster_values(freqs, self.tol)
 
 
+def _clusters(values: np.ndarray, atol: float) -> list[list[int]]:
+    """Index groups of real values in ascending order; a group takes every
+    next value within atol of its first member."""
+    groups: list[list[int]] = []
+    for i in np.argsort(values, kind="stable"):
+        if groups and values[i] - values[groups[-1][0]] <= atol:
+            groups[-1].append(int(i))
+        else:
+            groups.append([int(i)])
+    return groups
+
+
 def _cluster_values(values: np.ndarray, atol: float) -> np.ndarray:
     """Collapse near-duplicates (within atol) to single representatives."""
-    if values.size == 0:
-        return values
-    out: list[float] = []
-    for v in np.sort(values):
-        if not out or abs(v - out[-1]) > atol:
-            out.append(float(v))
-    return np.array(out)
+    return np.array([float(values[g[0]]) for g in _clusters(values, atol)])
 
 
 def _asymptotic_tol(evals: np.ndarray, tol) -> float:
@@ -392,30 +402,20 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
     return total / n
 
 
-def _cesaro_average(
-    m: np.ndarray, evals: np.ndarray, gate: float, horizon: float, samples: int
+def cesaro_projector(
+    l: Lindbladian, horizon: float, samples: int, frequencies=None
 ) -> SuperoperatorMatrix:
-    """Per-frequency means of exp(t(L - i w)) over the horizon, summed.
-
-    m is the generator matrix and evals its eigenvalues; the frequencies w
-    are the clustered imaginary parts of the eigenvalues with |Re| <= gate.
-    """
-    dt = horizon / samples
-    step = qlinalg.matrix_exp(dt * m)
-    acc = np.zeros_like(m)
-    for lam in _cluster_values(evals.imag[np.abs(evals.real) <= gate], gate):
-        acc += _geometric_mean(step * np.exp(-1j * float(lam) * dt), samples)
-    return SuperoperatorMatrix(acc, kind="approximation")
-
-
-def cesaro_projector(l: Lindbladian, horizon: float, samples: int) -> SuperoperatorMatrix:
     """Finite-time average approximating the asymptotic projection.
 
-    For each asymptotic frequency L_, averages exp(t(L - i L_)) over the
+    For each asymptotic frequency w, averages exp(t(L - i w)) over the
     horizon at the given sampling resolution; the per-frequency means are
-    summed. Frequencies are the imaginary parts of the near-zero-real-part
-    eigenvalues (eigenvalues need no diagonalizability), so this path also
-    serves defective generators. Error is O(1/horizon) for a gapped
+    summed. frequencies, when given, are those of a decomposition already
+    at hand (AsymptoticDecomposition.asymptotic_frequencies); otherwise
+    they are the clustered imaginary parts of the eigenvalues with
+    |Re| <= the default asymptotic tolerance (eigenvalues need no
+    diagonalizability). The step exp(dt L) is taken on the series route,
+    which needs no eigenvectors, so the average stays independent of the
+    spectral projector it cross-checks. Error is O(1/horizon) for a gapped
     decaying sector, and vanishes to rounding when every spectral gap times
     the horizon is a multiple of 2 pi.
     """
@@ -426,69 +426,95 @@ def cesaro_projector(l: Lindbladian, horizon: float, samples: int) -> Superopera
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ContractError("horizon must be positive and finite")
     m = build_superoperator(l).matrix
-    evals = np.linalg.eigvals(m)
-    gate = _asymptotic_tol(evals, None)
-    _check_spectrum_stability(evals, gate)
-    return _cesaro_average(m, evals, gate, horizon, samples)
+    if frequencies is None:
+        evals = np.linalg.eigvals(m)
+        gate = _asymptotic_tol(evals, None)
+        _check_spectrum_stability(evals, gate)
+        frequencies = _cluster_values(evals.imag[np.abs(evals.real) <= gate], gate)
+    dt = horizon / samples
+    step = qlinalg.matrix_exp(dt * m, method="series")
+    acc = np.zeros_like(m)
+    for w in frequencies:
+        acc += _geometric_mean(step * np.exp(-1j * float(w) * dt), samples)
+    return SuperoperatorMatrix(acc, kind="approximation")
+
+
+def _nullspace_projector(
+    m: np.ndarray, evals: np.ndarray, right: np.ndarray, asym: np.ndarray, gate: float
+) -> np.ndarray:
+    """Spectral projector onto the asymptotic sector without a full eigenbasis.
+
+    Each asymptotic eigenvalue must be semisimple, which holds for every
+    GKSL generator: its semigroup is bounded, so eigenvalues on the
+    imaginary axis carry no Jordan chain (M. M. Wolf, Quantum Channels &
+    Operations, 2012, ch. 6). For each cluster of asymptotic eigenvalues
+    (imaginary parts within gate) with k members and mean lambda, let
+    A = M - lambda and R an orthonormal basis of ker A. Then B = A + R R+
+    is invertible and Y = R+ B^-1 satisfies Y A = 0 and Y R = 1, so
+    P_lambda = R Y. R starts from the cluster's eigenvectors and takes one
+    inverse-iteration step. ||A R||_F <= 1e2 gate certifies, by
+    Courant-Fischer, a geometric multiplicity >= k; a residual above it, or
+    a singular solve, raises NonDiagonalizable.
+    """
+    eye = np.eye(m.shape[0])
+    p = np.zeros_like(m)
+    indices = np.flatnonzero(asym)
+    for group in _clusters(evals.imag[indices], gate):
+        members = indices[group]
+        lam = complex(evals[members].mean())
+        a = m - lam * eye
+        r = np.linalg.qr(right[:, members])[0]
+        try:
+            r = np.linalg.qr(np.linalg.solve(a + r @ r.conj().T, r))[0]
+            y = np.linalg.solve((a + r @ r.conj().T).conj().T, r).conj().T
+        except np.linalg.LinAlgError as exc:
+            raise NonDiagonalizable(
+                f"asymptotic eigenvalue {lam!r}: null-space solve failed ({exc})"
+            ) from exc
+        residual = np.linalg.norm(a @ r)
+        if not residual <= 1e2 * gate:
+            raise NonDiagonalizable(
+                f"asymptotic eigenvalue {lam!r} carries a Jordan chain "
+                f"(||(L - lambda) R||_F = {residual:.3e} for {len(members)} eigenvectors)"
+            )
+        p += r @ y
+    return p
 
 
 def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     """Spectral analysis of the generator with asymptotic projectors.
 
     Eigenvalues with |Re| <= tol (default 1e-8 * max(1, spectral radius))
-    form the asymptotic sector; p_inf is the spectral projector onto it.
-    If the generator is defective, eigenvectors are unavailable and p_inf
-    falls back to a long-horizon Cesaro average; in that case the
-    asymptotic eigenvalues are verified to carry no Jordan chains.
+    form the asymptotic sector; p_inf is the exact spectral projector onto
+    it, from one d^2 x d^2 eig. When the eigenvector basis passes the
+    eig_general condition gate, p_inf comes from it (route "eigenbasis").
+    A defective generator fails that gate; p_inf then comes from the null
+    spaces of L - lambda over the asymptotic eigenvalues, starting from the
+    eigenvectors the same eig returned (route "nullspace").
     """
     m = build_superoperator(l).matrix
     try:
         evals, right, left = qlinalg.eig_general(m)
-    except NonDiagonalizable:
-        evals, right = np.linalg.eigvals(m), None
+    except NonDiagonalizable as exc:
+        evals, right, left = exc.evals, exc.right, None
     gate = _asymptotic_tol(evals, tol)
     _check_spectrum_stability(evals, gate)
     asym = np.abs(evals.real) <= gate
-    asym_indices = tuple(np.flatnonzero(asym).tolist())
-    if right is not None:
-        p_inf = SuperoperatorMatrix(
-            right[:, asym] @ left[:, asym].conj().T, kind="trace_preserving"
-        )
+    if left is not None:
+        route, p = "eigenbasis", right[:, asym] @ left[:, asym].conj().T
     else:
-        _assert_diagonal_asymptotic_blocks(m, evals, asym_indices, gate)
-        gap = float(np.abs(evals.real[~asym]).min()) if not asym.all() else 1.0
-        p_inf = _cesaro_average(
-            m, evals, gate, _FALLBACK_HORIZON_SCALE / gap, _FALLBACK_SAMPLES
-        )
+        route, p = "nullspace", _nullspace_projector(m, evals, right, asym, gate)
+    p_inf = SuperoperatorMatrix(p, kind="trace_preserving")
     p_a, q = _support_projectors(p_inf.matrix, l.dim)
     return AsymptoticDecomposition(
         eigenvalues=evals,
-        asymptotic_indices=asym_indices,
+        asymptotic_indices=tuple(np.flatnonzero(asym).tolist()),
         p_inf=p_inf,
         p_a=p_a,
         q=q,
         tol=gate,
+        route=route,
     )
-
-
-def _assert_diagonal_asymptotic_blocks(m, evals, asym_indices, gate):
-    """Defective path guard: asymptotic eigenvalues must have full
-    eigenspaces (no generalized-eigenvector chain reaches the surviving
-    sector, or the long-time limit would not exist)."""
-    seen: list[complex] = []
-    for a in asym_indices:
-        lam = evals[a]
-        if any(abs(lam - s) <= 10 * gate for s in seen):
-            continue
-        seen.append(lam)
-        algebraic = int(np.sum(np.abs(evals - lam) <= 10 * gate))
-        rank = np.linalg.matrix_rank(m - lam * np.eye(m.shape[0]), tol=gate * 1e2)
-        geometric = m.shape[0] - rank
-        if geometric < algebraic:
-            raise NonDiagonalizable(
-                f"asymptotic eigenvalue {lam!r} carries a Jordan chain "
-                f"(geometric {geometric} < algebraic {algebraic})"
-            )
 
 
 def asymptotic_evolution(
@@ -509,7 +535,8 @@ def asymptotic_evolution(
             f"asymptotic Hamiltonian leaks outside the surviving support ({leak:.3e})"
         )
     projected = qlinalg.devectorize(dec.p_inf.matrix @ qlinalg.vectorize(rho_in))
-    u = qlinalg.matrix_exp(-1j * float(s) * h)
+    w, v = qlinalg.eig_hermitian(h)
+    u = (v * np.exp(-1j * float(s) * w)) @ v.conj().T
     return u @ projected @ u.conj().T
 
 

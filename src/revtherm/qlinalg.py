@@ -100,24 +100,44 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (evals, right, left) where right[:, a] = p_a, left[:, a] = q_a,
     and <<q_a|p_b>> = q_a† p_b = delta_ab. A matrix whose eigenvector basis
-    has condition number >= 1e8 is reported defective via NonDiagonalizable
-    so callers can fall back to decomposition-free methods.
+    has condition number >= 1e8 is reported defective via NonDiagonalizable,
+    which carries evals and right so callers can fall back to methods that
+    need no full eigenbasis. The gate reads kappa_F = ||V||_F ||V^-1||_F
+    first and takes the SVD-based kappa_2 only when kappa_F >= 1e8; since
+    kappa_2 <= kappa_F, the verdict is that of kappa_2 alone.
     """
     m = as_square(m)
     evals, right = np.linalg.eig(m)
-    cond = np.linalg.cond(right)
-    if not np.isfinite(cond) or cond >= DIAG_COND_GATE:
+    try:
+        inverse = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        inverse, cond = None, np.inf
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = np.linalg.norm(right) * np.linalg.norm(inverse)
+    if not cond < DIAG_COND_GATE:
+        cond = np.linalg.cond(right)
+    if inverse is None or not cond < DIAG_COND_GATE:
         raise NonDiagonalizable(
-            f"eigenvector matrix condition {cond:.3e} exceeds gate {DIAG_COND_GATE:.0e}"
+            f"eigenvector matrix condition {cond:.3e} exceeds gate {DIAG_COND_GATE:.0e}",
+            evals=evals,
+            right=right,
         )
     # Rows of right^-1 are the dual basis; conjugating turns row a into the
     # column vector q_a with q_a† p_b = delta_ab.
-    left = np.linalg.inv(right).conj().T
-    return evals, right, left
+    return evals, right, inverse.conj().T
 
 
-def _exp_series(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a truncated Taylor series."""
+def matrix_exp(m, method: str = "series") -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a truncated Taylor series.
+
+    Needs no eigenvectors, so it serves defective inputs alike and stays an
+    independent cross-check of every spectral route. "series" is the only
+    method.
+    """
+    m = as_square(m)
+    if method != "series":
+        raise ContractError(f"unknown method {method!r}")
     norm = np.linalg.norm(m, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     a = m / (2.0**squarings)
@@ -131,26 +151,6 @@ def _exp_series(m: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         total = total @ total
     return total
-
-
-def matrix_exp(m, method: str = "auto") -> np.ndarray:
-    """Matrix exponential.
-
-    method="auto" tries the eigendecomposition route and falls back to
-    scaling-and-squaring with a truncated series when the input is defective
-    within the eig_general gate. "series" forces the series route, the
-    independent cross-check of "auto".
-    """
-    m = as_square(m)
-    if method not in ("auto", "series"):
-        raise ContractError(f"unknown method {method!r}")
-    if method == "series":
-        return _exp_series(m)
-    try:
-        evals, right, left = eig_general(m)
-    except NonDiagonalizable:
-        return _exp_series(m)
-    return (right * np.exp(evals)) @ left.conj().T
 
 
 def vectorize(a) -> np.ndarray:

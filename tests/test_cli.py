@@ -6,6 +6,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -560,6 +561,60 @@ class TestRemainingTasks:
 
 def complex_matrix(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def exceptional_payload(d):
+    """Driven damped qubit at its exceptional point (kappa = 1, Omega =
+    kappa/4), embedded as H x 1, F x 1: a defective generator."""
+    eye = np.eye(d // 2)
+    h = 0.5 * 0.25 * np.kron([[0.0, 1.0], [1.0, 0.0]], eye)
+    f = np.kron([[0.0, 1.0], [0.0, 0.0]], eye)
+    return {
+        "hamiltonian": complex_matrix(h),
+        "jumps": [{"operator": complex_matrix(f), "rate": 1.0}],
+    }
+
+
+class TestGkslAsymptotic:
+    @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "nullspace"])
+    def test_one_spectrum_per_call(self, tmp_path, monkeypatch, defective):
+        calls = {"eig": 0, "eigvals": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        if defective:
+            payload = exceptional_payload(4)
+        else:
+            payload = {
+                "hamiltonian": complex_matrix(np.diag([0.0, 0.7, 1.9])),
+                "jumps": [{"operator": complex_matrix(np.diag([0.0, 1.0, 2.0])), "rate": 0.3}],
+            }
+        payload["cesaro"] = {"horizon": 1e5, "samples": 100000}
+        p = write_scenario(tmp_path, "gksl-asymptotic", payload)
+        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+        assert r.exit_code == 0, r.stderr
+        assert json.loads(r.stdout)["outputs"]["spectral_fallback"] is defective
+        assert calls == {"eig": 1, "eigvals": 0}
+
+    def test_jordan_block_at_asymptotic_eigenvalue_is_5(self, tmp_path, monkeypatch):
+        # no GKSL generator has one, so the generator matrix is substituted
+        jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
+        jordan[0, 1] = 1.0
+        monkeypatch.setattr(
+            cli.gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=jordan)
+        )
+        payload = {"hamiltonian": complex_matrix(np.zeros((2, 2))), "jumps": []}
+        p = write_scenario(tmp_path, "gksl-asymptotic", payload)
+        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+        assert r.exit_code == 5
+        assert isinstance(r.exception, SystemExit)
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: numeric health: ")
 
 
 class TestGkslEvolve:

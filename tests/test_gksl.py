@@ -1,11 +1,12 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from revtherm import compmodel, gksl, qlinalg, qstate
-from revtherm.errors import ContractError, ShapeError
+from revtherm.errors import ContractError, NonDiagonalizable, ShapeError
 
 from helpers import random_density, random_hermitian, rng
 
@@ -233,12 +234,13 @@ class TestDecompose:
 
     def test_defective_generator_takes_fallback(self):
         # driven damped qubit at its exceptional point Omega = kappa/4: the
-        # decaying pair at -3 kappa/4 carries a Jordan chain, so the spectral
-        # route fails and p_inf comes from the long-horizon average instead
+        # decaying pair at -3 kappa/4 carries a Jordan chain, so the full
+        # eigenbasis fails its gate and p_inf comes from the null space of L
         kappa, omega = 1.0, 0.25
         l = gksl.Lindbladian(qstate.Hamiltonian(0.5 * omega * SX), ((SMINUS, kappa),))
         dec = gksl.decompose(l)
-        assert dec.p_inf.kind == "approximation"
+        assert dec.route == "nullspace"
+        assert dec.p_inf.kind == "trace_preserving"
         assert len(dec.asymptotic_indices) == 1
         # resonance-fluorescence steady state for comparison
         denom = omega**2 / 2.0 + kappa**2 / 4.0
@@ -248,8 +250,43 @@ class TestDecompose:
         proj = qlinalg.devectorize(
             dec.p_inf.matrix @ qlinalg.vectorize(np.diag([1.0, 0.0]).astype(complex))
         )
-        assert qlinalg.hs_norm(proj - steady) < 1e-5
-        assert np.allclose(dec.p_a, np.eye(2), atol=1e-6)
+        assert qlinalg.hs_norm(proj - steady) < 1e-12
+        assert np.abs(dec.p_a - np.eye(2)).max() < 1e-12
+
+    def test_diagonalizable_generator_takes_eigenbasis(self):
+        assert gksl.decompose(damping(0.8)).route == "eigenbasis"
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_nullspace_route_matches_series_propagator(self, d):
+        # exp(T L) at T = 240 equals p_inf to rounding: the slowest decaying
+        # mode is at Re = -kappa / 2, so its remainder is e^-120
+        l = exceptional_point(1.0, d)
+        dec = gksl.decompose(l)
+        assert dec.route == "nullspace"
+        assert len(dec.asymptotic_indices) == (d // 2) ** 2
+        m = gksl.build_superoperator(l).matrix
+        reference = qlinalg.matrix_exp(240.0 * m, method="series")
+        assert np.abs(dec.p_inf.matrix - reference).max() <= 1e-10
+
+    def test_jordan_block_at_asymptotic_eigenvalue_is_nondiagonalizable(self, monkeypatch):
+        # no GKSL generator has one (its semigroup is bounded), so the
+        # generator matrix is substituted: a Jordan block at 0 plus two
+        # decaying modes
+        jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
+        jordan[0, 1] = 1.0
+        monkeypatch.setattr(gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=jordan))
+        with pytest.raises(NonDiagonalizable, match="Jordan chain"):
+            gksl.decompose(dephasing())
+
+    def test_singular_nullspace_solve_is_nondiagonalizable(self):
+        # only one of the Jordan pair is taken as asymptotic: A + R R+ is
+        # then exactly singular, and the solve's LinAlgError is mapped
+        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]], dtype=complex)
+        evals = np.array([0.0, 0.0, -1.0], dtype=complex)
+        right = np.eye(3, dtype=complex)
+        asym = np.array([True, False, False])
+        with pytest.raises(NonDiagonalizable, match="solve failed"):
+            gksl._nullspace_projector(m, evals, right, asym, 1e-8)
 
 
 class TestCesaro:
@@ -267,6 +304,18 @@ class TestCesaro:
         assert err1 < 2e-3
         # O(1/horizon): doubling the horizon halves the residual
         assert err2 < 0.55 * err1
+
+    def test_decomposition_frequencies_skip_the_spectrum(self, monkeypatch):
+        l = closed(np.diag([0.0, 1.0, 2.5]))
+        dec = gksl.decompose(l)
+        own = gksl.cesaro_projector(l, horizon=300.0, samples=2**12)
+
+        def no_eigvals(m):
+            raise AssertionError("spectrum recomputed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        given = gksl.cesaro_projector(l, 300.0, 2**12, dec.asymptotic_frequencies)
+        assert qlinalg.hs_norm(given.matrix - own.matrix) <= 1e-12
 
     def test_horizon_validation(self):
         with pytest.raises(ContractError):

@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,24 +129,107 @@ class TestEig:
         with pytest.raises(NonDiagonalizable):
             qlinalg.eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_defective_verdict_carries_the_spectrum(self):
+        m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NonDiagonalizable) as info:
+            qlinalg.eig_general(m)
+        evals, right = np.linalg.eig(m.astype(complex))
+        assert np.array_equal(info.value.evals, evals)
+        assert np.array_equal(info.value.right, right)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_gate_raises_no_warning(self, n):
+        # an exactly defective input gives eigenvectors whose inverse has
+        # entries near the overflow threshold, so kappa_F overflows
+        jordan = np.eye(n, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (jordan, 3.0 * np.eye(n) + jordan, 1e-300 * jordan):
+                with contextlib.suppress(NonDiagonalizable):
+                    qlinalg.eig_general(m)
+
+    def test_gate_verdict_is_that_of_kappa_2(self):
+        # permuted upper-triangular matrices whose first two eigenvalues
+        # differ by delta: the eigenvector condition grows like 1 / delta,
+        # and triangular inputs keep the computed eigenvectors accurate, so
+        # the condition spreads over 1e6 to 1e10
+        gen = rng(14)
+        conds = []
+        for _ in range(40):
+            n = 6
+            t = np.triu(random_complex(gen, (n, n)), 1)
+            delta = 10.0 ** gen.uniform(-9.5, -5.5)
+            t += np.diag(np.r_[1.0, 1.0 + delta, np.arange(3.0, n + 1)])
+            perm = gen.permutation(n)
+            m = t[np.ix_(perm, perm)]
+            cond = np.linalg.cond(np.linalg.eig(m)[1])
+            conds.append(cond)
+            try:
+                qlinalg.eig_general(m)
+                defective = False
+            except NonDiagonalizable:
+                defective = True
+            assert defective == (cond >= qlinalg.DIAG_COND_GATE), cond
+        assert min(conds) < 1e7 and max(conds) > 1e9
+        assert 5 <= sum(c >= qlinalg.DIAG_COND_GATE for c in conds) <= 35
+
+    def test_frobenius_bound_alone_never_rejects(self):
+        # kappa_2 <= kappa_F <= sqrt(n) kappa_2: a basis with kappa_F above
+        # the gate and kappa_2 below it takes the SVD and passes
+        gen = rng(16)
+        t = np.triu(random_complex(gen, (6, 6)), 1)
+        accepted = 0
+        for delta in np.logspace(-8.5, -7.0, 31):
+            m = t + np.diag(np.r_[1.0, 1.0 + delta, 3.0, 4.0, 5.0, 6.0])
+            right = np.linalg.eig(m)[1]
+            kappa_f = np.linalg.norm(right) * np.linalg.norm(np.linalg.inv(right))
+            if kappa_f >= qlinalg.DIAG_COND_GATE > np.linalg.cond(right):
+                qlinalg.eig_general(m)
+                accepted += 1
+        assert accepted >= 1
+
+    def test_well_conditioned_basis_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD condition number taken")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        gen = rng(15)
+        for n in (2, 5, 16):
+            evals, right, left = qlinalg.eig_general(random_complex(gen, (n, n)))
+            assert np.allclose(left.conj().T @ right, np.eye(n), atol=1e-10)
+
 
 class TestMatrixExp:
     def test_diagonal_exact(self):
         m = np.diag([0.0, -1.0, 2.0j])
         assert np.allclose(qlinalg.matrix_exp(m), np.diag(np.exp(np.diag(m))))
 
-    def test_routes_agree(self):
-        # auto takes the eig route on these; the series route is independent
+    def test_matches_hermitian_eigendecomposition(self):
+        # exp(a h) = V exp(a w) V+ for Hermitian h = V w V+, with a real
+        # (a damping or growth) or imaginary (a unitary)
         gen = rng(10)
         for _ in range(8):
-            m = random_complex(gen, (4, 4))
-            e1 = qlinalg.matrix_exp(m)
-            e2 = qlinalg.matrix_exp(m, method="series")
-            assert np.allclose(e1, e2, atol=1e-9 * max(1.0, qlinalg.hs_norm(e1)))
+            h = random_hermitian(gen, 4)
+            w, v = qlinalg.eig_hermitian(h)
+            for a in (-0.7, 0.3, -1.3j, 2.0j):
+                expect = (v * np.exp(a * w)) @ v.conj().T
+                got = qlinalg.matrix_exp(a * h, method="series")
+                assert np.allclose(got, expect, atol=1e-12 * max(1.0, qlinalg.hs_norm(expect)))
 
-    def test_nilpotent_falls_back(self):
+    def test_rotation_closed_form(self):
+        # exp(-i theta sigma_x) = cos(theta) 1 - i sin(theta) sigma_x
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for theta in (0.1, 1.0, 7.5):
+            expect = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * sx
+            assert np.allclose(qlinalg.matrix_exp(-1j * theta * sx), expect, atol=1e-13)
+
+    def test_nilpotent_closed_form(self):
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(qlinalg.matrix_exp(n), np.eye(2) + n)
+        # a 3 x 3 Jordan block at lambda: e^lambda (1 + N + N^2 / 2)
+        n3 = np.eye(3, k=1)
+        expect = np.exp(-0.5) * (np.eye(3) + n3 + n3 @ n3 / 2.0)
+        assert np.allclose(qlinalg.matrix_exp(-0.5 * np.eye(3) + n3), expect, atol=1e-14)
 
     def test_group_property(self):
         gen = rng(12)
@@ -156,6 +242,8 @@ class TestMatrixExp:
             qlinalg.matrix_exp(np.eye(2), method="pade")
         with pytest.raises(ContractError):
             qlinalg.matrix_exp(np.eye(2), method="eig")
+        with pytest.raises(ContractError):
+            qlinalg.matrix_exp(np.eye(2), method="auto")
 
 
 def test_unitary_helper_is_unitary():
