@@ -489,7 +489,7 @@ def _handle_gksl_asymptotic(payload, units, tol):
             l,
             _get(cesaro, "horizon", "payload.cesaro", _number),
             _get(cesaro, "samples", "payload.cesaro", _int),
-            dec.asymptotic_frequencies,
+            dec,
         )
         dist = qlinalg.hs_norm(ces.matrix - dec.p_inf.matrix)
         gate = tol if tol is not None else 1e-4

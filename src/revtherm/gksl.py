@@ -6,20 +6,27 @@ products only, marching once along the sorted time grid with a scaled
 Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
 Spectra need the dense route: build_superoperator gives the d^2 x d^2
 matrix on column-stacked operators, built exclusively from vec_product_map
-so the operator-ordering conventions live in one place. One eig of it
-classifies eigenvalues into decaying (Re < 0) and asymptotic (Re ~ 0)
-sectors and yields the exact asymptotic projection superoperator, from the
-full eigenbasis or, for a defective generator, from the null spaces of
-L - lambda over the asymptotic eigenvalues, plus the support projectors
-P_A / Q. A Cesaro time average, stepped on the series route, is the
-independent cross-check of that projection. The split of an
-operator into a block-respecting ("noncomputational") and a cross-block
-("pure computational") part connects the open-system picture to the
-computational one.
+so the operator-ordering conventions live in one place. A generator
+preserves Hermiticity, so in the orthonormal Hermitian basis
+{E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2} it is a real matrix
+(Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP 286,
+1987); a fixed sparse unitary takes one form to the other by index
+gathers. One real eig of that form classifies eigenvalues into decaying
+(Re < 0) and asymptotic (Re ~ 0) sectors and yields the exact asymptotic
+projection superoperator, from the full eigenbasis or, for a defective
+generator, from the null spaces of L - lambda over the asymptotic
+eigenvalues, mapped back to column-stacked operators, plus the support
+projectors P_A / Q. A Cesaro time average of the same real form, stepped
+on the series route, is the independent cross-check of that projection.
+The split of an operator into a block-respecting ("noncomputational") and
+a cross-block ("pure computational") part connects the open-system
+picture to the computational one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,13 @@ from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeE
 TRACE_FUNCTIONAL_RTOL = 1e-9
 ASYMPTOTIC_RTOL = 1e-8
 PINF_IDEMPOTENT_TOL = 1e-8
+# decompose builds p_inf from the eigenbasis only when its condition
+# kappa_F = ||V||_F ||V^-1||_F is below this; else from null spaces. The
+# eigenbasis projector's error is up to eps kappa_F, here 2e-10, fifty times
+# under PINF_IDEMPOTENT_TOL. A 2 x 2 Jordan block split by rounding lands at
+# kappa ~ eps^-1/2 ~ 7e7, on either side of eig_general's 1e8 gate by luck;
+# every diagonalizable generator of the tests and the benchmark is below 1e4.
+EIGENBASIS_COND_GATE = 1e6
 PA_SUPPORT_TOL = 1e-10
 TRAJECTORY_TRACE_TOL = 1e-9
 TRAJECTORY_EIG_FLOOR = -1e-8
@@ -57,12 +71,19 @@ _ROUTES = ("eigenbasis", "nullspace")
 
 @dataclass(frozen=True)
 class Lindbladian:
-    """Hamiltonian plus weighted jump operators, all on one d-dim space."""
+    """Hamiltonian plus weighted jump operators, all on one d-dim space.
+
+    The Hamiltonian is kept as its Hermitian part (H + H+)/2, which leaves an
+    exactly Hermitian input unchanged bit for bit; so the generator
+    preserves Hermiticity up to rounding alone.
+    """
 
     hamiltonian: qstate.Hamiltonian
     jumps: tuple
 
     def __post_init__(self):
+        h = self.hamiltonian.matrix
+        object.__setattr__(self, "hamiltonian", qstate.Hamiltonian((h + h.conj().T) / 2.0))
         d = self.hamiltonian.dim
         clean = []
         for f, kappa in self.jumps:
@@ -159,6 +180,78 @@ def build_adjoint_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
             - qlinalg.vec_product_map(eye, ff)
         )
     return SuperoperatorMatrix(m, kind="adjoint_generator")
+
+
+@functools.lru_cache(maxsize=8)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Column-stacked positions in the order of the orthonormal Hermitian basis.
+
+    The basis is E_ii (i < d), then (E_ij + E_ji)/sqrt2, then
+    i(E_ij - E_ji)/sqrt2 over the pairs i < j. Returned are the positions
+    of the diagonal entries, then of the (i, j) and then of the (j, i)
+    entries; read-only, as it is shared between calls.
+    """
+    i, j = np.triu_indices(d, 1)
+    order = np.concatenate([np.arange(d) * (d + 1), i + j * d, j + i * d])
+    order.flags.writeable = False
+    return order
+
+
+def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
+    """B+ a for axis 0, a B for axis 1: the column-stacked operators along
+    that axis of a, in the Hermitian basis.
+
+    B is the unitary whose columns are the vectorized basis operators; it
+    has at most two nonzeros per row and per column, so this is a gather.
+    """
+    d = math.isqrt(a.shape[axis])
+    mid = (d * d + d) // 2
+    t = np.take(np.asarray(a, dtype=complex), _hermitian_basis(d), axis=axis)
+    upper, lower = (t[d:mid], t[mid:]) if axis == 0 else (t[:, d:mid], t[:, mid:])
+    diff = upper - lower
+    upper += lower
+    upper *= math.sqrt(0.5)
+    np.multiply(diff, (-1j if axis == 0 else 1j) * math.sqrt(0.5), out=lower)
+    return t
+
+
+def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
+    """B a for axis 0, a B+ for axis 1: the inverse of _to_hermitian_basis."""
+    d = math.isqrt(a.shape[axis])
+    mid = (d * d + d) // 2
+    t = np.array(a, dtype=complex)
+    sym, anti = (t[d:mid], t[mid:]) if axis == 0 else (t[:, d:mid], t[:, mid:])
+    sym *= math.sqrt(0.5)
+    anti *= (1j if axis == 0 else -1j) * math.sqrt(0.5)
+    lower = sym - anti
+    sym += anti
+    anti[...] = lower
+    out = np.empty_like(t)
+    if axis == 0:
+        out[_hermitian_basis(d)] = t
+    else:
+        out[:, _hermitian_basis(d)] = t
+    return out
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """B+ M B for a generator M: real, because M preserves Hermiticity.
+
+    The imaginary residue is rounding and is dropped after a gate with the
+    allowance of the generator trace contract, TRACE_FUNCTIONAL_RTOL.
+    """
+    r = _to_hermitian_basis(_to_hermitian_basis(m, 0), 1)
+    residue = np.linalg.norm(r.imag)
+    if residue > TRACE_FUNCTIONAL_RTOL * max(1.0, np.linalg.norm(r)):
+        raise NumericHealthError(
+            f"generator does not preserve Hermiticity (imaginary residue {residue:.3e})"
+        )
+    return r.real.copy()
+
+
+def _column_stacked(p: np.ndarray) -> np.ndarray:
+    """B P B+: a superoperator in the Hermitian basis back on column-stacked operators."""
+    return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
 
 
 def _matrix_free_form(l: Lindbladian):
@@ -296,10 +389,12 @@ class AsymptoticDecomposition:
     p_inf is the exact spectral projector onto the asymptotic sector and
     must be idempotent. route says how it was built: "eigenbasis" from the
     full biorthogonal eigenbasis, or "nullspace" from the null spaces of
-    L - lambda over the asymptotic eigenvalues when that eigenbasis failed
-    the eig_general condition gate (a defective generator). p_a is the
-    Hilbert-space support projector of the projected maximally mixed state,
-    q its complement.
+    L - lambda over the asymptotic eigenvalues when that eigenbasis has
+    condition kappa_F >= EIGENBASIS_COND_GATE (a defective generator, or
+    nearly one). p_a is the Hilbert-space support projector of the
+    projected maximally mixed state, q its complement. real_generator is
+    the generator in the orthonormal Hermitian basis, the real d^2 x d^2
+    matrix whose eigenvalues these are.
     """
 
     eigenvalues: np.ndarray
@@ -309,6 +404,7 @@ class AsymptoticDecomposition:
     q: np.ndarray
     tol: float
     route: str
+    real_generator: np.ndarray
 
     def __post_init__(self):
         if self.route not in _ROUTES:
@@ -341,20 +437,34 @@ class AsymptoticDecomposition:
 
 
 def _clusters(values: np.ndarray, atol: float) -> list[list[int]]:
-    """Index groups of real values in ascending order; a group takes every
-    next value within atol of its first member."""
-    groups: list[list[int]] = []
-    for i in np.argsort(values, kind="stable"):
-        if groups and values[i] - values[groups[-1][0]] <= atol:
-            groups[-1].append(int(i))
-        else:
-            groups.append([int(i)])
+    """Index groups of real values, mirror-symmetric about zero.
+
+    The values within atol of 0 form the first group. The others are
+    grouped on each side outward from 0, a group taking every next value
+    within atol of its first (innermost) member: the positive side's groups
+    first, then the negative side's. A multiset symmetric about 0 gets
+    groups that mirror each other exactly.
+    """
+    zero = np.flatnonzero(np.abs(values) <= atol)
+    groups = [zero.tolist()] if zero.size else []
+    for side in (values, -values):
+        outer: list[list[int]] = []
+        for i in np.argsort(side, kind="stable"):
+            if side[i] <= atol:
+                continue
+            if outer and side[i] - side[outer[-1][0]] <= atol:
+                outer[-1].append(int(i))
+            else:
+                outer.append([int(i)])
+        groups += outer
     return groups
 
 
 def _cluster_values(values: np.ndarray, atol: float) -> np.ndarray:
-    """Collapse near-duplicates (within atol) to single representatives."""
-    return np.array([float(values[g[0]]) for g in _clusters(values, atol)])
+    """Collapse near-duplicates (within atol) to single representatives,
+    ascending: 0 for the group at zero, the innermost member otherwise."""
+    reps = [float(values[g[0]]) for g in _clusters(values, atol)]
+    return np.sort([v if abs(v) > atol else 0.0 for v in reps])
 
 
 def _asymptotic_tol(evals: np.ndarray, tol) -> float:
@@ -389,7 +499,7 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
     def rec(m: int) -> tuple[np.ndarray, np.ndarray]:
         # returns (sum_{k<m} E^k, E^m)
         if m == 1:
-            return np.eye(d2, dtype=complex), e
+            return np.eye(d2, dtype=e.dtype), e
         s, p = rec(m // 2)
         s = s + p @ s
         p = p @ p
@@ -403,21 +513,23 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
 
 
 def cesaro_projector(
-    l: Lindbladian, horizon: float, samples: int, frequencies=None
+    l: Lindbladian, horizon: float, samples: int, dec: AsymptoticDecomposition | None = None
 ) -> SuperoperatorMatrix:
     """Finite-time average approximating the asymptotic projection.
 
     For each asymptotic frequency w, averages exp(t(L - i w)) over the
     horizon at the given sampling resolution; the per-frequency means are
-    summed. frequencies, when given, are those of a decomposition already
-    at hand (AsymptoticDecomposition.asymptotic_frequencies); otherwise
-    they are the clustered imaginary parts of the eigenvalues with
-    |Re| <= the default asymptotic tolerance (eigenvalues need no
-    diagonalizability). The step exp(dt L) is taken on the series route,
-    which needs no eigenvectors, so the average stays independent of the
-    spectral projector it cross-checks. Error is O(1/horizon) for a gapped
-    decaying sector, and vanishes to rounding when every spectral gap times
-    the horizon is a multiple of 2 pi.
+    summed. dec, when given, must be decompose(l): its real generator and
+    asymptotic frequencies are reused, so neither the generator nor its
+    spectrum is computed again. Otherwise the frequencies are the clustered
+    imaginary parts of the eigenvalues with |Re| <= the default asymptotic
+    tolerance (eigenvalues need no diagonalizability). The average runs on
+    the real Hermitian-basis generator, so the step and the w = 0 mean are
+    real. The step exp(dt L) is taken on the series route, which needs no
+    eigenvectors, so the average stays independent of the spectral
+    projector it cross-checks. Error is O(1/horizon) for a gapped decaying
+    sector, and vanishes to rounding when every spectral gap times the
+    horizon is a multiple of 2 pi.
     """
     samples = int(samples)
     if samples < 1:
@@ -425,18 +537,23 @@ def cesaro_projector(
     horizon = float(horizon)
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ContractError("horizon must be positive and finite")
-    m = build_superoperator(l).matrix
-    if frequencies is None:
-        evals = np.linalg.eigvals(m)
+    if dec is None:
+        r = _real_form(build_superoperator(l).matrix)
+        evals = np.linalg.eigvals(r)
         gate = _asymptotic_tol(evals, None)
         _check_spectrum_stability(evals, gate)
         frequencies = _cluster_values(evals.imag[np.abs(evals.real) <= gate], gate)
+    elif dec.dim != l.dim:
+        raise ContractError(f"decomposition of dimension {dec.dim} given for dimension {l.dim}")
+    else:
+        r, frequencies = dec.real_generator, dec.asymptotic_frequencies
     dt = horizon / samples
-    step = qlinalg.matrix_exp(dt * m, method="series")
-    acc = np.zeros_like(m)
+    step = qlinalg.matrix_exp(dt * r, method="series")
+    acc = np.zeros_like(r)
     for w in frequencies:
-        acc += _geometric_mean(step * np.exp(-1j * float(w) * dt), samples)
-    return SuperoperatorMatrix(acc, kind="approximation")
+        phase = step if w == 0.0 else step * np.exp(-1j * float(w) * dt)
+        acc = acc + _geometric_mean(phase, samples)
+    return SuperoperatorMatrix(_column_stacked(acc), kind="approximation")
 
 
 def _nullspace_projector(
@@ -444,26 +561,40 @@ def _nullspace_projector(
 ) -> np.ndarray:
     """Spectral projector onto the asymptotic sector without a full eigenbasis.
 
-    Each asymptotic eigenvalue must be semisimple, which holds for every
-    GKSL generator: its semigroup is bounded, so eigenvalues on the
-    imaginary axis carry no Jordan chain (M. M. Wolf, Quantum Channels &
-    Operations, 2012, ch. 6). For each cluster of asymptotic eigenvalues
-    (imaginary parts within gate) with k members and mean lambda, let
-    A = M - lambda and R an orthonormal basis of ker A. Then B = A + R R+
-    is invertible and Y = R+ B^-1 satisfies Y A = 0 and Y R = 1, so
-    P_lambda = R Y. R starts from the cluster's eigenvectors and takes one
-    inverse-iteration step. ||A R||_F <= 1e2 gate certifies, by
-    Courant-Fischer, a geometric multiplicity >= k; a residual above it, or
-    a singular solve, raises NonDiagonalizable.
+    m is the real generator and evals, right its eigenvalues and vectors
+    from eig_general. Each asymptotic eigenvalue must be semisimple, which
+    holds for every GKSL generator: its semigroup is bounded, so eigenvalues
+    on the imaginary axis carry no Jordan chain (M. M. Wolf, Quantum
+    Channels & Operations, 2012, ch. 6). For each cluster of asymptotic
+    eigenvalues (imaginary parts within gate) with k members and mean
+    lambda, let A = M - lambda and R an orthonormal basis of ker A. Then
+    B = A + R R+ is invertible and Y = R+ B^-1 satisfies Y A = 0 and
+    Y R = 1, so P_lambda = R Y. R starts from the cluster's eigenvectors
+    and takes one inverse-iteration step. ||A R||_F <= 1e2 gate certifies,
+    by Courant-Fischer, a geometric multiplicity >= k; a residual above it,
+    or a singular solve, raises NonDiagonalizable.
+
+    The cluster at frequency 0 holds every conjugate pair whole, so
+    replacing each pair's vectors v, conj(v) by Re v, Im v gives a real R,
+    and that cluster is solved in real arithmetic. A cluster at w > 0 is
+    solved in complex arithmetic and counted twice in real part: its mirror
+    at -w has the conjugate projector, as m is real.
     """
     eye = np.eye(m.shape[0])
-    p = np.zeros_like(m)
+    p = np.zeros(m.shape)
     indices = np.flatnonzero(asym)
     for group in _clusters(evals.imag[indices], gate):
         members = indices[group]
-        lam = complex(evals[members].mean())
+        imag = evals.imag[members]
+        if imag[0] < -gate:
+            continue
+        if imag[0] > gate:
+            lam, weight, basis = complex(evals[members].mean()), 2.0, right[:, members]
+        else:
+            lam, weight = float(evals.real[members].mean()), 1.0
+            basis = np.where(imag < 0, right[:, members].imag, right[:, members].real)
         a = m - lam * eye
-        r = np.linalg.qr(right[:, members])[0]
+        r = np.linalg.qr(basis)[0]
         try:
             r = np.linalg.qr(np.linalg.solve(a + r @ r.conj().T, r))[0]
             y = np.linalg.solve((a + r @ r.conj().T).conj().T, r).conj().T
@@ -477,34 +608,50 @@ def _nullspace_projector(
                 f"asymptotic eigenvalue {lam!r} carries a Jordan chain "
                 f"(||(L - lambda) R||_F = {residual:.3e} for {len(members)} eigenvectors)"
             )
-        p += r @ y
+        p += weight * (r @ y).real
     return p
+
+
+def _spectral_projector(r: np.ndarray, tol):
+    """(evals, asym, gate, route, p) for the real generator r: its one eig,
+    the asymptotic mask and gate, and the real spectral projector p onto
+    the asymptotic sector with the route that built it. The eigenvectors
+    die with this call, before p is mapped back."""
+    try:
+        evals, right, left = qlinalg.eig_general(r)
+    except NonDiagonalizable as exc:
+        evals, right, left = exc.evals, exc.right, None
+    evals = np.asarray(evals, dtype=complex)
+    gate = _asymptotic_tol(evals, tol)
+    _check_spectrum_stability(evals, gate)
+    asym = np.abs(evals.real) <= gate
+    if left is not None and np.linalg.norm(right) * np.linalg.norm(left) < EIGENBASIS_COND_GATE:
+        return evals, asym, gate, "eigenbasis", (right[:, asym] @ left[:, asym].conj().T).real
+    return evals, asym, gate, "nullspace", _nullspace_projector(r, evals, right, asym, gate)
 
 
 def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     """Spectral analysis of the generator with asymptotic projectors.
 
     Eigenvalues with |Re| <= tol (default 1e-8 * max(1, spectral radius))
-    form the asymptotic sector; p_inf is the exact spectral projector onto
-    it, from one d^2 x d^2 eig. When the eigenvector basis passes the
-    eig_general condition gate, p_inf comes from it (route "eigenbasis").
-    A defective generator fails that gate; p_inf then comes from the null
-    spaces of L - lambda over the asymptotic eigenvalues, starting from the
-    eigenvectors the same eig returned (route "nullspace").
+    form the asymptotic sector; tol, when given, must be positive. p_inf is
+    the exact spectral projector onto that sector, from one real d^2 x d^2
+    eig of the generator in the orthonormal Hermitian basis, where it is a
+    real matrix since it preserves Hermiticity (Alicki & Lendi, Quantum
+    Dynamical Semigroups and Applications, LNP 286, 1987). Its spectrum is
+    therefore exactly conjugate-symmetric. When the eigenvector basis has
+    condition kappa_F below EIGENBASIS_COND_GATE, p_inf comes from it (route
+    "eigenbasis"). A defective generator fails that gate; p_inf then comes
+    from the null spaces of L - lambda over the asymptotic eigenvalues,
+    starting from the eigenvectors the same eig returned (route
+    "nullspace"). Either way p_inf is real in the Hermitian basis and is
+    mapped back to column-stacked operators.
     """
-    m = build_superoperator(l).matrix
-    try:
-        evals, right, left = qlinalg.eig_general(m)
-    except NonDiagonalizable as exc:
-        evals, right, left = exc.evals, exc.right, None
-    gate = _asymptotic_tol(evals, tol)
-    _check_spectrum_stability(evals, gate)
-    asym = np.abs(evals.real) <= gate
-    if left is not None:
-        route, p = "eigenbasis", right[:, asym] @ left[:, asym].conj().T
-    else:
-        route, p = "nullspace", _nullspace_projector(m, evals, right, asym, gate)
-    p_inf = SuperoperatorMatrix(p, kind="trace_preserving")
+    if tol is not None and not tol > 0.0:
+        raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
+    r = _real_form(build_superoperator(l).matrix)
+    evals, asym, gate, route, p = _spectral_projector(r, tol)
+    p_inf = SuperoperatorMatrix(_column_stacked(p), kind="trace_preserving")
     p_a, q = _support_projectors(p_inf.matrix, l.dim)
     return AsymptoticDecomposition(
         eigenvalues=evals,
@@ -514,6 +661,7 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
         q=q,
         tol=gate,
         route=route,
+        real_generator=r,
     )
 
 

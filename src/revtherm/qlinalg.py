@@ -3,6 +3,9 @@
 Tensor products, partial traces, Hermitian and general eigendecomposition,
 the matrix exponential, Hilbert-Schmidt norms, and the column-stacking
 vectorization calculus used by every superoperator in the package.
+Inputs are coerced to complex, except that eig_general and matrix_exp
+keep a real input in float64, so real data is decomposed and exponentiated
+in real arithmetic.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -27,9 +30,8 @@ HERMITICITY_RTOL = 1e-10
 DIAG_COND_GATE = 1e8
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex ndarray, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=complex)
+def _finite_matrix(a, dtype) -> np.ndarray:
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
@@ -37,9 +39,19 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def as_square(a, d: int | None = None, what: str = "matrix") -> np.ndarray:
-    """as_complex_matrix, additionally d x d (any square size when d is None)."""
-    m = as_complex_matrix(a)
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex ndarray, rejecting NaN/Inf entries."""
+    return _finite_matrix(a, complex)
+
+
+def as_square(
+    a, d: int | None = None, what: str = "matrix", keep_real: bool = False
+) -> np.ndarray:
+    """as_complex_matrix, additionally d x d (any square size when d is None).
+
+    keep_real leaves a real input real, as float64, instead of upcasting it.
+    """
+    m = _finite_matrix(a, float if keep_real and not np.iscomplexobj(a) else complex)
     n = m.shape[0] if d is None else int(d)
     if m.shape != (n, n):
         raise ShapeError(f"{what} is {m.shape}, expected {'square' if d is None else (n, n)}")
@@ -95,6 +107,22 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _eigenvector_inverse(real_input: bool, evals: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """right^-1, through the real W of eig_general when right came from a real input."""
+    if not real_input or np.isrealobj(right):
+        return np.linalg.inv(right)
+    first = np.flatnonzero(evals.imag > 0)
+    w = right.real.copy()
+    w[:, first + 1] = right[:, first].imag
+    w_inv = np.linalg.inv(w)
+    inverse = w_inv.astype(complex)
+    # rows a, a + 1 of T^-1 W^-1 are (w_a -+ i w_{a+1}) / 2 for the rows w of W^-1
+    re, im = w_inv[first] / 2.0, w_inv[first + 1] / 2.0
+    inverse[first] = re - 1j * im
+    inverse[first + 1] = re + 1j * im
+    return inverse
+
+
 def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition with biorthogonally normalized left vectors.
 
@@ -103,19 +131,28 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     has condition number >= 1e8 is reported defective via NonDiagonalizable,
     which carries evals and right so callers can fall back to methods that
     need no full eigenbasis. The gate reads kappa_F = ||V||_F ||V^-1||_F
-    first and takes the SVD-based kappa_2 only when kappa_F >= 1e8; since
-    kappa_2 <= kappa_F, the verdict is that of kappa_2 alone.
+    first and takes the SVD-based kappa_2 only when 1e8 <= kappa_F < 1e8 n;
+    since kappa_2 <= kappa_F <= n kappa_2 for n x n V, the verdict is that
+    of kappa_2 alone.
+
+    A real input is decomposed and inverted in real arithmetic. Its
+    eigenvalues come in exact conjugate pairs, the one with positive
+    imaginary part first, and each pair's vectors are v and conj(v)
+    (LAPACK dgeev). So V = W T with the real W holding Re v, Im v in the
+    pair's two columns and T block diagonal with blocks [[1, 1], [i, -i]],
+    and V^-1 = T^-1 W^-1 needs only the real inverse. evals and right come
+    back real when every eigenvalue is real.
     """
-    m = as_square(m)
+    m = as_square(m, keep_real=True)
     evals, right = np.linalg.eig(m)
     try:
-        inverse = np.linalg.inv(right)
+        inverse = _eigenvector_inverse(np.isrealobj(m), evals, right)
     except np.linalg.LinAlgError:
         inverse, cond = None, np.inf
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             cond = np.linalg.norm(right) * np.linalg.norm(inverse)
-    if not cond < DIAG_COND_GATE:
+    if not (cond < DIAG_COND_GATE or cond >= DIAG_COND_GATE * right.shape[0]):
         cond = np.linalg.cond(right)
     if inverse is None or not cond < DIAG_COND_GATE:
         raise NonDiagonalizable(
@@ -133,15 +170,15 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
 
     Needs no eigenvectors, so it serves defective inputs alike and stays an
     independent cross-check of every spectral route. "series" is the only
-    method.
+    method. A real input is exponentiated in float64.
     """
-    m = as_square(m)
+    m = as_square(m, keep_real=True)
     if method != "series":
         raise ContractError(f"unknown method {method!r}")
     norm = np.linalg.norm(m, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     a = m / (2.0**squarings)
-    term = np.eye(m.shape[0], dtype=complex)
+    term = np.eye(m.shape[0], dtype=m.dtype)
     total = term.copy()
     for k in range(1, 60):
         term = term @ a / k

@@ -293,6 +293,12 @@ class TestExitCodes:
                 "sample count must be positive",
             ),
             (
+                {"task": "gksl-asymptotic", "payload": MINIMAL["gksl-asymptotic"]},
+                ("tol",),
+                -1,
+                "asymptotic tolerance -1.0 must be positive",
+            ),
+            (
                 {"task": "thermo-check", "payload": MINIMAL["thermo-check"]},
                 ("beta",),
                 10**400,
@@ -324,6 +330,7 @@ class TestExitCodes:
             "null-blocks",
             "overflowing-t_max",
             "zero-cesaro-samples",
+            "nonpositive-asymptotic-tol",
             "oversized-int-number",
             "oversized-int-matrix-cell",
             "superscript-digit-row-key",
@@ -578,15 +585,16 @@ def exceptional_payload(d):
 class TestGkslAsymptotic:
     @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "nullspace"])
     def test_one_spectrum_per_call(self, tmp_path, monkeypatch, defective):
-        calls = {"eig": 0, "eigvals": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
+        owners = {"eig": np.linalg, "eigvals": np.linalg, "build_superoperator": cli.gksl}
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         if defective:
             payload = exceptional_payload(4)
         else:
@@ -599,15 +607,17 @@ class TestGkslAsymptotic:
         r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
         assert r.exit_code == 0, r.stderr
         assert json.loads(r.stdout)["outputs"]["spectral_fallback"] is defective
-        assert calls == {"eig": 1, "eigvals": 0}
+        assert calls == {"eig": 1, "eigvals": 0, "build_superoperator": 1}
 
     def test_jordan_block_at_asymptotic_eigenvalue_is_5(self, tmp_path, monkeypatch):
-        # no GKSL generator has one, so the generator matrix is substituted
-        jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
+        # no GKSL generator has one, so the generator matrix is substituted:
+        # U J U+ for a real Jordan block J and U the Hermitian-basis unitary,
+        # so it preserves Hermiticity and reaches the Jordan-chain guard
+        jordan = np.diag([0.0, 0.0, -1.0, -2.0])
         jordan[0, 1] = 1.0
-        monkeypatch.setattr(
-            cli.gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=jordan)
-        )
+        u = cli.gksl._from_hermitian_basis(np.eye(4), 0)
+        m = u @ jordan @ u.conj().T
+        monkeypatch.setattr(cli.gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=m))
         payload = {"hamiltonian": complex_matrix(np.zeros((2, 2))), "jumps": []}
         p = write_scenario(tmp_path, "gksl-asymptotic", payload)
         r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
@@ -615,6 +625,7 @@ class TestGkslAsymptotic:
         assert isinstance(r.exception, SystemExit)
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: numeric health: ")
+        assert "Jordan chain" in lines[0]
 
 
 class TestGkslEvolve:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revtherm import compmodel, gksl, qlinalg, qstate
-from revtherm.errors import ContractError, NonDiagonalizable, ShapeError
+from revtherm.errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 from helpers import random_density, random_hermitian, rng
 
@@ -40,12 +40,53 @@ def dense_series(l, rho0, t):
     return qlinalg.devectorize(propagator @ qlinalg.vectorize(rho0))
 
 
+def hermitian_basis(d):
+    """The unitary B whose columns are the vectorized Hermitian basis operators."""
+    return gksl._from_hermitian_basis(np.eye(d * d), 0)
+
+
 def random_lindbladian(gen, d, n_jumps=2):
     jumps = tuple(
         (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)), float(gen.uniform(0.1, 1.0)))
         for _ in range(n_jumps)
     )
     return gksl.Lindbladian(qstate.Hamiltonian(random_hermitian(gen, d)), jumps)
+
+
+def traceful_lindbladian(gen, d, n_jumps=2):
+    """Random jumps, each with a random identity component."""
+    jumps = tuple(
+        (
+            gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) + gen.normal(0, 3) * np.eye(d),
+            float(gen.uniform(0.1, 1.0)),
+        )
+        for _ in range(n_jumps)
+    )
+    return gksl.Lindbladian(qstate.Hamiltonian(random_hermitian(gen, d)), jumps)
+
+
+def block_lindbladian(gen, sizes):
+    """Unitary block interiors, dephased cross-block coherences: asymptotic
+    eigenvalues at the nonzero Bohr frequencies of each block."""
+    d = sum(sizes)
+    h = np.zeros((d, d), dtype=complex)
+    level = np.empty(d)
+    start = 0
+    for j, size in enumerate(sizes):
+        idx = slice(start, start + size)
+        h[idx, idx] = random_hermitian(gen, size)
+        level[idx] = 2.0 * j
+        start += size
+    return gksl.Lindbladian(qstate.Hamiltonian(h), ((np.diag(level), 0.7),))
+
+
+def complex_route(l, tol):
+    """Independent reference: one complex eig of the column-stacked generator
+    and its biorthogonal projector onto |Re| <= tol."""
+    m = gksl.build_superoperator(l).matrix
+    evals, right = np.linalg.eig(m)
+    asym = np.abs(evals.real) <= tol
+    return evals, right[:, asym] @ np.linalg.inv(right)[asym, :]
 
 
 class TestLindbladian:
@@ -103,6 +144,114 @@ class TestSuperoperatorMatrix:
         )
 
 
+class TestRealForm:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_basis_change_is_unitary(self, d):
+        b = hermitian_basis(d)
+        assert np.abs(b.conj().T @ b - np.eye(d * d)).max() <= 1e-15
+        eye = np.eye(d * d)
+        assert np.array_equal(gksl._to_hermitian_basis(eye, 0), b.conj().T)
+        assert np.array_equal(gksl._to_hermitian_basis(eye, 1), b)
+        assert np.array_equal(gksl._from_hermitian_basis(eye, 1), b.conj().T)
+        for k in range(d * d):
+            op = qlinalg.devectorize(b[:, k])
+            assert np.array_equal(op, op.conj().T)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_imaginary_residue_is_rounding(self, d):
+        m = gksl.build_superoperator(traceful_lindbladian(rng(2000 + d), d)).matrix
+        b = hermitian_basis(d)
+        dense = b.conj().T @ m @ b
+        scale = np.linalg.norm(m)
+        assert np.linalg.norm(dense.imag) <= 1e-14 * scale
+        assert np.abs(gksl._real_form(m) - dense.real).max() <= 1e-14 * scale
+
+    def test_hamiltonian_is_kept_as_its_hermitian_part(self):
+        # H = 1e3 + a tiny Hermitian part + an anti-Hermitian part just
+        # inside the Hamiltonian's tolerance: as given, its commutator alone
+        # would leave an imaginary residue far above rounding
+        gen = rng(2600)
+        d = 8
+        h = 1e3 * np.eye(d) + 1e-3 * random_hermitian(gen, d)
+        a = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        anti = (a - a.conj().T) / 2.0
+        anti *= 0.99e-10 * np.linalg.norm(h) / np.linalg.norm(anti - anti.conj().T)
+        l = gksl.Lindbladian(qstate.Hamiltonian(h + anti), ((np.diag(np.arange(d)), 0.5),))
+        assert np.array_equal(l.hamiltonian.matrix, l.hamiltonian.matrix.conj().T)
+        assert gksl.decompose(l).route == "eigenbasis"
+        exact = gksl.Lindbladian(qstate.Hamiltonian(h), ())
+        assert np.array_equal(exact.hamiltonian.matrix, h)
+
+    def test_generator_not_preserving_hermiticity_is_refused(self, monkeypatch):
+        # a complex Jordan block: its real form has an O(1) imaginary part
+        jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
+        jordan[0, 1] = 1.0
+        monkeypatch.setattr(gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=jordan))
+        with pytest.raises(NumericHealthError, match="Hermiticity"):
+            gksl.decompose(dephasing())
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_decompose_agrees_with_complex_route(self, d):
+        gen = rng(2100 + d)
+        for l in (traceful_lindbladian(gen, d), random_lindbladian(gen, d, n_jumps=1)):
+            dec = gksl.decompose(l)
+            assert dec.route == "eigenbasis"
+            evals, p_ref = complex_route(l, dec.tol)
+            tol = 1e-12 * max(1.0, float(np.abs(evals).max()))
+            gap = np.abs(dec.eigenvalues[:, None] - evals[None, :])
+            assert gap.min(axis=1).max() <= tol and gap.min(axis=0).max() <= tol
+            assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda gen: traceful_lindbladian(gen, 5),
+            lambda gen: closed(random_hermitian(gen, 4)),
+            lambda gen: block_lindbladian(gen, (2, 3)),
+            lambda gen: exceptional_point(1.0, 4),
+        ],
+        ids=["generic", "closed", "blocks", "exceptional"],
+    )
+    def test_spectrum_and_frequencies_are_conjugate_symmetric(self, make):
+        dec = gksl.decompose(make(rng(2200)))
+        z = dec.eigenvalues
+        assert np.array_equal(np.sort_complex(z), np.sort_complex(z.conj()))
+        f = dec.asymptotic_frequencies
+        assert np.array_equal(f, -f[::-1])
+
+    def test_block_generator_frequencies_match_complex_route(self):
+        l = block_lindbladian(rng(2300), (2, 3, 3))
+        dec = gksl.decompose(l)
+        evals, p_ref = complex_route(l, dec.tol)
+        assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-10
+        bohr = np.sort(evals.imag[np.abs(evals.real) <= dec.tol])
+        assert len(dec.asymptotic_frequencies) > 3
+        for w in dec.asymptotic_frequencies:
+            assert np.abs(bohr - w).min() <= 1e-10
+
+    def test_nullspace_projector_agrees_with_eigenbasis_at_nonzero_frequencies(self):
+        # a diagonalizable generator admits both routes; the null-space one
+        # takes its complex branch for each cluster at w > 0
+        l = block_lindbladian(rng(2400), (3, 3))
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        evals, right, left = qlinalg.eig_general(r)
+        gate = gksl._asymptotic_tol(evals, None)
+        asym = np.abs(evals.real) <= gate
+        assert (evals.imag[asym] > gate).any()
+        eigenbasis = (right[:, asym] @ left[:, asym].conj().T).real
+        nullspace = gksl._nullspace_projector(r, evals, right, asym, gate)
+        assert nullspace.dtype == np.float64
+        assert np.abs(nullspace - eigenbasis).max() <= 1e-10
+
+    def test_real_generator_is_kept(self):
+        l = random_lindbladian(rng(2500), 3)
+        dec = gksl.decompose(l)
+        assert dec.real_generator.dtype == np.float64
+        b = hermitian_basis(3)
+        m = gksl.build_superoperator(l).matrix
+        assert np.abs(b @ dec.real_generator @ b.conj().T - m).max() <= 1e-13 * np.linalg.norm(m)
+
+
 class TestPropagate:
     def test_dephasing_closed_form(self):
         rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
@@ -150,17 +299,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("n_jumps", [0, 1, 2, 3])
     def test_matches_dense_series(self, d, n_jumps):
         gen = rng(1000 + 10 * d + n_jumps)
-        # traceful jumps: a random identity component on every operator
-        jumps = tuple(
-            (
-                gen.normal(size=(d, d))
-                + 1j * gen.normal(size=(d, d))
-                + gen.normal(0, 3) * np.eye(d),
-                float(gen.uniform(0.1, 1.0)),
-            )
-            for _ in range(n_jumps)
-        )
-        l = gksl.Lindbladian(qstate.Hamiltonian(random_hermitian(gen, d)), jumps)
+        l = traceful_lindbladian(gen, d, n_jumps)
         rho0 = random_density(gen, d)
         states = gksl.trajectory(l, rho0, self.TIMES)
         assert states.shape == (len(self.TIMES), d, d)
@@ -256,6 +395,21 @@ class TestDecompose:
     def test_diagonalizable_generator_takes_eigenbasis(self):
         assert gksl.decompose(damping(0.8)).route == "eigenbasis"
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ContractError, match="must be positive"):
+            gksl.decompose(damping(0.8), tol)
+
+    def test_d24_generic_is_fast(self):
+        # scaling guard, not an acceptance budget: one real eig of a
+        # 576 x 576 generator
+        l = random_lindbladian(rng(78), 24)
+        start = time.perf_counter()
+        dec = gksl.decompose(l)
+        assert time.perf_counter() - start < 10.0
+        assert dec.route == "eigenbasis"
+        assert len(dec.asymptotic_indices) == 1
+
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_nullspace_route_matches_series_propagator(self, d):
         # exp(T L) at T = 240 equals p_inf to rounding: the slowest decaying
@@ -270,20 +424,22 @@ class TestDecompose:
 
     def test_jordan_block_at_asymptotic_eigenvalue_is_nondiagonalizable(self, monkeypatch):
         # no GKSL generator has one (its semigroup is bounded), so the
-        # generator matrix is substituted: a Jordan block at 0 plus two
-        # decaying modes
-        jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
+        # generator matrix is substituted: B J B+ for a real J with a Jordan
+        # block at 0 plus two decaying modes, which preserves Hermiticity
+        jordan = np.diag([0.0, 0.0, -1.0, -2.0])
         jordan[0, 1] = 1.0
-        monkeypatch.setattr(gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=jordan))
+        b = hermitian_basis(2)
+        m = b @ jordan @ b.conj().T
+        monkeypatch.setattr(gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=m))
         with pytest.raises(NonDiagonalizable, match="Jordan chain"):
             gksl.decompose(dephasing())
 
     def test_singular_nullspace_solve_is_nondiagonalizable(self):
         # only one of the Jordan pair is taken as asymptotic: A + R R+ is
         # then exactly singular, and the solve's LinAlgError is mapped
-        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]], dtype=complex)
+        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         evals = np.array([0.0, 0.0, -1.0], dtype=complex)
-        right = np.eye(3, dtype=complex)
+        right = np.eye(3)
         asym = np.array([True, False, False])
         with pytest.raises(NonDiagonalizable, match="solve failed"):
             gksl._nullspace_projector(m, evals, right, asym, 1e-8)
@@ -313,9 +469,17 @@ class TestCesaro:
         def no_eigvals(m):
             raise AssertionError("spectrum recomputed")
 
+        def no_build(l):
+            raise AssertionError("generator rebuilt")
+
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-        given = gksl.cesaro_projector(l, 300.0, 2**12, dec.asymptotic_frequencies)
+        monkeypatch.setattr(gksl, "build_superoperator", no_build)
+        given = gksl.cesaro_projector(l, 300.0, 2**12, dec)
         assert qlinalg.hs_norm(given.matrix - own.matrix) <= 1e-12
+
+    def test_decomposition_of_another_dimension_rejected(self):
+        with pytest.raises(ContractError, match="dimension"):
+            gksl.cesaro_projector(dephasing(), 10.0, 100, gksl.decompose(closed(np.eye(3))))
 
     def test_horizon_validation(self):
         with pytest.raises(ContractError):

@@ -133,7 +133,7 @@ class TestEig:
         m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
         with pytest.raises(NonDiagonalizable) as info:
             qlinalg.eig_general(m)
-        evals, right = np.linalg.eig(m.astype(complex))
+        evals, right = np.linalg.eig(m)
         assert np.array_equal(info.value.evals, evals)
         assert np.array_equal(info.value.right, right)
 
@@ -187,6 +187,17 @@ class TestEig:
                 qlinalg.eig_general(m)
                 accepted += 1
         assert accepted >= 1
+
+    def test_clearly_defective_basis_needs_no_svd(self, monkeypatch):
+        # kappa_F >= 1e8 n already gives kappa_2 >= 1e8
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD condition number taken")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        for n in (4, 8):
+            for m in (np.eye(n, k=1), np.eye(n, k=1).astype(complex)):
+                with pytest.raises(NonDiagonalizable):
+                    qlinalg.eig_general(m)
 
     def test_well_conditioned_basis_needs_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -244,6 +255,74 @@ class TestMatrixExp:
             qlinalg.matrix_exp(np.eye(2), method="eig")
         with pytest.raises(ContractError):
             qlinalg.matrix_exp(np.eye(2), method="auto")
+
+
+def parent_matrix_exp(m):
+    """The complex scaled Taylor loop exactly as it stood before real inputs stayed real."""
+    m = np.asarray(m, dtype=complex)
+    norm = np.linalg.norm(m, 1)
+    squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
+    a = m / (2.0**squarings)
+    term = np.eye(m.shape[0], dtype=complex)
+    total = term.copy()
+    for k in range(1, 60):
+        term = term @ a / k
+        total += term
+        if np.linalg.norm(term, 1) <= 1e-18 * max(1.0, np.linalg.norm(total, 1)):
+            break
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def verdict(m):
+    try:
+        return qlinalg.eig_general(m)
+    except NonDiagonalizable:
+        return None
+
+
+class TestDtypeRule:
+    """eig_general and matrix_exp compute in float64 when given float64."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_real_input_stays_real(self, n):
+        gen = rng(20 + n)
+        m = gen.standard_normal((n, n))
+        expm = qlinalg.matrix_exp(m)
+        assert expm.dtype == np.float64
+        assert np.abs(expm - parent_matrix_exp(m)).max() <= 1e-13 * np.abs(expm).max()
+        evals, right, left = qlinalg.eig_general(m)
+        assert np.array_equal(evals, np.linalg.eig(m)[0])
+        assert np.allclose(left.conj().T @ right, np.eye(n), atol=1e-10)
+        assert np.allclose(m @ right, right * evals, atol=1e-12 * max(1.0, np.abs(m).max()))
+        sym = m + m.T
+        for out in qlinalg.eig_general(sym):
+            assert out.dtype == np.float64
+
+    def test_real_input_keeps_the_gate_verdict(self):
+        gen = rng(27)
+        cases = [gen.standard_normal((6, 6)) for _ in range(5)]
+        cases += [np.eye(4, k=1), 2.0 * np.eye(3) + np.eye(3, k=1)]
+        for m in cases:
+            real, cplx = verdict(m), verdict(m.astype(complex))
+            assert (real is None) == (cplx is None)
+        assert verdict(np.eye(4, k=1)) is None
+
+    def test_complex_input_is_bit_identical(self):
+        gen = rng(28)
+        for n in (2, 7, 16):
+            m = random_complex(gen, (n, n))
+            assert np.array_equal(qlinalg.matrix_exp(m), parent_matrix_exp(m))
+            evals, right, left = qlinalg.eig_general(m)
+            expect_evals, expect_right = np.linalg.eig(m)
+            assert np.array_equal(evals, expect_evals)
+            assert np.array_equal(right, expect_right)
+            assert np.array_equal(left, np.linalg.inv(expect_right).conj().T)
+
+    def test_integer_input_is_real(self):
+        assert qlinalg.matrix_exp([[0, 1], [0, 0]]).dtype == np.float64
+        assert qlinalg.as_square([[0, 1], [0, 0]]).dtype == np.complex128
 
 
 def test_unitary_helper_is_unitary():
