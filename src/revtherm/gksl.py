@@ -16,8 +16,13 @@ gathers. One real eig of that form classifies eigenvalues into decaying
 projection superoperator, from the full eigenbasis or, for a defective
 generator, from the null spaces of L - lambda over the asymptotic
 eigenvalues, mapped back to column-stacked operators, plus the support
-projectors P_A / Q. A Cesaro time average of the same real form, stepped
-on the series route, is the independent cross-check of that projection.
+projectors P_A / Q. Under block-diagonal operating contexts the real form
+is reducible: it splits exactly into coherence sectors between pairs of
+blocks (Baumgartner & Narnhofer, J. Phys. A 41:395303, 2008; Buca &
+Prosen, New J. Phys. 14:073007, 2012), and that eig runs block by block
+over them (qlinalg.eig_general). A Cesaro time average of the same real
+form, stepped on the series route, is the independent cross-check of that
+projection.
 The split of an operator into a block-respecting ("noncomputational") and
 a cross-block ("pure computational") part connects the open-system
 picture to the computational one.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -216,21 +221,21 @@ def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
-    """B a for axis 0, a B+ for axis 1: the inverse of _to_hermitian_basis."""
+    """B a for axis 0, a B+ for axis 1: the inverse of _to_hermitian_basis.
+
+    It writes straight into its result and copies no input, since every
+    p_inf and every Cesaro average is mapped back through it.
+    """
     d = math.isqrt(a.shape[axis])
     mid = (d * d + d) // 2
-    t = np.array(a, dtype=complex)
-    sym, anti = (t[d:mid], t[mid:]) if axis == 0 else (t[:, d:mid], t[:, mid:])
-    sym *= math.sqrt(0.5)
-    anti *= (1j if axis == 0 else -1j) * math.sqrt(0.5)
-    lower = sym - anti
-    sym += anti
-    anti[...] = lower
-    out = np.empty_like(t)
-    if axis == 0:
-        out[_hermitian_basis(d)] = t
-    else:
-        out[:, _hermitian_basis(d)] = t
+    order = _hermitian_basis(d)
+    at = (slice(None),) * axis
+    sym, anti = a[at + (slice(d, mid),)], a[at + (slice(mid, None),)]
+    phase = (1j if axis == 0 else -1j) * math.sqrt(0.5)
+    out = np.empty(a.shape, dtype=complex)
+    out[at + (order[:d],)] = a[at + (slice(0, d),)]
+    out[at + (order[d:mid],)] = math.sqrt(0.5) * sym + phase * anti
+    out[at + (order[mid:],)] = math.sqrt(0.5) * sym - phase * anti
     return out
 
 
@@ -386,27 +391,31 @@ def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
 class AsymptoticDecomposition:
     """Spectral split of a generator into decaying and surviving sectors.
 
-    p_inf is the exact spectral projector onto the asymptotic sector and
-    must be idempotent. route says how it was built: "eigenbasis" from the
-    full biorthogonal eigenbasis, or "nullspace" from the null spaces of
-    L - lambda over the asymptotic eigenvalues when that eigenbasis has
-    condition kappa_F >= EIGENBASIS_COND_GATE (a defective generator, or
-    nearly one). p_a is the Hilbert-space support projector of the
-    projected maximally mixed state, q its complement. real_generator is
-    the generator in the orthonormal Hermitian basis, the real d^2 x d^2
+    p_inf is the exact spectral projector onto the asymptotic sector. It is
+    given as real_projector, the same projector in the orthonormal
+    Hermitian basis: a real matrix, which must be idempotent, and from
+    which p_inf on column-stacked operators is derived. route says how it
+    was built: "eigenbasis" from the full biorthogonal eigenbasis, or
+    "nullspace" from the null spaces of L - lambda over the asymptotic
+    eigenvalues when that eigenbasis has condition kappa_F >=
+    EIGENBASIS_COND_GATE (a defective generator, or nearly one). p_a is
+    the Hilbert-space support projector of the projected maximally mixed
+    state, q its complement; both are derived too. real_generator is the
+    generator in the orthonormal Hermitian basis, the real d^2 x d^2
     matrix whose eigenvalues these are.
     """
 
     eigenvalues: np.ndarray
     asymptotic_indices: tuple
-    p_inf: SuperoperatorMatrix
-    p_a: np.ndarray
-    q: np.ndarray
+    real_projector: InitVar[np.ndarray]
     tol: float
     route: str
     real_generator: np.ndarray
+    p_inf: SuperoperatorMatrix = field(init=False)
+    p_a: np.ndarray = field(init=False)
+    q: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, real_projector: np.ndarray):
         if self.route not in _ROUTES:
             raise ContractError(f"unknown spectral route {self.route!r}")
         evals = np.asarray(self.eigenvalues, dtype=complex)
@@ -415,15 +424,20 @@ class AsymptoticDecomposition:
                 raise ContractError(
                     f"asymptotic eigenvalue {evals[a]!r} has |Re| above {self.tol!r}"
                 )
-        m = self.p_inf.matrix
-        gap = qlinalg.hs_norm(m @ m - m)
-        if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(m)):
+        # the Frobenius gap of p_inf = B P B+ is that of P, as B is unitary
+        p = real_projector
+        gap = qlinalg.hs_norm(p @ p - p)
+        if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(p)):
             raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
-        for name, p in (("p_a", self.p_a), ("q", self.q)):
-            if qlinalg.hs_norm(p @ p - p) > 1e-10 * max(1.0, qlinalg.hs_norm(p)):
+        p_inf = SuperoperatorMatrix(_column_stacked(p), kind="trace_preserving")
+        p_a, q = _support_projectors(p_inf.matrix, math.isqrt(p.shape[0]))
+        for name, proj in (("p_a", p_a), ("q", q)):
+            if qlinalg.hs_norm(proj @ proj - proj) > 1e-10 * max(1.0, qlinalg.hs_norm(proj)):
                 raise ContractError(f"{name} is not idempotent")
-        if qlinalg.hs_norm(self.p_a + self.q - np.eye(self.p_a.shape[0])) > 1e-12:
+        if qlinalg.hs_norm(p_a + q - np.eye(p_a.shape[0])) > 1e-12:
             raise ContractError("p_a and q do not sum to the identity")
+        for name, value in (("p_inf", p_inf), ("p_a", p_a), ("q", q)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -525,11 +539,14 @@ def cesaro_projector(
     imaginary parts of the eigenvalues with |Re| <= the default asymptotic
     tolerance (eigenvalues need no diagonalizability). The average runs on
     the real Hermitian-basis generator, so the step and the w = 0 mean are
-    real. The step exp(dt L) is taken on the series route, which needs no
-    eigenvectors, so the average stays independent of the spectral
-    projector it cross-checks. Error is O(1/horizon) for a gapped decaying
-    sector, and vanishes to rounding when every spectral gap times the
-    horizon is a multiple of 2 pi.
+    real. The frequencies are symmetric about 0, so the mean at -w is the
+    conjugate of the mean at w: only w >= 0 is averaged, each w > 0 adding
+    twice its mean's real part, and the sum stays real. The step exp(dt L)
+    is taken on the series route, which needs no eigenvectors, so the
+    average stays independent of the spectral projector it cross-checks.
+    Error is O(1/horizon) for a gapped decaying sector, and vanishes to
+    rounding when every spectral gap times the horizon is a multiple of
+    2 pi.
     """
     samples = int(samples)
     if samples < 1:
@@ -550,9 +567,11 @@ def cesaro_projector(
     dt = horizon / samples
     step = qlinalg.matrix_exp(dt * r, method="series")
     acc = np.zeros_like(r)
-    for w in frequencies:
-        phase = step if w == 0.0 else step * np.exp(-1j * float(w) * dt)
-        acc = acc + _geometric_mean(phase, samples)
+    for w in frequencies[frequencies >= 0.0]:
+        if w == 0.0:
+            acc += _geometric_mean(step, samples)
+        else:
+            acc += 2.0 * _geometric_mean(step * np.exp(-1j * float(w) * dt), samples).real
     return SuperoperatorMatrix(_column_stacked(acc), kind="approximation")
 
 
@@ -627,6 +646,7 @@ def _spectral_projector(r: np.ndarray, tol):
     asym = np.abs(evals.real) <= gate
     if left is not None and np.linalg.norm(right) * np.linalg.norm(left) < EIGENBASIS_COND_GATE:
         return evals, asym, gate, "eigenbasis", (right[:, asym] @ left[:, asym].conj().T).real
+    del left  # eig_general may accept a basis this gate refuses; free it before the solves
     return evals, asym, gate, "nullspace", _nullspace_projector(r, evals, right, asym, gate)
 
 
@@ -639,26 +659,26 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     eig of the generator in the orthonormal Hermitian basis, where it is a
     real matrix since it preserves Hermiticity (Alicki & Lendi, Quantum
     Dynamical Semigroups and Applications, LNP 286, 1987). Its spectrum is
-    therefore exactly conjugate-symmetric. When the eigenvector basis has
-    condition kappa_F below EIGENBASIS_COND_GATE, p_inf comes from it (route
+    therefore exactly conjugate-symmetric. When that real form is
+    reducible, as for decoherence-free blocks or dephasing, the eig runs
+    on each component of its nonzero pattern and returns the assembled
+    block-diagonal eigenbasis. When the eigenvector basis has condition
+    kappa_F below EIGENBASIS_COND_GATE, p_inf comes from it (route
     "eigenbasis"). A defective generator fails that gate; p_inf then comes
     from the null spaces of L - lambda over the asymptotic eigenvalues,
     starting from the eigenvectors the same eig returned (route
-    "nullspace"). Either way p_inf is real in the Hermitian basis and is
-    mapped back to column-stacked operators.
+    "nullspace"). Either way p_inf is real in the Hermitian basis, is
+    checked idempotent there and is mapped back to column-stacked
+    operators.
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
     r = _real_form(build_superoperator(l).matrix)
     evals, asym, gate, route, p = _spectral_projector(r, tol)
-    p_inf = SuperoperatorMatrix(_column_stacked(p), kind="trace_preserving")
-    p_a, q = _support_projectors(p_inf.matrix, l.dim)
     return AsymptoticDecomposition(
         eigenvalues=evals,
         asymptotic_indices=tuple(np.flatnonzero(asym).tolist()),
-        p_inf=p_inf,
-        p_a=p_a,
-        q=q,
+        real_projector=p,
         tol=gate,
         route=route,
         real_generator=r,

@@ -585,7 +585,11 @@ def exceptional_payload(d):
 class TestGkslAsymptotic:
     @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "nullspace"])
     def test_one_spectrum_per_call(self, tmp_path, monkeypatch, defective):
-        owners = {"eig": np.linalg, "eigvals": np.linalg, "build_superoperator": cli.gksl}
+        owners = {
+            "eig_general": cli.gksl.qlinalg,
+            "eigvals": np.linalg,
+            "build_superoperator": cli.gksl,
+        }
         calls = dict.fromkeys(owners, 0)
         for name, owner in owners.items():
             original = getattr(owner, name)
@@ -595,19 +599,38 @@ class TestGkslAsymptotic:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        if defective:
-            payload = exceptional_payload(4)
-        else:
-            payload = {
-                "hamiltonian": complex_matrix(np.diag([0.0, 0.7, 1.9])),
-                "jumps": [{"operator": complex_matrix(np.diag([0.0, 1.0, 2.0])), "rate": 0.3}],
-            }
-        payload["cesaro"] = {"horizon": 1e5, "samples": 100000}
-        p = write_scenario(tmp_path, "gksl-asymptotic", payload)
-        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
-        assert r.exit_code == 0, r.stderr
-        assert json.loads(r.stdout)["outputs"]["spectral_fallback"] is defective
-        assert calls == {"eig": 1, "eigvals": 0, "build_superoperator": 1}
+        eig_inputs = []
+        eig = np.linalg.eig
+
+        def stacked_eig(a):
+            eig_inputs.append(np.shape(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", stacked_eig)
+        # d = 3 and 4 take one eig of the whole generator; at d = 8 its real
+        # form splits into components, one stacked eig per component size
+        for d in (4 if defective else 3, 8):
+            if defective:
+                payload = exceptional_payload(d)
+            else:
+                h = np.diag([0.0, 0.7, 1.9] if d == 3 else 0.7 * np.arange(d) ** 1.5)
+                payload = {
+                    "hamiltonian": complex_matrix(h),
+                    "jumps": [{"operator": complex_matrix(np.diag(np.arange(d))), "rate": 0.3}],
+                }
+            payload["cesaro"] = {"horizon": 1e6, "samples": 10**6}
+            p = write_scenario(tmp_path, "gksl-asymptotic", payload)
+            calls.update(dict.fromkeys(calls, 0))
+            eig_inputs.clear()
+            r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+            assert r.exit_code == 0, r.stderr
+            assert json.loads(r.stdout)["outputs"]["spectral_fallback"] is defective
+            assert calls == {"eig_general": 1, "eigvals": 0, "build_superoperator": 1}
+            # one stacked eig per component size, covering the d^2 rows once
+            sizes = [s for _, s, _ in eig_inputs]
+            assert len(set(sizes)) == len(sizes)
+            assert sum(k * s for k, s, _ in eig_inputs) == d * d
+            assert (eig_inputs == [(1, d * d, d * d)]) == (d < 8)
 
     def test_jordan_block_at_asymptotic_eigenvalue_is_5(self, tmp_path, monkeypatch):
         # no GKSL generator has one, so the generator matrix is substituted:

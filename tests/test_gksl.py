@@ -89,6 +89,35 @@ def complex_route(l, tol):
     return evals, right[:, asym] @ np.linalg.inv(right)[asym, :]
 
 
+
+def dephasing_pairs(gen, d):
+    """Diagonal H and one diagonal jump constant on each index pair."""
+    pair = np.arange(d) // 2
+    level = 2.0 * pair + gen.uniform(0.0, 0.5, (d + 1) // 2)[pair]
+    h = np.diag(gen.uniform(-1.0, 1.0, d))
+    return gksl.Lindbladian(qstate.Hamiltonian(h), ((np.diag(level), 1.0),))
+
+
+def dense_eig_projector(l, tol):
+    """Independent reference for p_inf: one complex eig of the column-stacked
+    generator M gives the asymptotic eigenvalues, clustered by imaginary
+    part (gaps above tol split clusters). A cluster of k eigenvalues with
+    mean lambda spans the null space of M - lambda, semisimple for a GKSL
+    generator: with R and Y its right and left singular vectors of the k
+    smallest singular values, it adds R (Y+ R)^-1 Y+. (The eigenvectors of
+    a degenerate cluster that eig returns can be nearly dependent, and
+    lose digits the SVD keeps.) Returns (asymptotic count, p_inf)."""
+    m = gksl.build_superoperator(l).matrix
+    evals = np.linalg.eig(m)[0]
+    asym = evals[np.abs(evals.real) <= tol]
+    asym = asym[np.argsort(asym.imag)]
+    p = np.zeros_like(m)
+    for cluster in np.split(asym, np.flatnonzero(np.diff(asym.imag) > tol) + 1):
+        u, _, vh = np.linalg.svd(m - cluster.mean() * np.eye(len(m)))
+        y, r = u[:, -len(cluster) :], vh[-len(cluster) :].conj().T
+        p += r @ np.linalg.solve(y.conj().T @ r, y.conj().T)
+    return len(asym), p
+
 class TestLindbladian:
     def test_jump_shape_gate(self):
         with pytest.raises(ShapeError):
@@ -156,6 +185,33 @@ class TestRealForm:
         for k in range(d * d):
             op = qlinalg.devectorize(b[:, k])
             assert np.array_equal(op, op.conj().T)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_map_back_matches_the_copying_version(self, d):
+        # the map back writes straight into its result; the version that
+        # copied the input and permuted a second copy is the reference
+        def copying(a, axis):
+            mid = (d * d + d) // 2
+            t = np.array(a, dtype=complex)
+            sym, anti = (t[d:mid], t[mid:]) if axis == 0 else (t[:, d:mid], t[:, mid:])
+            sym *= math.sqrt(0.5)
+            anti *= (1j if axis == 0 else -1j) * math.sqrt(0.5)
+            lower = sym - anti
+            sym += anti
+            anti[...] = lower
+            out = np.empty_like(t)
+            if axis == 0:
+                out[gksl._hermitian_basis(d)] = t
+            else:
+                out[:, gksl._hermitian_basis(d)] = t
+            return out
+
+        gen = rng(2050 + d)
+        real = gen.normal(size=(d * d, d * d))
+        for a in (real, real + 1j * gen.normal(size=(d * d, d * d))):
+            for axis in (0, 1):
+                assert np.array_equal(gksl._from_hermitian_basis(a, axis), copying(a, axis))
+            assert np.array_equal(gksl._column_stacked(a), copying(copying(a, 0), 1))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_imaginary_residue_is_rounding(self, d):
@@ -410,6 +466,54 @@ class TestDecompose:
         assert dec.route == "eigenbasis"
         assert len(dec.asymptotic_indices) == 1
 
+    def test_d32_decoherence_free_blocks_are_fast(self):
+        # scaling guard, not an acceptance budget: the 1024 x 1024 real
+        # generator splits into blocks of at most 128 rows
+        l = block_lindbladian(rng(79), (8, 8, 8, 8))
+        start = time.perf_counter()
+        dec = gksl.decompose(l)
+        assert time.perf_counter() - start < 10.0
+        assert dec.route == "eigenbasis"
+        assert len(dec.asymptotic_indices) == 4 * 8**2
+
+    @pytest.mark.parametrize(
+        "make, route",
+        [
+            (lambda gen: block_lindbladian(gen, (2, 3, 3)), "eigenbasis"),
+            (lambda gen: block_lindbladian(gen, (3, 4)), "eigenbasis"),
+            (lambda gen: dephasing_pairs(gen, 8), "eigenbasis"),
+            (lambda gen: dephasing_pairs(gen, 7), "eigenbasis"),
+            (lambda gen: exceptional_point(1.0, 8), "nullspace"),
+            (lambda gen: exceptional_point(1.0, 10), "nullspace"),
+        ],
+        ids=["dfs-8", "dfs-7", "dephasing-8", "dephasing-7", "exceptional-8", "exceptional-10"],
+    )
+    def test_reducible_generator_matches_dense_complex_eig(self, make, route):
+        l = make(rng(2700))
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        components = qlinalg._components_by_size(r)
+        assert sum(len(c) for c in components) > 1
+        dec = gksl.decompose(l)
+        assert dec.route == route
+        n_asymptotic, p_ref = dense_eig_projector(l, dec.tol)
+        assert len(dec.asymptotic_indices) == n_asymptotic
+        assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-10
+
+    def test_non_idempotent_projector_rejected(self):
+        dec = gksl.decompose(damping(0.8))
+        p = gksl._spectral_projector(dec.real_generator, None)[4]
+        fields = dict(
+            eigenvalues=dec.eigenvalues,
+            asymptotic_indices=dec.asymptotic_indices,
+            tol=dec.tol,
+            route=dec.route,
+            real_generator=dec.real_generator,
+        )
+        kept = gksl.AsymptoticDecomposition(real_projector=p, **fields)
+        assert np.array_equal(kept.p_inf.matrix, dec.p_inf.matrix)
+        with pytest.raises(ContractError, match="not idempotent"):
+            gksl.AsymptoticDecomposition(real_projector=1.5 * p, **fields)
+
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_nullspace_route_matches_series_propagator(self, d):
         # exp(T L) at T = 240 equals p_inf to rounding: the slowest decaying
@@ -476,6 +580,21 @@ class TestCesaro:
         monkeypatch.setattr(gksl, "build_superoperator", no_build)
         given = gksl.cesaro_projector(l, 300.0, 2**12, dec)
         assert qlinalg.hs_norm(given.matrix - own.matrix) <= 1e-12
+
+    def test_conjugate_frequencies_share_one_mean(self):
+        # reference: every asymptotic frequency averaged on its own in
+        # complex arithmetic, as the sum was taken before the mean at -w
+        # was read off the mean at w
+        l = block_lindbladian(rng(2900), (3, 4))
+        dec = gksl.decompose(l)
+        freqs = dec.asymptotic_frequencies
+        assert (freqs > 0).sum() >= 3
+        horizon, samples = 60.0, 2**10
+        dt = horizon / samples
+        step = qlinalg.matrix_exp(dt * dec.real_generator, method="series")
+        expect = sum(gksl._geometric_mean(step * np.exp(-1j * w * dt), samples) for w in freqs)
+        got = gksl.cesaro_projector(l, horizon, samples, dec).matrix
+        assert np.abs(got - gksl._column_stacked(expect)).max() <= 1e-12
 
     def test_decomposition_of_another_dimension_rejected(self):
         with pytest.raises(ContractError, match="dimension"):

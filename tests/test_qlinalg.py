@@ -194,6 +194,7 @@ class TestEig:
             raise AssertionError("SVD condition number taken")
 
         monkeypatch.setattr(np.linalg, "cond", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         for n in (4, 8):
             for m in (np.eye(n, k=1), np.eye(n, k=1).astype(complex)):
                 with pytest.raises(NonDiagonalizable):
@@ -204,6 +205,7 @@ class TestEig:
             raise AssertionError("SVD condition number taken")
 
         monkeypatch.setattr(np.linalg, "cond", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         gen = rng(15)
         for n in (2, 5, 16):
             evals, right, left = qlinalg.eig_general(random_complex(gen, (n, n)))
@@ -323,6 +325,197 @@ class TestDtypeRule:
     def test_integer_input_is_real(self):
         assert qlinalg.matrix_exp([[0, 1], [0, 0]]).dtype == np.float64
         assert qlinalg.as_square([[0, 1], [0, 0]]).dtype == np.complex128
+
+
+def block_diagonal(gen, blocks):
+    """(m, components): the square blocks on the diagonal, rows and columns
+    then permuted at random; components[b] lists block b's positions in m,
+    ascending."""
+    starts = np.cumsum([0, *map(len, blocks)])
+    m = np.zeros((starts[-1],) * 2, np.result_type(*blocks))
+    for block, a, b in zip(blocks, starts, starts[1:]):
+        m[a:b, a:b] = block
+    perm = gen.permutation(len(m))
+    components = [np.flatnonzero((perm >= a) & (perm < b)) for a, b in zip(starts, starts[1:])]
+    return m[np.ix_(perm, perm)], components
+
+
+def real_block(gen, s):
+    return gen.standard_normal((s, s))
+
+
+def complex_block(gen, s):
+    return random_complex(gen, (s, s))
+
+
+def count_eig_rows(monkeypatch):
+    """Record the (stack size, order) of every np.linalg.eig input."""
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a)[:-1])
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return shapes
+
+
+def component_search(m):
+    """Reference: breadth-first search over the pattern of |m| + |m^T|."""
+    n = len(m)
+    linked = (m != 0) | (m.T != 0)
+    labels = np.full(n, -1)
+    for root in range(n):
+        if labels[root] < 0:
+            labels[root] = root
+            frontier = [root]
+            while frontier:
+                i = frontier.pop()
+                for j in np.flatnonzero(linked[i]):
+                    if labels[j] < 0:
+                        labels[j] = root
+                        frontier.append(j)
+    return labels
+
+
+# mixed sizes, 1 x 1 blocks, blocks with conjugate pairs; 55 rows in all
+SIZES = [1, 4, 2, 1, 8, 3, 1, 12, 2, 5, 3, 1, 12]
+
+
+class TestReducible:
+    """A matrix splitting into components of its nonzero pattern."""
+
+    @pytest.mark.parametrize("make", [real_block, complex_block], ids=["real", "complex"])
+    def test_blocks_are_decomposed_exactly(self, monkeypatch, make):
+        gen = rng(40)
+        m, components = block_diagonal(gen, [make(gen, s) for s in SIZES])
+        n = len(m)
+        assert n >= qlinalg.SPLIT_MIN_ORDER
+        shapes = count_eig_rows(monkeypatch)
+        evals, right, left = qlinalg.eig_general(m)
+        # one stacked eig per block size, covering every row once
+        assert sorted(s for _, s in shapes) == sorted(set(SIZES))
+        assert sum(k * s for k, s in shapes) == n
+        inside = np.zeros((n, n), bool)
+        for c in components:
+            # the stacked eig of a block gives the bits of its own eig
+            w, v = np.linalg.eig(m[np.ix_(c, c)])
+            assert np.array_equal(evals[c], w)
+            assert np.array_equal(right[np.ix_(c, c)], v)
+            inside[np.ix_(c, c)] = True
+        assert not right[~inside].any() and not left[~inside].any()
+        if make is real_block:
+            assert (evals.imag > 0).sum() >= 5
+        scale = np.linalg.norm(m) * np.linalg.norm(right)
+        assert np.linalg.norm(m @ right - right * evals) <= 1e-13 * scale
+        assert np.abs(left.conj().T @ right - np.eye(n)).max() <= 1e-10
+
+    def test_conjugate_pairs_are_adjacent_within_components(self):
+        gen = rng(41)
+        m, components = block_diagonal(gen, [real_block(gen, s) for s in SIZES])
+        evals = qlinalg.eig_general(m)[0]
+        for c in components:
+            w = evals[c]
+            first = np.flatnonzero(w.imag > 0)
+            assert np.array_equal(w[first + 1], w[first].conj())
+
+    @pytest.mark.parametrize("make", [real_block, complex_block], ids=["real", "complex"])
+    def test_irreducible_input_is_bit_identical(self, monkeypatch, make):
+        gen = rng(42)
+        n = qlinalg.SPLIT_MIN_ORDER + 9
+        dense = make(gen, n)
+        # a chain links each index to the next alone, in one direction only
+        chain = np.diag(make(gen, n).diagonal()) + np.diag(make(gen, n - 1).diagonal(), 1)
+        for m in (dense, chain):
+            shapes = count_eig_rows(monkeypatch)
+            evals, right, left = qlinalg.eig_general(m)
+            assert shapes == [(1, n)]
+            monkeypatch.undo()
+            expect_evals, expect_right = np.linalg.eig(m)
+            assert np.array_equal(evals, expect_evals)
+            assert np.array_equal(right, expect_right)
+            if make is complex_block:
+                assert np.array_equal(left, np.linalg.inv(expect_right).conj().T)
+            assert np.abs(left.conj().T @ right - np.eye(n)).max() <= 1e-10
+
+    def test_defective_component_carries_the_assembled_spectrum(self):
+        gen = rng(43)
+        blocks = [real_block(gen, s) for s in (3, 1, 2, 7, 8, 1, 9, 6)]
+        blocks.insert(4, 2.0 * np.eye(5) + np.eye(5, k=1))
+        m, components = block_diagonal(gen, blocks)
+        n = len(m)
+        with pytest.raises(NonDiagonalizable) as info:
+            qlinalg.eig_general(m)
+        evals, right = info.value.evals, info.value.right
+        assert evals.shape == (n,) and right.shape == (n, n)
+        for c in components:
+            w, v = np.linalg.eig(m[np.ix_(c, c)])
+            assert np.array_equal(evals[c], w)
+            assert np.array_equal(right[np.ix_(c, c)], v)
+        assert np.linalg.norm(m @ right - right * evals) <= 1e-12 * np.linalg.norm(m) * n
+
+    def test_gate_verdict_is_kappa_2_of_the_assembled_basis(self, monkeypatch):
+        # one permuted triangular block with two eigenvalues delta apart sets
+        # the condition, from 1e6 to 1e10; no n x n SVD may run
+        cond = np.linalg.cond
+        svd = np.linalg.svd
+        block_svds = []
+
+        def block_svd(a, *args, **kwargs):
+            assert np.shape(a)[-1] < n, "SVD of the whole basis"
+            block_svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def no_cond(*args, **kwargs):
+            raise AssertionError("SVD condition number of the whole basis")
+
+        gen = rng(44)
+        verdicts = []
+        for _ in range(40):
+            delta = 10.0 ** gen.uniform(-9.5, -5.5)
+            blocks = [complex_block(gen, s) for s in (6, 1, 3, 2, 9, 5, 8, 4)]
+            t = np.triu(random_complex(gen, (7, 7)), 1)
+            blocks.insert(3, t + np.diag(np.r_[1.0, 1.0 + delta, np.arange(3.0, 8.0)]))
+            m, _ = block_diagonal(gen, blocks)
+            n = len(m)
+            monkeypatch.setattr(np.linalg, "svd", block_svd)
+            monkeypatch.setattr(np.linalg, "cond", no_cond)
+            try:
+                right = qlinalg.eig_general(m)[1]
+                defective = False
+            except NonDiagonalizable as exc:
+                right = exc.right
+                defective = True
+            monkeypatch.undo()
+            kappa_2 = cond(right)
+            assert defective == (kappa_2 >= qlinalg.DIAG_COND_GATE), kappa_2
+            verdicts.append(defective)
+        assert 5 <= sum(verdicts) <= 35
+        assert block_svds
+
+    def test_components_match_a_search(self):
+        gen = rng(45)
+        for n in (40, 57, 90, 128):
+            for density in (0.005, 0.02, 0.05):
+                m = np.where(gen.random((n, n)) < density, gen.standard_normal((n, n)), 0.0)
+                labels = qlinalg._component_labels(m)
+                assert np.array_equal(labels, component_search(m))
+                groups = qlinalg._components_by_size(m)
+                rows = np.concatenate([g.ravel() for g in groups])
+                assert np.array_equal(np.sort(rows), np.arange(n))
+                for g in groups:
+                    assert (np.diff(g, axis=1) > 0).all()
+                    for row in g:
+                        assert (labels[row] == labels[row[0]]).all()
+                        assert (labels == labels[row[0]]).sum() == len(row)
+
+    def test_small_matrices_are_not_split(self, monkeypatch):
+        gen = rng(46)
+        m, _ = block_diagonal(gen, [real_block(gen, s) for s in (1, 2, 3, 1, 4)])
+        shapes = count_eig_rows(monkeypatch)
+        qlinalg.eig_general(m)
+        assert shapes == [(1, len(m))]
 
 
 def test_unitary_helper_is_unitary():
