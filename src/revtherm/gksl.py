@@ -2,18 +2,11 @@
 
 A generator takes one of two routes. Propagation is matrix-free:
 trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
-products only, marching once along the sorted time grid. Each step runs
-whichever certified polynomial needs fewer applications of L: the scaled
-Taylor series on a disc of radius ||L|| (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33:488, 2011), or a Chebyshev series on an ellipse with real foci
-around an enclosure of the numerical range W(L), built from d x d data
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984). The Crouzeix-Palencia
-bound ||f(L)|| <= (1 + sqrt2) max |f| over W(L) (SIAM J. Matrix Anal.
-Appl. 38:649, 2017) fixes the Chebyshev error before any step runs. On a
-stiff generator, strong dissipation under a weak Hamiltonian, Taylor
-needs about t ||L|| applications and Chebyshev about sqrt(t ||L||). A
-generator with diagonal Hamiltonian and jumps acts on each matrix entry
-alone and is applied as one entrywise product.
+products only, marching once along the sorted time grid with a scaled
+Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011). A
+generator whose Hamiltonian and jumps are all diagonal (pure dephasing)
+acts on each matrix entry alone, L E_ij = lambda_ij E_ij, so its states
+are exact entrywise exponentials and it needs no march.
 Spectra need the dense route: build_superoperator gives the d^2 x d^2
 matrix on column-stacked operators, built exclusively from vec_product_map
 so the operator-ordering conventions live in one place. A generator
@@ -43,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,24 +69,10 @@ _TAYLOR_THETA = np.array([
 ])
 _TAYLOR_TOL = 2.0**-53
 
-# Chebyshev steps: the series tail, bounded over an ellipse around W(L - mu)
-# and scaled by the Crouzeix-Palencia constant 1 + sqrt2, stays below
-# 2^-53; |exp(tau (z + mu))| stays below 2^6 on the ellipse, which bounds
-# the cancellation in the sum; and one step spans at most 2^10 focal
-# half-distances, which keeps its coefficient recurrence short.
-_LN_CHEBYSHEV_TOL = math.log(_TAYLOR_TOL) - math.log1p(math.sqrt(2.0))
-_LN_CHEBYSHEV_GROWTH = 6.0 * math.log(2.0)
-_MAX_FOCAL_SPAN = 2.0**10
-# A Chebyshev step is taken when it needs under this share of the Taylor
-# plan's applications: the Taylor series stops early on its term norms and
-# ran about half its planned terms on the benchmark's stiff trajectory
-# (18,407 of 36,975).
-_CHEBYSHEV_SHARE = 0.5
-
-# Cap on the applications of L that the plan of one trajectory march needs
-# to reach its last time. It is what the Taylor plan needs for t_max *
-# bound = 1e5 (55 terms times 10,102 steps), so no march within that
-# earlier work cap is refused. It bounds the run time (see trajectory).
+# Cap on the applications of L that the Taylor plan of one trajectory
+# march needs to reach its last time; it bounds the run time (see
+# trajectory). It is what that plan needs for work t_max * bound = 1e5
+# (55 terms times 10,102 steps), so every march within that work runs.
 MAX_MARCH_WORK = 555_610
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
@@ -286,34 +264,16 @@ def _column_stacked(p: np.ndarray) -> np.ndarray:
     return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
 
 
-@dataclass(frozen=True)
-class _MatrixFreeForm:
-    """L rho = K rho + rho K+ + sum_k G_k rho G_k+ + mu rho, with what the
-    march plans from.
-
-    bound = 2 ||K||_2 + sum ||G||_2^2 bounds the norm of L - mu on
-    Hilbert-Schmidt space: the Taylor disc. box = (lo, hi, w) encloses its
-    numerical range, W(L - mu) in [lo, hi] x [-w, w]. chebyshev_tau is the
-    Chebyshev substep that costs the fewest applications per unit time, 0
-    when the box is not longer than it is wide.
-    """
-
-    k: np.ndarray
-    gs: np.ndarray
-    mu: float
-    bound: float
-    box: tuple
-    chebyshev_tau: float
-
-
-def _matrix_free_form(l: Lindbladian) -> _MatrixFreeForm:
-    """The march's form of L.
+def _matrix_free_form(l: Lindbladian):
+    """(K, G, mu, bound) with L rho = K rho + rho K+ + sum_k G_k rho G_k+ + mu rho.
 
     Jumps are made traceless, G = sqrt(kappa) (F - tr F / d), and the
     difference moves into the Hamiltonian as i kappa/2 (c* F - c F+) with
     c = tr F / d: the GKSL gauge freedom, so L itself is unchanged. K =
     -iH' - 1/2 sum G+G is shifted by its trace mean; mu = tr L / d^2 is the
     real scalar that shift leaves behind (Al-Mohy & Higham 2011, sec. 3.1).
+    bound = 2 ||K||_2 + sum ||G||_2^2 bounds the norm of the shifted L on
+    Hilbert-Schmidt space.
     """
     d = l.dim
     eye = np.eye(d)
@@ -326,186 +286,16 @@ def _matrix_free_form(l: Lindbladian) -> _MatrixFreeForm:
     k = -1j * h - 0.5 * np.einsum("kji,kjl->il", gs.conj(), gs)
     shift = np.trace(k) / d
     k = k - shift * eye
-    mu = float(2.0 * shift.real)
     bound = 2.0 * np.linalg.norm(k, 2) + sum(np.linalg.norm(g, 2) ** 2 for g in gs)
-    if not math.isfinite(bound):
-        # the Taylor plan alone refuses such a march, at any t > 0
-        return _MatrixFreeForm(k, gs, mu, float(bound), (-math.inf, math.inf, math.inf), 0.0)
-    box = _numerical_range_box(k, gs, mu)
-    return _MatrixFreeForm(k, gs, mu, float(bound), box, _best_chebyshev_tau(box, mu))
-
-
-def _numerical_range_box(k: np.ndarray, gs: np.ndarray, mu: float) -> tuple:
-    """(lo, hi, w) with W(L - mu) inside [lo, hi] x [-w, w], from d x d data.
-
-    For unit X, <X, (L - mu) X> = tr K(XX+ + X+X) (real part: Re K) plus
-    i tr Im K (XX+ - X+X) plus sum <G+X, X G+>. Cauchy-Schwarz on the sum
-    gives lo = 2 lambda_min(Re K) - sqrt(||sum GG+|| ||sum G+G||); bounding
-    each of its terms by (||G+X||^2 + ||XG+||^2) / 2 and using Re K = -1/2
-    sum G+G - mu/2 gives hi = 1/2 lambda_max(sum [G, G+]) - mu, so hi + mu
-    is 0 for diagonal or Hermitian jumps; splitting G = Re G + i Im G into
-    Hermitian parts gives w = lambda_max(Im K) - lambda_min(Im K) + sum 2
-    ||Re G|| ||Im G||. One stacked eigvalsh gives every extreme eigenvalue.
-    """
-    kh = k.conj().T
-    # contiguous, so that sum GG+ and sum G+G round alike when G = G+
-    gh = np.ascontiguousarray(gs.conj().transpose(0, 2, 1))
-    ggh = np.einsum("kij,kjl->il", gs, gh)
-    ghg = np.einsum("kij,kjl->il", gh, gs)
-    parts = np.stack([(k + kh) / 2.0, (k - kh) / 2j, ggh, ghg, ggh - ghg])
-    herm = np.concatenate([parts, (gs + gh) / 2.0, (gs - gh) / 2j])
-    ev = np.linalg.eigvalsh(herm)
-    n = gs.shape[0]
-    norms = np.abs(ev[5:]).max(axis=1, initial=0.0)
-    lo = 2.0 * ev[0, 0] - math.sqrt(max(ev[2, -1], 0.0)) * math.sqrt(max(ev[3, -1], 0.0))
-    hi = 0.5 * ev[4, -1] - mu
-    w = ev[1, -1] - ev[1, 0] + 2.0 * float(norms[:n] @ norms[n:])
-    return float(lo), float(hi), float(w)
-
-
-def _ellipse(box: tuple, mu: float, tau: float):
-    """(center, focal, log rho, scale) of the Chebyshev ellipse for substep tau, or None.
-
-    The ellipse has real foci center -+ focal, semi-axes a >= b with a^2 -
-    b^2 = focal^2, and rho = (a + b) / focal; it contains the box, so W(L -
-    mu) too. It reaches eps past hi, where eps is the largest overshoot with
-    exp(tau (hi + eps + mu)) <= 2^6, or less when that leaves the ellipse
-    wider than the overshoot that balances width against length in a thin
-    box, (w^2 (ln 2^6 + ln 1/tol) / (4 tau))^(1/3). scale = tau (center +
-    focal + mu) is the log of the factor that turns e^-x I_k(x), x = tau
-    focal, into the Chebyshev coefficients of exp(tau (z + mu)).
-    """
-    lo, hi, w = box
-    r = (hi - lo) / 2.0
-    eps = _LN_CHEBYSHEV_GROWTH / tau - max(hi + mu, 0.0)
-    if not eps > 0.0:
-        return None
-    balance = w * w * (_LN_CHEBYSHEV_GROWTH - _LN_CHEBYSHEV_TOL) / (4.0 * tau)
-    eps = min(eps, balance ** (1.0 / 3.0))
-    a = r + eps
-    b = 0.0
-    if w > 0.0:
-        room = (1.0 - r / a) * (1.0 + r / a)
-        if not room > 0.0:
-            return None
-        b = w / math.sqrt(room)
-    if not (b < a and tau * a <= _MAX_FOCAL_SPAN):
-        return None
-    focal = math.sqrt(a - b) * math.sqrt(a + b)
-    if not tau * focal > 0.0:
-        return None
-    center = (hi + lo) / 2.0
-    return center, focal, math.log((a + b) / focal), tau * (center + focal + mu)
-
-
-def _chebyshev_degree(x: float, log_rho: float, scale: float) -> float:
-    """Estimated degree at which the certified Chebyshev tail drops below tol.
-
-    Uses the uniform asymptotic form ln e^-x I_k(x) ~ sqrt(k^2 + x^2) - x -
-    k asinh(k / x) - ln(2 pi sqrt(k^2 + x^2)) / 2 and solves scale + ln e^-x
-    I_k(x) + k ln rho = ln tol by Newton's method from the right of the
-    peak of the left side, where it is concave: a handful of float
-    operations for any x.
-    """
-    # half the tolerance, leaving room for the rho^-k terms and the rest
-    target = _LN_CHEBYSHEV_TOL - math.log(2.0)
-
-    def excess(k):
-        h = math.hypot(k, x)
-        log_i = k * k / (h + x) - k * math.asinh(k / x) - 0.5 * math.log(2.0 * math.pi * h)
-        return scale + log_i + k * log_rho - target
-
-    k = x * math.sinh(log_rho) + 2.0 * math.sqrt(x * max(scale - target, 0.0)) + 8.0
-    while excess(k) > 0.0:
-        k *= 2.0
-    for _ in range(50):
-        slope = log_rho - math.asinh(k / x) - 0.5 * k / (k * k + x * x)
-        if not slope < 0.0:
-            break
-        step = excess(k) / slope
-        k -= step
-        if step < 0.5 or k <= 0.0:
-            break
-    return max(k, 0.0)
-
-
-def _chebyshev_estimate(box: tuple, mu: float, tau: float) -> tuple[float, tuple | None]:
-    """(estimated degree, ellipse) of a Chebyshev substep tau; inf, None if none fits.
-
-    The terms T_k(B) rho grow up to rho^k, so a degree m with rho^m above
-    e^256 is refused: far from overflow, and never needed by a thin box.
-    """
-    e = _ellipse(box, mu, tau)
-    if e is None:
-        return math.inf, None
-    _, focal, log_rho, scale = e
-    degree = _chebyshev_degree(tau * focal, log_rho, scale)
-    return (math.ceil(degree), e) if degree * log_rho <= 256.0 else (math.inf, None)
-
-
-def _best_chebyshev_tau(box: tuple, mu: float) -> float:
-    """The substep tau with the fewest estimated applications per unit time.
-
-    0 when the box is not longer than it is wide: an ellipse with real foci
-    gains on the Taylor disc only around a thin numerical range (strong
-    dissipation, weak Hamiltonian). Golden-section search on ln tau below
-    the largest substep an ellipse can admit.
-    """
-    lo, hi, w = box
-    r = (hi - lo) / 2.0
-    if not (r > w and math.isfinite(r)):
-        return 0.0
-    top = _MAX_FOCAL_SPAN / r
-    if hi + mu > 0.0:
-        top = min(top, _LN_CHEBYSHEV_GROWTH / (hi + mu))
-    if not top > 0.0:
-        return 0.0
-
-    def cost(log_tau):
-        tau = math.exp(log_tau)
-        return _chebyshev_estimate(box, mu, tau)[0] / tau
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    low, high = math.log(top) - 20.0, math.log(top)
-    u, v = high - golden * (high - low), low + golden * (high - low)
-    fu, fv = cost(u), cost(v)
-    while high - low > 1e-2:
-        if fu <= fv:
-            high, v, fv = v, u, fu
-            u = high - golden * (high - low)
-            fu = cost(u)
-        else:
-            low, u, fu = u, v, fv
-            v = low + golden * (high - low)
-            fv = cost(v)
-    return math.exp(low) if math.isfinite(cost(low)) else 0.0
-
-
-class _Step(NamedTuple):
-    """One interval's plan: substeps of length tau, each a polynomial in L.
-
-    ellipse is None for Taylor steps, else (center, focal, log rho, scale);
-    coefficients, once certified, are the Chebyshev coefficients a_0..a_m
-    of exp(tau (z + mu)) in T_k((z - center) / focal). substeps and degree
-    are floats, so that the plan of a march to t = 1e300 stays finite.
-    """
-
-    substeps: float
-    degree: float
-    tau: float
-    ellipse: tuple | None = None
-    coefficients: np.ndarray | None = None
-
-    @property
-    def applications(self) -> float:
-        return self.substeps * self.degree
+    return k, gs, 2.0 * shift.real, float(bound)
 
 
 def _taylor_plan(a: float) -> tuple[float, float]:
     """(degree m, steps s) covering h ||L|| = a: min m * s with a / s <= theta_m.
 
     Past a / theta_55 = 2^53 the rounding up no longer counts and the
-    highest degree is the cheapest per unit of a; s stays a float there.
+    highest degree is the cheapest per unit of a; s stays a float there, so
+    that the plan of a march to t = 1e300 is finite or inf, never an error.
     """
     if a > _TAYLOR_THETA[-1] * 2.0**53:
         return float(_TAYLOR_DEGREE[-1]), a / float(_TAYLOR_THETA[-1])
@@ -514,186 +304,37 @@ def _taylor_plan(a: float) -> tuple[float, float]:
     return float(_TAYLOR_DEGREE[best]), float(steps[best])
 
 
-def _plan(dt: float, form: _MatrixFreeForm) -> _Step:
-    """The cheaper certified polynomial for an interval dt, by estimated applications.
+def _march(rho: np.ndarray, dt: float, k, gs, mu: float, bound: float) -> np.ndarray:
+    """exp(dt L) rho for Hermitian rho by the scaled Taylor series.
 
-    The Taylor plan covers the disc of radius bound. The Chebyshev plan
-    takes substeps of at most form.chebyshev_tau and its degree estimate;
-    it is chosen below _CHEBYSHEV_SHARE of the Taylor applications. O(1)
-    float operations for any dt.
+    Every term is built as Y + Y+, so each term and the state stay exactly
+    Hermitian. A step's series stops once two successive term norms sum to
+    at most 2^-53 |tr F| / sqrt(d), a lower bound on 2^-53 ||F|| for the
+    step's result F; tr F is known in advance, exp(-mu h) tr rho.
     """
-    m, s = _taylor_plan(dt * form.bound)
-    taylor = _Step(s, m, dt / s if s else 0.0)
-    if not (form.chebyshev_tau > 0.0 and dt > 0.0):
-        return taylor
-    steps = dt / form.chebyshev_tau
-    steps = float(max(1, math.ceil(steps))) if steps < 2.0**53 else steps
-    degree, e = _chebyshev_estimate(form.box, form.mu, dt / steps)
-    chebyshev = _Step(steps, degree, dt / steps, e)
-    return chebyshev if chebyshev.applications < _CHEBYSHEV_SHARE * taylor.applications else taylor
-
-
-def _scaled_bessel_logs(x: float, n: int) -> np.ndarray:
-    """ln(e^-x I_k(x)) for k = 0..n by Miller's backward recurrence.
-
-    The ratios I_k / I_(k+1) = 2 (k + 1) / x + I_(k+2) / I_(k+1) run down
-    from k = n + 16, started at the bound (k + 1/2 + sqrt(x^2 + (k + 1/2)^2))
-    / x (Amos, Math. Comp. 28:239, 1974); their products give ln I_k / I_0,
-    all <= 0, and the normalization I_0 + 2 sum I_k = e^x fixes ln e^-x
-    I_0. Logs keep every value from underflowing.
-    """
-    top = n + 16
-    ratio = (top + 0.5 + math.hypot(x, top + 0.5)) / x
-    logs = [0.0] * top
-    for j in range(top - 1, -1, -1):
-        ratio = 2.0 * (j + 1) / x + 1.0 / ratio
-        logs[j] = -math.log(ratio)
-    out = np.zeros(top + 1)
-    np.cumsum(logs, out=out[1:])
-    return out[: n + 1] - math.log1p(2.0 * np.exp(out[1:]).sum())
-
-
-def _certified(step: _Step) -> _Step:
-    """The step with its certified Chebyshev degree and coefficients (Taylor: as is).
-
-    By Crouzeix & Palencia (SIAM J. Matrix Anal. Appl. 38:649, 2017),
-    ||f(L - mu)|| <= (1 + sqrt2) max |f| over W(L - mu), and on the
-    ellipse |T_k| <= (rho^k + rho^-k) / 2; so truncating after degree m
-    errs by at most (1 + sqrt2) e^scale sum_(k > m) e^-x I_k(x) (rho^k +
-    rho^-k) in operator norm. m is the least degree with that below 2^-53.
-    Past n the ratio bound on I_(k+1) / I_k bounds the rest geometrically.
-    """
-    if step.ellipse is None:
-        return step
-    _, focal, log_rho, scale = step.ellipse
-    x = step.tau * focal
-    n = int(step.degree) + 8
-    while True:
-        logs = _scaled_bessel_logs(x, n)
-        k = np.arange(n + 1)
-        terms = logs + np.logaddexp(k * log_rho, -k * log_rho)
-        q = x * math.exp(log_rho) / (n + 0.5 + math.hypot(x, n + 0.5))
-        if q < 1.0:
-            rest = terms[-1] + math.log(2.0 * q / (1.0 - q))
-            tails = np.logaddexp.accumulate(np.append(terms, rest)[::-1])[::-1]
-            fine = np.flatnonzero(scale + tails[1:] <= _LN_CHEBYSHEV_TOL)
-            if fine.size:
-                m = int(fine[0])
-                coefficients = np.exp(logs[: m + 1] + scale)
-                coefficients[1:] *= 2.0
-                return step._replace(degree=float(m), coefficients=coefficients)
-        n *= 2
-
-
-def _applier(k: np.ndarray, gs: np.ndarray, h: float):
-    """apply(x, out) = h (K x + x K+ + sum G x G+) for Hermitian x, exactly Hermitian.
-
-    The result goes into out, or a fresh array when out is None. In
-    general it is built as Y + Y+ with Y = h (K x + 1/2 sum G x G+), from
-    d x d products into two reused work buffers. When K and every G are
-    diagonal (pure dephasing: diagonal Hamiltonian and jumps), L acts on
-    each entry alone, x_ij -> h (k_i + k_j* + sum g_i g_j*) x_ij, and the
-    application is one entrywise product with a matrix made exactly
-    conjugate-symmetric, so the result is exactly Hermitian too.
-    """
+    a = dt * bound
+    if a == 0.0:
+        return rho
+    m, s = _taylor_plan(a)
+    h = dt / s
+    m, s = int(m), int(s)
     d, n = k.shape[0], gs.shape[0]
-    diag_k, diag_g = np.diagonal(k), np.diagonal(gs, axis1=1, axis2=2)
-    off_diagonal = np.count_nonzero(k - np.diag(diag_k))
-    off_diagonal += np.count_nonzero(gs - diag_g[:, None, :] * np.eye(d))
-    if not off_diagonal:
-        rates = diag_k[:, None] + diag_k.conj()[None, :] + diag_g.T @ diag_g.conj()
-        rates = h * (rates + rates.conj().T) / 2.0
-
-        def apply_entrywise(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            return np.multiply(rates, x, out=out)
-
-        return apply_entrywise
     # rows [h K; sqrt(h) G_1; ...]: one product gives h K x and every sqrt(h) G_k x
     left = np.concatenate([h * k, np.sqrt(h) * gs.reshape(n * d, d)])
     # [sqrt(h) G_1 x, ...] @ right = h/2 sum G_k x G_k+; Y + Y+ doubles it
     right = (0.5 * np.sqrt(h)) * gs.conj().transpose(0, 2, 1).reshape(n * d, d)
-    prod = np.empty((d + n * d, d), dtype=complex)
-    top, y = prod[:d], (np.empty((d, d), dtype=complex) if n else prod[:d])
-
-    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        np.dot(left, x, out=prod)
-        if n:
-            np.dot(prod[d:].reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d), right, out=y)
-            np.add(y, top, out=y)
-        out = np.conjugate(y.T, out=np.empty((d, d), dtype=complex) if out is None else out)
-        out += y
-        return out
-
-    return apply
-
-
-# Chebyshev terms are kept in blocks of this many and summed a block at a time.
-_TERM_BLOCK = 32
-
-
-def _march(rho: np.ndarray, step: _Step, form: _MatrixFreeForm) -> np.ndarray:
-    """exp(dt L) rho for Hermitian rho, dt = step.substeps * step.tau.
-
-    Every application of L is exactly Hermitian (_applier) and combined
-    with real coefficients, so each term and the state stay exactly
-    Hermitian.
-
-    Taylor steps: the scaled series (Al-Mohy & Higham 2011). A step's
-    series stops once two successive term norms sum to at most 2^-53
-    |tr F| / sqrt(d), a lower bound on 2^-53 ||F|| for the step's result F;
-    tr F is known in advance, exp(-mu h) tr rho.
-
-    Chebyshev steps (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984):
-    sum_k a_k T_k(B) rho with B = (L - mu - center) / focal, run by the
-    three-term recurrence T_(k+1) = 2 B T_k - T_(k-1); exp(mu tau) is in
-    the coefficients a_k. The ellipse with foci center -+ focal contains
-    the box around W(L - mu) (_numerical_range_box), so by Crouzeix &
-    Palencia (SIAM J. Matrix Anal. Appl. 38:649, 2017) the degree that
-    _certified fixes errs by at most 2^-53 in operator norm. The terms
-    are summed a block at a time, and each substep's sum is made exactly
-    Hermitian by (F + F+) / 2.
-    """
-    if not step.substeps:
-        return rho
-    d = rho.shape[0]
-    if step.coefficients is not None:
-        center, focal = step.ellipse[:2]
-        # apply(x) = 2 B x
-        apply = _applier(form.k - 0.5 * center * np.eye(d), form.gs, 2.0 / focal)
-        a = step.coefficients
-        m = a.size - 1
-        terms = np.empty((min(_TERM_BLOCK, m + 1), d, d), dtype=complex)
-        block = terms.shape[0]
-        for _ in range(int(step.substeps)):
-            total = np.zeros_like(rho)
-            previous = terms[0]
-            previous[...] = rho
-            if m:
-                current = apply(rho, out=terms[1])
-                current *= 0.5
-            for j in range(2, m + 1):
-                i = j % block
-                if not i:
-                    total += np.tensordot(a[j - block : j], terms, axes=1)
-                # T_j = 2 B T_(j-1) - T_(j-2)
-                following = apply(current, out=terms[i])
-                following -= previous
-                previous, current = current, following
-            start = m - m % block
-            total += np.tensordot(a[start:], terms[: m + 1 - start], axes=1)
-            # the blocked sums need not round alike on both sides of the diagonal
-            rho = (total + total.conj().T) / 2.0
-        return rho
-    h = step.tau
-    apply = _applier(form.k, form.gs, h)
-    decay = float(np.exp(form.mu * h))
+    decay = float(np.exp(mu * h))
     floor = _TAYLOR_TOL * float(np.trace(rho).real) / (decay * np.sqrt(d))
-    for _ in range(int(step.substeps)):
+    for _ in range(s):
         total = rho.copy()
         term = rho
         previous = np.inf
-        for j in range(1, int(step.degree) + 1):
-            term = apply(term)
+        for j in range(1, m + 1):
+            prod = left @ term
+            y = prod[:d]
+            if n:
+                y = y + prod[d:].reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d) @ right
+            term = y + y.conj().T
             term *= 1.0 / j
             total += term
             size = np.sqrt(np.vdot(term, term).real)
@@ -703,6 +344,43 @@ def _march(rho: np.ndarray, step: _Step, form: _MatrixFreeForm) -> np.ndarray:
         total *= decay
         rho = total
     return rho
+
+
+def _diagonal_form(k: np.ndarray, gs: np.ndarray):
+    """(diag K, diag G) when K and every G are diagonal, else None.
+
+    Then L E_ij = lambda_ij E_ij: each matrix entry evolves alone, with
+    lambda_ij = -1/2 sum_n |g_ni - g_nj|^2 + i (Im k_i - Im k_j + sum_n Im
+    g_ni g_nj*), so lambda_ii = 0 keeps every population. Neither part
+    depends on the trace-mean shift of K.
+    """
+    d = k.shape[0]
+    kd = np.diagonal(k)
+    gd = np.diagonal(gs, axis1=1, axis2=2)
+    if np.count_nonzero(k - np.diag(kd)) or np.count_nonzero(gs - gd[:, :, None] * np.eye(d)):
+        return None
+    return kd, gd
+
+
+def _dephased(rho: np.ndarray, times: np.ndarray, kd: np.ndarray, gd: np.ndarray):
+    """exp(t L) rho for each t when L E_ij = lambda_ij E_ij (see _diagonal_form).
+
+    Entry ij, i < j, is multiplied by exp(t lambda_ij) and entry ji by its
+    conjugate; the populations stay. So every state is exactly Hermitian.
+    Each exponent t lambda_ij is summed from terms already multiplied by t,
+    so a term overflows only where t lambda_ij itself would.
+    """
+    i, j = np.triu_indices(rho.shape[0], 1)
+    phase = np.multiply.outer(times, kd.imag)
+    sg = np.sqrt(times)[:, None, None] * gd
+    gi, gj = sg[:, :, i], sg[:, :, j]
+    decay = -0.5 * (np.abs(gi - gj) ** 2).sum(axis=1)
+    rotation = phase[:, i] - phase[:, j] + (gi * gj.conj()).imag.sum(axis=1)
+    factors = np.exp(decay + 1j * rotation)
+    states = np.repeat(rho[None], times.size, axis=0)
+    states[:, i, j] *= factors
+    states[:, j, i] *= factors.conj()
+    return states
 
 
 def _healthy(out: np.ndarray) -> np.ndarray:
@@ -725,16 +403,13 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
 
     One matrix-free march visits the distinct times in ascending order,
     applying L through d x d products only; duplicate times share one
-    state. Each interval between times runs whichever certified polynomial
-    needs fewer applications of L (see _plan): the scaled Taylor series on
-    the disc of radius bound, or a Chebyshev series on an ellipse with real
-    foci around an enclosure of the numerical range W(L - mu) (Tal-Ezer &
-    Kosloff 1984), whose error the Crouzeix-Palencia bound fixes before any
-    step runs. On a stiff generator (strong dephasing, weak Hamiltonian)
-    Taylor needs about t ||L|| applications and Chebyshev about sqrt(t
-    ||L||). A march whose plan needs more than MAX_MARCH_WORK applications
-    to reach its last time is refused before any step runs; the stops at
-    the other times add at most one step each.
+    state. A march whose Taylor plan needs more than MAX_MARCH_WORK
+    applications of L to reach its last time is refused before any step
+    runs; a stop at an earlier time adds at most one step, of at most 55
+    applications. A generator with diagonal Hamiltonian and jumps needs no
+    march: its states are exact entrywise exponentials (_dephased). It is
+    held to the same cap, so which times are accepted does not depend on
+    the route.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -745,22 +420,21 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     rho = qstate.require_state(rho0, l.dim)
     # the march relies on (K x)+ = x K+, exact only for Hermitian x
     rho = (rho + rho.conj().T) / 2.0
-    form = _matrix_free_form(l)
+    k, gs, mu, bound = _matrix_free_form(l)
     grid, where = np.unique(times, return_inverse=True)
-    needed = _plan(float(grid[-1]), form).applications
-    if not needed <= MAX_MARCH_WORK:
+    m, s = _taylor_plan(float(grid[-1]) * bound)
+    if not m * s <= MAX_MARCH_WORK:
         raise ContractError(
-            f"march to t = {float(grid[-1])!r} needs {needed:.3e} applications of L, "
+            f"march to t = {float(grid[-1])!r} needs {m * s:.3e} applications of L, "
             f"above the cap {MAX_MARCH_WORK}"
         )
+    entries = _diagonal_form(k, gs)
+    if entries is not None:
+        return np.stack([_healthy(out) for out in _dephased(rho, grid, *entries)])[where]
     states = np.empty((grid.size, l.dim, l.dim), dtype=complex)
-    steps: dict[float, _Step] = {}
     t = 0.0
     for i, target in enumerate(grid):
-        dt = float(target) - t
-        if dt not in steps:
-            steps[dt] = _certified(_plan(dt, form))
-        rho = _healthy(_march(rho, steps[dt], form))
+        rho = _healthy(_march(rho, float(target) - t, k, gs, mu, bound))
         states[i] = rho
         t = float(target)
     return states[where]

@@ -400,8 +400,8 @@ class TestTrajectory:
 
 
 def dephasing_closed_form(l, rho0, t):
-    """exp(t L) rho0 for diagonal H and one diagonal jump: each entry decays
-    at its own rate, rho_ij e^(t lambda_ij)."""
+    """exp(t L) rho0 for diagonal H and one real diagonal jump: each entry
+    decays at its own rate, rho_ij e^(t lambda_ij)."""
     h = np.diag(l.hamiltonian.matrix).real
     (f, kappa), = l.jumps
     g = np.diag(f).real
@@ -409,173 +409,105 @@ def dephasing_closed_form(l, rho0, t):
     return rho0 * np.exp(t * rates)
 
 
-def padded_exceptional_qubit(kappa, d):
-    """Driven damped qubit at Omega = kappa/4 on the first two levels of d."""
-    h = np.zeros((d, d), dtype=complex)
-    h[:2, :2] = 0.5 * (kappa / 4.0) * SX
-    f = np.zeros((d, d), dtype=complex)
-    f[:2, :2] = SMINUS
-    return gksl.Lindbladian(qstate.Hamiltonian(h), ((f, kappa),))
-
-
-def damping_ladder(gen, d, scale=1.0):
-    """Lowering ladder sqrt(n) |n-1><n| plus dephasing on the number operator."""
-    ladder = np.diag(np.sqrt(np.arange(1, d)), 1)
-    h = np.diag(gen.uniform(-0.5, 0.5, d))
-    jumps = ((ladder, scale * float(gen.uniform(0.5, 1.0))), (np.diag(np.arange(d)), scale))
-    return gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
-
-
-def strong_nonnormal(gen, d):
-    """Ginibre jumps of unit scale at rates 5-30 under a weak Hamiltonian."""
+def diagonal_lindbladian(gen, d):
+    """Diagonal H and two complex diagonal jumps, each with an identity component."""
     jumps = tuple(
-        (random_complex(gen, (d, d)) / np.sqrt(d), float(gen.uniform(5.0, 30.0))) for _ in range(2)
+        (
+            np.diag(random_complex(gen, d)) + gen.normal(0, 3) * np.eye(d),
+            float(gen.uniform(0.1, 1.0)),
+        )
+        for _ in range(2)
     )
-    return gksl.Lindbladian(qstate.Hamiltonian(0.1 * random_hermitian(gen, d)), jumps)
+    return gksl.Lindbladian(qstate.Hamiltonian(np.diag(gen.normal(size=d))), jumps)
 
 
-def box_generators():
-    """(name, Lindbladian) over the families the enclosure must hold for."""
-    for d in (2, 3, 5, 8):
-        gen = rng(3000 + d)
-        yield f"nonnormal-{d}", random_lindbladian(gen, d)
-        yield f"dephasing-{d}", dephasing_pairs(gen, d)
-        yield f"dfs-{d}", block_lindbladian(gen, (d // 2, d - d // 2))
-        yield f"exceptional-{d}", padded_exceptional_qubit(float(gen.uniform(1.0, 40.0)), d)
+def bench_style_generators(gen, d):
+    """Random generators at the benchmark's scale, and the exceptional point."""
+    for n_jumps in (1, 2, 3):
+        h = random_hermitian(gen, d) / np.sqrt(2.0 * d)
+        jumps = tuple(
+            (random_complex(gen, (d, d)) / (2.0 * np.sqrt(d)), float(gen.uniform(0.2, 1.0)))
+            for _ in range(n_jumps)
+        )
+        yield gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
+    yield exceptional_point(1.0, d)
 
 
-def chebyshev_step(l, dt):
-    """A certified Chebyshev step over dt whatever the plan would pick: the
-    fewest substeps whose ellipse fits."""
-    form = gksl._matrix_free_form(l)
-    s = 1
-    while (estimate := gksl._chebyshev_estimate(form.box, form.mu, dt / s))[1] is None:
-        s += 1
-    degree, ellipse = estimate
-    return form, gksl._certified(gksl._Step(float(s), degree, dt / s, ellipse))
+def no_step(*args):
+    raise AssertionError("march started")
 
 
-BOX_GENERATORS = list(box_generators())
+class TestEntrywiseRoute:
+    TIMES = np.append(np.linspace(0.0, 10.0, 20), 80.0)
 
-
-class TestNumericalRangeBox:
-    @pytest.mark.parametrize("name,l", BOX_GENERATORS, ids=[name for name, _ in BOX_GENERATORS])
-    def test_encloses_spectrum_and_numerical_range(self, name, l):
-        form = gksl._matrix_free_form(l)
-        lo, hi, w = form.box
-        m = gksl.build_superoperator(l).matrix - form.mu * np.eye(l.dim**2)
-        slack = 1e-10 * max(1.0, np.linalg.norm(m, 2))
-        points = [np.linalg.eigvals(m)]
-        gen = rng(3100)
-        x = gen.normal(size=(256, l.dim**2)) + 1j * gen.normal(size=(256, l.dim**2))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        points.append(np.einsum("ni,ij,nj->n", x.conj(), m, x))
-        for z in points:
-            assert z.real.min() >= lo - slack
-            assert z.real.max() <= hi + slack
-            assert np.abs(z.imag).max() <= w + slack
-
-    @pytest.mark.parametrize("kind", ["diagonal", "hermitian"])
-    def test_normal_jumps_right_edge_is_exact(self, kind):
-        gen = rng(3200)
-        for d in (2, 5, 8):
-            if kind == "diagonal":
-                fs = [np.diag(gen.normal(size=d) + 1j * gen.normal(size=d)) for _ in range(2)]
-            else:
-                fs = [random_hermitian(gen, d) for _ in range(2)]
-            jumps = ((fs[0], 0.7), (fs[1], 0.2))
-            l = gksl.Lindbladian(qstate.Hamiltonian(random_hermitian(gen, d)), jumps)
-            form = gksl._matrix_free_form(l)
-            assert form.box[1] + form.mu == 0.0
-
-
-class TestChebyshevMarch:
     @pytest.mark.parametrize("d", [2, 4, 8, 12, 16])
-    def test_dephasing_matches_dense_series(self, d):
+    def test_dephasing_matches_closed_form_and_dense_series(self, monkeypatch, d):
+        monkeypatch.setattr(gksl, "_march", no_step)
         gen = rng(3300 + d)
         l = dephasing_pairs(gen, d)
         rho0 = random_density(gen, d)
-        for dt, tol in ((0.5, 1e-12), (10.0, 1e-12), (80.0, 1e-11)):
-            form, step = chebyshev_step(l, dt)
-            out = gksl._march(rho0, step, form)
-            assert np.abs(out - dense_series(l, rho0, dt)).max() <= tol
+        states = gksl.trajectory(l, rho0, self.TIMES)
+        for t, out in zip(self.TIMES, states):
+            assert np.abs(out - dephasing_closed_form(l, rho0, t)).max() <= 1e-14
             assert np.array_equal(out, out.conj().T)
+            assert np.array_equal(out.diagonal().real, rho0.diagonal().real)
+        for t, out in zip(self.TIMES[[3, 19]], states[[3, 19]]):
+            assert np.abs(out - dense_series(l, rho0, t)).max() <= 1e-12
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda gen, d: strong_nonnormal(gen, d),
-            lambda gen, d: padded_exceptional_qubit(float(gen.uniform(5.0, 40.0)), d),
-            lambda gen, d: damping_ladder(gen, d, float(gen.uniform(1.0, 10.0))),
-        ],
-        ids=["nonnormal", "exceptional", "ladder"],
-    )
-    @pytest.mark.parametrize("d", [2, 3, 6])
-    def test_stiff_generators_match_dense_series(self, make, d):
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_complex_traceful_jumps_match_dense_series(self, d):
         gen = rng(3400 + d)
-        l = make(gen, d)
+        l = diagonal_lindbladian(gen, d)
+        k, gs, _, _ = gksl._matrix_free_form(l)
+        assert gksl._diagonal_form(k, gs) is not None
         rho0 = random_density(gen, d)
-        for dt, tol in ((0.3, 1e-12), (10.0, 1e-12), (80.0, 1e-11)):
-            form, step = chebyshev_step(l, dt)
-            out = gksl._healthy(gksl._march(rho0, step, form))
-            assert np.abs(out - dense_series(l, rho0, dt)).max() <= tol
-
-    @pytest.mark.parametrize("d", [8, 12, 16])
-    def test_stiff_dephasing_trajectory_takes_chebyshev_steps(self, d):
-        gen = rng(3500 + d)
-        l = dephasing_pairs(gen, d)
-        rho0 = random_density(gen, d)
-        times = np.append(np.linspace(0.0, 10.0, 20), 80.0)
-        form = gksl._matrix_free_form(l)
-        assert gksl._plan(70.0, form).ellipse is not None
-        states = gksl.trajectory(l, rho0, times)
-        for t, out in zip(times, states):
-            assert np.abs(out - dephasing_closed_form(l, rho0, t)).max() <= 1e-12
+        times = (0.3, 2.5, 6.0)
+        for t, out in zip(times, gksl.trajectory(l, rho0, times)):
+            assert np.abs(out - dense_series(l, rho0, t)).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [4, 8, 12, 16])
-    def test_plan_keeps_taylor_on_random_and_exceptional(self, d):
-        # the benchmark's random and exceptional generators: their
-        # trajectories keep the bits of the Taylor march
-        gen = rng(3600 + d)
-        exceptional = exceptional_point(1.0, d)
-        grid = np.append(np.linspace(0.0, 10.0, 20), 80.0)
-        for n_jumps in (1, 2, 3):
-            h = random_hermitian(gen, d) / np.sqrt(2.0 * d)
-            jumps = tuple(
-                (random_complex(gen, (d, d)) / (2.0 * np.sqrt(d)), float(gen.uniform(0.2, 1.0)))
-                for _ in range(n_jumps)
-            )
-            for l in (gksl.Lindbladian(qstate.Hamiltonian(h), jumps), exceptional):
-                form = gksl._matrix_free_form(l)
-                assert all(gksl._plan(float(dt), form).ellipse is None for dt in np.diff(grid))
+    def test_random_and_exceptional_keep_the_taylor_march(self, d):
+        # the benchmark's other generators: their trajectories keep the
+        # bits of the Taylor march
+        for l in bench_style_generators(rng(3600 + d), d):
+            k, gs, _, _ = gksl._matrix_free_form(l)
+            assert gksl._diagonal_form(k, gs) is None
 
-    def test_d32_stiff_dephasing_is_fast(self):
-        # scaling guard, not an acceptance budget: the Taylor march took
-        # about 5 s on this generator, the Chebyshev one 0.1-0.2 s
-        gen = rng(3700)
-        l = dephasing_pairs(gen, 32)
-        rho0 = random_density(gen, 32)
-        times = np.append(np.linspace(0.0, 10.0, 20), 80.0)
+    def test_dense_explicit_times_on_stiff_dephasing(self):
+        gen = rng(3500)
+        l = dephasing_pairs(gen, 16)
+        rho0 = random_density(gen, 16)
+        times = gen.uniform(0.0, 80.0, 2000)
+        times[::7] = times[0]
         start = time.perf_counter()
         states = gksl.trajectory(l, rho0, times)
         assert time.perf_counter() - start < 5.0
-        assert np.abs(states[-1] - dephasing_closed_form(l, rho0, 80.0)).max() <= 1e-12
+        assert np.array_equal(states[7], states[0])
+        for i in range(0, 2000, 97):
+            assert np.abs(states[i] - dephasing_closed_form(l, rho0, times[i])).max() <= 1e-14
 
-    def test_long_dephasing_march_runs(self):
-        # work t * bound = 1.3e5, above the earlier cap of 1e5 (exit 3). The
-        # tolerance is 1e-11: each substep applies (L - center) / focal with
-        # relative rounding eps, which moves the populations, sitting at
-        # the ellipse's right edge, by about eps tau ||L - center||; over
-        # t = 1e4 that adds up to about eps t ||L - center|| ~ 1e-11.
-        gen = rng(3800)
-        l = dephasing_pairs(gen, 8)
-        rho0 = random_density(gen, 8)
-        form = gksl._matrix_free_form(l)
-        assert 1e4 * form.bound > 1e5
+    def test_d32_stiff_dephasing_is_fast(self):
+        # scaling guard, not an acceptance budget: the Taylor march took
+        # about 5 s on this generator
+        gen = rng(3700)
+        l = dephasing_pairs(gen, 32)
+        rho0 = random_density(gen, 32)
         start = time.perf_counter()
-        out = gksl.trajectory(l, rho0, [1e4])[0]
-        assert time.perf_counter() - start < 2.0
-        assert np.abs(out - dephasing_closed_form(l, rho0, 1e4)).max() <= 1e-11
+        states = gksl.trajectory(l, rho0, self.TIMES)
+        assert time.perf_counter() - start < 5.0
+        assert np.abs(states[-1] - dephasing_closed_form(l, rho0, 80.0)).max() <= 1e-14
+
+    @pytest.mark.parametrize("rate", [1e300, 1.7e308])
+    def test_huge_rates_over_short_times_do_not_overflow(self, rate):
+        # each term of an exponent is scaled by t before the sum, so a rate
+        # whose lambda_ij overflows still gives the finite t lambda_ij
+        rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+        l = gksl.Lindbladian(qstate.Hamiltonian(np.zeros((2, 2))), ((SZ, rate),))
+        states = gksl.trajectory(l, rho0, [0.0, 1e-305])
+        assert np.array_equal(states[0], rho0)
+        # the coherence decays at 2 kappa: e^-2e-5 and e^-3400
+        assert np.array_equal(states[1].diagonal(), rho0.diagonal())
+        assert states[1][0, 1] == pytest.approx(0.3 * math.exp(-2.0 * (rate * 1e-305)), rel=1e-14)
 
 
 class TestMarchCap:
@@ -583,10 +515,23 @@ class TestMarchCap:
         m, s = gksl._taylor_plan(1e5)
         assert m * s == gksl.MAX_MARCH_WORK
 
-    def test_no_march_within_work_1e5_is_refused(self):
+    def test_no_march_within_work_1e5_is_refused(self, monkeypatch):
+        for a in np.linspace(0.0, 1e5, 2001):
+            m, s = gksl._taylor_plan(a)
+            assert m * s <= gksl.MAX_MARCH_WORK
+        monkeypatch.setattr(gksl, "_march", lambda rho, *args: rho)
         for l in (random_lindbladian(rng(3900), 4), dephasing_pairs(rng(3901), 8)):
-            form = gksl._matrix_free_form(l)
-            assert gksl._plan(1e5 / form.bound, form).applications <= gksl.MAX_MARCH_WORK
+            bound = gksl._matrix_free_form(l)[3]
+            gksl.trajectory(l, np.eye(l.dim) / l.dim, [0.5 / bound, 1e5 / bound])
+
+    def test_stops_add_at_most_one_step_each(self):
+        # sum over intervals of the plans <= plan of the whole + 55 per stop,
+        # since 55 / theta_55 is the least cost per unit of work
+        gen = rng(3904)
+        for grid in (np.linspace(0.0, 5e4, 3001), np.sort(gen.uniform(0.0, 5e4, 3000))):
+            m, s = gksl._taylor_plan(float(grid[-1]))
+            total = sum(np.prod(gksl._taylor_plan(float(a))) for a in np.diff(grid))
+            assert m * s <= total <= m * s + 55 * (grid.size - 1)
 
     @pytest.mark.parametrize("rate", [5e-324, 1e-300, 1e150, 1e300, 1.7e308])
     def test_extreme_rates_run_or_are_refused(self, rate):
@@ -600,16 +545,18 @@ class TestMarchCap:
             except ContractError as exc:
                 assert "cap" in str(exc)
             else:
-                assert np.abs(states[0] - dephasing_closed_form(l, rho0, 0.5)).max() <= 1e-12
+                assert np.abs(states[0] - dephasing_closed_form(l, rho0, 0.5)).max() <= 1e-14
 
     @pytest.mark.parametrize("t", [1e300, 1.7e308])
-    def test_planning_far_horizons_is_float_math(self, t):
+    def test_far_horizons_are_refused_by_the_plan_alone(self, monkeypatch, t):
+        # no loop over steps: the plan is float math, finite or inf
+        monkeypatch.setattr(gksl, "_march", no_step)
+        monkeypatch.setattr(gksl, "_dephased", no_step)
         for l in (random_lindbladian(rng(3902), 4), dephasing_pairs(rng(3903), 8), dephasing()):
-            form = gksl._matrix_free_form(l)
-            start = time.perf_counter()
-            applications = gksl._plan(t, form).applications
-            assert time.perf_counter() - start < 0.01
-            assert not applications <= gksl.MAX_MARCH_WORK
+            m, s = gksl._taylor_plan(t * gksl._matrix_free_form(l)[3])
+            assert m * s > gksl.MAX_MARCH_WORK
+            with pytest.raises(ContractError, match="cap"):
+                gksl.trajectory(l, np.eye(l.dim) / l.dim, [0.0, t])
 
 
 class TestDecompose:
