@@ -174,8 +174,7 @@ def _scan_finite(node, path="outputs"):
 
 def _csv_table(header: str, rows) -> str:
     lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -440,7 +439,7 @@ def _handle_gksl_evolve(payload, units, tol):
     d, n = l.dim, len(times)
     if blocks is not None:
         partition = compmodel.BasisPartition(d, blocks)
-        # one march serves the trajectory and the resolving time
+        # one pass along the sorted times serves the trajectory and the resolving time
         times = np.append(times, _get(payload, "t_resolve", "payload", _number))
     states = gksl.trajectory(l, state, times)
     trajectory = states[:n]

@@ -1,13 +1,16 @@
 """Markovian generators, their asymptotic structure, and the classical split.
 
-A generator takes one of two routes. Propagation is matrix-free:
+Propagation takes one of three routes, chosen per trajectory after one
+shared cap on its work. A generator whose Hamiltonian and jumps are all
+diagonal (pure dephasing) acts on each matrix entry alone, L E_ij =
+lambda_ij E_ij, so its states are exact entrywise exponentials. At small d,
+when the time grid needs few distinct steps, the dense route takes one
+exponential of the real d^2 x d^2 generator below per step and one
+matrix-vector product per state. Otherwise propagation is matrix-free:
 trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
 products only, marching once along the sorted time grid with a scaled
-Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011). A
-generator whose Hamiltonian and jumps are all diagonal (pure dephasing)
-acts on each matrix entry alone, L E_ij = lambda_ij E_ij, so its states
-are exact entrywise exponentials and it needs no march.
-Spectra need the dense route: build_superoperator gives the d^2 x d^2
+Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
+Spectra use the dense form too: build_superoperator gives the d^2 x d^2
 matrix on column-stacked operators, built exclusively from vec_product_map
 so the operator-ordering conventions live in one place. A generator
 preserves Hermiticity, so in the orthonormal Hermitian basis
@@ -74,6 +77,14 @@ _TAYLOR_TOL = 2.0**-53
 # trajectory). It is what that plan needs for work t_max * bound = 1e5
 # (55 terms times 10,102 steps), so every march within that work runs.
 MAX_MARCH_WORK = 555_610
+
+# trajectory takes the dense route when the grid needs at most
+# DENSE_WORK // d^6 distinct propagators, each a matrix_exp of a d^2 x d^2
+# real matrix: two at d = 12 (an even grid plus a resolving time), none from
+# d = 14. TIME_ULPS is how far, in ulps of the time, a reused step may land
+# from it.
+DENSE_WORK = 2 * 12**6
+TIME_ULPS = 4
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
 _ROUTES = ("eigenbasis", "nullspace")
@@ -383,33 +394,141 @@ def _dephased(rho: np.ndarray, times: np.ndarray, kd: np.ndarray, gd: np.ndarray
     return states
 
 
-def _healthy(out: np.ndarray) -> np.ndarray:
-    """Health gates on a propagated state; returns it Hermitian-symmetrized."""
-    drift = qlinalg.hs_norm(out - out.conj().T)
-    if drift > 1e-9 * max(1.0, qlinalg.hs_norm(out)):
-        raise NumericHealthError(f"propagated state lost Hermiticity ({drift:.3e})")
-    out = (out + out.conj().T) / 2.0
-    tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > TRAJECTORY_TRACE_TOL:
-        raise NumericHealthError(f"propagated state has trace {tr!r}")
-    w = np.linalg.eigvalsh(out)
-    if w.min() < TRAJECTORY_EIG_FLOOR:
-        raise NumericHealthError(f"propagated state has eigenvalue {w.min():.3e}")
+def _healthy(states: np.ndarray) -> np.ndarray:
+    """Health gates on a stack (n, d, d) of propagated states; returns them
+    Hermitian-symmetrized.
+
+    Each state must keep Hermiticity, trace 1 and eigenvalues above
+    TRAJECTORY_EIG_FLOOR; the first state that fails, in stack order, names
+    its first failing gate. A non-finite state fails the Hermiticity gate.
+    One stacked eigvalsh serves the states before the first that fails
+    another gate.
+    """
+    adjoint = states.conj().transpose(0, 2, 1)
+    drift = np.linalg.norm(states - adjoint, axis=(1, 2))
+    lost = ~(drift <= 1e-9 * np.maximum(1.0, np.linalg.norm(states, axis=(1, 2))))
+    out = (states + adjoint) / 2.0
+    tr = np.trace(out, axis1=1, axis2=2).real
+    bad = np.flatnonzero(lost | ~(np.abs(tr - 1.0) <= TRAJECTORY_TRACE_TOL))
+    first = int(bad[0]) if bad.size else len(out)
+    low = np.linalg.eigvalsh(out[:first]).min(axis=1, initial=np.inf)
+    below = np.flatnonzero(low < TRAJECTORY_EIG_FLOOR)
+    if below.size:
+        raise NumericHealthError(f"propagated state has eigenvalue {low[below[0]]:.3e}")
+    if first < len(out):
+        if lost[first]:
+            raise NumericHealthError(f"propagated state lost Hermiticity ({drift[first]:.3e})")
+        raise NumericHealthError(f"propagated state has trace {float(tr[first])!r}")
     return out
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _propagator_steps(positive: list, limit: int):
+    """Step to each time of the ascending positive grid, None where the
+    previous propagator serves; None for the whole list when more than
+    limit distinct steps are needed.
+
+    The previous step is reused when the time it reaches lies within
+    TIME_ULPS ulps of the next time; otherwise a new step spans the gap.
+    The time reached is kept as an unevaluated sum hi + lo, exact to far
+    below an ulp, and the test is made against it rather than against the
+    previous grid time, so offsets cannot build up over many reuses.
+    """
+    steps, hi, lo, step, count = [], 0.0, 0.0, 0.0, 0
+    for target in positive:
+        s, e = _two_sum(hi, step)
+        if not (step and abs((s - target) + (lo + e)) <= TIME_ULPS * math.ulp(target)):
+            count += 1
+            if count > limit:
+                return None
+            step = (target - hi) - lo
+            s, e = _two_sum(hi, step)
+            steps.append(step)
+        else:
+            steps.append(None)
+        hi, lo = s, lo + e
+    return steps
+
+
+@functools.lru_cache(maxsize=8)
+def _trace_reflection(d: int) -> np.ndarray:
+    """Householder reflection of R^d taking (1, ..., 1)/sqrt(d) to e_1.
+
+    Symmetric and orthogonal, so its own inverse; read-only, as it is shared
+    between calls.
+    """
+    u = np.full(d, 1.0 / math.sqrt(d))
+    u[0] -= 1.0
+    norm = np.linalg.norm(u)
+    h = np.eye(d) if norm == 0.0 else np.eye(d) - 2.0 * np.outer(u / norm, u / norm)
+    h.flags.writeable = False
+    return h
+
+
+def _dense(l: Lindbladian, rho: np.ndarray, steps: list) -> np.ndarray:
+    """exp(t L) rho along the steps of _propagator_steps, on the real form.
+
+    One matrix_exp of step R per new step, then one matvec per state, on
+    rho's real coordinates in the Hermitian basis. The diagonal block of
+    that basis is first reflected (_trace_reflection) so that the trace is
+    the first coordinate times sqrt(d). L maps every operator to a
+    traceless one, so the first row of R is rounding, bounded by the
+    generator's trace contract, and is set to zero: each propagator then
+    keeps the trace exactly, and its squarings cannot grow an error along
+    the steady state. Mapped back, every state is exactly Hermitian.
+    """
+    d = rho.shape[0]
+    h = _trace_reflection(d)
+    r = _real_form(build_superoperator(l).matrix)
+    r[:d] = h @ r[:d]
+    r[:, :d] = r[:, :d] @ h
+    r[0] = 0.0
+    x = _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
+    x[:d] = h @ x[:d]
+    coords = np.empty((d * d, len(steps)))
+    for i, step in enumerate(steps):
+        if step is not None:
+            propagator = qlinalg.matrix_exp(step * r)
+        x = propagator @ x
+        coords[:, i] = x
+    coords[:d] = h @ coords[:d]
+    return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     """States exp(t L) rho0 for each t in times, in input order, with health gates.
 
-    One matrix-free march visits the distinct times in ascending order,
-    applying L through d x d products only; duplicate times share one
-    state. A march whose Taylor plan needs more than MAX_MARCH_WORK
-    applications of L to reach its last time is refused before any step
-    runs; a stop at an earlier time adds at most one step, of at most 55
-    applications. A generator with diagonal Hamiltonian and jumps needs no
-    march: its states are exact entrywise exponentials (_dephased). It is
-    held to the same cap, so which times are accepted does not depend on
-    the route.
+    Duplicate times share one state, and a t = 0 state is rho0
+    Hermitian-symmetrized, bit for bit. Before any route runs, the time
+    grid is held to a cap: a grid whose Taylor march would need more than
+    MAX_MARCH_WORK applications of L to reach its last time is refused, so
+    which times are accepted does not depend on the route. The route is
+    then chosen from the generator and the sorted distinct times alone:
+
+    * A generator with diagonal Hamiltonian and jumps acts on each matrix
+      entry alone; its states are exact entrywise exponentials (_dephased).
+    * Otherwise, when the grid needs at most DENSE_WORK // d^6 distinct
+      propagators, the dense route takes one matrix_exp of the d^2 x d^2
+      real Hermitian-basis generator per distinct step and one matvec per
+      state (_dense). A step is reused while it lands within TIME_ULPS ulps
+      of the next time, measured from the time actually reached, so each
+      state is taken at a time t' with |t' - t| <= 4 ulp(t) <= 4 eps t
+      (eps = 2^-52), which moves it by at most 4 eps t ||L|| in trace norm.
+      An even grid needs one propagator, and a time after its end one more.
+    * Otherwise one matrix-free march visits the distinct times in
+      ascending order, applying L through d x d products only (_march); a
+      stop adds at most one step of at most 55 applications to the plan
+      the cap is measured on.
+
+    The states of the dense and entrywise routes are checked by one
+    stacked _healthy call; the march checks each state before it steps
+    from it.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -430,11 +549,17 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
         )
     entries = _diagonal_form(k, gs)
     if entries is not None:
-        return np.stack([_healthy(out) for out in _dephased(rho, grid, *entries)])[where]
+        return _healthy(_dephased(rho, grid, *entries))[where]
+    zeros = int(grid[0] == 0.0)
+    steps = _propagator_steps(grid[zeros:].tolist(), DENSE_WORK // l.dim**6)
     states = np.empty((grid.size, l.dim, l.dim), dtype=complex)
+    if steps is not None:
+        states[:zeros] = rho
+        states[zeros:] = _dense(l, rho, steps)
+        return _healthy(states)[where]
     t = 0.0
     for i, target in enumerate(grid):
-        rho = _healthy(_march(rho, float(target) - t, k, gs, mu, bound))
+        rho = _healthy(_march(rho, float(target) - t, k, gs, mu, bound)[None])[0]
         states[i] = rho
         t = float(target)
     return states[where]

@@ -702,6 +702,31 @@ class TestGkslEvolve:
         assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
 
 
+    @pytest.mark.parametrize("times", [{"t_max": 1e7, "n": 20}, [0.5, 2e6]], ids=["grid", "list"])
+    def test_dense_route_over_work_cap_is_3(self, tmp_path, monkeypatch, times):
+        # a d = 4 generator that is not diagonal, with one or two distinct
+        # steps, would take the dense route: the cap must refuse it first
+        def no_route(*args):
+            raise AssertionError("a propagation route started")
+
+        monkeypatch.setattr(cli.gksl, "_dense", no_route)
+        monkeypatch.setattr(cli.gksl, "_march", no_route)
+        eye = np.eye(2)
+        h = 0.125 * np.kron([[0.0, 1.0], [1.0, 0.0]], eye)
+        f = np.kron([[0.0, 1.0], [0.0, 0.0]], eye)
+        payload = {
+            "hamiltonian": complex_matrix(h),
+            "jumps": [{"operator": complex_matrix(f), "rate": 1.0}],
+            "state": complex_matrix(random_density(rng(1), 4)),
+            "times": times,
+        }
+        p = write_scenario(tmp_path, "gksl-evolve", payload)
+        r = CliRunner().invoke(cli.main, ["gksl-evolve", "--scenario", p])
+        assert r.exit_code == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
+
+
 class TestCsvPlacement:
     def test_csv_dir_override(self, tmp_path):
         csv_dir = tmp_path / "tables"

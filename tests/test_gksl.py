@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,12 +376,12 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("times", [[1e300], [0.0, 1e300], [1e9, 0.5]])
     def test_work_cap_refused_before_any_step(self, monkeypatch, times):
-        def no_step(*args):
-            raise AssertionError("march started")
-
-        monkeypatch.setattr(gksl, "_march", no_step)
-        with pytest.raises(ContractError, match="cap"):
-            gksl.trajectory(dephasing(), np.eye(2) / 2, times)
+        # one generator for each route: entrywise, dense and the march
+        for name in ("_march", "_dense", "_dephased"):
+            monkeypatch.setattr(gksl, name, no_step)
+        for l in (dephasing(), random_lindbladian(rng(75), 4), random_lindbladian(rng(75), 16)):
+            with pytest.raises(ContractError, match="cap"):
+                gksl.trajectory(l, np.eye(l.dim) / l.dim, times)
 
     def test_zero_generator_needs_no_work(self):
         rho0 = random_density(rng(76), 3)
@@ -443,6 +444,7 @@ class TestEntrywiseRoute:
     @pytest.mark.parametrize("d", [2, 4, 8, 12, 16])
     def test_dephasing_matches_closed_form_and_dense_series(self, monkeypatch, d):
         monkeypatch.setattr(gksl, "_march", no_step)
+        monkeypatch.setattr(gksl, "_dense", no_step)
         gen = rng(3300 + d)
         l = dephasing_pairs(gen, d)
         rho0 = random_density(gen, d)
@@ -467,11 +469,15 @@ class TestEntrywiseRoute:
 
     @pytest.mark.parametrize("d", [4, 8, 12, 16])
     def test_random_and_exceptional_keep_the_taylor_march(self, d):
-        # the benchmark's other generators: their trajectories keep the
-        # bits of the Taylor march
-        for l in bench_style_generators(rng(3600 + d), d):
-            k, gs, _, _ = gksl._matrix_free_form(l)
+        # the benchmark's other generators are not entrywise; at every d
+        # the march itself still agrees with the dense series on them
+        gen = rng(3600 + d)
+        for l in bench_style_generators(gen, d):
+            k, gs, mu, bound = gksl._matrix_free_form(l)
             assert gksl._diagonal_form(k, gs) is None
+            rho0 = random_density(gen, d)
+            out = gksl._march(rho0, 140 / 19, k, gs, mu, bound)
+            assert np.abs(out - dense_series(l, rho0, 140 / 19)).max() <= 1e-12
 
     def test_dense_explicit_times_on_stiff_dephasing(self):
         gen = rng(3500)
@@ -510,6 +516,147 @@ class TestEntrywiseRoute:
         assert states[1][0, 1] == pytest.approx(0.3 * math.exp(-2.0 * (rate * 1e-305)), rel=1e-14)
 
 
+def marched(l, rho0, times, march=gksl._march):
+    """Reference: the Taylor march state by state over ascending times (the
+    march is bound at import, so a test may stub gksl._march around it)."""
+    k, gs, mu, bound = gksl._matrix_free_form(l)
+    rho, t, out = (rho0 + rho0.conj().T) / 2.0, 0.0, []
+    for target in times:
+        rho = march(rho, target - t, k, gs, mu, bound)
+        out.append(rho)
+        t = target
+    return out
+
+
+def damping_ladder(gen, d, rate):
+    """A strong damping ladder under a weak random H: stiff and non-normal."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    h = 1e-2 * random_hermitian(gen, d)
+    return gksl.Lindbladian(qstate.Hamiltonian(h), ((a, rate),))
+
+
+def counted(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its first argument."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestDenseRoute:
+    TIMES = np.append(np.linspace(0.0, 10.0, 20), 80.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 12])
+    def test_matches_march_and_dense_series(self, monkeypatch, d):
+        monkeypatch.setattr(gksl, "_march", no_step)
+        gen = rng(4000 + d)
+        generators = [random_lindbladian(gen, d), traceful_lindbladian(gen, d)]
+        if d % 2 == 0:
+            generators += [exceptional_point(1.0, d), exceptional_point(1.88599068317103, d)]
+        for l in generators:
+            rho0 = random_density(gen, d)
+            states = gksl.trajectory(l, rho0, self.TIMES)
+            for out, ref in zip(states, marched(l, rho0, self.TIMES)):
+                assert np.abs(out - ref).max() <= 1e-12
+            for i in (3, 14, 19, 20):
+                assert np.abs(states[i] - dense_series(l, rho0, self.TIMES[i])).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("work", [1e2, 1e4])
+    def test_stiff_damping_ladder_matches_march_and_dense_series(self, monkeypatch, d, work):
+        monkeypatch.setattr(gksl, "_march", no_step)
+        gen = rng(4100 + d)
+        l = damping_ladder(gen, d, 50.0)
+        rho0 = random_density(gen, d)
+        bound = gksl._matrix_free_form(l)[3]
+        times = work / bound * np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
+        states = gksl.trajectory(l, rho0, times)
+        # the series reference squares its complex propagator about
+        # log2(work) times and loses about eps per unit of work to it (3.7e-12
+        # at d = 8 and 1e4, where the march and the dense route agree to 1e-14)
+        series_tol = max(1e-12, 1e-15 * work)
+        for t, out, ref in zip(times, states, marched(l, rho0, times)):
+            assert np.abs(out - ref).max() <= 1e-12
+            assert np.abs(out - dense_series(l, rho0, t)).max() <= series_tol
+
+    def test_states_are_hermitian_and_t0_is_the_input(self, monkeypatch):
+        monkeypatch.setattr(gksl, "_march", no_step)
+        gen = rng(4200)
+        l = random_lindbladian(gen, 4)
+        rho0 = random_density(gen, 4)
+        states = gksl.trajectory(l, rho0, [0.0, 0.3, 2.0, 0.0, 7.5])
+        sym = (rho0 + rho0.conj().T) / 2.0
+        assert np.array_equal(states[0], sym) and np.array_equal(states[3], sym)
+        for out in states:
+            assert np.array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("t_max", [10.0, 7.3, 79.9])
+    def test_even_grid_and_resolving_time_take_two_propagators(self, monkeypatch, t_max):
+        calls = counted(monkeypatch, qlinalg, "matrix_exp")
+        gen = rng(4300)
+        l = random_lindbladian(gen, 4)
+        times = np.append(np.linspace(0.0, t_max, 20), 80.0)
+        states = gksl.trajectory(l, random_density(gen, 4), times)
+        assert len(calls) == 2
+        assert states.shape == (21, 4, 4)
+
+    def test_reused_steps_land_within_four_ulps(self):
+        # the exact time reached, summed in rationals, against the grid
+        gen = rng(4400)
+        for t_max in gen.uniform(0.01, 1e3, 20):
+            grid = np.linspace(0.0, t_max, 1000)[1:].tolist()
+            steps = gksl._propagator_steps(grid, 1)
+            reached = Fraction(0)
+            for target, step in zip(grid, steps):
+                reached += Fraction(steps[0] if step is None else step)
+                assert abs(reached - Fraction(target)) <= gksl.TIME_ULPS * math.ulp(target)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 12])
+    def test_benchmark_grids_take_the_dense_route(self, monkeypatch, d):
+        monkeypatch.setattr(gksl, "_march", no_step)
+        gen = rng(4500 + d)
+        for l in bench_style_generators(gen, d):
+            rho0 = random_density(gen, d)
+            for times in (self.TIMES[:-1], self.TIMES):
+                assert gksl.trajectory(l, rho0, times).shape == (len(times), d, d)
+
+    def test_d16_takes_the_march(self, monkeypatch):
+        monkeypatch.setattr(gksl, "_dense", no_step)
+        steps = counted(monkeypatch, gksl, "_march")
+        gen = rng(4600)
+        for l in bench_style_generators(gen, 16):
+            steps.clear()
+            gksl.trajectory(l, random_density(gen, 16), self.TIMES)
+            assert len(steps) == len(self.TIMES)
+
+    def test_irregular_times_at_d12_take_the_march(self, monkeypatch):
+        # 2,000 distinct steps would be 2,000 expms of a 144 x 144 matrix
+        monkeypatch.setattr(gksl, "_dense", no_step)
+        steps = []
+        monkeypatch.setattr(gksl, "_march", lambda rho, dt, *args: steps.append(dt) or rho)
+        gen = rng(4700)
+        l = random_lindbladian(gen, 12)
+        gksl.trajectory(l, np.eye(12) / 12, gen.uniform(0.0, 80.0, 2000))
+        assert len(steps) == 2000
+
+    def test_health_gate_names_the_first_failing_state(self, monkeypatch):
+        # states 1 and 2 fail different gates; state 1's is reported
+        bad = np.repeat(np.eye(2, dtype=complex)[None] / 2, 4, axis=0)
+        bad[1] = np.diag([1.2, -0.2])
+        bad[2, 0, 1] = 1.0
+        monkeypatch.setattr(gksl, "_dense", lambda l, rho, steps: bad[1:])
+        with pytest.raises(NumericHealthError, match="eigenvalue -2.000e-01"):
+            gksl.trajectory(random_lindbladian(rng(4800), 2), np.eye(2) / 2, [0.0, 1.0, 2.0, 3.0])
+        bad[1] = np.nan
+        with pytest.raises(NumericHealthError, match="lost Hermiticity"):
+            gksl.trajectory(random_lindbladian(rng(4800), 2), np.eye(2) / 2, [0.0, 1.0, 2.0, 3.0])
+
+
 class TestMarchCap:
     def test_cap_is_the_taylor_plan_at_work_1e5(self):
         m, s = gksl._taylor_plan(1e5)
@@ -520,7 +667,9 @@ class TestMarchCap:
             m, s = gksl._taylor_plan(a)
             assert m * s <= gksl.MAX_MARCH_WORK
         monkeypatch.setattr(gksl, "_march", lambda rho, *args: rho)
-        for l in (random_lindbladian(rng(3900), 4), dephasing_pairs(rng(3901), 8)):
+        monkeypatch.setattr(gksl, "_dense", no_step)
+        # d = 16 is above the dense route's crossover, so the march runs
+        for l in (random_lindbladian(rng(3900), 16), dephasing_pairs(rng(3901), 8)):
             bound = gksl._matrix_free_form(l)[3]
             gksl.trajectory(l, np.eye(l.dim) / l.dim, [0.5 / bound, 1e5 / bound])
 
@@ -537,22 +686,32 @@ class TestMarchCap:
     def test_extreme_rates_run_or_are_refused(self, rate):
         # the plan must neither divide by an underflowed step nor take the
         # log of an overflowed one: the march runs, or the cap refuses it
+        # (the diagonal generators take the entrywise route, the last the
+        # dense one; the march is run directly on what the cap lets through)
         rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        for h in (np.zeros((2, 2)), np.diag([0.3, -0.3])):
+        for h in (np.zeros((2, 2)), np.diag([0.3, -0.3]), 0.3 * SX):
             l = gksl.Lindbladian(qstate.Hamiltonian(h), ((SZ, rate),))
             try:
                 states = gksl.trajectory(l, rho0, [0.5, 80.0])
             except ContractError as exc:
                 assert "cap" in str(exc)
             else:
-                assert np.abs(states[0] - dephasing_closed_form(l, rho0, 0.5)).max() <= 1e-14
+                out = gksl._march(rho0, 0.5, *gksl._matrix_free_form(l))
+                ref = dense_series(l, rho0, 0.5) if h[0, 1] else dephasing_closed_form(l, rho0, 0.5)
+                assert np.abs(states[0] - ref).max() <= 1e-14
+                assert np.abs(out - ref).max() <= 1e-14
 
     @pytest.mark.parametrize("t", [1e300, 1.7e308])
     def test_far_horizons_are_refused_by_the_plan_alone(self, monkeypatch, t):
         # no loop over steps: the plan is float math, finite or inf
-        monkeypatch.setattr(gksl, "_march", no_step)
-        monkeypatch.setattr(gksl, "_dephased", no_step)
-        for l in (random_lindbladian(rng(3902), 4), dephasing_pairs(rng(3903), 8), dephasing()):
+        for name in ("_march", "_dense", "_dephased"):
+            monkeypatch.setattr(gksl, name, no_step)
+        for l in (
+            random_lindbladian(rng(3902), 4),
+            random_lindbladian(rng(3902), 16),
+            dephasing_pairs(rng(3903), 8),
+            dephasing(),
+        ):
             m, s = gksl._taylor_plan(t * gksl._matrix_free_form(l)[3])
             assert m * s > gksl.MAX_MARCH_WORK
             with pytest.raises(ContractError, match="cap"):
