@@ -9,7 +9,10 @@ only as a content hash.
 Exit codes: 0 success; 1 scenario file unreadable; 2 malformed JSON;
 3 schema or contract violation (field path in the message); 4 a
 feasibility or bound check failed, report still emitted; 5 numeric health
-failure.
+failure, a non-finite report number included (no report or CSV written).
+
+The report text is that of json.dumps(report, sort_keys=True, indent=2),
+written in one pass by _report_text.
 
 Complex matrices are encoded as nested [re, im] pairs, row-major. CSV side
 files use '.' decimals, '\\n' line endings, and a mandatory header row.
@@ -26,6 +29,8 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -128,6 +133,25 @@ _blocks = _array_of(_indices, "index blocks")
 
 
 def _matrix(node, path) -> np.ndarray:
+    """A nonempty row-major array of [re, im] pairs as a complex matrix.
+
+    One np.array call decodes it when the result is an (n, m, 2) array of
+    finite numbers and every leaf is exactly an int or a float (numpy would
+    also take booleans and numeric strings). Any other input takes the walk
+    below, which names the first bad row or cell.
+    """
+    try:
+        a = np.array(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if (
+        a is not None
+        and a.ndim == 3
+        and a.shape[2] == 2
+        and np.isfinite(a).all()
+        and set(map(type, chain.from_iterable(chain.from_iterable(node)))) <= {int, float}
+    ):
+        return a.view(complex)[..., 0]
     if not isinstance(node, list) or not node:
         raise SchemaViolation(path, "expected a nonempty array of rows")
     for i, row in enumerate(node):
@@ -155,13 +179,14 @@ def _op(node, path) -> compops.StochasticOp:
 
 
 def _encode_complex_matrix(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 # -- report plumbing ---------------------------------------------------------
 
 
-def _scan_finite(node, path="outputs"):
+def _scan_finite(node, path):
     if isinstance(node, dict):
         for k, v in node.items():
             _scan_finite(v, f"{path}.{k}")
@@ -170,6 +195,68 @@ def _scan_finite(node, path="outputs"):
             _scan_finite(v, f"{path}[{i}]")
     elif isinstance(node, float) and not math.isfinite(node):
         raise NumericHealthError(f"{path} is not finite ({node!r})")
+
+
+def _emit(node, newline: str, out: list):
+    """Append node's text in the layout of json.dumps(sort_keys=True,
+    indent=2) to out; newline is a line break plus the indent of node's
+    level, and its items go two spaces deeper. A non-finite float raises
+    NumericHealthError."""
+    if isinstance(node, str):
+        out.append(encode_basestring_ascii(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, float):
+        if not math.isfinite(node):
+            raise NumericHealthError("report holds a non-finite number")
+        out.append(float.__repr__(node))
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            # a list of floats, the bulk of every matrix, in one join
+            text = ("," + inner).join(map(float.__repr__, node))
+        except TypeError:
+            out.append("[" + inner)
+            for i, value in enumerate(node):
+                if i:
+                    out.append("," + inner)
+                _emit(value, inner, out)
+        else:
+            if not all(map(math.isfinite, node)):
+                raise NumericHealthError("report holds a non-finite number")
+            out.append("[" + inner + text)
+        out.append(newline + "]")
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(node.items()):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _emit(value, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def _report_text(report: dict) -> str:
+    """json.dumps(report, sort_keys=True, indent=2) + "\n", written in one
+    pass; a non-finite float raises NumericHealthError."""
+    out = []
+    _emit(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_table(header: str, rows) -> str:
@@ -586,7 +673,22 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
             raise SchemaViolation("$.task", f"unknown task {task!r}")
         payload = _get(doc, "payload", "$", _object)
         outputs, passed, tolerances, csvs = _HANDLERS[task](payload, units, tol)
-        _scan_finite(outputs)
+        report = {
+            "task": task,
+            "input_sha256": hashlib.sha256(raw).hexdigest(),
+            "units": units,
+            "outputs": outputs,
+            "tolerances": {k: float(v) for k, v in tolerances.items()},
+            "pass": bool(passed),
+            "csv_files": [csv_prefix + name for name in sorted(csvs)],
+        }
+        try:
+            text = _report_text(report)
+        except NumericHealthError:
+            # name the first non-finite field, when it is one
+            for key in ("outputs", "tolerances"):
+                _scan_finite(report[key], key)
+            raise
     except SchemaViolation as exc:
         click.echo(f"error: invalid scenario: {exc}", err=True)
         return 3
@@ -597,23 +699,10 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         click.echo(f"error: numeric health: {exc}", err=True)
         return 5
 
-    csv_names = []
     target_dir = Path(csv_dir) if csv_dir else (Path(out).parent if out else Path("."))
     for name in sorted(csvs):
         target_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(target_dir / (csv_prefix + name), csvs[name])
-        csv_names.append(csv_prefix + name)
-
-    report = {
-        "task": task,
-        "input_sha256": hashlib.sha256(raw).hexdigest(),
-        "units": units,
-        "outputs": outputs,
-        "tolerances": {k: float(v) for k, v in tolerances.items()},
-        "pass": bool(passed),
-        "csv_files": csv_names,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         out_path = Path(out)
         if out_path.parent != Path(""):

@@ -11,7 +11,8 @@ trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
 products only, marching once along the sorted time grid with a scaled
 Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
 Spectra use the dense form too: build_superoperator gives the d^2 x d^2
-matrix on column-stacked operators, built exclusively from vec_product_map
+matrix on column-stacked operators, built by one stacked vec_product_map
+over the generator's n + 2 terms (K and K+ sandwiching, one term per jump),
 so the operator-ordering conventions live in one place. A generator
 preserves Hermiticity, so in the orthonormal Hermitian basis
 {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2} it is a real matrix
@@ -36,6 +37,7 @@ picture to the computational one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import InitVar, dataclass, field
@@ -159,47 +161,48 @@ class SuperoperatorMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def build_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
-    """Vectorized generator: commutator part plus jump dissipators.
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
 
-    -i(vpm(H, I) - vpm(I, H))
-      + sum_k kappa/2 (2 vpm(F, F+) - vpm(F+F, I) - vpm(I, F+F)).
-    """
+
+def _generator_terms(l: Lindbladian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, F, kappa F): K = -iH - 1/2 sum_k kappa_k F_k+ F_k and the jumps
+    stacked along the first axis, bare and weighted by their rates."""
     d = l.dim
-    h = l.hamiltonian.matrix
-    eye = np.eye(d, dtype=complex)
-    m = -1j * (qlinalg.vec_product_map(h, eye) - qlinalg.vec_product_map(eye, h))
-    for f, kappa in l.jumps:
-        ff = f.conj().T @ f
-        m += (kappa / 2.0) * (
-            2.0 * qlinalg.vec_product_map(f, f.conj().T)
-            - qlinalg.vec_product_map(ff, eye)
-            - qlinalg.vec_product_map(eye, ff)
-        )
+    f = np.array([f for f, _ in l.jumps], dtype=complex).reshape(-1, d, d)
+    kf = np.array([kappa for _, kappa in l.jumps]).reshape(-1, 1, 1) * f
+    k = -1j * l.hamiltonian.matrix - 0.5 * (_dagger(kf) @ f).sum(axis=0)
+    return k, f, kf
+
+
+def build_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
+    """Vectorized generator of L rho = K rho + rho K+ + sum_k kappa_k F_k rho F_k+.
+
+    One stacked vec_product_map over its n + 2 terms:
+    1 kron K + conj(K) kron 1 + sum_k kappa_k conj(F_k) kron F_k.
+    """
+    k, f, kf = _generator_terms(l)
+    eye = np.eye(l.dim)[None]
+    m = qlinalg.vec_product_map(
+        np.concatenate((k[None], eye, kf)), np.concatenate((eye, _dagger(k)[None], _dagger(f)))
+    )
     return SuperoperatorMatrix(m, kind="generator")
 
 
 def build_adjoint_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
-    """Heisenberg-picture generator, adjoint in the Hilbert-Schmidt pairing.
-
-    +i(vpm(H, I) - vpm(I, H))
-      + sum_k kappa/2 (2 vpm(F+, F) - vpm(F+F, I) - vpm(I, F+F)).
+    """Heisenberg-picture generator, adjoint in the Hilbert-Schmidt pairing:
+    L+ A = K+ A + A K + sum_k kappa_k F_k+ A F_k, one stacked
+    vec_product_map over its n + 2 terms.
 
     Built from its own formula rather than by conjugate-transposing
     build_superoperator, so the duality <<A|L rho>> = <<L+A|rho>> is an
     actual cross-check between two constructions.
     """
-    d = l.dim
-    h = l.hamiltonian.matrix
-    eye = np.eye(d, dtype=complex)
-    m = 1j * (qlinalg.vec_product_map(h, eye) - qlinalg.vec_product_map(eye, h))
-    for f, kappa in l.jumps:
-        ff = f.conj().T @ f
-        m += (kappa / 2.0) * (
-            2.0 * qlinalg.vec_product_map(f.conj().T, f)
-            - qlinalg.vec_product_map(ff, eye)
-            - qlinalg.vec_product_map(eye, ff)
-        )
+    k, f, kf = _generator_terms(l)
+    eye = np.eye(l.dim)[None]
+    m = qlinalg.vec_product_map(
+        np.concatenate((_dagger(k)[None], eye, _dagger(kf))), np.concatenate((eye, k[None], f))
+    )
     return SuperoperatorMatrix(m, kind="adjoint_generator")
 
 
@@ -429,31 +432,47 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - v)) + (b - v)
 
 
-def _propagator_steps(positive: list, limit: int):
-    """Step to each time of the ascending positive grid, None where the
-    previous propagator serves; None for the whole list when more than
-    limit distinct steps are needed.
+def _reaches(hi: float, lo: float, step: float, target: float) -> bool:
+    """Whether hi + lo + step lies within TIME_ULPS ulps of target."""
+    s, e = _two_sum(hi, step)
+    return abs((s - target) + (lo + e)) <= TIME_ULPS * math.ulp(target)
 
-    The previous step is reused when the time it reaches lies within
-    TIME_ULPS ulps of the next time; otherwise a new step spans the gap.
-    The time reached is kept as an unevaluated sum hi + lo, exact to far
-    below an ulp, and the test is made against it rather than against the
-    previous grid time, so offsets cannot build up over many reuses.
+
+def _propagator_steps(positive: list, limit: int):
+    """(steps, which) for the ascending positive grid: the distinct steps,
+    and for each time the index of the step that reaches it from the time
+    before; None when more than limit distinct steps are needed.
+
+    A step already taken is reused when the time it reaches lies within
+    TIME_ULPS ulps of the next time, the last one tried first and then
+    those near the gap; otherwise a new step spans the gap. The time
+    reached is kept as an unevaluated sum hi + lo, exact to far below an
+    ulp, and the test is made against it rather than against the previous
+    grid time, so offsets cannot build up over many reuses.
     """
-    steps, hi, lo, step, count = [], 0.0, 0.0, 0.0, 0
+    steps, which, by_size = [], [], []
+    hi, lo = 0.0, 0.0
     for target in positive:
-        s, e = _two_sum(hi, step)
-        if not (step and abs((s - target) + (lo + e)) <= TIME_ULPS * math.ulp(target)):
-            count += 1
-            if count > limit:
+        gap = (target - hi) - lo
+        # gap is within an ulp of the exact gap, so every step that passes
+        # lies within 2 TIME_ULPS ulps of it
+        width = 2 * TIME_ULPS * math.ulp(target)
+        near = slice(
+            bisect.bisect_left(by_size, (gap - width,)),
+            bisect.bisect_right(by_size, (gap + width, math.inf)),
+        )
+        candidates = which[-1:] + [k for _, k in by_size[near]]
+        k = next((k for k in candidates if _reaches(hi, lo, steps[k], target)), None)
+        if k is None:
+            if len(steps) == limit:
                 return None
-            step = (target - hi) - lo
-            s, e = _two_sum(hi, step)
-            steps.append(step)
-        else:
-            steps.append(None)
+            k = len(steps)
+            steps.append(gap)
+            bisect.insort(by_size, (gap, k))
+        s, e = _two_sum(hi, steps[k])
         hi, lo = s, lo + e
-    return steps
+        which.append(k)
+    return steps, which
 
 
 @functools.lru_cache(maxsize=8)
@@ -471,17 +490,18 @@ def _trace_reflection(d: int) -> np.ndarray:
     return h
 
 
-def _dense(l: Lindbladian, rho: np.ndarray, steps: list) -> np.ndarray:
+def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
     """exp(t L) rho along the steps of _propagator_steps, on the real form.
 
-    One matrix_exp of step R per new step, then one matvec per state, on
-    rho's real coordinates in the Hermitian basis. The diagonal block of
-    that basis is first reflected (_trace_reflection) so that the trace is
-    the first coordinate times sqrt(d). L maps every operator to a
-    traceless one, so the first row of R is rounding, bounded by the
-    generator's trace contract, and is set to zero: each propagator then
-    keeps the trace exactly, and its squarings cannot grow an error along
-    the steady state. Mapped back, every state is exactly Hermitian.
+    One matrix_exp of step R per distinct step, then one matvec per state
+    with the propagator of its step, on rho's real coordinates in the
+    Hermitian basis. The diagonal block of that basis is first reflected
+    (_trace_reflection) so that the trace is the first coordinate times
+    sqrt(d). L maps every operator to a traceless one, so the first row of
+    R is rounding, bounded by the generator's trace contract, and is set to
+    zero: each propagator then keeps the trace exactly, and its squarings
+    cannot grow an error along the steady state. Mapped back, every state
+    is exactly Hermitian.
     """
     d = rho.shape[0]
     h = _trace_reflection(d)
@@ -491,11 +511,11 @@ def _dense(l: Lindbladian, rho: np.ndarray, steps: list) -> np.ndarray:
     r[0] = 0.0
     x = _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
     x[:d] = h @ x[:d]
-    coords = np.empty((d * d, len(steps)))
-    for i, step in enumerate(steps):
-        if step is not None:
-            propagator = qlinalg.matrix_exp(step * r)
-        x = propagator @ x
+    steps, which = plan
+    propagators = [qlinalg.matrix_exp(step * r) for step in steps]
+    coords = np.empty((d * d, len(which)))
+    for i, k in enumerate(which):
+        x = propagators[k] @ x
         coords[:, i] = x
     coords[:d] = h @ coords[:d]
     return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
@@ -516,11 +536,13 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     * Otherwise, when the grid needs at most DENSE_WORK // d^6 distinct
       propagators, the dense route takes one matrix_exp of the d^2 x d^2
       real Hermitian-basis generator per distinct step and one matvec per
-      state (_dense). A step is reused while it lands within TIME_ULPS ulps
-      of the next time, measured from the time actually reached, so each
-      state is taken at a time t' with |t' - t| <= 4 ulp(t) <= 4 eps t
-      (eps = 2^-52), which moves it by at most 4 eps t ||L|| in trace norm.
-      An even grid needs one propagator, and a time after its end one more.
+      state (_dense). Any step already taken is reused where it lands
+      within TIME_ULPS ulps of the next time, measured from the time
+      actually reached, so each state is taken at a time t' with
+      |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it by at
+      most 4 eps t ||L|| in trace norm.
+      An even grid needs one propagator, a time after its end one more,
+      and a time inside it two more.
     * Otherwise one matrix-free march visits the distinct times in
       ascending order, applying L through d x d products only (_march); a
       stop adds at most one step of at most 55 applications to the plan
@@ -551,11 +573,11 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     if entries is not None:
         return _healthy(_dephased(rho, grid, *entries))[where]
     zeros = int(grid[0] == 0.0)
-    steps = _propagator_steps(grid[zeros:].tolist(), DENSE_WORK // l.dim**6)
+    plan = _propagator_steps(grid[zeros:].tolist(), DENSE_WORK // l.dim**6)
     states = np.empty((grid.size, l.dim, l.dim), dtype=complex)
-    if steps is not None:
+    if plan is not None:
         states[:zeros] = rho
-        states[zeros:] = _dense(l, rho, steps)
+        states[zeros:] = _dense(l, rho, plan)
         return _healthy(states)[where]
     t = 0.0
     for i, target in enumerate(grid):

@@ -10,9 +10,10 @@ in real arithmetic.
 Conventions fixed here and relied on everywhere else:
 
 * vectorize() stacks columns: [[a, b], [c, d]] -> (a, c, b, d).
-* |B A C>> = (C^T kron B) |A>>, exposed as vec_product_map(b, c). All
-  superoperator construction goes through vec_product_map so the stacking
-  convention lives in exactly one place.
+* |B A C>> = (C^T kron B) |A>>, exposed as vec_product_map(b, c), which
+  also takes stacks of B and C and returns the sum over the stack in one
+  matrix product. All superoperator construction goes through
+  vec_product_map so the stacking convention lives in exactly one place.
 * <<A|B>> = Tr[A† B]; in particular <<1|A>> = Tr A.
 """
 
@@ -292,10 +293,29 @@ def devectorize(v) -> np.ndarray:
 
 
 def vec_product_map(b, c) -> np.ndarray:
-    """Superoperator matrix of A -> B A C, i.e. (C^T kron B)."""
-    b = as_complex_matrix(b)
-    c = as_complex_matrix(c)
-    if b.shape[1] != c.shape[0]:
+    """Superoperator matrix of A -> B A C, i.e. (C^T kron B); for equal-length
+    stacks b (m, p, q) and c (m, r, s), that of A -> sum_t B_t A C_t. A is
+    square, so q = r.
+
+    Entry (j p + i, l q + k) of sum_t C_t^T kron B_t is
+    sum_t B_t[i, k] C_t[l, j]. With rows regrouped by (i, k) and columns by
+    (l, j) each term is rank one, so the sum is one (pq x m)(m x rs)
+    product of the row-major vec(B_t) and vec(C_t), followed by one
+    transpose copy.
+    """
+    b = np.asarray(b, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    if b.ndim == c.ndim == 2:
+        b, c = b[None], c[None]
+    if b.ndim != 3 or c.ndim != 3 or len(b) != len(c):
+        raise ShapeError(
+            f"expected two matrices or two stacks of one length, not {b.shape}, {c.shape}"
+        )
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ContractError("matrix entries must be finite")
+    (m, p, q), (_, r, s) = b.shape, c.shape
+    if q != r:
         # Result must act on square A with b.cols = a.rows, a.cols = c.rows.
-        raise ShapeError(f"incompatible dims {b.shape} x A x {c.shape}")
-    return np.kron(c.T, b)
+        raise ShapeError(f"incompatible dims {b.shape[1:]} x A x {c.shape[1:]}")
+    x = (b.reshape(m, p * q).T @ c.reshape(m, r * s)).reshape(p, q, r, s)
+    return x.transpose(3, 0, 2, 1).reshape(s * p, r * q)

@@ -855,3 +855,203 @@ class TestFieldMutation:
                         failures.append((doc["task"], path, value, r.exit_code, r.stderr))
         assert n_cases > 1000
         assert failures == []
+
+
+class TestMatrixCells:
+    """Each malformed matrix cell or row exits 3 and names it; the
+    field-mutation test replaces whole fields and never reaches a cell."""
+
+    # (literal JSON for cell [0][1] or, for a path ending in a row, row [1];
+    # the error line that names it)
+    CELL = "error: invalid scenario: payload.hamiltonian[0][1]: expected an [re, im] pair"
+    ROW = "error: invalid scenario: payload.hamiltonian[1]: "
+    CASES = {
+        "bool": ("[0][1]", "[true, 0.0]", CELL),
+        "bool-pair": ("[0][1]", "[true, false]", CELL),
+        "string": ("[0][1]", '["x", 0.0]', CELL),
+        "numeric-strings": ("[0][1]", '["1", "2"]', CELL),
+        "null": ("[0][1]", "[null, 0.0]", CELL),
+        "NaN": ("[0][1]", "[NaN, 0.0]", CELL),
+        "Infinity": ("[0][1]", "[0.0, -Infinity]", CELL),
+        "1e400": ("[0][1]", "[1e400, 0.0]", CELL),
+        "10**400": ("[0][1]", f"[{10**400}, 0.0]", CELL),
+        "one-element": ("[0][1]", "[0.0]", CELL),
+        "three-element": ("[0][1]", "[0.0, 0.0, 0.0]", CELL),
+        "nested": ("[0][1]", "[[0.0, 0.0], [0.0, 0.0]]", CELL),
+        "bare-number": ("[0][1]", "0.0", CELL),
+        "non-list-row": ("[1]", "5", ROW + "expected an array of [re, im] pairs"),
+        "string-row": ("[1]", '"[[0, 0], [0, 0]]"', ROW + "expected an array of [re, im] pairs"),
+        "ragged-row": ("[1]", "[[0.0, 0.0]]", ROW + "ragged row (expected 2 entries)"),
+        "empty-row": ("[1]", "[]", ROW + "ragged row (expected 2 entries)"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bad_cell_is_3_and_named(self, tmp_path, name):
+        where, literal, message = self.CASES[name]
+        doc = {"task": "gksl-asymptotic", "payload": copy.deepcopy(MINIMAL["gksl-asymptotic"])}
+        h = doc["payload"]["hamiltonian"]
+        if where == "[1]":
+            h[1] = "<here>"
+        else:
+            h[0][1] = "<here>"
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(doc).replace('"<here>"', literal))
+        out = tmp_path / "report.json"
+        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", str(p), "--out", str(out)])
+        assert r.exit_code == 3 and isinstance(r.exception, SystemExit)
+        assert r.stderr == message + "\n"
+        assert not out.exists()
+
+    def test_well_formed_cells_decode_exactly(self):
+        cells = [[[1, -0.0], [2**60 + 1, 5e-324]], [[-1.5, 10**20], [0, 1e308]]]
+        m = cli._matrix(cells, "m")
+        ref = np.array([[complex(*cell) for cell in row] for row in cells])
+        assert m.dtype == complex and m.shape == (2, 2)
+        assert np.array_equal(m.view(float), ref.view(float))
+        assert math.copysign(1.0, m[0, 0].imag) == -1.0
+
+
+def test_complex_matrix_encoding_matches_the_per_entry_loop():
+    gen = rng(11)
+    m = gen.normal(size=(5, 5)) + 1j * gen.normal(size=(5, 5))
+    m[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324 - 1e308j, 1e16]
+    ref = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    encoded = cli._encode_complex_matrix(m)
+    assert encoded == ref
+    assert json.dumps(encoded) == json.dumps(ref)
+    assert all(type(x) is float for row in encoded for pair in row for x in pair)
+
+
+def random_tree(gen, depth=0):
+    """A seeded JSON-like tree: every scalar kind json.dumps writes,
+    nested lists, tuples and string-keyed objects, empty ones included."""
+    text = ["", "a", "é", "☃", "\U0001f600", '"', "\\", "\n\t\x00\x1f", " ", "k\x7f"]
+    scalars = [
+        lambda: str(gen.choice(text)) + str(gen.choice(text)),
+        lambda: int(gen.integers(-(2**62), 2**62)) * 10 ** int(gen.integers(0, 30)),
+        lambda: bool(gen.integers(2)),
+        lambda: None,
+        lambda: float(gen.choice([-0.0, 0.0, 5e-324, 2.2e-308, 1e16, 1e-7, 0.1, 1e308])),
+        lambda: float(gen.normal() * 10.0 ** gen.integers(-20, 20)),
+    ]
+    kind = int(gen.integers(0, 9 if depth < 4 else 6))
+    if kind < 6:
+        return scalars[kind]()
+    n = int(gen.integers(0, 5))
+    if kind == 6:
+        return {
+            str(gen.choice(text)) + str(i): random_tree(gen, depth + 1) for i in range(n)
+        }
+    items = [random_tree(gen, depth + 1) for _ in range(n)]
+    if gen.integers(2):
+        items = [float(x) for x in gen.normal(size=n)]
+    return tuple(items) if kind == 7 else items
+
+
+class TestReportText:
+    """The one-pass emitter writes exactly json.dumps(sort_keys=True, indent=2)."""
+
+    @staticmethod
+    def reference(report) -> str:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    def test_matches_json_dumps_on_every_scenario_report(self, tmp_path, monkeypatch):
+        reports = []
+        emit = cli._report_text
+
+        def recorded(report):
+            text = emit(report)
+            reports.append((report, text))
+            return text
+
+        monkeypatch.setattr(cli, "_report_text", recorded)
+        runner = CliRunner()
+        docs = list(TestFieldMutation.documents())
+        for i, doc in enumerate(docs):
+            p = tmp_path / f"s{i}.json"
+            p.write_text(json.dumps(doc))
+            for units in ("nats", "bits"):
+                args = [doc["task"], "--scenario", str(p), "--units", units]
+                r = runner.invoke(cli.main, args + ["--out", str(tmp_path / f"r{i}.json")])
+                assert r.exit_code in (0, 4), r.stderr
+        assert len(reports) == 2 * len(docs)
+        assert {r["task"] for r, _ in reports} >= set(MINIMAL)
+        for report, text in reports:
+            assert text == self.reference(report)
+
+    def test_matches_json_dumps_on_random_trees(self):
+        gen = rng(12)
+        for _ in range(400):
+            tree = {"root": random_tree(gen), "more": [random_tree(gen) for _ in range(3)]}
+            assert cli._report_text(tree) == self.reference(tree)
+        for tree in ({}, [], (), "", 0, -0.0, {"": {}}, [[], {}, ()], 10**400):
+            assert cli._report_text(tree) == self.reference(tree)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["scalar", "float list", "mixed list"])
+    def test_non_finite_float_raises(self, value, where):
+        node = {"scalar": value, "float list": [1.0, value], "mixed list": [1, value]}[where]
+        with pytest.raises(cli.NumericHealthError):
+            cli._report_text({"outputs": {"x": node}})
+
+    def test_unknown_type_raises_like_json(self):
+        for value in (np.int64(1), object()):
+            with pytest.raises(TypeError):
+                cli._report_text({"x": value})
+
+
+class TestNonFiniteOutput:
+    """A non-finite output exits 5, names its field, and writes no file."""
+
+    MESSAGE = "error: numeric health: outputs.curve_in[1][0] is not finite (nan)\n"
+
+    @pytest.fixture
+    def poisoned(self, monkeypatch, tmp_path):
+        handler = cli._HANDLERS["thermo-check"]
+
+        def poisoned_handler(payload, units, tol):
+            outputs, passed, tolerances, csvs = handler(payload, units, tol)
+            outputs["curve_in"][1][0] = math.nan
+            return outputs, passed, tolerances, csvs
+
+        monkeypatch.setitem(cli._HANDLERS, "thermo-check", poisoned_handler)
+        return write_scenario(tmp_path, "thermo-check", MINIMAL["thermo-check"])
+
+    def test_with_out(self, tmp_path, poisoned):
+        out_dir = tmp_path / "out"
+        args = ["thermo-check", "--scenario", poisoned, "--out", str(out_dir / "report.json")]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 5
+        assert r.stderr == self.MESSAGE
+        assert not out_dir.exists()
+
+    def test_with_csv_dir(self, tmp_path, poisoned):
+        args = ["thermo-check", "--scenario", poisoned, "--csv-dir", str(tmp_path / "tables")]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 5
+        assert r.stdout == ""
+        assert r.stderr == self.MESSAGE
+        assert not (tmp_path / "tables").exists()
+
+    def test_as_batch_member(self, tmp_path, poisoned):
+        good = write_scenario(tmp_path, "classify", MINIMAL["classify"], name="good.json")
+        out_dir = tmp_path / "batch"
+        args = ["batch", "--scenario", good, "--scenario", poisoned, "--out-dir", str(out_dir)]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 5
+        assert r.stdout == f"{good}: exit 0\n{poisoned}: exit 5\n"
+        assert r.stderr == self.MESSAGE
+        assert sorted(p.name for p in out_dir.iterdir()) == ["good.report.json"]
+
+    def test_non_finite_tolerance_is_named(self, tmp_path, monkeypatch):
+        handler = cli._HANDLERS["classify"]
+
+        def poisoned_handler(payload, units, tol):
+            outputs, passed, tolerances, csvs = handler(payload, units, tol)
+            return outputs, passed, {**tolerances, "support": math.inf}, csvs
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", poisoned_handler)
+        p = write_scenario(tmp_path, "classify", MINIMAL["classify"])
+        r = CliRunner().invoke(cli.main, ["classify", "--scenario", p])
+        assert r.exit_code == 5
+        assert r.stderr == "error: numeric health: tolerances.support is not finite (inf)\n"

@@ -119,6 +119,43 @@ def dense_eig_projector(l, tol):
         p += r @ np.linalg.solve(y.conj().T @ r, y.conj().T)
     return len(asym), p
 
+def kron_superoperators(l):
+    """Reference: the generator and its adjoint summed term by term from
+    single Kronecker products, C^T kron B for each sandwich B A C."""
+    d = l.dim
+    eye = np.eye(d)
+    h = l.hamiltonian.matrix
+    commutator = np.kron(eye, h) - np.kron(h.T, eye)
+    m, a = -1j * commutator, 1j * commutator
+    for f, kappa in l.jumps:
+        ff = f.conj().T @ f
+        anticommutator = np.kron(eye, ff) + np.kron(ff.T, eye)
+        m = m + kappa * np.kron(f.conj(), f) - kappa / 2.0 * anticommutator
+        a = a + kappa * np.kron(f.T, f.conj().T) - kappa / 2.0 * anticommutator
+    return m, a
+
+
+def decaying_dfs_lindbladian(gen, sizes):
+    """The benchmark's decoherence-free generator: unitary blocks of the
+    given sizes, cross-block coherences dephased, and one extra level that
+    decays into the first block."""
+    d = sum(sizes) + 1
+    h = np.zeros((d, d), dtype=complex)
+    level = np.empty(d)
+    start = 0
+    for j, size in enumerate(sizes):
+        idx = slice(start, start + size)
+        h[idx, idx] = random_hermitian(gen, size) / np.sqrt(size)
+        level[idx] = 2.0 * j + gen.uniform(0.0, 0.5)
+        start += size
+    h[-1, -1] = gen.uniform(-1.0, 1.0)
+    level[-1] = 2.0 * len(sizes) + gen.uniform(0.0, 0.5)
+    decay = np.zeros((d, d))
+    decay[0, -1] = 1.0
+    jumps = ((np.diag(level), 1.0), (decay, float(gen.uniform(0.5, 1.0))))
+    return gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
+
+
 class TestLindbladian:
     def test_jump_shape_gate(self):
         with pytest.raises(ShapeError):
@@ -166,6 +203,36 @@ class TestSuperoperatorMatrix:
             lhs = qlinalg.hs_inner(a, qlinalg.devectorize(lm @ qlinalg.vectorize(rho)))
             rhs = qlinalg.hs_inner(qlinalg.devectorize(am @ qlinalg.vectorize(a)), rho)
             assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_jumps", [0, 1, 2, 3])
+    def test_builds_match_the_kronecker_formula(self, d, n_jumps):
+        gen = rng(74 + 10 * d + n_jumps)
+        for l in (random_lindbladian(gen, d, n_jumps), traceful_lindbladian(gen, d, n_jumps)):
+            for built, ref in zip(
+                (gksl.build_superoperator(l), gksl.build_adjoint_superoperator(l)),
+                kron_superoperators(l),
+            ):
+                assert np.abs(built.matrix - ref).max() <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_block_split_matches_the_kronecker_build(self, d):
+        # rounding in the one-product build must not fill in an exact zero
+        # that links two components: the eig would run on larger blocks
+        gen = rng(75 + d)
+        sizes = {8: (2, 2, 3), 16: (5, 5, 5)}[d]
+        generators = (
+            decaying_dfs_lindbladian(gen, sizes),
+            dephasing_pairs(gen, d),
+            exceptional_point(1.0, d),
+        )
+        for l in generators:
+            splits = [
+                [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m))]
+                for m in (gksl.build_superoperator(l).matrix, kron_superoperators(l)[0])
+            ]
+            assert splits[0] == splits[1]
+            assert len(splits[0]) > 1
 
     def test_adjoint_fixes_identity(self):
         am = gksl.build_adjoint_superoperator(random_lindbladian(rng(73), 2)).matrix
@@ -605,16 +672,36 @@ class TestDenseRoute:
         assert len(calls) == 2
         assert states.shape == (21, 4, 4)
 
+    def test_interior_resolving_time_reuses_the_grid_step(self, monkeypatch):
+        # the grid's step, a step to 80 and a step back onto the grid
+        calls = counted(monkeypatch, qlinalg, "matrix_exp")
+        gen = rng(4300)
+        l = random_lindbladian(gen, 4)
+        rho0 = random_density(gen, 4)
+        times = np.append(np.linspace(0.0, 123.4, 20), 80.0)
+        states = gksl.trajectory(l, rho0, times)
+        assert len(calls) == 3
+        for i in (7, 13, 19, 20):
+            assert np.abs(states[i] - dense_series(l, rho0, times[i])).max() <= 1e-12
+
     def test_reused_steps_land_within_four_ulps(self):
         # the exact time reached, summed in rationals, against the grid
         gen = rng(4400)
         for t_max in gen.uniform(0.01, 1e3, 20):
-            grid = np.linspace(0.0, t_max, 1000)[1:].tolist()
-            steps = gksl._propagator_steps(grid, 1)
-            reached = Fraction(0)
-            for target, step in zip(grid, steps):
-                reached += Fraction(steps[0] if step is None else step)
-                assert abs(reached - Fraction(target)) <= gksl.TIME_ULPS * math.ulp(target)
+            even = np.linspace(0.0, t_max, 1000)[1:]
+            for grid, count in ((even, 1), (np.union1d(even, t_max * gen.uniform(0.0, 1.0)), 3)):
+                steps, which = gksl._propagator_steps(grid.tolist(), 3)
+                assert len(steps) == count
+                reached = Fraction(0)
+                for target, k in zip(grid.tolist(), which):
+                    reached += Fraction(steps[k])
+                    assert abs(reached - Fraction(target)) <= gksl.TIME_ULPS * math.ulp(target)
+
+    def test_step_limit(self):
+        grid = [1.0, 3.0, 4.0, 6.0]
+        assert gksl._propagator_steps(grid, 2) == ([1.0, 2.0], [0, 1, 0, 1])
+        assert gksl._propagator_steps(grid + [6.5], 2) is None
+        assert gksl._propagator_steps([], 0) == ([], [])
 
     @pytest.mark.parametrize("d", [2, 4, 8, 12])
     def test_benchmark_grids_take_the_dense_route(self, monkeypatch, d):

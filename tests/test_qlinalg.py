@@ -45,6 +45,43 @@ def test_vec_product_map_shape_mismatch():
         qlinalg.vec_product_map(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("p, q, s", [(2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 1, 3)])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_stacked_vec_product_map_sums_single_products(p, q, s, m):
+    # A -> sum_t B_t A C_t with B_t p x q, A q x q, C_t q x s
+    gen = rng(13 + m)
+    b = random_complex(gen, (m, p, q))
+    c = random_complex(gen, (m, q, s))
+    ref = sum(np.kron(ct.T, bt) for bt, ct in zip(b, c))
+    out = qlinalg.vec_product_map(b, c)
+    assert out.shape == ref.shape == (s * p, q * q)
+    assert np.abs(out - ref).max() <= 1e-14 * np.linalg.norm(ref)
+    a = random_complex(gen, (q, q))
+    sandwich = sum(bt @ a @ ct for bt, ct in zip(b, c))
+    assert np.allclose(out @ a.reshape(-1, order="F"), sandwich.reshape(-1, order="F"))
+    # a plain pair is the one-term stack
+    assert np.array_equal(qlinalg.vec_product_map(b[0], c[0]), qlinalg.vec_product_map(b[:1], c[:1]))
+
+
+@pytest.mark.parametrize(
+    "b, c",
+    [
+        (np.zeros((2, 2, 3)), np.zeros((2, 2, 2))),  # B_t cols != C_t rows
+        (np.zeros((2, 2, 2)), np.zeros((3, 2, 2))),  # stacks of two lengths
+        (np.zeros((2, 2, 2)), np.zeros((2, 2))),  # a stack and a matrix
+        (np.zeros(2), np.zeros(2)),
+    ],
+)
+def test_stacked_vec_product_map_shape_errors(b, c):
+    with pytest.raises(ShapeError):
+        qlinalg.vec_product_map(b, c)
+
+
+def test_vec_product_map_rejects_non_finite():
+    with pytest.raises(ContractError):
+        qlinalg.vec_product_map(np.full((1, 2, 2), np.nan), np.zeros((1, 2, 2)))
+
+
 def test_hs_inner_is_trace_pairing():
     gen = rng(3)
     a = random_complex(gen, (3, 3))
