@@ -37,7 +37,6 @@ picture to the computational one.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import InitVar, dataclass, field
@@ -443,32 +442,22 @@ def _propagator_steps(positive: list, limit: int):
     and for each time the index of the step that reaches it from the time
     before; None when more than limit distinct steps are needed.
 
-    A step already taken is reused when the time it reaches lies within
-    TIME_ULPS ulps of the next time, the last one tried first and then
-    those near the gap; otherwise a new step spans the gap. The time
-    reached is kept as an unevaluated sum hi + lo, exact to far below an
-    ulp, and the test is made against it rather than against the previous
-    grid time, so offsets cannot build up over many reuses.
+    The last step, and then the first, is reused when the time it reaches
+    lies within TIME_ULPS ulps of the next time; otherwise a new step spans
+    the gap. Trying the first step brings an even grid back to its own
+    step after a time inside it. The time reached is kept as an
+    unevaluated sum hi + lo, exact to far below an ulp, and the test is
+    made against it rather than against the previous grid time, so offsets
+    cannot build up over many reuses.
     """
-    steps, which, by_size = [], [], []
-    hi, lo = 0.0, 0.0
+    steps, which, hi, lo = [], [], 0.0, 0.0
     for target in positive:
-        gap = (target - hi) - lo
-        # gap is within an ulp of the exact gap, so every step that passes
-        # lies within 2 TIME_ULPS ulps of it
-        width = 2 * TIME_ULPS * math.ulp(target)
-        near = slice(
-            bisect.bisect_left(by_size, (gap - width,)),
-            bisect.bisect_right(by_size, (gap + width, math.inf)),
-        )
-        candidates = which[-1:] + [k for _, k in by_size[near]]
-        k = next((k for k in candidates if _reaches(hi, lo, steps[k], target)), None)
+        k = next((k for k in which[-1:] + which[:1] if _reaches(hi, lo, steps[k], target)), None)
         if k is None:
             if len(steps) == limit:
                 return None
             k = len(steps)
-            steps.append(gap)
-            bisect.insort(by_size, (gap, k))
+            steps.append((target - hi) - lo)
         s, e = _two_sum(hi, steps[k])
         hi, lo = s, lo + e
         which.append(k)
@@ -493,15 +482,14 @@ def _trace_reflection(d: int) -> np.ndarray:
 def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
     """exp(t L) rho along the steps of _propagator_steps, on the real form.
 
-    One matrix_exp of step R per distinct step, then one matvec per state
-    with the propagator of its step, on rho's real coordinates in the
-    Hermitian basis. The diagonal block of that basis is first reflected
-    (_trace_reflection) so that the trace is the first coordinate times
-    sqrt(d). L maps every operator to a traceless one, so the first row of
-    R is rounding, bounded by the generator's trace contract, and is set to
-    zero: each propagator then keeps the trace exactly, and its squarings
-    cannot grow an error along the steady state. Mapped back, every state
-    is exactly Hermitian.
+    One matrix_exp of step R per new step, then one matvec per state, on
+    rho's real coordinates in the Hermitian basis. The diagonal block of
+    that basis is first reflected (_trace_reflection) so that the trace is
+    the first coordinate times sqrt(d). L maps every operator to a
+    traceless one, so the first row of R is rounding, bounded by the
+    generator's trace contract, and is set to zero: each propagator then
+    keeps the trace exactly, and its squarings cannot grow an error along
+    the steady state. Mapped back, every state is exactly Hermitian.
     """
     d = rho.shape[0]
     h = _trace_reflection(d)
@@ -512,10 +500,16 @@ def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
     x = _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
     x[:d] = h @ x[:d]
     steps, which = plan
-    propagators = [qlinalg.matrix_exp(step * r) for step in steps]
+    # a step comes back after another only when it is the first, so the
+    # first step's propagator is kept beside the current one
+    first = qlinalg.matrix_exp(steps[0] * r) if steps else None
     coords = np.empty((d * d, len(which)))
     for i, k in enumerate(which):
-        x = propagators[k] @ x
+        if k == 0:
+            propagator = first
+        elif k != which[i - 1]:
+            propagator = qlinalg.matrix_exp(steps[k] * r)
+        x = propagator @ x
         coords[:, i] = x
     coords[:d] = h @ coords[:d]
     return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
@@ -536,8 +530,8 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     * Otherwise, when the grid needs at most DENSE_WORK // d^6 distinct
       propagators, the dense route takes one matrix_exp of the d^2 x d^2
       real Hermitian-basis generator per distinct step and one matvec per
-      state (_dense). Any step already taken is reused where it lands
-      within TIME_ULPS ulps of the next time, measured from the time
+      state (_dense). The last step, or the first, is reused where it
+      lands within TIME_ULPS ulps of the next time, measured from the time
       actually reached, so each state is taken at a time t' with
       |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it by at
       most 4 eps t ||L|| in trace norm.

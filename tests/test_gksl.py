@@ -672,16 +672,23 @@ class TestDenseRoute:
         assert len(calls) == 2
         assert states.shape == (21, 4, 4)
 
-    def test_interior_resolving_time_reuses_the_grid_step(self, monkeypatch):
-        # the grid's step, a step to 80 and a step back onto the grid
+    @pytest.mark.parametrize(
+        "times, count, checked",
+        [
+            # the grid's step, a step to 80 and a step back onto the grid
+            (np.append(np.linspace(0.0, 123.4, 20), 80.0), 3, (7, 13, 19, 20)),
+            # a second spacing keeps its propagator while it lasts
+            (np.append(np.linspace(0.0, 1.0, 11), np.arange(2.0, 10.0)), 2, (10, 11, 18)),
+        ],
+    )
+    def test_propagators_per_step(self, monkeypatch, times, count, checked):
         calls = counted(monkeypatch, qlinalg, "matrix_exp")
         gen = rng(4300)
         l = random_lindbladian(gen, 4)
         rho0 = random_density(gen, 4)
-        times = np.append(np.linspace(0.0, 123.4, 20), 80.0)
         states = gksl.trajectory(l, rho0, times)
-        assert len(calls) == 3
-        for i in (7, 13, 19, 20):
+        assert len(calls) == count
+        for i in checked:
             assert np.abs(states[i] - dense_series(l, rho0, times[i])).max() <= 1e-12
 
     def test_reused_steps_land_within_four_ulps(self):
@@ -697,10 +704,14 @@ class TestDenseRoute:
                     reached += Fraction(steps[k])
                     assert abs(reached - Fraction(target)) <= gksl.TIME_ULPS * math.ulp(target)
 
-    def test_step_limit(self):
-        grid = [1.0, 3.0, 4.0, 6.0]
-        assert gksl._propagator_steps(grid, 2) == ([1.0, 2.0], [0, 1, 0, 1])
-        assert gksl._propagator_steps(grid + [6.5], 2) is None
+    def test_step_plan(self):
+        assert gksl._propagator_steps([1.0, 2.0, 4.0, 6.0], 2) == ([1.0, 2.0], [0, 0, 1, 1])
+        grid = [1.0, 3.0, 4.0, 5.0]
+        assert gksl._propagator_steps(grid, 2) == ([1.0, 2.0], [0, 1, 0, 0])
+        assert gksl._propagator_steps(grid + [5.5], 2) is None
+        # only the last and the first step are tried: a step from the middle
+        # of the plan is taken anew
+        assert gksl._propagator_steps(grid + [7.0], 3) == ([1.0, 2.0, 2.0], [0, 1, 0, 0, 2])
         assert gksl._propagator_steps([], 0) == ([], [])
 
     @pytest.mark.parametrize("d", [2, 4, 8, 12])
