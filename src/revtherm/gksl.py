@@ -407,10 +407,12 @@ def _healthy(states: np.ndarray) -> np.ndarray:
     another gate.
     """
     adjoint = states.conj().transpose(0, 2, 1)
-    drift = np.linalg.norm(states - adjoint, axis=(1, 2))
-    lost = ~(drift <= 1e-9 * np.maximum(1.0, np.linalg.norm(states, axis=(1, 2))))
-    out = (states + adjoint) / 2.0
-    tr = np.trace(out, axis1=1, axis2=2).real
+    # states after the first failing one may be non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.linalg.norm(states - adjoint, axis=(1, 2))
+        lost = ~(drift <= 1e-9 * np.maximum(1.0, np.linalg.norm(states, axis=(1, 2))))
+        out = (states + adjoint) / 2.0
+        tr = np.trace(out, axis1=1, axis2=2).real
     bad = np.flatnonzero(lost | ~(np.abs(tr - 1.0) <= TRAJECTORY_TRACE_TOL))
     first = int(bad[0]) if bad.size else len(out)
     low = np.linalg.eigvalsh(out[:first]).min(axis=1, initial=np.inf)
@@ -542,9 +544,10 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
       stop adds at most one step of at most 55 applications to the plan
       the cap is measured on.
 
-    The states of the dense and entrywise routes are checked by one
-    stacked _healthy call; the march checks each state before it steps
-    from it.
+    Every route checks its states in one stacked _healthy call, after the
+    last is computed. The march therefore steps on from a state that may
+    fail a gate, and the report names the first failing state in time
+    order.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -555,8 +558,11 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     rho = qstate.require_state(rho0, l.dim)
     # the march relies on (K x)+ = x K+, exact only for Hermitian x
     rho = (rho + rho.conj().T) / 2.0
-    k, gs, mu, bound = _matrix_free_form(l)
     grid, where = np.unique(times, return_inverse=True)
+    if grid[-1] == 0.0:
+        # nothing to propagate, so no generator is built
+        return _healthy(rho[None])[where]
+    k, gs, mu, bound = _matrix_free_form(l)
     m, s = _taylor_plan(float(grid[-1]) * bound)
     if not m * s <= MAX_MARCH_WORK:
         raise ContractError(
@@ -573,12 +579,15 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
         states[:zeros] = rho
         states[zeros:] = _dense(l, rho, plan)
         return _healthy(states)[where]
+    # every march state is exactly Hermitian, so the march needs no
+    # symmetrization between stops; past a failing state it may overflow
     t = 0.0
-    for i, target in enumerate(grid):
-        rho = _healthy(_march(rho, float(target) - t, k, gs, mu, bound)[None])[0]
-        states[i] = rho
-        t = float(target)
-    return states[where]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, target in enumerate(grid):
+            rho = _march(rho, float(target) - t, k, gs, mu, bound)
+            states[i] = rho
+            t = float(target)
+    return _healthy(states)[where]
 
 
 def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
@@ -709,20 +718,18 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
     """(1/n) sum_{k<n} E^k for n >= 1 by divide and conquer; O(log n) products."""
     d2 = e.shape[0]
 
-    def rec(m: int) -> tuple[np.ndarray, np.ndarray]:
-        # returns (sum_{k<m} E^k, E^m)
+    def rec(m: int, power: bool):
+        # (sum_{k<m} E^k, E^m); E^m is formed only when power is asked for
         if m == 1:
             return np.eye(d2, dtype=e.dtype), e
-        s, p = rec(m // 2)
+        s, p = rec(m // 2, True)
         s = s + p @ s
+        if m % 2 == 0:
+            return s, (p @ p if power else None)
         p = p @ p
-        if m % 2:
-            s = s + p
-            p = p @ e
-        return s, p
+        return s + p, (p @ e if power else None)
 
-    total, _ = rec(n)
-    return total / n
+    return rec(n, False)[0] / n
 
 
 def cesaro_projector(

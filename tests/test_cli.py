@@ -1000,6 +1000,67 @@ class TestReportText:
                 cli._report_text({"x": value})
 
 
+class TestTrajectoryCsv:
+    """The trajectory writer gives the bytes of repr on every cell."""
+
+    @staticmethod
+    def reference(times, states) -> str:
+        n, d = states.shape[:2]
+        header = "t," + ",".join(f"re_{i}{j},im_{i}{j}" for i in range(d) for j in range(d))
+        rows = np.column_stack((times, states.reshape(n, -1).view(float))).tolist()
+        return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e-5, 3.0, -7.0, 1e-16]
+
+    @classmethod
+    def hermitian_stack(cls, gen, n, d):
+        """Seeded Hermitian stacks with about half of the cells drawn from
+        SPECIAL, and a pair whose im parts are +0.0 and +0.0, as the health
+        gate's symmetrization leaves a cancelled pair."""
+        cells = gen.normal(size=(n, d, d)) + 1j * gen.normal(size=(n, d, d))
+        for part in (cells.real, cells.imag):
+            mask = gen.uniform(size=part.shape) < 0.5
+            part[mask] = gen.choice(cls.SPECIAL, size=mask.sum())
+        i, j = np.triu_indices(d, 1)
+        cells[:, j, i] = cells[:, i, j].conj()
+        cells[:, range(d), range(d)] = cells.diagonal(axis1=1, axis2=2).real
+        cells[:, d - 1, 0] = cells[:, 0, d - 1] = cells[:, 0, d - 1].real
+        return cells
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (5, 1), (20, 2), (20, 5), (7, 16)])
+    def test_hermitian_stacks(self, n, d):
+        gen = rng(100 * n + d)
+        for _ in range(5):
+            states = self.hermitian_stack(gen, n, d)
+            times = np.sort(gen.choice([0.0, 1e-300, 0.5, 3.0, 1e16], size=n))
+            assert cli._trajectory_csv(times, states) == self.reference(times, states)
+
+    def test_signed_zero_pairs(self):
+        # every pairing of +0.0 and -0.0 across the diagonal, in re and im
+        zeros = [0.0, -0.0]
+        cells = [complex(a, b) for a in zeros for b in zeros]
+        states = np.array(
+            [[[0.5, u], [v, 0.5]] for u in cells for v in cells], dtype=complex
+        )
+        times = np.arange(len(states), dtype=float)
+        assert cli._trajectory_csv(times, states) == self.reference(times, states)
+
+    def test_non_hermitian_stack_formats_every_cell(self):
+        # no cell below the diagonal matches its mirror, so each one takes
+        # the fallback; NaN im pairs with flipped sign bits are among them
+        gen = rng(31)
+        states = gen.normal(size=(6, 5, 5)) + 1j * gen.normal(size=(6, 5, 5))
+        states[0, 1, 0] = complex(math.nan, math.nan)
+        states[0, 0, 1] = states[0, 1, 0].conjugate()
+        states[1] = np.inf
+        times = np.linspace(0.0, 2.0, 6)
+        assert cli._trajectory_csv(times, states) == self.reference(times, states)
+
+    def test_list_of_integer_times(self):
+        states = self.hermitian_stack(rng(32), 3, 3)
+        assert cli._trajectory_csv([0, 2, 5], states) == self.reference([0.0, 2.0, 5.0], states)
+
+
 class TestNonFiniteOutput:
     """A non-finite output exits 5, names its field, and writes no file."""
 

@@ -726,11 +726,15 @@ class TestDenseRoute:
     def test_d16_takes_the_march(self, monkeypatch):
         monkeypatch.setattr(gksl, "_dense", no_step)
         steps = counted(monkeypatch, gksl, "_march")
+        checks = counted(monkeypatch, gksl, "_healthy")
         gen = rng(4600)
         for l in bench_style_generators(gen, 16):
             steps.clear()
+            checks.clear()
             gksl.trajectory(l, random_density(gen, 16), self.TIMES)
             assert len(steps) == len(self.TIMES)
+            # every state is checked in one stack, after the march
+            assert [len(states) for states in checks] == [len(self.TIMES)]
 
     def test_irregular_times_at_d12_take_the_march(self, monkeypatch):
         # 2,000 distinct steps would be 2,000 expms of a 144 x 144 matrix
@@ -742,17 +746,48 @@ class TestDenseRoute:
         gksl.trajectory(l, np.eye(12) / 12, gen.uniform(0.0, 80.0, 2000))
         assert len(steps) == 2000
 
-    def test_health_gate_names_the_first_failing_state(self, monkeypatch):
-        # states 1 and 2 fail different gates; state 1's is reported
+    @pytest.mark.parametrize("route", ["dense", "march"])
+    def test_health_gate_names_the_first_failing_state(self, monkeypatch, route):
+        # states 1 and 2 fail different gates and state 3 is not finite;
+        # state 1's gate is reported, and no warning is raised on state 3
         bad = np.repeat(np.eye(2, dtype=complex)[None] / 2, 4, axis=0)
         bad[1] = np.diag([1.2, -0.2])
         bad[2, 0, 1] = 1.0
-        monkeypatch.setattr(gksl, "_dense", lambda l, rho, steps: bad[1:])
-        with pytest.raises(NumericHealthError, match="eigenvalue -2.000e-01"):
+        bad[3] = np.inf
+        if route == "dense":
+            monkeypatch.setattr(gksl, "_dense", lambda l, rho, steps: bad[1:])
+        else:
+            monkeypatch.setattr(gksl, "_dense", no_step)
+            monkeypatch.setattr(gksl, "DENSE_WORK", 0)
+
+        def run():
+            # the march is asked for the states in time order, t = 0 first
+            states = iter(bad)
+            monkeypatch.setattr(gksl, "_march", lambda *args: next(states))
             gksl.trajectory(random_lindbladian(rng(4800), 2), np.eye(2) / 2, [0.0, 1.0, 2.0, 3.0])
+
+        with pytest.raises(NumericHealthError, match="eigenvalue -2.000e-01"):
+            run()
         bad[1] = np.nan
         with pytest.raises(NumericHealthError, match="lost Hermiticity"):
-            gksl.trajectory(random_lindbladian(rng(4800), 2), np.eye(2) / 2, [0.0, 1.0, 2.0, 3.0])
+            run()
+
+    @pytest.mark.parametrize("d", [4, 24])
+    def test_time_zero_alone_builds_no_generator(self, monkeypatch, d):
+        builds = counted(monkeypatch, gksl, "build_superoperator")
+        monkeypatch.setattr(gksl, "_march", no_step)
+        gen = rng(4900 + d)
+        l = random_lindbladian(gen, d)
+        # off by rounding from Hermitian, so the symmetrization shows
+        rho0 = random_density(gen, d) + 1e-17 * random_complex(gen, (d, d))
+        sym = (rho0 + rho0.conj().T) / 2.0
+        assert not np.array_equal(rho0, sym)
+        for times in ([0.0], [0.0, 0.0]):
+            states = gksl.trajectory(l, rho0, times)
+            for state in states:
+                assert np.array_equal(state.view(np.uint64), sym.view(np.uint64))
+        assert np.array_equal(gksl.propagate(l, rho0, 0.0), sym)
+        assert builds == []
 
 
 class TestMarchCap:
@@ -966,6 +1001,24 @@ class TestDecompose:
             gksl._nullspace_projector(m, evals, right, asym, 1e-8)
 
 
+def geometric_mean_with_top_power(e, n):
+    """_geometric_mean as first written, forming E^n at the top as well."""
+    d2 = e.shape[0]
+
+    def rec(m):
+        if m == 1:
+            return np.eye(d2, dtype=e.dtype), e
+        s, p = rec(m // 2)
+        s = s + p @ s
+        p = p @ p
+        if m % 2:
+            s = s + p
+            p = p @ e
+        return s, p
+
+    return rec(n)[0] / n
+
+
 class TestCesaro:
     def test_commensurate_closed_horizon_is_exact(self):
         # every Bohr gap times the horizon is a multiple of 2 pi
@@ -1012,6 +1065,14 @@ class TestCesaro:
         expect = sum(gksl._geometric_mean(step * np.exp(-1j * w * dt), samples) for w in freqs)
         got = gksl.cesaro_projector(l, horizon, samples, dec).matrix
         assert np.abs(got - gksl._column_stacked(expect)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_geometric_mean_is_bit_identical_without_the_top_power(self, dtype):
+        gen = rng(5100)
+        a = random_complex(gen, (9, 9)) if dtype is complex else gen.normal(size=(9, 9))
+        e = qlinalg.matrix_exp(0.1 * a, method="series")
+        for n in range(1, 41):
+            assert np.array_equal(gksl._geometric_mean(e, n), geometric_mean_with_top_power(e, n))
 
     def test_decomposition_of_another_dimension_rejected(self):
         with pytest.raises(ContractError, match="dimension"):
