@@ -3,9 +3,9 @@
 The CLI maps these onto its exit-code contract: ShapeError and
 ContractError are invalid-input conditions (exit 3), NumericHealthError
 is a numerical breakdown (exit 5), and so is a NonDiagonalizable that no
-caller handled. Raised by eig_general, NonDiagonalizable carries the
-eigenvalues and right eigenvectors it already computed, so a caller that
-falls back to a method needing no full eigenbasis reuses them.
+caller handled. NonDiagonalizable is raised by gksl's null-space
+projector, when an asymptotic eigenvalue carries a Jordan chain or its
+null-space solve fails.
 """
 
 
@@ -18,16 +18,7 @@ class ContractError(ValueError):
 
 
 class NonDiagonalizable(ArithmeticError):
-    """Matrix is defective within tolerance; spectral formulas unavailable.
-
-    evals and right are the eigenvalues and right eigenvectors computed
-    before the verdict, or None where none were.
-    """
-
-    def __init__(self, message: str, evals=None, right=None):
-        super().__init__(message)
-        self.evals = evals
-        self.right = right
+    """Matrix is defective within tolerance; spectral formulas unavailable."""
 
 
 class NumericHealthError(ArithmeticError):

@@ -53,8 +53,8 @@ PINF_IDEMPOTENT_TOL = 1e-8
 # kappa_F = ||V||_F ||V^-1||_F is below this; else from null spaces. The
 # eigenbasis projector's error is up to eps kappa_F, here 2e-10, fifty times
 # under PINF_IDEMPOTENT_TOL. A 2 x 2 Jordan block split by rounding lands at
-# kappa ~ eps^-1/2 ~ 7e7, on either side of eig_general's 1e8 gate by luck;
-# every diagonalizable generator of the tests and the benchmark is below 1e4.
+# kappa ~ eps^-1/2 ~ 7e7, far above it; every diagonalizable generator of the
+# tests and the benchmark is below 1e4.
 EIGENBASIS_COND_GATE = 1e6
 PA_SUPPORT_TOL = 1e-10
 TRAJECTORY_TRACE_TOL = 1e-9
@@ -378,21 +378,25 @@ def _diagonal_form(k: np.ndarray, gs: np.ndarray):
 def _dephased(rho: np.ndarray, times: np.ndarray, kd: np.ndarray, gd: np.ndarray):
     """exp(t L) rho for each t when L E_ij = lambda_ij E_ij (see _diagonal_form).
 
-    Entry ij, i < j, is multiplied by exp(t lambda_ij) and entry ji by its
-    conjugate; the populations stay. So every state is exactly Hermitian.
+    times are ascending and distinct. Entry ij, i < j, is multiplied by
+    exp(t lambda_ij) and entry ji by its conjugate; the populations stay.
+    So every state is exactly Hermitian. A leading t = 0 state is rho
+    itself, bit for bit: a product with exp(0) could turn -0.0 into +0.0.
     Each exponent t lambda_ij is summed from terms already multiplied by t,
     so a term overflows only where t lambda_ij itself would.
     """
     i, j = np.triu_indices(rho.shape[0], 1)
-    phase = np.multiply.outer(times, kd.imag)
-    sg = np.sqrt(times)[:, None, None] * gd
+    zeros = int(times[0] == 0.0)
+    moved = times[zeros:]
+    phase = np.multiply.outer(moved, kd.imag)
+    sg = np.sqrt(moved)[:, None, None] * gd
     gi, gj = sg[:, :, i], sg[:, :, j]
     decay = -0.5 * (np.abs(gi - gj) ** 2).sum(axis=1)
     rotation = phase[:, i] - phase[:, j] + (gi * gj.conj()).imag.sum(axis=1)
     factors = np.exp(decay + 1j * rotation)
     states = np.repeat(rho[None], times.size, axis=0)
-    states[:, i, j] *= factors
-    states[:, j, i] *= factors.conj()
+    states[zeros:, i, j] *= factors
+    states[zeros:, j, i] *= factors.conj()
     return states
 
 
@@ -605,8 +609,8 @@ class AsymptoticDecomposition:
     which p_inf on column-stacked operators is derived. route says how it
     was built: "eigenbasis" from the full biorthogonal eigenbasis, or
     "nullspace" from the null spaces of L - lambda over the asymptotic
-    eigenvalues when that eigenbasis has condition kappa_F >=
-    EIGENBASIS_COND_GATE (a defective generator, or nearly one). p_a is
+    eigenvalues when that eigenbasis is singular or has condition kappa_F
+    >= EIGENBASIS_COND_GATE (a defective generator, or nearly one). p_a is
     the Hilbert-space support projector of the projected maximally mixed
     state, q its complement; both are derived too. real_generator is the
     generator in the orthonormal Hermitian basis, the real d^2 x d^2
@@ -841,18 +845,23 @@ def _spectral_projector(r: np.ndarray, tol):
     """(evals, asym, gate, route, p) for the real generator r: its one eig,
     the asymptotic mask and gate, and the real spectral projector p onto
     the asymptotic sector with the route that built it. The eigenvectors
-    die with this call, before p is mapped back."""
-    try:
-        evals, right, left = qlinalg.eig_general(r)
-    except NonDiagonalizable as exc:
-        evals, right, left = exc.evals, exc.right, None
+    die with this call, before p is mapped back.
+
+    This is the one place that chooses the route: the eigenbasis when its
+    inverse exists and kappa_F = ||V||_F ||V^-1||_F is below
+    EIGENBASIS_COND_GATE, else the null spaces."""
+    evals, right, left = qlinalg.eig_general(r)
     evals = np.asarray(evals, dtype=complex)
     gate = _asymptotic_tol(evals, tol)
     _check_spectrum_stability(evals, gate)
     asym = np.abs(evals.real) <= gate
-    if left is not None and np.linalg.norm(right) * np.linalg.norm(left) < EIGENBASIS_COND_GATE:
-        return evals, asym, gate, "eigenbasis", (right[:, asym] @ left[:, asym].conj().T).real
-    del left  # eig_general may accept a basis this gate refuses; free it before the solves
+    if left is not None:
+        # the norms of a defective basis may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = np.linalg.norm(right) * np.linalg.norm(left)
+        if kappa < EIGENBASIS_COND_GATE:
+            return evals, asym, gate, "eigenbasis", (right[:, asym] @ left[:, asym].conj().T).real
+    del left  # free the refused basis's inverse before the solves
     return evals, asym, gate, "nullspace", _nullspace_projector(r, evals, right, asym, gate)
 
 
@@ -868,14 +877,14 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     therefore exactly conjugate-symmetric. When that real form is
     reducible, as for decoherence-free blocks or dephasing, the eig runs
     on each component of its nonzero pattern and returns the assembled
-    block-diagonal eigenbasis. When the eigenvector basis has condition
+    block-diagonal eigenbasis. When that basis is invertible with condition
     kappa_F below EIGENBASIS_COND_GATE, p_inf comes from it (route
-    "eigenbasis"). A defective generator fails that gate; p_inf then comes
-    from the null spaces of L - lambda over the asymptotic eigenvalues,
-    starting from the eigenvectors the same eig returned (route
-    "nullspace"). Either way p_inf is real in the Hermitian basis, is
-    checked idempotent there and is mapped back to column-stacked
-    operators.
+    "eigenbasis"); this gate is the only one on the eigenbasis. A defective
+    generator fails it; p_inf then comes from the null spaces of L - lambda
+    over the asymptotic eigenvalues, starting from the eigenvectors the
+    same eig returned (route "nullspace"). Either way p_inf is real in the
+    Hermitian basis, is checked idempotent there and is mapped back to
+    column-stacked operators.
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")

@@ -21,14 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NonDiagonalizable, ShapeError
+from .errors import ContractError, ShapeError
 
 # Relative gate used by every module that checks hermiticity.
 HERMITICITY_RTOL = 1e-10
-
-# Eigenvector-matrix condition number above which a matrix is reported
-# defective rather than silently decomposed.
-DIAG_COND_GATE = 1e8
 
 # eig_general splits only matrices of at least this order. Below it the
 # search, the grouping and the assembly cost more than the smaller eigs
@@ -189,17 +185,14 @@ def _eigenvector_inverse(real_input: bool, evals: np.ndarray, right: np.ndarray)
     return inverse
 
 
-def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Eigendecomposition with biorthogonally normalized left vectors.
 
     Returns (evals, right, left) where right[:, a] = p_a, left[:, a] = q_a,
-    and <<q_a|p_b>> = q_a† p_b = delta_ab. A matrix whose eigenvector basis
-    has condition number >= 1e8 is reported defective via NonDiagonalizable,
-    which carries evals and right so callers can fall back to methods that
-    need no full eigenbasis. The gate reads kappa_F = ||V||_F ||V^-1||_F
-    first and takes kappa_2 only when 1e8 <= kappa_F < 1e8 n; since
-    kappa_2 <= kappa_F <= n kappa_2 for n x n V, the verdict is that of
-    kappa_2 alone.
+    and <<q_a|p_b>> = q_a† p_b = delta_ab. left is None when right is
+    singular to working precision, so that its inverse raises. No verdict
+    on the conditioning of right is made here: a caller that needs a
+    well-conditioned eigenbasis measures it from right and left.
 
     A reducible m is decomposed block by block, and exactly so: the
     components of the nonzero pattern of |m| + |m^T| share no entry, so
@@ -209,9 +202,8 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i_1, ..., i_s in LAPACK's order and its eigenvectors are supported on
     those rows, so right is block diagonal up to that one permutation of
     rows and columns, and each conjugate pair takes two consecutive indices
-    of its component. kappa_2 is then max sigma / min sigma over the union
-    of the blocks' singular values; no n x n SVD runs. An irreducible m, or
-    one of order below SPLIT_MIN_ORDER, takes one eig of the whole matrix.
+    of its component. An irreducible m, or one of order below
+    SPLIT_MIN_ORDER, takes one eig of the whole matrix.
 
     A real input is decomposed and inverted in real arithmetic. Its
     eigenvalues come in exact conjugate pairs, the one with positive
@@ -234,23 +226,10 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
         inverses = [_eigenvector_inverse(np.isrealobj(m), w, v) for w, v in spectra]
     except np.linalg.LinAlgError:
-        inverse, cond = None, np.inf
-    else:
-        inverse = _assemble(components, inverses, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cond = np.linalg.norm(right) * np.linalg.norm(inverse)
-    if not (cond < DIAG_COND_GATE or cond >= DIAG_COND_GATE * n):
-        sigma = np.concatenate([np.linalg.svd(v, compute_uv=False).ravel() for _, v in spectra])
-        cond = sigma.max() / sigma.min()
-    if inverse is None or not cond < DIAG_COND_GATE:
-        raise NonDiagonalizable(
-            f"eigenvector matrix condition {cond:.3e} exceeds gate {DIAG_COND_GATE:.0e}",
-            evals=evals,
-            right=right,
-        )
+        return evals, right, None
     # Rows of right^-1 are the dual basis; conjugating turns row a into the
     # column vector q_a with q_a† p_b = delta_ab.
-    return evals, right, inverse.conj().T
+    return evals, right, _assemble(components, inverses, n).conj().T
 
 
 def matrix_exp(m, method: str = "series") -> np.ndarray:

@@ -789,6 +789,26 @@ class TestDenseRoute:
         assert np.array_equal(gksl.propagate(l, rho0, 0.0), sym)
         assert builds == []
 
+    @pytest.mark.parametrize("route", ["entrywise", "dense", "march"])
+    def test_time_zero_state_keeps_the_input_bits(self, monkeypatch, route):
+        # -0.0 in the imaginary part of an off-diagonal entry survives the
+        # symmetrization; a product with exp(0) = 1 + 0j would make it +0.0
+        rho0 = np.array([[0.5, complex(0.1, -0.0)], [complex(0.1, 0.0), 0.5]])
+        sym = (rho0 + rho0.conj().T) / 2.0
+        assert np.signbit(sym.imag).any()
+        if route == "entrywise":
+            l = dephasing()
+            monkeypatch.setattr(gksl, "_dense", no_step)
+        else:
+            l = random_lindbladian(rng(4950), 2)
+            if route == "march":
+                monkeypatch.setattr(gksl, "_dense", no_step)
+                monkeypatch.setattr(gksl, "DENSE_WORK", 0)
+        if route != "march":
+            monkeypatch.setattr(gksl, "_march", no_step)
+        state = gksl.trajectory(l, rho0, [0.0, 1.0])[0]
+        assert np.array_equal(state.view(np.uint64), sym.view(np.uint64))
+
 
 class TestMarchCap:
     def test_cap_is_the_taylor_plan_at_work_1e5(self):
@@ -999,6 +1019,27 @@ class TestDecompose:
         asym = np.array([True, False, False])
         with pytest.raises(NonDiagonalizable, match="solve failed"):
             gksl._nullspace_projector(m, evals, right, asym, 1e-8)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda gen: exceptional_point(1.0, 8), lambda gen: block_lindbladian(gen, (2, 3, 3))],
+        ids=["exceptional-8", "dfs-8"],
+    )
+    def test_singular_eigenbasis_takes_the_nullspace(self, monkeypatch, make):
+        # eig_general returns no left vectors when the eigenvector inverse
+        # raises; decompose then builds p_inf from the null spaces, even for
+        # a generator whose eigenbasis would otherwise pass the gate
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        l = make(rng(2800))
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        dec = gksl.decompose(l)
+        monkeypatch.undo()
+        assert dec.route == "nullspace"
+        n_asymptotic, p_ref = dense_eig_projector(l, dec.tol)
+        assert len(dec.asymptotic_indices) == n_asymptotic
+        assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-10
 
 
 def geometric_mean_with_top_power(e, n):
