@@ -5,6 +5,7 @@ import pytest
 
 from revtherm import qlinalg
 from revtherm.errors import ContractError, ShapeError
+from revtherm.gksl import EIGENBASIS_COND_GATE
 
 from helpers import random_complex, random_density, random_hermitian, random_unitary, rng
 
@@ -145,6 +146,10 @@ class TestPartialTrace:
             qlinalg.partial_trace(np.eye(6), (2, 3), keep=2)
 
 
+def no_svd(*args, **kwargs):
+    raise AssertionError("SVD taken")
+
+
 class TestEig:
     def test_hermitian_ascending_and_unitary(self):
         gen = rng(8)
@@ -161,8 +166,19 @@ class TestEig:
         assert np.allclose(left.conj().T @ right, np.eye(4), atol=1e-10)
         assert np.allclose(m @ right, right * evals)
 
+    def test_jordan_block_is_defective(self):
+        # the decomposition comes back; its basis is one that gksl's
+        # EIGENBASIS_COND_GATE refuses
+        evals, right, left = qlinalg.eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(evals, [0.0, 0.0])
+        assert abs(np.linalg.det(right)) < 1e-12
+        if left is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                kappa = np.linalg.norm(right) * np.linalg.norm(left)
+            assert not kappa < EIGENBASIS_COND_GATE
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_defective_input_raises_and_warns_nothing(self, n):
+    def test_gate_raises_no_warning(self, n):
         # an exactly defective input gives eigenvectors whose inverse has
         # entries near the overflow threshold, or no inverse at all; the
         # spectrum comes back as LAPACK gave it
@@ -176,22 +192,24 @@ class TestEig:
                 assert np.array_equal(right, expect_right)
                 assert left is None or left.shape == (n, n)
 
-    def test_no_svd_runs(self, monkeypatch):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("SVD taken")
-
+    def test_clearly_defective_basis_needs_no_svd(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "cond", no_svd)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         gen = rng(15)
-        for n in (2, 5, 16):
-            evals, right, left = qlinalg.eig_general(random_complex(gen, (n, n)))
-            assert np.allclose(left.conj().T @ right, np.eye(n), atol=1e-10)
         for n in (4, 8):
             for m in (np.eye(n, k=1), np.eye(n, k=1).astype(complex)):
                 qlinalg.eig_general(m)
         blocks = [real_block(gen, s) for s in SIZES]
         blocks.insert(4, 2.0 * np.eye(5) + np.eye(5, k=1))
         qlinalg.eig_general(block_diagonal(gen, blocks)[0])
+
+    def test_well_conditioned_basis_needs_no_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        gen = rng(15)
+        for n in (2, 5, 16):
+            evals, right, left = qlinalg.eig_general(random_complex(gen, (n, n)))
+            assert np.allclose(left.conj().T @ right, np.eye(n), atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_singular_basis_returns_no_left_vectors(self, monkeypatch, kind):
