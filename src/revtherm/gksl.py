@@ -10,6 +10,8 @@ matrix-vector product per state. Otherwise propagation is matrix-free:
 trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
 products only, marching once along the sorted time grid with a scaled
 Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
+Each route gets the positive times alone and returns exactly Hermitian
+states; trajectory writes any t = 0 state itself.
 Spectra use the dense form too: build_superoperator gives the d^2 x d^2
 matrix on column-stacked operators, built by one stacked vec_product_map
 over the generator's n + 2 terms (K and K+ sandwiching, one term per jump),
@@ -18,8 +20,9 @@ preserves Hermiticity, so in the orthonormal Hermitian basis
 {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2} it is a real matrix
 (Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP 286,
 1987); a fixed sparse unitary takes one form to the other by index
-gathers. One real eig of that form classifies eigenvalues into decaying
-(Re < 0) and asymptotic (Re ~ 0) sectors and yields the exact asymptotic
+gathers. decompose alone builds and checks the asymptotic structure: one
+real eig of that form classifies eigenvalues into decaying (Re < 0) and
+asymptotic (Re ~ 0) sectors and yields the exact asymptotic
 projection superoperator, from the full eigenbasis or, for a defective
 generator, from the null spaces of L - lambda over the asymptotic
 eigenvalues, mapped back to column-stacked operators, plus the support
@@ -28,8 +31,8 @@ is reducible: it splits exactly into coherence sectors between pairs of
 blocks (Baumgartner & Narnhofer, J. Phys. A 41:395303, 2008; Buca &
 Prosen, New J. Phys. 14:073007, 2012), and that eig runs block by block
 over them (qlinalg.eig_general). A Cesaro time average of the same real
-form, stepped on the series route, is the independent cross-check of that
-projection.
+form at the frequencies decompose found, stepped on the series route
+without eigenvectors, is the independent cross-check of that projection.
 The split of an operator into a block-respecting ("noncomputational") and
 a cross-block ("pure computational") part connects the open-system
 picture to the computational one.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +91,6 @@ DENSE_WORK = 2 * 12**6
 TIME_ULPS = 4
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
-_ROUTES = ("eigenbasis", "nullspace")
 
 
 @dataclass(frozen=True)
@@ -378,56 +380,53 @@ def _diagonal_form(k: np.ndarray, gs: np.ndarray):
 def _dephased(rho: np.ndarray, times: np.ndarray, kd: np.ndarray, gd: np.ndarray):
     """exp(t L) rho for each t when L E_ij = lambda_ij E_ij (see _diagonal_form).
 
-    times are ascending and distinct. Entry ij, i < j, is multiplied by
-    exp(t lambda_ij) and entry ji by its conjugate; the populations stay.
-    So every state is exactly Hermitian. A leading t = 0 state is rho
-    itself, bit for bit: a product with exp(0) could turn -0.0 into +0.0.
-    Each exponent t lambda_ij is summed from terms already multiplied by t,
-    so a term overflows only where t lambda_ij itself would.
+    times are positive, ascending and distinct. Entry ij, i < j, is
+    multiplied by exp(t lambda_ij) and entry ji by its conjugate; the
+    populations stay. So every state is exactly Hermitian. Each exponent
+    t lambda_ij is summed from terms already multiplied by t, so a term
+    overflows only where t lambda_ij itself would.
     """
     i, j = np.triu_indices(rho.shape[0], 1)
-    zeros = int(times[0] == 0.0)
-    moved = times[zeros:]
-    phase = np.multiply.outer(moved, kd.imag)
-    sg = np.sqrt(moved)[:, None, None] * gd
+    phase = np.multiply.outer(times, kd.imag)
+    sg = np.sqrt(times)[:, None, None] * gd
     gi, gj = sg[:, :, i], sg[:, :, j]
     decay = -0.5 * (np.abs(gi - gj) ** 2).sum(axis=1)
     rotation = phase[:, i] - phase[:, j] + (gi * gj.conj()).imag.sum(axis=1)
     factors = np.exp(decay + 1j * rotation)
     states = np.repeat(rho[None], times.size, axis=0)
-    states[zeros:, i, j] *= factors
-    states[zeros:, j, i] *= factors.conj()
+    states[:, i, j] *= factors
+    states[:, j, i] *= factors.conj()
     return states
 
 
 def _healthy(states: np.ndarray) -> np.ndarray:
-    """Health gates on a stack (n, d, d) of propagated states; returns them
-    Hermitian-symmetrized.
+    """Health gates on a stack (n, d, d) of propagated states; returns the
+    stack as it is.
 
-    Each state must keep Hermiticity, trace 1 and eigenvalues above
+    Every route returns exactly Hermitian states, so none is symmetrized
+    here: a second symmetrization could only flip the sign of a zero. Each
+    state must keep Hermiticity, trace 1 and eigenvalues above
     TRAJECTORY_EIG_FLOOR; the first state that fails, in stack order, names
     its first failing gate. A non-finite state fails the Hermiticity gate.
-    One stacked eigvalsh serves the states before the first that fails
-    another gate.
+    One stacked Hermitian eigenvalue solve serves the states before the
+    first that fails another gate.
     """
-    adjoint = states.conj().transpose(0, 2, 1)
     # states after the first failing one may be non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.linalg.norm(states - adjoint, axis=(1, 2))
+        drift = np.linalg.norm(states - states.conj().transpose(0, 2, 1), axis=(1, 2))
         lost = ~(drift <= 1e-9 * np.maximum(1.0, np.linalg.norm(states, axis=(1, 2))))
-        out = (states + adjoint) / 2.0
-        tr = np.trace(out, axis1=1, axis2=2).real
+        tr = np.trace(states, axis1=1, axis2=2).real
     bad = np.flatnonzero(lost | ~(np.abs(tr - 1.0) <= TRAJECTORY_TRACE_TOL))
-    first = int(bad[0]) if bad.size else len(out)
-    low = np.linalg.eigvalsh(out[:first]).min(axis=1, initial=np.inf)
+    first = int(bad[0]) if bad.size else len(states)
+    low = np.linalg.eigvalsh(states[:first]).min(axis=1, initial=np.inf)
     below = np.flatnonzero(low < TRAJECTORY_EIG_FLOOR)
     if below.size:
         raise NumericHealthError(f"propagated state has eigenvalue {low[below[0]]:.3e}")
-    if first < len(out):
+    if first < len(states):
         if lost[first]:
             raise NumericHealthError(f"propagated state lost Hermiticity ({drift[first]:.3e})")
         raise NumericHealthError(f"propagated state has trace {float(tr[first])!r}")
-    return out
+    return states
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -524,12 +523,14 @@ def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
 def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     """States exp(t L) rho0 for each t in times, in input order, with health gates.
 
-    Duplicate times share one state, and a t = 0 state is rho0
-    Hermitian-symmetrized, bit for bit. Before any route runs, the time
-    grid is held to a cap: a grid whose Taylor march would need more than
-    MAX_MARCH_WORK applications of L to reach its last time is refused, so
-    which times are accepted does not depend on the route. The route is
-    then chosen from the generator and the sorted distinct times alone:
+    Duplicate times share one state. A t = 0 state is written here, rho0
+    Hermitian-symmetrized, bit for bit; a route gets only the positive
+    times, and with none no generator is built. Before any route runs, the
+    time grid is held to a cap: a grid whose Taylor march would need more
+    than MAX_MARCH_WORK applications of L to reach its last time is
+    refused, so which times are accepted does not depend on the route. The
+    route is then chosen from the generator and the sorted distinct
+    positive times alone:
 
     * A generator with diagonal Hamiltonian and jumps acts on each matrix
       entry alone; its states are exact entrywise exponentials (_dephased).
@@ -548,10 +549,10 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
       stop adds at most one step of at most 55 applications to the plan
       the cap is measured on.
 
-    Every route checks its states in one stacked _healthy call, after the
-    last is computed. The march therefore steps on from a state that may
-    fail a gate, and the report names the first failing state in time
-    order.
+    Every route returns exactly Hermitian states. All states are checked in
+    one stacked _healthy call, after the last is computed, and returned as
+    they are. The march therefore steps on from a state that may fail a
+    gate, and the report names the first failing state in time order.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -563,34 +564,33 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
     # the march relies on (K x)+ = x K+, exact only for Hermitian x
     rho = (rho + rho.conj().T) / 2.0
     grid, where = np.unique(times, return_inverse=True)
-    if grid[-1] == 0.0:
-        # nothing to propagate, so no generator is built
-        return _healthy(rho[None])[where]
-    k, gs, mu, bound = _matrix_free_form(l)
-    m, s = _taylor_plan(float(grid[-1]) * bound)
-    if not m * s <= MAX_MARCH_WORK:
-        raise ContractError(
-            f"march to t = {float(grid[-1])!r} needs {m * s:.3e} applications of L, "
-            f"above the cap {MAX_MARCH_WORK}"
-        )
-    entries = _diagonal_form(k, gs)
-    if entries is not None:
-        return _healthy(_dephased(rho, grid, *entries))[where]
     zeros = int(grid[0] == 0.0)
-    plan = _propagator_steps(grid[zeros:].tolist(), DENSE_WORK // l.dim**6)
+    positive = grid[zeros:]
     states = np.empty((grid.size, l.dim, l.dim), dtype=complex)
-    if plan is not None:
-        states[:zeros] = rho
-        states[zeros:] = _dense(l, rho, plan)
-        return _healthy(states)[where]
-    # every march state is exactly Hermitian, so the march needs no
-    # symmetrization between stops; past a failing state it may overflow
-    t = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, target in enumerate(grid):
-            rho = _march(rho, float(target) - t, k, gs, mu, bound)
-            states[i] = rho
-            t = float(target)
+    states[:zeros] = rho
+    # with no positive time nothing is propagated, so no generator is built
+    if positive.size:
+        k, gs, mu, bound = _matrix_free_form(l)
+        m, s = _taylor_plan(float(positive[-1]) * bound)
+        if not m * s <= MAX_MARCH_WORK:
+            raise ContractError(
+                f"march to t = {float(positive[-1])!r} needs {m * s:.3e} applications of L, "
+                f"above the cap {MAX_MARCH_WORK}"
+            )
+        entries = _diagonal_form(k, gs)
+        if entries is not None:
+            states[zeros:] = _dephased(rho, positive, *entries)
+        elif (plan := _propagator_steps(positive.tolist(), DENSE_WORK // l.dim**6)) is not None:
+            states[zeros:] = _dense(l, rho, plan)
+        else:
+            # every march state is exactly Hermitian, so the march needs no
+            # symmetrization between stops; past a failing state it may overflow
+            t = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, target in enumerate(positive.tolist(), start=zeros):
+                    rho = _march(rho, target - t, k, gs, mu, bound)
+                    states[i] = rho
+                    t = target
     return _healthy(states)[where]
 
 
@@ -601,55 +601,26 @@ def propagate(l: Lindbladian, rho0, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AsymptoticDecomposition:
-    """Spectral split of a generator into decaying and surviving sectors.
+    """Spectral split of a generator into decaying and surviving sectors, as
+    decompose builds and checks it.
 
-    p_inf is the exact spectral projector onto the asymptotic sector. It is
-    given as real_projector, the same projector in the orthonormal
-    Hermitian basis: a real matrix, which must be idempotent, and from
-    which p_inf on column-stacked operators is derived. route says how it
-    was built: "eigenbasis" from the full biorthogonal eigenbasis, or
-    "nullspace" from the null spaces of L - lambda over the asymptotic
-    eigenvalues when that eigenbasis is singular or has condition kappa_F
-    >= EIGENBASIS_COND_GATE (a defective generator, or nearly one). p_a is
-    the Hilbert-space support projector of the projected maximally mixed
-    state, q its complement; both are derived too. real_generator is the
-    generator in the orthonormal Hermitian basis, the real d^2 x d^2
-    matrix whose eigenvalues these are.
+    eigenvalues are those of real_generator, the generator in the orthonormal
+    Hermitian basis (a real d^2 x d^2 matrix); asymptotic_indices are those
+    with |Re| <= tol. p_inf is the exact spectral projector onto the
+    asymptotic sector, on column-stacked operators, and route says how it
+    was built: "eigenbasis" or "nullspace" (see decompose). p_a is the
+    Hilbert-space support projector of the projected maximally mixed state,
+    q = 1 - p_a its complement.
     """
 
     eigenvalues: np.ndarray
     asymptotic_indices: tuple
-    real_projector: InitVar[np.ndarray]
     tol: float
     route: str
     real_generator: np.ndarray
-    p_inf: SuperoperatorMatrix = field(init=False)
-    p_a: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
-
-    def __post_init__(self, real_projector: np.ndarray):
-        if self.route not in _ROUTES:
-            raise ContractError(f"unknown spectral route {self.route!r}")
-        evals = np.asarray(self.eigenvalues, dtype=complex)
-        for a in self.asymptotic_indices:
-            if abs(evals[a].real) > self.tol:
-                raise ContractError(
-                    f"asymptotic eigenvalue {evals[a]!r} has |Re| above {self.tol!r}"
-                )
-        # the Frobenius gap of p_inf = B P B+ is that of P, as B is unitary
-        p = real_projector
-        gap = qlinalg.hs_norm(p @ p - p)
-        if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(p)):
-            raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
-        p_inf = SuperoperatorMatrix(_column_stacked(p), kind="trace_preserving")
-        p_a, q = _support_projectors(p_inf.matrix, math.isqrt(p.shape[0]))
-        for name, proj in (("p_a", p_a), ("q", q)):
-            if qlinalg.hs_norm(proj @ proj - proj) > 1e-10 * max(1.0, qlinalg.hs_norm(proj)):
-                raise ContractError(f"{name} is not idempotent")
-        if qlinalg.hs_norm(p_a + q - np.eye(p_a.shape[0])) > 1e-12:
-            raise ContractError("p_a and q do not sum to the identity")
-        for name, value in (("p_inf", p_inf), ("p_a", p_a), ("q", q)):
-            object.__setattr__(self, name, value)
+    p_inf: SuperoperatorMatrix
+    p_a: np.ndarray
+    q: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -693,13 +664,6 @@ def _cluster_values(values: np.ndarray, atol: float) -> np.ndarray:
     return np.sort([v if abs(v) > atol else 0.0 for v in reps])
 
 
-def _asymptotic_tol(evals: np.ndarray, tol) -> float:
-    if tol is not None:
-        return float(tol)
-    radius = float(np.abs(evals).max()) if evals.size else 0.0
-    return ASYMPTOTIC_RTOL * max(1.0, radius)
-
-
 def _support_projectors(p_inf_matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """P_A = support of the asymptotically projected maximally mixed state."""
     image = qlinalg.devectorize(p_inf_matrix @ qlinalg.vectorize(np.eye(d, dtype=complex) / d))
@@ -708,14 +672,6 @@ def _support_projectors(p_inf_matrix: np.ndarray, d: int) -> tuple[np.ndarray, n
     keep = w > PA_SUPPORT_TOL
     p_a = (v[:, keep] @ v[:, keep].conj().T) if keep.any() else np.zeros((d, d), complex)
     return p_a, np.eye(d, dtype=complex) - p_a
-
-
-def _check_spectrum_stability(evals: np.ndarray, tol: float):
-    worst = float(evals.real.max()) if evals.size else 0.0
-    if worst > tol:
-        raise NumericHealthError(
-            f"generator spectrum leaks into the right half plane (max Re {worst:.3e})"
-        )
 
 
 def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
@@ -743,13 +699,12 @@ def cesaro_projector(
 
     For each asymptotic frequency w, averages exp(t(L - i w)) over the
     horizon at the given sampling resolution; the per-frequency means are
-    summed. dec, when given, must be decompose(l): its real generator and
-    asymptotic frequencies are reused, so neither the generator nor its
-    spectrum is computed again. Otherwise the frequencies are the clustered
-    imaginary parts of the eigenvalues with |Re| <= the default asymptotic
-    tolerance (eigenvalues need no diagonalizability). The average runs on
-    the real Hermitian-basis generator, so the step and the w = 0 mean are
-    real. The frequencies are symmetric about 0, so the mean at -w is the
+    summed. dec must be a decomposition of l, decompose(l, tol); without
+    one, decompose(l) is taken here. Its real generator and asymptotic
+    frequencies are used, so a caller that has dec computes neither the
+    generator nor its spectrum again. The average runs on the real
+    Hermitian-basis generator, so the step and the w = 0 mean are real.
+    The frequencies are symmetric about 0, so the mean at -w is the
     conjugate of the mean at w: only w >= 0 is averaged, each w > 0 adding
     twice its mean's real part, and the sum stays real. The step exp(dt L)
     is taken on the series route, which needs no eigenvectors, so the
@@ -765,15 +720,10 @@ def cesaro_projector(
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ContractError("horizon must be positive and finite")
     if dec is None:
-        r = _real_form(build_superoperator(l).matrix)
-        evals = np.linalg.eigvals(r)
-        gate = _asymptotic_tol(evals, None)
-        _check_spectrum_stability(evals, gate)
-        frequencies = _cluster_values(evals.imag[np.abs(evals.real) <= gate], gate)
+        dec = decompose(l)
     elif dec.dim != l.dim:
         raise ContractError(f"decomposition of dimension {dec.dim} given for dimension {l.dim}")
-    else:
-        r, frequencies = dec.real_generator, dec.asymptotic_frequencies
+    r, frequencies = dec.real_generator, dec.asymptotic_frequencies
     dt = horizon / samples
     step = qlinalg.matrix_exp(dt * r, method="series")
     acc = np.zeros_like(r)
@@ -841,62 +791,66 @@ def _nullspace_projector(
     return p
 
 
-def _spectral_projector(r: np.ndarray, tol):
-    """(evals, asym, gate, route, p) for the real generator r: its one eig,
-    the asymptotic mask and gate, and the real spectral projector p onto
-    the asymptotic sector with the route that built it. The eigenvectors
-    die with this call, before p is mapped back.
-
-    This is the one place that chooses the route: the eigenbasis when its
-    inverse exists and kappa_F = ||V||_F ||V^-1||_F is below
-    EIGENBASIS_COND_GATE, else the null spaces."""
-    evals, right, left = qlinalg.eig_general(r)
-    evals = np.asarray(evals, dtype=complex)
-    gate = _asymptotic_tol(evals, tol)
-    _check_spectrum_stability(evals, gate)
-    asym = np.abs(evals.real) <= gate
-    if left is not None:
-        # the norms of a defective basis may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            kappa = np.linalg.norm(right) * np.linalg.norm(left)
-        if kappa < EIGENBASIS_COND_GATE:
-            return evals, asym, gate, "eigenbasis", (right[:, asym] @ left[:, asym].conj().T).real
-    del left  # free the refused basis's inverse before the solves
-    return evals, asym, gate, "nullspace", _nullspace_projector(r, evals, right, asym, gate)
-
-
 def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
-    """Spectral analysis of the generator with asymptotic projectors.
+    """Spectral analysis of the generator with asymptotic projectors: the one
+    place that builds and checks the asymptotic structure.
 
     Eigenvalues with |Re| <= tol (default 1e-8 * max(1, spectral radius))
-    form the asymptotic sector; tol, when given, must be positive. p_inf is
-    the exact spectral projector onto that sector, from one real d^2 x d^2
-    eig of the generator in the orthonormal Hermitian basis, where it is a
-    real matrix since it preserves Hermiticity (Alicki & Lendi, Quantum
-    Dynamical Semigroups and Applications, LNP 286, 1987). Its spectrum is
-    therefore exactly conjugate-symmetric. When that real form is
-    reducible, as for decoherence-free blocks or dephasing, the eig runs
-    on each component of its nonzero pattern and returns the assembled
-    block-diagonal eigenbasis. When that basis is invertible with condition
-    kappa_F below EIGENBASIS_COND_GATE, p_inf comes from it (route
-    "eigenbasis"); this gate is the only one on the eigenbasis. A defective
-    generator fails it; p_inf then comes from the null spaces of L - lambda
-    over the asymptotic eigenvalues, starting from the eigenvectors the
-    same eig returned (route "nullspace"). Either way p_inf is real in the
-    Hermitian basis, is checked idempotent there and is mapped back to
-    column-stacked operators.
+    form the asymptotic sector; tol, when given, must be positive. One real
+    d^2 x d^2 eig of the generator in the orthonormal Hermitian basis, where
+    it is a real matrix since it preserves Hermiticity (Alicki & Lendi,
+    Quantum Dynamical Semigroups and Applications, LNP 286, 1987), gives the
+    spectrum, exactly conjugate-symmetric; an eigenvalue with Re > tol is a
+    NumericHealthError. When that real form is reducible, as for
+    decoherence-free blocks or dephasing, the eig runs on each component of
+    its nonzero pattern and returns the assembled block-diagonal eigenbasis.
+    p_inf is the exact spectral projector onto the asymptotic sector. When
+    that basis is invertible with condition kappa_F = ||V||_F ||V^-1||_F
+    below EIGENBASIS_COND_GATE, p_inf comes from it (route "eigenbasis");
+    this gate is the only one on the eigenbasis. A defective generator fails
+    it; p_inf then comes from the null spaces of L - lambda over the
+    asymptotic eigenvalues, starting from the eigenvectors the same eig
+    returned (route "nullspace"). Either way p_inf is real in the Hermitian
+    basis, is checked idempotent there (its Frobenius gap is that of
+    B P B+, as B is unitary) and is mapped back to column-stacked operators.
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
     r = _real_form(build_superoperator(l).matrix)
-    evals, asym, gate, route, p = _spectral_projector(r, tol)
+    evals, right, left = qlinalg.eig_general(r)
+    evals = np.asarray(evals, dtype=complex)
+    tol = ASYMPTOTIC_RTOL * max(1.0, float(np.abs(evals).max())) if tol is None else float(tol)
+    worst = float(evals.real.max())
+    if worst > tol:
+        raise NumericHealthError(
+            f"generator spectrum leaks into the right half plane (max Re {worst:.3e})"
+        )
+    asym = np.abs(evals.real) <= tol
+    # the norms of a defective basis may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigenbasis = left is not None and (
+            np.linalg.norm(right) * np.linalg.norm(left) < EIGENBASIS_COND_GATE
+        )
+    if eigenbasis:
+        p = (right[:, asym] @ left[:, asym].conj().T).real
+    else:
+        left = None  # free the refused basis's inverse before the solves
+        p = _nullspace_projector(r, evals, right, asym, tol)
+    del left, right  # the eigenvectors die before p is checked and mapped back
+    gap = qlinalg.hs_norm(p @ p - p)
+    if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(p)):
+        raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
+    p_inf = SuperoperatorMatrix(_column_stacked(p), kind="trace_preserving")
+    p_a, q = _support_projectors(p_inf.matrix, l.dim)
     return AsymptoticDecomposition(
         eigenvalues=evals,
         asymptotic_indices=tuple(np.flatnonzero(asym).tolist()),
-        real_projector=p,
-        tol=gate,
-        route=route,
+        tol=tol,
+        route="eigenbasis" if eigenbasis else "nullspace",
         real_generator=r,
+        p_inf=p_inf,
+        p_a=p_a,
+        q=q,
     )
 
 

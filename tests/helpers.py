@@ -32,3 +32,16 @@ def random_density(gen, d: int, rank: int | None = None) -> np.ndarray:
 def random_distribution(gen, n: int) -> np.ndarray:
     p = gen.random(n) + 1e-3
     return p / p.sum()
+
+
+def leaking(eig):
+    """eig_general with its eigenvalue of largest real part, the steady
+    state's 0, moved right by 1e-3."""
+
+    def shifted(m):
+        evals, right, left = eig(m)
+        evals = np.asarray(evals, dtype=complex).copy()
+        evals[np.argmax(evals.real)] += 1e-3
+        return evals, right, left
+
+    return shifted

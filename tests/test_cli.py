@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from revtherm import cli
 
-from helpers import random_density, rng
+from helpers import leaking, random_density, rng
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -649,6 +649,22 @@ class TestGkslAsymptotic:
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: numeric health: ")
         assert "Jordan chain" in lines[0]
+
+    def test_spectrum_in_the_right_half_plane_is_5(self, tmp_path, monkeypatch):
+        qlinalg = cli.gksl.qlinalg
+        monkeypatch.setattr(qlinalg, "eig_general", leaking(qlinalg.eig_general))
+        f = [[0.0, 1.0], [0.0, 0.0]]
+        payload = {
+            "hamiltonian": complex_matrix(np.zeros((2, 2))),
+            "jumps": [{"operator": complex_matrix(f), "rate": 0.8}],
+        }
+        p = write_scenario(tmp_path, "gksl-asymptotic", payload)
+        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+        assert r.exit_code == 5
+        assert isinstance(r.exception, SystemExit)
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "leaks into the right half plane" in lines[0]
 
 
 class TestGkslEvolve:

@@ -9,7 +9,7 @@ import pytest
 from revtherm import compmodel, gksl, qlinalg, qstate
 from revtherm.errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
-from helpers import random_complex, random_density, random_hermitian, rng
+from helpers import leaking, random_complex, random_density, random_hermitian, rng
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -359,7 +359,7 @@ class TestRealForm:
         l = block_lindbladian(rng(2400), (3, 3))
         r = gksl._real_form(gksl.build_superoperator(l).matrix)
         evals, right, left = qlinalg.eig_general(r)
-        gate = gksl._asymptotic_tol(evals, None)
+        gate = gksl.decompose(l).tol
         asym = np.abs(evals.real) <= gate
         assert (evals.imag[asym] > gate).any()
         eigenbasis = (right[:, asym] @ left[:, asym].conj().T).real
@@ -732,7 +732,8 @@ class TestDenseRoute:
             steps.clear()
             checks.clear()
             gksl.trajectory(l, random_density(gen, 16), self.TIMES)
-            assert len(steps) == len(self.TIMES)
+            # one step per positive time: the t = 0 state is not marched to
+            assert len(steps) == len(self.TIMES) - 1
             # every state is checked in one stack, after the march
             assert [len(states) for states in checks] == [len(self.TIMES)]
 
@@ -761,8 +762,9 @@ class TestDenseRoute:
             monkeypatch.setattr(gksl, "DENSE_WORK", 0)
 
         def run():
-            # the march is asked for the states in time order, t = 0 first
-            states = iter(bad)
+            # the march is asked for the positive times' states in time
+            # order; trajectory writes the t = 0 state, bad[0], itself
+            states = iter(bad[1:])
             monkeypatch.setattr(gksl, "_march", lambda *args: next(states))
             gksl.trajectory(random_lindbladian(rng(4800), 2), np.eye(2) / 2, [0.0, 1.0, 2.0, 3.0])
 
@@ -791,11 +793,15 @@ class TestDenseRoute:
 
     @pytest.mark.parametrize("route", ["entrywise", "dense", "march"])
     def test_time_zero_state_keeps_the_input_bits(self, monkeypatch, route):
-        # -0.0 in the imaginary part of an off-diagonal entry survives the
-        # symmetrization; a product with exp(0) = 1 + 0j would make it +0.0
-        rho0 = np.array([[0.5, complex(0.1, -0.0)], [complex(0.1, 0.0), 0.5]])
-        sym = (rho0 + rho0.conj().T) / 2.0
-        assert np.signbit(sym.imag).any()
+        inputs = [
+            # -0.0 in the imaginary part of an off-diagonal entry survives
+            # the symmetrization; a product with exp(0) = 1 + 0j would make
+            # it +0.0
+            np.array([[0.5, complex(0.1, -0.0)], [complex(0.1, 0.0), 0.5]]),
+            # -0.0 in the real part of (1, 0) survives one symmetrization
+            # but not a second, which adds the +0.0 the first left at (0, 1)
+            np.array([[0.5, complex(-0.0, 0.3)], [complex(-0.0, -0.3), 0.5]]),
+        ]
         if route == "entrywise":
             l = dephasing()
             monkeypatch.setattr(gksl, "_dense", no_step)
@@ -806,8 +812,35 @@ class TestDenseRoute:
                 monkeypatch.setattr(gksl, "DENSE_WORK", 0)
         if route != "march":
             monkeypatch.setattr(gksl, "_march", no_step)
-        state = gksl.trajectory(l, rho0, [0.0, 1.0])[0]
-        assert np.array_equal(state.view(np.uint64), sym.view(np.uint64))
+        for rho0, part in zip(inputs, ("imag", "real")):
+            sym = (rho0 + rho0.conj().T) / 2.0
+            assert np.signbit(getattr(sym, part)).any()
+            state = gksl.trajectory(l, rho0, [0.0, 1.0])[0]
+            assert np.array_equal(state.view(np.uint64), sym.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "route, d",
+        [(route, d) for route in ("entrywise", "dense", "march") for d in (2, 3, 4, 8, 12)]
+        + [("march", 16)],
+    )
+    def test_every_route_is_exactly_hermitian(self, monkeypatch, route, d):
+        # _healthy returns the states as they are, so each route must
+        # return every state equal to its adjoint, element by element
+        others = {"entrywise": "_dephased", "dense": "_dense", "march": "_march"}
+        for name in set(others.values()) - {others[route]}:
+            monkeypatch.setattr(gksl, name, no_step)
+        if route == "march":
+            monkeypatch.setattr(gksl, "DENSE_WORK", 0)
+        gen = rng(5000 + d)
+        if route == "entrywise":
+            generators = [dephasing_pairs(gen, d), diagonal_lindbladian(gen, d)]
+        else:
+            generators = [random_lindbladian(gen, d), traceful_lindbladian(gen, d)]
+            if d % 2 == 0:
+                generators.append(exceptional_point(1.0, d))
+        for l in generators:
+            states = gksl.trajectory(l, random_density(gen, d), self.TIMES)
+            assert np.array_equal(states, states.conj().transpose(0, 2, 1))
 
 
 class TestMarchCap:
@@ -971,20 +1004,24 @@ class TestDecompose:
         assert len(dec.asymptotic_indices) == n_asymptotic
         assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-10
 
-    def test_non_idempotent_projector_rejected(self):
-        dec = gksl.decompose(damping(0.8))
-        p = gksl._spectral_projector(dec.real_generator, None)[4]
-        fields = dict(
-            eigenvalues=dec.eigenvalues,
-            asymptotic_indices=dec.asymptotic_indices,
-            tol=dec.tol,
-            route=dec.route,
-            real_generator=dec.real_generator,
-        )
-        kept = gksl.AsymptoticDecomposition(real_projector=p, **fields)
+    def test_non_idempotent_projector_rejected(self, monkeypatch):
+        # the gate is reached through decompose: the null-space projector of
+        # a defective generator, scaled, is no longer idempotent
+        l = exceptional_point(1.0, 4)
+        dec = gksl.decompose(l)
+        inner = gksl._nullspace_projector
+        monkeypatch.setattr(gksl, "_nullspace_projector", lambda *args: 1.0 * inner(*args))
+        kept = gksl.decompose(l)
+        assert kept.route == "nullspace"
         assert np.array_equal(kept.p_inf.matrix, dec.p_inf.matrix)
+        monkeypatch.setattr(gksl, "_nullspace_projector", lambda *args: 1.5 * inner(*args))
         with pytest.raises(ContractError, match="not idempotent"):
-            gksl.AsymptoticDecomposition(real_projector=1.5 * p, **fields)
+            gksl.decompose(l)
+
+    def test_spectrum_in_the_right_half_plane_rejected(self, monkeypatch):
+        monkeypatch.setattr(qlinalg, "eig_general", leaking(qlinalg.eig_general))
+        with pytest.raises(NumericHealthError, match="leaks into the right half plane"):
+            gksl.decompose(damping(0.8))
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_nullspace_route_matches_series_propagator(self, d):
@@ -1079,18 +1116,19 @@ class TestCesaro:
     def test_decomposition_frequencies_skip_the_spectrum(self, monkeypatch):
         l = closed(np.diag([0.0, 1.0, 2.5]))
         dec = gksl.decompose(l)
+        # without dec, cesaro_projector takes the same decompose(l)
         own = gksl.cesaro_projector(l, horizon=300.0, samples=2**12)
 
-        def no_eigvals(m):
+        def no_eig(m):
             raise AssertionError("spectrum recomputed")
 
         def no_build(l):
             raise AssertionError("generator rebuilt")
 
-        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        monkeypatch.setattr(qlinalg, "eig_general", no_eig)
         monkeypatch.setattr(gksl, "build_superoperator", no_build)
         given = gksl.cesaro_projector(l, 300.0, 2**12, dec)
-        assert qlinalg.hs_norm(given.matrix - own.matrix) <= 1e-12
+        assert np.array_equal(given.matrix, own.matrix)
 
     def test_conjugate_frequencies_share_one_mean(self):
         # reference: every asymptotic frequency averaged on its own in
