@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericHealthError
 
 REGIME_RATIO = 10.0
 
@@ -83,8 +83,17 @@ def e_diss(p: AdiabaticParams, t_tr: float) -> float:
 
 def optimal_ttr(p: AdiabaticParams) -> float:
     """Dissipation-minimizing transition time, the geometric mean of the
-    adjusted timescales (where switching and leakage losses balance)."""
-    return float(np.sqrt(p.tau_r_adj * p.tau_e_adj))
+    adjusted timescales (where switching and leakage losses balance).
+
+    Raises NumericHealthError when the product tau_r' tau_e' under- or
+    overflows, so that the optimum comes out 0 or inf.
+    """
+    t = float(np.sqrt(p.tau_r_adj * p.tau_e_adj))
+    if not 0.0 < t < np.inf:
+        raise NumericHealthError(
+            f"optimal transition time is {t!r}: tau_r' * tau_e' leaves the float range"
+        )
+    return t
 
 
 def min_e_diss(p: AdiabaticParams) -> float:

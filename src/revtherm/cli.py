@@ -656,7 +656,7 @@ def _handle_adiabatic_sweep(payload, units, tol):
     table = adiabatic.sweep(params, t_min, t_max, n_points)
     opt = adiabatic.optimal_ttr(params)
     floor = adiabatic.min_e_diss(params)
-    at_opt = params.e_sig * params.tau_r_adj / opt + params.e_sig * opt / params.tau_e_adj
+    at_opt = adiabatic.e_diss(params, opt)
     grid_min = float(table[:, 3].min())
     outputs = {
         "optimal_ttr": float(opt),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from revtherm import adiabatic
-from revtherm.errors import ContractError
+from revtherm.errors import ContractError, NumericHealthError
 
 
 def params(**kw):
@@ -78,6 +78,11 @@ class TestOptimum:
         p = params()
         assert adiabatic.optimal_ttr(p) == pytest.approx(10.0)
         assert adiabatic.min_e_diss(p) == pytest.approx(0.002)
+
+    def test_optimum_out_of_float_range_raises(self):
+        for tau_r, tau_e in ((1e200, 1e300), (1e-200, 1e-190)):
+            with pytest.raises(NumericHealthError):
+                adiabatic.optimal_ttr(params(tau_r=tau_r, tau_e=tau_e))
 
     def test_optimum_balances_the_losses(self):
         p = params(e_sig=2.5, tau_r=0.3, tau_e=700.0, c_sw=1.2, c_lk=0.8)

@@ -364,6 +364,27 @@ class TestExitCodes:
         # numpy's overflow warnings are not printed: stderr is the error line
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("tau_r, tau_e", [(1e200, 1e300), (1e-200, 1e-190)])
+    def test_optimum_out_of_float_range_is_5(self, tmp_path, tau_r, tau_e):
+        # tau_r * tau_e overflows to inf or underflows to 0, so the optimum
+        # sqrt(tau_r tau_e) is inf or 0: a numeric failure, not bad input
+        p = write_scenario(
+            tmp_path,
+            "adiabatic-sweep",
+            {
+                "e_sig": 1.0,
+                "tau_r": tau_r,
+                "tau_e": tau_e,
+                "t_min": tau_r * 10.0,
+                "t_max": tau_e / 10.0,
+                "n_points": 5,
+            },
+        )
+        r = run_cli("adiabatic-sweep", "--scenario", p)
+        assert r.returncode == 5, r.stderr
+        assert r.stderr.startswith("error: numeric health: optimal transition time")
+        assert r.stderr.count("\n") == 1
+
     def test_success_prints_no_warning(self, tmp_path):
         # tau_e / tau_r = 5 is below the efficiency bound's regime ratio,
         # which the library flags with a RuntimeWarning

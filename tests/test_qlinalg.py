@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -276,14 +278,96 @@ class TestMatrixExp:
         with pytest.raises(ContractError):
             qlinalg.matrix_exp(np.eye(2), method="auto")
 
+    @pytest.mark.parametrize("order", range(2, 31))
+    def test_nilpotent_shift_is_the_exact_polynomial(self, order):
+        # ||N||_1 = 1 gives s = 0 and degree 20; every power of the shift N
+        # holds zeros and ones, and the terms sit on distinct diagonals, so
+        # each coefficient lands in its place exactly, across every block
+        n = np.eye(order, k=1)
+        powers = [np.linalg.matrix_power(n, j) for j in range(order)]
+        expect = sum(p / math.factorial(j) for j, p in enumerate(powers[:21]))
+        got = qlinalg.matrix_exp(n)
+        assert qlinalg._expm_plan(1.0)[:2] == (0, 20)
+        assert np.array_equal(got, expect)
+        full = sum(p / math.factorial(j) for j, p in enumerate(powers))
+        assert np.abs(got - full).max() <= 1.0 / math.factorial(21)
 
-def parent_matrix_exp(m):
-    """The complex scaled Taylor loop exactly as it stood before real inputs stayed real."""
-    m = np.asarray(m, dtype=complex)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("norm", [0.6, 7.88, 1430.0])
+    def test_zero_first_row_gives_e0(self, dtype, norm):
+        # gksl._dense zeroes the trace row of its generator and relies on
+        # every propagator keeping the trace exactly
+        assert (qlinalg._expm_plan(norm)[0] > 0) == (norm > 1.0)
+        gen = rng(31)
+        for n in (2, 7, 16, 50):
+            a = gen.standard_normal((n, n)).astype(dtype)
+            if dtype is complex:
+                a += 1j * gen.standard_normal((n, n))
+            a[0] = 0.0
+            a *= norm / np.linalg.norm(a, 1)
+            row = qlinalg.matrix_exp(a)[0]
+            assert np.array_equal(row, np.eye(n)[0])
+
+    def test_plan(self):
+        # degree: the smallest k with nu^k / k! <= 1e-18; q <= 3 minimizes
+        # the products, the smallest on a tie
+        counts = {}
+        for norm in (0.0, 1e-3, 0.15, 0.5, 0.75, 1.0, 1.5, 7.88, 1430.0, 1e5):
+            s, k, q = qlinalg._expm_plan(norm)
+            nu = norm / 2.0**s
+            assert nu <= 1.0 and (s == 0 or nu > 0.5)
+            assert nu**k / math.factorial(k) <= 1e-18 < nu ** (k - 1) / math.factorial(k - 1)
+            cost = [p - 1 + -(-(k + 1) // p) - 1 for p in range(1, 4)]
+            assert q == 1 + cost.index(min(cost))
+            counts[norm] = cost[q - 1] + s
+        assert (counts[7.88], counts[1430.0], counts[0.15]) == (11, 19, 6)
+
+    def test_degree_reaches_the_term_loop(self):
+        # the term-by-term loop stops once a term's norm is below 1e-18
+        # (relative, at least 1); the fixed degree is never below it
+        gen = rng(32)
+        for n in (2, 7, 16):
+            for norm in (0.15, 0.9, 7.88, 1430.0):
+                m = random_complex(gen, (n, n))
+                m *= norm / np.linalg.norm(m, 1)
+                s, k, _ = qlinalg._expm_plan(norm)
+                a = m / 2.0**s
+                term, total = np.eye(n), np.eye(n, dtype=complex)
+                for j in range(1, 60):
+                    term = term @ a / j
+                    total += term
+                    if np.linalg.norm(term, 1) <= 1e-18 * max(1.0, np.linalg.norm(total, 1)):
+                        break
+                assert j <= k
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_peak_memory_within_the_term_loop(self, dtype):
+        gen = rng(33)
+        for norm in (0.15, 7.88, 1430.0):
+            m = gen.standard_normal((256, 256)).astype(dtype)
+            if dtype is complex:
+                m += 1j * gen.standard_normal((256, 256))
+            m *= norm / np.linalg.norm(m, 1)
+            peaks = []
+            for expm in (qlinalg.matrix_exp, lambda m: parent_matrix_exp(m, dtype)):
+                tracemalloc.start()
+                try:
+                    expm(m)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] <= peaks[1]
+
+
+def parent_matrix_exp(m, dtype=complex):
+    """The scaled Taylor loop, one product per term, as it stood before
+    Paterson-Stockmeyer evaluation; complex, as before real inputs stayed
+    real, unless dtype says otherwise."""
+    m = np.asarray(m, dtype=dtype)
     norm = np.linalg.norm(m, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     a = m / (2.0**squarings)
-    term = np.eye(m.shape[0], dtype=complex)
+    term = np.eye(m.shape[0], dtype=dtype)
     total = term.copy()
     for k in range(1, 60):
         term = term @ a / k
@@ -313,11 +397,24 @@ class TestDtypeRule:
         for out in qlinalg.eig_general(sym):
             assert out.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matrix_exp_agrees_with_the_term_loop(self, dtype):
+        # the Paterson-Stockmeyer evaluation rounds differently from the
+        # one-product-per-term loop, so agreement is to rounding, not bits
+        gen = rng(28)
+        for n in (2, 7, 16):
+            m = gen.standard_normal((n, n)).astype(dtype)
+            if dtype is complex:
+                m += 1j * gen.standard_normal((n, n))
+            expm = qlinalg.matrix_exp(m)
+            assert expm.dtype == m.dtype
+            assert np.abs(expm - parent_matrix_exp(m)).max() <= 1e-13 * np.abs(expm).max()
+
     def test_complex_input_is_bit_identical(self):
+        # eig_general on a complex input is numpy's eig, bit for bit
         gen = rng(28)
         for n in (2, 7, 16):
             m = random_complex(gen, (n, n))
-            assert np.array_equal(qlinalg.matrix_exp(m), parent_matrix_exp(m))
             evals, right, left = qlinalg.eig_general(m)
             expect_evals, expect_right = np.linalg.eig(m)
             assert np.array_equal(evals, expect_evals)
