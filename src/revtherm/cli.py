@@ -322,7 +322,11 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def _entropy_divisor(units: str) -> float:
@@ -749,16 +753,20 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         return 5
 
     target_dir = Path(csv_dir) if csv_dir else (Path(out).parent if out else Path("."))
-    for name in sorted(csvs):
-        target_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(target_dir / (csv_prefix + name), csvs[name])
-    if out:
-        out_path = Path(out)
-        if out_path.parent != Path(""):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_path, text)
-    else:
-        click.echo(text, nl=False)
+    try:
+        for name in sorted(csvs):
+            target_dir.mkdir(parents=True, exist_ok=True)
+            _atomic_write(target_dir / (csv_prefix + name), csvs[name])
+        if out:
+            out_path = Path(out)
+            if out_path.parent != Path(""):
+                out_path.parent.mkdir(parents=True, exist_ok=True)
+            _atomic_write(out_path, text)
+        else:
+            click.echo(text, nl=False)
+    except OSError as exc:
+        click.echo(f"error: cannot write output: {exc}", err=True)
+        return 1
     return 0 if passed else 4
 
 

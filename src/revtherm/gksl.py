@@ -3,10 +3,12 @@
 Propagation takes one of three routes, chosen per trajectory after one
 shared cap on its work. A generator whose Hamiltonian and jumps are all
 diagonal (pure dephasing) acts on each matrix entry alone, L E_ij =
-lambda_ij E_ij, so its states are exact entrywise exponentials. At small d,
-when the time grid needs few distinct steps, the dense route takes one
-exponential of the real d^2 x d^2 generator below per step and one
-matrix-vector product per state. Otherwise propagation is matrix-free:
+lambda_ij E_ij, so its states are exact entrywise exponentials. When the
+time grid needs few distinct steps for the generator's size, the dense
+route takes one exponential of the real d^2 x d^2 generator below per
+step and one matrix-vector product per state; a generator that splits into
+coherence sectors (see below) is built, exponentiated and applied sector
+by sector. Otherwise propagation is matrix-free:
 trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
 products only, marching once along the sorted time grid with a scaled
 Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
@@ -30,9 +32,11 @@ projectors P_A / Q. Under block-diagonal operating contexts the real form
 is reducible: it splits exactly into coherence sectors between pairs of
 blocks (Baumgartner & Narnhofer, J. Phys. A 41:395303, 2008; Buca &
 Prosen, New J. Phys. 14:073007, 2012), and that eig runs block by block
-over them (qlinalg.eig_general). A Cesaro time average of the same real
-form at the frequencies decompose found, stepped on the series route
-without eigenvectors, is the independent cross-check of that projection.
+over them (qlinalg.eig_general); the dense route propagates sector by
+sector, over the blocks of the Hamiltonian and jumps (_sectors). A Cesaro
+time average of the same real form at the frequencies decompose found,
+stepped on the series route without eigenvectors, is the independent
+cross-check of that projection.
 The split of an operator into a block-respecting ("noncomputational") and
 a cross-block ("pure computational") part connects the open-system
 picture to the computational one.
@@ -83,12 +87,19 @@ _TAYLOR_TOL = 2.0**-53
 MAX_MARCH_WORK = 555_610
 
 # trajectory takes the dense route when the grid needs at most
-# DENSE_WORK // d^6 distinct propagators, each a matrix_exp of a d^2 x d^2
-# real matrix: two at d = 12 (an even grid plus a resolving time), none from
-# d = 14. TIME_ULPS is how far, in ulps of the time, a reused step may land
-# from it.
+# DENSE_WORK // W distinct propagators, W the work of one (_dense_work):
+# d^6 for the d^2 x d^2 real matrix taken whole, two at d = 12 (an even
+# grid plus a resolving time) and none from d = 14; the sum of s^3 over the
+# coherence sectors of a generator that splits, 740 for the embedded
+# exceptional point at d = 12 and 402 at d = 16. TIME_ULPS is how far, in
+# ulps of the time, a reused step may land from it.
 DENSE_WORK = 2 * 12**6
 TIME_ULPS = 4
+
+# _dense_sectors exponentiates the propagators of as many steps at once as
+# hold at most this many entries: one stacked matrix_exp call then serves
+# many steps of an irregular grid, in a few megabytes of working memory.
+SECTOR_CHUNK = 2**16
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
 
@@ -222,6 +233,21 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return order
 
 
+def _pair_parts(t: np.ndarray, p: int, axis: int, phase: complex) -> np.ndarray:
+    """t, changed in place along axis, which holds p diagonal entries, then
+    entries (i, j) of pairs i < j and then entries (j, i) of the same
+    pairs: (u + l)/sqrt2 replaces each u = (i, j) and phase (u - l)/sqrt2
+    each l = (j, i). Phase -i takes B+ t along that axis, +i takes t B."""
+    q = (t.shape[axis] - p) // 2
+    at = (slice(None),) * axis
+    upper, lower = t[at + (slice(p, p + q),)], t[at + (slice(p + q, None),)]
+    diff = upper - lower
+    upper += lower
+    upper *= math.sqrt(0.5)
+    np.multiply(diff, phase * math.sqrt(0.5), out=lower)
+    return t
+
+
 def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     """B+ a for axis 0, a B for axis 1: the column-stacked operators along
     that axis of a, in the Hermitian basis.
@@ -230,14 +256,8 @@ def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     has at most two nonzeros per row and per column, so this is a gather.
     """
     d = math.isqrt(a.shape[axis])
-    mid = (d * d + d) // 2
     t = np.take(np.asarray(a, dtype=complex), _hermitian_basis(d), axis=axis)
-    upper, lower = (t[d:mid], t[mid:]) if axis == 0 else (t[:, d:mid], t[:, mid:])
-    diff = upper - lower
-    upper += lower
-    upper *= math.sqrt(0.5)
-    np.multiply(diff, (-1j if axis == 0 else 1j) * math.sqrt(0.5), out=lower)
-    return t
+    return _pair_parts(t, d, axis, -1j if axis == 0 else 1j)
 
 
 def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
@@ -259,19 +279,25 @@ def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _real_form(m: np.ndarray) -> np.ndarray:
-    """B+ M B for a generator M: real, because M preserves Hermiticity.
+def _real_parts(forms: list) -> list:
+    """The real parts of the blocks of one generator's B+ M B, real because
+    M preserves Hermiticity.
 
     The imaginary residue is rounding and is dropped after a gate with the
-    allowance of the generator trace contract, TRACE_FUNCTIONAL_RTOL.
+    allowance of the generator trace contract, TRACE_FUNCTIONAL_RTOL,
+    measured over all the blocks.
     """
-    r = _to_hermitian_basis(_to_hermitian_basis(m, 0), 1)
-    residue = np.linalg.norm(r.imag)
-    if residue > TRACE_FUNCTIONAL_RTOL * max(1.0, np.linalg.norm(r)):
+    residue = math.hypot(*(np.linalg.norm(t.imag) for t in forms))
+    if residue > TRACE_FUNCTIONAL_RTOL * max(1.0, math.hypot(*map(np.linalg.norm, forms))):
         raise NumericHealthError(
             f"generator does not preserve Hermiticity (imaginary residue {residue:.3e})"
         )
-    return r.real.copy()
+    return [t.real.copy() for t in forms]
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """B+ M B for a generator M, real (_real_parts)."""
+    return _real_parts([_to_hermitian_basis(_to_hermitian_basis(m, 0), 1)])[0]
 
 
 def _column_stacked(p: np.ndarray) -> np.ndarray:
@@ -484,18 +510,173 @@ def _trace_reflection(d: int) -> np.ndarray:
     return h
 
 
+def _block_labels(l: Lindbladian) -> np.ndarray | None:
+    """Each basis index's block, labelled by its smallest index: the
+    components of the pattern |K| + sum kappa |F|, in which K and every
+    jump are block diagonal. None for one block, and below
+    qlinalg.EXPM_SPLIT_MIN_ORDER in d^2, where the dense route takes the
+    generator whole."""
+    if l.dim**2 < qlinalg.EXPM_SPLIT_MIN_ORDER:
+        return None
+    k, _, kf = _generator_terms(l)
+    labels = qlinalg._component_labels(np.abs(k) + np.abs(kf).sum(axis=0))
+    return labels if labels.any() else None
+
+
+def _dense_work(l: Lindbladian) -> int:
+    """Work of one propagator on the dense route: sum s^3 over the sectors
+    of _sectors, each of order s; d^6 for a generator taken whole.
+
+    With blocks of sizes b_A, the sector within block A has order b_A^2 and
+    the one between blocks A and B order 2 b_A b_B.
+    """
+    labels = _block_labels(l)
+    if labels is None:
+        return l.dim**6
+    cubes = [int(b) ** 3 for b in np.bincount(labels) if b]
+    within = sum(c * c for c in cubes)
+    # sum over pairs A < B of (2 b_A b_B)^3 = 8 c_A c_B
+    return within + 4 * (sum(cubes) ** 2 - within)
+
+
+def _sectors(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The coherence sectors of the Hermitian basis for blocks labelled
+    per basis index, as (p, idx) per group of sectors of one order s and
+    population count p.
+
+    When K and every jump are block diagonal, L maps the operators supported
+    on blocks A x B and B x A into themselves, so their span is an
+    invariant sector of the real form (Baumgartner & Narnhofer 2008; Buca
+    & Prosen 2012): b_A^2 basis operators within a block A, p = b_A of them
+    populations, and 2 b_A b_B between two blocks. Row r of idx (k, s)
+    lists one sector's positions in the Hermitian basis, ascending: its
+    populations, then its pairs' symmetric and then their antisymmetric
+    parts, in the same pair order.
+    """
+    d = labels.size
+    i, j = np.triu_indices(d, 1)
+    low, high = np.minimum(labels[i], labels[j]), np.maximum(labels[i], labels[j])
+    key = np.concatenate([labels * (d + 1), low * d + high, low * d + high])
+    # the sectors that occur, numbered in key order
+    seen = np.zeros(d * d, dtype=bool)
+    seen[key] = True
+    sector = (np.cumsum(seen) - 1)[key]
+    size = np.bincount(sector)[sector]
+    pops = np.bincount(sector[:d], minlength=d * d)[sector]
+    kind = size * (d + 1) + pops
+    # stable: within a sector the positions stay ascending
+    order = np.argsort(kind * (d * d) + sector, kind="stable")
+    groups = []
+    for run in np.split(order, np.flatnonzero(np.diff(kind[order])) + 1):
+        s, p = divmod(int(kind[run[0]]), d + 1)
+        groups.append((p, run.reshape(-1, s)))
+    return groups
+
+
+def _sector_forms(l: Lindbladian, groups: list) -> list:
+    """The real form of L on each sector of _sectors, one (k, s, s) stack
+    per group, built from K and the jumps without the d^2 x d^2 matrix.
+
+    Entry ((i, j), (k, l)) of the column-stacked generator is
+    K_ik delta_jl + delta_ik conj(K_jl) + sum_n kappa_n F_n,ik conj(F_n,jl)
+    (build_superoperator). Each sector lists its entries (i, j) in the
+    order of its basis positions, so B restricted to it is the map of
+    _pair_parts.
+    """
+    k, f, kf = _generator_terms(l)
+    d = l.dim
+    i, j = np.triu_indices(d, 1)
+    first = np.concatenate([np.arange(d), i, j])
+    second = np.concatenate([np.arange(d), j, i])
+    forms = []
+    for p, idx in groups:
+        a, b = first[idx], second[idx]
+        ar, ac, br, bc = a[:, :, None], a[:, None, :], b[:, :, None], b[:, None, :]
+        m = k[ar, ac] * (br == bc) + (ar == ac) * k[br, bc].conj()
+        m += (kf[:, ar, ac] * f[:, br, bc].conj()).sum(axis=0)
+        forms.append(_pair_parts(_pair_parts(m, p, 1, -1j), p, 2, 1j))
+    forms = _real_parts(forms)
+    # tau R = 0 for the trace functional tau (the populations' sum), as
+    # build_superoperator checks it
+    sums = [r[:, :p].sum(axis=1) for (p, _), r in zip(groups, forms)]
+    residual = math.hypot(*map(np.linalg.norm, sums))
+    if residual > TRACE_FUNCTIONAL_RTOL * max(1.0, math.hypot(*map(np.linalg.norm, forms))):
+        raise ContractError(
+            f"superoperator violates its generator trace contract (residual {residual:.3e})"
+        )
+    return forms
+
+
+def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndarray) -> np.ndarray:
+    """_dense for a generator that splits into blocks (labels, from
+    _block_labels), sector by sector.
+
+    The real form is built per sector (_sectors, _sector_forms). Each group
+    of sectors of one order takes one stacked matrix_exp for the steps of
+    a chunk (SECTOR_CHUNK), and per state one stacked matvec. R is block
+    diagonal and tau R = 0, so a sector holding populations keeps its own
+    partial trace: its populations are reflected and its first row is set
+    to zero, as _dense does for the whole trace, and every propagator
+    keeps each partial trace, and so the trace, exactly.
+    """
+    d = rho.shape[0]
+    groups = _sectors(labels)
+    forms = _sector_forms(l, groups)
+    x = _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
+    previous = []
+    for (p, idx), r in zip(groups, forms):
+        xs = x[idx][..., None]
+        if p:
+            h = _trace_reflection(p)
+            r[:, :p] = h @ r[:, :p]
+            r[:, :, :p] = r[:, :, :p] @ h
+            r[:, 0] = 0.0
+            xs[:, :p] = h @ xs[:, :p]
+        previous.append(xs)
+    steps, which = plan
+    # the propagators of up to `count` steps at once, as one stack per group
+    count = max(1, SECTOR_CHUNK // sum(r.size for r in forms))
+
+    def chunk(start):
+        t = np.asarray(steps[start : start + count])[:, None, None, None]
+        stacks = [(t * r).reshape(-1, *r.shape[1:]) for r in forms]
+        return [qlinalg.matrix_exp(m).reshape(-1, *r.shape) for m, r in zip(stacks, forms)]
+
+    table, start = chunk(0), 0
+    first = [u[0] for u in table]
+    # states[g][i] holds the coordinates of group g's sectors at time i
+    states = [np.empty((len(which),) + xs.shape) for xs in previous]
+    for i, k in enumerate(which):
+        # a new step is the next one: the chunk after the current one starts there
+        if k >= start + count:
+            table, start = chunk(k), k
+        propagators = first if k == 0 else [u[k - start] for u in table]
+        previous = [np.matmul(u, y, out=out[i]) for u, y, out in zip(propagators, previous, states)]
+    coords = np.empty((d * d, len(which)))
+    for (p, idx), out in zip(groups, states):
+        coords[idx] = out[..., 0].transpose(1, 2, 0)
+        if p:
+            coords[idx[:, :p]] = _trace_reflection(p) @ coords[idx[:, :p]]
+    return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
+
+
 def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
     """exp(t L) rho along the steps of _propagator_steps, on the real form.
 
-    One matrix_exp of step R per new step, then one matvec per state, on
-    rho's real coordinates in the Hermitian basis. The diagonal block of
-    that basis is first reflected (_trace_reflection) so that the trace is
-    the first coordinate times sqrt(d). L maps every operator to a
-    traceless one, so the first row of R is rounding, bounded by the
-    generator's trace contract, and is set to zero: each propagator then
-    keeps the trace exactly, and its squarings cannot grow an error along
-    the steady state. Mapped back, every state is exactly Hermitian.
+    A generator that splits into blocks (_block_labels) goes sector by
+    sector (_dense_sectors). Otherwise one matrix_exp of step R per new
+    step, then one matvec per state, on rho's real coordinates in the
+    Hermitian basis. The diagonal block of that basis is first reflected
+    (_trace_reflection) so that the trace is the first coordinate times
+    sqrt(d). L maps every operator to a traceless one, so the first row of
+    R is rounding, bounded by the generator's trace contract, and is set
+    to zero: each propagator then keeps the trace exactly, and its
+    squarings cannot grow an error along the steady state. Mapped back,
+    every state is exactly Hermitian.
     """
+    labels = _block_labels(l)
+    if labels is not None:
+        return _dense_sectors(l, rho, plan, labels)
     d = rho.shape[0]
     h = _trace_reflection(d)
     r = _real_form(build_superoperator(l).matrix)
@@ -534,14 +715,18 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
 
     * A generator with diagonal Hamiltonian and jumps acts on each matrix
       entry alone; its states are exact entrywise exponentials (_dephased).
-    * Otherwise, when the grid needs at most DENSE_WORK // d^6 distinct
-      propagators, the dense route takes one matrix_exp of the d^2 x d^2
-      real Hermitian-basis generator per distinct step and one matvec per
-      state (_dense). The last step, or the first, is reused where it
-      lands within TIME_ULPS ulps of the next time, measured from the time
-      actually reached, so each state is taken at a time t' with
-      |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it by at
-      most 4 eps t ||L|| in trace norm.
+    * Otherwise, when the grid needs at most DENSE_WORK // _dense_work(l)
+      distinct propagators, the dense route takes one matrix_exp of the
+      d^2 x d^2 real Hermitian-basis generator per distinct step and one
+      matvec per state (_dense). The work of one propagator is d^6, or,
+      when the Hamiltonian and the jumps are block diagonal in a partition
+      of the basis (_block_labels), the sum of s^3 over the coherence
+      sectors of order s that the generator splits into, each then built
+      and exponentiated alone. The last step, or the first, is reused
+      where it lands within TIME_ULPS ulps of the next time, measured
+      from the time actually reached, so each state is taken at a time t'
+      with |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it
+      by at most 4 eps t ||L|| in trace norm.
       An even grid needs one propagator, a time after its end one more,
       and a time inside it two more.
     * Otherwise one matrix-free march visits the distinct times in
@@ -580,7 +765,7 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
         entries = _diagonal_form(k, gs)
         if entries is not None:
             states[zeros:] = _dephased(rho, positive, *entries)
-        elif (plan := _propagator_steps(positive.tolist(), DENSE_WORK // l.dim**6)) is not None:
+        elif plan := _propagator_steps(positive.tolist(), DENSE_WORK // _dense_work(l)):
             states[zeros:] = _dense(l, rho, plan)
         else:
             # every march state is exactly Hermitian, so the march needs no

@@ -38,11 +38,23 @@ HERMITICITY_RTOL = 1e-10
 # 0.1-0.25x at n = 100.
 SPLIT_MIN_ORDER = 40
 
+# gksl._dense builds and exponentiates a reducible generator's real form
+# sector by sector only from this order d^2 on; below it takes the form
+# whole. Measured like SPLIT_MIN_ORDER (median of 61) for decoherence-free-
+# block, dephasing and exceptional-point generators that split: the
+# sectors' stacked matrix_exp took 1.4-2.6x the time of the whole one at
+# n = 16 to 49, 0.9-1.0x at n = 64 and 81 and 0.45-0.75x at n = 100; the
+# whole dense route on a grid of two propagators, sector build and matvecs
+# included, took 1.1-1.35x at n = 64 and 81, 0.65-1.03x at n = 100,
+# 0.5-0.65x at n = 121, 0.25-0.5x at n = 144 and 0.07-0.11x at n = 256.
+EXPM_SPLIT_MIN_ORDER = 100
 
-def _finite_matrix(a, dtype) -> np.ndarray:
+
+def _finite_matrix(a, dtype, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=dtype)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
+    if m.ndim != 2 + stack:
+        what = "stack of matrices" if stack else "matrix"
+        raise ShapeError(f"expected a {what}, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ContractError("matrix entries must be finite")
     return m
@@ -54,15 +66,16 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def as_square(
-    a, d: int | None = None, what: str = "matrix", keep_real: bool = False
+    a, d: int | None = None, what: str = "matrix", keep_real: bool = False, stack: bool = False
 ) -> np.ndarray:
     """as_complex_matrix, additionally d x d (any square size when d is None).
 
-    keep_real leaves a real input real, as float64, instead of upcasting it.
+    keep_real leaves a real input real, as float64, instead of upcasting it;
+    stack takes a stack (k, d, d) of such matrices instead of one.
     """
-    m = _finite_matrix(a, float if keep_real and not np.iscomplexobj(a) else complex)
-    n = m.shape[0] if d is None else int(d)
-    if m.shape != (n, n):
+    m = _finite_matrix(a, float if keep_real and not np.iscomplexobj(a) else complex, stack)
+    n = m.shape[-1] if d is None else int(d)
+    if m.shape[-2:] != (n, n):
         raise ShapeError(f"{what} is {m.shape}, expected {'square' if d is None else (n, n)}")
     return m
 
@@ -247,38 +260,47 @@ def _expm_plan(norm: float) -> tuple[int, int, int]:
     return squarings, degree, q
 
 
-def _taylor(m: np.ndarray, squarings: int, degree: int, q: int) -> np.ndarray:
-    """T_degree(A), A = m / 2^squarings, by Horner in A^q over blocks of q.
+def _taylor(m: np.ndarray, squarings, degree: int, q: int) -> np.ndarray:
+    """T_degree(A), A = m / 2^squarings, by Horner in A^q over blocks of q;
+    for a stack m (k, n, n), of each matrix, with its own squarings[i].
 
     Row r of sum_i B_i (A^q)^i needs only row r of each B_i, so each half
-    of the rows takes its own Horner sweep in place, with one half-size
-    buffer beside A^2 ... A^q. A^1 is read from m with 2^-squarings folded
-    into its coefficients, so A itself is dropped once the powers are
-    formed; scaling by a power of two is exact while the folded
-    coefficient stays a normal number, ||m||_1 <= 2^960.
+    of the rows of a single matrix takes its own Horner sweep in place,
+    with one half-size buffer beside A^2 ... A^q; a stack, of small
+    matrices in practice, takes one sweep. A^1 is read from m with
+    2^-squarings folded into its coefficients, so A itself is dropped once
+    the powers are formed; scaling by a power of two is exact while the
+    folded coefficient stays a normal number, ||m||_1 <= 2^960.
     """
-    a = m * math.ldexp(1.0, -squarings) if squarings else m
+    if m.ndim == 2:
+        scale = math.ldexp(1.0, -squarings)
+    else:
+        scale = np.ldexp(1.0, -squarings)[:, None, None]
+    a = m * scale if np.any(squarings) else m
     powers, top = [m], a
     for _ in range(q - 1):
         top = top @ a
         powers.append(top)
     del a
-    n = m.shape[0]
-    half = -(-n // 2)
-    total, work = np.zeros((n, n), m.dtype), np.empty((half, n), m.dtype)
+    n = m.shape[-1]
+    bounds = (0, -(-n // 2), n) if m.ndim == 2 else (0, n)
+    total, work = np.zeros(m.shape, m.dtype), np.empty(m.shape[:-2] + (bounds[1], n), m.dtype)
+    # the diagonal entries (r, r) of every matrix, as a view
+    diagonal = total.reshape(m.shape[:-2] + (-1,))[..., :: n + 1]
     blocks = -(-(degree + 1) // q)
-    for start, stop in ((0, half), (half, n)):
-        rows, buf = total[start:stop], work[: stop - start]
+    for start, stop in zip(bounds, bounds[1:]):
+        part = (..., slice(start, stop), slice(None))
+        rows, buf, diag = total[part], work[..., : stop - start, :], diagonal[..., start:stop]
+        low = [power[part] for power in powers]
         for i in range(blocks - 1, -1, -1):
             if i < blocks - 1:
                 np.matmul(rows, top, out=buf)
                 rows[...] = buf
             for j in range(1, min(q, degree + 1 - i * q)):
-                c = math.ldexp(1.0 / math.factorial(i * q + j), -squarings if j == 1 else 0)
-                np.multiply(powers[j - 1][start:stop], c, out=buf)
+                c = 1.0 / math.factorial(i * q + j)
+                np.multiply(low[j - 1], c * scale if j == 1 else c, out=buf)
                 rows += buf
-            # the diagonal entries (k, k) of rows start <= k < stop
-            rows.reshape(-1)[start :: n + 1] += 1.0 / math.factorial(i * q)
+            diag += 1.0 / math.factorial(i * q)
     return total
 
 
@@ -287,19 +309,24 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
 
     Needs no eigenvectors, so it serves defective inputs alike and stays an
     independent cross-check of every spectral route. "series" is the only
-    method. A real input is exponentiated in float64.
+    method. A real input is exponentiated in float64. m is one matrix or a
+    stack (k, n, n) of them; a stack is exponentiated in one pass, each
+    matrix with its own scaling, and each result agrees with that of the
+    matrix alone to rounding.
 
     * Scaling: A = m / 2^s with s = ceil(log2 ||m||_1) when ||m||_1 > 1,
       else s = 0, so nu = ||A||_1 <= 1; the result is T_k(A)^(2^s).
     * Degree: the smallest k with nu^k / k! <= 1e-18, a bound on the
       1-norm of the first omitted term; k = 20 at nu = 1, 12 at nu = 0.15.
+      A stack takes the largest degree of its matrices.
     * Evaluation (Paterson and Stockmeyer, SIAM J. Comput. 2:60, 1973;
       Higham, Functions of Matrices, 2008, sec. 4.2): the k + 1
       coefficients c_j = 1/j! are cut into blocks of q, and
       T_k(A) = sum_i B_i (A^q)^i, B_i = sum_{j<q} c_{iq+j} A^j, is taken by
       Horner in A^q. Each block's constant term is added on the diagonal,
-      so a zero first row of m gives a first row of exactly e_0^T
-      (gksl._dense relies on it to keep the trace).
+      so any zero row i of m gives row i of exactly e_i^T, in every matrix
+      of a stack (gksl._dense zeroes one trace row in each sector of its
+      generator and relies on it to keep the trace).
     * Products: q - 1 for A^2 ... A^q, one per block after the first, and s
       squarings. q <= 3 minimizes the first two, the smallest q on a tie:
       11 products at ||m||_1 = 7.88 (k = 20, q = 3, s = 3), 19 at 1430 and
@@ -307,16 +334,31 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
       q = 4 would save one product at k = 15, 18 and 19 but hold a fifth
       n x n array. With q <= 3 the work holds A^2, A^3 and one and a half
       n x n buffers, fewer than the four arrays of a term-by-term sum.
+      A matrix of a stack is squared only as often as its own s asks.
     """
-    m = as_square(m, keep_real=True)
+    m = as_square(m, keep_real=True, stack=np.ndim(m) == 3)
     if method != "series":
         raise ContractError(f"unknown method {method!r}")
-    squarings, degree, q = _expm_plan(np.linalg.norm(m, 1))
+    if m.ndim == 2:
+        squarings, degree, q = _expm_plan(np.linalg.norm(m, 1))
+        shared = most = squarings
+    else:
+        # each matrix's s as _expm_plan takes it; the degree grows with nu
+        norms = np.linalg.norm(m, 1, axis=(1, 2))
+        squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
+        _, degree, q = _expm_plan(float(np.ldexp(norms, -squarings).max(initial=0.0)))
+        shared, most = min(squarings.tolist(), default=0), max(squarings.tolist(), default=0)
     total = _taylor(m, squarings, degree, q)
-    scratch = np.empty_like(total) if squarings else None
-    for _ in range(squarings):
-        np.matmul(total, total, out=scratch)
-        total, scratch = scratch, total
+    # all matrices together while each needs another squaring, then only
+    # those that still do
+    scratch = np.empty_like(total) if shared else None
+    for j in range(most):
+        if j < shared:
+            np.matmul(total, total, out=scratch)
+            total, scratch = scratch, total
+        else:
+            live = squarings > j
+            total[live] = total[live] @ total[live]
     return total
 
 

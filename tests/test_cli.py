@@ -239,6 +239,29 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "$.task" in r.stderr
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["gksl-evolve"], "Error: Missing option '--scenario'."),
+            (
+                ["gksl-evolve", "--scenario", scenario("dephasing.json"), "--tol", "abc"],
+                "Error: Invalid value for '--tol': 'abc' is not a valid float.",
+            ),
+            (["frobnicate"], "Error: No such command 'frobnicate'."),
+        ],
+    )
+    def test_usage_error_is_2(self, args, error):
+        # click's own usage text: the usage line, the help hint and the error
+        r = CliRunner().invoke(cli.main, args, prog_name="revtherm")
+        assert r.exit_code == 2
+        assert type(r.exception) is SystemExit
+        lines = [line for line in r.stderr.splitlines() if line]
+        assert len(lines) == 3
+        assert lines[0].startswith("Usage: revtherm")
+        assert lines[1].startswith("Try 'revtherm")
+        assert lines[2] == error
+        assert r.stdout == ""
+
     def test_infeasible_is_4_and_report_still_written(self, tmp_path):
         p = write_scenario(
             tmp_path,
@@ -780,6 +803,48 @@ class TestCsvPlacement:
         assert r.returncode == 0
         assert (csv_dir / "trajectory.csv").exists()
         assert not (tmp_path / "reports" / "trajectory.csv").exists()
+
+
+class TestWriteFailures:
+    """An output that cannot be written exits 1 with one error line."""
+
+    def check_one_error_line(self, r):
+        assert r.exit_code == 1
+        # a traceback would leave the exception itself, not SystemExit
+        assert type(r.exception) is SystemExit
+        assert r.stderr.startswith("error: cannot write output: ")
+        assert r.stderr.count("\n") == 1
+
+    def test_csv_dir_naming_a_file_is_1(self, tmp_path):
+        blocker = tmp_path / "tables"
+        blocker.write_text("kept")
+        out = tmp_path / "report.json"
+        args = ["gksl-evolve", "--scenario", scenario("dephasing.json"), "--out", str(out)]
+        r = CliRunner().invoke(cli.main, args + ["--csv-dir", str(blocker)])
+        self.check_one_error_line(r)
+        assert blocker.read_text() == "kept"
+        assert not out.exists()
+
+    def test_out_under_a_file_is_1(self, tmp_path):
+        blocker = tmp_path / "reports"
+        blocker.write_text("kept")
+        args = ["landauer", "--scenario", scenario("erasure_bit.json")]
+        r = CliRunner().invoke(cli.main, args + ["--out", str(blocker / "report.json")])
+        self.check_one_error_line(r)
+        assert blocker.read_text() == "kept"
+
+    def test_batch_goes_on_after_a_write_failure(self, tmp_path):
+        out_dir = tmp_path / "batch"
+        (out_dir / "erasure_bit.report.json").mkdir(parents=True)
+        first, second = scenario("erasure_bit.json"), scenario("adiabatic.json")
+        args = ["batch", "--scenario", first, "--scenario", second, "--out-dir", str(out_dir)]
+        r = CliRunner().invoke(cli.main, args)
+        self.check_one_error_line(r)
+        assert r.stdout == f"{first}: exit 1\n{second}: exit 0\n"
+        assert list((out_dir / "erasure_bit.report.json").iterdir()) == []
+        # the refused report leaves no temporary file behind
+        assert not (out_dir / "erasure_bit.report.json.tmp").exists()
+        assert (out_dir / "adiabatic.report.json").exists()
 
 
 class TestBatch:

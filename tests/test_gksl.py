@@ -489,8 +489,8 @@ def diagonal_lindbladian(gen, d):
     return gksl.Lindbladian(qstate.Hamiltonian(np.diag(gen.normal(size=d))), jumps)
 
 
-def bench_style_generators(gen, d):
-    """Random generators at the benchmark's scale, and the exceptional point."""
+def bench_random_generators(gen, d):
+    """Random generators at the benchmark's scale, with 1, 2 and 3 jumps."""
     for n_jumps in (1, 2, 3):
         h = random_hermitian(gen, d) / np.sqrt(2.0 * d)
         jumps = tuple(
@@ -498,6 +498,11 @@ def bench_style_generators(gen, d):
             for _ in range(n_jumps)
         )
         yield gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
+
+
+def bench_style_generators(gen, d):
+    """Random generators at the benchmark's scale, and the exceptional point."""
+    yield from bench_random_generators(gen, d)
     yield exceptional_point(1.0, d)
 
 
@@ -724,11 +729,12 @@ class TestDenseRoute:
                 assert gksl.trajectory(l, rho0, times).shape == (len(times), d, d)
 
     def test_d16_takes_the_march(self, monkeypatch):
+        # a random generator is one block: d^6 work per propagator
         monkeypatch.setattr(gksl, "_dense", no_step)
         steps = counted(monkeypatch, gksl, "_march")
         checks = counted(monkeypatch, gksl, "_healthy")
         gen = rng(4600)
-        for l in bench_style_generators(gen, 16):
+        for l in bench_random_generators(gen, 16):
             steps.clear()
             checks.clear()
             gksl.trajectory(l, random_density(gen, 16), self.TIMES)
@@ -736,6 +742,117 @@ class TestDenseRoute:
             assert len(steps) == len(self.TIMES) - 1
             # every state is checked in one stack, after the march
             assert [len(states) for states in checks] == [len(self.TIMES)]
+
+    def test_reducible_d16_takes_the_dense_route(self, monkeypatch):
+        # the exceptional point (H x 1, F x 1) and decoherence-free blocks
+        # split into coherence sectors, built without the d^2 x d^2 matrix
+        monkeypatch.setattr(gksl, "_march", no_step)
+        builds = counted(monkeypatch, gksl, "build_superoperator")
+        gen = rng(4650)
+        for l in (exceptional_point(1.0, 16), decaying_dfs_lindbladian(gen, (5, 5, 5))):
+            assert l.dim == 16 and gksl._block_labels(l) is not None
+            rho0 = random_density(gen, 16)
+            states = gksl.trajectory(l, rho0, self.TIMES)
+            assert builds == []
+            for out, ref in zip(states, marched(l, rho0, self.TIMES)):
+                assert np.abs(out - ref).max() <= 1e-12
+            for i in (3, 19, 20):
+                assert np.abs(states[i] - dense_series(l, rho0, self.TIMES[i])).max() <= 1e-12
+            builds.clear()
+
+    def test_sector_steps_share_stacked_exponentials(self, monkeypatch):
+        # the distinct steps are exponentiated a chunk at a time, one stacked
+        # matrix_exp per group of sectors, and the first step serves again
+        # after later chunks
+        monkeypatch.setattr(gksl, "_march", no_step)
+        calls = counted(monkeypatch, qlinalg, "matrix_exp")
+        gen = rng(4680)
+        l = exceptional_point(1.0, 12)
+        even = np.linspace(0.0, 10.0, 21)
+        irregular = np.sort(gen.uniform(10.5, 70.0, 130))
+        times = np.concatenate([even, irregular, irregular[-1] + even[1] * np.arange(1, 6)])
+        rho0 = random_density(gen, 12)
+        states = gksl.trajectory(l, rho0, times)
+        steps, which = gksl._propagator_steps(times[1:].tolist(), gksl.DENSE_WORK)
+        assert which[:20] == [0] * 20 and which[-5:] == [0] * 5
+        # six sectors of order 4 and fifteen of order 8: 1,056 entries a step
+        count = gksl.SECTOR_CHUNK // 1056
+        assert len(steps) > 2 * count
+        assert len(calls) == 2 * -(-len(steps) // count)
+        for out, ref in zip(states, marched(l, rho0, times)):
+            assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda gen: exceptional_point(1.0, 10),
+            lambda gen: exceptional_point(1.88599068317103, 12),
+            lambda gen: decaying_dfs_lindbladian(gen, (3, 4, 4)),
+            lambda gen: block_lindbladian(gen, (1, 2, 3, 5)),
+            lambda gen: dephasing_pairs(gen, 10),
+        ],
+    )
+    def test_sector_forms_match_the_real_form(self, make):
+        gen = rng(4660)
+        l = make(gen)
+        labels = gksl._block_labels(l)
+        assert labels is not None
+        groups = gksl._sectors(labels)
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        positions = np.concatenate([idx.ravel() for _, idx in groups])
+        assert np.array_equal(np.sort(positions), np.arange(l.dim**2))
+        inside = np.zeros(r.shape, dtype=bool)
+        for (p, idx), form in zip(groups, gksl._sector_forms(l, groups)):
+            block = r[idx[:, :, None], idx[:, None, :]]
+            assert np.abs(form - block).max() <= 1e-15 * max(1.0, np.abs(r).max())
+            inside[idx[:, :, None], idx[:, None, :]] = True
+            # the populations come first, and only in sectors within a block
+            assert ((idx[:, :p] < l.dim).all() and (idx[:, p:] >= l.dim).all())
+            assert p in (0, math.isqrt(idx.shape[1]))
+        # the real form is zero between sectors, exactly
+        assert not r[~inside].any()
+        assert sum(idx.shape[0] * idx.shape[1] ** 3 for _, idx in groups) == gksl._dense_work(l)
+
+    @pytest.mark.parametrize(
+        "change, error, match",
+        [
+            # K + 0.1: L no longer maps to traceless operators
+            (lambda k, f, kf: (k + 0.1 * np.eye(len(k)), f, kf), ContractError, "trace contract"),
+            # i kappa F rho F+ is not Hermitian for Hermitian rho
+            (lambda k, f, kf: (k, f, 1j * kf), NumericHealthError, "Hermiticity"),
+        ],
+    )
+    def test_sector_build_keeps_the_generator_gates(self, monkeypatch, change, error, match):
+        # the gates build_superoperator and _real_form hold on the whole form
+        terms = gksl._generator_terms
+        monkeypatch.setattr(gksl, "_generator_terms", lambda l: change(*terms(l)))
+        monkeypatch.setattr(gksl, "_march", no_step)
+        with pytest.raises(error, match=match):
+            gksl.trajectory(exceptional_point(1.0, 12), np.eye(12) / 12, self.TIMES)
+
+    def test_dense_work(self, monkeypatch):
+        gen = rng(4670)
+        # one block, or below the split order: d^6
+        assert gksl._dense_work(random_lindbladian(gen, 12)) == 12**6
+        assert gksl._dense_work(exceptional_point(1.0, 8)) == 8**6
+        # six blocks of 2: six sectors of order 4 and fifteen of order 8
+        assert gksl._dense_work(exceptional_point(1.0, 12)) == 6 * 4**3 + 15 * 8**3
+        monkeypatch.setattr(qlinalg, "EXPM_SPLIT_MIN_ORDER", 0)
+        assert gksl._dense_work(exceptional_point(1.0, 8)) == 4 * 4**3 + 6 * 8**3
+
+    @pytest.mark.parametrize("extra, route", [(0, "_dense"), (1, "_march")])
+    def test_sector_work_sets_the_propagator_limit(self, monkeypatch, extra, route):
+        # 740 distinct steps at 8,064 per propagator fit in DENSE_WORK
+        l = exceptional_point(1.0, 12)
+        limit = gksl.DENSE_WORK // gksl._dense_work(l)
+        assert limit == 740
+        calls = []
+        monkeypatch.setattr(gksl, "_dense", lambda l, rho, plan: calls.append("_dense") or
+                            np.repeat(rho[None], len(plan[1]), axis=0))
+        monkeypatch.setattr(gksl, "_march", lambda rho, *args: calls.append("_march") or rho)
+        times = np.cumsum(1e-3 * (1.0 + np.arange(limit + extra)))
+        gksl.trajectory(l, np.eye(12) / 12, times)
+        assert set(calls) == {route}
 
     def test_irregular_times_at_d12_take_the_march(self, monkeypatch):
         # 2,000 distinct steps would be 2,000 expms of a 144 x 144 matrix
@@ -791,7 +908,7 @@ class TestDenseRoute:
         assert np.array_equal(gksl.propagate(l, rho0, 0.0), sym)
         assert builds == []
 
-    @pytest.mark.parametrize("route", ["entrywise", "dense", "march"])
+    @pytest.mark.parametrize("route", ["entrywise", "dense", "march", "sectors"])
     def test_time_zero_state_keeps_the_input_bits(self, monkeypatch, route):
         inputs = [
             # -0.0 in the imaginary part of an off-diagonal entry survives
@@ -805,6 +922,20 @@ class TestDenseRoute:
         if route == "entrywise":
             l = dephasing()
             monkeypatch.setattr(gksl, "_dense", no_step)
+        elif route == "sectors":
+            # the dense route on the sectors of the exceptional point, with
+            # each input spread over its six blocks
+            l = exceptional_point(1.0, 12)
+            spread = []
+            for rho0 in inputs:
+                # real and imaginary parts apart: complex arithmetic would
+                # turn -0.0 into +0.0
+                big = np.zeros((12, 12), dtype=complex)
+                big.real = np.kron(rho0.real, np.eye(6)) / 6.0
+                big.imag = np.kron(rho0.imag, np.eye(6)) / 6.0
+                spread.append(big)
+            inputs = spread
+            builds = counted(monkeypatch, gksl, "_sector_forms")
         else:
             l = random_lindbladian(rng(4950), 2)
             if route == "march":
@@ -817,11 +948,13 @@ class TestDenseRoute:
             assert np.signbit(getattr(sym, part)).any()
             state = gksl.trajectory(l, rho0, [0.0, 1.0])[0]
             assert np.array_equal(state.view(np.uint64), sym.view(np.uint64))
+        if route == "sectors":
+            assert len(builds) == 2
 
     @pytest.mark.parametrize(
         "route, d",
         [(route, d) for route in ("entrywise", "dense", "march") for d in (2, 3, 4, 8, 12)]
-        + [("march", 16)],
+        + [("march", 16), ("dense", 16)],
     )
     def test_every_route_is_exactly_hermitian(self, monkeypatch, route, d):
         # _healthy returns the states as they are, so each route must
@@ -834,10 +967,16 @@ class TestDenseRoute:
         gen = rng(5000 + d)
         if route == "entrywise":
             generators = [dephasing_pairs(gen, d), diagonal_lindbladian(gen, d)]
+        elif route == "dense" and d == 16:
+            # only a generator that splits into sectors is dense at d = 16
+            generators = [exceptional_point(1.0, d), decaying_dfs_lindbladian(gen, (5, 5, 5))]
         else:
             generators = [random_lindbladian(gen, d), traceful_lindbladian(gen, d)]
             if d % 2 == 0:
                 generators.append(exceptional_point(1.0, d))
+            if route == "dense" and d == 12:
+                # blocks of 4, 4 and 4: the decaying level joins the first
+                generators.append(decaying_dfs_lindbladian(gen, (3, 4, 4)))
         for l in generators:
             states = gksl.trajectory(l, random_density(gen, d), self.TIMES)
             assert np.array_equal(states, states.conj().transpose(0, 2, 1))

@@ -308,6 +308,55 @@ class TestMatrixExp:
             row = qlinalg.matrix_exp(a)[0]
             assert np.array_equal(row, np.eye(n)[0])
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("norm", [0.6, 7.88, 1430.0])
+    def test_zero_rows_give_unit_rows(self, dtype, norm):
+        # any zero row i gives row i of exactly e_i^T, for one matrix and for
+        # each matrix of a stack: gksl._dense zeroes one trace row in each
+        # sector of its generator and relies on every propagator keeping it
+        gen = rng(34)
+        for n in (2, 7, 16, 50):
+            a = gen.standard_normal((3, n, n)).astype(dtype)
+            if dtype is complex:
+                a += 1j * gen.standard_normal((3, n, n))
+            zero = [gen.choice(n, size=size, replace=False) for size in (1, 1 + n // 3, n - 1)]
+            for m, rows in zip(a, zero):
+                m[rows] = 0.0
+                # a negative diagonal dominates every other row, so no
+                # eigenvalue lies right of the axis and nothing overflows
+                live = np.setdiff1d(np.arange(n), rows)
+                m[live, live] = -np.abs(m[live]).sum(axis=1)
+            # norms 1, 1/2 and 1/20 of the given one: the stack mixes squarings
+            scale = norm * np.array([1.0, 0.5, 0.05]) / np.linalg.norm(a, 1, axis=(1, 2))
+            a *= scale[:, None, None]
+            stacked = qlinalg.matrix_exp(a)
+            for m, rows, out in zip(a, zero, stacked):
+                assert np.array_equal(qlinalg.matrix_exp(m)[rows], np.eye(n)[rows])
+                assert np.array_equal(out[rows], np.eye(n)[rows])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_agrees_with_each_matrix(self, dtype):
+        # a stack shares one degree, the largest its matrices need, and
+        # squares each matrix as often as its own norm asks
+        gen = rng(35)
+        for n in (1, 2, 7, 16):
+            a = gen.standard_normal((6, n, n)).astype(dtype)
+            if dtype is complex:
+                a += 1j * gen.standard_normal((6, n, n))
+            a *= (np.geomspace(1e-3, 30.0, 6) / np.linalg.norm(a, 1, axis=(1, 2)))[:, None, None]
+            stacked = qlinalg.matrix_exp(a)
+            assert stacked.shape == a.shape and stacked.dtype == a.dtype
+            for m, out in zip(a, stacked):
+                single = qlinalg.matrix_exp(m)
+                assert np.abs(out - single).max() <= 1e-14 * max(1.0, np.abs(single).max())
+
+    def test_stack_gates(self):
+        for shape in ((2, 3, 4), (2, 2, 3, 3), (3,)):
+            with pytest.raises(ShapeError):
+                qlinalg.matrix_exp(np.zeros(shape))
+        with pytest.raises(ContractError):
+            qlinalg.matrix_exp(np.full((2, 2, 2), np.nan))
+
     def test_plan(self):
         # degree: the smallest k with nu^k / k! <= 1e-18; q <= 3 minimizes
         # the products, the smallest on a tie
