@@ -23,6 +23,7 @@ never rescaled, and all internal computation stays in nats.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -319,13 +320,25 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     return "\n".join([header] + [",".join(row) for row in rows.tolist()]) + "\n"
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+def _write_all(files: list):
+    """Write each (path, text) of one call: every text to a temporary file
+    beside its path first, then each renamed into place. When a write or a
+    rename fails, the temporary files and the outputs already renamed are
+    removed before the error is raised, so a call leaves all its outputs or
+    none."""
+    staged, placed = [], []
     try:
-        os.replace(tmp, path)
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged.append(path.with_name(path.name + ".tmp"))
+            staged[-1].write_text(text)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+            placed.append(path)
     except OSError:
-        tmp.unlink()
+        for leftover in staged + placed:
+            with contextlib.suppress(OSError):
+                leftover.unlink()
         raise
 
 
@@ -753,20 +766,16 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         return 5
 
     target_dir = Path(csv_dir) if csv_dir else (Path(out).parent if out else Path("."))
+    files = [(target_dir / (csv_prefix + name), csvs[name]) for name in sorted(csvs)]
+    if out:
+        files.append((Path(out), text))
     try:
-        for name in sorted(csvs):
-            target_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(target_dir / (csv_prefix + name), csvs[name])
-        if out:
-            out_path = Path(out)
-            if out_path.parent != Path(""):
-                out_path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write(out_path, text)
-        else:
-            click.echo(text, nl=False)
+        _write_all(files)
     except OSError as exc:
         click.echo(f"error: cannot write output: {exc}", err=True)
         return 1
+    if not out:
+        click.echo(text, nl=False)
     return 0 if passed else 4
 
 
@@ -803,6 +812,18 @@ for _task in _HANDLERS:
 @click.option("--tol", default=None, type=float, help="Task-specific tolerance override.")
 def batch(scenarios, out_dir, units, tol):
     """Run several scenario files; exit with the worst individual code."""
+    # each scenario's outputs are named by its stem, so two files with one
+    # stem would overwrite each other's report and CSVs
+    first = {}
+    for path in scenarios:
+        stem = Path(path).stem
+        if stem in first:
+            raise click.BadParameter(
+                f"{first[stem]} and {path} share the stem {stem!r}; "
+                "their outputs would overwrite each other",
+                param_hint="'--scenario'",
+            )
+        first[stem] = path
     worst = 0
     for path in scenarios:
         stem = Path(path).stem

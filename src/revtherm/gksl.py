@@ -25,15 +25,20 @@ preserves Hermiticity, so in the orthonormal Hermitian basis
 gathers. decompose alone builds and checks the asymptotic structure: one
 real eig of that form classifies eigenvalues into decaying (Re < 0) and
 asymptotic (Re ~ 0) sectors and yields the exact asymptotic
-projection superoperator, from the full eigenbasis or, for a defective
+projection superoperator, from the eigenbasis or, for a defective
 generator, from the null spaces of L - lambda over the asymptotic
 eigenvalues, mapped back to column-stacked operators, plus the support
 projectors P_A / Q. Under block-diagonal operating contexts the real form
 is reducible: it splits exactly into coherence sectors between pairs of
 blocks (Baumgartner & Narnhofer, J. Phys. A 41:395303, 2008; Buca &
-Prosen, New J. Phys. 14:073007, 2012), and that eig runs block by block
-over them (qlinalg.eig_general); the dense route propagates sector by
-sector, over the blocks of the Hamiltonian and jumps (_sectors). A Cesaro
+Prosen, New J. Phys. 14:073007, 2012). decompose then works block by
+block from the eig to the projector: the eig runs on each component of
+the real form (qlinalg._eig_blocks), the eigenvectors, their inverses, the
+projector's blocks and the null-space solves stay per component, each
+gate sums its measure in quadrature over the components, and the
+projector is mapped back one coherence sector at a time; the dense route
+propagates sector by sector, over the blocks of the Hamiltonian and jumps
+(_sectors). A Cesaro
 time average of the same real form at the frequencies decompose found,
 stepped on the series route without eigenvectors, is the independent
 cross-check of that projection.
@@ -174,7 +179,10 @@ class SuperoperatorMatrix:
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    # a.conj() of a real array is a itself, not a copy: for a real r,
+    # r @ _dagger(r) then multiplies r by a view of its own transpose, as
+    # r @ r.conj().T does, and matmul evaluates both the same way
+    return a.conj().swapaxes(-1, -2)
 
 
 def _generator_terms(l: Lindbladian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,6 +268,26 @@ def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     return _pair_parts(t, d, axis, -1j if axis == 0 else 1j)
 
 
+def _from_pairs(a: np.ndarray, p: int, axis: int, phase: complex, at) -> np.ndarray:
+    """The inverse of _pair_parts along axis, into a new complex array.
+
+    Along that axis a holds p populations, then the symmetric and then the
+    antisymmetric parts of its q pairs. The populations go to positions
+    at[:p], the entries (i, j) = (sym + phase anti)/sqrt2 to at[p : p + q]
+    and the entries (j, i) = (sym - phase anti)/sqrt2 to at[p + q :].
+    Phase +i takes B a along that axis, -i takes a B+.
+    """
+    q = (a.shape[axis] - p) // 2
+    before = (slice(None),) * axis
+    sym, anti = a[before + (slice(p, p + q),)], a[before + (slice(p + q, None),)]
+    phase = phase * math.sqrt(0.5)
+    out = np.empty(a.shape, dtype=complex)
+    out[before + (at[:p],)] = a[before + (slice(0, p),)]
+    out[before + (at[p : p + q],)] = math.sqrt(0.5) * sym + phase * anti
+    out[before + (at[p + q :],)] = math.sqrt(0.5) * sym - phase * anti
+    return out
+
+
 def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     """B a for axis 0, a B+ for axis 1: the inverse of _to_hermitian_basis.
 
@@ -267,16 +295,7 @@ def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     p_inf and every Cesaro average is mapped back through it.
     """
     d = math.isqrt(a.shape[axis])
-    mid = (d * d + d) // 2
-    order = _hermitian_basis(d)
-    at = (slice(None),) * axis
-    sym, anti = a[at + (slice(d, mid),)], a[at + (slice(mid, None),)]
-    phase = (1j if axis == 0 else -1j) * math.sqrt(0.5)
-    out = np.empty(a.shape, dtype=complex)
-    out[at + (order[:d],)] = a[at + (slice(0, d),)]
-    out[at + (order[d:mid],)] = math.sqrt(0.5) * sym + phase * anti
-    out[at + (order[mid:],)] = math.sqrt(0.5) * sym - phase * anti
-    return out
+    return _from_pairs(a, d, axis, 1j if axis == 0 else -1j, _hermitian_basis(d))
 
 
 def _real_parts(forms: list) -> list:
@@ -300,9 +319,29 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return _real_parts([_to_hermitian_basis(_to_hermitian_basis(m, 0), 1)])[0]
 
 
-def _column_stacked(p: np.ndarray) -> np.ndarray:
-    """B P B+: a superoperator in the Hermitian basis back on column-stacked operators."""
-    return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
+def _column_stacked(p: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+    """B P B+: a superoperator in the Hermitian basis back on column-stacked operators.
+
+    With labels (from _block_labels), P must be block diagonal over the
+    coherence sectors of those blocks (_sectors), as every function of a
+    generator with those blocks is. Each sector holds the two entries
+    (i, j) and (j, i) of each of its pairs, so B maps it onto its own
+    column-stacked positions and B P B+ splits exactly: each group of
+    sectors is mapped back in one stack, with the arithmetic of the whole
+    map back, and the sectors where P is zero are skipped.
+    """
+    if labels is None:
+        return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
+    order = _hermitian_basis(labels.size)
+    out = np.zeros(p.shape, dtype=complex)
+    for pops, idx in _sectors(labels):
+        blocks = p[idx[:, :, None], idx[:, None, :]]
+        live = blocks.any(axis=(1, 2))
+        if live.any():
+            at, local = order[idx[live]], np.arange(idx.shape[1])
+            blocks = _from_pairs(blocks[live], pops, 1, 1j, local)
+            out[at[:, :, None], at[:, None, :]] = _from_pairs(blocks, pops, 2, -1j, local)
+    return out
 
 
 def _matrix_free_form(l: Lindbladian):
@@ -920,59 +959,125 @@ def cesaro_projector(
     return SuperoperatorMatrix(_column_stacked(acc), kind="approximation")
 
 
+def _frobenius(stacks: list) -> float:
+    """The Frobenius norm of a block-diagonal matrix held as stacks of its
+    blocks: the blocks' norms summed in quadrature."""
+    return math.sqrt(sum(np.vdot(x, x).real for x in stacks))
+
+
+def _by_component(components: list, members: np.ndarray):
+    """members, positions of the real form in a given order, split by the
+    component that holds each: (g, rows, cols) per size group g of
+    components (_components_by_size) and per member count c, with rows the
+    components of group g that hold c members, ascending, and cols
+    (len(rows), c) the positions of their members within them, in the
+    given order."""
+    n = sum(idx.size for idx in components)
+    if components[0].shape == (1, n):
+        # one component holds every position, in place
+        if members.size:
+            yield 0, np.zeros(1, dtype=np.intp), members[None]
+        return
+    rank = np.full(n, n)
+    rank[members] = np.arange(members.size)
+    for g, idx in enumerate(components):
+        ranks = rank[idx]
+        counts = (ranks < n).sum(axis=1)
+        for c in sorted(set(counts.tolist()) - {0}):
+            rows = np.flatnonzero(counts == c)
+            yield g, rows, np.argsort(ranks[rows], axis=1, kind="stable")[:, :c]
+
+
+def _columns(v: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns cols[i] of the matrix v[rows[i]], for a stack v (k, s, s)."""
+    return v[rows[:, None, None], np.arange(v.shape[1])[:, None], cols[:, None, :]]
+
+
+def _eigenbasis_projector(
+    components: list, right: list, inverses: list, asym: np.ndarray
+) -> list:
+    """The spectral projector onto the asymptotic sector from the eigenbasis,
+    component by component: per size group of qlinalg._eig_blocks, the real
+    stack of V_A U_A for each component, V_A its right eigenvectors of
+    asymptotic eigenvalues and U_A the matching rows of its eigenvector
+    inverse. Only the asymptotic columns are multiplied, and a component
+    without any keeps a zero block."""
+    p = [np.zeros(v.shape) for v in right]
+    for g, rows, cols in _by_component(components, np.flatnonzero(asym)):
+        w = inverses[g][rows[:, None, None], cols[:, :, None], np.arange(right[g].shape[1])]
+        p[g][rows] = (_columns(right[g], rows, cols) @ w).real
+    return p
+
+
 def _nullspace_projector(
-    m: np.ndarray, evals: np.ndarray, right: np.ndarray, asym: np.ndarray, gate: float
-) -> np.ndarray:
+    m: np.ndarray, components: list, evals: np.ndarray, right: list, asym: np.ndarray, gate: float
+) -> list:
     """Spectral projector onto the asymptotic sector without a full eigenbasis.
 
-    m is the real generator and evals, right its eigenvalues and vectors
-    from eig_general. Each asymptotic eigenvalue must be semisimple, which
-    holds for every GKSL generator: its semigroup is bounded, so eigenvalues
-    on the imaginary axis carry no Jordan chain (M. M. Wolf, Quantum
-    Channels & Operations, 2012, ch. 6). For each cluster of asymptotic
-    eigenvalues (imaginary parts within gate) with k members and mean
-    lambda, let A = M - lambda and R an orthonormal basis of ker A. Then
-    B = A + R R+ is invertible and Y = R+ B^-1 satisfies Y A = 0 and
-    Y R = 1, so P_lambda = R Y. R starts from the cluster's eigenvectors
-    and takes one inverse-iteration step. ||A R||_F <= 1e2 gate certifies,
-    by Courant-Fischer, a geometric multiplicity >= k; a residual above it,
-    or a singular solve, raises NonDiagonalizable.
+    m is the real generator, components, right its components and their
+    stacked right eigenvectors from qlinalg._eig_blocks, and evals its
+    assembled eigenvalues. Each asymptotic eigenvalue must be semisimple,
+    which holds for every GKSL generator: its semigroup is bounded, so
+    eigenvalues on the imaginary axis carry no Jordan chain (M. M. Wolf,
+    Quantum Channels & Operations, 2012, ch. 6). For each cluster of
+    asymptotic eigenvalues (imaginary parts within gate) with k members and
+    mean lambda, taken over the whole spectrum, let A = M - lambda and R an
+    orthonormal basis of ker A. Then B = A + R R+ is invertible and
+    Y = R+ B^-1 satisfies Y A = 0 and Y R = 1, so P_lambda = R Y. R starts
+    from the cluster's eigenvectors and takes one inverse-iteration step.
+
+    M is block diagonal over its components, and so are A, R and P_lambda:
+    the solves run block by block, one stacked solve per component size and
+    number of the cluster's members in the component, and each component
+    adds its own block. ||A R||_F, summed in quadrature over the cluster's
+    components, <= 1e2 gate certifies, by Courant-Fischer, a geometric
+    multiplicity >= k; a residual above it, or a singular solve, raises
+    NonDiagonalizable.
 
     The cluster at frequency 0 holds every conjugate pair whole, so
     replacing each pair's vectors v, conj(v) by Re v, Im v gives a real R,
     and that cluster is solved in real arithmetic. A cluster at w > 0 is
     solved in complex arithmetic and counted twice in real part: its mirror
-    at -w has the conjugate projector, as m is real.
+    at -w has the conjugate projector, as m is real. Returns the projector
+    as _eigenbasis_projector does, one real stack per size group.
     """
-    eye = np.eye(m.shape[0])
-    p = np.zeros(m.shape)
+    p = [np.zeros(v.shape) for v in right]
     indices = np.flatnonzero(asym)
     for group in _clusters(evals.imag[indices], gate):
         members = indices[group]
         imag = evals.imag[members]
         if imag[0] < -gate:
             continue
-        if imag[0] > gate:
-            lam, weight, basis = complex(evals[members].mean()), 2.0, right[:, members]
-        else:
+        at_zero = not imag[0] > gate
+        if at_zero:
             lam, weight = float(evals.real[members].mean()), 1.0
-            basis = np.where(imag < 0, right[:, members].imag, right[:, members].real)
-        a = m - lam * eye
-        r = np.linalg.qr(basis)[0]
-        try:
-            r = np.linalg.qr(np.linalg.solve(a + r @ r.conj().T, r))[0]
-            y = np.linalg.solve((a + r @ r.conj().T).conj().T, r).conj().T
-        except np.linalg.LinAlgError as exc:
-            raise NonDiagonalizable(
-                f"asymptotic eigenvalue {lam!r}: null-space solve failed ({exc})"
-            ) from exc
-        residual = np.linalg.norm(a @ r)
+        else:
+            lam, weight = complex(evals[members].mean()), 2.0
+        residual, pieces = 0.0, []
+        for g, rows, cols in _by_component(components, members):
+            idx = components[g][rows]
+            a = m[idx[:, :, None], idx[:, None, :]] - lam * np.eye(idx.shape[1])
+            basis = _columns(right[g], rows, cols)
+            if at_zero:
+                below = evals.imag[idx[np.arange(len(rows))[:, None], cols]] < 0
+                basis = np.where(below[:, None, :], basis.imag, basis.real)
+            r = np.linalg.qr(basis)[0]
+            try:
+                r = np.linalg.qr(np.linalg.solve(a + r @ _dagger(r), r))[0]
+                y = _dagger(np.linalg.solve(_dagger(a + r @ _dagger(r)), r))
+            except np.linalg.LinAlgError as exc:
+                raise NonDiagonalizable(
+                    f"asymptotic eigenvalue {lam!r}: null-space solve failed ({exc})"
+                ) from exc
+            residual = math.hypot(residual, np.linalg.norm(a @ r))
+            pieces.append((g, rows, weight * (r @ y).real))
         if not residual <= 1e2 * gate:
             raise NonDiagonalizable(
                 f"asymptotic eigenvalue {lam!r} carries a Jordan chain "
                 f"(||(L - lambda) R||_F = {residual:.3e} for {len(members)} eigenvectors)"
             )
-        p += weight * (r @ y).real
+        for g, rows, piece in pieces:
+            p[g][rows] += piece
     return p
 
 
@@ -987,23 +1092,31 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     Quantum Dynamical Semigroups and Applications, LNP 286, 1987), gives the
     spectrum, exactly conjugate-symmetric; an eigenvalue with Re > tol is a
     NumericHealthError. When that real form is reducible, as for
-    decoherence-free blocks or dephasing, the eig runs on each component of
-    its nonzero pattern and returns the assembled block-diagonal eigenbasis.
+    decoherence-free blocks or dephasing, everything after it runs block by
+    block: the eig runs on each component of its nonzero pattern
+    (qlinalg._eig_blocks), and the eigenvectors, their inverses and the
+    blocks of p_inf stay per component, stacked by component size; the
+    d^2 x d^2 eigenbasis is never formed.
     p_inf is the exact spectral projector onto the asymptotic sector. When
     that basis is invertible with condition kappa_F = ||V||_F ||V^-1||_F
     below EIGENBASIS_COND_GATE, p_inf comes from it (route "eigenbasis");
-    this gate is the only one on the eigenbasis. A defective generator fails
-    it; p_inf then comes from the null spaces of L - lambda over the
+    each Frobenius norm is summed in quadrature over the components, and
+    this gate is the only one on the eigenbasis. A defective generator
+    fails it; p_inf then comes from the null spaces of L - lambda over the
     asymptotic eigenvalues, starting from the eigenvectors the same eig
     returned (route "nullspace"). Either way p_inf is real in the Hermitian
-    basis, is checked idempotent there (its Frobenius gap is that of
-    B P B+, as B is unitary) and is mapped back to column-stacked operators.
+    basis and is checked idempotent there, its gap and its norm summed in
+    quadrature over the components (the Frobenius gap is that of B P B+,
+    as B is unitary). It is then mapped back to column-stacked operators,
+    sector by sector when the Hamiltonian and jumps are block diagonal
+    (_block_labels, _column_stacked).
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
     r = _real_form(build_superoperator(l).matrix)
-    evals, right, left = qlinalg.eig_general(r)
-    evals = np.asarray(evals, dtype=complex)
+    n = r.shape[0]
+    components, evals, right, inverses = qlinalg._eig_blocks(r)
+    evals = np.asarray(qlinalg._assemble(components, evals, n), dtype=complex)
     tol = ASYMPTOTIC_RTOL * max(1.0, float(np.abs(evals).max())) if tol is None else float(tol)
     worst = float(evals.real.max())
     if worst > tol:
@@ -1013,19 +1126,20 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     asym = np.abs(evals.real) <= tol
     # the norms of a defective basis may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        eigenbasis = left is not None and (
-            np.linalg.norm(right) * np.linalg.norm(left) < EIGENBASIS_COND_GATE
+        eigenbasis = inverses is not None and (
+            _frobenius(right) * _frobenius(inverses) < EIGENBASIS_COND_GATE
         )
     if eigenbasis:
-        p = (right[:, asym] @ left[:, asym].conj().T).real
+        p = _eigenbasis_projector(components, right, inverses, asym)
     else:
-        left = None  # free the refused basis's inverse before the solves
-        p = _nullspace_projector(r, evals, right, asym, tol)
-    del left, right  # the eigenvectors die before p is checked and mapped back
-    gap = qlinalg.hs_norm(p @ p - p)
-    if gap > PINF_IDEMPOTENT_TOL * max(1.0, qlinalg.hs_norm(p)):
+        inverses = None  # free the refused basis's inverse before the solves
+        p = _nullspace_projector(r, components, evals, right, asym, tol)
+    del inverses, right  # the eigenvectors die before p is checked and mapped back
+    gap = _frobenius([q @ q - q for q in p])
+    if gap > PINF_IDEMPOTENT_TOL * max(1.0, _frobenius(p)):
         raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
-    p_inf = SuperoperatorMatrix(_column_stacked(p), kind="trace_preserving")
+    p = qlinalg._assemble(components, p, n)
+    p_inf = SuperoperatorMatrix(_column_stacked(p, _block_labels(l)), kind="trace_preserving")
     p_a, q = _support_projectors(p_inf.matrix, l.dim)
     return AsymptoticDecomposition(
         eigenvalues=evals,

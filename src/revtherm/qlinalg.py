@@ -200,6 +200,33 @@ def _eigenvector_inverse(real_input: bool, evals: np.ndarray, right: np.ndarray)
     return inverse
 
 
+def _eig_blocks(m) -> tuple[list, list, list, list | None]:
+    """The eig of eig_general before assembly: (components, evals, right,
+    inverses), one entry per component size group (_components_by_size).
+
+    Entry g of evals is the (k, s) stack of the eigenvalues of that group's
+    k components of order s, of right the (k, s, s) stack of their right
+    eigenvectors and of inverses the stack of those matrices' inverses;
+    inverses is None when any of them is singular to working precision.
+    A caller that works component by component (gksl.decompose) takes them
+    as they are, so the n x n eigenbasis is never formed.
+    """
+    m = as_square(m, keep_real=True)
+    n = m.shape[0]
+    components = _components_by_size(m)
+    if components[0].shape == (1, n):
+        stacks = [m[None]]
+    else:
+        stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in components]
+    spectra = [np.linalg.eig(stack) for stack in stacks]
+    evals, right = [w for w, _ in spectra], [v for _, v in spectra]
+    try:
+        inverses = [_eigenvector_inverse(np.isrealobj(m), w, v) for w, v in spectra]
+    except np.linalg.LinAlgError:
+        inverses = None
+    return components, evals, right, inverses
+
+
 def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Eigendecomposition with biorthogonally normalized left vectors.
 
@@ -218,7 +245,9 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     those rows, so right is block diagonal up to that one permutation of
     rows and columns, and each conjugate pair takes two consecutive indices
     of its component. An irreducible m, or one of order below
-    SPLIT_MIN_ORDER, takes one eig of the whole matrix.
+    SPLIT_MIN_ORDER, takes one eig of the whole matrix. The stacked eigs
+    and inverses are those of _eig_blocks; this function only assembles
+    them.
 
     A real input is decomposed and inverted in real arithmetic. Its
     eigenvalues come in exact conjugate pairs, the one with positive
@@ -228,19 +257,10 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     [[1, 1], [i, -i]], and V^-1 = T^-1 W^-1 needs only the real inverse.
     evals and right come back real when every eigenvalue is real.
     """
-    m = as_square(m, keep_real=True)
-    n = m.shape[0]
-    components = _components_by_size(m)
-    if components[0].shape == (1, n):
-        stacks = [m[None]]
-    else:
-        stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in components]
-    spectra = [np.linalg.eig(stack) for stack in stacks]
-    evals = _assemble(components, [w for w, _ in spectra], n)
-    right = _assemble(components, [v for _, v in spectra], n)
-    try:
-        inverses = [_eigenvector_inverse(np.isrealobj(m), w, v) for w, v in spectra]
-    except np.linalg.LinAlgError:
+    components, evals, right, inverses = _eig_blocks(m)
+    n = sum(idx.size for idx in components)
+    evals, right = _assemble(components, evals, n), _assemble(components, right, n)
+    if inverses is None:
         return evals, right, None
     # Rows of right^-1 are the dual basis; conjugating turns row a into the
     # column vector q_a with q_a† p_b = delta_ab.

@@ -34,14 +34,15 @@ def random_distribution(gen, n: int) -> np.ndarray:
     return p / p.sum()
 
 
-def leaking(eig):
-    """eig_general with its eigenvalue of largest real part, the steady
-    state's 0, moved right by 1e-3."""
+def leaking(eig_blocks):
+    """qlinalg._eig_blocks with its eigenvalue of largest real part, the
+    steady state's 0, moved right by 1e-3."""
 
     def shifted(m):
-        evals, right, left = eig(m)
-        evals = np.asarray(evals, dtype=complex).copy()
-        evals[np.argmax(evals.real)] += 1e-3
-        return evals, right, left
+        components, evals, right, inverses = eig_blocks(m)
+        evals = [np.asarray(w, dtype=complex).copy() for w in evals]
+        top = max(evals, key=lambda w: w.real.max())
+        top.flat[np.argmax(top.real)] += 1e-3
+        return components, evals, right, inverses
 
     return shifted

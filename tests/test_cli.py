@@ -630,7 +630,7 @@ class TestGkslAsymptotic:
     @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "nullspace"])
     def test_one_spectrum_per_call(self, tmp_path, monkeypatch, defective):
         owners = {
-            "eig_general": cli.gksl.qlinalg,
+            "_eig_blocks": cli.gksl.qlinalg,
             "eigvals": np.linalg,
             "build_superoperator": cli.gksl,
         }
@@ -669,7 +669,7 @@ class TestGkslAsymptotic:
             r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
             assert r.exit_code == 0, r.stderr
             assert json.loads(r.stdout)["outputs"]["spectral_fallback"] is defective
-            assert calls == {"eig_general": 1, "eigvals": 0, "build_superoperator": 1}
+            assert calls == {"_eig_blocks": 1, "eigvals": 0, "build_superoperator": 1}
             # one stacked eig per component size, covering the d^2 rows once
             sizes = [s for _, s, _ in eig_inputs]
             assert len(set(sizes)) == len(sizes)
@@ -696,7 +696,7 @@ class TestGkslAsymptotic:
 
     def test_spectrum_in_the_right_half_plane_is_5(self, tmp_path, monkeypatch):
         qlinalg = cli.gksl.qlinalg
-        monkeypatch.setattr(qlinalg, "eig_general", leaking(qlinalg.eig_general))
+        monkeypatch.setattr(qlinalg, "_eig_blocks", leaking(qlinalg._eig_blocks))
         f = [[0.0, 1.0], [0.0, 0.0]]
         payload = {
             "hamiltonian": complex_matrix(np.zeros((2, 2))),
@@ -846,8 +846,38 @@ class TestWriteFailures:
         assert not (out_dir / "erasure_bit.report.json.tmp").exists()
         assert (out_dir / "adiabatic.report.json").exists()
 
+    def test_refused_report_leaves_no_csv(self, tmp_path):
+        # every output is staged before any is renamed into place: the
+        # trajectory CSV renamed before the refused report is removed again
+        out_dir = tmp_path / "out"
+        (out_dir / "dephasing.report.json").mkdir(parents=True)
+        args = ["batch", "--scenario", scenario("dephasing.json"), "--out-dir", str(out_dir)]
+        r = CliRunner().invoke(cli.main, args)
+        self.check_one_error_line(r)
+        assert r.stdout == f"{scenario('dephasing.json')}: exit 1\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dephasing.report.json"]
+        assert list((out_dir / "dephasing.report.json").iterdir()) == []
+
 
 class TestBatch:
+    @pytest.mark.parametrize("twice", [False, True], ids=["two-directories", "one-path-twice"])
+    def test_shared_stem_is_a_usage_error(self, tmp_path, twice):
+        payload = load_scenario("dephasing.json")["payload"]
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        first = write_scenario(tmp_path / "a", "gksl-evolve", payload, name="x.json")
+        second = first if twice else write_scenario(tmp_path / "b", "landauer", {}, name="x.json")
+        out_dir = tmp_path / "out"
+        args = ["batch", "--scenario", first, "--scenario", second, "--out-dir", str(out_dir)]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 2
+        assert type(r.exception) is SystemExit
+        assert r.stdout == ""
+        assert "Invalid value for '--scenario'" in r.stderr
+        assert "share the stem 'x'" in r.stderr
+        # refused before any scenario runs
+        assert not out_dir.exists()
+
     def test_aggregates_worst_exit_code(self, tmp_path):
         bad = write_scenario(
             tmp_path,

@@ -363,7 +363,10 @@ class TestRealForm:
         asym = np.abs(evals.real) <= gate
         assert (evals.imag[asym] > gate).any()
         eigenbasis = (right[:, asym] @ left[:, asym].conj().T).real
-        nullspace = gksl._nullspace_projector(r, evals, right, asym, gate)
+        components, _, vectors, _ = qlinalg._eig_blocks(r)
+        evals = np.asarray(evals, dtype=complex)
+        stacks = gksl._nullspace_projector(r, components, evals, vectors, asym, gate)
+        nullspace = qlinalg._assemble(components, stacks, len(r))
         assert nullspace.dtype == np.float64
         assert np.abs(nullspace - eigenbasis).max() <= 1e-10
 
@@ -1149,16 +1152,20 @@ class TestDecompose:
         l = exceptional_point(1.0, 4)
         dec = gksl.decompose(l)
         inner = gksl._nullspace_projector
-        monkeypatch.setattr(gksl, "_nullspace_projector", lambda *args: 1.0 * inner(*args))
+
+        def scaled(factor):
+            return lambda *args: [factor * p for p in inner(*args)]
+
+        monkeypatch.setattr(gksl, "_nullspace_projector", scaled(1.0))
         kept = gksl.decompose(l)
         assert kept.route == "nullspace"
         assert np.array_equal(kept.p_inf.matrix, dec.p_inf.matrix)
-        monkeypatch.setattr(gksl, "_nullspace_projector", lambda *args: 1.5 * inner(*args))
+        monkeypatch.setattr(gksl, "_nullspace_projector", scaled(1.5))
         with pytest.raises(ContractError, match="not idempotent"):
             gksl.decompose(l)
 
     def test_spectrum_in_the_right_half_plane_rejected(self, monkeypatch):
-        monkeypatch.setattr(qlinalg, "eig_general", leaking(qlinalg.eig_general))
+        monkeypatch.setattr(qlinalg, "_eig_blocks", leaking(qlinalg._eig_blocks))
         with pytest.raises(NumericHealthError, match="leaks into the right half plane"):
             gksl.decompose(damping(0.8))
 
@@ -1194,7 +1201,7 @@ class TestDecompose:
         right = np.eye(3)
         asym = np.array([True, False, False])
         with pytest.raises(NonDiagonalizable, match="solve failed"):
-            gksl._nullspace_projector(m, evals, right, asym, 1e-8)
+            gksl._nullspace_projector(m, [np.arange(3)[None]], evals, [right[None]], asym, 1e-8)
 
     @pytest.mark.parametrize(
         "make",
@@ -1216,6 +1223,148 @@ class TestDecompose:
         n_asymptotic, p_ref = dense_eig_projector(l, dec.tol)
         assert len(dec.asymptotic_indices) == n_asymptotic
         assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-10
+
+
+def random_block_lindbladian(gen, sizes, n_jumps=2):
+    """Random Hamiltonian and jumps, all block diagonal over blocks of the
+    given sizes: one steady state per block, every other mode decaying."""
+    d = sum(sizes)
+
+    def block_diagonal(make):
+        m = np.zeros((d, d), dtype=complex)
+        start = 0
+        for size in sizes:
+            m[start : start + size, start : start + size] = make(size)
+            start += size
+        return m
+
+    h = block_diagonal(lambda size: random_hermitian(gen, size))
+    jumps = tuple(
+        (block_diagonal(lambda size: random_complex(gen, (size, size))), gen.uniform(0.1, 1.0))
+        for _ in range(n_jumps)
+    )
+    return gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
+
+
+def assembled_nullspace_projector(m, evals, right, asym, gate):
+    """The null-space projector on the whole real generator: one n x n
+    bordered solve per cluster, from the assembled eigenvectors."""
+    eye = np.eye(len(m))
+    p = np.zeros(m.shape)
+    indices = np.flatnonzero(asym)
+    for group in gksl._clusters(evals.imag[indices], gate):
+        members = indices[group]
+        imag = evals.imag[members]
+        if imag[0] < -gate:
+            continue
+        if imag[0] > gate:
+            lam, weight, basis = complex(evals[members].mean()), 2.0, right[:, members]
+        else:
+            lam, weight = float(evals.real[members].mean()), 1.0
+            basis = np.where(imag < 0, right[:, members].imag, right[:, members].real)
+        a = m - lam * eye
+        r = np.linalg.qr(basis)[0]
+        r = np.linalg.qr(np.linalg.solve(a + r @ r.conj().T, r))[0]
+        y = np.linalg.solve((a + r @ r.conj().T).conj().T, r).conj().T
+        assert np.linalg.norm(a @ r) <= 1e2 * gate
+        p += weight * (r @ y).real
+    return p
+
+
+def assembled_decomposition(l, tol):
+    """Reference for decompose: its formulas on the assembled d^2 x d^2
+    eigenbasis of eig_general and the whole-matrix map back. Returns
+    (route, asymptotic indices, p_inf)."""
+    r = gksl._real_form(gksl.build_superoperator(l).matrix)
+    evals, right, left = qlinalg.eig_general(r)
+    evals = np.asarray(evals, dtype=complex)
+    asym = np.abs(evals.real) <= tol
+    kappa = np.linalg.norm(right) * np.linalg.norm(left) if left is not None else np.inf
+    if kappa < gksl.EIGENBASIS_COND_GATE:
+        route, p = "eigenbasis", (right[:, asym] @ left[:, asym].conj().T).real
+    else:
+        route, p = "nullspace", assembled_nullspace_projector(r, evals, right, asym, tol)
+    return route, tuple(np.flatnonzero(asym).tolist()), gksl._column_stacked(p)
+
+
+BLOCKWISE = {
+    "dfs": lambda gen, d: decaying_dfs_lindbladian(
+        gen, {8: (2, 2, 3), 10: (3, 3, 3), 12: (3, 4, 4), 16: (5, 5, 5)}[d]
+    ),
+    "exceptional": lambda gen, d: exceptional_point(1.0, d),
+    "dephasing": dephasing_pairs,
+    "random-blocks": lambda gen, d: random_block_lindbladian(
+        gen, {8: (3, 5), 10: (2, 3, 5), 12: (4, 4, 4), 16: (3, 5, 8)}[d]
+    ),
+}
+
+
+class TestBlockwiseDecompose:
+    """decompose keeps a reducible generator's eigenvectors, their inverses
+    and the blocks of p_inf per component, and maps p_inf back per sector."""
+
+    @pytest.mark.parametrize("d", [8, 10, 12, 16])
+    @pytest.mark.parametrize("kind", sorted(BLOCKWISE))
+    def test_matches_the_assembled_formulas(self, kind, d):
+        l = BLOCKWISE[kind](rng(5200 + d), d)
+        dec = gksl.decompose(l)
+        r = dec.real_generator
+        assert sum(len(idx) for idx in qlinalg._components_by_size(r)) > 1
+        assert dec.route == ("nullspace" if kind == "exceptional" else "eigenbasis")
+        # the eigenvalues are eig_general's, bit for bit
+        evals = np.asarray(qlinalg.eig_general(r)[0], dtype=complex)
+        assert np.array_equal(dec.eigenvalues, evals)
+        route, indices, p_ref = assembled_decomposition(l, dec.tol)
+        assert (dec.route, dec.asymptotic_indices) == (route, indices)
+        assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-13
+        if d <= 12:
+            n_asymptotic, p_dense = dense_eig_projector(l, dec.tol)
+            assert len(indices) == n_asymptotic
+            assert np.abs(dec.p_inf.matrix - p_dense).max() <= 1e-10
+
+    @pytest.mark.parametrize("d", [10, 16])
+    def test_sector_map_back_matches_the_whole_one(self, d):
+        gen = rng(5300 + d)
+        labels = gksl._block_labels(BLOCKWISE["random-blocks"](gen, d))
+        groups = gksl._sectors(labels)
+        p = np.zeros((d * d, d * d))
+        for _, idx in groups[1:]:
+            p[idx[:, :, None], idx[:, None, :]] = gen.normal(size=idx.shape + idx.shape[1:])
+        # the first group of sectors is zero and skipped: it maps back to zero
+        assert not p[groups[0][1]].any()
+        assert np.array_equal(gksl._column_stacked(p, labels), gksl._column_stacked(p))
+
+    def test_cluster_residual_is_summed_over_its_components(self):
+        # two 2 x 2 components, each with an eigenvalue mu given as 0: each
+        # alone leaves ||A R||_F = mu, under 1e2 gate, but the cluster that
+        # spans both leaves sqrt(2) mu, above it
+        gate = 1e-8
+        mu = 0.8e2 * gate
+        block = np.diag([mu, -1.0])
+        evals = np.array([0.0, -1.0], dtype=complex)
+        alone = gksl._nullspace_projector(
+            block, [np.arange(2)[None]], evals, [np.eye(2)[None]], evals.real == 0.0, gate
+        )
+        assert np.abs(alone[0][0] - np.diag([1.0, 0.0])).max() <= 2.0 * mu
+        m = np.kron(np.eye(2), block)
+        evals = np.tile(evals, 2)
+        components = [np.array([[0, 1], [2, 3]])]
+        right = [np.stack([np.eye(2)] * 2)]
+        with pytest.raises(NonDiagonalizable, match="Jordan chain .* for 2 eigenvectors"):
+            gksl._nullspace_projector(m, components, evals, right, evals.real == 0.0, gate)
+
+    def test_non_idempotent_split_projector_rejected(self, monkeypatch):
+        # the idempotence gap is summed over the components' blocks
+        l = exceptional_point(1.0, 8)
+        assert len(qlinalg._components_by_size(gksl.decompose(l).real_generator)) > 1
+        inner = gksl._nullspace_projector
+
+        def scaled(*args):
+            return [1.5 * p for p in inner(*args)]
+
+        monkeypatch.setattr(gksl, "_nullspace_projector", scaled)
+        with pytest.raises(ContractError, match="not idempotent"):
+            gksl.decompose(l)
 
 
 def geometric_mean_with_top_power(e, n):
@@ -1264,7 +1413,7 @@ class TestCesaro:
         def no_build(l):
             raise AssertionError("generator rebuilt")
 
-        monkeypatch.setattr(qlinalg, "eig_general", no_eig)
+        monkeypatch.setattr(qlinalg, "_eig_blocks", no_eig)
         monkeypatch.setattr(gksl, "build_superoperator", no_build)
         given = gksl.cesaro_projector(l, 300.0, 2**12, dec)
         assert np.array_equal(given.matrix, own.matrix)
