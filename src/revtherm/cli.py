@@ -38,7 +38,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import adiabatic, channels, compmodel, compops, gksl, qlinalg, qstate, resource
+from . import adiabatic, channels, compmodel, compops, gksl, qstate, resource
 from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 LN2 = math.log(2.0)
@@ -180,30 +180,51 @@ def _op(node, path) -> compops.StochasticOp:
     return compops.StochasticOp(n, rows)
 
 
-def _encode_complex_matrix(m: np.ndarray) -> list:
+def _encode_complex_matrix(m: np.ndarray) -> np.ndarray:
+    """The float array of m's [re, im] pairs, one more axis than m."""
     m = np.asarray(m)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    return np.stack((m.real, m.imag), axis=-1)
 
 
 # -- report plumbing ---------------------------------------------------------
 
 
-def _scan_finite(node, path):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            _scan_finite(v, f"{path}.{k}")
-    elif isinstance(node, (list, tuple)):
-        for i, v in enumerate(node):
-            _scan_finite(v, f"{path}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise NumericHealthError(f"{path} is not finite ({node!r})")
+class _NonFinite(NumericHealthError):
+    """A non-finite report number; path gathers its field, innermost part
+    first, as the error passes up through _emit."""
+
+    def __init__(self, value: float, path: str):
+        super().__init__(value, path)
+        self.value, self.path = value, path
+
+    def __str__(self):
+        return f"{self.path.removeprefix('.')} is not finite ({self.value!r})"
+
+
+def _emit_array(a: np.ndarray, newline: str, out: list):
+    """_emit of a float array as a nested list: every cell through one
+    float.__repr__ pass, then each axis joined from the innermost out."""
+    if not a.size:
+        _emit(a.tolist(), newline, out)
+        return
+    if not np.isfinite(a).all():
+        bad = np.argwhere(~np.isfinite(a))[0]
+        raise _NonFinite(float(a[tuple(bad)]), "".join(f"[{i}]" for i in bad))
+    text = list(map(float.__repr__, a.ravel().tolist()))
+    for axis in range(a.ndim - 1, -1, -1):
+        inner, n = newline + "  " * (axis + 1), a.shape[axis]
+        close = inner[:-2] + "]"
+        sep = "," + inner
+        text = ["[" + inner + sep.join(text[i : i + n]) + close for i in range(0, len(text), n)]
+    out.append(text[0])
 
 
 def _emit(node, newline: str, out: list):
     """Append node's text in the layout of json.dumps(sort_keys=True,
     indent=2) to out; newline is a line break plus the indent of node's
-    level, and its items go two spaces deeper. A non-finite float raises
-    NumericHealthError."""
+    level, and its items go two spaces deeper. A float array is written as
+    the nested list of its cells. A non-finite float raises _NonFinite,
+    which names its path."""
     if isinstance(node, str):
         out.append(encode_basestring_ascii(node))
     elif node is None:
@@ -216,7 +237,7 @@ def _emit(node, newline: str, out: list):
         out.append(int.__repr__(node))
     elif isinstance(node, float):
         if not math.isfinite(node):
-            raise NumericHealthError("report holds a non-finite number")
+            raise _NonFinite(node, "")
         out.append(float.__repr__(node))
     elif isinstance(node, (list, tuple)):
         if not node:
@@ -228,13 +249,18 @@ def _emit(node, newline: str, out: list):
             text = ("," + inner).join(map(float.__repr__, node))
         except TypeError:
             out.append("[" + inner)
-            for i, value in enumerate(node):
-                if i:
-                    out.append("," + inner)
-                _emit(value, inner, out)
+            try:
+                for i, value in enumerate(node):
+                    if i:
+                        out.append("," + inner)
+                    _emit(value, inner, out)
+            except _NonFinite as exc:
+                exc.path = f"[{i}]{exc.path}"
+                raise
         else:
             if not all(map(math.isfinite, node)):
-                raise NumericHealthError("report holds a non-finite number")
+                i = next(i for i, x in enumerate(node) if not math.isfinite(x))
+                raise _NonFinite(node[i], f"[{i}]")
             out.append("[" + inner + text)
         out.append(newline + "]")
     elif isinstance(node, dict):
@@ -243,18 +269,25 @@ def _emit(node, newline: str, out: list):
             return
         inner = newline + "  "
         separator = "{" + inner
-        for key, value in sorted(node.items()):
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _emit(value, inner, out)
-            separator = "," + inner
+        try:
+            for key, value in sorted(node.items()):
+                out.append(separator + encode_basestring_ascii(key) + ": ")
+                _emit(value, inner, out)
+                separator = "," + inner
+        except _NonFinite as exc:
+            exc.path = f".{key}{exc.path}"
+            raise
         out.append(newline + "}")
+    elif isinstance(node, np.ndarray):
+        _emit_array(node, newline, out)
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def _report_text(report: dict) -> str:
     """json.dumps(report, sort_keys=True, indent=2) + "\n", written in one
-    pass; a non-finite float raises NumericHealthError."""
+    pass, float arrays as nested lists; a non-finite float raises a
+    NumericHealthError that names its path."""
     out = []
     _emit(report, "\n", out)
     out.append("\n")
@@ -517,9 +550,9 @@ def _handle_thermo_check(payload, units, tol):
     convention = _get(payload, "convention", "payload", _string, "paper")
     if convention not in ("paper", "standard"):
         raise SchemaViolation("payload.convention", f"unknown convention {convention!r}")
-    feasible = resource.thermomaj_feasible(p_in, p_out, energies, beta, convention)
     curve_in = resource.thermomaj_curve(p_in, energies, beta, convention)
     curve_out = resource.thermomaj_curve(p_out, energies, beta, convention)
+    feasible = curve_in.majorizes(curve_out)
     outputs = {
         "feasible": feasible,
         "convention": convention,
@@ -623,11 +656,10 @@ def _handle_gksl_evolve(payload, units, tol):
 def _handle_gksl_asymptotic(payload, units, tol):
     l = _lindbladian(payload)
     dec = gksl.decompose(l, _get(payload, "tol", "payload", _number, None))
-    evals = sorted(
-        (complex(z) for z in dec.eigenvalues), key=lambda z: (z.real, z.imag)
-    )
+    evals = dec.eigenvalues
     outputs = {
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in evals],
+        # [re, im] rows ascending by re, then im: a stable sort, as sorted's
+        "eigenvalues": _encode_complex_matrix(evals[np.lexsort((evals.imag, evals.real))]),
         "n_asymptotic": len(dec.asymptotic_indices),
         "p_a_rank": int(round(float(np.real(np.trace(dec.p_a))))),
         "asymptotic_frequencies": [float(f) for f in dec.asymptotic_frequencies],
@@ -637,15 +669,14 @@ def _handle_gksl_asymptotic(payload, units, tol):
     tolerances = {"asymptotic_re": dec.tol}
     cesaro = _get(payload, "cesaro", "payload", _object, None)
     if cesaro is not None:
-        ces = gksl.cesaro_projector(
+        dist = gksl.cesaro_distance(
             l,
             _get(cesaro, "horizon", "payload.cesaro", _number),
             _get(cesaro, "samples", "payload.cesaro", _int),
             dec,
         )
-        dist = qlinalg.hs_norm(ces.matrix - dec.p_inf.matrix)
         gate = tol if tol is not None else 1e-4
-        outputs["cesaro_distance"] = float(dist)
+        outputs["cesaro_distance"] = dist
         tolerances["cesaro_agreement"] = gate
         passed = bool(dist <= gate)
     state = _get(payload, "state", "payload", _matrix, None)
@@ -748,13 +779,7 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
             "pass": bool(passed),
             "csv_files": [csv_prefix + name for name in sorted(csvs)],
         }
-        try:
-            text = _report_text(report)
-        except NumericHealthError:
-            # name the first non-finite field, when it is one
-            for key in ("outputs", "tolerances"):
-                _scan_finite(report[key], key)
-            raise
+        text = _report_text(report)
     except SchemaViolation as exc:
         click.echo(f"error: invalid scenario: {exc}", err=True)
         return 3

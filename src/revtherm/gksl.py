@@ -27,21 +27,22 @@ real eig of that form classifies eigenvalues into decaying (Re < 0) and
 asymptotic (Re ~ 0) sectors and yields the exact asymptotic
 projection superoperator, from the eigenbasis or, for a defective
 generator, from the null spaces of L - lambda over the asymptotic
-eigenvalues, mapped back to column-stacked operators, plus the support
-projectors P_A / Q. Under block-diagonal operating contexts the real form
+eigenvalues, kept in the Hermitian basis, plus the support projectors
+P_A / Q; states are projected through their d^2 real coordinates, and the
+projector is mapped back to column-stacked operators only when a caller
+reads p_inf. Under block-diagonal operating contexts the real form
 is reducible: it splits exactly into coherence sectors between pairs of
 blocks (Baumgartner & Narnhofer, J. Phys. A 41:395303, 2008; Buca &
 Prosen, New J. Phys. 14:073007, 2012). decompose then works block by
 block from the eig to the projector: the eig runs on each component of
 the real form (qlinalg._eig_blocks), the eigenvectors, their inverses, the
-projector's blocks and the null-space solves stay per component, each
-gate sums its measure in quadrature over the components, and the
-projector is mapped back one coherence sector at a time; the dense route
+projector's blocks and the null-space solves stay per component, and each
+gate sums its measure in quadrature over the components; the dense route
 propagates sector by sector, over the blocks of the Hamiltonian and jumps
-(_sectors). A Cesaro
-time average of the same real form at the frequencies decompose found,
-stepped on the series route without eigenvectors, is the independent
-cross-check of that projection.
+(_sectors). A Cesaro time average of the same real form at the
+frequencies decompose found, stepped on the series route without
+eigenvectors, is the independent cross-check of that projection, compared
+with it in the Hermitian basis (cesaro_distance).
 The split of an operator into a block-respecting ("noncomputational") and
 a cross-block ("pure computational") part connects the open-system
 picture to the computational one.
@@ -61,7 +62,7 @@ from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeE
 TRACE_FUNCTIONAL_RTOL = 1e-9
 ASYMPTOTIC_RTOL = 1e-8
 PINF_IDEMPOTENT_TOL = 1e-8
-# decompose builds p_inf from the eigenbasis only when its condition
+# decompose builds its projector from the eigenbasis only when its condition
 # kappa_F = ||V||_F ||V^-1||_F is below this; else from null spaces. The
 # eigenbasis projector's error is up to eps kappa_F, here 2e-10, fifty times
 # under PINF_IDEMPOTENT_TOL. A 2 x 2 Jordan block split by rounding lands at
@@ -268,34 +269,26 @@ def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     return _pair_parts(t, d, axis, -1j if axis == 0 else 1j)
 
 
-def _from_pairs(a: np.ndarray, p: int, axis: int, phase: complex, at) -> np.ndarray:
-    """The inverse of _pair_parts along axis, into a new complex array.
-
-    Along that axis a holds p populations, then the symmetric and then the
-    antisymmetric parts of its q pairs. The populations go to positions
-    at[:p], the entries (i, j) = (sym + phase anti)/sqrt2 to at[p : p + q]
-    and the entries (j, i) = (sym - phase anti)/sqrt2 to at[p + q :].
-    Phase +i takes B a along that axis, -i takes a B+.
-    """
-    q = (a.shape[axis] - p) // 2
-    before = (slice(None),) * axis
-    sym, anti = a[before + (slice(p, p + q),)], a[before + (slice(p + q, None),)]
-    phase = phase * math.sqrt(0.5)
-    out = np.empty(a.shape, dtype=complex)
-    out[before + (at[:p],)] = a[before + (slice(0, p),)]
-    out[before + (at[p : p + q],)] = math.sqrt(0.5) * sym + phase * anti
-    out[before + (at[p + q :],)] = math.sqrt(0.5) * sym - phase * anti
-    return out
-
-
 def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     """B a for axis 0, a B+ for axis 1: the inverse of _to_hermitian_basis.
 
-    It writes straight into its result and copies no input, since every
-    p_inf and every Cesaro average is mapped back through it.
+    Along that axis a holds d populations, then the symmetric and then the
+    antisymmetric parts of its q pairs. The populations go back to the
+    diagonal entries, the entries (i, j) = (sym + phase anti)/sqrt2 and
+    (j, i) = (sym - phase anti)/sqrt2, with phase +i for axis 0 and -i for
+    axis 1. It writes straight into its result and copies no input.
     """
     d = math.isqrt(a.shape[axis])
-    return _from_pairs(a, d, axis, 1j if axis == 0 else -1j, _hermitian_basis(d))
+    at = _hermitian_basis(d)
+    q = (a.shape[axis] - d) // 2
+    before = (slice(None),) * axis
+    sym, anti = a[before + (slice(d, d + q),)], a[before + (slice(d + q, None),)]
+    phase = (1j if axis == 0 else -1j) * math.sqrt(0.5)
+    out = np.empty(a.shape, dtype=complex)
+    out[before + (at[:d],)] = a[before + (slice(0, d),)]
+    out[before + (at[d : d + q],)] = math.sqrt(0.5) * sym + phase * anti
+    out[before + (at[d + q :],)] = math.sqrt(0.5) * sym - phase * anti
+    return out
 
 
 def _real_parts(forms: list) -> list:
@@ -319,29 +312,22 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return _real_parts([_to_hermitian_basis(_to_hermitian_basis(m, 0), 1)])[0]
 
 
-def _column_stacked(p: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
-    """B P B+: a superoperator in the Hermitian basis back on column-stacked operators.
+def _column_stacked(p: np.ndarray) -> np.ndarray:
+    """B P B+: a superoperator in the Hermitian basis back on column-stacked operators."""
+    return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
 
-    With labels (from _block_labels), P must be block diagonal over the
-    coherence sectors of those blocks (_sectors), as every function of a
-    generator with those blocks is. Each sector holds the two entries
-    (i, j) and (j, i) of each of its pairs, so B maps it onto its own
-    column-stacked positions and B P B+ splits exactly: each group of
-    sectors is mapped back in one stack, with the arithmetic of the whole
-    map back, and the sectors where P is zero are skipped.
-    """
-    if labels is None:
-        return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
-    order = _hermitian_basis(labels.size)
-    out = np.zeros(p.shape, dtype=complex)
-    for pops, idx in _sectors(labels):
-        blocks = p[idx[:, :, None], idx[:, None, :]]
-        live = blocks.any(axis=(1, 2))
-        if live.any():
-            at, local = order[idx[live]], np.arange(idx.shape[1])
-            blocks = _from_pairs(blocks[live], pops, 1, 1j, local)
-            out[at[:, :, None], at[:, None, :]] = _from_pairs(blocks, pops, 2, -1j, local)
-    return out
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of a d x d operator's Hermitian part in the
+    Hermitian basis: B+ vec(rho), real part."""
+    return _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
+
+
+def _operators(coords: np.ndarray) -> np.ndarray:
+    """The stack (n, d, d) of operators whose real coordinates are the
+    columns of coords (d^2, n); each is exactly Hermitian."""
+    d = math.isqrt(coords.shape[0])
+    return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def _matrix_free_form(l: Lindbladian):
@@ -661,7 +647,7 @@ def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndar
     d = rho.shape[0]
     groups = _sectors(labels)
     forms = _sector_forms(l, groups)
-    x = _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
+    x = _coordinates(rho)
     previous = []
     for (p, idx), r in zip(groups, forms):
         xs = x[idx][..., None]
@@ -696,7 +682,7 @@ def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndar
         coords[idx] = out[..., 0].transpose(1, 2, 0)
         if p:
             coords[idx[:, :p]] = _trace_reflection(p) @ coords[idx[:, :p]]
-    return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
+    return _operators(coords)
 
 
 def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
@@ -722,7 +708,7 @@ def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
     r[:d] = h @ r[:d]
     r[:, :d] = r[:, :d] @ h
     r[0] = 0.0
-    x = _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
+    x = _coordinates(rho)
     x[:d] = h @ x[:d]
     steps, which = plan
     # a step comes back after another only when it is the first, so the
@@ -737,7 +723,7 @@ def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
         x = propagator @ x
         coords[:, i] = x
     coords[:d] = h @ coords[:d]
-    return _from_hermitian_basis(coords, 0).T.reshape(-1, d, d).transpose(0, 2, 1)
+    return _operators(coords)
 
 
 def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
@@ -830,11 +816,12 @@ class AsymptoticDecomposition:
 
     eigenvalues are those of real_generator, the generator in the orthonormal
     Hermitian basis (a real d^2 x d^2 matrix); asymptotic_indices are those
-    with |Re| <= tol. p_inf is the exact spectral projector onto the
-    asymptotic sector, on column-stacked operators, and route says how it
-    was built: "eigenbasis" or "nullspace" (see decompose). p_a is the
-    Hilbert-space support projector of the projected maximally mixed state,
-    q = 1 - p_a its complement.
+    with |Re| <= tol. real_projector is the exact spectral projector onto
+    the asymptotic sector in that basis, real, and route says how it was
+    built: "eigenbasis" or "nullspace" (see decompose). p_inf is the same
+    projector on column-stacked operators, mapped back from it on first
+    access. p_a is the Hilbert-space support projector of the projected
+    maximally mixed state, q = 1 - p_a its complement.
     """
 
     eigenvalues: np.ndarray
@@ -842,13 +829,18 @@ class AsymptoticDecomposition:
     tol: float
     route: str
     real_generator: np.ndarray
-    p_inf: SuperoperatorMatrix
+    real_projector: np.ndarray
     p_a: np.ndarray
     q: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.p_a.shape[0]
+
+    @functools.cached_property
+    def p_inf(self) -> SuperoperatorMatrix:
+        """B P B+ for real_projector P: the projector on column-stacked operators."""
+        return SuperoperatorMatrix(_column_stacked(self.real_projector), kind="trace_preserving")
 
     @property
     def asymptotic_frequencies(self) -> np.ndarray:
@@ -888,10 +880,11 @@ def _cluster_values(values: np.ndarray, atol: float) -> np.ndarray:
     return np.sort([v if abs(v) > atol else 0.0 for v in reps])
 
 
-def _support_projectors(p_inf_matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """P_A = support of the asymptotically projected maximally mixed state."""
-    image = qlinalg.devectorize(p_inf_matrix @ qlinalg.vectorize(np.eye(d, dtype=complex) / d))
-    image = (image + image.conj().T) / 2.0
+def _support_projectors(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_A = support of the asymptotically projected maximally mixed state,
+    for the projector p in the Hermitian basis, where 1/d has the
+    coordinate 1/d on each population and 0 elsewhere."""
+    image = _operators(p[:, :d] @ np.full((d, 1), 1.0 / d))[0]
     w, v = np.linalg.eigh(image)
     keep = w > PA_SUPPORT_TOL
     p_a = (v[:, keep] @ v[:, keep].conj().T) if keep.any() else np.zeros((d, d), complex)
@@ -916,27 +909,12 @@ def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
     return rec(n, False)[0] / n
 
 
-def cesaro_projector(
-    l: Lindbladian, horizon: float, samples: int, dec: AsymptoticDecomposition | None = None
-) -> SuperoperatorMatrix:
-    """Finite-time average approximating the asymptotic projection.
-
-    For each asymptotic frequency w, averages exp(t(L - i w)) over the
-    horizon at the given sampling resolution; the per-frequency means are
-    summed. dec must be a decomposition of l, decompose(l, tol); without
-    one, decompose(l) is taken here. Its real generator and asymptotic
-    frequencies are used, so a caller that has dec computes neither the
-    generator nor its spectrum again. The average runs on the real
-    Hermitian-basis generator, so the step and the w = 0 mean are real.
-    The frequencies are symmetric about 0, so the mean at -w is the
-    conjugate of the mean at w: only w >= 0 is averaged, each w > 0 adding
-    twice its mean's real part, and the sum stays real. The step exp(dt L)
-    is taken on the series route, which needs no eigenvectors, so the
-    average stays independent of the spectral projector it cross-checks.
-    Error is O(1/horizon) for a gapped decaying sector, and vanishes to
-    rounding when every spectral gap times the horizon is a multiple of
-    2 pi.
-    """
+def _cesaro_average(
+    l: Lindbladian, horizon: float, samples: int, dec: AsymptoticDecomposition | None
+) -> tuple[np.ndarray, AsymptoticDecomposition]:
+    """(A, dec): the Cesaro average of cesaro_projector in the Hermitian
+    basis, real, and the decomposition whose generator and frequencies it
+    used. The sample count and the horizon are checked before any work."""
     samples = int(samples)
     if samples < 1:
         raise ContractError("sample count must be positive")
@@ -956,7 +934,46 @@ def cesaro_projector(
             acc += _geometric_mean(step, samples)
         else:
             acc += 2.0 * _geometric_mean(step * np.exp(-1j * float(w) * dt), samples).real
+    return acc, dec
+
+
+def cesaro_projector(
+    l: Lindbladian, horizon: float, samples: int, dec: AsymptoticDecomposition | None = None
+) -> SuperoperatorMatrix:
+    """Finite-time average approximating the asymptotic projection.
+
+    For each asymptotic frequency w, averages exp(t(L - i w)) over the
+    horizon at the given sampling resolution; the per-frequency means are
+    summed. dec must be a decomposition of l, decompose(l, tol); without
+    one, decompose(l) is taken here. Its real generator and asymptotic
+    frequencies are used, so a caller that has dec computes neither the
+    generator nor its spectrum again. The average runs on the real
+    Hermitian-basis generator, so the step and the w = 0 mean are real.
+    The frequencies are symmetric about 0, so the mean at -w is the
+    conjugate of the mean at w: only w >= 0 is averaged, each w > 0 adding
+    twice its mean's real part, and the sum stays real. The step exp(dt L)
+    is taken on the series route, which needs no eigenvectors, so the
+    average stays independent of the spectral projector it cross-checks.
+    Error is O(1/horizon) for a gapped decaying sector, and vanishes to
+    rounding when every spectral gap times the horizon is a multiple of
+    2 pi. The average is kept in the Hermitian basis, as decompose keeps
+    P_inf, and mapped back to column-stacked operators here;
+    cesaro_distance compares it with P_inf without mapping either back.
+    """
+    acc, _ = _cesaro_average(l, horizon, samples, dec)
     return SuperoperatorMatrix(_column_stacked(acc), kind="approximation")
+
+
+def cesaro_distance(
+    l: Lindbladian, horizon: float, samples: int, dec: AsymptoticDecomposition | None = None
+) -> float:
+    """||A - P||_F for the Cesaro average A of cesaro_projector (same
+    arguments) and the exact projector P of dec, both in the orthonormal
+    Hermitian basis. B is unitary, so this is the Hilbert-Schmidt distance
+    of cesaro_projector(l, horizon, samples, dec) from dec.p_inf, to
+    rounding."""
+    acc, dec = _cesaro_average(l, horizon, samples, dec)
+    return float(np.linalg.norm(acc - dec.real_projector))
 
 
 def _frobenius(stacks: list) -> float:
@@ -1095,21 +1112,23 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     decoherence-free blocks or dephasing, everything after it runs block by
     block: the eig runs on each component of its nonzero pattern
     (qlinalg._eig_blocks), and the eigenvectors, their inverses and the
-    blocks of p_inf stay per component, stacked by component size; the
-    d^2 x d^2 eigenbasis is never formed.
-    p_inf is the exact spectral projector onto the asymptotic sector. When
-    that basis is invertible with condition kappa_F = ||V||_F ||V^-1||_F
-    below EIGENBASIS_COND_GATE, p_inf comes from it (route "eigenbasis");
-    each Frobenius norm is summed in quadrature over the components, and
-    this gate is the only one on the eigenbasis. A defective generator
-    fails it; p_inf then comes from the null spaces of L - lambda over the
-    asymptotic eigenvalues, starting from the eigenvectors the same eig
-    returned (route "nullspace"). Either way p_inf is real in the Hermitian
-    basis and is checked idempotent there, its gap and its norm summed in
-    quadrature over the components (the Frobenius gap is that of B P B+,
-    as B is unitary). It is then mapped back to column-stacked operators,
-    sector by sector when the Hamiltonian and jumps are block diagonal
-    (_block_labels, _column_stacked).
+    blocks of the projector stay per component, stacked by component size;
+    the d^2 x d^2 eigenbasis is never formed.
+    The projector P is the exact spectral projector onto the asymptotic
+    sector. When that basis is invertible with condition
+    kappa_F = ||V||_F ||V^-1||_F below EIGENBASIS_COND_GATE, P comes from it
+    (route "eigenbasis"); each Frobenius norm is summed in quadrature over
+    the components, and this gate is the only one on the eigenbasis. A
+    defective generator fails it; P then comes from the null spaces of
+    L - lambda over the asymptotic eigenvalues, starting from the
+    eigenvectors the same eig returned (route "nullspace"). Either way P is
+    real in the Hermitian basis and stays there: it is checked idempotent
+    there, its gap and its norm summed in quadrature over the components
+    (the Frobenius gap is that of B P B+, as B is unitary), and trace
+    preserving, the populations' rows of P summing to the trace functional.
+    It is kept as real_projector, and P_A / Q are read off it; p_inf, the
+    projector on column-stacked operators, is mapped back only when a
+    caller reads it.
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
@@ -1134,20 +1153,29 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     else:
         inverses = None  # free the refused basis's inverse before the solves
         p = _nullspace_projector(r, components, evals, right, asym, tol)
-    del inverses, right  # the eigenvectors die before p is checked and mapped back
-    gap = _frobenius([q @ q - q for q in p])
-    if gap > PINF_IDEMPOTENT_TOL * max(1.0, _frobenius(p)):
+    del inverses, right  # the eigenvectors die before p is checked
+    gap, scale = _frobenius([q @ q - q for q in p]), max(1.0, _frobenius(p))
+    if gap > PINF_IDEMPOTENT_TOL * scale:
         raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
     p = qlinalg._assemble(components, p, n)
-    p_inf = SuperoperatorMatrix(_column_stacked(p, _block_labels(l)), kind="trace_preserving")
-    p_a, q = _support_projectors(p_inf.matrix, l.dim)
+    # tau P = tau for the trace functional tau, the sum of the populations:
+    # the contract that SuperoperatorMatrix checks for "trace_preserving"
+    d = l.dim
+    drift = p[:d].sum(axis=0)
+    drift[:d] -= 1.0
+    residual = float(np.linalg.norm(drift))
+    if residual > TRACE_FUNCTIONAL_RTOL * scale:
+        raise ContractError(
+            f"superoperator violates its trace_preserving trace contract (residual {residual:.3e})"
+        )
+    p_a, q = _support_projectors(p, d)
     return AsymptoticDecomposition(
         eigenvalues=evals,
         asymptotic_indices=tuple(np.flatnonzero(asym).tolist()),
         tol=tol,
         route="eigenbasis" if eigenbasis else "nullspace",
         real_generator=r,
-        p_inf=p_inf,
+        real_projector=p,
         p_a=p_a,
         q=q,
     )
@@ -1170,7 +1198,7 @@ def asymptotic_evolution(
         raise ContractError(
             f"asymptotic Hamiltonian leaks outside the surviving support ({leak:.3e})"
         )
-    projected = qlinalg.devectorize(dec.p_inf.matrix @ qlinalg.vectorize(rho_in))
+    projected = _operators((dec.real_projector @ _coordinates(rho_in))[:, None])[0]
     w, v = qlinalg.eig_hermitian(h)
     u = (v * np.exp(-1j * float(s) * w)) @ v.conj().T
     return u @ projected @ u.conj().T

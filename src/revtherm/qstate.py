@@ -162,8 +162,13 @@ def _state_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when supp(rho) escapes supp(sigma)."""
     rho, sigma = _state_pair(rho, sigma)
-    wr, vr = _clipped_spectrum(rho)
-    ws, vs = _clipped_spectrum(sigma)
+    return _relative_entropy(_clipped_spectrum(rho), _clipped_spectrum(sigma))
+
+
+def _relative_entropy(r: tuple, s: tuple) -> float:
+    """relative_entropy on the clipped spectra r = (wr, vr) of rho and
+    s = (ws, vs) of sigma."""
+    (wr, vr), (ws, vs) = r, s
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     kernel = ws <= _SUPPORT_TOL
     if np.sum(wr[:, None] * overlap[:, kernel]) > _SUPPORT_VIOLATION:
@@ -192,13 +197,19 @@ def alpha_rre(rho, sigma, alpha: float) -> float:
     alpha in {0, -1} is outside every branch. Support incompatibilities
     return +inf.
     """
+    rho, sigma = _state_pair(rho, sigma)
+    return _alpha_rre(rho, _clipped_spectrum(rho), _clipped_spectrum(sigma), alpha)
+
+
+def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
+    """alpha_rre given rho, its clipped spectrum r = (wr, vr) and that of
+    sigma, s = (ws, vs): the one formula, which resource.second_laws_check
+    shares so that it takes each spectrum once."""
     if alpha == 1.0:
-        return relative_entropy(rho, sigma)
+        return _relative_entropy(r, s)
     if alpha == 0.0 or alpha == -1.0:
         raise ContractError(f"alpha = {alpha} is outside the defined branches")
-    rho, sigma = _state_pair(rho, sigma)
-    wr, vr = _clipped_spectrum(rho)
-    ws, vs = _clipped_spectrum(sigma)
+    (wr, vr), (ws, vs) = r, s
     tr_rho = float(wr.sum())
     coeff = math.copysign(1.0, alpha) / (alpha - 1.0)
 

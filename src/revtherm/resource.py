@@ -106,6 +106,17 @@ class ThermomajorizationCurve:
         """Piecewise-linear interpolation, clamped to the endpoints."""
         return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
 
+    def majorizes(self, other: "ThermomajorizationCurve") -> bool:
+        """Does other lie at or below this curve everywhere, within
+        FEASIBILITY_TOL?
+
+        Both curves are piecewise linear and clamped past their ends, so
+        their difference is piecewise linear with kinks only at the union
+        of the two breakpoint sets; comparing there is exact.
+        """
+        grid = np.concatenate((self.xs, other.xs))
+        return bool(np.all(other.evaluate(grid) <= self.evaluate(grid) + FEASIBILITY_TOL))
+
     def is_concave(self, tol: float = 1e-12) -> bool:
         slopes = np.diff(self.ys) / np.maximum(np.diff(self.xs), 1e-300)
         return bool(np.all(np.diff(slopes) <= tol))
@@ -131,14 +142,10 @@ def thermomaj_feasible(
     """Can p_in reach p_out by a thermal operation (commuting case)?
 
     Feasible iff the output curve lies at or below the input curve
-    everywhere. Both curves are piecewise linear and clamped past their
-    ends, so their difference is piecewise linear with kinks only at the
-    union of the two breakpoint sets; comparing there is exact.
+    everywhere (ThermomajorizationCurve.majorizes).
     """
     cin = thermomaj_curve(p_in, energies, beta, convention)
-    cout = thermomaj_curve(p_out, energies, beta, convention)
-    grid = np.concatenate((cin.xs, cout.xs))
-    return bool(np.all(cout.evaluate(grid) <= cin.evaluate(grid) + FEASIBILITY_TOL))
+    return cin.majorizes(thermomaj_curve(p_out, energies, beta, convention))
 
 
 @dataclass(frozen=True)
@@ -185,6 +192,7 @@ def _require_commuting(rho, ctx: qstate.ThermoContext, what: str):
     scale = max(1.0, float(np.linalg.norm(rho)) * float(np.linalg.norm(h)))
     if np.linalg.norm(comm) > COMMUTATOR_RTOL * scale:
         raise ContractError(f"{what} does not commute with the Hamiltonian")
+    return rho
 
 
 def second_laws_check(
@@ -197,15 +205,21 @@ def second_laws_check(
 
     Valid for states commuting with the Hamiltonian (enforced). Returns the
     overall verdict and the per-alpha margins F_a(in) - F_a(out); a grid pass
-    is a necessary-condition sample of the full family, not a proof.
+    is a necessary-condition sample of the full family, not a proof. Each
+    margin is that of qstate.alpha_free_energy bit for bit, but the Gibbs
+    state, ln Z and the spectra of both states and of the Gibbs state are
+    taken once per check, not once per alpha.
     """
-    _require_commuting(rho_in, ctx, "input state")
-    _require_commuting(rho_out, ctx, "output state")
+    rho_in = _require_commuting(rho_in, ctx, "input state")
+    rho_out = _require_commuting(rho_out, ctx, "output state")
+    t = ctx.temperature
+    tau = qstate._clipped_spectrum(qstate.gibbs_state(ctx))
+    free = -t * qstate.log_partition_function(ctx)
+    states = [(rho, qstate._clipped_spectrum(rho)) for rho in (rho_in, rho_out)]
     margins: dict[float, float] = {}
     for alpha in alphas:
         a = float(alpha)
-        f_in = qstate.alpha_free_energy(rho_in, ctx, a)
-        f_out = qstate.alpha_free_energy(rho_out, ctx, a)
+        f_in, f_out = (free + t * qstate._alpha_rre(rho, s, tau, a) for rho, s in states)
         margins[a] = float(f_in - f_out)
     ok = all(m >= -FEASIBILITY_TOL for m in margins.values())
     return ok, margins

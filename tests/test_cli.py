@@ -551,6 +551,21 @@ class TestRemainingTasks:
         for name in report["csv_files"]:
             assert (tmp_path / name).read_text().splitlines()[0] == "x,y"
 
+    def test_thermo_check_builds_each_curve_once(self, tmp_path, monkeypatch):
+        built = []
+        original = cli.resource.thermomaj_curve
+
+        def counted(*args):
+            built.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(cli.resource, "thermomaj_curve", counted)
+        doc = MINIMAL["thermo-check"]
+        p = write_scenario(tmp_path, "thermo-check", doc)
+        r = CliRunner().invoke(cli.main, ["thermo-check", "--scenario", p])
+        assert r.exit_code == 0, r.stderr
+        assert built == [doc["p_in"], doc["p_out"]]
+
     def test_cto_check_with_second_laws(self, tmp_path):
         p = write_scenario(
             tmp_path,
@@ -626,6 +641,12 @@ def exceptional_payload(d):
     }
 
 
+CESARO_STATE = {
+    "cesaro": {"horizon": 1e6, "samples": 10**6},
+    "state": complex_matrix(np.eye(8) / 8),
+}
+
+
 class TestGkslAsymptotic:
     @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "nullspace"])
     def test_one_spectrum_per_call(self, tmp_path, monkeypatch, defective):
@@ -675,6 +696,27 @@ class TestGkslAsymptotic:
             assert len(set(sizes)) == len(sizes)
             assert sum(k * s for k, s, _ in eig_inputs) == d * d
             assert (eig_inputs == [(1, d * d, d * d)]) == (d < 8)
+
+    def test_cesaro_and_state_stay_in_the_hermitian_basis(self, tmp_path, monkeypatch):
+        # the projector and the Cesaro average are compared, and the state
+        # projected, without mapping either back to column-stacked form
+        calls = {"_column_stacked": 0, "_cesaro_average": 0}
+        for name in calls:
+            original = getattr(cli.gksl, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli.gksl, name, counted)
+        for payload in (MINIMAL["gksl-asymptotic"], {**exceptional_payload(8), **CESARO_STATE}):
+            calls.update(dict.fromkeys(calls, 0))
+            p = write_scenario(tmp_path, "gksl-asymptotic", payload)
+            r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+            assert r.exit_code == 0, r.stderr
+            outputs = json.loads(r.stdout)["outputs"]
+            assert {"cesaro_distance", "asymptotic_state"} <= set(outputs)
+            assert calls == {"_column_stacked": 0, "_cesaro_average": 1}
 
     def test_jordan_block_at_asymptotic_eigenvalue_is_5(self, tmp_path, monkeypatch):
         # no GKSL generator has one, so the generator matrix is substituted:
@@ -1049,9 +1091,10 @@ def test_complex_matrix_encoding_matches_the_per_entry_loop():
     m[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324 - 1e308j, 1e16]
     ref = [[[float(x.real), float(x.imag)] for x in row] for row in m]
     encoded = cli._encode_complex_matrix(m)
-    assert encoded == ref
-    assert json.dumps(encoded) == json.dumps(ref)
-    assert all(type(x) is float for row in encoded for pair in row for x in pair)
+    assert encoded.dtype == np.float64 and encoded.shape == (5, 5, 2)
+    assert encoded.tolist() == ref
+    # the signs of zeros show in the text alone
+    assert cli._report_text(encoded) == json.dumps(ref, indent=2) + "\n"
 
 
 def random_tree(gen, depth=0):
@@ -1081,11 +1124,12 @@ def random_tree(gen, depth=0):
 
 
 class TestReportText:
-    """The one-pass emitter writes exactly json.dumps(sort_keys=True, indent=2)."""
+    """The one-pass emitter writes exactly json.dumps(sort_keys=True, indent=2),
+    a float array as its nested list."""
 
     @staticmethod
     def reference(report) -> str:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
 
     def test_matches_json_dumps_on_every_scenario_report(self, tmp_path, monkeypatch):
         reports = []
@@ -1119,12 +1163,41 @@ class TestReportText:
         for tree in ({}, [], (), "", 0, -0.0, {"": {}}, [[], {}, ()], 10**400):
             assert cli._report_text(tree) == self.reference(tree)
 
+    @pytest.mark.parametrize(
+        "shape", [(7,), (9, 2), (4, 4, 2), (1, 1, 2), (0,), (0, 2), (3, 0), (2, 0, 2)]
+    )
+    def test_float_arrays_match_json_dumps_of_their_lists(self, shape):
+        gen = rng(13)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e16, -1e-7, 1e308, 0.1]
+        a = gen.normal(size=shape) * 10.0 ** gen.integers(-20, 20, size=shape)
+        a.reshape(-1)[: len(special)] = special[: a.size]
+        for report in (a, {"x": a, "y": [a, {"z": a}]}):
+            assert cli._report_text(report) == self.reference(report)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["scalar", "float list", "mixed list"])
     def test_non_finite_float_raises(self, value, where):
         node = {"scalar": value, "float list": [1.0, value], "mixed list": [1, value]}[where]
         with pytest.raises(cli.NumericHealthError):
             cli._report_text({"outputs": {"x": node}})
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            (math.nan, "outputs.x is not finite (nan)"),
+            ([1.0, math.inf], "outputs.x[1] is not finite (inf)"),
+            ([1, -math.inf], "outputs.x[1] is not finite (-inf)"),
+            ([[1.0], {"y": math.nan}], "outputs.x[1].y is not finite (nan)"),
+            (
+                np.array([[0.0, 1.0], [2.0, 3.0], [4.0, -math.inf]]),
+                "outputs.x[2][1] is not finite (-inf)",
+            ),
+        ],
+    )
+    def test_non_finite_float_is_named_by_its_path(self, node, message):
+        with pytest.raises(cli.NumericHealthError) as info:
+            cli._report_text({"a": 1.0, "outputs": {"w": [], "x": node}})
+        assert str(info.value) == message
 
     def test_unknown_type_raises_like_json(self):
         for value in (np.int64(1), object()):
@@ -1235,6 +1308,24 @@ class TestNonFiniteOutput:
         assert r.stdout == f"{good}: exit 0\n{poisoned}: exit 5\n"
         assert r.stderr == self.MESSAGE
         assert sorted(p.name for p in out_dir.iterdir()) == ["good.report.json"]
+
+    def test_array_cell_is_named(self, tmp_path, monkeypatch):
+        handler = cli._HANDLERS["gksl-asymptotic"]
+
+        def poisoned_handler(payload, units, tol):
+            outputs, passed, tolerances, csvs = handler(payload, units, tol)
+            outputs["asymptotic_state"][1, 0, 1] = math.nan
+            return outputs, passed, tolerances, csvs
+
+        monkeypatch.setitem(cli._HANDLERS, "gksl-asymptotic", poisoned_handler)
+        p = write_scenario(tmp_path, "gksl-asymptotic", MINIMAL["gksl-asymptotic"])
+        out = tmp_path / "report.json"
+        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p, "--out", str(out)])
+        assert r.exit_code == 5
+        assert r.stderr == (
+            "error: numeric health: outputs.asymptotic_state[1][0][1] is not finite (nan)\n"
+        )
+        assert not out.exists()
 
     def test_non_finite_tolerance_is_named(self, tmp_path, monkeypatch):
         handler = cli._HANDLERS["classify"]

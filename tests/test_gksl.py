@@ -1301,7 +1301,7 @@ BLOCKWISE = {
 
 class TestBlockwiseDecompose:
     """decompose keeps a reducible generator's eigenvectors, their inverses
-    and the blocks of p_inf per component, and maps p_inf back per sector."""
+    and the blocks of its projector per component."""
 
     @pytest.mark.parametrize("d", [8, 10, 12, 16])
     @pytest.mark.parametrize("kind", sorted(BLOCKWISE))
@@ -1321,18 +1321,6 @@ class TestBlockwiseDecompose:
             n_asymptotic, p_dense = dense_eig_projector(l, dec.tol)
             assert len(indices) == n_asymptotic
             assert np.abs(dec.p_inf.matrix - p_dense).max() <= 1e-10
-
-    @pytest.mark.parametrize("d", [10, 16])
-    def test_sector_map_back_matches_the_whole_one(self, d):
-        gen = rng(5300 + d)
-        labels = gksl._block_labels(BLOCKWISE["random-blocks"](gen, d))
-        groups = gksl._sectors(labels)
-        p = np.zeros((d * d, d * d))
-        for _, idx in groups[1:]:
-            p[idx[:, :, None], idx[:, None, :]] = gen.normal(size=idx.shape + idx.shape[1:])
-        # the first group of sectors is zero and skipped: it maps back to zero
-        assert not p[groups[0][1]].any()
-        assert np.array_equal(gksl._column_stacked(p, labels), gksl._column_stacked(p))
 
     def test_cluster_residual_is_summed_over_its_components(self):
         # two 2 x 2 components, each with an eigenvalue mu given as 0: each
@@ -1483,6 +1471,53 @@ class TestAsymptoticEvolution:
         h_inf = qstate.Hamiltonian(np.diag([0.3, 0.0]))
         out = gksl.asymptotic_evolution(dec, np.eye(2) / 2, h_inf, 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-10)
+
+
+REAL_BASIS = {
+    "generic": lambda gen, d: random_lindbladian(gen, d),
+    "dfs": lambda gen, d: decaying_dfs_lindbladian(
+        gen, {4: (1, 2), 8: (2, 2, 3), 12: (3, 4, 4), 16: (5, 5, 5)}[d]
+    ),
+    "exceptional": lambda gen, d: exceptional_point(1.0, d),
+}
+
+
+class TestRealBasisProjector:
+    """decompose keeps P_inf in the Hermitian basis: a state projected
+    through its real coordinates, and the Cesaro distance taken there,
+    agree with the column-stacked p_inf."""
+
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    @pytest.mark.parametrize("kind", sorted(REAL_BASIS))
+    def test_agrees_with_the_column_stacked_projector(self, kind, d):
+        gen = rng(5400 + d)
+        l = REAL_BASIS[kind](gen, d)
+        dec = gksl.decompose(l)
+        assert "p_inf" not in vars(dec)  # mapped back only when read
+        rho = random_density(gen, d)
+        expect = qlinalg.devectorize(dec.p_inf.matrix @ qlinalg.vectorize(rho))
+        zero = qstate.Hamiltonian(np.zeros((d, d)))
+        got = gksl.asymptotic_evolution(dec, rho, zero, 0.0)
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - expect).max() <= 1e-13
+        # two samples: one product per frequency keeps the d = 16 case cheap
+        ces = gksl.cesaro_projector(l, 3.0, 2, dec)
+        reference = qlinalg.hs_norm(ces.matrix - dec.p_inf.matrix)
+        assert abs(gksl.cesaro_distance(l, 3.0, 2, dec) - reference) <= 1e-13
+
+    def test_trace_contract_is_checked_in_the_basis(self, monkeypatch):
+        # e_0 e_0^T is idempotent, but tau P = e_0^T is not the trace
+        # functional tau, the sum of the populations
+        l = random_lindbladian(rng(5500), 2)
+        components = qlinalg._components_by_size(gksl.decompose(l).real_generator)
+        assert [idx.shape for idx in components] == [(1, 4)]
+
+        def leaky(*args):
+            return [np.diag([1.0, 0.0, 0.0, 0.0])[None]]
+
+        monkeypatch.setattr(gksl, "_eigenbasis_projector", leaky)
+        with pytest.raises(ContractError, match="trace_preserving trace contract"):
+            gksl.decompose(l)
 
 
 class TestOperatorSplits:

@@ -268,6 +268,28 @@ class TestSecondLaws:
         ok, margins = resource.second_laws_check(tau, tau, self.CTX, alphas=(0.5, 2.0))
         assert ok and set(margins) == {0.5, 2.0}
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_one_gibbs_state_and_per_alpha_margins_bit_for_bit(self, monkeypatch, d):
+        # the check takes the Gibbs state and every spectrum once, and each
+        # margin is the difference of two alpha_free_energy calls
+        gen = rng(800 + d)
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag(gen.uniform(0, 2, d))), 0.7)
+        rho_in, rho_out = (np.diag(random_distribution(gen, d)).astype(complex) for _ in "ab")
+        grid = resource.DEFAULT_ALPHA_GRID + (-0.5, 0.9, 7.0)
+        expect = {
+            a: qstate.alpha_free_energy(rho_in, ctx, a) - qstate.alpha_free_energy(rho_out, ctx, a)
+            for a in grid
+        }
+        calls = []
+        gibbs = qstate.gibbs_state
+        monkeypatch.setattr(qstate, "gibbs_state", lambda c: calls.append(c) or gibbs(c))
+        _, margins = resource.second_laws_check(rho_in, rho_out, ctx, grid)
+        assert calls == [ctx]
+        assert list(margins) == list(grid)
+        assert all(
+            np.float64(margins[a]).tobytes() == np.float64(expect[a]).tobytes() for a in grid
+        )
+
 
 class TestResetCycle:
     def test_balanced_cycle(self):
