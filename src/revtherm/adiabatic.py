@@ -65,20 +65,30 @@ def _check_ttr(p: AdiabaticParams, t_tr: float) -> float:
     return t
 
 
+def _switching(p: AdiabaticParams, t):
+    """e_sig * tau_r'/t, for one time or an array of them: the one switching formula."""
+    return p.e_sig * p.tau_r_adj / t
+
+
+def _leakage(p: AdiabaticParams, t):
+    """e_sig * t/tau_e', for one time or an array of them: the one leakage formula."""
+    return p.e_sig * t / p.tau_e_adj
+
+
 def switching_loss(p: AdiabaticParams, t_tr: float) -> float:
     """Energy lost to non-adiabatic switching, e_sig * tau_r'/t_tr."""
-    return p.e_sig * p.tau_r_adj / _check_ttr(p, t_tr)
+    return _switching(p, _check_ttr(p, t_tr))
 
 
 def leakage_loss(p: AdiabaticParams, t_tr: float) -> float:
     """Energy lost to equilibration leakage, e_sig * t_tr/tau_e'."""
-    return p.e_sig * _check_ttr(p, t_tr) / p.tau_e_adj
+    return _leakage(p, _check_ttr(p, t_tr))
 
 
 def e_diss(p: AdiabaticParams, t_tr: float) -> float:
     """Total dissipation per transition: switching plus leakage."""
     t = _check_ttr(p, t_tr)
-    return p.e_sig * p.tau_r_adj / t + p.e_sig * t / p.tau_e_adj
+    return _switching(p, t) + _leakage(p, t)
 
 
 def optimal_ttr(p: AdiabaticParams) -> float:
@@ -138,6 +148,5 @@ def sweep(p: AdiabaticParams, t_min: float, t_max: float, n_points: int) -> np.n
     if n < 1:
         raise ContractError("n_points must be at least 1")
     grid = np.geomspace(t_min, t_max, n)
-    e_sw = p.e_sig * p.tau_r_adj / grid
-    e_lk = p.e_sig * grid / p.tau_e_adj
+    e_sw, e_lk = _switching(p, grid), _leakage(p, grid)
     return np.column_stack((grid, e_sw, e_lk, e_sw + e_lk))

@@ -553,16 +553,18 @@ def _handle_thermo_check(payload, units, tol):
     curve_in = resource.thermomaj_curve(p_in, energies, beta, convention)
     curve_out = resource.thermomaj_curve(p_out, energies, beta, convention)
     feasible = curve_in.majorizes(curve_out)
+    # (n, 2) arrays: the emitter writes each curve in one pass
+    points_in, points_out = np.array(curve_in.points), np.array(curve_out.points)
     outputs = {
         "feasible": feasible,
         "convention": convention,
         "partition_weight": float(curve_in.partition_weight),
-        "curve_in": [[float(x), float(y)] for x, y in curve_in.points],
-        "curve_out": [[float(x), float(y)] for x, y in curve_out.points],
+        "curve_in": points_in,
+        "curve_out": points_out,
     }
     csvs = {
-        "curve_in.csv": _csv_table("x,y", curve_in.points),
-        "curve_out.csv": _csv_table("x,y", curve_out.points),
+        "curve_in.csv": _csv_table("x,y", points_in),
+        "curve_out.csv": _csv_table("x,y", points_out),
     }
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 

@@ -7,8 +7,8 @@ lambda_ij E_ij, so its states are exact entrywise exponentials. When the
 time grid needs few distinct steps for the generator's size, the dense
 route takes one exponential of the real d^2 x d^2 generator below per
 step and one matrix-vector product per state; a generator that splits into
-coherence sectors (see below) is built, exponentiated and applied sector
-by sector. Otherwise propagation is matrix-free:
+coherence sectors (see below) is exponentiated and applied sector by
+sector. Otherwise propagation is matrix-free:
 trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
 products only, marching once along the sorted time grid with a scaled
 Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
@@ -22,27 +22,30 @@ preserves Hermiticity, so in the orthonormal Hermitian basis
 {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2} it is a real matrix
 (Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP 286,
 1987); a fixed sparse unitary takes one form to the other by index
-gathers. decompose alone builds and checks the asymptotic structure: one
-real eig of that form classifies eigenvalues into decaying (Re < 0) and
-asymptotic (Re ~ 0) sectors and yields the exact asymptotic
-projection superoperator, from the eigenbasis or, for a defective
-generator, from the null spaces of L - lambda over the asymptotic
-eigenvalues, kept in the Hermitian basis, plus the support projectors
-P_A / Q; states are projected through their d^2 real coordinates, and the
-projector is mapped back to column-stacked operators only when a caller
-reads p_inf. Under block-diagonal operating contexts the real form
-is reducible: it splits exactly into coherence sectors between pairs of
-blocks (Baumgartner & Narnhofer, J. Phys. A 41:395303, 2008; Buca &
-Prosen, New J. Phys. 14:073007, 2012). decompose then works block by
-block from the eig to the projector: the eig runs on each component of
-the real form (qlinalg._eig_blocks), the eigenvectors, their inverses, the
-projector's blocks and the null-space solves stay per component, and each
-gate sums its measure in quadrature over the components; the dense route
-propagates sector by sector, over the blocks of the Hamiltonian and jumps
-(_sectors). A Cesaro time average of the same real form at the
-frequencies decompose found, stepped on the series route without
-eigenvectors, is the independent cross-check of that projection, compared
-with it in the Hermitian basis (cesaro_distance).
+gathers, and _real_form alone takes build_superoperator's matrix there,
+whole or one coherence sector at a time. decompose alone builds and
+checks the asymptotic structure: one real eig of that form classifies
+eigenvalues into decaying (Re < 0) and asymptotic (Re ~ 0) sectors and
+yields the exact asymptotic projection superoperator, from the
+eigenbasis or, for a defective generator, from the null spaces of
+L - lambda over the asymptotic eigenvalues, kept in the Hermitian basis,
+plus the support projectors P_A / Q; states are projected through their
+d^2 real coordinates, and the projector is mapped back to column-stacked
+operators only when a caller reads p_inf. Under block-diagonal operating
+contexts the real form is reducible: it splits exactly into coherence
+sectors between pairs of blocks (Baumgartner & Narnhofer, J. Phys. A
+41:395303, 2008; Buca & Prosen, New J. Phys. 14:073007, 2012). decompose
+then works block by block from the eig to the projector: the eig runs on
+each component of the real form (qlinalg._eig_blocks), the eigenvectors,
+their inverses, the projector's blocks and the null-space solves stay per
+component, and each gate sums its measure in quadrature over the
+components; the dense route propagates sector by sector, over the blocks
+of the Hamiltonian and jumps (_sectors), each sector's form gathered from
+the one d^2 x d^2 matrix.
+A Cesaro time average of the same real form at the frequencies decompose
+found, stepped on the series route without eigenvectors, is the
+independent cross-check of that projection, compared with it in the
+Hermitian basis (cesaro_distance).
 The split of an operator into a block-respecting ("noncomputational") and
 a cross-block ("pure computational") part connects the open-system
 picture to the computational one.
@@ -257,20 +260,9 @@ def _pair_parts(t: np.ndarray, p: int, axis: int, phase: complex) -> np.ndarray:
     return t
 
 
-def _to_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
-    """B+ a for axis 0, a B for axis 1: the column-stacked operators along
-    that axis of a, in the Hermitian basis.
-
-    B is the unitary whose columns are the vectorized basis operators; it
-    has at most two nonzeros per row and per column, so this is a gather.
-    """
-    d = math.isqrt(a.shape[axis])
-    t = np.take(np.asarray(a, dtype=complex), _hermitian_basis(d), axis=axis)
-    return _pair_parts(t, d, axis, -1j if axis == 0 else 1j)
-
-
 def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
-    """B a for axis 0, a B+ for axis 1: the inverse of _to_hermitian_basis.
+    """B a for axis 0, a B+ for axis 1: the inverse of the gather and
+    _pair_parts of _real_form and _coordinates.
 
     Along that axis a holds d populations, then the symmetric and then the
     antisymmetric parts of its q pairs. The populations go back to the
@@ -291,14 +283,27 @@ def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _real_parts(forms: list) -> list:
-    """The real parts of the blocks of one generator's B+ M B, real because
-    M preserves Hermiticity.
+def _real_form(m: np.ndarray, groups: list | None = None) -> list:
+    """B+ M B for a generator M on column-stacked operators, as one real
+    (k, s, s) stack per group (p, idx) of coherence sectors (_sectors):
+    block r of a stack is the form on the positions idx[r] of the Hermitian
+    basis. Without groups the whole form is the one sector, all d^2
+    positions with d populations, so the result is [R[None]].
 
-    The imaginary residue is rounding and is dropped after a gate with the
-    allowance of the generator trace contract, TRACE_FUNCTIONAL_RTOL,
-    measured over all the blocks.
+    B has at most two nonzeros per row and per column, so each stack is one
+    2-D gather of M at the sector's column-stacked positions
+    (_hermitian_basis) followed by _pair_parts on both axes. The form is
+    real because M preserves Hermiticity: the imaginary residue is rounding
+    and is dropped after a gate with the allowance of the generator trace
+    contract, TRACE_FUNCTIONAL_RTOL, measured over all the stacks.
     """
+    d = math.isqrt(m.shape[0])
+    at = _hermitian_basis(d)
+    forms = []
+    for p, idx in groups or [(d, np.arange(d * d)[None])]:
+        rows = at[idx]
+        t = m[rows[:, :, None], rows[:, None, :]]
+        forms.append(_pair_parts(_pair_parts(t, p, 1, -1j), p, 2, 1j))
     residue = math.hypot(*(np.linalg.norm(t.imag) for t in forms))
     if residue > TRACE_FUNCTIONAL_RTOL * max(1.0, math.hypot(*map(np.linalg.norm, forms))):
         raise NumericHealthError(
@@ -307,20 +312,17 @@ def _real_parts(forms: list) -> list:
     return [t.real.copy() for t in forms]
 
 
-def _real_form(m: np.ndarray) -> np.ndarray:
-    """B+ M B for a generator M, real (_real_parts)."""
-    return _real_parts([_to_hermitian_basis(_to_hermitian_basis(m, 0), 1)])[0]
-
-
 def _column_stacked(p: np.ndarray) -> np.ndarray:
     """B P B+: a superoperator in the Hermitian basis back on column-stacked operators."""
     return _from_hermitian_basis(_from_hermitian_basis(p, 0), 1)
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
-    """The d^2 real coordinates of a d x d operator's Hermitian part in the
-    Hermitian basis: B+ vec(rho), real part."""
-    return _to_hermitian_basis(rho.reshape(-1, order="F"), 0).real
+    """The d^2 real coordinates of a complex d x d operator's Hermitian part
+    in the Hermitian basis: B+ vec(rho), real part, by _real_form's gather
+    and _pair_parts."""
+    d = rho.shape[0]
+    return _pair_parts(rho.reshape(-1, order="F")[_hermitian_basis(d)], d, 0, -1j).real
 
 
 def _operators(coords: np.ndarray) -> np.ndarray:
@@ -548,16 +550,16 @@ def _block_labels(l: Lindbladian) -> np.ndarray | None:
     return labels if labels.any() else None
 
 
-def _dense_work(l: Lindbladian) -> int:
-    """Work of one propagator on the dense route: sum s^3 over the sectors
-    of _sectors, each of order s; d^6 for a generator taken whole.
+def _dense_work(d: int, labels) -> int:
+    """Work of one propagator on the dense route at dimension d: sum s^3
+    over the sectors of _sectors for the blocks labels (_block_labels),
+    each of order s; d^6 for a generator taken whole (labels None).
 
     With blocks of sizes b_A, the sector within block A has order b_A^2 and
     the one between blocks A and B order 2 b_A b_B.
     """
-    labels = _block_labels(l)
     if labels is None:
-        return l.dim**6
+        return d**6
     cubes = [int(b) ** 3 for b in np.bincount(labels) if b]
     within = sum(c * c for c in cubes)
     # sum over pairs A < B of (2 b_A b_B)^3 = 8 c_A c_B
@@ -598,55 +600,22 @@ def _sectors(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return groups
 
 
-def _sector_forms(l: Lindbladian, groups: list) -> list:
-    """The real form of L on each sector of _sectors, one (k, s, s) stack
-    per group, built from K and the jumps without the d^2 x d^2 matrix.
-
-    Entry ((i, j), (k, l)) of the column-stacked generator is
-    K_ik delta_jl + delta_ik conj(K_jl) + sum_n kappa_n F_n,ik conj(F_n,jl)
-    (build_superoperator). Each sector lists its entries (i, j) in the
-    order of its basis positions, so B restricted to it is the map of
-    _pair_parts.
-    """
-    k, f, kf = _generator_terms(l)
-    d = l.dim
-    i, j = np.triu_indices(d, 1)
-    first = np.concatenate([np.arange(d), i, j])
-    second = np.concatenate([np.arange(d), j, i])
-    forms = []
-    for p, idx in groups:
-        a, b = first[idx], second[idx]
-        ar, ac, br, bc = a[:, :, None], a[:, None, :], b[:, :, None], b[:, None, :]
-        m = k[ar, ac] * (br == bc) + (ar == ac) * k[br, bc].conj()
-        m += (kf[:, ar, ac] * f[:, br, bc].conj()).sum(axis=0)
-        forms.append(_pair_parts(_pair_parts(m, p, 1, -1j), p, 2, 1j))
-    forms = _real_parts(forms)
-    # tau R = 0 for the trace functional tau (the populations' sum), as
-    # build_superoperator checks it
-    sums = [r[:, :p].sum(axis=1) for (p, _), r in zip(groups, forms)]
-    residual = math.hypot(*map(np.linalg.norm, sums))
-    if residual > TRACE_FUNCTIONAL_RTOL * max(1.0, math.hypot(*map(np.linalg.norm, forms))):
-        raise ContractError(
-            f"superoperator violates its generator trace contract (residual {residual:.3e})"
-        )
-    return forms
-
-
 def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndarray) -> np.ndarray:
     """_dense for a generator that splits into blocks (labels, from
     _block_labels), sector by sector.
 
-    The real form is built per sector (_sectors, _sector_forms). Each group
-    of sectors of one order takes one stacked matrix_exp for the steps of
-    a chunk (SECTOR_CHUNK), and per state one stacked matvec. R is block
-    diagonal and tau R = 0, so a sector holding populations keeps its own
-    partial trace: its populations are reflected and its first row is set
-    to zero, as _dense does for the whole trace, and every propagator
-    keeps each partial trace, and so the trace, exactly.
+    The real form is gathered per sector from the d^2 x d^2 generator
+    (_sectors, _real_form). Each group of sectors of one order takes one
+    stacked matrix_exp for the steps of a chunk (SECTOR_CHUNK), and per
+    state one stacked matvec. R is block diagonal and tau R = 0, so a
+    sector holding populations keeps its own partial trace: its
+    populations are reflected and its first row is set to zero, as _dense
+    does for the whole trace, and every propagator keeps each partial
+    trace, and so the trace, exactly.
     """
     d = rho.shape[0]
     groups = _sectors(labels)
-    forms = _sector_forms(l, groups)
+    forms = _real_form(build_superoperator(l).matrix, groups)
     x = _coordinates(rho)
     previous = []
     for (p, idx), r in zip(groups, forms):
@@ -685,26 +654,25 @@ def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndar
     return _operators(coords)
 
 
-def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple) -> np.ndarray:
+def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple, labels) -> np.ndarray:
     """exp(t L) rho along the steps of _propagator_steps, on the real form.
 
-    A generator that splits into blocks (_block_labels) goes sector by
-    sector (_dense_sectors). Otherwise one matrix_exp of step R per new
-    step, then one matvec per state, on rho's real coordinates in the
-    Hermitian basis. The diagonal block of that basis is first reflected
-    (_trace_reflection) so that the trace is the first coordinate times
-    sqrt(d). L maps every operator to a traceless one, so the first row of
-    R is rounding, bounded by the generator's trace contract, and is set
-    to zero: each propagator then keeps the trace exactly, and its
-    squarings cannot grow an error along the steady state. Mapped back,
-    every state is exactly Hermitian.
+    A generator that splits into blocks (labels from _block_labels, not
+    None) goes sector by sector (_dense_sectors). Otherwise one matrix_exp
+    of step R per new step, then one matvec per state, on rho's real
+    coordinates in the Hermitian basis. The diagonal block of that basis
+    is first reflected (_trace_reflection) so that the trace is the first
+    coordinate times sqrt(d). L maps every operator to a traceless one, so
+    the first row of R is rounding, bounded by the generator's trace
+    contract, and is set to zero: each propagator then keeps the trace
+    exactly, and its squarings cannot grow an error along the steady
+    state. Mapped back, every state is exactly Hermitian.
     """
-    labels = _block_labels(l)
     if labels is not None:
         return _dense_sectors(l, rho, plan, labels)
     d = rho.shape[0]
     h = _trace_reflection(d)
-    r = _real_form(build_superoperator(l).matrix)
+    r = _real_form(build_superoperator(l).matrix)[0][0]
     r[:d] = h @ r[:d]
     r[:, :d] = r[:, :d] @ h
     r[0] = 0.0
@@ -740,18 +708,19 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
 
     * A generator with diagonal Hamiltonian and jumps acts on each matrix
       entry alone; its states are exact entrywise exponentials (_dephased).
-    * Otherwise, when the grid needs at most DENSE_WORK // _dense_work(l)
+    * Otherwise, when the grid needs at most DENSE_WORK // _dense_work
       distinct propagators, the dense route takes one matrix_exp of the
       d^2 x d^2 real Hermitian-basis generator per distinct step and one
       matvec per state (_dense). The work of one propagator is d^6, or,
       when the Hamiltonian and the jumps are block diagonal in a partition
       of the basis (_block_labels), the sum of s^3 over the coherence
-      sectors of order s that the generator splits into, each then built
-      and exponentiated alone. The last step, or the first, is reused
-      where it lands within TIME_ULPS ulps of the next time, measured
-      from the time actually reached, so each state is taken at a time t'
-      with |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it
-      by at most 4 eps t ||L|| in trace norm.
+      sectors of order s that the generator splits into, each then
+      gathered from the same d^2 x d^2 generator and exponentiated
+      alone. The last step, or the first, is reused where it lands within
+      TIME_ULPS ulps of the next time, measured from the time actually
+      reached, so each state is taken at a time t' with
+      |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it by at
+      most 4 eps t ||L|| in trace norm.
       An even grid needs one propagator, a time after its end one more,
       and a time inside it two more.
     * Otherwise one matrix-free march visits the distinct times in
@@ -790,8 +759,10 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
         entries = _diagonal_form(k, gs)
         if entries is not None:
             states[zeros:] = _dephased(rho, positive, *entries)
-        elif plan := _propagator_steps(positive.tolist(), DENSE_WORK // _dense_work(l)):
-            states[zeros:] = _dense(l, rho, plan)
+            return _healthy(states)[where]
+        labels = _block_labels(l)
+        if plan := _propagator_steps(positive.tolist(), DENSE_WORK // _dense_work(l.dim, labels)):
+            states[zeros:] = _dense(l, rho, plan, labels)
         else:
             # every march state is exactly Hermitian, so the march needs no
             # symmetrization between stops; past a failing state it may overflow
@@ -1132,7 +1103,7 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
-    r = _real_form(build_superoperator(l).matrix)
+    r = _real_form(build_superoperator(l).matrix)[0][0]
     n = r.shape[0]
     components, evals, right, inverses = qlinalg._eig_blocks(r)
     evals = np.asarray(qlinalg._assemble(components, evals, n), dtype=complex)

@@ -562,9 +562,33 @@ class TestRemainingTasks:
         monkeypatch.setattr(cli.resource, "thermomaj_curve", counted)
         doc = MINIMAL["thermo-check"]
         p = write_scenario(tmp_path, "thermo-check", doc)
-        r = CliRunner().invoke(cli.main, ["thermo-check", "--scenario", p])
+        args = ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)]
+        r = CliRunner().invoke(cli.main, args)
         assert r.exit_code == 0, r.stderr
         assert built == [doc["p_in"], doc["p_out"]]
+
+    def test_thermo_check_256_levels_writes_the_bytes_of_point_lists(self, tmp_path):
+        # the curves reach the emitter as (n, 2) arrays; the report keeps the
+        # bytes of json.dumps on the [x, y] lists of the curves' points
+        gen = rng(15)
+        p_in, p_out = (w / w.sum() for w in gen.uniform(0.1, 1.0, size=(2, 256)))
+        doc = {
+            "p_in": p_in.tolist(),
+            "p_out": p_out.tolist(),
+            "energies": np.sort(gen.uniform(0.0, 3.0, 256)).tolist(),
+            "beta": 0.7,
+        }
+        p = write_scenario(tmp_path, "thermo-check", doc)
+        out = tmp_path / "report.json"
+        r = CliRunner().invoke(cli.main, ["thermo-check", "--scenario", p, "--out", str(out)])
+        assert r.exit_code in (0, 4), r.stderr
+        expect = load_report(out)
+        for key, dist in (("curve_in", doc["p_in"]), ("curve_out", doc["p_out"])):
+            curve = cli.resource.thermomaj_curve(dist, doc["energies"], doc["beta"], "paper")
+            assert len(curve.points) == 257
+            expect["outputs"][key] = [[float(x), float(y)] for x, y in curve.points]
+        text = json.dumps(expect, sort_keys=True, indent=2) + "\n"
+        assert out.read_bytes() == text.encode()
 
     def test_cto_check_with_second_laws(self, tmp_path):
         p = write_scenario(

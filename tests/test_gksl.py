@@ -228,7 +228,7 @@ class TestSuperoperatorMatrix:
         )
         for l in generators:
             splits = [
-                [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m))]
+                [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m)[0][0])]
                 for m in (gksl.build_superoperator(l).matrix, kron_superoperators(l)[0])
             ]
             assert splits[0] == splits[1]
@@ -247,12 +247,12 @@ class TestRealForm:
         b = hermitian_basis(d)
         assert np.abs(b.conj().T @ b - np.eye(d * d)).max() <= 1e-15
         eye = np.eye(d * d)
-        assert np.array_equal(gksl._to_hermitian_basis(eye, 0), b.conj().T)
-        assert np.array_equal(gksl._to_hermitian_basis(eye, 1), b)
         assert np.array_equal(gksl._from_hermitian_basis(eye, 1), b.conj().T)
         for k in range(d * d):
             op = qlinalg.devectorize(b[:, k])
             assert np.array_equal(op, op.conj().T)
+            # the gather and _pair_parts of _coordinates undo B
+            assert np.abs(gksl._coordinates(op) - eye[k]).max() <= 1e-15
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_map_back_matches_the_copying_version(self, d):
@@ -288,7 +288,7 @@ class TestRealForm:
         dense = b.conj().T @ m @ b
         scale = np.linalg.norm(m)
         assert np.linalg.norm(dense.imag) <= 1e-14 * scale
-        assert np.abs(gksl._real_form(m) - dense.real).max() <= 1e-14 * scale
+        assert np.abs(gksl._real_form(m)[0][0] - dense.real).max() <= 1e-14 * scale
 
     def test_hamiltonian_is_kept_as_its_hermitian_part(self):
         # H = 1e3 + a tiny Hermitian part + an anti-Hermitian part just
@@ -357,7 +357,7 @@ class TestRealForm:
         # a diagonalizable generator admits both routes; the null-space one
         # takes its complex branch for each cluster at w > 0
         l = block_lindbladian(rng(2400), (3, 3))
-        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
         evals, right, left = qlinalg.eig_general(r)
         gate = gksl.decompose(l).tol
         asym = np.abs(evals.real) <= gate
@@ -748,7 +748,7 @@ class TestDenseRoute:
 
     def test_reducible_d16_takes_the_dense_route(self, monkeypatch):
         # the exceptional point (H x 1, F x 1) and decoherence-free blocks
-        # split into coherence sectors, built without the d^2 x d^2 matrix
+        # split into coherence sectors, gathered from one d^2 x d^2 build
         monkeypatch.setattr(gksl, "_march", no_step)
         builds = counted(monkeypatch, gksl, "build_superoperator")
         gen = rng(4650)
@@ -756,7 +756,7 @@ class TestDenseRoute:
             assert l.dim == 16 and gksl._block_labels(l) is not None
             rho0 = random_density(gen, 16)
             states = gksl.trajectory(l, rho0, self.TIMES)
-            assert builds == []
+            assert len(builds) == 1
             for out, ref in zip(states, marched(l, rho0, self.TIMES)):
                 assert np.abs(out - ref).max() <= 1e-12
             for i in (3, 19, 20):
@@ -801,32 +801,39 @@ class TestDenseRoute:
         labels = gksl._block_labels(l)
         assert labels is not None
         groups = gksl._sectors(labels)
-        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
         positions = np.concatenate([idx.ravel() for _, idx in groups])
         assert np.array_equal(np.sort(positions), np.arange(l.dim**2))
         inside = np.zeros(r.shape, dtype=bool)
-        for (p, idx), form in zip(groups, gksl._sector_forms(l, groups)):
-            block = r[idx[:, :, None], idx[:, None, :]]
-            assert np.abs(form - block).max() <= 1e-15 * max(1.0, np.abs(r).max())
+        forms = gksl._real_form(gksl.build_superoperator(l).matrix, groups)
+        for (p, idx), form in zip(groups, forms):
+            # gathering commutes with _pair_parts: the whole form's blocks, bit for bit
+            assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
             inside[idx[:, :, None], idx[:, None, :]] = True
             # the populations come first, and only in sectors within a block
             assert ((idx[:, :p] < l.dim).all() and (idx[:, p:] >= l.dim).all())
             assert p in (0, math.isqrt(idx.shape[1]))
         # the real form is zero between sectors, exactly
         assert not r[~inside].any()
-        assert sum(idx.shape[0] * idx.shape[1] ** 3 for _, idx in groups) == gksl._dense_work(l)
+        work = sum(idx.shape[0] * idx.shape[1] ** 3 for _, idx in groups)
+        assert work == gksl._dense_work(l.dim, labels)
 
     @pytest.mark.parametrize(
         "change, error, match",
         [
             # K + 0.1: L no longer maps to traceless operators
             (lambda k, f, kf: (k + 0.1 * np.eye(len(k)), f, kf), ContractError, "trace contract"),
-            # i kappa F rho F+ is not Hermitian for Hermitian rho
-            (lambda k, f, kf: (k, f, 1j * kf), NumericHealthError, "Hermiticity"),
+            # i F+ rho F+ is not Hermitian for Hermitian rho, but its trace
+            # is zero (F+ F+ = 0 for the embedded sigma-), so the trace gate
+            # passes and the imaginary-residue gate sees it; i kappa F rho F+
+            # would trip the trace gate first
+            (lambda k, f, kf: (k, f, kf + 1j * f.conj().swapaxes(1, 2)), NumericHealthError,
+             "Hermiticity"),
         ],
     )
     def test_sector_build_keeps_the_generator_gates(self, monkeypatch, change, error, match):
-        # the gates build_superoperator and _real_form hold on the whole form
+        # the sector route gathers its forms from build_superoperator's
+        # matrix, so the gates of SuperoperatorMatrix and _real_form hold
         terms = gksl._generator_terms
         monkeypatch.setattr(gksl, "_generator_terms", lambda l: change(*terms(l)))
         monkeypatch.setattr(gksl, "_march", no_step)
@@ -834,24 +841,27 @@ class TestDenseRoute:
             gksl.trajectory(exceptional_point(1.0, 12), np.eye(12) / 12, self.TIMES)
 
     def test_dense_work(self, monkeypatch):
+        def work(l):
+            return gksl._dense_work(l.dim, gksl._block_labels(l))
+
         gen = rng(4670)
         # one block, or below the split order: d^6
-        assert gksl._dense_work(random_lindbladian(gen, 12)) == 12**6
-        assert gksl._dense_work(exceptional_point(1.0, 8)) == 8**6
+        assert work(random_lindbladian(gen, 12)) == 12**6
+        assert work(exceptional_point(1.0, 8)) == 8**6
         # six blocks of 2: six sectors of order 4 and fifteen of order 8
-        assert gksl._dense_work(exceptional_point(1.0, 12)) == 6 * 4**3 + 15 * 8**3
+        assert work(exceptional_point(1.0, 12)) == 6 * 4**3 + 15 * 8**3
         monkeypatch.setattr(qlinalg, "EXPM_SPLIT_MIN_ORDER", 0)
-        assert gksl._dense_work(exceptional_point(1.0, 8)) == 4 * 4**3 + 6 * 8**3
+        assert work(exceptional_point(1.0, 8)) == 4 * 4**3 + 6 * 8**3
 
     @pytest.mark.parametrize("extra, route", [(0, "_dense"), (1, "_march")])
     def test_sector_work_sets_the_propagator_limit(self, monkeypatch, extra, route):
         # 740 distinct steps at 8,064 per propagator fit in DENSE_WORK
         l = exceptional_point(1.0, 12)
-        limit = gksl.DENSE_WORK // gksl._dense_work(l)
+        limit = gksl.DENSE_WORK // gksl._dense_work(l.dim, gksl._block_labels(l))
         assert limit == 740
         calls = []
-        monkeypatch.setattr(gksl, "_dense", lambda l, rho, plan: calls.append("_dense") or
-                            np.repeat(rho[None], len(plan[1]), axis=0))
+        monkeypatch.setattr(gksl, "_dense", lambda l, rho, plan, labels: calls.append("_dense")
+                            or np.repeat(rho[None], len(plan[1]), axis=0))
         monkeypatch.setattr(gksl, "_march", lambda rho, *args: calls.append("_march") or rho)
         times = np.cumsum(1e-3 * (1.0 + np.arange(limit + extra)))
         gksl.trajectory(l, np.eye(12) / 12, times)
@@ -876,7 +886,7 @@ class TestDenseRoute:
         bad[2, 0, 1] = 1.0
         bad[3] = np.inf
         if route == "dense":
-            monkeypatch.setattr(gksl, "_dense", lambda l, rho, steps: bad[1:])
+            monkeypatch.setattr(gksl, "_dense", lambda l, rho, steps, labels: bad[1:])
         else:
             monkeypatch.setattr(gksl, "_dense", no_step)
             monkeypatch.setattr(gksl, "DENSE_WORK", 0)
@@ -938,7 +948,8 @@ class TestDenseRoute:
                 big.imag = np.kron(rho0.imag, np.eye(6)) / 6.0
                 spread.append(big)
             inputs = spread
-            builds = counted(monkeypatch, gksl, "_sector_forms")
+            builds = counted(monkeypatch, gksl, "build_superoperator")
+            sectors = counted(monkeypatch, gksl, "_dense_sectors")
         else:
             l = random_lindbladian(rng(4950), 2)
             if route == "march":
@@ -952,7 +963,7 @@ class TestDenseRoute:
             state = gksl.trajectory(l, rho0, [0.0, 1.0])[0]
             assert np.array_equal(state.view(np.uint64), sym.view(np.uint64))
         if route == "sectors":
-            assert len(builds) == 2
+            assert len(builds) == len(sectors) == 2
 
     @pytest.mark.parametrize(
         "route, d",
@@ -1137,7 +1148,7 @@ class TestDecompose:
     )
     def test_reducible_generator_matches_dense_complex_eig(self, make, route):
         l = make(rng(2700))
-        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
         components = qlinalg._components_by_size(r)
         assert sum(len(c) for c in components) > 1
         dec = gksl.decompose(l)
@@ -1275,7 +1286,7 @@ def assembled_decomposition(l, tol):
     """Reference for decompose: its formulas on the assembled d^2 x d^2
     eigenbasis of eig_general and the whole-matrix map back. Returns
     (route, asymptotic indices, p_inf)."""
-    r = gksl._real_form(gksl.build_superoperator(l).matrix)
+    r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
     evals, right, left = qlinalg.eig_general(r)
     evals = np.asarray(evals, dtype=complex)
     asym = np.abs(evals.real) <= tol
@@ -1503,7 +1514,10 @@ class TestRealBasisProjector:
         # two samples: one product per frequency keeps the d = 16 case cheap
         ces = gksl.cesaro_projector(l, 3.0, 2, dec)
         reference = qlinalg.hs_norm(ces.matrix - dec.p_inf.matrix)
-        assert abs(gksl.cesaro_distance(l, 3.0, 2, dec) - reference) <= 1e-13
+        # two Frobenius norms over d^4 entries, rounded along two routes: on
+        # these generators they differ by up to 9 ulps, with one BLAS thread
+        # or two
+        assert abs(gksl.cesaro_distance(l, 3.0, 2, dec) - reference) <= 32 * math.ulp(reference)
 
     def test_trace_contract_is_checked_in_the_basis(self, monkeypatch):
         # e_0 e_0^T is idempotent, but tau P = e_0^T is not the trace
