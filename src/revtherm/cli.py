@@ -753,7 +753,8 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         return 1
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # nesting deeper than the decoder's recursion limit is malformed input too
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         click.echo(f"error: malformed JSON: {exc}", err=True)
         return 2
     try:

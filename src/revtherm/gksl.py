@@ -1,56 +1,49 @@
 """Markovian generators, their asymptotic structure, and the classical split.
 
+build_superoperator gives the d^2 x d^2 generator M on column-stacked
+operators, one stacked vec_product_map over its n + 2 terms (K and K+
+sandwiching, one term per jump), so the operator-ordering conventions live
+in one place. A generator preserves Hermiticity, so in the orthonormal
+Hermitian basis {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2} it is a
+real matrix R (Alicki & Lendi, Quantum Dynamical Semigroups and
+Applications, LNP 286, 1987); a fixed sparse unitary takes M there by index
+gathers, and _real_form alone does it. R's components, the connected
+components of its nonzero pattern, are the one block structure of every
+dense path (_components). A block-diagonal operating context splits R
+into coherence sectors between pairs of blocks (Baumgartner & Narnhofer,
+J. Phys. A 41:395303, 2008), and a weak symmetry, such as a jump that
+shifts a conserved charge, splits it by coherence order (Buca & Prosen,
+New J. Phys. 14:073007, 2012; Albert & Jiang, PRA 89:022118, 2014). A
+generator that splits is found from the d x d patterns of K and the jumps
+(_coarse_labels), so its R is never formed whole; each coarse block is
+gathered from M alone and split further by its own entries.
+
 Propagation takes one of three routes, chosen per trajectory after one
 shared cap on its work. A generator whose Hamiltonian and jumps are all
 diagonal (pure dephasing) acts on each matrix entry alone, L E_ij =
 lambda_ij E_ij, so its states are exact entrywise exponentials. When the
-time grid needs few distinct steps for the generator's size, the dense
-route takes one exponential of the real d^2 x d^2 generator below per
-step and one matrix-vector product per state; a generator that splits into
-coherence sectors (see below) is exponentiated and applied sector by
-sector. Otherwise propagation is matrix-free:
-trajectory applies L rho = K rho + rho K+ + sum G rho G+ through d x d
-products only, marching once along the sorted time grid with a scaled
-Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
-Each route gets the positive times alone and returns exactly Hermitian
-states; trajectory writes any t = 0 state itself.
-Spectra use the dense form too: build_superoperator gives the d^2 x d^2
-matrix on column-stacked operators, built by one stacked vec_product_map
-over the generator's n + 2 terms (K and K+ sandwiching, one term per jump),
-so the operator-ordering conventions live in one place. A generator
-preserves Hermiticity, so in the orthonormal Hermitian basis
-{E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2} it is a real matrix
-(Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP 286,
-1987); a fixed sparse unitary takes one form to the other by index
-gathers, and _real_form alone takes build_superoperator's matrix there,
-whole or one coherence sector at a time. decompose alone builds and
-checks the asymptotic structure: one real eig of that form classifies
-eigenvalues into decaying (Re < 0) and asymptotic (Re ~ 0) sectors and
-yields the exact asymptotic projection superoperator, from the
-eigenbasis or, for a defective generator, from the null spaces of
-L - lambda over the asymptotic eigenvalues, kept in the Hermitian basis,
-plus the support projectors P_A / Q; states are projected through their
-d^2 real coordinates, and the projector is mapped back to column-stacked
-operators only when a caller reads p_inf. Under block-diagonal operating
-contexts the real form is reducible: it splits exactly into coherence
-sectors between pairs of blocks (Baumgartner & Narnhofer, J. Phys. A
-41:395303, 2008; Buca & Prosen, New J. Phys. 14:073007, 2012). decompose
-then works block by block from the eig to the projector: the eig runs on
-each component of the real form (qlinalg._eig_blocks), the eigenvectors,
-their inverses, the projector's blocks and the null-space solves stay per
-component, and each gate sums its measure in quadrature over the
-components; the dense route propagates sector by sector, over the blocks
-of the Hamiltonian and jumps (_sectors), each sector's form gathered from
-the one d^2 x d^2 matrix.
-A Cesaro time average of the same real form at the frequencies decompose
-found, stepped on the series route without eigenvectors, is the
-independent cross-check of that projection, compared with it in the
-Hermitian basis (cesaro_distance).
-The split of an operator into a block-respecting ("noncomputational") and
-a cross-block ("pure computational") part connects the open-system
-picture to the computational one.
-"""
+time grid needs few distinct steps for the work of one propagator, the sum
+of s^3 over the blocks that hold R's components, the dense route
+exponentiates R component by component and applies it to each state. Otherwise trajectory applies
+L rho = K rho + rho K+ + sum G rho G+ through d x d products only,
+marching once along the sorted time grid with a scaled Taylor series
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011). Each route gets
+the positive times alone and returns exactly Hermitian states.
 
+decompose alone builds and checks the asymptotic structure: one real eig
+per component of R classifies eigenvalues into decaying (Re < 0) and
+asymptotic (Re ~ 0) sectors and yields the exact asymptotic projection,
+from the eigenbasis or, for a defective generator, from the null spaces
+of L - lambda over the asymptotic eigenvalues, kept per component and in
+the Hermitian basis, plus the support projectors P_A / Q; each gate sums
+its measure in quadrature over the components. A Cesaro time average of
+the same components at the frequencies decompose found, stepped on the
+series route without eigenvectors, is the independent cross-check of that
+projection (cesaro_distance). The split of an operator into a
+block-respecting ("noncomputational") and a cross-block ("pure
+computational") part connects the open-system picture to the
+computational one.
+"""
 from __future__ import annotations
 
 import functools
@@ -96,18 +89,20 @@ _TAYLOR_TOL = 2.0**-53
 MAX_MARCH_WORK = 555_610
 
 # trajectory takes the dense route when the grid needs at most
-# DENSE_WORK // W distinct propagators, W the work of one (_dense_work):
-# d^6 for the d^2 x d^2 real matrix taken whole, two at d = 12 (an even
-# grid plus a resolving time) and none from d = 14; the sum of s^3 over the
-# coherence sectors of a generator that splits, 740 for the embedded
-# exceptional point at d = 12 and 402 at d = 16. TIME_ULPS is how far, in
-# ulps of the time, a reused step may land from it.
+# DENSE_WORK // W distinct propagators, W the sum of s^3 over the coarse
+# blocks of order s (_coarse_labels): d^6 for one block, two propagators at
+# d = 12 (an even grid plus a resolving time) and none from d = 14; 740 for
+# the embedded exceptional point at d = 12 and 402 at d = 16, 50 for the
+# thermal damping ladder at d = 16. TIME_ULPS is how far, in ulps of the
+# time, a reused step may land from it.
 DENSE_WORK = 2 * 12**6
 TIME_ULPS = 4
 
-# _dense_sectors exponentiates the propagators of as many steps at once as
-# hold at most this many entries: one stacked matrix_exp call then serves
-# many steps of an irregular grid, in a few megabytes of working memory.
+# _dense exponentiates the propagators of as many steps at once as hold at
+# most this many entries of the real form's blocks, in a few megabytes of
+# working memory; one component takes a step at a time, as a stack shares
+# its largest Taylor degree: one of two benchmark steps of R whole at d = 12
+# took 1.1-1.2x the time of two exponentials.
 SECTOR_CHUNK = 2**16
 
 _KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
@@ -283,33 +278,39 @@ def _from_hermitian_basis(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _real_form(m: np.ndarray, groups: list | None = None) -> list:
-    """B+ M B for a generator M on column-stacked operators, as one real
-    (k, s, s) stack per group (p, idx) of coherence sectors (_sectors):
-    block r of a stack is the form on the positions idx[r] of the Hermitian
-    basis. Without groups the whole form is the one sector, all d^2
-    positions with d populations, so the result is [R[None]].
+def _real_form(m: np.ndarray, layout: tuple | None = None) -> np.ndarray:
+    """B+ M B for a generator M on column-stacked operators: the real form R
+    whole, or, given layout (rows, cols, base, loc), its entries (rows[e],
+    cols[e]) within pair-closed blocks of the Hermitian basis, flat, entry
+    (u, v) at base[u] + loc[v].
 
-    B has at most two nonzeros per row and per column, so each stack is one
-    2-D gather of M at the sector's column-stacked positions
-    (_hermitian_basis) followed by _pair_parts on both axes. The form is
-    real because M preserves Hermiticity: the imaginary residue is rounding
-    and is dropped after a gate with the allowance of the generator trace
-    contract, TRACE_FUNCTIONAL_RTOL, measured over all the stacks.
+    B has at most two nonzeros per row and per column, so either is one
+    gather of M at the column-stacked positions (_hermitian_basis) and the
+    same pair arithmetic on both axes (_pair_parts; flat, the partner of
+    (u, v) is (u + q, v), then (u, v + q)): a block holds R's entries, bit
+    for bit. R is real as M preserves Hermiticity; the imaginary residue is
+    dropped after a gate at the generator trace contract's allowance.
     """
     d = math.isqrt(m.shape[0])
     at = _hermitian_basis(d)
-    forms = []
-    for p, idx in groups or [(d, np.arange(d * d)[None])]:
-        rows = at[idx]
-        t = m[rows[:, :, None], rows[:, None, :]]
-        forms.append(_pair_parts(_pair_parts(t, p, 1, -1j), p, 2, 1j))
-    residue = math.hypot(*(np.linalg.norm(t.imag) for t in forms))
-    if residue > TRACE_FUNCTIONAL_RTOL * max(1.0, math.hypot(*map(np.linalg.norm, forms))):
+    if layout is None:
+        t = _pair_parts(_pair_parts(m[at[:, None], at], d, 0, -1j), d, 1, 1j)
+    else:
+        rows, cols, base, loc = layout
+        t = m[at[rows], at[cols]]
+        q = (at.size - d) // 2
+        for ends, shift, phase in ((rows, base, -1j), (cols, loc, 1j)):
+            e = np.flatnonzero((ends >= d) & (ends < d + q))
+            f = e + shift[ends[e] + q] - shift[ends[e]]
+            upper, lower = t[e], t[f]
+            t[e] = (upper + lower) * math.sqrt(0.5)
+            t[f] = (upper - lower) * (phase * math.sqrt(0.5))
+    residue = np.linalg.norm(t.imag)
+    if residue > TRACE_FUNCTIONAL_RTOL * max(1.0, np.linalg.norm(t)):
         raise NumericHealthError(
             f"generator does not preserve Hermiticity (imaginary residue {residue:.3e})"
         )
-    return [t.real.copy() for t in forms]
+    return t.real.copy()
 
 
 def _column_stacked(p: np.ndarray) -> np.ndarray:
@@ -537,85 +538,100 @@ def _trace_reflection(d: int) -> np.ndarray:
     return h
 
 
-def _block_labels(l: Lindbladian) -> np.ndarray | None:
-    """Each basis index's block, labelled by its smallest index: the
-    components of the pattern |K| + sum kappa |F|, in which K and every
-    jump are block diagonal. None for one block, and below
-    qlinalg.EXPM_SPLIT_MIN_ORDER in d^2, where the dense route takes the
-    generator whole."""
-    if l.dim**2 < qlinalg.EXPM_SPLIT_MIN_ORDER:
+def _coarse_labels(l: Lindbladian) -> np.ndarray | None:
+    """Blocks of the Hermitian basis that no entry of the real form links,
+    read off the d x d patterns, each position labelled by its block's first
+    position; None for one block, or below qlinalg.EXPM_SPLIT_MIN_ORDER in
+    d^2, where R is formed whole.
+
+    For components A, B of K's pattern, 1 kron K + conj(K) kron 1 links all
+    positions of (A, B), which shares its pairs with (B, A), and a jump links
+    (A, B) to (C, E) where it is nonzero in A x C and B x E. With (B, E)
+    fixed, that links positions as the jump's bipartite graph links its
+    nodes, so a star per bipartite component links them alike: at most
+    (2 nb)^2 links for nb blocks. Each block is a union of R's components,
+    which an exact cancellation in M splits further (_components).
+    """
+    d = l.dim
+    if d * d < qlinalg.EXPM_SPLIT_MIN_ORDER:
         return None
     k, _, kf = _generator_terms(l)
-    labels = qlinalg._component_labels(np.abs(k) + np.abs(kf).sum(axis=0))
-    return labels if labels.any() else None
+    roots = qlinalg._component_labels(np.abs(k))
+    if not roots.any():
+        return None
+    # each index's block, numbered in the order of the blocks' first indices
+    first = roots == np.arange(d)
+    blocks, nb = (np.cumsum(first) - 1)[roots], int(first.sum())
+    one_hot = np.eye(nb)[blocks]
+    pair = np.arange(nb * nb)
+    # links from positions A nb + B to C nb + E
+    links = [(pair, pair % nb * nb + pair // nb)]
+    for jump in one_hot.T @ np.abs(kf) @ one_hot:
+        a, c = np.nonzero(jump)
+        # the star joins each row to one column of its component, and that
+        # component's label, its smallest node and so a row, to each column
+        part, cols = qlinalg._edge_labels(2 * nb, a, c + nb), np.zeros(2 * nb, dtype=int)
+        a, c = np.unique(a), np.unique(c)
+        cols[part[c + nb]] = c
+        a, c = np.concatenate([a, part[c + nb]]), np.concatenate([cols[part[a]], c])
+        links.append((np.add.outer(a * nb, a).ravel(), np.add.outer(c * nb, c).ravel()))
+    linked = qlinalg._edge_labels(nb * nb, *map(np.concatenate, zip(*links)))
+    # the block pair of each position, whose column-stacked index is i + j d
+    at = _hermitian_basis(d)
+    _, first, inverse = np.unique(linked[blocks[at % d] * nb + blocks[at // d]],
+                                  return_index=True, return_inverse=True)
+    return first[inverse.ravel()]
 
 
-def _dense_work(d: int, labels) -> int:
-    """Work of one propagator on the dense route at dimension d: sum s^3
-    over the sectors of _sectors for the blocks labels (_block_labels),
-    each of order s; d^6 for a generator taken whole (labels None).
-
-    With blocks of sizes b_A, the sector within block A has order b_A^2 and
-    the one between blocks A and B order 2 b_A b_B.
+def _components(l: Lindbladian, min_order: int, coarse: np.ndarray | None) -> tuple:
+    """(groups, forms): the components of the real form R, the one block
+    structure of every dense path, as groups (p, idx) of k components of
+    order s holding p populations each (qlinalg._group: rows ascending,
+    populations first), and R's (k, s, s) stack of blocks for each group.
+    With coarse (l's _coarse_labels) None, R is formed whole and split by
+    its pattern from min_order in d^2 on; otherwise only the coarse blocks'
+    entries are (_real_form), each block split by its own pattern.
     """
-    if labels is None:
-        return d**6
-    cubes = [int(b) ** 3 for b in np.bincount(labels) if b]
-    within = sum(c * c for c in cubes)
-    # sum over pairs A < B of (2 b_A b_B)^3 = 8 c_A c_B
-    return within + 4 * (sum(cubes) ** 2 - within)
+    d, n = l.dim, l.dim**2
+    m = build_superoperator(l).matrix
+    if coarse is None:
+        r = _real_form(m)
+        labels = qlinalg._component_labels(r) if n >= min_order else np.zeros(n, dtype=int)
+        if not labels.any():
+            return [(d, np.arange(n)[None])], [r[None]]
+        flat, base, loc = r.ravel(), np.arange(n) * n, np.arange(n)
+    else:
+        # the blocks' entries row by row, rows and columns ascending
+        order = np.argsort(coarse * n + np.arange(n))
+        rank = np.argsort(order)
+        size = np.bincount(coarse, minlength=n)[coarse[order]]
+        start = np.cumsum(size) - size
+        loc, base = rank - rank[coarse], start[rank]
+        rows = np.repeat(order, size)
+        cols = order[np.repeat(rank[coarse[order]] - start, size) + np.arange(rows.size)]
+        flat = _real_form(m, (rows, cols, base, loc))
+        linked = flat != 0
+        labels = qlinalg._edge_labels(n, rows[linked], cols[linked])
+    pops = np.bincount(labels[:d], minlength=n)[labels]
+    groups = [(int((idx[0] < d).sum()), idx) for idx in qlinalg._group(labels, pops)]
+    return groups, [flat[base[idx][:, :, None] + loc[idx][:, None, :]] for _, idx in groups]
 
 
-def _sectors(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The coherence sectors of the Hermitian basis for blocks labelled
-    per basis index, as (p, idx) per group of sectors of one order s and
-    population count p.
+def _dense(rho: np.ndarray, plan: tuple, groups: list, forms: list) -> np.ndarray:
+    """exp(t L) rho along the steps of _propagator_steps, on rho's real
+    coordinates, by the components of the real form R (_components).
 
-    When K and every jump are block diagonal, L maps the operators supported
-    on blocks A x B and B x A into themselves, so their span is an
-    invariant sector of the real form (Baumgartner & Narnhofer 2008; Buca
-    & Prosen 2012): b_A^2 basis operators within a block A, p = b_A of them
-    populations, and 2 b_A b_B between two blocks. Row r of idx (k, s)
-    lists one sector's positions in the Hermitian basis, ascending: its
-    populations, then its pairs' symmetric and then their antisymmetric
-    parts, in the same pair order.
-    """
-    d = labels.size
-    i, j = np.triu_indices(d, 1)
-    low, high = np.minimum(labels[i], labels[j]), np.maximum(labels[i], labels[j])
-    key = np.concatenate([labels * (d + 1), low * d + high, low * d + high])
-    # the sectors that occur, numbered in key order
-    seen = np.zeros(d * d, dtype=bool)
-    seen[key] = True
-    sector = (np.cumsum(seen) - 1)[key]
-    size = np.bincount(sector)[sector]
-    pops = np.bincount(sector[:d], minlength=d * d)[sector]
-    kind = size * (d + 1) + pops
-    # stable: within a sector the positions stay ascending
-    order = np.argsort(kind * (d * d) + sector, kind="stable")
-    groups = []
-    for run in np.split(order, np.flatnonzero(np.diff(kind[order])) + 1):
-        s, p = divmod(int(kind[run[0]]), d + 1)
-        groups.append((p, run.reshape(-1, s)))
-    return groups
-
-
-def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndarray) -> np.ndarray:
-    """_dense for a generator that splits into blocks (labels, from
-    _block_labels), sector by sector.
-
-    The real form is gathered per sector from the d^2 x d^2 generator
-    (_sectors, _real_form). Each group of sectors of one order takes one
-    stacked matrix_exp for the steps of a chunk (SECTOR_CHUNK), and per
-    state one stacked matvec. R is block diagonal and tau R = 0, so a
-    sector holding populations keeps its own partial trace: its
-    populations are reflected and its first row is set to zero, as _dense
-    does for the whole trace, and every propagator keeps each partial
-    trace, and so the trace, exactly.
+    Each group of components takes one stacked matrix_exp (np.exp for order
+    1) for the steps of a chunk (SECTOR_CHUNK), and per state one stacked
+    matvec. tau R = 0 for the trace functional tau, so a component keeps
+    the partial trace of its p populations: they are reflected
+    (_trace_reflection) to make it the first coordinate times sqrt(p), and
+    the first row, rounding within the trace contract, is set to zero. Each
+    propagator then keeps the trace exactly, and its squarings cannot grow
+    an error along the steady state. Mapped back, each state is exactly
+    Hermitian.
     """
     d = rho.shape[0]
-    groups = _sectors(labels)
-    forms = _real_form(build_superoperator(l).matrix, groups)
     x = _coordinates(rho)
     previous = []
     for (p, idx), r in zip(groups, forms):
@@ -629,16 +645,18 @@ def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndar
         previous.append(xs)
     steps, which = plan
     # the propagators of up to `count` steps at once, as one stack per group
-    count = max(1, SECTOR_CHUNK // sum(r.size for r in forms))
+    size = sum(r.size for r in forms)
+    count = 1 if len(forms) == len(forms[0]) == 1 else max(1, SECTOR_CHUNK // size)
 
     def chunk(start):
         t = np.asarray(steps[start : start + count])[:, None, None, None]
         stacks = [(t * r).reshape(-1, *r.shape[1:]) for r in forms]
-        return [qlinalg.matrix_exp(m).reshape(-1, *r.shape) for m, r in zip(stacks, forms)]
+        return [(np.exp(m) if m.shape[-1] == 1 else qlinalg.matrix_exp(m)).reshape(-1, *r.shape)
+                for m, r in zip(stacks, forms)]
 
     table, start = chunk(0), 0
     first = [u[0] for u in table]
-    # states[g][i] holds the coordinates of group g's sectors at time i
+    # states[g][i] holds the coordinates of group g's components at time i
     states = [np.empty((len(which),) + xs.shape) for xs in previous]
     for i, k in enumerate(which):
         # a new step is the next one: the chunk after the current one starts there
@@ -651,46 +669,6 @@ def _dense_sectors(l: Lindbladian, rho: np.ndarray, plan: tuple, labels: np.ndar
         coords[idx] = out[..., 0].transpose(1, 2, 0)
         if p:
             coords[idx[:, :p]] = _trace_reflection(p) @ coords[idx[:, :p]]
-    return _operators(coords)
-
-
-def _dense(l: Lindbladian, rho: np.ndarray, plan: tuple, labels) -> np.ndarray:
-    """exp(t L) rho along the steps of _propagator_steps, on the real form.
-
-    A generator that splits into blocks (labels from _block_labels, not
-    None) goes sector by sector (_dense_sectors). Otherwise one matrix_exp
-    of step R per new step, then one matvec per state, on rho's real
-    coordinates in the Hermitian basis. The diagonal block of that basis
-    is first reflected (_trace_reflection) so that the trace is the first
-    coordinate times sqrt(d). L maps every operator to a traceless one, so
-    the first row of R is rounding, bounded by the generator's trace
-    contract, and is set to zero: each propagator then keeps the trace
-    exactly, and its squarings cannot grow an error along the steady
-    state. Mapped back, every state is exactly Hermitian.
-    """
-    if labels is not None:
-        return _dense_sectors(l, rho, plan, labels)
-    d = rho.shape[0]
-    h = _trace_reflection(d)
-    r = _real_form(build_superoperator(l).matrix)[0][0]
-    r[:d] = h @ r[:d]
-    r[:, :d] = r[:, :d] @ h
-    r[0] = 0.0
-    x = _coordinates(rho)
-    x[:d] = h @ x[:d]
-    steps, which = plan
-    # a step comes back after another only when it is the first, so the
-    # first step's propagator is kept beside the current one
-    first = qlinalg.matrix_exp(steps[0] * r) if steps else None
-    coords = np.empty((d * d, len(which)))
-    for i, k in enumerate(which):
-        if k == 0:
-            propagator = first
-        elif k != which[i - 1]:
-            propagator = qlinalg.matrix_exp(steps[k] * r)
-        x = propagator @ x
-        coords[:, i] = x
-    coords[:d] = h @ coords[:d]
     return _operators(coords)
 
 
@@ -708,17 +686,16 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
 
     * A generator with diagonal Hamiltonian and jumps acts on each matrix
       entry alone; its states are exact entrywise exponentials (_dephased).
-    * Otherwise, when the grid needs at most DENSE_WORK // _dense_work
-      distinct propagators, the dense route takes one matrix_exp of the
-      d^2 x d^2 real Hermitian-basis generator per distinct step and one
-      matvec per state (_dense). The work of one propagator is d^6, or,
-      when the Hamiltonian and the jumps are block diagonal in a partition
-      of the basis (_block_labels), the sum of s^3 over the coherence
-      sectors of order s that the generator splits into, each then
-      gathered from the same d^2 x d^2 generator and exponentiated
-      alone. The last step, or the first, is reused where it lands within
-      TIME_ULPS ulps of the next time, measured from the time actually
-      reached, so each state is taken at a time t' with
+    * Otherwise, when the grid needs at most DENSE_WORK // W distinct
+      propagators, the dense route exponentiates each component of the
+      real form (_components) per distinct step and applies it to each
+      state (_dense). W is the sum of s^3 over the blocks of order s that
+      hold the components (_coarse_labels), d^6 for one block: read off
+      the d x d patterns, so that the march builds nothing of order d^4,
+      it bounds the components' own sum, and equals it unless an exact
+      cancellation splits a block. The last step, or the first, is reused
+      where it lands within TIME_ULPS ulps of the next time, measured from
+      the time actually reached, so each state is taken at a time t' with
       |t' - t| <= 4 ulp(t) <= 4 eps t (eps = 2^-52), which moves it by at
       most 4 eps t ||L|| in trace norm.
       An even grid needs one propagator, a time after its end one more,
@@ -760,9 +737,11 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
         if entries is not None:
             states[zeros:] = _dephased(rho, positive, *entries)
             return _healthy(states)[where]
-        labels = _block_labels(l)
-        if plan := _propagator_steps(positive.tolist(), DENSE_WORK // _dense_work(l.dim, labels)):
-            states[zeros:] = _dense(l, rho, plan, labels)
+        # priced on the coarse blocks, before any d^4 work
+        coarse = _coarse_labels(l)
+        work = l.dim**6 if coarse is None else int((np.bincount(coarse) ** 3).sum())
+        if plan := _propagator_steps(positive.tolist(), DENSE_WORK // work):
+            states[zeros:] = _dense(rho, plan, *_components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse))
         else:
             # every march state is exactly Hermitian, so the march needs no
             # symmetrization between stops; past a failing state it may overflow
@@ -785,21 +764,24 @@ class AsymptoticDecomposition:
     """Spectral split of a generator into decaying and surviving sectors, as
     decompose builds and checks it.
 
-    eigenvalues are those of real_generator, the generator in the orthonormal
-    Hermitian basis (a real d^2 x d^2 matrix); asymptotic_indices are those
-    with |Re| <= tol. real_projector is the exact spectral projector onto
-    the asymptotic sector in that basis, real, and route says how it was
-    built: "eigenbasis" or "nullspace" (see decompose). p_inf is the same
-    projector on column-stacked operators, mapped back from it on first
-    access. p_a is the Hilbert-space support projector of the projected
-    maximally mixed state, q = 1 - p_a its complement.
+    eigenvalues are those of the generator's real form R in the orthonormal
+    Hermitian basis, held by its components (_components): components lists
+    their positions, one (k, s) array per group, and real_blocks R's
+    (k, s, s) stack of blocks for each. asymptotic_indices are the
+    eigenvalues with |Re| <= tol. real_projector is the exact spectral
+    projector onto the asymptotic sector in that basis, and route says how
+    it was built: "eigenbasis" or "nullspace" (see decompose). R itself
+    (real_generator) and p_inf, the projector on column-stacked operators,
+    are assembled on first access. p_a is the support projector of the
+    projected maximally mixed state, q = 1 - p_a its complement.
     """
 
     eigenvalues: np.ndarray
     asymptotic_indices: tuple
     tol: float
     route: str
-    real_generator: np.ndarray
+    components: list
+    real_blocks: list
     real_projector: np.ndarray
     p_a: np.ndarray
     q: np.ndarray
@@ -807,6 +789,11 @@ class AsymptoticDecomposition:
     @property
     def dim(self) -> int:
         return self.p_a.shape[0]
+
+    @functools.cached_property
+    def real_generator(self) -> np.ndarray:
+        """R assembled from its blocks, zero between them."""
+        return qlinalg._assemble(self.components, self.real_blocks, self.dim**2)
 
     @functools.cached_property
     def p_inf(self) -> SuperoperatorMatrix:
@@ -863,13 +850,13 @@ def _support_projectors(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_{k<n} E^k for n >= 1 by divide and conquer; O(log n) products."""
-    d2 = e.shape[0]
+    """(1/n) sum_{k<n} E^k for n >= 1 by divide and conquer; O(log n)
+    products. e is one matrix or a stack (k, s, s), each averaged alone."""
 
     def rec(m: int, power: bool):
         # (sum_{k<m} E^k, E^m); E^m is formed only when power is asked for
         if m == 1:
-            return np.eye(d2, dtype=e.dtype), e
+            return np.broadcast_to(np.eye(e.shape[-1], dtype=e.dtype), e.shape), e
         s, p = rec(m // 2, True)
         s = s + p @ s
         if m % 2 == 0:
@@ -884,8 +871,9 @@ def _cesaro_average(
     l: Lindbladian, horizon: float, samples: int, dec: AsymptoticDecomposition | None
 ) -> tuple[np.ndarray, AsymptoticDecomposition]:
     """(A, dec): the Cesaro average of cesaro_projector in the Hermitian
-    basis, real, and the decomposition whose generator and frequencies it
-    used. The sample count and the horizon are checked before any work."""
+    basis, real and block diagonal as R is, and the decomposition whose
+    blocks and frequencies it used. The sample count and the horizon are
+    checked before any work."""
     samples = int(samples)
     if samples < 1:
         raise ContractError("sample count must be positive")
@@ -896,16 +884,17 @@ def _cesaro_average(
         dec = decompose(l)
     elif dec.dim != l.dim:
         raise ContractError(f"decomposition of dimension {dec.dim} given for dimension {l.dim}")
-    r, frequencies = dec.real_generator, dec.asymptotic_frequencies
-    dt = horizon / samples
-    step = qlinalg.matrix_exp(dt * r, method="series")
-    acc = np.zeros_like(r)
-    for w in frequencies[frequencies >= 0.0]:
-        if w == 0.0:
-            acc += _geometric_mean(step, samples)
-        else:
-            acc += 2.0 * _geometric_mean(step * np.exp(-1j * float(w) * dt), samples).real
-    return acc, dec
+    frequencies, dt, acc = dec.asymptotic_frequencies, horizon / samples, []
+    for r in dec.real_blocks:
+        step = qlinalg.matrix_exp(dt * r, method="series")
+        total = np.zeros_like(r)
+        for w in frequencies[frequencies >= 0.0]:
+            if w == 0.0:
+                total += _geometric_mean(step, samples)
+            else:
+                total += 2.0 * _geometric_mean(step * np.exp(-1j * float(w) * dt), samples).real
+        acc.append(total)
+    return qlinalg._assemble(dec.components, acc, dec.dim**2), dec
 
 
 def cesaro_projector(
@@ -918,8 +907,9 @@ def cesaro_projector(
     summed. dec must be a decomposition of l, decompose(l, tol); without
     one, decompose(l) is taken here. Its real generator and asymptotic
     frequencies are used, so a caller that has dec computes neither the
-    generator nor its spectrum again. The average runs on the real
-    Hermitian-basis generator, so the step and the w = 0 mean are real.
+    generator nor its spectrum again. The average runs on the real form's
+    components, one stacked step and mean per group, so the step and the
+    w = 0 mean are real.
     The frequencies are symmetric about 0, so the mean at -w is the
     conjugate of the mean at w: only w >= 0 is averaged, each w > 0 adding
     twice its mean's real part, and the sum stays real. The step exp(dt L)
@@ -998,13 +988,13 @@ def _eigenbasis_projector(
 
 
 def _nullspace_projector(
-    m: np.ndarray, components: list, evals: np.ndarray, right: list, asym: np.ndarray, gate: float
+    blocks: list, components: list, evals: np.ndarray, right: list, asym: np.ndarray, gate: float
 ) -> list:
     """Spectral projector onto the asymptotic sector without a full eigenbasis.
 
-    m is the real generator, components, right its components and their
-    stacked right eigenvectors from qlinalg._eig_blocks, and evals its
-    assembled eigenvalues. Each asymptotic eigenvalue must be semisimple,
+    blocks are the real generator M's stacks of blocks over its components,
+    right their stacked right eigenvectors (qlinalg._eig_blocks) and evals
+    M's assembled eigenvalues. Each asymptotic eigenvalue must be semisimple,
     which holds for every GKSL generator: its semigroup is bounded, so
     eigenvalues on the imaginary axis carry no Jordan chain (M. M. Wolf,
     Quantum Channels & Operations, 2012, ch. 6). For each cluster of
@@ -1044,7 +1034,7 @@ def _nullspace_projector(
         residual, pieces = 0.0, []
         for g, rows, cols in _by_component(components, members):
             idx = components[g][rows]
-            a = m[idx[:, :, None], idx[:, None, :]] - lam * np.eye(idx.shape[1])
+            a = blocks[g][rows] - lam * np.eye(idx.shape[1])
             basis = _columns(right[g], rows, cols)
             if at_zero:
                 below = evals.imag[idx[np.arange(len(rows))[:, None], cols]] < 0
@@ -1074,20 +1064,15 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     place that builds and checks the asymptotic structure.
 
     Eigenvalues with |Re| <= tol (default 1e-8 * max(1, spectral radius))
-    form the asymptotic sector; tol, when given, must be positive. One real
-    d^2 x d^2 eig of the generator in the orthonormal Hermitian basis, where
-    it is a real matrix since it preserves Hermiticity (Alicki & Lendi,
-    Quantum Dynamical Semigroups and Applications, LNP 286, 1987), gives the
-    spectrum, exactly conjugate-symmetric; an eigenvalue with Re > tol is a
-    NumericHealthError. When that real form is reducible, as for
-    decoherence-free blocks or dephasing, everything after it runs block by
-    block: the eig runs on each component of its nonzero pattern
-    (qlinalg._eig_blocks), and the eigenvectors, their inverses and the
-    blocks of the projector stay per component, stacked by component size;
-    the d^2 x d^2 eigenbasis is never formed.
-    The projector P is the exact spectral projector onto the asymptotic
-    sector. When that basis is invertible with condition
-    kappa_F = ||V||_F ||V^-1||_F below EIGENBASIS_COND_GATE, P comes from it
+    form the asymptotic sector; tol, when given, must be positive. The
+    generator's real form R in the orthonormal Hermitian basis is taken by
+    its components (_components), and one real eig per component
+    (qlinalg._eig_blocks) gives the spectrum, exactly conjugate-symmetric;
+    an eigenvalue with Re > tol is a NumericHealthError. The eigenvectors,
+    their inverses and the blocks of the projector stay per component, so
+    the d^2 x d^2 eigenbasis is never formed. P, the exact spectral
+    projector onto the asymptotic sector, comes from that basis when it is
+    invertible with kappa_F = ||V||_F ||V^-1||_F below EIGENBASIS_COND_GATE
     (route "eigenbasis"); each Frobenius norm is summed in quadrature over
     the components, and this gate is the only one on the eigenbasis. A
     defective generator fails it; P then comes from the null spaces of
@@ -1103,9 +1088,10 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
-    r = _real_form(build_superoperator(l).matrix)[0][0]
-    n = r.shape[0]
-    components, evals, right, inverses = qlinalg._eig_blocks(r)
+    groups, blocks = _components(l, qlinalg.SPLIT_MIN_ORDER, _coarse_labels(l))
+    components = [idx for _, idx in groups]
+    n = l.dim**2
+    evals, right, inverses = qlinalg._eig_blocks(blocks)
     evals = np.asarray(qlinalg._assemble(components, evals, n), dtype=complex)
     tol = ASYMPTOTIC_RTOL * max(1.0, float(np.abs(evals).max())) if tol is None else float(tol)
     worst = float(evals.real.max())
@@ -1123,7 +1109,7 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
         p = _eigenbasis_projector(components, right, inverses, asym)
     else:
         inverses = None  # free the refused basis's inverse before the solves
-        p = _nullspace_projector(r, components, evals, right, asym, tol)
+        p = _nullspace_projector(blocks, components, evals, right, asym, tol)
     del inverses, right  # the eigenvectors die before p is checked
     gap, scale = _frobenius([q @ q - q for q in p]), max(1.0, _frobenius(p))
     if gap > PINF_IDEMPOTENT_TOL * scale:
@@ -1145,7 +1131,8 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
         asymptotic_indices=tuple(np.flatnonzero(asym).tolist()),
         tol=tol,
         route="eigenbasis" if eigenbasis else "nullspace",
-        real_generator=r,
+        components=components,
+        real_blocks=blocks,
         real_projector=p,
         p_a=p_a,
         q=q,

@@ -28,7 +28,8 @@ from .errors import ContractError, ShapeError
 # Relative gate used by every module that checks hermiticity.
 HERMITICITY_RTOL = 1e-10
 
-# eig_general splits only matrices of at least this order. Below it the
+# eig_general, and gksl.decompose's one eig per component of a generator's
+# real form, split only matrices of at least this order. Below it the
 # search, the grouping and the assembly cost more than the smaller eigs
 # save. Measured on a 2-core Xeon VM with one BLAS thread (best of 9
 # repeats, two runs), for the real Hermitian-basis generators of
@@ -38,15 +39,17 @@ HERMITICITY_RTOL = 1e-10
 # 0.1-0.25x at n = 100.
 SPLIT_MIN_ORDER = 40
 
-# gksl._dense builds and exponentiates a reducible generator's real form
-# sector by sector only from this order d^2 on; below it takes the form
-# whole. Measured like SPLIT_MIN_ORDER (median of 61) for decoherence-free-
-# block, dephasing and exceptional-point generators that split: the
-# sectors' stacked matrix_exp took 1.4-2.6x the time of the whole one at
-# n = 16 to 49, 0.9-1.0x at n = 64 and 81 and 0.45-0.75x at n = 100; the
-# whole dense route on a grid of two propagators, sector build and matvecs
-# included, took 1.1-1.35x at n = 64 and 81, 0.65-1.03x at n = 100,
-# 0.5-0.65x at n = 121, 0.25-0.5x at n = 144 and 0.07-0.11x at n = 256.
+# From this order d^2 on, gksl._dense exponentiates a real form by its
+# components, and gksl._components gathers a generator that splits block by
+# block instead of forming its real form whole. Measured like SPLIT_MIN_ORDER
+# (median of 61) on decoherence-free-block, dephasing and exceptional-point
+# generators: the components' stacked matrix_exp took 1.4-2.6x the time of
+# the whole one at n = 16 to 49, 0.9-1.0x at n = 64 and 81 and 0.45-0.75x at
+# n = 100; the dense route on a grid of two propagators, build and matvecs
+# included, 1.1-1.35x at n = 64 and 81, 0.65-1.03x at 100, 0.5-0.65x at 121,
+# 0.25-0.5x at 144 and 0.07-0.11x at 256; the blockwise gather (best of 200)
+# 1.5-1.8x the whole form and its split at n = 64 and 81, 1.2-1.5x at 100
+# and 121, 0.9-1.1x at 144, 0.7-0.9x at 256 and 0.5-0.65x at 576.
 EXPM_SPLIT_MIN_ORDER = 100
 
 
@@ -129,47 +132,59 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _component_labels(m: np.ndarray) -> np.ndarray:
-    """Each index's component in the nonzero pattern of |m| + |m^T|, labelled
-    by the component's smallest index.
+def _edge_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each of n nodes' component in the undirected graph with edges
+    (i[e], j[e]), labelled by the component's smallest node.
 
-    Min-label propagation with pointer jumping: every index takes the
+    Min-label propagation with pointer jumping: every node takes the
     smallest label among itself and its neighbours, then each label is
     replaced by its own label until none changes; this repeats until a
-    round changes nothing. The first round reads the rows alone; when it
-    already links every index to index 0 there is one component.
+    round changes nothing. Each round costs O(n + edges).
     """
-    n = m.shape[0]
-    linked = m != 0
-    np.fill_diagonal(linked, True)
-    labels = linked.argmax(axis=1)
-    if not labels.any():
-        return labels
-    linked |= linked.T
+    labels = np.arange(n)
     while True:
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-        spread = np.where(linked, labels, n).min(axis=1)
+        spread = labels.copy()
+        np.minimum.at(spread, i, labels[j])
+        np.minimum.at(spread, j, labels[i])
+        while not np.array_equal(jumped := spread[spread], spread):
+            spread = jumped
         if np.array_equal(spread, labels):
             return labels
         labels = spread
 
 
+def _component_labels(m: np.ndarray) -> np.ndarray:
+    """Each index's component in the nonzero pattern of |m| + |m^T|, labelled
+    by the component's smallest index (_edge_labels). When every row links
+    to index 0 there is one component, found from the rows alone."""
+    linked = m != 0
+    np.fill_diagonal(linked, True)
+    labels = linked.argmax(axis=1)
+    if not labels.any():
+        return labels
+    return _edge_labels(len(m), *np.nonzero(linked))
+
+
+def _group(labels: np.ndarray, kind: np.ndarray | None = None) -> list[np.ndarray]:
+    """The components of labels (_component_labels), one (k, s) index array
+    per component size s, and within a size per kind (a nonnegative integer
+    per index, equal within a component), both ascending: its rows are the
+    components, by label, each listing its indices in ascending order."""
+    n = labels.size
+    size = np.bincount(labels, minlength=n)[labels]
+    key = size if kind is None else size * (int(kind.max()) + 1) + kind
+    order = np.argsort(key * n + labels, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    return [run.reshape(-1, size[run[0]]) for run in runs]
+
+
 def _components_by_size(m: np.ndarray) -> list[np.ndarray]:
-    """The components of m, one (k, s) index array per component size s:
-    each row lists one component's indices in ascending order."""
+    """The components of m (_component_labels) grouped by size (_group);
+    one component below SPLIT_MIN_ORDER."""
     n = m.shape[0]
     if n < SPLIT_MIN_ORDER:
         return [np.arange(n)[None]]
-    labels = _component_labels(m)
-    size = np.bincount(labels, minlength=n)[labels]
-    order = np.argsort(size * n + labels, kind="stable")
-    groups, start = [], 0
-    for s, count in enumerate(np.bincount(size)):
-        if count:
-            groups.append(order[start : start + count].reshape(-1, s))
-            start += count
-    return groups
+    return _group(_component_labels(m))
 
 
 def _assemble(components: list[np.ndarray], parts: list[np.ndarray], n: int) -> np.ndarray:
@@ -200,31 +215,20 @@ def _eigenvector_inverse(real_input: bool, evals: np.ndarray, right: np.ndarray)
     return inverse
 
 
-def _eig_blocks(m) -> tuple[list, list, list, list | None]:
-    """The eig of eig_general before assembly: (components, evals, right,
-    inverses), one entry per component size group (_components_by_size).
-
-    Entry g of evals is the (k, s) stack of the eigenvalues of that group's
-    k components of order s, of right the (k, s, s) stack of their right
-    eigenvectors and of inverses the stack of those matrices' inverses;
-    inverses is None when any of them is singular to working precision.
-    A caller that works component by component (gksl.decompose) takes them
-    as they are, so the n x n eigenbasis is never formed.
+def _eig_blocks(stacks: list) -> tuple[list, list, list | None]:
+    """(evals, right, inverses) of a block-diagonal matrix held as (k, s, s)
+    stacks of its blocks: per stack, the (k, s) eigenvalues, the (k, s, s)
+    right eigenvectors and their inverses; inverses is None when any is
+    singular to working precision. A caller that works block by block
+    (gksl.decompose) takes them as they are, never forming the eigenbasis.
     """
-    m = as_square(m, keep_real=True)
-    n = m.shape[0]
-    components = _components_by_size(m)
-    if components[0].shape == (1, n):
-        stacks = [m[None]]
-    else:
-        stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in components]
     spectra = [np.linalg.eig(stack) for stack in stacks]
     evals, right = [w for w, _ in spectra], [v for _, v in spectra]
     try:
-        inverses = [_eigenvector_inverse(np.isrealobj(m), w, v) for w, v in spectra]
+        inverses = [_eigenvector_inverse(np.isrealobj(s), w, v) for s, (w, v) in zip(stacks, spectra)]
     except np.linalg.LinAlgError:
         inverses = None
-    return components, evals, right, inverses
+    return evals, right, inverses
 
 
 def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -257,8 +261,14 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     [[1, 1], [i, -i]], and V^-1 = T^-1 W^-1 needs only the real inverse.
     evals and right come back real when every eigenvalue is real.
     """
-    components, evals, right, inverses = _eig_blocks(m)
-    n = sum(idx.size for idx in components)
+    m = as_square(m, keep_real=True)
+    n = m.shape[0]
+    components = _components_by_size(m)
+    if components[0].shape == (1, n):
+        stacks = [m[None]]
+    else:
+        stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in components]
+    evals, right, inverses = _eig_blocks(stacks)
     evals, right = _assemble(components, evals, n), _assemble(components, right, n)
     if inverses is None:
         return evals, right, None
@@ -332,7 +342,7 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
     method. A real input is exponentiated in float64. m is one matrix or a
     stack (k, n, n) of them; a stack is exponentiated in one pass, each
     matrix with its own scaling, and each result agrees with that of the
-    matrix alone to rounding.
+    matrix alone to rounding, and bit for bit in a stack of one.
 
     * Scaling: A = m / 2^s with s = ceil(log2 ||m||_1) when ||m||_1 > 1,
       else s = 0, so nu = ||A||_1 <= 1; the result is T_k(A)^(2^s).
@@ -345,7 +355,7 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
       T_k(A) = sum_i B_i (A^q)^i, B_i = sum_{j<q} c_{iq+j} A^j, is taken by
       Horner in A^q. Each block's constant term is added on the diagonal,
       so any zero row i of m gives row i of exactly e_i^T, in every matrix
-      of a stack (gksl._dense zeroes one trace row in each sector of its
+      of a stack (gksl._dense zeroes one trace row in each component of its
       generator and relies on it to keep the trace).
     * Products: q - 1 for A^2 ... A^q, one per block after the first, and s
       squarings. q <= 3 minimizes the first two, the smallest q on a tie:

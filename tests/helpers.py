@@ -38,11 +38,22 @@ def leaking(eig_blocks):
     """qlinalg._eig_blocks with its eigenvalue of largest real part, the
     steady state's 0, moved right by 1e-3."""
 
-    def shifted(m):
-        components, evals, right, inverses = eig_blocks(m)
+    def shifted(stacks):
+        evals, right, inverses = eig_blocks(stacks)
         evals = [np.asarray(w, dtype=complex).copy() for w in evals]
         top = max(evals, key=lambda w: w.real.max())
         top.flat[np.argmax(top.real)] += 1e-3
-        return components, evals, right, inverses
+        return evals, right, inverses
 
     return shifted
+
+
+def thermal_ladder(d: int, nbar: float = 0.5, omega: float = 1.0, gamma: float = 1.0):
+    """A heat sink's detailed-balance damping ladder, truncated to d levels:
+    H = omega a+a, jumps a and a+ at rates gamma (nbar + 1) and gamma nbar.
+    Its steady state is the Gibbs state of H at beta = ln(1 + 1/nbar) / omega.
+    Returns (h, jumps, beta)."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    h = omega * np.diag(np.arange(float(d)))
+    jumps = ((a, gamma * (nbar + 1.0)), (a.T.copy(), gamma * nbar))
+    return h, jumps, float(np.log1p(1.0 / nbar) / omega)

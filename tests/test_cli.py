@@ -217,6 +217,23 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "malformed JSON" in r.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            '{"task": "classify", "payload": {"state": ' + "[" * 5_000 + "]" * 5_000 + "}}",
+        ],
+        ids=["top-level", "inside-payload"],
+    )
+    def test_deeply_nested_json_is_2(self, tmp_path, text):
+        # the decoder gives up past its recursion limit: still malformed input
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        r = run_cli("classify", "--scenario", str(p))
+        assert r.returncode == 2
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed JSON: ")
+
     def test_schema_violation_is_3_with_field_path(self, tmp_path):
         p = write_scenario(
             tmp_path,

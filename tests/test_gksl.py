@@ -9,7 +9,14 @@ import pytest
 from revtherm import compmodel, gksl, qlinalg, qstate
 from revtherm.errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
-from helpers import leaking, random_complex, random_density, random_hermitian, rng
+from helpers import (
+    leaking,
+    random_complex,
+    random_density,
+    random_hermitian,
+    rng,
+    thermal_ladder,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -228,7 +235,7 @@ class TestSuperoperatorMatrix:
         )
         for l in generators:
             splits = [
-                [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m)[0][0])]
+                [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m))]
                 for m in (gksl.build_superoperator(l).matrix, kron_superoperators(l)[0])
             ]
             assert splits[0] == splits[1]
@@ -288,7 +295,7 @@ class TestRealForm:
         dense = b.conj().T @ m @ b
         scale = np.linalg.norm(m)
         assert np.linalg.norm(dense.imag) <= 1e-14 * scale
-        assert np.abs(gksl._real_form(m)[0][0] - dense.real).max() <= 1e-14 * scale
+        assert np.abs(gksl._real_form(m) - dense.real).max() <= 1e-14 * scale
 
     def test_hamiltonian_is_kept_as_its_hermitian_part(self):
         # H = 1e3 + a tiny Hermitian part + an anti-Hermitian part just
@@ -357,15 +364,17 @@ class TestRealForm:
         # a diagonalizable generator admits both routes; the null-space one
         # takes its complex branch for each cluster at w > 0
         l = block_lindbladian(rng(2400), (3, 3))
-        r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
         evals, right, left = qlinalg.eig_general(r)
         gate = gksl.decompose(l).tol
         asym = np.abs(evals.real) <= gate
         assert (evals.imag[asym] > gate).any()
         eigenbasis = (right[:, asym] @ left[:, asym].conj().T).real
-        components, _, vectors, _ = qlinalg._eig_blocks(r)
+        groups, blocks = gksl._components(l, qlinalg.SPLIT_MIN_ORDER, gksl._coarse_labels(l))
+        components = [idx for _, idx in groups]
+        _, vectors, _ = qlinalg._eig_blocks(blocks)
         evals = np.asarray(evals, dtype=complex)
-        stacks = gksl._nullspace_projector(r, components, evals, vectors, asym, gate)
+        stacks = gksl._nullspace_projector(blocks, components, evals, vectors, asym, gate)
         nullspace = qlinalg._assemble(components, stacks, len(r))
         assert nullspace.dtype == np.float64
         assert np.abs(nullspace - eigenbasis).max() <= 1e-10
@@ -748,12 +757,12 @@ class TestDenseRoute:
 
     def test_reducible_d16_takes_the_dense_route(self, monkeypatch):
         # the exceptional point (H x 1, F x 1) and decoherence-free blocks
-        # split into coherence sectors, gathered from one d^2 x d^2 build
+        # split into components, gathered from one d^2 x d^2 build
         monkeypatch.setattr(gksl, "_march", no_step)
         builds = counted(monkeypatch, gksl, "build_superoperator")
         gen = rng(4650)
         for l in (exceptional_point(1.0, 16), decaying_dfs_lindbladian(gen, (5, 5, 5))):
-            assert l.dim == 16 and gksl._block_labels(l) is not None
+            assert l.dim == 16 and gksl._coarse_labels(l) is not None
             rho0 = random_density(gen, 16)
             states = gksl.trajectory(l, rho0, self.TIMES)
             assert len(builds) == 1
@@ -772,14 +781,15 @@ class TestDenseRoute:
         gen = rng(4680)
         l = exceptional_point(1.0, 12)
         even = np.linspace(0.0, 10.0, 21)
-        irregular = np.sort(gen.uniform(10.5, 70.0, 130))
+        irregular = np.sort(gen.uniform(10.5, 70.0, 260))
         times = np.concatenate([even, irregular, irregular[-1] + even[1] * np.arange(1, 6)])
         rho0 = random_density(gen, 12)
         states = gksl.trajectory(l, rho0, times)
         steps, which = gksl._propagator_steps(times[1:].tolist(), gksl.DENSE_WORK)
         assert which[:20] == [0] * 20 and which[-5:] == [0] * 5
-        # six sectors of order 4 and fifteen of order 8: 1,056 entries a step
-        count = gksl.SECTOR_CHUNK // 1056
+        # six components of order 1, six of order 3 and thirty of order 4:
+        # 540 entries a step, in three size groups; order 1 takes np.exp
+        count = gksl.SECTOR_CHUNK // 540
         assert len(steps) > 2 * count
         assert len(calls) == 2 * -(-len(steps) // count)
         for out, ref in zip(states, marched(l, rho0, times)):
@@ -798,25 +808,23 @@ class TestDenseRoute:
     def test_sector_forms_match_the_real_form(self, make):
         gen = rng(4660)
         l = make(gen)
-        labels = gksl._block_labels(l)
-        assert labels is not None
-        groups = gksl._sectors(labels)
-        r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
-        positions = np.concatenate([idx.ravel() for _, idx in groups])
-        assert np.array_equal(np.sort(positions), np.arange(l.dim**2))
-        inside = np.zeros(r.shape, dtype=bool)
-        forms = gksl._real_form(gksl.build_superoperator(l).matrix, groups)
+        d = l.dim
+        coarse = gksl._coarse_labels(l)
+        assert coarse is not None
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        # each coarse block holds both halves of each of its pairs, and the
+        # real form is zero between the blocks, exactly
+        q = (d * d - d) // 2
+        assert np.array_equal(coarse[d : d + q], coarse[d + q :])
+        assert not r[coarse[:, None] != coarse[None, :]].any()
+        # the blocks split into R's own components, each block R's, bit for bit
+        groups, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
+        found = sorted(row for _, idx in groups for row in idx.tolist())
+        assert found == sorted(row for idx in qlinalg._components_by_size(r) for row in idx.tolist())
         for (p, idx), form in zip(groups, forms):
-            # gathering commutes with _pair_parts: the whole form's blocks, bit for bit
             assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
-            inside[idx[:, :, None], idx[:, None, :]] = True
-            # the populations come first, and only in sectors within a block
-            assert ((idx[:, :p] < l.dim).all() and (idx[:, p:] >= l.dim).all())
-            assert p in (0, math.isqrt(idx.shape[1]))
-        # the real form is zero between sectors, exactly
-        assert not r[~inside].any()
-        work = sum(idx.shape[0] * idx.shape[1] ** 3 for _, idx in groups)
-        assert work == gksl._dense_work(l.dim, labels)
+            # the populations come first
+            assert (idx[:, :p] < d).all() and (idx[:, p:] >= d).all()
 
     @pytest.mark.parametrize(
         "change, error, match",
@@ -841,26 +849,36 @@ class TestDenseRoute:
             gksl.trajectory(exceptional_point(1.0, 12), np.eye(12) / 12, self.TIMES)
 
     def test_dense_work(self, monkeypatch):
-        def work(l):
-            return gksl._dense_work(l.dim, gksl._block_labels(l))
+        def prices(l):
+            # the route's price, on the coarse blocks, and the components' own
+            labels = gksl._coarse_labels(l)
+            groups = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, labels)[0]
+            coarse = [np.arange(l.dim**2)[None]] if labels is None else qlinalg._group(labels)
+            return [sum(len(idx) * idx.shape[1] ** 3 for idx in blocks)
+                    for blocks in (coarse, [idx for _, idx in groups])]
 
         gen = rng(4670)
         # one block, or below the split order: d^6
-        assert work(random_lindbladian(gen, 12)) == 12**6
-        assert work(exceptional_point(1.0, 8)) == 8**6
-        # six blocks of 2: six sectors of order 4 and fifteen of order 8
-        assert work(exceptional_point(1.0, 12)) == 6 * 4**3 + 15 * 8**3
+        assert prices(random_lindbladian(gen, 12)) == [12**6] * 2
+        assert prices(exceptional_point(1.0, 8)) == [8**6] * 2
+        # six blocks of 2: coarse blocks of orders 4 and 8; within them each
+        # of order 4 splits into components of orders 1 and 3, and each of
+        # order 8 into two of order 4
+        assert prices(exceptional_point(1.0, 12)) == [
+            6 * 4**3 + 15 * 8**3, 6 * 1 + 6 * 3**3 + 30 * 4**3]
         monkeypatch.setattr(qlinalg, "EXPM_SPLIT_MIN_ORDER", 0)
-        assert work(exceptional_point(1.0, 8)) == 4 * 4**3 + 6 * 8**3
+        assert prices(exceptional_point(1.0, 8)) == [
+            4 * 4**3 + 6 * 8**3, 4 * 1 + 4 * 3**3 + 12 * 4**3]
 
     @pytest.mark.parametrize("extra, route", [(0, "_dense"), (1, "_march")])
     def test_sector_work_sets_the_propagator_limit(self, monkeypatch, extra, route):
-        # 740 distinct steps at 8,064 per propagator fit in DENSE_WORK
+        # 740 distinct steps at 8,064 per propagator, the price of the coarse
+        # blocks, fit in DENSE_WORK
         l = exceptional_point(1.0, 12)
-        limit = gksl.DENSE_WORK // gksl._dense_work(l.dim, gksl._block_labels(l))
+        limit = gksl.DENSE_WORK // (6 * 4**3 + 15 * 8**3)
         assert limit == 740
         calls = []
-        monkeypatch.setattr(gksl, "_dense", lambda l, rho, plan, labels: calls.append("_dense")
+        monkeypatch.setattr(gksl, "_dense", lambda rho, plan, *split: calls.append("_dense")
                             or np.repeat(rho[None], len(plan[1]), axis=0))
         monkeypatch.setattr(gksl, "_march", lambda rho, *args: calls.append("_march") or rho)
         times = np.cumsum(1e-3 * (1.0 + np.arange(limit + extra)))
@@ -886,7 +904,7 @@ class TestDenseRoute:
         bad[2, 0, 1] = 1.0
         bad[3] = np.inf
         if route == "dense":
-            monkeypatch.setattr(gksl, "_dense", lambda l, rho, steps, labels: bad[1:])
+            monkeypatch.setattr(gksl, "_dense", lambda rho, plan, *split: bad[1:])
         else:
             monkeypatch.setattr(gksl, "_dense", no_step)
             monkeypatch.setattr(gksl, "DENSE_WORK", 0)
@@ -936,8 +954,8 @@ class TestDenseRoute:
             l = dephasing()
             monkeypatch.setattr(gksl, "_dense", no_step)
         elif route == "sectors":
-            # the dense route on the sectors of the exceptional point, with
-            # each input spread over its six blocks
+            # the dense route on the components of the exceptional point,
+            # with each input spread over its six blocks
             l = exceptional_point(1.0, 12)
             spread = []
             for rho0 in inputs:
@@ -949,7 +967,7 @@ class TestDenseRoute:
                 spread.append(big)
             inputs = spread
             builds = counted(monkeypatch, gksl, "build_superoperator")
-            sectors = counted(monkeypatch, gksl, "_dense_sectors")
+            sectors = counted(monkeypatch, gksl, "_dense")
         else:
             l = random_lindbladian(rng(4950), 2)
             if route == "march":
@@ -994,6 +1012,179 @@ class TestDenseRoute:
         for l in generators:
             states = gksl.trajectory(l, random_density(gen, d), self.TIMES)
             assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+
+
+def ladder(d, **kwargs):
+    """The thermal damping ladder of helpers.thermal_ladder and its Gibbs state."""
+    h, jumps, beta = thermal_ladder(d, **kwargs)
+    gibbs = qstate.gibbs_state(qstate.ThermoContext(qstate.Hamiltonian(h), beta))
+    return gksl.Lindbladian(qstate.Hamiltonian(h), jumps), gibbs
+
+
+def coherence_orders(groups, d):
+    """|i - j| for the positions of each component, as one set per component."""
+    at = gksl._hermitian_basis(d)
+    order = np.abs(at % d - at // d)
+    return [set(order[row].tolist()) for _, idx in groups for row in idx]
+
+
+class TestThermalLadder:
+    """A heat sink's generator: checks that owe nothing to eig or matrix_exp."""
+
+    TIMES = np.append(np.linspace(0.0, 10.0, 20), 80.0)
+
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    def test_asymptotic_state_is_the_gibbs_state(self, d):
+        l, gibbs = ladder(d)
+        dec = gksl.decompose(l)
+        assert len(dec.asymptotic_indices) == 1
+        rho = random_density(rng(5600 + d), d)
+        zero = qstate.Hamiltonian(np.zeros((d, d)))
+        assert np.abs(gksl.asymptotic_evolution(dec, rho, zero, 0.0) - gibbs).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    def test_dense_route_matches_the_march(self, monkeypatch, d):
+        # the bench grid needs two propagators; from d = 10 they are taken
+        # per coherence order
+        l, _ = ladder(d)
+        rho0 = random_density(rng(5700 + d), d)
+        reference = marched(l, rho0, self.TIMES)
+        monkeypatch.setattr(gksl, "_march", no_step)
+        states = gksl.trajectory(l, rho0, self.TIMES)
+        for out, ref in zip(states, reference):
+            assert np.abs(out - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("route", ["dense", "march"])
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    def test_relative_entropy_to_gibbs_never_increases(self, monkeypatch, route, d):
+        # Spohn (J. Math. Phys. 19:1227, 1978): D(rho_t || gamma_beta) is
+        # nonincreasing under a semigroup that fixes gamma_beta
+        l, gibbs = ladder(d, gamma=0.1)
+        if route == "dense":
+            monkeypatch.setattr(gksl, "_march", no_step)
+        else:
+            monkeypatch.setattr(gksl, "_dense", no_step)
+            monkeypatch.setattr(gksl, "DENSE_WORK", 0)
+        states = gksl.trajectory(l, random_density(rng(5800 + d), d), np.linspace(0.0, 80.0, 42))
+        divergence = np.array([qstate.relative_entropy(rho, gibbs) for rho in states])
+        assert divergence[-1] > 0.0
+        assert (np.diff(divergence) < 0.0).all()
+
+
+class TestOneBlockStructure:
+    """The components of the real form, found without forming it whole for a
+    generator that splits, drive decompose, the dense route and the Cesaro
+    average."""
+
+    def test_ladder_splits_into_its_coherence_orders(self):
+        d = 16
+        l, _ = ladder(d)
+        groups, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, gksl._coarse_labels(l))
+        orders = coherence_orders(groups, d)
+        assert sorted(min(o) for o in orders) == list(range(d))
+        assert all(len(o) == 1 for o in orders)
+        assert sum(len(idx) * idx.shape[1] ** 3 for _, idx in groups) == 119_296
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        for (_, idx), form in zip(groups, forms):
+            assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
+
+    @pytest.mark.parametrize("d", [8, 12, 16])
+    @pytest.mark.parametrize("kind", ["dfs", "exceptional"])
+    def test_benchmark_generators_keep_their_components(self, kind, d):
+        # the components, found block by block, are those of the whole form
+        l = REAL_BASIS[kind](rng(5900 + d), d)
+        dec = gksl.decompose(l)
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        whole = qlinalg._components_by_size(r)
+        rows = sorted(row for idx in dec.components for row in idx.tolist())
+        assert rows == sorted(row for idx in whole for row in idx.tolist())
+        assert np.array_equal(dec.real_generator, r)
+        if (kind, d) == ("exceptional", 16):
+            sizes = sorted((idx.shape[1], len(idx)) for idx in dec.components)
+            assert sizes == [(1, 8), (3, 8), (4, 56)]
+
+    def test_dense_k_marches_without_the_d2_form(self, monkeypatch):
+        # K without a zero off its diagonal is one block: d^6 work, so d = 16
+        # marches, and neither the d^2 x d^2 matrix nor its real form is made
+        calls = {name: counted(monkeypatch, gksl, name)
+                 for name in ("build_superoperator", "_real_form", "_components")}
+        gen = rng(6000)
+        for l in bench_random_generators(gen, 16):
+            assert gksl._coarse_labels(l) is None
+            gksl.trajectory(l, random_density(gen, 16), TestDenseRoute.TIMES)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
+
+    def test_coarse_blocks_are_the_components_of_the_term_pattern(self):
+        # reference: the components of |1 x K| + |conj K x 1| + sum |conj F x F|
+        # on column-stacked positions, with (i, j) merged with (j, i)
+        gen = rng(6200)
+        split = 0
+        for _ in range(60):
+            d = int(gen.integers(10, 15))
+            h = np.diag(gen.normal(size=d)).astype(complex)
+            i, j = np.nonzero(np.triu(gen.random((d, d)) < gen.choice([0.0, 0.05, 0.2]), 1))
+            h[i, j] = gen.normal(size=i.size) + 1j * gen.normal(size=i.size)
+            h[j, i] = h[i, j].conj()
+            jumps = []
+            for _ in range(int(gen.integers(1, 4))):
+                f = random_complex(gen, (d, d)) * (gen.random((d, d)) < gen.choice([0.02, 0.05, 0.2]))
+                jumps.append((f, float(gen.uniform(0.1, 1.0))))
+            l = gksl.Lindbladian(qstate.Hamiltonian(h), tuple(jumps))
+            k, _, kf = gksl._generator_terms(l)
+            eye = np.eye(d)
+            pattern = np.kron(eye, np.abs(k)) + np.kron(np.abs(k), eye)
+            pattern = (pattern + sum(np.kron(np.abs(g), np.abs(g)) for g in kf)) != 0
+            pattern[np.arange(d * d), np.arange(d * d).reshape(d, d).T.ravel()] = True
+            reference = qlinalg._component_labels(pattern)[gksl._hermitian_basis(d)]
+            coarse = gksl._coarse_labels(l)
+            if coarse is None:
+                assert not reference.any()
+                continue
+            split += 1
+            pairs = set(zip(coarse.tolist(), reference.tolist()))
+            assert len(pairs) == len(set(coarse.tolist())) == len(set(reference.tolist()))
+        assert split >= 20
+
+    def test_split_ladder_marches_without_the_d2_form(self, monkeypatch):
+        # the ladder's coherence orders price at about 1e7 at d = 48, far
+        # above DENSE_WORK: it marches, and the blocks are never gathered
+        calls = {name: counted(monkeypatch, gksl, name)
+                 for name in ("build_superoperator", "_real_form", "_components")}
+        steps = counted(monkeypatch, gksl, "_march")
+        l, _ = ladder(48)
+        assert len(set(gksl._coarse_labels(l).tolist())) == 48
+        gksl.trajectory(l, random_density(rng(6050), 48), [0.0, 0.01, 0.02])
+        assert len(steps) == 2
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
+
+    def test_a_cancelled_entry_still_gets_the_components_of_the_form(self, monkeypatch):
+        # qubit blocks H x 1, F x 1 with K_01 + F_01 conj(F_bb) = 0 exactly
+        # for b = 0, 1: the entries that link the coarse blocks' populations
+        # to their coherences cancel (F - 1 and a diagonal H give the same
+        # L), so each block splits further
+        f = np.array([[1.0, 1.0], [0.0, 1.0]])
+        h = np.array([[0.25, -0.5j], [0.5j, -0.25]])
+        eye = np.eye(5)
+        l = gksl.Lindbladian(qstate.Hamiltonian(np.kron(h, eye)), ((np.kron(f, eye), 1.0),))
+        k = gksl._generator_terms(l)[0]
+        m = gksl.build_superoperator(l).matrix
+        d = l.dim
+        assert k[0, 5] != 0.0 and m[0, 5] == 0.0  # (0, 0) <- (5, 0), column-stacked
+        coarse = gksl._coarse_labels(l)
+        groups, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
+        assert len(set(coarse.tolist())) < sum(len(idx) for _, idx in groups)
+        r = gksl._real_form(m)
+        found = sorted(row for _, idx in groups for row in idx.tolist())
+        assert found == sorted(row for idx in qlinalg._components_by_size(r) for row in idx.tolist())
+        for (_, idx), form in zip(groups, forms):
+            assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
+            # each component lies within one coarse block
+            assert (coarse[idx] == coarse[idx[:, :1]]).all()
+        monkeypatch.setattr(gksl, "_march", no_step)
+        rho0 = random_density(rng(6100), d)
+        states = gksl.trajectory(l, rho0, TestDenseRoute.TIMES)
+        for i in (3, 19, 20):
+            assert np.abs(states[i] - dense_series(l, rho0, TestDenseRoute.TIMES[i])).max() <= 1e-12
 
 
 class TestMarchCap:
@@ -1148,7 +1339,7 @@ class TestDecompose:
     )
     def test_reducible_generator_matches_dense_complex_eig(self, make, route):
         l = make(rng(2700))
-        r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
         components = qlinalg._components_by_size(r)
         assert sum(len(c) for c in components) > 1
         dec = gksl.decompose(l)
@@ -1286,7 +1477,7 @@ def assembled_decomposition(l, tol):
     """Reference for decompose: its formulas on the assembled d^2 x d^2
     eigenbasis of eig_general and the whole-matrix map back. Returns
     (route, asymptotic indices, p_inf)."""
-    r = gksl._real_form(gksl.build_superoperator(l).matrix)[0][0]
+    r = gksl._real_form(gksl.build_superoperator(l).matrix)
     evals, right, left = qlinalg.eig_general(r)
     evals = np.asarray(evals, dtype=complex)
     asym = np.abs(evals.real) <= tol
@@ -1342,15 +1533,15 @@ class TestBlockwiseDecompose:
         block = np.diag([mu, -1.0])
         evals = np.array([0.0, -1.0], dtype=complex)
         alone = gksl._nullspace_projector(
-            block, [np.arange(2)[None]], evals, [np.eye(2)[None]], evals.real == 0.0, gate
+            [block[None]], [np.arange(2)[None]], evals, [np.eye(2)[None]], evals.real == 0.0, gate
         )
         assert np.abs(alone[0][0] - np.diag([1.0, 0.0])).max() <= 2.0 * mu
-        m = np.kron(np.eye(2), block)
+        blocks = [np.stack([block] * 2)]
         evals = np.tile(evals, 2)
         components = [np.array([[0, 1], [2, 3]])]
         right = [np.stack([np.eye(2)] * 2)]
         with pytest.raises(NonDiagonalizable, match="Jordan chain .* for 2 eigenvectors"):
-            gksl._nullspace_projector(m, components, evals, right, evals.real == 0.0, gate)
+            gksl._nullspace_projector(blocks, components, evals, right, evals.real == 0.0, gate)
 
     def test_non_idempotent_split_projector_rejected(self, monkeypatch):
         # the idempotence gap is summed over the components' blocks
@@ -1431,6 +1622,43 @@ class TestCesaro:
         expect = sum(gksl._geometric_mean(step * np.exp(-1j * w * dt), samples) for w in freqs)
         got = gksl.cesaro_projector(l, horizon, samples, dec).matrix
         assert np.abs(got - gksl._column_stacked(expect)).max() <= 1e-12
+
+    @staticmethod
+    def whole_form_average(dec, horizon, samples):
+        """The Cesaro average stepped on the whole real form, as it was
+        before it ran per component."""
+        r, frequencies = dec.real_generator, dec.asymptotic_frequencies
+        dt = horizon / samples
+        step = qlinalg.matrix_exp(dt * r, method="series")
+        acc = np.zeros_like(r)
+        for w in frequencies[frequencies >= 0.0]:
+            if w == 0.0:
+                acc += gksl._geometric_mean(step, samples)
+            else:
+                acc += 2.0 * gksl._geometric_mean(step * np.exp(-1j * w * dt), samples).real
+        return acc
+
+    def test_split_generator_averages_per_component(self):
+        l = decaying_dfs_lindbladian(rng(6200), (3, 4, 4))
+        dec = gksl.decompose(l)
+        assert len(dec.components) > 1
+        horizon, samples = 60.0, 2**10
+        expect = self.whole_form_average(dec, horizon, samples)
+        got = gksl.cesaro_projector(l, horizon, samples, dec).matrix
+        assert np.abs(got - gksl._column_stacked(expect)).max() <= 1e-12
+        distance = gksl.cesaro_distance(l, horizon, samples, dec)
+        assert distance == pytest.approx(np.linalg.norm(expect - dec.real_projector), rel=1e-7)
+
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_one_component_keeps_its_bits(self, d):
+        l = random_lindbladian(rng(6300 + d), d)
+        dec = gksl.decompose(l)
+        assert [idx.shape for idx in dec.components] == [(1, d * d)]
+        expect = self.whole_form_average(dec, 40.0, 2**8)
+        got = gksl.cesaro_projector(l, 40.0, 2**8, dec).matrix
+        assert np.array_equal(got, gksl._column_stacked(expect))
+        distance = np.linalg.norm(expect - dec.real_projector)
+        assert gksl.cesaro_distance(l, 40.0, 2**8, dec) == distance
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_geometric_mean_is_bit_identical_without_the_top_power(self, dtype):

@@ -349,6 +349,10 @@ class TestMatrixExp:
             for m, out in zip(a, stacked):
                 single = qlinalg.matrix_exp(m)
                 assert np.abs(out - single).max() <= 1e-14 * max(1.0, np.abs(single).max())
+            # a stack of one is its matrix's exponential, bit for bit
+            for m in a:
+                out = qlinalg.matrix_exp(m[None])
+                assert out.shape == (1, n, n) and np.array_equal(out[0], qlinalg.matrix_exp(m))
 
     def test_stack_gates(self):
         for shape in ((2, 3, 4), (2, 2, 3, 3), (3,)):
