@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ContractError, NumericHealthError
 
+__all__ = ["AdiabaticParams", "e_diss", "optimal_ttr", "min_e_diss", "efficiency_bound", "sweep"]
+
 REGIME_RATIO = 10.0
 
 
@@ -51,20 +53,6 @@ class AdiabaticParams:
         return self.tau_e / self.c_lk
 
 
-def _check_ttr(p: AdiabaticParams, t_tr: float) -> float:
-    t = float(t_tr)
-    if not np.isfinite(t) or t <= 0.0:
-        raise ContractError(f"transition time must be positive, got {t_tr!r}")
-    if not p.tau_r < t < p.tau_e:
-        warnings.warn(
-            f"transition time {t!r} outside the model window "
-            f"({p.tau_r!r}, {p.tau_e!r}); the formulas are extrapolating",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return t
-
-
 def _switching(p: AdiabaticParams, t):
     """e_sig * tau_r'/t, for one time or an array of them: the one switching formula."""
     return p.e_sig * p.tau_r_adj / t
@@ -75,19 +63,18 @@ def _leakage(p: AdiabaticParams, t):
     return p.e_sig * t / p.tau_e_adj
 
 
-def switching_loss(p: AdiabaticParams, t_tr: float) -> float:
-    """Energy lost to non-adiabatic switching, e_sig * tau_r'/t_tr."""
-    return _switching(p, _check_ttr(p, t_tr))
-
-
-def leakage_loss(p: AdiabaticParams, t_tr: float) -> float:
-    """Energy lost to equilibration leakage, e_sig * t_tr/tau_e'."""
-    return _leakage(p, _check_ttr(p, t_tr))
-
-
 def e_diss(p: AdiabaticParams, t_tr: float) -> float:
     """Total dissipation per transition: switching plus leakage."""
-    t = _check_ttr(p, t_tr)
+    t = float(t_tr)
+    if not np.isfinite(t) or t <= 0.0:
+        raise ContractError(f"transition time must be positive, got {t_tr!r}")
+    if not p.tau_r < t < p.tau_e:
+        warnings.warn(
+            f"transition time {t!r} outside the model window "
+            f"({p.tau_r!r}, {p.tau_e!r}); the formulas are extrapolating",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return _switching(p, t) + _leakage(p, t)
 
 

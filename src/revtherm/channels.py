@@ -19,6 +19,13 @@ import numpy as np
 from . import qlinalg, qstate
 from .errors import ContractError
 
+__all__ = [
+    "DilationSpec", "apply_dilation", "KrausSet", "extract_system_kraus", "extract_env_kraus",
+    "apply_kraus", "non_unitality", "conditional_landauer_bound", "ResetScenario",
+    "swap_unitary", "basis_transposition", "unconditional_landauer_bound", "simulate_reset",
+    "heat_mgf", "jensen_heat_bound", "heat_decomposition", "partovi_check", "BOUND_TOL",
+]
+
 COMPLETENESS_TOL = 1e-9
 EIG_DROP = 1e-14
 OP_DROP = 1e-14

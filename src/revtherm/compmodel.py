@@ -18,6 +18,11 @@ import numpy as np
 from . import qlinalg, qstate
 from .errors import ContractError
 
+__all__ = [
+    "BasisPartition", "offblock_norm", "pinch", "validate_block_diagonal", "QuantumContext",
+    "block_masses", "computational_distribution", "entropy_decompose", "restrict_context",
+]
+
 BLOCK_DIAG_RTOL = 1e-10
 
 # Block probabilities below this are treated as unoccupied.

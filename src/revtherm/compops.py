@@ -18,6 +18,13 @@ import numpy as np
 from . import compmodel, qstate
 from .errors import ContractError, ShapeError
 
+__all__ = [
+    "StochasticOp", "deterministic_op", "ContextualizedComputation", "is_deterministic",
+    "is_reversible", "is_entropy_ejecting", "computational_entropy_delta",
+    "check_traditional_theorem", "check_generalized_theorem", "landauer_cost_oblivious_erasure",
+    "total_variation", "implements", "ROW_SUM_TOL", "SUPPORT_TOL", "DELTA_H_TOL",
+]
+
 ROW_SUM_TOL = 1e-12
 POINT_MASS_TOL = 1e-12
 
@@ -35,6 +42,8 @@ class StochasticOp:
     rows: dict[int, np.ndarray]
 
     def __post_init__(self):
+        if self.n_states < 0:
+            raise ContractError(f"n_states must be nonnegative, got {self.n_states}")
         clean: dict[int, np.ndarray] = {}
         for i, row in self.rows.items():
             i = int(i)
@@ -69,10 +78,6 @@ def deterministic_op(n_states: int, mapping) -> StochasticOp:
         row[int(j)] = 1.0
         rows[int(i)] = row
     return StochasticOp(n_states, rows)
-
-
-def identity_op(n_states: int) -> StochasticOp:
-    return deterministic_op(n_states, range(n_states))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,13 @@ import numpy as np
 from . import compmodel, qlinalg, qstate
 from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
+__all__ = [
+    "Lindbladian", "SuperoperatorMatrix", "build_superoperator", "trajectory", "propagate",
+    "AsymptoticDecomposition", "decompose", "cesaro_projector", "cesaro_distance",
+    "asymptotic_evolution", "four_corners", "dfs_commutes", "split_comp_noncomp",
+    "dephasing_check", "TRAJECTORY_TRACE_TOL", "DEPHASED_FRACTION",
+]
+
 TRACE_FUNCTIONAL_RTOL = 1e-9
 ASYMPTOTIC_RTOL = 1e-8
 PINF_IDEMPOTENT_TOL = 1e-8
@@ -105,7 +112,7 @@ TIME_ULPS = 4
 # took 1.1-1.2x the time of two exponentials.
 SECTOR_CHUNK = 2**16
 
-_KINDS = ("generator", "adjoint_generator", "trace_preserving", "approximation")
+_KINDS = ("generator", "trace_preserving", "approximation")
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,6 @@ class SuperoperatorMatrix:
     """d^2 x d^2 matrix on vectorized operators, tagged by its trace contract.
 
     kind "generator": the trace functional annihilates it from the left.
-    kind "adjoint_generator": it annihilates the vectorized identity.
     kind "trace_preserving": it fixes the trace functional (propagators,
     exact projectors). kind "approximation": no check (finite-horizon
     averages carry O(1/T) trace error by construction).
@@ -163,8 +169,6 @@ class SuperoperatorMatrix:
         trace_functional = qlinalg.vectorize(np.eye(d)).conj()
         if self.kind == "generator":
             residual = np.linalg.norm(trace_functional @ m)
-        elif self.kind == "adjoint_generator":
-            residual = np.linalg.norm(m @ qlinalg.vectorize(np.eye(d)))
         elif self.kind == "trace_preserving":
             residual = np.linalg.norm(trace_functional @ m - trace_functional)
         else:
@@ -206,23 +210,6 @@ def build_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
         np.concatenate((k[None], eye, kf)), np.concatenate((eye, _dagger(k)[None], _dagger(f)))
     )
     return SuperoperatorMatrix(m, kind="generator")
-
-
-def build_adjoint_superoperator(l: Lindbladian) -> SuperoperatorMatrix:
-    """Heisenberg-picture generator, adjoint in the Hilbert-Schmidt pairing:
-    L+ A = K+ A + A K + sum_k kappa_k F_k+ A F_k, one stacked
-    vec_product_map over its n + 2 terms.
-
-    Built from its own formula rather than by conjugate-transposing
-    build_superoperator, so the duality <<A|L rho>> = <<L+A|rho>> is an
-    actual cross-check between two constructions.
-    """
-    k, f, kf = _generator_terms(l)
-    eye = np.eye(l.dim)[None]
-    m = qlinalg.vec_product_map(
-        np.concatenate((_dagger(k)[None], eye, _dagger(kf))), np.concatenate((eye, k[None], f))
-    )
-    return SuperoperatorMatrix(m, kind="adjoint_generator")
 
 
 @functools.lru_cache(maxsize=8)
@@ -584,21 +571,21 @@ def _coarse_labels(l: Lindbladian) -> np.ndarray | None:
 
 
 def _components(l: Lindbladian, min_order: int, coarse: np.ndarray | None) -> tuple:
-    """(groups, forms): the components of the real form R, the one block
-    structure of every dense path, as groups (p, idx) of k components of
-    order s holding p populations each (qlinalg._group: rows ascending,
-    populations first), and R's (k, s, s) stack of blocks for each group.
-    With coarse (l's _coarse_labels) None, R is formed whole and split by
-    its pattern from min_order in d^2 on; otherwise only the coarse blocks'
+    """(components, forms): the components of the real form R, the one
+    block structure of every dense path, as one (k, s) array of positions
+    per order s of its k components (qlinalg._group: rows ascending, so
+    populations first), and R's (k, s, s) stack of blocks for each. With
+    coarse (l's _coarse_labels) None, R is formed whole and split by its
+    pattern from min_order in d^2 on; otherwise only the coarse blocks'
     entries are (_real_form), each block split by its own pattern.
     """
-    d, n = l.dim, l.dim**2
+    n = l.dim**2
     m = build_superoperator(l).matrix
     if coarse is None:
         r = _real_form(m)
         labels = qlinalg._component_labels(r) if n >= min_order else np.zeros(n, dtype=int)
         if not labels.any():
-            return [(d, np.arange(n)[None])], [r[None]]
+            return [np.arange(n)[None]], [r[None]]
         flat, base, loc = r.ravel(), np.arange(n) * n, np.arange(n)
     else:
         # the blocks' entries row by row, rows and columns ascending
@@ -612,16 +599,16 @@ def _components(l: Lindbladian, min_order: int, coarse: np.ndarray | None) -> tu
         flat = _real_form(m, (rows, cols, base, loc))
         linked = flat != 0
         labels = qlinalg._edge_labels(n, rows[linked], cols[linked])
-    pops = np.bincount(labels[:d], minlength=n)[labels]
-    groups = [(int((idx[0] < d).sum()), idx) for idx in qlinalg._group(labels, pops)]
-    return groups, [flat[base[idx][:, :, None] + loc[idx][:, None, :]] for _, idx in groups]
+    components = qlinalg._group(labels)
+    return components, [flat[base[idx][:, :, None] + loc[idx][:, None, :]] for idx in components]
 
 
-def _dense(rho: np.ndarray, plan: tuple, groups: list, forms: list) -> np.ndarray:
+def _dense(rho: np.ndarray, plan: tuple, components: list, blocks: list) -> np.ndarray:
     """exp(t L) rho along the steps of _propagator_steps, on rho's real
     coordinates, by the components of the real form R (_components).
 
-    Each group of components takes one stacked matrix_exp (np.exp for order
+    The components of one order are grouped further by their count p of
+    populations. Each group takes one stacked matrix_exp (np.exp for order
     1) for the steps of a chunk (SECTOR_CHUNK), and per state one stacked
     matvec. tau R = 0 for the trace functional tau, so a component keeps
     the partial trace of its p populations: they are reflected
@@ -633,16 +620,22 @@ def _dense(rho: np.ndarray, plan: tuple, groups: list, forms: list) -> np.ndarra
     """
     d = rho.shape[0]
     x = _coordinates(rho)
-    previous = []
-    for (p, idx), r in zip(groups, forms):
-        xs = x[idx][..., None]
-        if p:
-            h = _trace_reflection(p)
-            r[:, :p] = h @ r[:, :p]
-            r[:, :, :p] = r[:, :, :p] @ h
-            r[:, 0] = 0.0
-            xs[:, :p] = h @ xs[:, :p]
-        previous.append(xs)
+    groups, forms, previous = [], [], []
+    for block_idx, block in zip(components, blocks):
+        pops = (block_idx < d).sum(axis=1)
+        for p in np.unique(pops).tolist():
+            rows = pops == p
+            idx, r = block_idx[rows], block if rows.all() else block[rows]
+            xs = x[idx][..., None]
+            if p:
+                h = _trace_reflection(p)
+                r[:, :p] = h @ r[:, :p]
+                r[:, :, :p] = r[:, :, :p] @ h
+                r[:, 0] = 0.0
+                xs[:, :p] = h @ xs[:, :p]
+            groups.append((p, idx))
+            forms.append(r)
+            previous.append(xs)
     steps, which = plan
     # the propagators of up to `count` steps at once, as one stack per group
     size = sum(r.size for r in forms)
@@ -770,10 +763,10 @@ class AsymptoticDecomposition:
     (k, s, s) stack of blocks for each. asymptotic_indices are the
     eigenvalues with |Re| <= tol. real_projector is the exact spectral
     projector onto the asymptotic sector in that basis, and route says how
-    it was built: "eigenbasis" or "nullspace" (see decompose). R itself
-    (real_generator) and p_inf, the projector on column-stacked operators,
-    are assembled on first access. p_a is the support projector of the
-    projected maximally mixed state, q = 1 - p_a its complement.
+    it was built: "eigenbasis" or "nullspace" (see decompose). p_inf, the
+    projector on column-stacked operators, is mapped back on first access.
+    p_a is the support projector of the projected maximally mixed state,
+    q = 1 - p_a its complement.
     """
 
     eigenvalues: np.ndarray
@@ -789,11 +782,6 @@ class AsymptoticDecomposition:
     @property
     def dim(self) -> int:
         return self.p_a.shape[0]
-
-    @functools.cached_property
-    def real_generator(self) -> np.ndarray:
-        """R assembled from its blocks, zero between them."""
-        return qlinalg._assemble(self.components, self.real_blocks, self.dim**2)
 
     @functools.cached_property
     def p_inf(self) -> SuperoperatorMatrix:
@@ -850,8 +838,8 @@ def _support_projectors(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _geometric_mean(e: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_{k<n} E^k for n >= 1 by divide and conquer; O(log n)
-    products. e is one matrix or a stack (k, s, s), each averaged alone."""
+    """(1/n) sum_{k<n} E^k for n >= 1 and each matrix E of the stack e
+    (k, s, s), by divide and conquer; O(log n) products."""
 
     def rec(m: int, power: bool):
         # (sum_{k<m} E^k, E^m); E^m is formed only when power is asked for
@@ -905,7 +893,7 @@ def cesaro_projector(
     For each asymptotic frequency w, averages exp(t(L - i w)) over the
     horizon at the given sampling resolution; the per-frequency means are
     summed. dec must be a decomposition of l, decompose(l, tol); without
-    one, decompose(l) is taken here. Its real generator and asymptotic
+    one, decompose(l) is taken here. Its real form's blocks and asymptotic
     frequencies are used, so a caller that has dec computes neither the
     generator nor its spectrum again. The average runs on the real form's
     components, one stacked step and mean per group, so the step and the
@@ -946,7 +934,7 @@ def _frobenius(stacks: list) -> float:
 def _by_component(components: list, members: np.ndarray):
     """members, positions of the real form in a given order, split by the
     component that holds each: (g, rows, cols) per size group g of
-    components (_components_by_size) and per member count c, with rows the
+    components (_components) and per member count c, with rows the
     components of group g that hold c members, ascending, and cols
     (len(rows), c) the positions of their members within them, in the
     given order."""
@@ -1088,8 +1076,7 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
-    groups, blocks = _components(l, qlinalg.SPLIT_MIN_ORDER, _coarse_labels(l))
-    components = [idx for _, idx in groups]
+    components, blocks = _components(l, qlinalg.SPLIT_MIN_ORDER, _coarse_labels(l))
     n = l.dim**2
     evals, right, inverses = qlinalg._eig_blocks(blocks)
     evals = np.asarray(qlinalg._assemble(components, evals, n), dtype=complex)

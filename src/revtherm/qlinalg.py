@@ -23,7 +23,12 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericHealthError, ShapeError
+
+__all__ = [
+    "as_complex_matrix", "as_square", "hs_norm", "is_hermitian", "require_hermitian", "tensor",
+    "partial_trace", "eig_hermitian", "eig_general", "matrix_exp", "vectorize", "vec_product_map",
+]
 
 # Relative gate used by every module that checks hermiticity.
 HERMITICITY_RTOL = 1e-10
@@ -86,11 +91,6 @@ def as_square(
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(sum |a_ij|^2)."""
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[a† b]."""
-    return complex(np.sum(np.conj(a) * b))
 
 
 def is_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -165,16 +165,14 @@ def _component_labels(m: np.ndarray) -> np.ndarray:
     return _edge_labels(len(m), *np.nonzero(linked))
 
 
-def _group(labels: np.ndarray, kind: np.ndarray | None = None) -> list[np.ndarray]:
+def _group(labels: np.ndarray) -> list[np.ndarray]:
     """The components of labels (_component_labels), one (k, s) index array
-    per component size s, and within a size per kind (a nonnegative integer
-    per index, equal within a component), both ascending: its rows are the
-    components, by label, each listing its indices in ascending order."""
+    per component size s, ascending: its rows are the components, by label,
+    each listing its indices in ascending order."""
     n = labels.size
     size = np.bincount(labels, minlength=n)[labels]
-    key = size if kind is None else size * (int(kind.max()) + 1) + kind
-    order = np.argsort(key * n + labels, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    order = np.argsort(size * n + labels, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
     return [run.reshape(-1, size[run[0]]) for run in runs]
 
 
@@ -277,11 +275,12 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return evals, right, _assemble(components, inverses, n).conj().T
 
 
-def _expm_plan(norm: float) -> tuple[int, int, int]:
-    """(s, k, q) for matrix_exp of a matrix of 1-norm norm: the squarings,
-    the Taylor degree and the Paterson-Stockmeyer block length."""
-    squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
-    nu = math.ldexp(norm, -squarings)
+def _expm_plan(norms) -> tuple[np.ndarray, int, int]:
+    """(s, k, q) for matrix_exp of a stack whose matrices have the 1-norms
+    norms: each matrix's squarings, the Taylor degree of the largest scaled
+    norm nu and the Paterson-Stockmeyer block length."""
+    squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
+    nu = float(np.ldexp(norms, -squarings).max(initial=0.0))
     degree, bound = 0, 1.0
     while bound > 1e-18:
         degree += 1
@@ -290,22 +289,20 @@ def _expm_plan(norm: float) -> tuple[int, int, int]:
     return squarings, degree, q
 
 
-def _taylor(m: np.ndarray, squarings, degree: int, q: int) -> np.ndarray:
-    """T_degree(A), A = m / 2^squarings, by Horner in A^q over blocks of q;
-    for a stack m (k, n, n), of each matrix, with its own squarings[i].
+def _taylor(m: np.ndarray, squarings: np.ndarray, degree: int, q: int, halves: bool) -> np.ndarray:
+    """T_degree(A) for each matrix of a stack m (k, n, n), A = m[i] /
+    2^squarings[i], by Horner in A^q over blocks of q.
 
-    Row r of sum_i B_i (A^q)^i needs only row r of each B_i, so each half
-    of the rows of a single matrix takes its own Horner sweep in place,
-    with one half-size buffer beside A^2 ... A^q; a stack, of small
-    matrices in practice, takes one sweep. A^1 is read from m with
-    2^-squarings folded into its coefficients, so A itself is dropped once
-    the powers are formed; scaling by a power of two is exact while the
-    folded coefficient stays a normal number, ||m||_1 <= 2^960.
+    Row r of sum_i B_i (A^q)^i needs only row r of each B_i, so with halves
+    each half of the rows takes its own Horner sweep in place, with one
+    half-size buffer beside A^2 ... A^q; otherwise one sweep takes a
+    full-size buffer. A^1 is read from m with 2^-squarings folded into its
+    coefficients, so A itself is dropped once the powers are formed;
+    scaling by a power of two is exact while the folded coefficient stays a
+    normal number, ||m||_1 <= 2^960.
     """
-    if m.ndim == 2:
-        scale = math.ldexp(1.0, -squarings)
-    else:
-        scale = np.ldexp(1.0, -squarings)[:, None, None]
+    # in the dtype of m, so that no operand is cast through a buffer
+    scale = np.ldexp(1.0, -squarings).astype(m.dtype)[:, None, None]
     a = m * scale if np.any(squarings) else m
     powers, top = [m], a
     for _ in range(q - 1):
@@ -313,15 +310,14 @@ def _taylor(m: np.ndarray, squarings, degree: int, q: int) -> np.ndarray:
         powers.append(top)
     del a
     n = m.shape[-1]
-    bounds = (0, -(-n // 2), n) if m.ndim == 2 else (0, n)
-    total, work = np.zeros(m.shape, m.dtype), np.empty(m.shape[:-2] + (bounds[1], n), m.dtype)
+    bounds = (0, -(-n // 2), n) if halves else (0, n)
+    total, work = np.zeros(m.shape, m.dtype), np.empty((len(m), bounds[1], n), m.dtype)
     # the diagonal entries (r, r) of every matrix, as a view
-    diagonal = total.reshape(m.shape[:-2] + (-1,))[..., :: n + 1]
+    diagonal = total.reshape(len(m), n * n)[:, :: n + 1]
     blocks = -(-(degree + 1) // q)
     for start, stop in zip(bounds, bounds[1:]):
-        part = (..., slice(start, stop), slice(None))
-        rows, buf, diag = total[part], work[..., : stop - start, :], diagonal[..., start:stop]
-        low = [power[part] for power in powers]
+        rows, buf, diag = total[:, start:stop], work[:, : stop - start], diagonal[:, start:stop]
+        low = [power[:, start:stop] for power in powers]
         for i in range(blocks - 1, -1, -1):
             if i < blocks - 1:
                 np.matmul(rows, top, out=buf)
@@ -339,10 +335,11 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
 
     Needs no eigenvectors, so it serves defective inputs alike and stays an
     independent cross-check of every spectral route. "series" is the only
-    method. A real input is exponentiated in float64. m is one matrix or a
-    stack (k, n, n) of them; a stack is exponentiated in one pass, each
-    matrix with its own scaling, and each result agrees with that of the
-    matrix alone to rounding, and bit for bit in a stack of one.
+    method. A real input is exponentiated in float64. m is one n x n
+    matrix or a stack (k, n, n) of them, and either is exponentiated as a
+    stack, in one pass, each matrix with its own scaling; one matrix is
+    a stack of one whose rows are swept in halves (_taylor). Each result
+    agrees with that of the matrix alone to rounding.
 
     * Scaling: A = m / 2^s with s = ceil(log2 ||m||_1) when ||m||_1 > 1,
       else s = 0, so nu = ||A||_1 <= 1; the result is T_k(A)^(2^s).
@@ -362,25 +359,26 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
       11 products at ||m||_1 = 7.88 (k = 20, q = 3, s = 3), 19 at 1430 and
       6 at 0.15, where one product per term takes k + s = 23, 29 and 12.
       q = 4 would save one product at k = 15, 18 and 19 but hold a fifth
-      n x n array. With q <= 3 the work holds A^2, A^3 and one and a half
-      n x n buffers, fewer than the four arrays of a term-by-term sum.
+      n x n array. With q <= 3 the work holds A^2, A^3, the sum and one
+      buffer per matrix, as many arrays as a term-by-term sum; the half
+      sweep of one matrix halves the buffer, so it holds less.
       A matrix of a stack is squared only as often as its own s asks.
     """
     m = as_square(m, keep_real=True, stack=np.ndim(m) == 3)
     if method != "series":
         raise ContractError(f"unknown method {method!r}")
-    if m.ndim == 2:
-        squarings, degree, q = _expm_plan(np.linalg.norm(m, 1))
-        shared = most = squarings
-    else:
-        # each matrix's s as _expm_plan takes it; the degree grows with nu
-        norms = np.linalg.norm(m, 1, axis=(1, 2))
-        squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
-        _, degree, q = _expm_plan(float(np.ldexp(norms, -squarings).max(initial=0.0)))
-        shared, most = min(squarings.tolist(), default=0), max(squarings.tolist(), default=0)
-    total = _taylor(m, squarings, degree, q)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(stack, 1, axis=(1, 2))
+    if not np.isfinite(norms).all():
+        raise NumericHealthError("matrix 1-norm overflows the float range")
+    squarings, degree, q = _expm_plan(norms)
+    # one matrix, a caller's and possibly large, sweeps its rows in halves;
+    # a stack, of small matrices in practice, takes one sweep
+    total = _taylor(stack, squarings, degree, q, halves=m.ndim == 2)
     # all matrices together while each needs another squaring, then only
     # those that still do
+    shared, most = min(squarings.tolist(), default=0), max(squarings.tolist(), default=0)
     scratch = np.empty_like(total) if shared else None
     for j in range(most):
         if j < shared:
@@ -389,21 +387,12 @@ def matrix_exp(m, method: str = "series") -> np.ndarray:
         else:
             live = squarings > j
             total[live] = total[live] @ total[live]
-    return total
+    return total.reshape(m.shape)
 
 
 def vectorize(a) -> np.ndarray:
     """Column-stack a square matrix: [[a, b], [c, d]] -> (a, c, b, d)."""
     return as_square(a).reshape(-1, order="F")
-
-
-def devectorize(v) -> np.ndarray:
-    """Inverse of vectorize; the length must be a perfect square."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ShapeError(f"length {v.size} is not a perfect square")
-    return v.reshape(d, d, order="F")
 
 
 def vec_product_map(b, c) -> np.ndarray:

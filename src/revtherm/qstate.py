@@ -15,6 +15,13 @@ import numpy as np
 from . import qlinalg
 from .errors import ContractError
 
+__all__ = [
+    "Hamiltonian", "ThermoContext", "check_density_matrix", "require_state",
+    "require_distribution", "require_unitary", "gibbs_state", "log_partition_function",
+    "evolve_unitary", "shannon_entropy", "von_neumann_entropy", "relative_entropy", "alpha_rre",
+    "helmholtz_free_energy", "alpha_free_energy", "quantum_mutual_information",
+]
+
 # Eigenvalues in [-EIG_CLIP, 0) are treated as numerical zeros of a PSD
 # matrix; anything below -EIG_CLIP fails validation.
 EIG_CLIP = 1e-10

@@ -22,6 +22,12 @@ import numpy as np
 from . import qlinalg, qstate
 from .errors import ContractError, ShapeError
 
+__all__ = [
+    "beta_order", "ThermomajorizationCurve", "thermomaj_curve", "thermomaj_feasible",
+    "CtoVerdict", "cto_feasible_general", "second_laws_check", "compute_reset_cycle_verdict",
+    "FEASIBILITY_TOL", "DEFAULT_ALPHA_GRID",
+]
+
 FEASIBILITY_TOL = 1e-9
 COMMUTATOR_RTOL = 1e-10
 
@@ -116,10 +122,6 @@ class ThermomajorizationCurve:
         """
         grid = np.concatenate((self.xs, other.xs))
         return bool(np.all(other.evaluate(grid) <= self.evaluate(grid) + FEASIBILITY_TOL))
-
-    def is_concave(self, tol: float = 1e-12) -> bool:
-        slopes = np.diff(self.ys) / np.maximum(np.diff(self.xs), 1e-300)
-        return bool(np.all(np.diff(slopes) <= tol))
 
 
 def thermomaj_curve(

@@ -1,5 +1,7 @@
 """Shared generators for the test suite. All randomness is seeded."""
 
+import math
+
 import numpy as np
 
 
@@ -27,6 +29,13 @@ def random_density(gen, d: int, rank: int | None = None) -> np.ndarray:
     a = random_complex(gen, (d, k))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def unvec(v) -> np.ndarray:
+    """Inverse of qlinalg.vectorize: the d x d matrix whose columns v stacks."""
+    v = np.asarray(v)
+    d = math.isqrt(v.size)
+    return v.reshape(d, d, order="F")
 
 
 def random_distribution(gen, n: int) -> np.ndarray:

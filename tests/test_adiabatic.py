@@ -14,6 +14,11 @@ def params(**kw):
     return adiabatic.AdiabaticParams(**base)
 
 
+def losses(p, t):
+    """(switching, leakage) at t: the loss columns of sweep's one-point grid."""
+    return tuple(adiabatic.sweep(p, t, 2.0 * t, 1)[0, 1:3])
+
+
 class TestParams:
     def test_positivity(self):
         for field in ("e_sig", "tau_r", "tau_e", "c_sw", "c_lk"):
@@ -38,23 +43,18 @@ class TestParams:
 class TestLosses:
     def test_frozen_values(self):
         p = params()
-        assert adiabatic.switching_loss(p, 1.0) == pytest.approx(0.01)
-        assert adiabatic.leakage_loss(p, 1.0) == pytest.approx(1e-4)
+        assert losses(p, 1.0) == pytest.approx((0.01, 1e-4))
         assert adiabatic.e_diss(p, 1.0) == pytest.approx(0.0101)
 
     def test_scaling_in_t(self):
         p = params()
-        assert adiabatic.switching_loss(p, 2.0) == pytest.approx(
-            adiabatic.switching_loss(p, 1.0) / 2.0
-        )
-        assert adiabatic.leakage_loss(p, 2.0) == pytest.approx(
-            2.0 * adiabatic.leakage_loss(p, 1.0)
-        )
+        (sw1, lk1), (sw2, lk2) = losses(p, 1.0), losses(p, 2.0)
+        assert sw2 == pytest.approx(sw1 / 2.0)
+        assert lk2 == pytest.approx(2.0 * lk1)
 
     def test_device_constants_enter_through_adjusted_times(self):
         p = params(c_sw=4.0, c_lk=5.0)
-        assert adiabatic.switching_loss(p, 1.0) == pytest.approx(0.04)
-        assert adiabatic.leakage_loss(p, 1.0) == pytest.approx(5e-4)
+        assert losses(p, 1.0) == pytest.approx((0.04, 5e-4))
 
     def test_window_warning(self):
         p = params()
@@ -87,9 +87,8 @@ class TestOptimum:
     def test_optimum_balances_the_losses(self):
         p = params(e_sig=2.5, tau_r=0.3, tau_e=700.0, c_sw=1.2, c_lk=0.8)
         t = adiabatic.optimal_ttr(p)
-        assert adiabatic.switching_loss(p, t) == pytest.approx(
-            adiabatic.leakage_loss(p, t)
-        )
+        switching, leakage = losses(p, t)
+        assert switching == pytest.approx(leakage)
         assert adiabatic.e_diss(p, t) == pytest.approx(adiabatic.min_e_diss(p))
 
     def test_optimum_is_a_minimum(self):
@@ -144,8 +143,8 @@ class TestSweep:
         p = params(e_sig=3.0, c_sw=2.0)
         table = adiabatic.sweep(p, 0.1, 10.0, 7)
         for t, sw, lk, tot in table:
-            assert sw == pytest.approx(adiabatic.switching_loss(p, t))
-            assert lk == pytest.approx(adiabatic.leakage_loss(p, t))
+            assert sw == pytest.approx(p.e_sig * p.tau_r_adj / t)
+            assert lk == pytest.approx(p.e_sig * t / p.tau_e_adj)
             assert tot == pytest.approx(adiabatic.e_diss(p, t))
 
     def test_sweep_never_warns(self):

@@ -385,6 +385,14 @@ class TestExitCodes:
         assert message in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("extra", [{}, {"input_dist": []}], ids=["bare", "input_dist"])
+    def test_negative_n_states_is_3(self, tmp_path, extra):
+        p = write_scenario(tmp_path, "classify", {"n_states": -1, "rows": {}, **extra})
+        r = run_cli("classify", "--scenario", p)
+        assert r.returncode == 3, r.stderr
+        assert "n_states must be nonnegative" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_numeric_overflow_is_5(self, tmp_path):
         p = write_scenario(
             tmp_path,
@@ -403,6 +411,22 @@ class TestExitCodes:
         assert "numeric health" in r.stderr
         # numpy's overflow warnings are not printed: stderr is the error line
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+    def test_overflowing_cesaro_step_is_5(self, tmp_path):
+        # horizon / samples times the generator has finite entries but a
+        # 1-norm past the float range
+        p = write_scenario(
+            tmp_path,
+            "gksl-asymptotic",
+            {
+                "hamiltonian": diag_matrix(1.0, -1.0),
+                "jumps": [{"operator": diag_matrix(1.0, -1.0), "rate": 0.5}],
+                "cesaro": {"horizon": 8e307, "samples": 1},
+            },
+        )
+        r = run_cli("gksl-asymptotic", "--scenario", p)
+        assert r.returncode == 5
+        assert r.stderr == "error: numeric health: matrix 1-norm overflows the float range\n"
 
     @pytest.mark.parametrize("tau_r, tau_e", [(1e200, 1e300), (1e-200, 1e-190)])
     def test_optimum_out_of_float_range_is_5(self, tmp_path, tau_r, tau_e):

@@ -30,11 +30,18 @@ class TestStochasticOp:
         with pytest.raises(ContractError):
             compops.StochasticOp(2, {0: row, 1: [1.0, 0.0]})
 
+    def test_negative_state_count_rejected(self):
+        with pytest.raises(ContractError, match="n_states must be nonnegative"):
+            compops.StochasticOp(-1, {})
+        # no states at all is a valid, empty operation
+        empty = compops.StochasticOp(0, {})
+        assert empty.domain == () and compops.is_reversible(empty)
+
     def test_deterministic_builder(self):
         op = compops.deterministic_op(3, [1, 2, 0])
         assert np.array_equal(op.rows[0], [0, 1, 0])
         assert compops.is_deterministic(op)
-        ident = compops.identity_op(4)
+        ident = compops.deterministic_op(4, range(4))
         assert all(np.argmax(ident.rows[i]) == i for i in range(4))
 
 
@@ -175,7 +182,7 @@ class TestImplements:
 
     def test_within_block_action_is_identity(self):
         u = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert compops.implements(u, self.PART, self.PART, compops.identity_op(2), self.ctx())
+        assert compops.implements(u, self.PART, self.PART, compops.deterministic_op(2, range(2)), self.ctx())
 
     def test_coherent_split_fails_deterministic(self):
         u = np.kron(HADAMARD, np.eye(2))

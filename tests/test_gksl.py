@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from revtherm import compmodel, gksl, qlinalg, qstate
+from revtherm import compmodel, gksl, qlinalg, qstate, resource
 from revtherm.errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 from helpers import (
@@ -16,6 +16,7 @@ from helpers import (
     random_hermitian,
     rng,
     thermal_ladder,
+    unvec,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,12 +46,17 @@ def exceptional_point(kappa, d):
 def dense_series(l, rho0, t):
     """Independent route: series expm of the d^2 x d^2 generator."""
     propagator = qlinalg.matrix_exp(t * gksl.build_superoperator(l).matrix, method="series")
-    return qlinalg.devectorize(propagator @ qlinalg.vectorize(rho0))
+    return unvec(propagator @ qlinalg.vectorize(rho0))
 
 
 def hermitian_basis(d):
     """The unitary B whose columns are the vectorized Hermitian basis operators."""
     return gksl._from_hermitian_basis(np.eye(d * d), 0)
+
+
+def whole_form(dec):
+    """The real form R that dec holds by its components, zero between them."""
+    return qlinalg._assemble(dec.components, dec.real_blocks, dec.dim**2)
 
 
 def random_lindbladian(gen, d, n_jumps=2):
@@ -126,20 +132,18 @@ def dense_eig_projector(l, tol):
         p += r @ np.linalg.solve(y.conj().T @ r, y.conj().T)
     return len(asym), p
 
-def kron_superoperators(l):
-    """Reference: the generator and its adjoint summed term by term from
-    single Kronecker products, C^T kron B for each sandwich B A C."""
+def kron_superoperator(l):
+    """Reference: the generator summed term by term from single Kronecker
+    products, C^T kron B for each sandwich B A C."""
     d = l.dim
     eye = np.eye(d)
     h = l.hamiltonian.matrix
-    commutator = np.kron(eye, h) - np.kron(h.T, eye)
-    m, a = -1j * commutator, 1j * commutator
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for f, kappa in l.jumps:
         ff = f.conj().T @ f
         anticommutator = np.kron(eye, ff) + np.kron(ff.T, eye)
         m = m + kappa * np.kron(f.conj(), f) - kappa / 2.0 * anticommutator
-        a = a + kappa * np.kron(f.T, f.conj().T) - kappa / 2.0 * anticommutator
-    return m, a
+    return m
 
 
 def decaying_dfs_lindbladian(gen, sizes):
@@ -198,29 +202,14 @@ class TestSuperoperatorMatrix:
         m = gksl.build_superoperator(damping()).matrix
         gksl.SuperoperatorMatrix(qlinalg.matrix_exp(2.0 * m), kind="trace_preserving")
 
-    def test_adjoint_duality(self):
-        # <<A | L rho>> == <<L+ A | rho>>, with both sides built independently
-        gen = rng(72)
-        for _ in range(5):
-            l = random_lindbladian(gen, 2)
-            lm = gksl.build_superoperator(l).matrix
-            am = gksl.build_adjoint_superoperator(l).matrix
-            a = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-            rho = random_density(gen, 2)
-            lhs = qlinalg.hs_inner(a, qlinalg.devectorize(lm @ qlinalg.vectorize(rho)))
-            rhs = qlinalg.hs_inner(qlinalg.devectorize(am @ qlinalg.vectorize(a)), rho)
-            assert abs(lhs - rhs) < 1e-10
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n_jumps", [0, 1, 2, 3])
     def test_builds_match_the_kronecker_formula(self, d, n_jumps):
         gen = rng(74 + 10 * d + n_jumps)
         for l in (random_lindbladian(gen, d, n_jumps), traceful_lindbladian(gen, d, n_jumps)):
-            for built, ref in zip(
-                (gksl.build_superoperator(l), gksl.build_adjoint_superoperator(l)),
-                kron_superoperators(l),
-            ):
-                assert np.abs(built.matrix - ref).max() <= 1e-14 * np.linalg.norm(ref)
+            ref = kron_superoperator(l)
+            built = gksl.build_superoperator(l).matrix
+            assert np.abs(built - ref).max() <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("d", [8, 16])
     def test_block_split_matches_the_kronecker_build(self, d):
@@ -236,16 +225,10 @@ class TestSuperoperatorMatrix:
         for l in generators:
             splits = [
                 [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m))]
-                for m in (gksl.build_superoperator(l).matrix, kron_superoperators(l)[0])
+                for m in (gksl.build_superoperator(l).matrix, kron_superoperator(l))
             ]
             assert splits[0] == splits[1]
             assert len(splits[0]) > 1
-
-    def test_adjoint_fixes_identity(self):
-        am = gksl.build_adjoint_superoperator(random_lindbladian(rng(73), 2)).matrix
-        assert np.linalg.norm(am @ qlinalg.vectorize(np.eye(2))) < 1e-9 * max(
-            1.0, qlinalg.hs_norm(am)
-        )
 
 
 class TestRealForm:
@@ -256,7 +239,7 @@ class TestRealForm:
         eye = np.eye(d * d)
         assert np.array_equal(gksl._from_hermitian_basis(eye, 1), b.conj().T)
         for k in range(d * d):
-            op = qlinalg.devectorize(b[:, k])
+            op = unvec(b[:, k])
             assert np.array_equal(op, op.conj().T)
             # the gather and _pair_parts of _coordinates undo B
             assert np.abs(gksl._coordinates(op) - eye[k]).max() <= 1e-15
@@ -370,8 +353,7 @@ class TestRealForm:
         asym = np.abs(evals.real) <= gate
         assert (evals.imag[asym] > gate).any()
         eigenbasis = (right[:, asym] @ left[:, asym].conj().T).real
-        groups, blocks = gksl._components(l, qlinalg.SPLIT_MIN_ORDER, gksl._coarse_labels(l))
-        components = [idx for _, idx in groups]
+        components, blocks = gksl._components(l, qlinalg.SPLIT_MIN_ORDER, gksl._coarse_labels(l))
         _, vectors, _ = qlinalg._eig_blocks(blocks)
         evals = np.asarray(evals, dtype=complex)
         stacks = gksl._nullspace_projector(blocks, components, evals, vectors, asym, gate)
@@ -382,10 +364,11 @@ class TestRealForm:
     def test_real_generator_is_kept(self):
         l = random_lindbladian(rng(2500), 3)
         dec = gksl.decompose(l)
-        assert dec.real_generator.dtype == np.float64
+        r = whole_form(dec)
+        assert r.dtype == np.float64
         b = hermitian_basis(3)
         m = gksl.build_superoperator(l).matrix
-        assert np.abs(b @ dec.real_generator @ b.conj().T - m).max() <= 1e-13 * np.linalg.norm(m)
+        assert np.abs(b @ r @ b.conj().T - m).max() <= 1e-13 * np.linalg.norm(m)
 
 
 class TestPropagate:
@@ -818,13 +801,15 @@ class TestDenseRoute:
         assert np.array_equal(coarse[d : d + q], coarse[d + q :])
         assert not r[coarse[:, None] != coarse[None, :]].any()
         # the blocks split into R's own components, each block R's, bit for bit
-        groups, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
-        found = sorted(row for _, idx in groups for row in idx.tolist())
+        components, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
+        found = sorted(row for idx in components for row in idx.tolist())
         assert found == sorted(row for idx in qlinalg._components_by_size(r) for row in idx.tolist())
-        for (p, idx), form in zip(groups, forms):
+        for idx, form in zip(components, forms):
             assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
             # the populations come first
-            assert (idx[:, :p] < d).all() and (idx[:, p:] >= d).all()
+            for row in idx:
+                p = int((row < d).sum())
+                assert (row[:p] < d).all() and (row[p:] >= d).all()
 
     @pytest.mark.parametrize(
         "change, error, match",
@@ -852,10 +837,10 @@ class TestDenseRoute:
         def prices(l):
             # the route's price, on the coarse blocks, and the components' own
             labels = gksl._coarse_labels(l)
-            groups = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, labels)[0]
+            components = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, labels)[0]
             coarse = [np.arange(l.dim**2)[None]] if labels is None else qlinalg._group(labels)
             return [sum(len(idx) * idx.shape[1] ** 3 for idx in blocks)
-                    for blocks in (coarse, [idx for _, idx in groups])]
+                    for blocks in (coarse, components)]
 
         gen = rng(4670)
         # one block, or below the split order: d^6
@@ -1021,11 +1006,11 @@ def ladder(d, **kwargs):
     return gksl.Lindbladian(qstate.Hamiltonian(h), jumps), gibbs
 
 
-def coherence_orders(groups, d):
+def coherence_orders(components, d):
     """|i - j| for the positions of each component, as one set per component."""
     at = gksl._hermitian_basis(d)
     order = np.abs(at % d - at // d)
-    return [set(order[row].tolist()) for _, idx in groups for row in idx]
+    return [set(order[row].tolist()) for idx in components for row in idx]
 
 
 class TestThermalLadder:
@@ -1070,6 +1055,25 @@ class TestThermalLadder:
         assert divergence[-1] > 0.0
         assert (np.diff(divergence) < 0.0).all()
 
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_thermomajorization_verdicts_along_the_trajectory(self, d):
+        # rho -> rho_t fixes the Gibbs state and keeps a diagonal rho
+        # diagonal, so each p_t is reached from p0 by a Gibbs-preserving
+        # map. The standard ordering accepts every p_t and the Gibbs state;
+        # the paper's, thermo-check's default, refuses them all, the Gibbs
+        # state included.
+        l, gibbs = ladder(d)
+        h, _, beta = thermal_ladder(d)
+        energies = np.diagonal(h)
+        p0 = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2.0)
+        states = gksl.trajectory(l, np.diag(p0), self.TIMES)[1:]
+        assert len(states) == 20
+        assert all(np.array_equal(rho, np.diag(np.diagonal(rho))) for rho in states)
+        targets = [np.diagonal(rho).real for rho in states] + [np.diagonal(gibbs).real]
+        for p in targets:
+            assert resource.thermomaj_feasible(p0, p, energies, beta, "standard")
+            assert not resource.thermomaj_feasible(p0, p, energies, beta, "paper")
+
 
 class TestOneBlockStructure:
     """The components of the real form, found without forming it whole for a
@@ -1079,13 +1083,13 @@ class TestOneBlockStructure:
     def test_ladder_splits_into_its_coherence_orders(self):
         d = 16
         l, _ = ladder(d)
-        groups, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, gksl._coarse_labels(l))
-        orders = coherence_orders(groups, d)
+        components, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, gksl._coarse_labels(l))
+        orders = coherence_orders(components, d)
         assert sorted(min(o) for o in orders) == list(range(d))
         assert all(len(o) == 1 for o in orders)
-        assert sum(len(idx) * idx.shape[1] ** 3 for _, idx in groups) == 119_296
+        assert sum(len(idx) * idx.shape[1] ** 3 for idx in components) == 119_296
         r = gksl._real_form(gksl.build_superoperator(l).matrix)
-        for (_, idx), form in zip(groups, forms):
+        for idx, form in zip(components, forms):
             assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
 
     @pytest.mark.parametrize("d", [8, 12, 16])
@@ -1098,7 +1102,7 @@ class TestOneBlockStructure:
         whole = qlinalg._components_by_size(r)
         rows = sorted(row for idx in dec.components for row in idx.tolist())
         assert rows == sorted(row for idx in whole for row in idx.tolist())
-        assert np.array_equal(dec.real_generator, r)
+        assert np.array_equal(whole_form(dec), r)
         if (kind, d) == ("exceptional", 16):
             sizes = sorted((idx.shape[1], len(idx)) for idx in dec.components)
             assert sizes == [(1, 8), (3, 8), (4, 56)]
@@ -1171,12 +1175,12 @@ class TestOneBlockStructure:
         d = l.dim
         assert k[0, 5] != 0.0 and m[0, 5] == 0.0  # (0, 0) <- (5, 0), column-stacked
         coarse = gksl._coarse_labels(l)
-        groups, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
-        assert len(set(coarse.tolist())) < sum(len(idx) for _, idx in groups)
+        components, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
+        assert len(set(coarse.tolist())) < sum(len(idx) for idx in components)
         r = gksl._real_form(m)
-        found = sorted(row for _, idx in groups for row in idx.tolist())
+        found = sorted(row for idx in components for row in idx.tolist())
         assert found == sorted(row for idx in qlinalg._components_by_size(r) for row in idx.tolist())
-        for (_, idx), form in zip(groups, forms):
+        for idx, form in zip(components, forms):
             assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
             # each component lies within one coarse block
             assert (coarse[idx] == coarse[idx[:, :1]]).all()
@@ -1273,7 +1277,7 @@ class TestDecompose:
         assert np.allclose(dec.p_inf.matrix, expect, atol=1e-10)
         assert np.allclose(dec.p_a, ground)
         rho = random_density(rng(75), 2)
-        proj = qlinalg.devectorize(dec.p_inf.matrix @ qlinalg.vectorize(rho))
+        proj = unvec(dec.p_inf.matrix @ qlinalg.vectorize(rho))
         assert np.allclose(proj, ground, atol=1e-10)
 
     def test_defective_generator_takes_fallback(self):
@@ -1291,7 +1295,7 @@ class TestDecompose:
         p_e = (omega**2 / 4.0) / denom
         coh = 1j * (omega * kappa / 4.0) / denom
         steady = np.array([[1.0 - p_e, coh], [np.conj(coh), p_e]])
-        proj = qlinalg.devectorize(
+        proj = unvec(
             dec.p_inf.matrix @ qlinalg.vectorize(np.diag([1.0, 0.0]).astype(complex))
         )
         assert qlinalg.hs_norm(proj - steady) < 1e-12
@@ -1510,7 +1514,7 @@ class TestBlockwiseDecompose:
     def test_matches_the_assembled_formulas(self, kind, d):
         l = BLOCKWISE[kind](rng(5200 + d), d)
         dec = gksl.decompose(l)
-        r = dec.real_generator
+        r = whole_form(dec)
         assert sum(len(idx) for idx in qlinalg._components_by_size(r)) > 1
         assert dec.route == ("nullspace" if kind == "exceptional" else "eigenbasis")
         # the eigenvalues are eig_general's, bit for bit
@@ -1546,7 +1550,7 @@ class TestBlockwiseDecompose:
     def test_non_idempotent_split_projector_rejected(self, monkeypatch):
         # the idempotence gap is summed over the components' blocks
         l = exceptional_point(1.0, 8)
-        assert len(qlinalg._components_by_size(gksl.decompose(l).real_generator)) > 1
+        assert len(qlinalg._components_by_size(whole_form(gksl.decompose(l)))) > 1
         inner = gksl._nullspace_projector
 
         def scaled(*args):
@@ -1618,7 +1622,7 @@ class TestCesaro:
         assert (freqs > 0).sum() >= 3
         horizon, samples = 60.0, 2**10
         dt = horizon / samples
-        step = qlinalg.matrix_exp(dt * dec.real_generator, method="series")
+        step = qlinalg.matrix_exp(dt * whole_form(dec), method="series")
         expect = sum(gksl._geometric_mean(step * np.exp(-1j * w * dt), samples) for w in freqs)
         got = gksl.cesaro_projector(l, horizon, samples, dec).matrix
         assert np.abs(got - gksl._column_stacked(expect)).max() <= 1e-12
@@ -1627,7 +1631,7 @@ class TestCesaro:
     def whole_form_average(dec, horizon, samples):
         """The Cesaro average stepped on the whole real form, as it was
         before it ran per component."""
-        r, frequencies = dec.real_generator, dec.asymptotic_frequencies
+        r, frequencies = whole_form(dec), dec.asymptotic_frequencies
         dt = horizon / samples
         step = qlinalg.matrix_exp(dt * r, method="series")
         acc = np.zeros_like(r)
@@ -1734,7 +1738,7 @@ class TestRealBasisProjector:
         dec = gksl.decompose(l)
         assert "p_inf" not in vars(dec)  # mapped back only when read
         rho = random_density(gen, d)
-        expect = qlinalg.devectorize(dec.p_inf.matrix @ qlinalg.vectorize(rho))
+        expect = unvec(dec.p_inf.matrix @ qlinalg.vectorize(rho))
         zero = qstate.Hamiltonian(np.zeros((d, d)))
         got = gksl.asymptotic_evolution(dec, rho, zero, 0.0)
         assert np.array_equal(got, got.conj().T)
@@ -1751,7 +1755,7 @@ class TestRealBasisProjector:
         # e_0 e_0^T is idempotent, but tau P = e_0^T is not the trace
         # functional tau, the sum of the populations
         l = random_lindbladian(rng(5500), 2)
-        components = qlinalg._components_by_size(gksl.decompose(l).real_generator)
+        components = qlinalg._components_by_size(whole_form(gksl.decompose(l)))
         assert [idx.shape for idx in components] == [(1, 4)]
 
         def leaky(*args):

@@ -265,7 +265,7 @@ QUBIT_ENV = qstate.ThermoContext(QUBIT, 1.0)
         lambda: qstate.shannon_entropy(NAN_DIST),
         lambda: resource.thermomaj_curve(NAN_DIST, [0.0, 1.0], 1.0),
         lambda: resource.thermomaj_feasible(NAN_DIST, [0.5, 0.5], [0.0, 1.0], 1.0),
-        lambda: compops.ContextualizedComputation(compops.identity_op(2), NAN_DIST),
+        lambda: compops.ContextualizedComputation(compops.deterministic_op(2, range(2)), NAN_DIST),
         lambda: compops.landauer_cost_oblivious_erasure([[math.nan, 0.5], [0.25, 0.25]]),
         lambda: channels.ResetScenario(
             ((math.nan, KET0), (1.0, KET1)),

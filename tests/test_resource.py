@@ -12,6 +12,12 @@ E2 = np.array([0.0, 3.0])
 HALF = np.array([0.5, 0.5])
 
 
+def concave(curve, tol=1e-12):
+    """Whether the curve's slopes never rise by more than tol."""
+    slopes = np.diff(curve.ys) / np.maximum(np.diff(curve.xs), 1e-300)
+    return bool(np.all(np.diff(slopes) <= tol))
+
+
 def gibbs_dist(energies, beta):
     w = np.exp(-beta * np.asarray(energies, dtype=float))
     return w / w.sum()
@@ -79,13 +85,13 @@ class TestCurve:
         xs, ys = c.xs, c.ys
         assert np.allclose(xs, [0.0, 1.0, 1.0497870683678638])
         assert np.allclose(ys, [0.0, 0.5, 1.0])
-        assert not c.is_concave()
+        assert not concave(c)
 
     def test_standard_breakpoints_frozen(self):
         c = resource.thermomaj_curve(HALF, E2, 1.0, "standard")
         assert np.allclose(c.xs, [0.0, 0.049787068367863944, 1.0497870683678638])
         assert np.allclose(c.ys, [0.0, 0.5, 1.0])
-        assert c.is_concave()
+        assert concave(c)
 
     def test_partition_weight(self):
         c = resource.thermomaj_curve(HALF, E2, 1.0)
@@ -107,7 +113,7 @@ class TestCurve:
         e = np.array([0.0, 0.5, 1.1, 2.0, 3.3])
         for _ in range(10):
             p = random_distribution(gen, 5)
-            assert resource.thermomaj_curve(p, e, 0.8, "standard").is_concave(tol=1e-10)
+            assert concave(resource.thermomaj_curve(p, e, 0.8, "standard"), tol=1e-10)
 
     def test_evaluate_clamps(self):
         c = resource.thermomaj_curve(HALF, E2, 1.0)
