@@ -307,8 +307,11 @@ _SIGN_BIT = np.uint64(1 << 63)
 def _trajectory_layout(d: int):
     """The trajectory CSV header for d x d states, then flat indices of the
     entries on and above the diagonal, of those below it and of their
-    mirrors above it."""
-    header = "t," + ",".join(f"re_{i}{j},im_{i}{j}" for i in range(d) for j in range(d))
+    mirrors above it. Both indices of a column name are padded to the width
+    of d - 1, so each name is distinct: re_0011 and re_1101 at d = 12."""
+    w = len(str(d - 1))
+    header = "t," + ",".join(f"re_{i:0{w}}{j:0{w}},im_{i:0{w}}{j:0{w}}"
+                             for i in range(d) for j in range(d))
     iu, ju = np.triu_indices(d)
     il, jl = np.tril_indices(d, -1)
     indices = iu * d + ju, il * d + jl, jl * d + il

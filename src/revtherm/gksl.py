@@ -9,7 +9,9 @@ real matrix R (Alicki & Lendi, Quantum Dynamical Semigroups and
 Applications, LNP 286, 1987); a fixed sparse unitary takes M there by index
 gathers, and _real_form alone does it. R's components, the connected
 components of its nonzero pattern, are the one block structure of every
-dense path (_components). A block-diagonal operating context splits R
+dense path (_components). They are found, grouped by size and scattered
+back here alone; qlinalg takes their blocks as stacks, one eig or one
+matrix_exp per group of a size, and knows nothing of them. A block-diagonal operating context splits R
 into coherence sectors between pairs of blocks (Baumgartner & Narnhofer,
 J. Phys. A 41:395303, 2008), and a weak symmetry, such as a jump that
 shifts a conserved charge, splits it by coherence order (Buca & Prosen,
@@ -111,6 +113,29 @@ TIME_ULPS = 4
 # its largest Taylor degree: one of two benchmark steps of R whole at d = 12
 # took 1.1-1.2x the time of two exponentials.
 SECTOR_CHUNK = 2**16
+
+# decompose splits the real form R by its components (_components) only from
+# this order d^2 on; below it R takes one eig whole, as the search, the
+# grouping and the assembly cost more than the smaller eigs save. Measured
+# on a 2-core Xeon VM with one BLAS thread (best of 9 repeats, two runs),
+# for the real Hermitian-basis generators of decoherence-free-block,
+# dephasing and exceptional-point GKSL generators, the split took 1.4-3.3x
+# the time of one whole eig at n = 9 to 25 and 1.0-1.5x at n = 36, but
+# 0.6-0.8x at n = 49, 0.45-0.8x at n = 64 and 0.1-0.25x at n = 100.
+SPLIT_MIN_ORDER = 40
+
+# From this order d^2 on, _dense exponentiates a real form by its
+# components, and _components gathers a generator that splits block by
+# block instead of forming its real form whole. Measured like SPLIT_MIN_ORDER
+# (median of 61) on decoherence-free-block, dephasing and exceptional-point
+# generators: the components' stacked matrix_exp took 1.4-2.6x the time of
+# the whole one at n = 16 to 49, 0.9-1.0x at n = 64 and 81 and 0.45-0.75x at
+# n = 100; the dense route on a grid of two propagators, build and matvecs
+# included, 1.1-1.35x at n = 64 and 81, 0.65-1.03x at 100, 0.5-0.65x at 121,
+# 0.25-0.5x at 144 and 0.07-0.11x at 256; the blockwise gather (best of 200)
+# 1.5-1.8x the whole form and its split at n = 64 and 81, 1.2-1.5x at 100
+# and 121, 0.9-1.1x at 144, 0.7-0.9x at 256 and 0.5-0.65x at 576.
+EXPM_SPLIT_MIN_ORDER = 100
 
 _KINDS = ("generator", "trace_preserving", "approximation")
 
@@ -525,11 +550,66 @@ def _trace_reflection(d: int) -> np.ndarray:
     return h
 
 
+def _edge_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each of n nodes' component in the undirected graph with edges
+    (i[e], j[e]), labelled by the component's smallest node.
+
+    Min-label propagation with pointer jumping: every node takes the
+    smallest label among itself and its neighbours, then each label is
+    replaced by its own label until none changes; this repeats until a
+    round changes nothing. Each round costs O(n + edges).
+    """
+    labels = np.arange(n)
+    while True:
+        spread = labels.copy()
+        np.minimum.at(spread, i, labels[j])
+        np.minimum.at(spread, j, labels[i])
+        while not np.array_equal(jumped := spread[spread], spread):
+            spread = jumped
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
+def _component_labels(m: np.ndarray) -> np.ndarray:
+    """Each index's component in the nonzero pattern of |m| + |m^T|, labelled
+    by the component's smallest index (_edge_labels). When every row links
+    to index 0 there is one component, found from the rows alone."""
+    linked = m != 0
+    np.fill_diagonal(linked, True)
+    labels = linked.argmax(axis=1)
+    if not labels.any():
+        return labels
+    return _edge_labels(len(m), *np.nonzero(linked))
+
+
+def _group(labels: np.ndarray) -> list[np.ndarray]:
+    """The components of labels (_component_labels), one (k, s) index array
+    per component size s, ascending: its rows are the components, by label,
+    each listing its indices in ascending order."""
+    n = labels.size
+    size = np.bincount(labels, minlength=n)[labels]
+    order = np.argsort(size * n + labels, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
+    return [run.reshape(-1, size[run[0]]) for run in runs]
+
+
+def _assemble(components: list[np.ndarray], parts: list[np.ndarray], n: int) -> np.ndarray:
+    """Scatter per-component results, one (k, s) or (k, s, s) stack per size
+    group, into one length-n vector or n x n matrix, zero off the blocks."""
+    if components[0].shape == (1, n):
+        return parts[0][0]
+    out = np.zeros((n,) * (parts[0].ndim - 1), np.result_type(*parts))
+    for idx, part in zip(components, parts):
+        out[idx if part.ndim == 2 else (idx[:, :, None], idx[:, None, :])] = part
+    return out
+
+
 def _coarse_labels(l: Lindbladian) -> np.ndarray | None:
     """Blocks of the Hermitian basis that no entry of the real form links,
     read off the d x d patterns, each position labelled by its block's first
-    position; None for one block, or below qlinalg.EXPM_SPLIT_MIN_ORDER in
-    d^2, where R is formed whole.
+    position; None for one block, or below EXPM_SPLIT_MIN_ORDER in d^2,
+    where R is formed whole.
 
     For components A, B of K's pattern, 1 kron K + conj(K) kron 1 links all
     positions of (A, B), which shares its pairs with (B, A), and a jump links
@@ -540,10 +620,10 @@ def _coarse_labels(l: Lindbladian) -> np.ndarray | None:
     which an exact cancellation in M splits further (_components).
     """
     d = l.dim
-    if d * d < qlinalg.EXPM_SPLIT_MIN_ORDER:
+    if d * d < EXPM_SPLIT_MIN_ORDER:
         return None
     k, _, kf = _generator_terms(l)
-    roots = qlinalg._component_labels(np.abs(k))
+    roots = _component_labels(np.abs(k))
     if not roots.any():
         return None
     # each index's block, numbered in the order of the blocks' first indices
@@ -557,12 +637,12 @@ def _coarse_labels(l: Lindbladian) -> np.ndarray | None:
         a, c = np.nonzero(jump)
         # the star joins each row to one column of its component, and that
         # component's label, its smallest node and so a row, to each column
-        part, cols = qlinalg._edge_labels(2 * nb, a, c + nb), np.zeros(2 * nb, dtype=int)
+        part, cols = _edge_labels(2 * nb, a, c + nb), np.zeros(2 * nb, dtype=int)
         a, c = np.unique(a), np.unique(c)
         cols[part[c + nb]] = c
         a, c = np.concatenate([a, part[c + nb]]), np.concatenate([cols[part[a]], c])
         links.append((np.add.outer(a * nb, a).ravel(), np.add.outer(c * nb, c).ravel()))
-    linked = qlinalg._edge_labels(nb * nb, *map(np.concatenate, zip(*links)))
+    linked = _edge_labels(nb * nb, *map(np.concatenate, zip(*links)))
     # the block pair of each position, whose column-stacked index is i + j d
     at = _hermitian_basis(d)
     _, first, inverse = np.unique(linked[blocks[at % d] * nb + blocks[at // d]],
@@ -573,7 +653,7 @@ def _coarse_labels(l: Lindbladian) -> np.ndarray | None:
 def _components(l: Lindbladian, min_order: int, coarse: np.ndarray | None) -> tuple:
     """(components, forms): the components of the real form R, the one
     block structure of every dense path, as one (k, s) array of positions
-    per order s of its k components (qlinalg._group: rows ascending, so
+    per order s of its k components (_group: rows ascending, so
     populations first), and R's (k, s, s) stack of blocks for each. With
     coarse (l's _coarse_labels) None, R is formed whole and split by its
     pattern from min_order in d^2 on; otherwise only the coarse blocks'
@@ -583,7 +663,7 @@ def _components(l: Lindbladian, min_order: int, coarse: np.ndarray | None) -> tu
     m = build_superoperator(l).matrix
     if coarse is None:
         r = _real_form(m)
-        labels = qlinalg._component_labels(r) if n >= min_order else np.zeros(n, dtype=int)
+        labels = _component_labels(r) if n >= min_order else np.zeros(n, dtype=int)
         if not labels.any():
             return [np.arange(n)[None]], [r[None]]
         flat, base, loc = r.ravel(), np.arange(n) * n, np.arange(n)
@@ -598,8 +678,8 @@ def _components(l: Lindbladian, min_order: int, coarse: np.ndarray | None) -> tu
         cols = order[np.repeat(rank[coarse[order]] - start, size) + np.arange(rows.size)]
         flat = _real_form(m, (rows, cols, base, loc))
         linked = flat != 0
-        labels = qlinalg._edge_labels(n, rows[linked], cols[linked])
-    components = qlinalg._group(labels)
+        labels = _edge_labels(n, rows[linked], cols[linked])
+    components = _group(labels)
     return components, [flat[base[idx][:, :, None] + loc[idx][:, None, :]] for idx in components]
 
 
@@ -734,7 +814,7 @@ def trajectory(l: Lindbladian, rho0, times) -> np.ndarray:
         coarse = _coarse_labels(l)
         work = l.dim**6 if coarse is None else int((np.bincount(coarse) ** 3).sum())
         if plan := _propagator_steps(positive.tolist(), DENSE_WORK // work):
-            states[zeros:] = _dense(rho, plan, *_components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse))
+            states[zeros:] = _dense(rho, plan, *_components(l, EXPM_SPLIT_MIN_ORDER, coarse))
         else:
             # every march state is exactly Hermitian, so the march needs no
             # symmetrization between stops; past a failing state it may overflow
@@ -882,7 +962,7 @@ def _cesaro_average(
             else:
                 total += 2.0 * _geometric_mean(step * np.exp(-1j * float(w) * dt), samples).real
         acc.append(total)
-    return qlinalg._assemble(dec.components, acc, dec.dim**2), dec
+    return _assemble(dec.components, acc, dec.dim**2), dec
 
 
 def cesaro_projector(
@@ -1076,10 +1156,10 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     """
     if tol is not None and not tol > 0.0:
         raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
-    components, blocks = _components(l, qlinalg.SPLIT_MIN_ORDER, _coarse_labels(l))
+    components, blocks = _components(l, SPLIT_MIN_ORDER, _coarse_labels(l))
     n = l.dim**2
     evals, right, inverses = qlinalg._eig_blocks(blocks)
-    evals = np.asarray(qlinalg._assemble(components, evals, n), dtype=complex)
+    evals = np.asarray(_assemble(components, evals, n), dtype=complex)
     tol = ASYMPTOTIC_RTOL * max(1.0, float(np.abs(evals).max())) if tol is None else float(tol)
     worst = float(evals.real.max())
     if worst > tol:
@@ -1101,7 +1181,7 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     gap, scale = _frobenius([q @ q - q for q in p]), max(1.0, _frobenius(p))
     if gap > PINF_IDEMPOTENT_TOL * scale:
         raise ContractError(f"asymptotic projection is not idempotent ({gap:.3e})")
-    p = qlinalg._assemble(components, p, n)
+    p = _assemble(components, p, n)
     # tau P = tau for the trace functional tau, the sum of the populations:
     # the contract that SuperoperatorMatrix checks for "trace_preserving"
     d = l.dim

@@ -5,7 +5,10 @@ the matrix exponential, Hilbert-Schmidt norms, and the column-stacking
 vectorization calculus used by every superoperator in the package.
 Inputs are coerced to complex, except that eig_general and matrix_exp
 keep a real input in float64, so real data is decomposed and exponentiated
-in real arithmetic.
+in real arithmetic. Every kernel here takes a whole matrix or a stack of
+them; a block structure that a caller finds in its matrices, such as the
+components of a generator's real form, lives with that caller (gksl),
+which hands the blocks here as stacks.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -32,31 +35,6 @@ __all__ = [
 
 # Relative gate used by every module that checks hermiticity.
 HERMITICITY_RTOL = 1e-10
-
-# eig_general, and gksl.decompose's one eig per component of a generator's
-# real form, split only matrices of at least this order. Below it the
-# search, the grouping and the assembly cost more than the smaller eigs
-# save. Measured on a 2-core Xeon VM with one BLAS thread (best of 9
-# repeats, two runs), for the real Hermitian-basis generators of
-# decoherence-free-block, dephasing and exceptional-point GKSL generators,
-# the split took 1.4-3.3x the time of one whole eig at n = 9 to 25 and
-# 1.0-1.5x at n = 36, but 0.6-0.8x at n = 49, 0.45-0.8x at n = 64 and
-# 0.1-0.25x at n = 100.
-SPLIT_MIN_ORDER = 40
-
-# From this order d^2 on, gksl._dense exponentiates a real form by its
-# components, and gksl._components gathers a generator that splits block by
-# block instead of forming its real form whole. Measured like SPLIT_MIN_ORDER
-# (median of 61) on decoherence-free-block, dephasing and exceptional-point
-# generators: the components' stacked matrix_exp took 1.4-2.6x the time of
-# the whole one at n = 16 to 49, 0.9-1.0x at n = 64 and 81 and 0.45-0.75x at
-# n = 100; the dense route on a grid of two propagators, build and matvecs
-# included, 1.1-1.35x at n = 64 and 81, 0.65-1.03x at 100, 0.5-0.65x at 121,
-# 0.25-0.5x at 144 and 0.07-0.11x at 256; the blockwise gather (best of 200)
-# 1.5-1.8x the whole form and its split at n = 64 and 81, 1.2-1.5x at 100
-# and 121, 0.9-1.1x at 144, 0.7-0.9x at 256 and 0.5-0.65x at 576.
-EXPM_SPLIT_MIN_ORDER = 100
-
 
 def _finite_matrix(a, dtype, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=dtype)
@@ -132,70 +110,6 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _edge_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Each of n nodes' component in the undirected graph with edges
-    (i[e], j[e]), labelled by the component's smallest node.
-
-    Min-label propagation with pointer jumping: every node takes the
-    smallest label among itself and its neighbours, then each label is
-    replaced by its own label until none changes; this repeats until a
-    round changes nothing. Each round costs O(n + edges).
-    """
-    labels = np.arange(n)
-    while True:
-        spread = labels.copy()
-        np.minimum.at(spread, i, labels[j])
-        np.minimum.at(spread, j, labels[i])
-        while not np.array_equal(jumped := spread[spread], spread):
-            spread = jumped
-        if np.array_equal(spread, labels):
-            return labels
-        labels = spread
-
-
-def _component_labels(m: np.ndarray) -> np.ndarray:
-    """Each index's component in the nonzero pattern of |m| + |m^T|, labelled
-    by the component's smallest index (_edge_labels). When every row links
-    to index 0 there is one component, found from the rows alone."""
-    linked = m != 0
-    np.fill_diagonal(linked, True)
-    labels = linked.argmax(axis=1)
-    if not labels.any():
-        return labels
-    return _edge_labels(len(m), *np.nonzero(linked))
-
-
-def _group(labels: np.ndarray) -> list[np.ndarray]:
-    """The components of labels (_component_labels), one (k, s) index array
-    per component size s, ascending: its rows are the components, by label,
-    each listing its indices in ascending order."""
-    n = labels.size
-    size = np.bincount(labels, minlength=n)[labels]
-    order = np.argsort(size * n + labels, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
-    return [run.reshape(-1, size[run[0]]) for run in runs]
-
-
-def _components_by_size(m: np.ndarray) -> list[np.ndarray]:
-    """The components of m (_component_labels) grouped by size (_group);
-    one component below SPLIT_MIN_ORDER."""
-    n = m.shape[0]
-    if n < SPLIT_MIN_ORDER:
-        return [np.arange(n)[None]]
-    return _group(_component_labels(m))
-
-
-def _assemble(components: list[np.ndarray], parts: list[np.ndarray], n: int) -> np.ndarray:
-    """Scatter per-component results, one (k, s) or (k, s, s) stack per size
-    group, into one length-n vector or n x n matrix, zero off the blocks."""
-    if components[0].shape == (1, n):
-        return parts[0][0]
-    out = np.zeros((n,) * (parts[0].ndim - 1), np.result_type(*parts))
-    for idx, part in zip(components, parts):
-        out[idx if part.ndim == 2 else (idx[:, :, None], idx[:, None, :])] = part
-    return out
-
-
 def _eigenvector_inverse(real_input: bool, evals: np.ndarray, right: np.ndarray) -> np.ndarray:
     """right^-1 for a stack of eigenvector matrices, through the real W of
     eig_general when right came from a real input."""
@@ -236,43 +150,23 @@ def eig_general(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     and <<q_a|p_b>> = q_a† p_b = delta_ab. left is None when right is
     singular to working precision, so that its inverse raises. No verdict
     on the conditioning of right is made here: a caller that needs a
-    well-conditioned eigenbasis measures it from right and left.
-
-    A reducible m is decomposed block by block, and exactly so: the
-    components of the nonzero pattern of |m| + |m^T| share no entry, so
-    each spans an invariant subspace. The components are grouped by size
-    and each group takes one stacked eig. A component with indices
-    i_1 < ... < i_s is the block m[i, i]; its eigenvalues land at positions
-    i_1, ..., i_s in LAPACK's order and its eigenvectors are supported on
-    those rows, so right is block diagonal up to that one permutation of
-    rows and columns, and each conjugate pair takes two consecutive indices
-    of its component. An irreducible m, or one of order below
-    SPLIT_MIN_ORDER, takes one eig of the whole matrix. The stacked eigs
-    and inverses are those of _eig_blocks; this function only assembles
-    them.
+    well-conditioned eigenbasis measures it from right and left. evals and
+    right are those of np.linalg.eig of m, bit for bit: one eig of the
+    whole matrix, as the stack of one of _eig_blocks.
 
     A real input is decomposed and inverted in real arithmetic. Its
     eigenvalues come in exact conjugate pairs, the one with positive
     imaginary part first, and each pair's vectors are v and conj(v)
-    (LAPACK dgeev). So a block V = W T with the real W holding Re v, Im v
-    in the pair's two columns and T block diagonal with blocks
-    [[1, 1], [i, -i]], and V^-1 = T^-1 W^-1 needs only the real inverse.
-    evals and right come back real when every eigenvalue is real.
+    (LAPACK dgeev). So V = W T with the real W holding Re v, Im v in the
+    pair's two columns and T block diagonal with blocks [[1, 1], [i, -i]],
+    and V^-1 = T^-1 W^-1 needs only the real inverse. evals and right come
+    back real when every eigenvalue is real.
     """
     m = as_square(m, keep_real=True)
-    n = m.shape[0]
-    components = _components_by_size(m)
-    if components[0].shape == (1, n):
-        stacks = [m[None]]
-    else:
-        stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in components]
-    evals, right, inverses = _eig_blocks(stacks)
-    evals, right = _assemble(components, evals, n), _assemble(components, right, n)
-    if inverses is None:
-        return evals, right, None
+    (evals,), (right,), inverses = _eig_blocks([m[None]])
     # Rows of right^-1 are the dual basis; conjugating turns row a into the
     # column vector q_a with q_a† p_b = delta_ab.
-    return evals, right, _assemble(components, inverses, n).conj().T
+    return evals[0], right[0], None if inverses is None else inverses[0][0].conj().T
 
 
 def _expm_plan(norms) -> tuple[np.ndarray, int, int]:

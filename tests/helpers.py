@@ -43,6 +43,33 @@ def random_distribution(gen, n: int) -> np.ndarray:
     return p / p.sum()
 
 
+def component_search(m) -> np.ndarray:
+    """Reference for the components of the nonzero pattern of |m| + |m^T|:
+    each index labelled by its component's smallest index, found by a
+    plain graph search from each unlabelled index in turn."""
+    n = len(m)
+    linked = (m != 0) | (m.T != 0)
+    labels = np.full(n, -1)
+    for root in range(n):
+        if labels[root] < 0:
+            labels[root] = root
+            frontier = [root]
+            while frontier:
+                i = frontier.pop()
+                for j in np.flatnonzero(linked[i]):
+                    if labels[j] < 0:
+                        labels[j] = root
+                        frontier.append(j)
+    return labels
+
+
+def component_rows(m) -> list[list[int]]:
+    """The components of component_search(m), each as its ascending list of
+    indices, in ascending order of the lists."""
+    labels = component_search(m)
+    return sorted(np.flatnonzero(labels == root).tolist() for root in np.unique(labels))
+
+
 def leaking(eig_blocks):
     """qlinalg._eig_blocks with its eigenvalue of largest real part, the
     steady state's 0, moved right by 1e-3."""

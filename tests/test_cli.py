@@ -1276,7 +1276,8 @@ class TestTrajectoryCsv:
     @staticmethod
     def reference(times, states) -> str:
         n, d = states.shape[:2]
-        header = "t," + ",".join(f"re_{i}{j},im_{i}{j}" for i in range(d) for j in range(d))
+        names = [str(i).zfill(len(str(d - 1))) for i in range(d)]
+        header = "t," + ",".join(f"re_{a}{b},im_{a}{b}" for a in names for b in names)
         rows = np.column_stack((times, states.reshape(n, -1).view(float))).tolist()
         return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
@@ -1329,6 +1330,18 @@ class TestTrajectoryCsv:
     def test_list_of_integer_times(self):
         states = self.hermitian_stack(rng(32), 3, 3)
         assert cli._trajectory_csv([0, 2, 5], states) == self.reference([0.0, 2.0, 5.0], states)
+
+    def test_header_names_are_distinct(self):
+        # both indices are padded to the width of d - 1, so (1, 11) and
+        # (11, 1) no longer both read re_111
+        state = np.eye(12, dtype=complex)[None] / 12
+        header = cli._trajectory_csv([0.0], state).splitlines()[0].split(",")
+        assert len(header) == 1 + 2 * 144 == len(set(header))
+        assert header[:3] == ["t", "re_0000", "im_0000"]
+        assert {"re_0111", "re_1101"} <= set(header)
+        # up to d = 10 each index keeps one digit
+        header = cli._trajectory_csv([0.0], np.eye(10, dtype=complex)[None] / 10).splitlines()[0]
+        assert header.endswith(",re_98,im_98,re_99,im_99")
 
 
 class TestNonFiniteOutput:

@@ -10,6 +10,8 @@ from revtherm import compmodel, gksl, qlinalg, qstate, resource
 from revtherm.errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 from helpers import (
+    component_rows,
+    component_search,
     leaking,
     random_complex,
     random_density,
@@ -56,7 +58,7 @@ def hermitian_basis(d):
 
 def whole_form(dec):
     """The real form R that dec holds by its components, zero between them."""
-    return qlinalg._assemble(dec.components, dec.real_blocks, dec.dim**2)
+    return gksl._assemble(dec.components, dec.real_blocks, dec.dim**2)
 
 
 def random_lindbladian(gen, d, n_jumps=2):
@@ -224,11 +226,11 @@ class TestSuperoperatorMatrix:
         )
         for l in generators:
             splits = [
-                [idx.tolist() for idx in qlinalg._components_by_size(gksl._real_form(m))]
+                component_search(gksl._real_form(m))
                 for m in (gksl.build_superoperator(l).matrix, kron_superoperator(l))
             ]
-            assert splits[0] == splits[1]
-            assert len(splits[0]) > 1
+            assert np.array_equal(splits[0], splits[1])
+            assert splits[0].any()
 
 
 class TestRealForm:
@@ -353,11 +355,12 @@ class TestRealForm:
         asym = np.abs(evals.real) <= gate
         assert (evals.imag[asym] > gate).any()
         eigenbasis = (right[:, asym] @ left[:, asym].conj().T).real
-        components, blocks = gksl._components(l, qlinalg.SPLIT_MIN_ORDER, gksl._coarse_labels(l))
-        _, vectors, _ = qlinalg._eig_blocks(blocks)
-        evals = np.asarray(evals, dtype=complex)
+        components, blocks = gksl._components(l, gksl.SPLIT_MIN_ORDER, gksl._coarse_labels(l))
+        evals, vectors, _ = qlinalg._eig_blocks(blocks)
+        evals = np.asarray(gksl._assemble(components, evals, len(r)), dtype=complex)
+        asym = np.abs(evals.real) <= gate
         stacks = gksl._nullspace_projector(blocks, components, evals, vectors, asym, gate)
-        nullspace = qlinalg._assemble(components, stacks, len(r))
+        nullspace = gksl._assemble(components, stacks, len(r))
         assert nullspace.dtype == np.float64
         assert np.abs(nullspace - eigenbasis).max() <= 1e-10
 
@@ -801,9 +804,8 @@ class TestDenseRoute:
         assert np.array_equal(coarse[d : d + q], coarse[d + q :])
         assert not r[coarse[:, None] != coarse[None, :]].any()
         # the blocks split into R's own components, each block R's, bit for bit
-        components, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
-        found = sorted(row for idx in components for row in idx.tolist())
-        assert found == sorted(row for idx in qlinalg._components_by_size(r) for row in idx.tolist())
+        components, forms = gksl._components(l, gksl.EXPM_SPLIT_MIN_ORDER, coarse)
+        assert sorted(row for idx in components for row in idx.tolist()) == component_rows(r)
         for idx, form in zip(components, forms):
             assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
             # the populations come first
@@ -837,8 +839,8 @@ class TestDenseRoute:
         def prices(l):
             # the route's price, on the coarse blocks, and the components' own
             labels = gksl._coarse_labels(l)
-            components = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, labels)[0]
-            coarse = [np.arange(l.dim**2)[None]] if labels is None else qlinalg._group(labels)
+            components = gksl._components(l, gksl.EXPM_SPLIT_MIN_ORDER, labels)[0]
+            coarse = [np.arange(l.dim**2)[None]] if labels is None else gksl._group(labels)
             return [sum(len(idx) * idx.shape[1] ** 3 for idx in blocks)
                     for blocks in (coarse, components)]
 
@@ -851,7 +853,7 @@ class TestDenseRoute:
         # order 8 into two of order 4
         assert prices(exceptional_point(1.0, 12)) == [
             6 * 4**3 + 15 * 8**3, 6 * 1 + 6 * 3**3 + 30 * 4**3]
-        monkeypatch.setattr(qlinalg, "EXPM_SPLIT_MIN_ORDER", 0)
+        monkeypatch.setattr(gksl, "EXPM_SPLIT_MIN_ORDER", 0)
         assert prices(exceptional_point(1.0, 8)) == [
             4 * 4**3 + 6 * 8**3, 4 * 1 + 4 * 3**3 + 12 * 4**3]
 
@@ -1083,7 +1085,7 @@ class TestOneBlockStructure:
     def test_ladder_splits_into_its_coherence_orders(self):
         d = 16
         l, _ = ladder(d)
-        components, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, gksl._coarse_labels(l))
+        components, forms = gksl._components(l, gksl.EXPM_SPLIT_MIN_ORDER, gksl._coarse_labels(l))
         orders = coherence_orders(components, d)
         assert sorted(min(o) for o in orders) == list(range(d))
         assert all(len(o) == 1 for o in orders)
@@ -1099,9 +1101,7 @@ class TestOneBlockStructure:
         l = REAL_BASIS[kind](rng(5900 + d), d)
         dec = gksl.decompose(l)
         r = gksl._real_form(gksl.build_superoperator(l).matrix)
-        whole = qlinalg._components_by_size(r)
-        rows = sorted(row for idx in dec.components for row in idx.tolist())
-        assert rows == sorted(row for idx in whole for row in idx.tolist())
+        assert sorted(row for idx in dec.components for row in idx.tolist()) == component_rows(r)
         assert np.array_equal(whole_form(dec), r)
         if (kind, d) == ("exceptional", 16):
             sizes = sorted((idx.shape[1], len(idx)) for idx in dec.components)
@@ -1139,7 +1139,7 @@ class TestOneBlockStructure:
             pattern = np.kron(eye, np.abs(k)) + np.kron(np.abs(k), eye)
             pattern = (pattern + sum(np.kron(np.abs(g), np.abs(g)) for g in kf)) != 0
             pattern[np.arange(d * d), np.arange(d * d).reshape(d, d).T.ravel()] = True
-            reference = qlinalg._component_labels(pattern)[gksl._hermitian_basis(d)]
+            reference = component_search(pattern)[gksl._hermitian_basis(d)]
             coarse = gksl._coarse_labels(l)
             if coarse is None:
                 assert not reference.any()
@@ -1148,6 +1148,22 @@ class TestOneBlockStructure:
             pairs = set(zip(coarse.tolist(), reference.tolist()))
             assert len(pairs) == len(set(coarse.tolist())) == len(set(reference.tolist()))
         assert split >= 20
+
+    def test_components_match_a_search(self):
+        gen = rng(45)
+        for n in (40, 57, 90, 128):
+            for density in (0.005, 0.02, 0.05):
+                m = np.where(gen.random((n, n)) < density, gen.standard_normal((n, n)), 0.0)
+                labels = gksl._component_labels(m)
+                assert np.array_equal(labels, component_search(m))
+                groups = gksl._group(labels)
+                rows = np.concatenate([g.ravel() for g in groups])
+                assert np.array_equal(np.sort(rows), np.arange(n))
+                for g in groups:
+                    assert (np.diff(g, axis=1) > 0).all()
+                    for row in g:
+                        assert (labels[row] == labels[row[0]]).all()
+                        assert (labels == labels[row[0]]).sum() == len(row)
 
     def test_split_ladder_marches_without_the_d2_form(self, monkeypatch):
         # the ladder's coherence orders price at about 1e7 at d = 48, far
@@ -1175,11 +1191,10 @@ class TestOneBlockStructure:
         d = l.dim
         assert k[0, 5] != 0.0 and m[0, 5] == 0.0  # (0, 0) <- (5, 0), column-stacked
         coarse = gksl._coarse_labels(l)
-        components, forms = gksl._components(l, qlinalg.EXPM_SPLIT_MIN_ORDER, coarse)
+        components, forms = gksl._components(l, gksl.EXPM_SPLIT_MIN_ORDER, coarse)
         assert len(set(coarse.tolist())) < sum(len(idx) for idx in components)
         r = gksl._real_form(m)
-        found = sorted(row for idx in components for row in idx.tolist())
-        assert found == sorted(row for idx in qlinalg._components_by_size(r) for row in idx.tolist())
+        assert sorted(row for idx in components for row in idx.tolist()) == component_rows(r)
         for idx, form in zip(components, forms):
             assert np.array_equal(form, r[idx[:, :, None], idx[:, None, :]])
             # each component lies within one coarse block
@@ -1344,8 +1359,7 @@ class TestDecompose:
     def test_reducible_generator_matches_dense_complex_eig(self, make, route):
         l = make(rng(2700))
         r = gksl._real_form(gksl.build_superoperator(l).matrix)
-        components = qlinalg._components_by_size(r)
-        assert sum(len(c) for c in components) > 1
+        assert component_search(r).any()
         dec = gksl.decompose(l)
         assert dec.route == route
         n_asymptotic, p_ref = dense_eig_projector(l, dec.tol)
@@ -1478,9 +1492,10 @@ def assembled_nullspace_projector(m, evals, right, asym, gate):
 
 
 def assembled_decomposition(l, tol):
-    """Reference for decompose: its formulas on the assembled d^2 x d^2
-    eigenbasis of eig_general and the whole-matrix map back. Returns
-    (route, asymptotic indices, p_inf)."""
+    """Reference for decompose: its formulas on the d^2 x d^2 eigenbasis of
+    one eig of the whole real form (eig_general) and the whole-matrix map
+    back. Returns (route, asymptotic indices, p_inf); the indices are
+    positions in that eig's order, not in decompose's."""
     r = gksl._real_form(gksl.build_superoperator(l).matrix)
     evals, right, left = qlinalg.eig_general(r)
     evals = np.asarray(evals, dtype=complex)
@@ -1514,14 +1529,17 @@ class TestBlockwiseDecompose:
     def test_matches_the_assembled_formulas(self, kind, d):
         l = BLOCKWISE[kind](rng(5200 + d), d)
         dec = gksl.decompose(l)
-        r = whole_form(dec)
-        assert sum(len(idx) for idx in qlinalg._components_by_size(r)) > 1
+        r = gksl._real_form(gksl.build_superoperator(l).matrix)
+        assert component_search(r).any()
+        assert sorted(row for idx in dec.components for row in idx.tolist()) == component_rows(r)
         assert dec.route == ("nullspace" if kind == "exceptional" else "eigenbasis")
-        # the eigenvalues are eig_general's, bit for bit
-        evals = np.asarray(qlinalg.eig_general(r)[0], dtype=complex)
-        assert np.array_equal(dec.eigenvalues, evals)
+        # each component's eigenvalues are those of its own block of the
+        # whole form, bit for bit, at its positions
+        for idx in dec.components:
+            for row in idx:
+                assert np.array_equal(dec.eigenvalues[row], np.linalg.eig(r[np.ix_(row, row)])[0])
         route, indices, p_ref = assembled_decomposition(l, dec.tol)
-        assert (dec.route, dec.asymptotic_indices) == (route, indices)
+        assert (dec.route, len(dec.asymptotic_indices)) == (route, len(indices))
         assert np.abs(dec.p_inf.matrix - p_ref).max() <= 1e-13
         if d <= 12:
             n_asymptotic, p_dense = dense_eig_projector(l, dec.tol)
@@ -1550,7 +1568,7 @@ class TestBlockwiseDecompose:
     def test_non_idempotent_split_projector_rejected(self, monkeypatch):
         # the idempotence gap is summed over the components' blocks
         l = exceptional_point(1.0, 8)
-        assert len(qlinalg._components_by_size(whole_form(gksl.decompose(l)))) > 1
+        assert len(gksl.decompose(l).components) > 1
         inner = gksl._nullspace_projector
 
         def scaled(*args):
@@ -1755,8 +1773,7 @@ class TestRealBasisProjector:
         # e_0 e_0^T is idempotent, but tau P = e_0^T is not the trace
         # functional tau, the sum of the populations
         l = random_lindbladian(rng(5500), 2)
-        components = qlinalg._components_by_size(whole_form(gksl.decompose(l)))
-        assert [idx.shape for idx in components] == [(1, 4)]
+        assert [idx.shape for idx in gksl.decompose(l).components] == [(1, 4)]
 
         def leaky(*args):
             return [np.diag([1.0, 0.0, 0.0, 0.0])[None]]
