@@ -12,24 +12,21 @@ Modules, roughly bottom-up:
 - adiabatic: dissipation model for adiabatically switched logic
 - cli: the `revtherm` scenario runner
 
+Importing the package loads only `errors`. Each module above is imported
+the first time its name is read (`revtherm.gksl`, `from revtherm import
+gksl`), so a `revtherm <task>` process loads only the modules its task
+runs.
+
 Entropic quantities are in nats with Boltzmann's constant set to one.
 """
 
-from . import (
-    adiabatic,
-    channels,
-    compmodel,
-    compops,
-    gksl,
-    qlinalg,
-    qstate,
-    resource,
-)
+import importlib
+
 from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 __version__ = "0.1.0"
 
-__all__ = [
+_SUBMODULES = (
     "adiabatic",
     "channels",
     "compmodel",
@@ -38,9 +35,24 @@ __all__ = [
     "qlinalg",
     "qstate",
     "resource",
+)
+
+__all__ = [
+    *_SUBMODULES,
     "ContractError",
     "NonDiagonalizable",
     "NumericHealthError",
     "ShapeError",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # importing a submodule binds it on the package, so this runs once per name
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULES))

@@ -38,12 +38,19 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import adiabatic, channels, compmodel, compops, gksl, qstate, resource
 from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
 
 LN2 = math.log(2.0)
 
 _UNITS = ("nats", "bits")
+
+# Cap on the cells of a CSV side file whose rows are a grid's points, the
+# trajectory's (1 + 2 d^2 columns) and the sweep's (4): the point count is
+# refused above it before the grid is built. At the cap a call took
+# 0.6-1.5 s and 100-160 MB of peak memory from decode to write:
+# gksl-evolve at d = 2 (111,111 points), 8 and 16 (march route), and
+# adiabatic-sweep (250,000 points); x86-64, one BLAS thread.
+MAX_CSV_CELLS = 1_000_000
 
 
 class SchemaViolation(Exception):
@@ -170,6 +177,7 @@ def _matrix(node, path) -> np.ndarray:
 
 
 def _op(node, path) -> compops.StochasticOp:
+    from . import compops
     n = _get(node, "n_states", path, _int)
     rows_node = _get(node, "rows", path, _object)
     rows = {}
@@ -384,9 +392,12 @@ def _entropy_divisor(units: str) -> float:
 
 # -- task handlers -----------------------------------------------------------
 # Each returns (outputs, passed, tolerances, csv side files name -> text).
+# Each handler and decoder imports the library modules it calls, so a
+# process loads only those of the task it runs.
 
 
 def _handle_classify(payload, units, tol):
+    from . import compops
     div = _entropy_divisor(units)
     op = _op(payload, "payload")
     over = _get(payload, "over", "payload", _indices, None)
@@ -421,6 +432,7 @@ def _handle_classify(payload, units, tol):
 
 
 def _handle_entropy_decompose(payload, units, tol):
+    from . import compmodel
     div = _entropy_divisor(units)
     state = _get(payload, "state", "payload", _matrix)
     blocks = _get(payload, "blocks", "payload", _blocks)
@@ -440,6 +452,7 @@ def _handle_entropy_decompose(payload, units, tol):
 
 
 def _handle_implements_check(payload, units, tol):
+    from . import compmodel, compops
     u = _get(payload, "unitary", "payload", _matrix)
     state = _get(payload, "state", "payload", _matrix)
     d = state.shape[0]
@@ -454,6 +467,7 @@ def _handle_implements_check(payload, units, tol):
 
 
 def _reset_unitary(node, path, d_s, d_e):
+    from . import channels
     matrix = _get(node, "matrix", path, _matrix, None)
     if matrix is not None:
         return matrix
@@ -482,6 +496,7 @@ def _weighted_state(node, path) -> tuple:
 
 
 def _handle_landauer(payload, units, tol):
+    from . import channels, qstate
     div = _entropy_divisor(units)
     mode = _get(payload, "mode", "payload", _string)
     if mode not in ("conditional", "unconditional"):
@@ -546,6 +561,7 @@ def _handle_landauer(payload, units, tol):
 
 
 def _handle_thermo_check(payload, units, tol):
+    from . import resource
     p_in = _get(payload, "p_in", "payload", _vector)
     p_out = _get(payload, "p_out", "payload", _vector)
     energies = _get(payload, "energies", "payload", _vector)
@@ -573,6 +589,7 @@ def _handle_thermo_check(payload, units, tol):
 
 
 def _handle_cto_check(payload, units, tol):
+    from . import qstate, resource
     rho_in = _get(payload, "rho_in", "payload", _matrix)
     rho_out = _get(payload, "rho_out", "payload", _matrix)
     h = _get(payload, "hamiltonian", "payload", _matrix)
@@ -608,6 +625,7 @@ def _jump(node, path) -> tuple:
 
 
 def _lindbladian(payload) -> gksl.Lindbladian:
+    from . import gksl, qstate
     h = _get(payload, "hamiltonian", "payload", _matrix)
     jumps = _get(payload, "jumps", "payload", _array, [])
     return gksl.Lindbladian(
@@ -616,21 +634,41 @@ def _lindbladian(payload) -> gksl.Lindbladian:
     )
 
 
-def _times(node, path):
-    """{"t_max": T, "n": N} for an even grid on [0, T], or an explicit list."""
-    if not isinstance(node, dict):
-        return _vector(node, path)
-    t_max = _get(node, "t_max", path, _number)
-    n = _get(node, "n", path, _int)
-    if n < 1:
-        raise SchemaViolation(f"{path}.n", "need at least one point")
-    return np.linspace(0.0, t_max, n)
+def _grid_cap(path, n, columns):
+    """Refuse n points of a CSV table with columns cells per row above MAX_CSV_CELLS."""
+    if n * columns > MAX_CSV_CELLS:
+        raise SchemaViolation(
+            path,
+            f"{n} points exceed the cap of {MAX_CSV_CELLS // columns} "
+            f"({MAX_CSV_CELLS} CSV cells at {columns} per point)",
+        )
+
+
+def _times(d):
+    """Kind for the times of d x d states: {"t_max": T, "n": N} for an even
+    grid on [0, T], or an explicit list, within the trajectory CSV's cap."""
+    columns = 1 + 2 * d * d
+
+    def read(node, path):
+        if not isinstance(node, dict):
+            if isinstance(node, list):
+                _grid_cap(path, len(node), columns)
+            return _vector(node, path)
+        t_max = _get(node, "t_max", path, _number)
+        n = _get(node, "n", path, _int)
+        if n < 1:
+            raise SchemaViolation(f"{path}.n", "need at least one point")
+        _grid_cap(f"{path}.n", n, columns)
+        return np.linspace(0.0, t_max, n)
+
+    return read
 
 
 def _handle_gksl_evolve(payload, units, tol):
+    from . import compmodel, gksl
     l = _lindbladian(payload)
     state = _get(payload, "state", "payload", _matrix)
-    times = _get(payload, "times", "payload", _times)
+    times = _get(payload, "times", "payload", _times(l.dim))
     blocks = _get(payload, "blocks", "payload", _blocks, None)
     d, n = l.dim, len(times)
     if blocks is not None:
@@ -659,6 +697,7 @@ def _handle_gksl_evolve(payload, units, tol):
 
 
 def _handle_gksl_asymptotic(payload, units, tol):
+    from . import gksl, qstate
     l = _lindbladian(payload)
     dec = gksl.decompose(l, _get(payload, "tol", "payload", _number, None))
     evals = dec.eigenvalues
@@ -696,6 +735,7 @@ def _handle_gksl_asymptotic(payload, units, tol):
 
 
 def _handle_adiabatic_sweep(payload, units, tol):
+    from . import adiabatic
     params = adiabatic.AdiabaticParams(
         e_sig=_get(payload, "e_sig", "payload", _number),
         tau_r=_get(payload, "tau_r", "payload", _number),
@@ -706,6 +746,7 @@ def _handle_adiabatic_sweep(payload, units, tol):
     t_min = _get(payload, "t_min", "payload", _number)
     t_max = _get(payload, "t_max", "payload", _number)
     n_points = _get(payload, "n_points", "payload", _int)
+    _grid_cap("payload.n_points", n_points, 4)
     table = adiabatic.sweep(params, t_min, t_max, n_points)
     opt = adiabatic.optimal_ttr(params)
     floor = adiabatic.min_e_diss(params)

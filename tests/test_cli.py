@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from revtherm import cli
+from revtherm import cli, gksl, qlinalg, resource
 
 from helpers import leaking, random_density, rng
 
@@ -594,13 +594,13 @@ class TestRemainingTasks:
 
     def test_thermo_check_builds_each_curve_once(self, tmp_path, monkeypatch):
         built = []
-        original = cli.resource.thermomaj_curve
+        original = resource.thermomaj_curve
 
         def counted(*args):
             built.append(args[0])
             return original(*args)
 
-        monkeypatch.setattr(cli.resource, "thermomaj_curve", counted)
+        monkeypatch.setattr(resource, "thermomaj_curve", counted)
         doc = MINIMAL["thermo-check"]
         p = write_scenario(tmp_path, "thermo-check", doc)
         args = ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)]
@@ -625,7 +625,7 @@ class TestRemainingTasks:
         assert r.exit_code in (0, 4), r.stderr
         expect = load_report(out)
         for key, dist in (("curve_in", doc["p_in"]), ("curve_out", doc["p_out"])):
-            curve = cli.resource.thermomaj_curve(dist, doc["energies"], doc["beta"], "paper")
+            curve = resource.thermomaj_curve(dist, doc["energies"], doc["beta"], "paper")
             assert len(curve.points) == 257
             expect["outputs"][key] = [[float(x), float(y)] for x, y in curve.points]
         text = json.dumps(expect, sort_keys=True, indent=2) + "\n"
@@ -716,9 +716,9 @@ class TestGkslAsymptotic:
     @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "nullspace"])
     def test_one_spectrum_per_call(self, tmp_path, monkeypatch, defective):
         owners = {
-            "_eig_blocks": cli.gksl.qlinalg,
+            "_eig_blocks": qlinalg,
             "eigvals": np.linalg,
-            "build_superoperator": cli.gksl,
+            "build_superoperator": gksl,
         }
         calls = dict.fromkeys(owners, 0)
         for name, owner in owners.items():
@@ -767,13 +767,13 @@ class TestGkslAsymptotic:
         # projected, without mapping either back to column-stacked form
         calls = {"_column_stacked": 0, "_cesaro_average": 0}
         for name in calls:
-            original = getattr(cli.gksl, name)
+            original = getattr(gksl, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(cli.gksl, name, counted)
+            monkeypatch.setattr(gksl, name, counted)
         for payload in (MINIMAL["gksl-asymptotic"], {**exceptional_payload(8), **CESARO_STATE}):
             calls.update(dict.fromkeys(calls, 0))
             p = write_scenario(tmp_path, "gksl-asymptotic", payload)
@@ -789,9 +789,9 @@ class TestGkslAsymptotic:
         # so it preserves Hermiticity and reaches the Jordan-chain guard
         jordan = np.diag([0.0, 0.0, -1.0, -2.0])
         jordan[0, 1] = 1.0
-        u = cli.gksl._from_hermitian_basis(np.eye(4), 0)
+        u = gksl._from_hermitian_basis(np.eye(4), 0)
         m = u @ jordan @ u.conj().T
-        monkeypatch.setattr(cli.gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=m))
+        monkeypatch.setattr(gksl, "build_superoperator", lambda l: SimpleNamespace(matrix=m))
         payload = {"hamiltonian": complex_matrix(np.zeros((2, 2))), "jumps": []}
         p = write_scenario(tmp_path, "gksl-asymptotic", payload)
         r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
@@ -802,7 +802,6 @@ class TestGkslAsymptotic:
         assert "Jordan chain" in lines[0]
 
     def test_spectrum_in_the_right_half_plane_is_5(self, tmp_path, monkeypatch):
-        qlinalg = cli.gksl.qlinalg
         monkeypatch.setattr(qlinalg, "_eig_blocks", leaking(qlinalg._eig_blocks))
         f = [[0.0, 1.0], [0.0, 0.0]]
         payload = {
@@ -876,8 +875,8 @@ class TestGkslEvolve:
         def no_route(*args):
             raise AssertionError("a propagation route started")
 
-        monkeypatch.setattr(cli.gksl, "_dense", no_route)
-        monkeypatch.setattr(cli.gksl, "_march", no_route)
+        monkeypatch.setattr(gksl, "_dense", no_route)
+        monkeypatch.setattr(gksl, "_march", no_route)
         eye = np.eye(2)
         h = 0.125 * np.kron([[0.0, 1.0], [1.0, 0.0]], eye)
         f = np.kron([[0.0, 1.0], [0.0, 0.0]], eye)
@@ -893,6 +892,83 @@ class TestGkslEvolve:
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
 
+
+
+class Reached(Exception):
+    """Raised where a grid would be built or a trajectory computed."""
+
+
+def reached(*args, **kwargs):
+    raise Reached(args)
+
+
+class TestGridCaps:
+    """A grid's point count is refused above MAX_CSV_CELLS cells of its CSV
+    side file, before the grid is built, and passes at the cap. No test
+    builds a grid at the cap: np.linspace and np.geomspace raise Reached."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = []
+
+        def grid(start, stop, num):
+            counts.append(num)
+            raise Reached
+
+        monkeypatch.setattr(np, "linspace", grid)
+        monkeypatch.setattr(np, "geomspace", grid)
+        return counts
+
+    @staticmethod
+    def invoke(tmp_path, task, payload):
+        p = write_scenario(tmp_path, task, payload)
+        return CliRunner().invoke(cli.main, [task, "--scenario", p])
+
+    @staticmethod
+    def refusal(path, n, columns):
+        cap = cli.MAX_CSV_CELLS // columns
+        return (
+            f"error: invalid scenario: {path}: {n} points exceed the cap of {cap} "
+            f"({cli.MAX_CSV_CELLS} CSV cells at {columns} per point)\n"
+        )
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_even_time_grid(self, tmp_path, built, d):
+        columns = 1 + 2 * d * d
+        cap = cli.MAX_CSV_CELLS // columns
+        payload = {
+            "hamiltonian": diag_matrix(*range(d)),
+            "state": diag_matrix(*[1.0 / d] * d),
+        }
+        r = self.invoke(tmp_path, "gksl-evolve", {**payload, "times": {"t_max": 1.0, "n": cap + 1}})
+        assert r.exit_code == 3
+        assert r.stderr == self.refusal("payload.times.n", cap + 1, columns)
+        assert built == []
+        r = self.invoke(tmp_path, "gksl-evolve", {**payload, "times": {"t_max": 1.0, "n": cap}})
+        assert isinstance(r.exception, Reached)
+        assert built == [cap]
+
+    def test_explicit_time_list(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gksl, "trajectory", reached)
+        cap = cli.MAX_CSV_CELLS // 9
+        payload = load_scenario("dephasing.json")["payload"]
+        del payload["blocks"], payload["t_resolve"]
+        r = self.invoke(tmp_path, "gksl-evolve", {**payload, "times": [0.0] * (cap + 1)})
+        assert r.exit_code == 3
+        assert r.stderr == self.refusal("payload.times", cap + 1, 9)
+        r = self.invoke(tmp_path, "gksl-evolve", {**payload, "times": [0.0] * cap})
+        assert isinstance(r.exception, Reached)
+
+    def test_sweep_points(self, tmp_path, built):
+        cap = cli.MAX_CSV_CELLS // 4
+        payload = load_scenario("adiabatic.json")["payload"]
+        r = self.invoke(tmp_path, "adiabatic-sweep", {**payload, "n_points": cap + 1})
+        assert r.exit_code == 3
+        assert r.stderr == self.refusal("payload.n_points", cap + 1, 4)
+        assert built == []
+        r = self.invoke(tmp_path, "adiabatic-sweep", {**payload, "n_points": cap})
+        assert isinstance(r.exception, Reached)
+        assert built == [cap]
 
 class TestCsvPlacement:
     def test_csv_dir_override(self, tmp_path):
