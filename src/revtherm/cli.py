@@ -9,7 +9,8 @@ only as a content hash.
 Exit codes: 0 success; 1 scenario file unreadable; 2 malformed JSON;
 3 schema or contract violation (field path in the message); 4 a
 feasibility or bound check failed, report still emitted; 5 numeric health
-failure, a non-finite report number included (no report or CSV written).
+failure, a non-finite report number or CSV cell included (no report or CSV
+written).
 
 The report text is that of json.dumps(report, sort_keys=True, indent=2),
 written in one pass by _report_text.
@@ -51,6 +52,13 @@ _UNITS = ("nats", "bits")
 # gksl-evolve at d = 2 (111,111 points), 8 and 16 (march route), and
 # adiabatic-sweep (250,000 points); x86-64, one BLAS thread.
 MAX_CSV_CELLS = 1_000_000
+
+# Cap on gksl-asymptotic's dimension d, refused before the d^2 x d^2
+# generator is built. At the cap one decompose call of a generic generator
+# (one component) took 1.4-1.7 s and 121 MB of peak memory; time grows as
+# d^6 and memory as d^4 (3.8 s and 237 MB at d = 40, 1.49 GiB for the
+# generator alone at d = 100); x86-64, one BLAS thread.
+MAX_ASYMPTOTIC_DIM = 32
 
 
 class SchemaViolation(Exception):
@@ -198,27 +206,39 @@ def _encode_complex_matrix(m: np.ndarray) -> np.ndarray:
 
 
 class _NonFinite(NumericHealthError):
-    """A non-finite report number; path gathers its field, innermost part
-    first, as the error passes up through _emit."""
+    """A non-finite output number: its text, and its report path, which
+    gathers its field, innermost part first, as the error passes up through
+    _emit, or its CSV file, data row and column."""
 
-    def __init__(self, value: float, path: str):
-        super().__init__(value, path)
-        self.value, self.path = value, path
+    def __init__(self, text: str, path: str):
+        super().__init__(text, path)
+        self.text, self.path = text, path
 
     def __str__(self):
-        return f"{self.path.removeprefix('.')} is not finite ({self.value!r})"
+        return f"{self.path.removeprefix('.')} is not finite ({self.text})"
+
+
+def _float_text(values: list, where=lambda i: "") -> list:
+    """float.__repr__ of each of values, the one place a float becomes
+    output text; a non-finite value raises _NonFinite at where(i), i its
+    index in values."""
+    text = list(map(float.__repr__, values))
+    # the sum is finite unless a value is not, or finite values overflow
+    if not math.isfinite(sum(values)):
+        for i, value in enumerate(values):
+            if not math.isfinite(value):
+                raise _NonFinite(text[i], where(i))
+    return text
 
 
 def _emit_array(a: np.ndarray, newline: str, out: list):
     """_emit of a float array as a nested list: every cell through one
-    float.__repr__ pass, then each axis joined from the innermost out."""
+    _float_text pass, then each axis joined from the innermost out."""
     if not a.size:
         _emit(a.tolist(), newline, out)
         return
-    if not np.isfinite(a).all():
-        bad = np.argwhere(~np.isfinite(a))[0]
-        raise _NonFinite(float(a[tuple(bad)]), "".join(f"[{i}]" for i in bad))
-    text = list(map(float.__repr__, a.ravel().tolist()))
+    text = _float_text(a.ravel().tolist(),
+                       lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape)))
     for axis in range(a.ndim - 1, -1, -1):
         inner, n = newline + "  " * (axis + 1), a.shape[axis]
         close = inner[:-2] + "]"
@@ -244,32 +264,21 @@ def _emit(node, newline: str, out: list):
     elif isinstance(node, int):
         out.append(int.__repr__(node))
     elif isinstance(node, float):
-        if not math.isfinite(node):
-            raise _NonFinite(node, "")
-        out.append(float.__repr__(node))
+        out.append(_float_text([node])[0])
     elif isinstance(node, (list, tuple)):
         if not node:
             out.append("[]")
             return
         inner = newline + "  "
+        separator = "[" + inner
         try:
-            # a list of floats, the bulk of every matrix, in one join
-            text = ("," + inner).join(map(float.__repr__, node))
-        except TypeError:
-            out.append("[" + inner)
-            try:
-                for i, value in enumerate(node):
-                    if i:
-                        out.append("," + inner)
-                    _emit(value, inner, out)
-            except _NonFinite as exc:
-                exc.path = f"[{i}]{exc.path}"
-                raise
-        else:
-            if not all(map(math.isfinite, node)):
-                i = next(i for i, x in enumerate(node) if not math.isfinite(x))
-                raise _NonFinite(node[i], f"[{i}]")
-            out.append("[" + inner + text)
+            for i, value in enumerate(node):
+                out.append(separator)
+                _emit(value, inner, out)
+                separator = "," + inner
+        except _NonFinite as exc:
+            exc.path = f"[{i}]{exc.path}"
+            raise
         out.append(newline + "]")
     elif isinstance(node, dict):
         if not node:
@@ -302,66 +311,63 @@ def _report_text(report: dict) -> str:
     return "".join(out)
 
 
-def _csv_table(header: str, rows) -> str:
-    lines = [header]
-    lines += [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
-    return "\n".join(lines) + "\n"
+def _csv_cell(name: str, header: str, row: int, column: int) -> str:
+    return f"{name} data row {row + 1}, column {header.split(',')[column]}"
 
 
-_SIGN_BIT = np.uint64(1 << 63)
+def _csv_table(name: str, header: str, rows) -> str:
+    """The text of CSV file name: header, then the float table rows."""
+    k = header.count(",") + 1
+    text = _float_text(np.asarray(rows, dtype=float).ravel().tolist(),
+                       lambda i: _csv_cell(name, header, *divmod(i, k)))
+    return "\n".join([header] + [",".join(text[i : i + k]) for i in range(0, len(text), k)]) + "\n"
 
 
 @functools.lru_cache(maxsize=8)
 def _trajectory_layout(d: int):
-    """The trajectory CSV header for d x d states, then flat indices of the
-    entries on and above the diagonal, of those below it and of their
-    mirrors above it. Both indices of a column name are padded to the width
-    of d - 1, so each name is distinct: re_0011 and re_1101 at d = 12."""
+    """The trajectory CSV header for d x d states, then the columns of the
+    re cells of the entries below the diagonal and of their mirrors above
+    it. Both indices of a column name are padded to the width of d - 1, so
+    each name is distinct: re_0011 and re_1101 at d = 12."""
     w = len(str(d - 1))
     header = "t," + ",".join(f"re_{i:0{w}}{j:0{w}},im_{i:0{w}}{j:0{w}}"
                              for i in range(d) for j in range(d))
-    iu, ju = np.triu_indices(d)
-    il, jl = np.tril_indices(d, -1)
-    indices = iu * d + ju, il * d + jl, jl * d + il
-    for a in indices:
+    i, j = np.tril_indices(d, -1)
+    columns = 1 + 2 * (i * d + j), 1 + 2 * (j * d + i)
+    for a in columns:
         a.flags.writeable = False  # shared between calls
-    return header, *indices
+    return header, *columns
 
 
 def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
-    """The _csv_table text of rows t, then re, im of every entry of each
-    state in row-major order, byte for byte.
+    """The _csv_table text of trajectory.csv, rows t, then re, im of every
+    entry of each state in row-major order, byte for byte.
 
-    States are Hermitian, so repr runs only on the times and on the
-    entries on and above the diagonal, the most costly part of the table.
-    A cell below the diagonal reuses the text of its mirror when that
-    gives the same bytes: the re cell when both float64 bit patterns are
-    equal, the im cell, sign flipped, when its bits are the mirror's with
-    the sign bit flipped (a NaN never is). Every other cell is formatted
-    on its own, such as an im pair of +0.0 and +0.0.
+    States are Hermitian, and formatting is the floor of the table, so a
+    cell below the diagonal reuses the text of its mirror when that gives
+    the same bytes: the re cell when both hold one value with one sign bit,
+    the im cell, sign flipped, when it holds the mirror's negation with the
+    other sign bit (a NaN never does either). Only the times, the entries on
+    and above the diagonal and every other cell, such as an im pair of +0.0
+    and +0.0, reach _float_text.
     """
     n, d = states.shape[:2]
-    header, upper, lower, mirror = _trajectory_layout(d)
-    parts = states.reshape(n, d * d).view(float).reshape(n, d * d, 2)
+    header, lower, mirror = _trajectory_layout(d)
     t = np.asarray(times, dtype=float)[:, None]
-    firsts = np.concatenate((t, parts[:, upper].reshape(n, -1)), axis=1)
-    text = np.array(list(map(float.__repr__, firsts.ravel().tolist())), dtype=object)
-    text = text.reshape(n, -1)
-    cells = np.empty((n, d * d, 2), dtype=object)
-    cells[:, upper] = text[:, 1:].reshape(n, upper.size, 2)
-    # repr is the floor of the table, and a cell below the diagonal mostly
-    # holds its mirror's value: it takes that text where the bytes match
-    below, mirrors = parts[:, lower], parts[:, mirror]
-    bits, mirror_bits = below.view(np.uint64), mirrors.view(np.uint64)
-    reused = cells[:, mirror]
-    flipped = (bits[..., 1] == mirror_bits[..., 1] ^ _SIGN_BIT) & ~np.isnan(mirrors[..., 1])
-    im = reused[..., 1]
-    im[flipped] = [c[1:] if c[0] == "-" else "-" + c for c in im[flipped].tolist()]
-    own = ~np.stack((bits[..., 0] == mirror_bits[..., 0], flipped), axis=-1)
-    reused[own] = list(map(float.__repr__, below[own].tolist()))
-    cells[:, lower] = reused
-    rows = np.concatenate((text[:, :1], cells.reshape(n, -1)), axis=1)
-    return "\n".join([header] + [",".join(row) for row in rows.tolist()]) + "\n"
+    table = np.concatenate((t, states.reshape(n, d * d).view(float)), axis=1)
+    re, re_mirror = table[:, lower], table[:, mirror]
+    im, im_mirror = table[:, lower + 1], table[:, mirror + 1]
+    same = (re == re_mirror) & (np.signbit(re) == np.signbit(re_mirror))
+    flipped = (im == -im_mirror) & (np.signbit(im) != np.signbit(im_mirror))
+    fresh = np.ones(table.shape, dtype=bool)
+    fresh[:, lower], fresh[:, lower + 1] = ~same, ~flipped
+    text = np.empty(table.shape, dtype=object)
+    text[fresh] = _float_text(table[fresh].tolist(),
+                              lambda i: _csv_cell("trajectory.csv", header, *np.argwhere(fresh)[i]))
+    text[:, lower] = np.where(same, text[:, mirror], text[:, lower])
+    r, k = np.nonzero(flipped)
+    text[r, lower[k] + 1] = [c[1:] if c[0] == "-" else "-" + c for c in text[r, mirror[k] + 1]]
+    return "\n".join([header] + [",".join(row) for row in text.tolist()]) + "\n"
 
 
 def _write_all(files: list):
@@ -582,8 +588,8 @@ def _handle_thermo_check(payload, units, tol):
         "curve_out": points_out,
     }
     csvs = {
-        "curve_in.csv": _csv_table("x,y", points_in),
-        "curve_out.csv": _csv_table("x,y", points_out),
+        "curve_in.csv": _csv_table("curve_in.csv", "x,y", points_in),
+        "curve_out.csv": _csv_table("curve_out.csv", "x,y", points_out),
     }
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 
@@ -614,7 +620,7 @@ def _handle_cto_check(payload, units, tol):
         ok, margins = resource.second_laws_check(rho_in, rho_out, ctx, alphas)
         outputs["second_laws"] = {
             "pass": ok,
-            "margins": {repr(float(a)): float(m) for a, m in margins.items()},
+            "margins": dict(zip(_float_text(list(margins)), margins.values())),
         }
         passed = bool(passed and ok)
     return outputs, passed, tolerances, {}
@@ -699,6 +705,10 @@ def _handle_gksl_evolve(payload, units, tol):
 def _handle_gksl_asymptotic(payload, units, tol):
     from . import gksl, qstate
     l = _lindbladian(payload)
+    if l.dim > MAX_ASYMPTOTIC_DIM:
+        raise SchemaViolation(
+            "payload.hamiltonian", f"dimension {l.dim} exceeds the cap of {MAX_ASYMPTOTIC_DIM}"
+        )
     dec = gksl.decompose(l, _get(payload, "tol", "payload", _number, None))
     evals = dec.eigenvalues
     outputs = {
@@ -765,7 +775,8 @@ def _handle_adiabatic_sweep(payload, units, tol):
     closed_form_ok = abs(at_opt - floor) <= 1e-12 * max(1.0, floor)
     passed = bool(closed_form_ok and grid_min >= floor - 1e-9)
     tolerances = {"optimum_identity": 1e-12, "grid_floor": 1e-9}
-    return outputs, passed, tolerances, {"sweep.csv": _csv_table("t_tr,e_sw,e_lk,e_diss", table)}
+    csvs = {"sweep.csv": _csv_table("sweep.csv", "t_tr,e_sw,e_lk,e_diss", table)}
+    return outputs, passed, tolerances, csvs
 
 
 _HANDLERS = {

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import math
@@ -816,6 +817,25 @@ class TestGkslAsymptotic:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "leaks into the right half plane" in lines[0]
 
+    def test_dimension_over_cap_is_3(self, tmp_path, monkeypatch):
+        def build(l):
+            raise AssertionError(f"built the d = {l.dim} generator")
+
+        monkeypatch.setattr(gksl, "build_superoperator", build)
+        cap = cli.MAX_ASYMPTOTIC_DIM
+        runs = {}
+        for d in (cap + 1, cap):
+            payload = {"hamiltonian": complex_matrix(np.zeros((d, d))), "jumps": []}
+            p = write_scenario(tmp_path, "gksl-asymptotic", payload, name=f"d{d}.json")
+            runs[d] = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+        assert runs[cap + 1].exit_code == 3
+        assert runs[cap + 1].stderr == (
+            f"error: invalid scenario: payload.hamiltonian: dimension {cap + 1} "
+            f"exceeds the cap of {cap}\n"
+        )
+        # the cap itself goes on to the build
+        assert str(runs[cap].exception) == f"built the d = {cap} generator"
+
 
 class TestGkslEvolve:
     def test_explicit_times_give_rows_in_input_order(self, tmp_path):
@@ -1394,14 +1414,31 @@ class TestTrajectoryCsv:
 
     def test_non_hermitian_stack_formats_every_cell(self):
         # no cell below the diagonal matches its mirror, so each one takes
-        # the fallback; NaN im pairs with flipped sign bits are among them
+        # the fallback
         gen = rng(31)
         states = gen.normal(size=(6, 5, 5)) + 1j * gen.normal(size=(6, 5, 5))
-        states[0, 1, 0] = complex(math.nan, math.nan)
-        states[0, 0, 1] = states[0, 1, 0].conjugate()
-        states[1] = np.inf
         times = np.linspace(0.0, 2.0, 6)
         assert cli._trajectory_csv(times, states) == self.reference(times, states)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # a NaN im pair with flipped sign bits: the upper cell is named
+            ([((0, 1, 0), complex(math.nan, math.nan)), ((0, 0, 1), complex(math.nan, -math.nan))],
+             "data row 1, column re_01 is not finite (nan)"),
+            ([(1, math.inf)], "data row 2, column re_00 is not finite (inf)"),
+            # below the diagonal, with a finite mirror: formatted on its own
+            ([((2, 3, 1), complex(0.5, -math.inf))], "data row 3, column im_31 is not finite (-inf)"),
+        ],
+        ids=["nan pair", "inf state", "lower cell"],
+    )
+    def test_non_finite_cell_is_refused(self, cells, message):
+        states = self.hermitian_stack(rng(33), 6, 5)
+        for at, value in cells:
+            states[at] = value
+        with pytest.raises(cli.NumericHealthError) as info:
+            cli._trajectory_csv(np.linspace(0.0, 2.0, 6), states)
+        assert str(info.value) == "trajectory.csv " + message
 
     def test_list_of_integer_times(self):
         states = self.hermitian_stack(rng(32), 3, 3)
@@ -1493,3 +1530,86 @@ class TestNonFiniteOutput:
         r = CliRunner().invoke(cli.main, ["classify", "--scenario", p])
         assert r.exit_code == 5
         assert r.stderr == "error: numeric health: tolerances.support is not finite (inf)\n"
+
+
+class TestNonFiniteCsvCell:
+    """A non-finite CSV cell exits 5 like a non-finite report number: one
+    error line names the file, data row and column, and no file is written."""
+
+    # e_sw = e_sig tau_r / t_tr overflows at t_tr = 1e-10, while every
+    # report number stays finite
+    SWEEP = {"e_sig": 1e300, "tau_r": 1, "tau_e": 1e10, "t_min": 1e-10, "t_max": 1e12, "n_points": 5}
+    MESSAGE = "error: numeric health: sweep.csv data row 1, column e_sw is not finite (inf)\n"
+
+    def test_with_out(self, tmp_path):
+        p = write_scenario(tmp_path, "adiabatic-sweep", self.SWEEP)
+        out_dir = tmp_path / "out"
+        args = ["adiabatic-sweep", "--scenario", p, "--out", str(out_dir / "report.json")]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 5
+        assert r.stderr == self.MESSAGE
+        assert not out_dir.exists()
+
+    def test_with_csv_dir(self, tmp_path):
+        p = write_scenario(tmp_path, "adiabatic-sweep", self.SWEEP)
+        args = ["adiabatic-sweep", "--scenario", p, "--csv-dir", str(tmp_path / "tables")]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 5
+        assert r.stdout == ""
+        assert r.stderr == self.MESSAGE
+        assert not (tmp_path / "tables").exists()
+
+    def test_as_batch_member(self, tmp_path):
+        good = write_scenario(tmp_path, "classify", MINIMAL["classify"], name="good.json")
+        sweep = write_scenario(tmp_path, "adiabatic-sweep", self.SWEEP, name="sweep.json")
+        out_dir = tmp_path / "batch"
+        args = ["batch", "--scenario", good, "--scenario", sweep, "--out-dir", str(out_dir)]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 5
+        assert r.stdout == f"{good}: exit 0\n{sweep}: exit 5\n"
+        assert r.stderr == self.MESSAGE
+        assert sorted(p.name for p in out_dir.iterdir()) == ["good.report.json"]
+
+    def test_cell_is_named_by_row_and_column(self):
+        rows = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, math.nan]])
+        with pytest.raises(cli.NumericHealthError) as info:
+            cli._csv_table("curve_in.csv", "x,y", rows)
+        assert str(info.value) == "curve_in.csv data row 3, column y is not finite (nan)"
+
+
+def float_formatters(source: str) -> set:
+    """The top-level functions of source, and the methods of its classes as
+    Class.method, that name float.__repr__ or the builtin repr, to call it
+    or to pass it on;
+    "<module>" for any other top-level statement that does."""
+
+    def formats(node):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr == "__repr__"
+             and isinstance(n.value, ast.Name) and n.value.id == "float")
+            or (isinstance(n, ast.Name) and n.id == "repr")
+            for n in ast.walk(node)
+        )
+
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{getattr(m, 'name', '<body>')}" for m in node.body if formats(m)}
+        elif formats(node):
+            found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_one_function_formats_floats():
+    assert float_formatters(Path(cli.__file__).read_text()) == {"_float_text"}
+    # the scan sees a second formatter in each form
+    probes = [
+        "def _float_text(v):\n    return float.__repr__(v)\n",
+        "def table(rows):\n    return ','.join(map(repr, rows))\n",
+        "class C:\n    def __str__(self):\n        return f'({repr(self.value)})'\n",
+        "KEYS = {repr(a): a for a in (0.5, 2.0)}\n",
+        "def text(v):\n    return (lambda x: float.__repr__(x))(v)\n",
+    ]
+    assert float_formatters("".join(probes)) == {
+        "_float_text", "table", "C.__str__", "<module>", "text"
+    }
