@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -218,17 +218,16 @@ class _NonFinite(NumericHealthError):
         return f"{self.path.removeprefix('.')} is not finite ({self.text})"
 
 
-def _float_text(values: list, where=lambda i: "") -> list:
-    """float.__repr__ of each of values, the one place a float becomes
-    output text; a non-finite value raises _NonFinite at where(i), i its
-    index in values."""
-    text = list(map(float.__repr__, values))
+def _float_text(values: list, where=lambda i: ""):
+    """float.__repr__ of each of values, as an iterator: the one place a
+    float becomes output text. A non-finite value raises _NonFinite at
+    where(i), i its index in values, before any text is made."""
     # the sum is finite unless a value is not, or finite values overflow
     if not math.isfinite(sum(values)):
         for i, value in enumerate(values):
             if not math.isfinite(value):
-                raise _NonFinite(text[i], where(i))
-    return text
+                raise _NonFinite(float.__repr__(value), where(i))
+    return map(float.__repr__, values)
 
 
 def _emit_array(a: np.ndarray, newline: str, out: list):
@@ -237,8 +236,8 @@ def _emit_array(a: np.ndarray, newline: str, out: list):
     if not a.size:
         _emit(a.tolist(), newline, out)
         return
-    text = _float_text(a.ravel().tolist(),
-                       lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape)))
+    text = list(_float_text(a.ravel().tolist(),
+                            lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape))))
     for axis in range(a.ndim - 1, -1, -1):
         inner, n = newline + "  " * (axis + 1), a.shape[axis]
         close = inner[:-2] + "]"
@@ -264,7 +263,7 @@ def _emit(node, newline: str, out: list):
     elif isinstance(node, int):
         out.append(int.__repr__(node))
     elif isinstance(node, float):
-        out.append(_float_text([node])[0])
+        out.extend(_float_text([node]))
     elif isinstance(node, (list, tuple)):
         if not node:
             out.append("[]")
@@ -316,11 +315,12 @@ def _csv_cell(name: str, header: str, row: int, column: int) -> str:
 
 
 def _csv_table(name: str, header: str, rows) -> str:
-    """The text of CSV file name: header, then the float table rows."""
+    """The text of CSV file name: header, then the float table rows; a
+    non-finite cell raises _NonFinite naming its data row and column."""
     k = header.count(",") + 1
-    text = _float_text(np.asarray(rows, dtype=float).ravel().tolist(),
-                       lambda i: _csv_cell(name, header, *divmod(i, k)))
-    return "\n".join([header] + [",".join(text[i : i + k]) for i in range(0, len(text), k)]) + "\n"
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    text = _float_text(cells, lambda i: _csv_cell(name, header, *divmod(i, k)))
+    return "\n".join([header] + [",".join(islice(text, k)) for _ in range(len(cells) // k)]) + "\n"
 
 
 @functools.lru_cache(maxsize=8)
@@ -362,8 +362,9 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     fresh = np.ones(table.shape, dtype=bool)
     fresh[:, lower], fresh[:, lower + 1] = ~same, ~flipped
     text = np.empty(table.shape, dtype=object)
-    text[fresh] = _float_text(table[fresh].tolist(),
-                              lambda i: _csv_cell("trajectory.csv", header, *np.argwhere(fresh)[i]))
+    text[fresh] = list(_float_text(
+        table[fresh].tolist(), lambda i: _csv_cell("trajectory.csv", header, *np.argwhere(fresh)[i])
+    ))
     text[:, lower] = np.where(same, text[:, mirror], text[:, lower])
     r, k = np.nonzero(flipped)
     text[r, lower[k] + 1] = [c[1:] if c[0] == "-" else "-" + c for c in text[r, mirror[k] + 1]]
@@ -451,7 +452,7 @@ def _handle_entropy_decompose(payload, units, tol):
         "h_c": h_c / div,
         "s_nc": s_nc / div,
         "residual": residual / div,
-        "distribution": [float(p) for p in compmodel.computational_distribution(ctx)],
+        "distribution": compmodel.computational_distribution(ctx),
     }
     tolerances = {"identity_residual": 1e-9}
     return outputs, bool(residual <= 1e-9), tolerances, {}
@@ -716,7 +717,7 @@ def _handle_gksl_asymptotic(payload, units, tol):
         "eigenvalues": _encode_complex_matrix(evals[np.lexsort((evals.imag, evals.real))]),
         "n_asymptotic": len(dec.asymptotic_indices),
         "p_a_rank": int(round(float(np.real(np.trace(dec.p_a))))),
-        "asymptotic_frequencies": [float(f) for f in dec.asymptotic_frequencies],
+        "asymptotic_frequencies": dec.asymptotic_frequencies,
         "spectral_fallback": dec.route == "nullspace",
     }
     passed = True
