@@ -218,16 +218,15 @@ class _NonFinite(NumericHealthError):
         return f"{self.path.removeprefix('.')} is not finite ({self.text})"
 
 
-def _float_text(values: list, where=lambda i: ""):
-    """float.__repr__ of each of values, as an iterator: the one place a
-    float becomes output text. A non-finite value raises _NonFinite at
-    where(i), i its index in values, before any text is made."""
-    # the sum is finite unless a value is not, or finite values overflow
-    if not math.isfinite(sum(values)):
-        for i, value in enumerate(values):
-            if not math.isfinite(value):
-                raise _NonFinite(float.__repr__(value), where(i))
-    return map(float.__repr__, values)
+def _float_text(cells: np.ndarray, where=lambda i: ""):
+    """float.__repr__ of each cell of a float array in C order, as an
+    iterator: the one place a float becomes output text. A non-finite cell
+    raises _NonFinite at where(i), i its flat index, before any text is made."""
+    finite = np.isfinite(cells)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise _NonFinite(float.__repr__(cells.flat[i]), where(i))
+    return map(float.__repr__, cells.ravel().tolist())
 
 
 def _emit_array(a: np.ndarray, newline: str, out: list):
@@ -236,8 +235,7 @@ def _emit_array(a: np.ndarray, newline: str, out: list):
     if not a.size:
         _emit(a.tolist(), newline, out)
         return
-    text = list(_float_text(a.ravel().tolist(),
-                            lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape))))
+    text = list(_float_text(a, lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape))))
     for axis in range(a.ndim - 1, -1, -1):
         inner, n = newline + "  " * (axis + 1), a.shape[axis]
         close = inner[:-2] + "]"
@@ -263,7 +261,7 @@ def _emit(node, newline: str, out: list):
     elif isinstance(node, int):
         out.append(int.__repr__(node))
     elif isinstance(node, float):
-        out.extend(_float_text([node]))
+        out.extend(_float_text(np.array([node])))
     elif isinstance(node, (list, tuple)):
         if not node:
             out.append("[]")
@@ -318,9 +316,9 @@ def _csv_table(name: str, header: str, rows) -> str:
     """The text of CSV file name: header, then the float table rows; a
     non-finite cell raises _NonFinite naming its data row and column."""
     k = header.count(",") + 1
-    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    cells = np.asarray(rows, dtype=float)
     text = _float_text(cells, lambda i: _csv_cell(name, header, *divmod(i, k)))
-    return "\n".join([header] + [",".join(islice(text, k)) for _ in range(len(cells) // k)]) + "\n"
+    return "\n".join([header] + [",".join(islice(text, k)) for _ in range(cells.size // k)]) + "\n"
 
 
 @functools.lru_cache(maxsize=8)
@@ -353,8 +351,7 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     """
     n, d = states.shape[:2]
     header, lower, mirror = _trajectory_layout(d)
-    t = np.asarray(times, dtype=float)[:, None]
-    table = np.concatenate((t, states.reshape(n, d * d).view(float)), axis=1)
+    table = np.column_stack((times, states.reshape(n, d * d).view(float)))
     re, re_mirror = table[:, lower], table[:, mirror]
     im, im_mirror = table[:, lower + 1], table[:, mirror + 1]
     same = (re == re_mirror) & (np.signbit(re) == np.signbit(re_mirror))
@@ -363,7 +360,7 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     fresh[:, lower], fresh[:, lower + 1] = ~same, ~flipped
     text = np.empty(table.shape, dtype=object)
     text[fresh] = list(_float_text(
-        table[fresh].tolist(), lambda i: _csv_cell("trajectory.csv", header, *np.argwhere(fresh)[i])
+        table[fresh], lambda i: _csv_cell("trajectory.csv", header, *np.argwhere(fresh)[i])
     ))
     text[:, lower] = np.where(same, text[:, mirror], text[:, lower])
     r, k = np.nonzero(flipped)
@@ -621,7 +618,7 @@ def _handle_cto_check(payload, units, tol):
         ok, margins = resource.second_laws_check(rho_in, rho_out, ctx, alphas)
         outputs["second_laws"] = {
             "pass": ok,
-            "margins": dict(zip(_float_text(list(margins)), margins.values())),
+            "margins": dict(zip(_float_text(np.array(list(margins))), margins.values())),
         }
         passed = bool(passed and ok)
     return outputs, passed, tolerances, {}
