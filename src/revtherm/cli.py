@@ -346,8 +346,8 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     the same bytes: the re cell when both hold one value with one sign bit,
     the im cell, sign flipped, when it holds the mirror's negation with the
     other sign bit (a NaN never does either). Only the times, the entries on
-    and above the diagonal and every other cell, such as an im pair of +0.0
-    and +0.0, reach _float_text.
+    and above the diagonal and the lower cells that match neither way, such
+    as an im pair of +0.0 and +0.0, reach _float_text.
     """
     n, d = states.shape[:2]
     header, lower, mirror = _trajectory_layout(d)

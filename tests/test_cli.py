@@ -1428,7 +1428,8 @@ class TestTrajectoryCsv:
              "data row 1, column re_01 is not finite (nan)"),
             ([(1, math.inf)], "data row 2, column re_00 is not finite (inf)"),
             # below the diagonal, with a finite mirror: formatted on its own
-            ([((2, 3, 1), complex(0.5, -math.inf))], "data row 3, column im_31 is not finite (-inf)"),
+            ([((2, 3, 1), complex(0.5, -math.inf))],
+             "data row 3, column im_31 is not finite (-inf)"),
         ],
         ids=["nan pair", "inf state", "lower cell"],
     )
@@ -1538,7 +1539,9 @@ class TestNonFiniteCsvCell:
 
     # e_sw = e_sig tau_r / t_tr overflows at t_tr = 1e-10, while every
     # report number stays finite
-    SWEEP = {"e_sig": 1e300, "tau_r": 1, "tau_e": 1e10, "t_min": 1e-10, "t_max": 1e12, "n_points": 5}
+    SWEEP = {
+        "e_sig": 1e300, "tau_r": 1, "tau_e": 1e10, "t_min": 1e-10, "t_max": 1e12, "n_points": 5
+    }
     MESSAGE = "error: numeric health: sweep.csv data row 1, column e_sw is not finite (inf)\n"
 
     def test_with_out(self, tmp_path):
@@ -1594,7 +1597,9 @@ def float_formatters(source: str) -> set:
     found = set()
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
-            found |= {f"{node.name}.{getattr(m, 'name', '<body>')}" for m in node.body if formats(m)}
+            found |= {
+                f"{node.name}.{getattr(m, 'name', '<body>')}" for m in node.body if formats(m)
+            }
         elif formats(node):
             found.add(getattr(node, "name", "<module>"))
     return found
