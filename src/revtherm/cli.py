@@ -43,7 +43,7 @@ from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeE
 
 LN2 = math.log(2.0)
 
-_UNITS = ("nats", "bits")
+_UNITS = {"nats": 1.0, "bits": LN2}  # --units: the divisor of entropic outputs
 
 # Cap on the cells of a CSV side file whose rows are a grid's points, the
 # trajectory's (1 + 2 d^2 columns) and the sweep's (4): the point count is
@@ -184,16 +184,20 @@ def _matrix(node, path) -> np.ndarray:
     return np.array([[complex(*cell) for cell in row] for row in node], dtype=complex)
 
 
-def _op(node, path) -> compops.StochasticOp:
-    from . import compops
+def _op(node, path) -> tuple:
+    """(n_states, rows by state index): the arguments of compops.StochasticOp."""
     n = _get(node, "n_states", path, _int)
     rows_node = _get(node, "rows", path, _object)
     rows = {}
     for key in rows_node:
-        if not key.isdecimal():
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            index = int(key) if key.isdecimal() else None
+        except ValueError:
+            index = None
+        if index is None:
             raise SchemaViolation(f"{path}.rows.{key}", "row keys must be state indices")
-        rows[int(key)] = _get(rows_node, key, f"{path}.rows", _vector)
-    return compops.StochasticOp(n, rows)
+        rows[index] = _get(rows_node, key, f"{path}.rows", _vector)
+    return n, rows
 
 
 def _encode_complex_matrix(m: np.ndarray) -> np.ndarray:
@@ -390,21 +394,20 @@ def _write_all(files: list):
         raise
 
 
-def _entropy_divisor(units: str) -> float:
-    return 1.0 if units == "nats" else LN2
-
-
 # -- task handlers -----------------------------------------------------------
-# Each returns (outputs, passed, tolerances, csv side files name -> text).
-# Each handler and decoder imports the library modules it calls, so a
-# process loads only those of the task it runs.
+# Each takes (payload, entropy divisor of --units, --tol) and returns
+# (outputs, passed, tolerances, csv side files name -> text). It reads every
+# field, caps and conventions included, as plain data before its first library
+# call, so a schema error wins and costs no compute; and it imports only the
+# library modules it calls, so a process loads only those of its task.
 
 
-def _handle_classify(payload, units, tol):
+def _handle_classify(payload, div, tol):
     from . import compops
-    div = _entropy_divisor(units)
-    op = _op(payload, "payload")
+    n, rows = _op(payload, "payload")
     over = _get(payload, "over", "payload", _indices, None)
+    dist = _get(payload, "input_dist", "payload", _vector, None)
+    op = compops.StochasticOp(n, rows)
     outputs = {
         "domain": list(op.domain),
         "deterministic": compops.is_deterministic(op),
@@ -417,7 +420,6 @@ def _handle_classify(payload, units, tol):
         outputs["entropy_ejecting"] = compops.is_entropy_ejecting(op)
         outputs["traditional_theorem"] = compops.check_traditional_theorem(op)
         checks.append(outputs["traditional_theorem"])
-    dist = _get(payload, "input_dist", "payload", _vector, None)
     if dist is not None:
         c = compops.ContextualizedComputation(op, dist)
         delta_h, min_delta_s = compops.computational_entropy_delta(c)
@@ -435,9 +437,8 @@ def _handle_classify(payload, units, tol):
     return outputs, all(checks), tolerances, {}
 
 
-def _handle_entropy_decompose(payload, units, tol):
+def _handle_entropy_decompose(payload, div, tol):
     from . import compmodel
-    div = _entropy_divisor(units)
     state = _get(payload, "state", "payload", _matrix)
     blocks = _get(payload, "blocks", "payload", _blocks)
     partition = compmodel.BasisPartition(state.shape[0], blocks)
@@ -455,15 +456,17 @@ def _handle_entropy_decompose(payload, units, tol):
     return outputs, bool(residual <= 1e-9), tolerances, {}
 
 
-def _handle_implements_check(payload, units, tol):
+def _handle_implements_check(payload, div, tol):
     from . import compmodel, compops
     u = _get(payload, "unitary", "payload", _matrix)
     state = _get(payload, "state", "payload", _matrix)
-    d = state.shape[0]
-    p_in = compmodel.BasisPartition(d, _get(payload, "p_in_blocks", "payload", _blocks))
+    in_blocks = _get(payload, "p_in_blocks", "payload", _blocks)
     out_blocks = _get(payload, "p_out_blocks", "payload", _blocks, None)
+    n, rows = _get(payload, "op", "payload", _op)
+    d = state.shape[0]
+    p_in = compmodel.BasisPartition(d, in_blocks)
     p_out = compmodel.BasisPartition(d, out_blocks) if out_blocks is not None else p_in
-    op = _get(payload, "op", "payload", _op)
+    op = compops.StochasticOp(n, rows)
     ctx = compmodel.QuantumContext(state, p_in)
     tv_tol = tol if tol is not None else 1e-9
     ok = compops.implements(u, p_in, p_out, op, ctx, tol=tv_tol)
@@ -471,6 +474,7 @@ def _handle_implements_check(payload, units, tol):
 
 
 def _reset_unitary(node, path, d_s, d_e):
+    """The unitary's matrix, or the channels call that builds it, deferred."""
     from . import channels
     matrix = _get(node, "matrix", path, _matrix, None)
     if matrix is not None:
@@ -480,28 +484,24 @@ def _reset_unitary(node, path, d_s, d_e):
         if not swap:
             raise SchemaViolation(f"{path}.swap", "must be true when present")
         if d_s != d_e:
-            raise SchemaViolation(
-                f"{path}.swap", f"swap needs equal dimensions, got {d_s} and {d_e}"
-            )
-        return channels.swap_unitary(d_s)
+            raise SchemaViolation(f"{path}.swap",
+                                  f"swap needs equal dimensions, got {d_s} and {d_e}")
+        return functools.partial(channels.swap_unitary, d_s)
     pairs = _get(node, "transpositions", path, _array, None)
     if pairs is None:
         raise SchemaViolation(path, "expected one of: matrix, swap, transpositions")
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
-            raise SchemaViolation(
-                f"{path}.transpositions[{i}]", "expected an [i, j] index pair"
-            )
-    return channels.basis_transposition(d_s * d_e, pairs)
+            raise SchemaViolation(f"{path}.transpositions[{i}]", "expected an [i, j] index pair")
+    return functools.partial(channels.basis_transposition, d_s * d_e, pairs)
 
 
 def _weighted_state(node, path) -> tuple:
     return _get(node, "p", path, _number), _get(node, "state", path, _matrix)
 
 
-def _handle_landauer(payload, units, tol):
+def _handle_landauer(payload, div, tol):
     from . import channels, qstate
-    div = _entropy_divisor(units)
     mode = _get(payload, "mode", "payload", _string)
     if mode not in ("conditional", "unconditional"):
         raise SchemaViolation("payload.mode", f"unknown mode {mode!r}")
@@ -509,18 +509,18 @@ def _handle_landauer(payload, units, tol):
     target = _get(payload, "target", "payload", _matrix)
     h_e = _get(payload, "env_hamiltonian", "payload", _matrix)
     beta = _get(payload, "beta", "payload", _number)
-    env_ctx = qstate.ThermoContext(qstate.Hamiltonian(h_e), beta)
     d_s, d_e = states[0][1].shape[0], h_e.shape[0]
-    unitaries = tuple(
+    unitaries = [
         _reset_unitary(node, f"payload.unitaries[{i}]", d_s, d_e)
         for i, node in enumerate(_get(payload, "unitaries", "payload", _array))
-    )
+    ]
+    heat = _get(payload, "heat", "payload", _bool, False)
+    if heat and len(unitaries) != 1:
+        raise SchemaViolation("payload.heat", "heat analysis needs a single shared unitary")
+    env_ctx = qstate.ThermoContext(qstate.Hamiltonian(h_e), beta)
+    unitaries = tuple(u() if callable(u) else u for u in unitaries)
     scenario = channels.ResetScenario(
-        states=tuple(states),
-        target=target,
-        env_ctx=env_ctx,
-        mode=mode,
-        unitaries=unitaries,
+        states=tuple(states), target=target, env_ctx=env_ctx, mode=mode, unitaries=unitaries
     )
     sim = channels.simulate_reset(scenario)
     outputs = {
@@ -533,11 +533,7 @@ def _handle_landauer(payload, units, tol):
     }
     passed = sim["satisfied"]
     tolerances = {"bound_slack": channels.BOUND_TOL}
-    if _get(payload, "heat", "payload", _bool, False):
-        if len(unitaries) != 1:
-            raise SchemaViolation(
-                "payload.heat", "heat analysis needs a single shared unitary"
-            )
+    if heat:
         tau_e = qstate.gibbs_state(env_ctx)
         mixture = sum(p * rho for p, rho in scenario.states)
         spec = channels.DilationSpec(d_s, d_e, unitaries[0], tau_e)
@@ -564,7 +560,7 @@ def _handle_landauer(payload, units, tol):
     return outputs, passed, tolerances, {}
 
 
-def _handle_thermo_check(payload, units, tol):
+def _handle_thermo_check(payload, div, tol):
     from . import resource
     p_in = _get(payload, "p_in", "payload", _vector)
     p_out = _get(payload, "p_out", "payload", _vector)
@@ -592,15 +588,19 @@ def _handle_thermo_check(payload, units, tol):
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 
 
-def _handle_cto_check(payload, units, tol):
+def _handle_cto_check(payload, div, tol):
     from . import qstate, resource
     rho_in = _get(payload, "rho_in", "payload", _matrix)
     rho_out = _get(payload, "rho_out", "payload", _matrix)
     h = _get(payload, "hamiltonian", "payload", _matrix)
     beta = _get(payload, "beta", "payload", _number)
     qmi = _get(payload, "qmi_budget", "payload", _number)
+    cycle = _get(payload, "cycle", "payload", _bool, False)
+    alphas = None
+    if _get(payload, "second_laws", "payload", _bool, False):
+        alphas = _get(payload, "alphas", "payload", _vector, resource.DEFAULT_ALPHA_GRID)
     ctx = qstate.ThermoContext(qstate.Hamiltonian(h), beta)
-    if _get(payload, "cycle", "payload", _bool, False):
+    if cycle:
         verdict = resource.compute_reset_cycle_verdict(rho_in, rho_out, ctx, qmi)
     else:
         verdict = resource.cto_feasible_general(rho_in, rho_out, ctx, qmi)
@@ -613,8 +613,7 @@ def _handle_cto_check(payload, units, tol):
     }
     passed = verdict.feasible
     tolerances = {"feasibility": resource.FEASIBILITY_TOL}
-    if _get(payload, "second_laws", "payload", _bool, False):
-        alphas = _get(payload, "alphas", "payload", _vector, resource.DEFAULT_ALPHA_GRID)
+    if alphas is not None:
         ok, margins = resource.second_laws_check(rho_in, rho_out, ctx, alphas)
         outputs["second_laws"] = {
             "pass": ok,
@@ -628,14 +627,15 @@ def _jump(node, path) -> tuple:
     return _get(node, "operator", path, _matrix), _get(node, "rate", path, _number)
 
 
-def _lindbladian(payload) -> gksl.Lindbladian:
-    from . import gksl, qstate
+def _lindbladian(payload) -> tuple:
+    """The hamiltonian and the (operator, rate) jumps of a gksl.Lindbladian."""
     h = _get(payload, "hamiltonian", "payload", _matrix)
     jumps = _get(payload, "jumps", "payload", _array, [])
-    return gksl.Lindbladian(
-        qstate.Hamiltonian(h),
-        tuple(_jump(node, f"payload.jumps[{i}]") for i, node in enumerate(jumps)),
-    )
+    return h, tuple(_jump(node, f"payload.jumps[{i}]") for i, node in enumerate(jumps))
+
+
+def _cesaro(node, path) -> tuple:
+    return _get(node, "horizon", path, _number), _get(node, "samples", path, _int)
 
 
 def _grid_cap(path, n, columns):
@@ -668,17 +668,18 @@ def _times(d):
     return read
 
 
-def _handle_gksl_evolve(payload, units, tol):
-    from . import compmodel, gksl
-    l = _lindbladian(payload)
+def _handle_gksl_evolve(payload, div, tol):
+    from . import compmodel, gksl, qstate
+    h, jumps = _lindbladian(payload)
     state = _get(payload, "state", "payload", _matrix)
-    times = _get(payload, "times", "payload", _times(l.dim))
+    times = _get(payload, "times", "payload", _times(h.shape[0]))
     blocks = _get(payload, "blocks", "payload", _blocks, None)
-    d, n = l.dim, len(times)
+    n = len(times)
     if blocks is not None:
-        partition = compmodel.BasisPartition(d, blocks)
         # one pass along the sorted times serves the trajectory and the resolving time
         times = np.append(times, _get(payload, "t_resolve", "payload", _number))
+    l = gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
+    partition = compmodel.BasisPartition(l.dim, blocks) if blocks is not None else None
     states = gksl.trajectory(l, state, times)
     trajectory = states[:n]
     max_drift = np.abs(np.trace(trajectory, axis1=1, axis2=2).real - 1.0).max()
@@ -700,14 +701,22 @@ def _handle_gksl_evolve(payload, units, tol):
     return outputs, passed, tolerances, {"trajectory.csv": _trajectory_csv(times[:n], trajectory)}
 
 
-def _handle_gksl_asymptotic(payload, units, tol):
+def _handle_gksl_asymptotic(payload, div, tol):
     from . import gksl, qstate
-    l = _lindbladian(payload)
-    if l.dim > MAX_ASYMPTOTIC_DIM:
+    h, jumps = _lindbladian(payload)
+    d = h.shape[0]
+    if d > MAX_ASYMPTOTIC_DIM:
         raise SchemaViolation(
-            "payload.hamiltonian", f"dimension {l.dim} exceeds the cap of {MAX_ASYMPTOTIC_DIM}"
+            "payload.hamiltonian", f"dimension {d} exceeds the cap of {MAX_ASYMPTOTIC_DIM}"
         )
-    dec = gksl.decompose(l, _get(payload, "tol", "payload", _number, None))
+    dec_tol = _get(payload, "tol", "payload", _number, None)
+    cesaro = _get(payload, "cesaro", "payload", _cesaro, None)
+    state = _get(payload, "state", "payload", _matrix, None)
+    if state is not None:
+        h_inf = _get(payload, "h_inf", "payload", _matrix, np.zeros((d, d), dtype=complex))
+        s = _get(payload, "s", "payload", _number, 0.0)
+    l = gksl.Lindbladian(qstate.Hamiltonian(h), jumps)
+    dec = gksl.decompose(l, dec_tol)
     evals = dec.eigenvalues
     outputs = {
         # [re, im] rows ascending by re, then im: a stable sort, as sorted's
@@ -719,42 +728,33 @@ def _handle_gksl_asymptotic(payload, units, tol):
     }
     passed = True
     tolerances = {"asymptotic_re": dec.tol}
-    cesaro = _get(payload, "cesaro", "payload", _object, None)
     if cesaro is not None:
-        dist = gksl.cesaro_distance(
-            l,
-            _get(cesaro, "horizon", "payload.cesaro", _number),
-            _get(cesaro, "samples", "payload.cesaro", _int),
-            dec,
-        )
+        dist = gksl.cesaro_distance(l, *cesaro, dec)
         gate = tol if tol is not None else 1e-4
         outputs["cesaro_distance"] = dist
         tolerances["cesaro_agreement"] = gate
         passed = bool(dist <= gate)
-    state = _get(payload, "state", "payload", _matrix, None)
     if state is not None:
-        h_inf = _get(
-            payload, "h_inf", "payload", _matrix, np.zeros((l.dim, l.dim), dtype=complex)
-        )
-        s = _get(payload, "s", "payload", _number, 0.0)
         final = gksl.asymptotic_evolution(dec, state, qstate.Hamiltonian(h_inf), s)
         outputs["asymptotic_state"] = _encode_complex_matrix(final)
     return outputs, passed, tolerances, {}
 
 
-def _handle_adiabatic_sweep(payload, units, tol):
+def _handle_adiabatic_sweep(payload, div, tol):
     from . import adiabatic
-    params = adiabatic.AdiabaticParams(
-        e_sig=_get(payload, "e_sig", "payload", _number),
-        tau_r=_get(payload, "tau_r", "payload", _number),
-        tau_e=_get(payload, "tau_e", "payload", _number),
-        c_sw=_get(payload, "c_sw", "payload", _number, 1.0),
-        c_lk=_get(payload, "c_lk", "payload", _number, 1.0),
-    )
+    fields = {
+        "e_sig": _get(payload, "e_sig", "payload", _number),
+        "tau_r": _get(payload, "tau_r", "payload", _number),
+        "tau_e": _get(payload, "tau_e", "payload", _number),
+        "c_sw": _get(payload, "c_sw", "payload", _number, 1.0),
+        "c_lk": _get(payload, "c_lk", "payload", _number, 1.0),
+    }
     t_min = _get(payload, "t_min", "payload", _number)
     t_max = _get(payload, "t_max", "payload", _number)
     n_points = _get(payload, "n_points", "payload", _int)
     _grid_cap("payload.n_points", n_points, 4)
+    c = _get(payload, "efficiency_c", "payload", _number, None)
+    params = adiabatic.AdiabaticParams(**fields)
     table = adiabatic.sweep(params, t_min, t_max, n_points)
     opt = adiabatic.optimal_ttr(params)
     floor = adiabatic.min_e_diss(params)
@@ -767,7 +767,6 @@ def _handle_adiabatic_sweep(payload, units, tol):
         "grid_min": grid_min,
         "n_points": int(n_points),
     }
-    c = _get(payload, "efficiency_c", "payload", _number, None)
     if c is not None:
         outputs["efficiency_bound"] = float(adiabatic.efficiency_bound(params, c))
     closed_form_ok = abs(at_opt - floor) <= 1e-12 * max(1.0, floor)
@@ -806,8 +805,9 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         return 1
     try:
         doc = json.loads(raw.decode("utf-8"))
-    # nesting deeper than the decoder's recursion limit is malformed input too
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # malformed input: bad syntax or UTF-8, or an integer literal over int()'s
+    # digit limit (each a ValueError), or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         click.echo(f"error: malformed JSON: {exc}", err=True)
         return 2
     try:
@@ -825,7 +825,7 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         if task not in _HANDLERS:
             raise SchemaViolation("$.task", f"unknown task {task!r}")
         payload = _get(doc, "payload", "$", _object)
-        outputs, passed, tolerances, csvs = _HANDLERS[task](payload, units, tol)
+        outputs, passed, tolerances, csvs = _HANDLERS[task](payload, _UNITS[units], tol)
         report = {
             "task": task,
             "input_sha256": hashlib.sha256(raw).hexdigest(),

@@ -128,9 +128,8 @@ def is_reversible(op: StochasticOp, over=None) -> bool:
     one state across several final states merges nothing.
     """
     subset = _resolve_subset(op, over)
-    reached = np.zeros(op.n_states, dtype=int)
-    for i in subset:
-        reached += op.rows[i] > SUPPORT_TOL
+    # the subset's own rows summed: with no row, no n_states-sized array is made
+    reached = sum((op.rows[i] > SUPPORT_TOL for i in subset), 0)
     return bool(np.all(reached <= 1))
 
 

@@ -7,12 +7,13 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import revtherm
 from revtherm import cli, gksl, qlinalg, resource
 
 from helpers import leaking, random_density, rng
@@ -108,6 +109,41 @@ def mutated(doc, path, value) -> str:
         node = node[key]
     node[path[-1]] = value
     return json.dumps(doc).replace(json.dumps(OVERFLOW), "1e309")
+
+
+REFUSED = "error: invalid scenario: "
+LIBRARY = [m for m in (getattr(revtherm, n) for n in revtherm.__all__) if isinstance(m, ModuleType)]
+
+
+class Poisoned(Exception):
+    """Raised by every library callable in a poisoned run."""
+
+
+def poison(*args, **kwargs):
+    raise Poisoned
+
+
+def refused_alike(args, code, stderr) -> bool:
+    """False when a run of args refused as an invalid scenario (exit 3) reads
+    otherwise with every callable of each library module's __all__ raising
+    Poisoned. A task reads its whole payload before its first library call,
+    so no schema refusal can depend on the library."""
+    if code != 3 or not stderr.startswith(REFUSED):
+        return True
+    with pytest.MonkeyPatch.context() as mp:
+        for module in LIBRARY:
+            for name in module.__all__:
+                if callable(getattr(module, name)):
+                    mp.setattr(module, name, poison)
+        again = CliRunner().invoke(cli.main, args)
+    return (again.exit_code, again.stderr) == (code, stderr)
+
+
+def invoke(args):
+    """The CliRunner result of args, whose schema refusal holds poisoned."""
+    r = CliRunner().invoke(cli.main, args)
+    assert refused_alike(args, r.exit_code, r.stderr)
+    return r
 
 
 class TestBundledScenarios:
@@ -235,6 +271,23 @@ class TestExitCodes:
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: malformed JSON: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "7" * 5_000,
+            '{"task": "classify", "payload": {"n_states": ' + "7" * 5_000 + ', "rows": {}}}',
+        ],
+        ids=["top-level", "inside-payload"],
+    )
+    def test_overlong_integer_literal_is_2(self, tmp_path, text):
+        # past int()'s digit limit (4,300 by default) the decoder refuses the literal
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        r = run_cli("classify", "--scenario", str(p))
+        assert r.returncode == 2
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed JSON: ")
+
     def test_schema_violation_is_3_with_field_path(self, tmp_path):
         p = write_scenario(
             tmp_path,
@@ -244,6 +297,7 @@ class TestExitCodes:
         r = run_cli("entropy-decompose", "--scenario", p)
         assert r.returncode == 3
         assert "payload.state[0][1]" in r.stderr
+        assert refused_alike(["entropy-decompose", "--scenario", p], r.returncode, r.stderr)
 
     def test_unknown_units_is_3(self):
         r = run_cli(
@@ -363,6 +417,12 @@ class TestExitCodes:
                 [0, 0],
                 "repeats an index",
             ),
+            (
+                {"task": "classify", "payload": MINIMAL["classify"]},
+                ("rows",),
+                {"0": [0.0, 1.0], "1" * 5_000: [1.0, 0.0]},
+                "row keys must be state indices",
+            ),
         ],
         ids=[
             "empty-states",
@@ -376,6 +436,7 @@ class TestExitCodes:
             "oversized-int-matrix-cell",
             "superscript-digit-row-key",
             "duplicate-over",
+            "overlong-row-key",
         ],
     )
     def test_bad_field_is_3(self, tmp_path, doc, path, value, message):
@@ -385,14 +446,49 @@ class TestExitCodes:
         assert r.returncode == 3, r.stderr
         assert message in r.stderr
         assert "Traceback" not in r.stderr
+        assert refused_alike([doc["task"], "--scenario", str(p)], r.returncode, r.stderr)
 
-    @pytest.mark.parametrize("extra", [{}, {"input_dist": []}], ids=["bare", "input_dist"])
+    @pytest.mark.parametrize("extra", [{}, {"input_dist": [1.0]}], ids=["bare", "input_dist"])
     def test_negative_n_states_is_3(self, tmp_path, extra):
         p = write_scenario(tmp_path, "classify", {"n_states": -1, "rows": {}, **extra})
         r = run_cli("classify", "--scenario", p)
         assert r.returncode == 3, r.stderr
         assert "n_states must be nonnegative" in r.stderr
         assert "Traceback" not in r.stderr
+
+    # (task, payload that fails a library check, field, bad value, the field's line)
+    BOTH = [
+        ("classify", {"n_states": -1, "rows": {}}, "input_dist", [],
+         "payload.input_dist: expected a nonempty array of numbers"),
+        ("implements-check", {**MINIMAL["implements-check"], "p_in_blocks": [[0], [2]]},
+         "op", {"n_states": "x", "rows": {}}, "payload.op.n_states: expected an integer"),
+        ("landauer", {**load_scenario("erasure_bit.json")["payload"], "beta": -1.0},
+         "heat", "x", "payload.heat: expected a boolean"),
+        ("cto-check", {**MINIMAL["cto-check"], "beta": -1.0},
+         "alphas", "x", "payload.alphas: expected a nonempty array of numbers"),
+        ("gksl-evolve", {**load_scenario("dephasing.json")["payload"], "blocks": [[0], [5]]},
+         "t_resolve", "x", "payload.t_resolve: expected a finite number"),
+        ("gksl-asymptotic", {**MINIMAL["gksl-asymptotic"], "tol": -1},
+         "state", "oops", "payload.state: expected a nonempty array of rows"),
+        ("adiabatic-sweep", {**load_scenario("adiabatic.json")["payload"], "tau_r": -1.0},
+         "efficiency_c", "x", "payload.efficiency_c: expected a finite number"),
+    ]
+
+    @pytest.mark.parametrize("task,payload,field,value,line", BOTH, ids=[c[0] for c in BOTH])
+    def test_schema_error_wins(self, tmp_path, task, payload, field, value, line):
+        # as given, the payload fails inside the library
+        r = invoke([task, "--scenario", write_scenario(tmp_path, task, payload)])
+        assert r.exit_code == 3 and r.stderr.startswith("error: contract violation: ")
+        bad = write_scenario(tmp_path, task, {**payload, field: value})
+        r = invoke([task, "--scenario", bad])
+        assert r.exit_code == 3
+        assert r.stderr == f"{REFUSED}{line}\n"
+
+    def test_huge_state_count_without_rows_is_0(self, tmp_path):
+        p = write_scenario(tmp_path, "classify", {"n_states": 10**30, "rows": {}})
+        r = invoke(["classify", "--scenario", p])
+        assert r.exit_code == 0, r.stderr
+        assert json.loads(r.stdout)["outputs"]["reversible"] is True
 
     def test_numeric_overflow_is_5(self, tmp_path):
         p = write_scenario(
@@ -827,7 +923,7 @@ class TestGkslAsymptotic:
         for d in (cap + 1, cap):
             payload = {"hamiltonian": complex_matrix(np.zeros((d, d))), "jumps": []}
             p = write_scenario(tmp_path, "gksl-asymptotic", payload, name=f"d{d}.json")
-            runs[d] = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", p])
+            runs[d] = invoke(["gksl-asymptotic", "--scenario", p])
         assert runs[cap + 1].exit_code == 3
         assert runs[cap + 1].stderr == (
             f"error: invalid scenario: payload.hamiltonian: dimension {cap + 1} "
@@ -941,8 +1037,7 @@ class TestGridCaps:
 
     @staticmethod
     def invoke(tmp_path, task, payload):
-        p = write_scenario(tmp_path, task, payload)
-        return CliRunner().invoke(cli.main, [task, "--scenario", p])
+        return invoke([task, "--scenario", write_scenario(tmp_path, task, payload)])
 
     @staticmethod
     def refusal(path, n, columns):
@@ -1129,7 +1224,8 @@ class TestBatch:
 class TestFieldMutation:
     """Every payload field, replaced by each hostile value, keeps the exit-code
     contract: no traceback, an exit code of 0, 3, 4 or 5, at most one error
-    line, and null always refused."""
+    line, and null always refused; a schema refusal reads the same with the
+    library poisoned."""
 
     VALUES = (None, [], {}, 0, -1, 0.7, True, "x", [[]], [0.7], OVERFLOW)
 
@@ -1186,7 +1282,8 @@ class TestFieldMutation:
                     scenario_file.write_text(mutated(doc, path, value))
                     args = [doc["task"], "--scenario", str(scenario_file), "--out", out]
                     r = runner.invoke(cli.main, args)
-                    if not self.keeps_contract(r, value):
+                    kept = self.keeps_contract(r, value)
+                    if not (kept and refused_alike(args, r.exit_code, r.stderr)):
                         failures.append((doc["task"], path, value, r.exit_code, r.stderr))
         assert n_cases > 1000
         assert failures == []
@@ -1232,7 +1329,7 @@ class TestMatrixCells:
         p = tmp_path / "scenario.json"
         p.write_text(json.dumps(doc).replace('"<here>"', literal))
         out = tmp_path / "report.json"
-        r = CliRunner().invoke(cli.main, ["gksl-asymptotic", "--scenario", str(p), "--out", str(out)])
+        r = invoke(["gksl-asymptotic", "--scenario", str(p), "--out", str(out)])
         assert r.exit_code == 3 and isinstance(r.exception, SystemExit)
         assert r.stderr == message + "\n"
         assert not out.exists()

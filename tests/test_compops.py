@@ -84,6 +84,12 @@ class TestPredicates:
         with pytest.raises(ContractError):
             compops.is_reversible(op, over=(0, 0))
 
+    def test_empty_domain_allocates_nothing_of_n_states(self):
+        # an n_states-sized count array could not even be allocated here
+        op = compops.StochasticOp(10**30, {})
+        assert compops.is_reversible(op) and compops.is_deterministic(op)
+        assert not compops.is_entropy_ejecting(op)
+
 
 class TestTheorems:
     def test_traditional_exhaustive_n3(self):
