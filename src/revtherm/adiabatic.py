@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericHealthError
+from .errors import ContractError, NumericHealthError, require_finite
 
 __all__ = ["AdiabaticParams", "e_diss", "optimal_ttr", "min_e_diss", "efficiency_bound", "sweep"]
 
@@ -46,11 +46,11 @@ class AdiabaticParams:
 
     @property
     def tau_r_adj(self) -> float:
-        return self.c_sw * self.tau_r
+        return require_finite(self.c_sw * self.tau_r, "adjusted relaxation time")
 
     @property
     def tau_e_adj(self) -> float:
-        return self.tau_e / self.c_lk
+        return require_finite(self.tau_e / self.c_lk, "adjusted equilibration time")
 
 
 def _switching(p: AdiabaticParams, t):
@@ -75,7 +75,7 @@ def e_diss(p: AdiabaticParams, t_tr: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return _switching(p, t) + _leakage(p, t)
+    return require_finite(_switching(p, t) + _leakage(p, t), f"e_diss at t_tr = {t!r}")
 
 
 def optimal_ttr(p: AdiabaticParams) -> float:
@@ -99,7 +99,7 @@ def min_e_diss(p: AdiabaticParams) -> float:
     Halving this floor requires quadrupling tau_e'/tau_r': an N-fold
     efficiency gain costs an N^2-fold timescale ratio.
     """
-    return 2.0 * p.e_sig * float(np.sqrt(p.tau_r_adj / p.tau_e_adj))
+    return require_finite(p.e_sig * (2.0 * float(np.sqrt(p.tau_r_adj / p.tau_e_adj))), "min_e_diss")
 
 
 def efficiency_bound(p: AdiabaticParams, c: float) -> float:
@@ -118,7 +118,7 @@ def efficiency_bound(p: AdiabaticParams, c: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return 1.0 - c * float(np.sqrt(p.tau_r / p.tau_e))
+    return require_finite(1.0 - c * float(np.sqrt(p.tau_r / p.tau_e)), "efficiency bound")
 
 
 def sweep(p: AdiabaticParams, t_min: float, t_max: float, n_points: int) -> np.ndarray:
@@ -126,7 +126,7 @@ def sweep(p: AdiabaticParams, t_min: float, t_max: float, n_points: int) -> np.n
 
     Columns: t_tr, switching loss, leakage loss, total. The total is the
     bitwise sum of the two loss columns. No validity-window warnings here;
-    sweeps are exploratory by design.
+    sweeps are exploratory by design. An overflowing cell raises NumericHealthError.
     """
     t_min, t_max = float(t_min), float(t_max)
     if not (0.0 < t_min < t_max) or not np.isfinite(t_max):
@@ -136,4 +136,12 @@ def sweep(p: AdiabaticParams, t_min: float, t_max: float, n_points: int) -> np.n
         raise ContractError("n_points must be at least 1")
     grid = np.geomspace(t_min, t_max, n)
     e_sw, e_lk = _switching(p, grid), _leakage(p, grid)
-    return np.column_stack((grid, e_sw, e_lk, e_sw + e_lk))
+    table = np.column_stack((grid, e_sw, e_lk, e_sw + e_lk))
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        name = ("t_tr", "e_sw", "e_lk", "e_diss")[col]
+        raise NumericHealthError(
+            f"sweep row {row + 1}, column {name} is not finite ({float(table[row, col])!r})"
+        )
+    return table

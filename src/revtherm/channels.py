@@ -171,9 +171,7 @@ def conditional_landauer_bound(rho_in, rho_out, temperature: float) -> float:
     Equals -T * (S(rho_out) - S(rho_in)); zero for entropy-preserving
     resets, T*ln2 for erasing a maximally mixed bit to a pure one.
     """
-    t = float(temperature)
-    if t < 0.0 or not np.isfinite(t):
-        raise ContractError("temperature must be nonnegative and finite")
+    t = qstate.require_nonnegative(temperature, "temperature")
     return -t * (qstate.von_neumann_entropy(rho_out) - qstate.von_neumann_entropy(rho_in))
 
 
@@ -252,17 +250,15 @@ def basis_transposition(dim: int, pairs) -> np.ndarray:
     return u
 
 
-def unconditional_landauer_bound(scenario: ResetScenario, temperature: float) -> float:
+def unconditional_landauer_bound(scenario: ResetScenario) -> float:
     """Erasure bound when the reset protocol may not depend on the state.
 
-    -T * (sum_l p_l * (S(target) - S(rho_l)) - H({p_l})): relative to the
-    conditional bound, the agent additionally pays T times the Shannon
-    entropy of the mixture it cannot observe. For entropy-preserving resets
-    the bound is exactly T * H({p_l}).
+    -T * (sum_l p_l * (S(target) - S(rho_l)) - H({p_l})), T the temperature
+    of the scenario's bath: relative to the conditional bound, the agent
+    additionally pays T times the Shannon entropy of the mixture it cannot
+    observe. For entropy-preserving resets the bound is exactly T * H({p_l}).
     """
-    t = float(temperature)
-    if t < 0.0 or not np.isfinite(t):
-        raise ContractError("temperature must be nonnegative and finite")
+    t = scenario.env_ctx.temperature
     s_target = qstate.von_neumann_entropy(scenario.target)
     p = scenario.probabilities
     avg_delta_s = sum(
@@ -302,15 +298,12 @@ def simulate_reset(scenario: ResetScenario) -> dict:
                 raise ContractError(
                     f"conditional resets reach different joint finals (gap {gap:.3e})"
                 )
-
-    t = env_ctx.temperature
-    if scenario.mode == "conditional":
+        t = env_ctx.temperature
         bound = sum(
-            p * conditional_landauer_bound(rho, scenario.target, t)
-            for p, rho in scenario.states
+            p * conditional_landauer_bound(rho, scenario.target, t) for p, rho in scenario.states
         )
     else:
-        bound = unconditional_landauer_bound(scenario, t)
+        bound = unconditional_landauer_bound(scenario)
     average = float(np.dot(scenario.probabilities, delta_e))
     return {
         "delta_e_per_state": [float(x) for x in delta_e],
@@ -347,7 +340,7 @@ def jensen_heat_bound(mgf_value: float, temperature: float) -> float:
     if m <= 0.0:
         raise ContractError("moment-generating function must be positive")
     # + 0.0 keeps the m == 1 case from reporting -0.0
-    return -float(temperature) * float(np.log(m)) + 0.0
+    return -qstate.require_nonnegative(temperature, "temperature") * float(np.log(m)) + 0.0
 
 
 def _env_heat(spec: DilationSpec, rho_s) -> tuple:
@@ -373,10 +366,9 @@ def heat_decomposition(spec: DilationSpec, rho_s, beta: float) -> dict:
     environment). mutual_info and rel_entropy_env are nonnegative, so the
     heat dumped into the environment always covers the system entropy drop.
     env_state is interpreted as thermal at the given beta; it must be full
-    rank so its logarithm exists.
+    rank so its logarithm exists; beta = 0 (a maximally mixed bath) gives beta_q = 0.
     """
-    if float(beta) <= 0.0 or not np.isfinite(beta):
-        raise ContractError("beta must be positive and finite")
+    qstate.require_nonnegative(beta, "beta")
     rho_s, joint, rho_e_out, beta_q = _env_heat(spec, rho_s)
     rho_s_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=0)
     delta_s_system = qstate.von_neumann_entropy(rho_s) - qstate.von_neumann_entropy(rho_s_out)

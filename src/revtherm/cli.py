@@ -190,12 +190,11 @@ def _op(node, path) -> tuple:
     rows_node = _get(node, "rows", path, _object)
     rows = {}
     for key in rows_node:
-        try:  # int() refuses more digits than sys.get_int_max_str_digits()
-            index = int(key) if key.isdecimal() else None
-        except ValueError:
-            index = None
+        # a state index is below n_states, the length of its row: under 20 digits
+        index = int(key) if key.isdecimal() and len(key) <= 20 else None
         if index is None:
-            raise SchemaViolation(f"{path}.rows.{key}", "row keys must be state indices")
+            shown = key if len(key) <= 20 else f"{key[:20]}...({len(key)} characters)"
+            raise SchemaViolation(f"{path}.rows.{shown}", "row keys must be state indices")
         rows[index] = _get(rows_node, key, f"{path}.rows", _vector)
     return n, rows
 
@@ -453,7 +452,7 @@ def _handle_entropy_decompose(payload, div, tol):
         "distribution": compmodel.computational_distribution(ctx),
     }
     tolerances = {"identity_residual": 1e-9}
-    return outputs, bool(residual <= 1e-9), tolerances, {}
+    return outputs, bool(residual <= tolerances["identity_residual"]), tolerances, {}
 
 
 def _handle_implements_check(payload, div, tol):
@@ -554,8 +553,8 @@ def _handle_landauer(payload, div, tol):
         passed = bool(
             passed
             and partovi
-            and identity_residual <= 1e-9
-            and jensen <= sim["average_delta_e"] + 1e-9
+            and identity_residual <= tolerances["heat_identity"]
+            and jensen <= sim["average_delta_e"] + channels.BOUND_TOL
         )
     return outputs, passed, tolerances, {}
 
@@ -742,13 +741,8 @@ def _handle_gksl_asymptotic(payload, div, tol):
 
 def _handle_adiabatic_sweep(payload, div, tol):
     from . import adiabatic
-    fields = {
-        "e_sig": _get(payload, "e_sig", "payload", _number),
-        "tau_r": _get(payload, "tau_r", "payload", _number),
-        "tau_e": _get(payload, "tau_e", "payload", _number),
-        "c_sw": _get(payload, "c_sw", "payload", _number, 1.0),
-        "c_lk": _get(payload, "c_lk", "payload", _number, 1.0),
-    }
+    fields = {k: _get(payload, k, "payload", _number) for k in ("e_sig", "tau_r", "tau_e")}
+    fields.update({k: _get(payload, k, "payload", _number, 1.0) for k in ("c_sw", "c_lk")})
     t_min = _get(payload, "t_min", "payload", _number)
     t_max = _get(payload, "t_max", "payload", _number)
     n_points = _get(payload, "n_points", "payload", _int)
@@ -769,9 +763,9 @@ def _handle_adiabatic_sweep(payload, div, tol):
     }
     if c is not None:
         outputs["efficiency_bound"] = float(adiabatic.efficiency_bound(params, c))
-    closed_form_ok = abs(at_opt - floor) <= 1e-12 * max(1.0, floor)
-    passed = bool(closed_form_ok and grid_min >= floor - 1e-9)
     tolerances = {"optimum_identity": 1e-12, "grid_floor": 1e-9}
+    closed_form_ok = abs(at_opt - floor) <= tolerances["optimum_identity"] * max(1.0, floor)
+    passed = bool(closed_form_ok and grid_min >= floor - tolerances["grid_floor"])
     csvs = {"sweep.csv": _csv_table("sweep.csv", "t_tr,e_sw,e_lk,e_diss", table)}
     return outputs, passed, tolerances, csvs
 
@@ -805,10 +799,12 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         return 1
     try:
         doc = json.loads(raw.decode("utf-8"))
-    # malformed input: bad syntax or UTF-8, or an integer literal over int()'s
-    # digit limit (each a ValueError), or nesting past the recursion limit
+    # malformed input: bad syntax or UTF-8, nesting past the recursion limit, or
+    # an integer literal over int()'s digit limit, the one bare ValueError,
+    # whose own message is a how-to for raising the limit
     except (ValueError, RecursionError) as exc:
-        click.echo(f"error: malformed JSON: {exc}", err=True)
+        reason = "integer literal too long" if type(exc) is ValueError else exc
+        click.echo(f"error: malformed JSON: {reason}", err=True)
         return 2
     try:
         if units not in _UNITS:

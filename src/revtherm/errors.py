@@ -5,7 +5,7 @@ ContractError are invalid-input conditions (exit 3), NumericHealthError
 is a numerical breakdown (exit 5), and so is a NonDiagonalizable that no
 caller handled. NonDiagonalizable is raised by gksl's null-space
 projector, when an asymptotic eigenvalue carries a Jordan chain or its
-null-space solve fails.
+null-space solve fails. require_finite is the gate of a computed number.
 """
 
 
@@ -23,3 +23,10 @@ class NonDiagonalizable(ArithmeticError):
 
 class NumericHealthError(ArithmeticError):
     """A computed quantity violated a health gate (trace, positivity)."""
+
+
+def require_finite(x: float, what: str) -> float:
+    """x, refused with NumericHealthError unless finite: an output is finite or refused."""
+    if not abs(x) < float("inf"):
+        raise NumericHealthError(f"{what} is not finite ({x})")
+    return x

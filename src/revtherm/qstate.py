@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .errors import ContractError
+from .errors import ContractError, require_finite
 
 __all__ = [
-    "Hamiltonian", "ThermoContext", "check_density_matrix", "require_state",
-    "require_distribution", "require_unitary", "gibbs_state", "log_partition_function",
+    "Hamiltonian", "ThermoContext", "check_density_matrix", "require_state", "require_distribution",
+    "require_unitary", "require_nonnegative", "gibbs_state", "log_partition_function",
     "evolve_unitary", "shannon_entropy", "von_neumann_entropy", "relative_entropy", "alpha_rre",
     "helmholtz_free_energy", "alpha_free_energy", "quantum_mutual_information",
 ]
@@ -56,14 +56,13 @@ class ThermoContext:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta >= 0.0) or not math.isfinite(self.beta):
-            raise ContractError(f"beta must be finite and >= 0, got {self.beta}")
+        object.__setattr__(self, "beta", require_nonnegative(self.beta, "beta"))
 
     @property
     def temperature(self) -> float:
         if self.beta == 0.0:
             raise ContractError("temperature undefined at beta = 0")
-        return 1.0 / self.beta
+        return require_finite(1.0 / self.beta, f"temperature at beta = {self.beta!r}")
 
 
 def check_density_matrix(rho) -> np.ndarray:
@@ -105,6 +104,15 @@ def require_unitary(u, d: int, what: str = "operator") -> np.ndarray:
     return u
 
 
+def require_nonnegative(value, what: str) -> float:
+    """value as a float, refused unless finite and >= 0: the one rule for an
+    inverse temperature beta and for a temperature T."""
+    v = float(value)
+    if not 0.0 <= v < math.inf:
+        raise ContractError(f"{what} must be finite and >= 0, got {v}")
+    return v
+
+
 def _clipped_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition with the PSD noise floor clipped to zero."""
     w, v = np.linalg.eigh(rho)
@@ -129,7 +137,7 @@ def log_partition_function(ctx: ThermoContext) -> float:
     """ln Tr e^{-beta H}, evaluated with the ground energy factored out."""
     w = np.linalg.eigvalsh(ctx.hamiltonian.matrix)
     shifted = -ctx.beta * (w - w.min())
-    return float(np.log(np.exp(shifted).sum()) - ctx.beta * w.min())
+    return require_finite(float(np.log(np.exp(shifted).sum()) - ctx.beta * w.min()), "ln Z")
 
 
 def evolve_unitary(rho, u) -> np.ndarray:
@@ -247,10 +255,18 @@ def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
     wc = np.clip(wc, 0.0, None)
     if alpha < 0.0 and np.any(wc <= _SUPPORT_TOL):
         return math.inf
-    val = float(np.sum(wc[wc > 0.0] ** alpha))
-    if val <= 0.0:
+    wc = wc[wc > 0.0]
+    if not wc.size:
         return math.inf
-    return coeff * math.log(val / tr_rho)
+    with np.errstate(over="ignore", under="ignore"):
+        val = float(np.sum(wc ** alpha))
+    if 0.0 < val < math.inf:
+        return coeff * math.log(val / tr_rho)
+    # over- or underflow: the same sum in log space, shifted by its largest term
+    logs = np.log(wc)
+    top = logs.max() if alpha > 0.0 else logs.min()
+    log_val = math.log(float(np.sum(np.exp(alpha * (logs - top)))))
+    return coeff * alpha * float(top) + coeff * (log_val - math.log(tr_rho))
 
 
 def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
@@ -259,14 +275,14 @@ def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
     rho = qlinalg.as_square(rho, h.shape[0], "state")
     t = ctx.temperature
     energy = float(np.trace(h @ rho).real)
-    return energy - t * von_neumann_entropy(rho)
+    return require_finite(energy - t * von_neumann_entropy(rho), "free energy")
 
 
 def alpha_free_energy(rho, ctx: ThermoContext, alpha: float) -> float:
     """F_alpha(rho) = -T ln Z + T * S_alpha(rho || tau)."""
     t = ctx.temperature
-    tau = gibbs_state(ctx)
-    return -t * log_partition_function(ctx) + t * alpha_rre(rho, tau, alpha)
+    f = -t * log_partition_function(ctx) + t * alpha_rre(rho, gibbs_state(ctx), alpha)
+    return require_finite(f, f"alpha free energy at alpha = {alpha!r}")
 
 
 def quantum_mutual_information(rho_ab, dims: tuple[int, int]) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg, qstate
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericHealthError, ShapeError, require_finite
 
 __all__ = [
     "beta_order", "ThermomajorizationCurve", "thermomaj_curve", "thermomaj_feasible",
@@ -44,8 +44,7 @@ def _check_classical_input(p, energies, beta: float) -> tuple[np.ndarray, np.nda
         raise ShapeError(f"{p.size} probabilities vs {e.size} energies")
     if not np.all(np.isfinite(e)):
         raise ContractError("energies must be finite")
-    if not np.isfinite(beta):
-        raise ContractError(f"beta must be finite, got {beta!r}")
+    qstate.require_nonnegative(beta, "beta")
     return qstate.require_distribution(p, "p"), e
 
 
@@ -131,6 +130,12 @@ def thermomaj_curve(
     p, e = _check_classical_input(p, energies, beta)
     order = _beta_order(p, e, beta, convention)
     xs = np.concatenate(([0.0], np.cumsum(np.exp(-beta * e[order]))))
+    if not np.isfinite(xs[-1]):  # the weights are >= 0, so the last sum is the largest
+        k = order[np.argmax(~np.isfinite(xs)) - 1]
+        raise NumericHealthError(
+            f"cumulative Boltzmann weight overflows at beta = {float(beta)!r}, "
+            f"level {k} (energy {float(e[k])!r})"
+        )
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
     # Cumulative rounding can leave the last y an ulp off 1.
     if abs(ys[-1] - 1.0) < 1e-12:
@@ -169,7 +174,7 @@ class CtoVerdict:
 
     @property
     def margin(self) -> float:
-        return float(self.free_energy_in - self.free_energy_out)
+        return require_finite(float(self.free_energy_in - self.free_energy_out), "margin")
 
 
 def cto_feasible_general(
@@ -222,7 +227,7 @@ def second_laws_check(
     for alpha in alphas:
         a = float(alpha)
         f_in, f_out = (free + t * qstate._alpha_rre(rho, s, tau, a) for rho, s in states)
-        margins[a] = float(f_in - f_out)
+        margins[a] = require_finite(float(f_in - f_out), f"second-laws margin at alpha = {a!r}")
     ok = all(m >= -FEASIBILITY_TOL for m in margins.values())
     return ok, margins
 

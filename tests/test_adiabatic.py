@@ -160,6 +160,14 @@ class TestSweep:
         with pytest.raises(ContractError):
             adiabatic.sweep(params(), 0.1, 1.0, 0)
 
+    def test_overflowing_cell_is_refused(self):
+        # e_lk = e_sig t / tau_e' passes the float range at the last point;
+        # e_sw is finite there, so the first bad cell is e_lk, not e_diss
+        p = params(e_sig=1e300)
+        with np.errstate(over="ignore"), pytest.raises(NumericHealthError) as info:
+            adiabatic.sweep(p, 1.0, 1e12, 3)
+        assert str(info.value) == "sweep row 3, column e_lk is not finite (inf)"
+
     def test_single_point_grid(self):
         table = adiabatic.sweep(params(), 1.0, 2.0, 1)
         assert table.shape == (1, 4)

@@ -168,14 +168,16 @@ class TestBounds:
 
     def test_unconditional_pure_inputs(self):
         # pure inputs, pure target: only the mixture entropy is charged
+        # at the scenario's own bath temperature, T = 1
         sc = swap_scenario()
-        assert np.isclose(
-            channels.unconditional_landauer_bound(sc, 1.0), math.log(2)
-        )
+        assert np.isclose(channels.unconditional_landauer_bound(sc), math.log(2))
 
     def test_temperature_gate(self):
-        with pytest.raises(ContractError):
+        line = "temperature must be finite and >= 0, got -1.0"
+        with pytest.raises(ContractError, match=line):
             channels.conditional_landauer_bound(KET0, KET0, -1.0)
+        with pytest.raises(ContractError, match=line):
+            channels.jensen_heat_bound(1.5, -1.0)
 
 
 class TestResetScenario:
@@ -296,6 +298,19 @@ class TestHeat:
             assert abs(sum(dec.values())) < 1e-9
             assert dec["mutual_info"] >= -1e-12
             assert dec["rel_entropy_env"] >= -1e-12
+
+    def test_decomposition_at_beta_zero(self):
+        # the maximally mixed bath is the beta = 0 Gibbs state: no heat term
+        gen = rng(70)
+        spec = channels.DilationSpec(2, 2, random_unitary(gen, 4), np.eye(2) / 2)
+        dec = channels.heat_decomposition(spec, random_density(gen, 2), beta=0.0)
+        assert abs(sum(dec.values())) < 1e-9
+        assert dec["beta_q"] == pytest.approx(0.0, abs=1e-15)
+
+    def test_negative_beta_is_refused(self):
+        spec = thermal_spec(rng(71), 2, 2)
+        with pytest.raises(ContractError, match="beta must be finite and >= 0, got -1.0"):
+            channels.heat_decomposition(spec, np.eye(2) / 2, beta=-1.0)
 
     def test_decomposition_needs_full_rank_env(self):
         spec = channels.DilationSpec(2, 2, channels.swap_unitary(2), KET0)

@@ -286,7 +286,8 @@ class TestExitCodes:
         r = run_cli("classify", "--scenario", str(p))
         assert r.returncode == 2
         lines = r.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: malformed JSON: ")
+        assert lines == ["error: malformed JSON: integer literal too long"]
+        assert len(lines[0]) < 200
 
     def test_schema_violation_is_3_with_field_path(self, tmp_path):
         p = write_scenario(
@@ -446,6 +447,7 @@ class TestExitCodes:
         assert r.returncode == 3, r.stderr
         assert message in r.stderr
         assert "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1 and len(r.stderr) < 200
         assert refused_alike([doc["task"], "--scenario", str(p)], r.returncode, r.stderr)
 
     @pytest.mark.parametrize("extra", [{}, {"input_dist": [1.0]}], ids=["bare", "input_dist"])
@@ -464,6 +466,8 @@ class TestExitCodes:
          "op", {"n_states": "x", "rows": {}}, "payload.op.n_states: expected an integer"),
         ("landauer", {**load_scenario("erasure_bit.json")["payload"], "beta": -1.0},
          "heat", "x", "payload.heat: expected a boolean"),
+        ("thermo-check", {**MINIMAL["thermo-check"], "beta": -1.0},
+         "convention", 5, "payload.convention: expected a string"),
         ("cto-check", {**MINIMAL["cto-check"], "beta": -1.0},
          "alphas", "x", "payload.alphas: expected a nonempty array of numbers"),
         ("gksl-evolve", {**load_scenario("dephasing.json")["payload"], "blocks": [[0], [5]]},
@@ -483,6 +487,54 @@ class TestExitCodes:
         r = invoke([task, "--scenario", bad])
         assert r.exit_code == 3
         assert r.stderr == f"{REFUSED}{line}\n"
+
+    def test_negative_beta_reads_alike_in_every_task(self, tmp_path):
+        # one rule, qstate.require_nonnegative, refuses beta < 0 in each task
+        # that takes a beta
+        payloads = {
+            "thermo-check": MINIMAL["thermo-check"],
+            "cto-check": MINIMAL["cto-check"],
+            "landauer": load_scenario("erasure_bit.json")["payload"],
+        }
+        for task, payload in payloads.items():
+            p = write_scenario(tmp_path, task, {**payload, "beta": -1.0})
+            r = invoke([task, "--scenario", p])
+            assert (r.exit_code, r.stderr) == (
+                3, "error: contract violation: beta must be finite and >= 0, got -1.0\n"
+            ), task
+
+    @pytest.mark.parametrize("key,shown", [
+        ("1" * 5_000, "1" * 20 + "...(5000 characters)"),
+        ("1" * 21, "1" * 20 + "...(21 characters)"),
+        ("x" * 20, "x" * 20),
+    ], ids=["past-the-digit-limit", "21-digits", "20-letters"])
+    def test_refused_row_key_is_cut_in_the_path(self, tmp_path, key, shown):
+        payload = {"n_states": 2, "rows": {"0": [0.0, 1.0], key: [1.0, 0.0]}}
+        r = invoke(["classify", "--scenario", write_scenario(tmp_path, "classify", payload)])
+        assert r.exit_code == 3
+        assert r.stderr == f"{REFUSED}payload.rows.{shown}: row keys must be state indices\n"
+
+    def test_overflowing_boltzmann_weight_is_5(self, tmp_path):
+        out_dir = tmp_path / "out"
+        p = write_scenario(
+            tmp_path, "thermo-check", {**MINIMAL["thermo-check"], "energies": [-1000.0, 0.0]}
+        )
+        r = invoke(["thermo-check", "--scenario", p, "--out", str(out_dir / "report.json")])
+        assert r.exit_code == 5
+        assert r.stderr == (
+            "error: numeric health: cumulative Boltzmann weight overflows at beta = 1.0, "
+            "level 0 (energy -1000.0)\n"
+        )
+        assert not out_dir.exists()
+
+    def test_huge_alpha_gives_a_finite_margin(self, tmp_path):
+        # the sandwiched sum overflows at alpha = 1e300 and is taken in log
+        # space; the margin tends to the D_max one
+        p = write_scenario(tmp_path, "cto-check", {**MINIMAL["cto-check"], "alphas": [1e300]})
+        r = invoke(["cto-check", "--scenario", p])
+        assert r.exit_code in (0, 4), r.stderr
+        margin = json.loads(r.stdout)["outputs"]["second_laws"]["margins"]["1e+300"]
+        assert math.isfinite(margin)
 
     def test_huge_state_count_without_rows_is_0(self, tmp_path):
         p = write_scenario(tmp_path, "classify", {"n_states": 10**30, "rows": {}})
@@ -1632,14 +1684,16 @@ class TestNonFiniteOutput:
 
 class TestNonFiniteCsvCell:
     """A non-finite CSV cell exits 5 like a non-finite report number: one
-    error line names the file, data row and column, and no file is written."""
+    error line names the data row and column, and no file is written. The
+    sweep's line is adiabatic.sweep's own, which refuses the table before
+    the writer sees it."""
 
     # e_sw = e_sig tau_r / t_tr overflows at t_tr = 1e-10, while every
     # report number stays finite
     SWEEP = {
         "e_sig": 1e300, "tau_r": 1, "tau_e": 1e10, "t_min": 1e-10, "t_max": 1e12, "n_points": 5
     }
-    MESSAGE = "error: numeric health: sweep.csv data row 1, column e_sw is not finite (inf)\n"
+    MESSAGE = "error: numeric health: sweep row 1, column e_sw is not finite (inf)\n"
 
     def test_with_out(self, tmp_path):
         p = write_scenario(tmp_path, "adiabatic-sweep", self.SWEEP)

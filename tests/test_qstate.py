@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revtherm import channels, compops, qlinalg, qstate, resource
-from revtherm.errors import ContractError, ShapeError
+from revtherm.errors import ContractError, NumericHealthError, ShapeError
 
 from helpers import random_density, random_distribution, random_unitary, rng
 
@@ -29,6 +29,29 @@ class TestContext:
         assert np.allclose(qstate.gibbs_state(ctx), np.eye(2) / 2)
         with pytest.raises(ContractError):
             ctx.temperature
+
+    def test_temperature_past_the_float_range_is_refused(self):
+        with pytest.raises(NumericHealthError) as info:
+            qstate.ThermoContext(QUBIT, 1e-310).temperature
+        assert str(info.value) == "temperature at beta = 1e-310 is not finite (inf)"
+        assert qstate.ThermoContext(QUBIT, 1e-300).temperature == pytest.approx(1e300)
+
+
+class TestRequireNonnegative:
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.0, 1e308, 3])
+    def test_accepted_as_float(self, value):
+        v = qstate.require_nonnegative(value, "beta")
+        assert type(v) is float and v == value
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [(-1.0, "-1.0"), (-5e-324, "-5e-324"), (-1e300, "-1e+300"), (math.inf, "inf"),
+         (-math.inf, "-inf"), (math.nan, "nan"), (np.float64(-2.0), "-2.0")],
+    )
+    def test_refused_with_one_line(self, value, text):
+        with pytest.raises(ContractError) as info:
+            qstate.require_nonnegative(value, "temperature")
+        assert str(info.value) == f"temperature must be finite and >= 0, got {text}"
 
 
 class TestGibbs:
@@ -156,6 +179,25 @@ class TestAlphaRRE:
         with pytest.raises(ContractError):
             qstate.alpha_rre(self.P, self.TAU, -1.0)
 
+    def test_overflowing_sum_is_taken_in_log_space(self):
+        # the sandwiched sum of wc^alpha overflows past alpha = 1,208 and
+        # below alpha = -440 here
+        rho, sigma = np.diag([0.9, 0.1]), np.eye(2) / 2
+        assert qstate.alpha_rre(rho, sigma, 1300.0) == pytest.approx(0.587706, abs=1e-6)
+        assert qstate.alpha_rre(rho, sigma, -1000.0) == pytest.approx(1.60714, abs=1e-5)
+        # alpha -> inf: D_max = ln max(rho / sigma) = ln 1.8
+        assert qstate.alpha_rre(rho, sigma, 1e300) == pytest.approx(math.log(1.8), rel=4e-16)
+
+    @pytest.mark.parametrize(
+        "alpha,direct",
+        [(1.5, 0.4498009219282165), (50.0, 0.5856364502968572), (1208.0, 0.5876993736712508),
+         (-2.0, 0.8459995789666899), (-440.0, 1.604216631044091)],
+    )
+    def test_finite_sum_keeps_the_direct_form(self, alpha, direct):
+        # frozen values of the direct form, bit for bit, up to the edge of overflow
+        rho, sigma = np.diag([0.9, 0.1]), np.eye(2) / 2
+        assert qstate.alpha_rre(rho, sigma, alpha) == direct
+
     def test_support_violation(self):
         assert qstate.alpha_rre(KET1, KET0, 2.0) == math.inf
         assert qstate.alpha_rre(KET1, KET0, 0.5) == math.inf
@@ -198,6 +240,14 @@ class TestFreeEnergies:
 
     def test_excited_state_value(self):
         assert np.isclose(qstate.helmholtz_free_energy(KET1, self.CTX), 1.0)
+
+    def test_gibbs_level_below_the_support_tolerance_is_refused(self):
+        # tau's upper level, e^-30 / Z ~ 1e-13, counts as its kernel, so the
+        # divergence reads +inf; the free energy is refused, not returned
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 30.0])), 1.0)
+        with pytest.raises(NumericHealthError) as info:
+            qstate.alpha_free_energy(np.eye(2) / 2, ctx, 2.0)
+        assert str(info.value) == "alpha free energy at alpha = 2.0 is not finite (inf)"
 
     def test_beta_zero_rejected(self):
         ctx0 = qstate.ThermoContext(QUBIT, 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revtherm import qstate, resource
-from revtherm.errors import ContractError, ShapeError
+from revtherm.errors import ContractError, NumericHealthError, ShapeError
 
 from helpers import random_distribution, rng
 
@@ -36,6 +36,22 @@ def gibbs_dist(energies, beta):
 def test_non_finite_beta_is_rejected(call, beta):
     with pytest.raises(ContractError):
         call(beta)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -1e300, -5e-324])
+def test_negative_beta_is_rejected(beta):
+    with pytest.raises(ContractError) as info:
+        resource.thermomaj_curve(HALF, E2, beta)
+    assert str(info.value) == f"beta must be finite and >= 0, got {beta}"
+
+
+def test_overflowing_boltzmann_weight_is_refused():
+    # exp(1000) overflows; the curve would end at x = inf
+    with np.errstate(over="ignore"), pytest.raises(NumericHealthError) as info:
+        resource.thermomaj_curve([0.2, 0.3, 0.5], [5.0, -1000.0, 0.0], 1.0)
+    assert str(info.value) == (
+        "cumulative Boltzmann weight overflows at beta = 1.0, level 1 (energy -1000.0)"
+    )
 
 
 def test_each_curve_validates_its_input_once(monkeypatch):
@@ -268,6 +284,15 @@ class TestSecondLaws:
         tau = qstate.gibbs_state(self.CTX)
         with pytest.raises(ContractError):
             resource.second_laws_check(rho, tau, self.CTX)
+
+    def test_non_finite_margin_is_refused(self):
+        # both free energies read +inf against a Gibbs level ~1e-13 (the
+        # support tolerance is 1e-12), and inf - inf is nan
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 30.0])), 1.0)
+        rho = np.diag([0.5, 0.5])
+        with pytest.raises(NumericHealthError) as info:
+            resource.second_laws_check(rho, rho, ctx, (2.0,))
+        assert str(info.value) == "second-laws margin at alpha = 2.0 is not finite (nan)"
 
     def test_custom_grid(self):
         tau = qstate.gibbs_state(self.CTX)
