@@ -31,7 +31,6 @@ EIG_DROP = 1e-14
 OP_DROP = 1e-14
 JOINT_FINAL_TOL = 1e-8
 BOUND_TOL = 1e-9
-ENV_RANK_TOL = 1e-12
 
 _MODES = ("conditional", "unconditional")
 
@@ -314,9 +313,9 @@ def simulate_reset(scenario: ResetScenario) -> dict:
 
 
 def _log_state(rho) -> np.ndarray:
-    """Matrix logarithm of a full-rank density matrix."""
+    """Matrix logarithm of a density matrix of full rank above qstate's support floor."""
     w, v = qstate._clipped_spectrum(rho)
-    if w.min() <= ENV_RANK_TOL:
+    if not qstate._support(w).all():
         raise ContractError("state must be full rank to take its logarithm")
     return (v * np.log(w)) @ v.conj().T
 

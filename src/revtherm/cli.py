@@ -39,7 +39,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
+from .errors import ContractError, NumericHealthError, ShapeError
 
 LN2 = math.log(2.0)
 
@@ -467,7 +467,7 @@ def _handle_implements_check(payload, div, tol):
     p_out = compmodel.BasisPartition(d, out_blocks) if out_blocks is not None else p_in
     op = compops.StochasticOp(n, rows)
     ctx = compmodel.QuantumContext(state, p_in)
-    tv_tol = tol if tol is not None else 1e-9
+    tv_tol = tol if tol is not None else compops.IMPLEMENTS_TOL
     ok = compops.implements(u, p_in, p_out, op, ctx, tol=tv_tol)
     return {"implements": ok}, ok, {"total_variation": tv_tol}, {}
 
@@ -571,18 +571,17 @@ def _handle_thermo_check(payload, div, tol):
     curve_in = resource.thermomaj_curve(p_in, energies, beta, convention)
     curve_out = resource.thermomaj_curve(p_out, energies, beta, convention)
     feasible = curve_in.majorizes(curve_out)
-    # (n, 2) arrays: the emitter writes each curve in one pass
-    points_in, points_out = np.array(curve_in.points), np.array(curve_out.points)
+    # points are (n, 2) arrays: the emitter writes each curve in one pass
     outputs = {
         "feasible": feasible,
         "convention": convention,
-        "partition_weight": float(curve_in.partition_weight),
-        "curve_in": points_in,
-        "curve_out": points_out,
+        "partition_weight": curve_in.partition_weight,
+        "curve_in": curve_in.points,
+        "curve_out": curve_out.points,
     }
     csvs = {
-        "curve_in.csv": _csv_table("curve_in.csv", "x,y", points_in),
-        "curve_out.csv": _csv_table("curve_out.csv", "x,y", points_out),
+        "curve_in.csv": _csv_table("curve_in.csv", "x,y", curve_in.points),
+        "curve_out.csv": _csv_table("curve_out.csv", "x,y", curve_out.points),
     }
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 
@@ -838,7 +837,7 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
     except (ContractError, ShapeError) as exc:
         click.echo(f"error: contract violation: {exc}", err=True)
         return 3
-    except (NumericHealthError, NonDiagonalizable) as exc:
+    except NumericHealthError as exc:
         click.echo(f"error: numeric health: {exc}", err=True)
         return 5
 

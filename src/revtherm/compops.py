@@ -22,7 +22,7 @@ __all__ = [
     "StochasticOp", "deterministic_op", "ContextualizedComputation", "is_deterministic",
     "is_reversible", "is_entropy_ejecting", "computational_entropy_delta",
     "check_traditional_theorem", "check_generalized_theorem", "landauer_cost_oblivious_erasure",
-    "total_variation", "implements", "ROW_SUM_TOL", "SUPPORT_TOL", "DELTA_H_TOL",
+    "total_variation", "implements", "ROW_SUM_TOL", "SUPPORT_TOL", "DELTA_H_TOL", "IMPLEMENTS_TOL",
 ]
 
 ROW_SUM_TOL = 1e-12
@@ -32,6 +32,7 @@ POINT_MASS_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 
 DELTA_H_TOL = 1e-12
+IMPLEMENTS_TOL = 1e-9  # implements(): largest total-variation distance of a block-mass row
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def implements(
     p_out: compmodel.BasisPartition,
     op: StochasticOp,
     ctx: compmodel.QuantumContext,
-    tol: float = 1e-9,
+    tol: float = IMPLEMENTS_TOL,
 ) -> bool:
     """Does the unitary realize the operation in the given context?
 

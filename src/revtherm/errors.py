@@ -1,11 +1,10 @@
 """Exception types shared across the library.
 
 The CLI maps these onto its exit-code contract: ShapeError and
-ContractError are invalid-input conditions (exit 3), NumericHealthError
-is a numerical breakdown (exit 5), and so is a NonDiagonalizable that no
-caller handled. NonDiagonalizable is raised by gksl's null-space
-projector, when an asymptotic eigenvalue carries a Jordan chain or its
-null-space solve fails. require_finite is the gate of a computed number.
+ContractError are invalid-input conditions (exit 3), and a
+NumericHealthError is a numerical breakdown (exit 5), NonDiagonalizable
+included: gksl's null-space projector raises it on a Jordan chain or a
+failed null-space solve. require_finite is the gate of a computed number.
 """
 
 
@@ -17,12 +16,12 @@ class ContractError(ValueError):
     """An input violates a documented precondition."""
 
 
-class NonDiagonalizable(ArithmeticError):
-    """Matrix is defective within tolerance; spectral formulas unavailable."""
-
-
 class NumericHealthError(ArithmeticError):
     """A computed quantity violated a health gate (trace, positivity)."""
+
+
+class NonDiagonalizable(NumericHealthError):
+    """Matrix is defective within tolerance; spectral formulas unavailable."""
 
 
 def require_finite(x: float, what: str) -> float:

@@ -121,23 +121,25 @@ def _clipped_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), v
 
 
-def gibbs_state(ctx: ThermoContext) -> np.ndarray:
-    """Thermal state e^{-beta H} / Tr e^{-beta H}.
-
-    The ground energy is subtracted before exponentiating, so large beta
-    does not overflow; beta = 0 gives the maximally mixed state.
-    """
+def _gibbs_spectrum(ctx: ThermoContext) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gibbs eigenvalues p, eigenvectors v and ln Z from one eig_hermitian(H),
+    the ground energy factored out. A weight below the smallest normal float
+    keeps only a few significant bits, so it becomes 0, the kernel."""
     w, v = qlinalg.eig_hermitian(ctx.hamiltonian.matrix)
     weights = np.exp(-ctx.beta * (w - w.min()))
-    p = weights / weights.sum()
+    weights[weights < np.finfo(float).tiny] = 0.0
+    return weights / weights.sum(), v, float(np.log(weights.sum()) - ctx.beta * w.min())
+
+
+def gibbs_state(ctx: ThermoContext) -> np.ndarray:
+    """Thermal state e^{-beta H} / Tr e^{-beta H}; beta = 0 gives I/d."""
+    p, v, _ = _gibbs_spectrum(ctx)
     return (v * p) @ v.conj().T
 
 
 def log_partition_function(ctx: ThermoContext) -> float:
     """ln Tr e^{-beta H}, evaluated with the ground energy factored out."""
-    w = np.linalg.eigvalsh(ctx.hamiltonian.matrix)
-    shifted = -ctx.beta * (w - w.min())
-    return require_finite(float(np.log(np.exp(shifted).sum()) - ctx.beta * w.min()), "ln Z")
+    return require_finite(_gibbs_spectrum(ctx)[2], "ln Z")
 
 
 def evolve_unitary(rho, u) -> np.ndarray:
@@ -161,31 +163,37 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-# Support threshold for relative-entropy kernels: eigenvalues at or below
-# this are the kernel of the reference state.
+# Support floor of a spectrum measured by eigh: eigenvalues at or below
+# this are its kernel. A Gibbs spectrum taken from H needs no floor.
 _SUPPORT_TOL = 1e-12
 # Overlap mass of rho on ker(sigma) above which the divergence is +inf.
 _SUPPORT_VIOLATION = 1e-10
 
 
-def _state_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The two arguments of a divergence, square, finite and of one size."""
+def _support(w: np.ndarray) -> np.ndarray:
+    """A measured spectrum with every eigenvalue at or below _SUPPORT_TOL set to 0."""
+    return np.where(w > _SUPPORT_TOL, w, 0.0)
+
+
+def _spectra(rho, sigma) -> tuple[np.ndarray, tuple, tuple]:
+    """rho, its clipped spectrum and sigma's floored by _support, of one size."""
     rho = qlinalg.as_square(rho, None, "state")
-    return rho, qlinalg.as_square(sigma, rho.shape[0], "reference state")
+    sigma = qlinalg.as_square(sigma, rho.shape[0], "reference state")
+    r, (ws, vs) = _clipped_spectrum(rho), _clipped_spectrum(sigma)
+    return rho, r, (_support(ws), vs)
 
 
 def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when supp(rho) escapes supp(sigma)."""
-    rho, sigma = _state_pair(rho, sigma)
-    return _relative_entropy(_clipped_spectrum(rho), _clipped_spectrum(sigma))
+    return _relative_entropy(*_spectra(rho, sigma)[1:])
 
 
 def _relative_entropy(r: tuple, s: tuple) -> float:
-    """relative_entropy on the clipped spectra r = (wr, vr) of rho and
-    s = (ws, vs) of sigma."""
+    """relative_entropy on the clipped spectrum r = (wr, vr) of rho and the
+    spectrum s = (ws, vs) of sigma, whose kernel is exactly 0."""
     (wr, vr), (ws, vs) = r, s
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
-    kernel = ws <= _SUPPORT_TOL
+    kernel = ws == 0.0
     if np.sum(wr[:, None] * overlap[:, kernel]) > _SUPPORT_VIOLATION:
         return math.inf
     nz = wr > 0.0
@@ -197,7 +205,7 @@ def _relative_entropy(r: tuple, s: tuple) -> float:
 def _pseudo_power(w: np.ndarray, v: np.ndarray, exponent: float) -> np.ndarray | None:
     """Matrix power on the support; None when a negative power is singular."""
     out = np.zeros_like(w)
-    pos = w > _SUPPORT_TOL
+    pos = w > 0.0
     if exponent < 0.0 and not pos.all():
         return None
     out[pos] = w[pos] ** exponent
@@ -212,14 +220,13 @@ def alpha_rre(rho, sigma, alpha: float) -> float:
     alpha in {0, -1} is outside every branch. Support incompatibilities
     return +inf.
     """
-    rho, sigma = _state_pair(rho, sigma)
-    return _alpha_rre(rho, _clipped_spectrum(rho), _clipped_spectrum(sigma), alpha)
+    return _alpha_rre(*_spectra(rho, sigma), alpha)
 
 
 def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
-    """alpha_rre given rho, its clipped spectrum r = (wr, vr) and that of
-    sigma, s = (ws, vs): the one formula, which resource.second_laws_check
-    shares so that it takes each spectrum once."""
+    """alpha_rre given rho, its clipped spectrum r = (wr, vr) and sigma's s =
+    (ws, vs), whose kernel is exactly 0: the one formula, which
+    alpha_free_energy and resource.second_laws_check share."""
     if alpha == 1.0:
         return _relative_entropy(r, s)
     if alpha == 0.0 or alpha == -1.0:
@@ -229,7 +236,7 @@ def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
     coeff = math.copysign(1.0, alpha) / (alpha - 1.0)
 
     if abs(alpha) < 1.0:
-        rho_a = _pseudo_power(wr, vr, alpha)
+        rho_a = _pseudo_power(_support(wr), vr, alpha)
         sig_b = _pseudo_power(ws, vs, 1.0 - alpha)
         if rho_a is None or sig_b is None:
             return math.inf
@@ -241,7 +248,7 @@ def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
 
     # Sandwiched branch. The reference state is raised to (1-alpha)/(2 alpha),
     # a negative exponent for alpha > 1, so rho must live inside supp(sigma).
-    support_sigma = ws > _SUPPORT_TOL
+    support_sigma = ws > 0.0
     if not support_sigma.all():
         proj = (vs[:, support_sigma]) @ (vs[:, support_sigma].conj().T)
         if abs(float(np.trace(proj @ rho).real) - tr_rho) > _SUPPORT_VIOLATION:
@@ -250,10 +257,12 @@ def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
     sig_half = _pseudo_power(ws, vs, exponent)
     if sig_half is None:
         return math.inf
-    core = sig_half @ rho @ sig_half
-    wc, _ = np.linalg.eigh((core + core.conj().T) / 2.0)
-    wc = np.clip(wc, 0.0, None)
-    if alpha < 0.0 and np.any(wc <= _SUPPORT_TOL):
+    with np.errstate(over="ignore", invalid="ignore"):  # a core past the float range is refused
+        core = sig_half @ rho @ sig_half
+        core = (core + core.conj().T) / 2.0
+        require_finite(float(np.abs(core).max()), f"sandwiched core at alpha = {alpha!r}")
+    wc = np.clip(np.linalg.eigh(core)[0], 0.0, None)
+    if alpha < 0.0 and not _support(wc).all():
         return math.inf
     wc = wc[wc > 0.0]
     if not wc.size:
@@ -281,7 +290,9 @@ def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
 def alpha_free_energy(rho, ctx: ThermoContext, alpha: float) -> float:
     """F_alpha(rho) = -T ln Z + T * S_alpha(rho || tau)."""
     t = ctx.temperature
-    f = -t * log_partition_function(ctx) + t * alpha_rre(rho, gibbs_state(ctx), alpha)
+    p, v, log_z = _gibbs_spectrum(ctx)
+    rho = qlinalg.as_square(rho, p.size, "state")
+    f = -t * log_z + t * _alpha_rre(rho, _clipped_spectrum(rho), (p, v), alpha)
     return require_finite(f, f"alpha free energy at alpha = {alpha!r}")
 
 

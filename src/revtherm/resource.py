@@ -68,44 +68,45 @@ def _beta_order(p: np.ndarray, e: np.ndarray, beta: float, convention: str) -> n
     return np.lexsort((np.arange(p.size), e, -key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermomajorizationCurve:
     """Cumulative Boltzmann weight vs cumulative probability, piecewise linear.
 
-    Starts at (0, 0), ends at (Z, 1); both coordinates nondecreasing.
+    points is one (n, 2) float64 array of finite rows from (0, 0) to (Z, 1),
+    both coordinates nondecreasing.
     Under the "standard" ordering convention the interpolant is additionally
     concave and lies on or above the Gibbs chord y = x/Z; under "paper"
     ordering neither is guaranteed.
     """
 
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
-        if len(pts) < 2:
-            raise ContractError("curve needs at least two points")
-        xs = np.array([x for x, _ in pts])
-        ys = np.array([y for _, y in pts])
-        if abs(xs[0]) > 1e-12 or abs(ys[0]) > 1e-12:
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+            raise ContractError(f"curve needs at least two (x, y) points, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ContractError("curve points must be finite")
+        if not np.all(np.abs(pts[0]) <= 1e-12):
             raise ContractError("curve must start at (0, 0)")
-        if np.any(np.diff(xs) < -1e-12) or np.any(np.diff(ys) < -1e-12):
+        if not np.all(np.diff(pts, axis=0) >= -1e-12):
             raise ContractError("curve coordinates must be nondecreasing")
-        if abs(ys[-1] - 1.0) > 1e-9:
-            raise ContractError(f"curve must end at height 1, got {ys[-1]!r}")
+        if not abs(pts[-1, 1] - 1.0) <= 1e-9:
+            raise ContractError(f"curve must end at height 1, got {pts[-1, 1]!r}")
         object.__setattr__(self, "points", pts)
 
     @property
     def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.points])
+        return self.points[:, 0]
 
     @property
     def ys(self) -> np.ndarray:
-        return np.array([y for _, y in self.points])
+        return self.points[:, 1]
 
     @property
     def partition_weight(self) -> float:
         """Total Boltzmann weight Z (the final x coordinate)."""
-        return self.points[-1][0]
+        return float(self.points[-1, 0])
 
     def evaluate(self, x) -> np.ndarray:
         """Piecewise-linear interpolation, clamped to the endpoints."""
@@ -140,7 +141,7 @@ def thermomaj_curve(
     # Cumulative rounding can leave the last y an ulp off 1.
     if abs(ys[-1] - 1.0) < 1e-12:
         ys[-1] = 1.0
-    return ThermomajorizationCurve(tuple(zip(xs.tolist(), ys.tolist())))
+    return ThermomajorizationCurve(np.column_stack((xs, ys)))
 
 
 def thermomaj_feasible(
@@ -214,19 +215,19 @@ def second_laws_check(
     overall verdict and the per-alpha margins F_a(in) - F_a(out); a grid pass
     is a necessary-condition sample of the full family, not a proof. Each
     margin is that of qstate.alpha_free_energy bit for bit, but the Gibbs
-    state, ln Z and the spectra of both states and of the Gibbs state are
-    taken once per check, not once per alpha.
+    spectrum, ln Z and the spectra of both states are taken once per check,
+    not once per alpha.
     """
     rho_in = _require_commuting(rho_in, ctx, "input state")
     rho_out = _require_commuting(rho_out, ctx, "output state")
     t = ctx.temperature
-    tau = qstate._clipped_spectrum(qstate.gibbs_state(ctx))
-    free = -t * qstate.log_partition_function(ctx)
+    p, v, log_z = qstate._gibbs_spectrum(ctx)
+    free = -t * log_z
     states = [(rho, qstate._clipped_spectrum(rho)) for rho in (rho_in, rho_out)]
     margins: dict[float, float] = {}
     for alpha in alphas:
         a = float(alpha)
-        f_in, f_out = (free + t * qstate._alpha_rre(rho, s, tau, a) for rho, s in states)
+        f_in, f_out = (free + t * qstate._alpha_rre(rho, s, (p, v), a) for rho, s in states)
         margins[a] = require_finite(float(f_in - f_out), f"second-laws margin at alpha = {a!r}")
     ok = all(m >= -FEASIBILITY_TOL for m in margins.values())
     return ok, margins
@@ -241,11 +242,11 @@ def compute_reset_cycle_verdict(
     """Round trip reset -> computed -> reset as two chained transitions.
 
     The reported free energies are those of the binding (smaller-margin)
-    leg, so the verdict is feasible iff both legs are (the two margins are
-    negatives of each other); the total correlation charge is twice the
-    per-step budget.
+    leg, so the verdict is feasible iff both legs are; the return leg swaps
+    the forward one's free energies, and the total correlation charge is
+    twice the per-step budget.
     """
     forward = cto_feasible_general(rho_reset, rho_computed, ctx, qmi_per_step)
-    backward = cto_feasible_general(rho_computed, rho_reset, ctx, qmi_per_step)
+    backward = CtoVerdict(forward.free_energy_out, forward.free_energy_in, forward.qmi)
     binding = forward if forward.margin <= backward.margin else backward
     return CtoVerdict(binding.free_energy_in, binding.free_energy_out, 2.0 * float(qmi_per_step))

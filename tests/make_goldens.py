@@ -1,32 +1,38 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
-Run after an intentional output change, from anywhere:
+Run after an intentional output change, from anywhere, with revtherm
+importable (installed, or src/ on PYTHONPATH):
 
     python3 tests/make_goldens.py
 
 One directory per bundled scenario, holding the JSON report plus any CSV
-side files. test_cli.py compares fresh runs against these byte for byte.
+side files; each scenario runs under the task its own file declares.
+test_cli.py compares fresh runs against these byte for byte.
 """
 
+import json
 import shutil
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
-TASK_BY_STEM = {
-    "erasure_bit": "landauer",
-    "erasure_bit_conditional": "landauer",
-    "dephasing": "gksl-evolve",
-    "adiabatic": "adiabatic-sweep",
-}
+SCENARIOS = resources.files("revtherm") / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def bundled() -> list[tuple[str, str]]:
+    """(stem, task) of every bundled scenario, sorted by stem."""
+    return sorted(
+        (p.name.removesuffix(".json"), json.loads(p.read_text())["task"])
+        for p in SCENARIOS.iterdir()
+        if p.name.endswith(".json")
+    )
 
 
 def main():
-    golden_root = Path(__file__).resolve().parent / "golden"
-    scenarios = resources.files("revtherm") / "scenarios"
-    for stem, task in sorted(TASK_BY_STEM.items()):
-        out_dir = golden_root / stem
+    for stem, task in bundled():
+        out_dir = GOLDEN / stem
         if out_dir.exists():
             shutil.rmtree(out_dir)
         out_dir.mkdir(parents=True)
@@ -36,7 +42,7 @@ def main():
             "revtherm",
             task,
             "--scenario",
-            str(scenarios / f"{stem}.json"),
+            str(SCENARIOS / f"{stem}.json"),
             "--out",
             str(out_dir / "report.json"),
         ]

@@ -17,6 +17,7 @@ import revtherm
 from revtherm import cli, gksl, qlinalg, resource
 
 from helpers import leaking, random_density, rng
+from make_goldens import bundled
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -203,13 +204,12 @@ class TestBundledScenarios:
 
 class TestGoldens:
     # byte-identical to the committed outputs; regenerate deliberately with
-    # tests/make_goldens.py when the change is intended
-    CASES = (
-        ("erasure_bit", "landauer"),
-        ("erasure_bit_conditional", "landauer"),
-        ("dephasing", "gksl-evolve"),
-        ("adiabatic", "adiabatic-sweep"),
-    )
+    # tests/make_goldens.py when the change is intended. Each bundled
+    # scenario runs under the task its own file declares.
+    CASES = bundled()
+
+    def test_every_bundled_scenario_has_a_golden(self):
+        assert [stem for stem, _ in self.CASES] == sorted(p.name for p in GOLDEN.iterdir())
 
     @pytest.mark.parametrize("stem,task", CASES, ids=[c[0] for c in CASES])
     def test_matches_golden(self, tmp_path, stem, task):
@@ -535,6 +535,24 @@ class TestExitCodes:
         assert r.exit_code in (0, 4), r.stderr
         margin = json.loads(r.stdout)["outputs"]["second_laws"]["margins"]["1e+300"]
         assert math.isfinite(margin)
+
+    def test_gibbs_level_below_the_support_floor_gives_finite_margins(self, tmp_path):
+        # tau's upper level, e^-30 / Z ~ 1e-13, comes from H and is no kernel:
+        # every margin is finite, and the transition fails the laws (exit 4)
+        payload = {
+            **MINIMAL["cto-check"],
+            "rho_in": diag_matrix(0.9, 0.1),
+            "rho_out": diag_matrix(0.7, 0.3),
+            "hamiltonian": diag_matrix(0.0, 30.0),
+        }
+        del payload["alphas"]
+        p = write_scenario(tmp_path, "cto-check", payload)
+        r = invoke(["cto-check", "--scenario", p])
+        assert r.exit_code == 4, r.stderr
+        second_laws = json.loads(r.stdout)["outputs"]["second_laws"]
+        assert second_laws["pass"] is False
+        assert len(second_laws["margins"]) == len(resource.DEFAULT_ALPHA_GRID)
+        assert all(math.isfinite(m) for m in second_laws["margins"].values())
 
     def test_huge_state_count_without_rows_is_0(self, tmp_path):
         p = write_scenario(tmp_path, "classify", {"n_states": 10**30, "rows": {}})

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -228,6 +229,11 @@ class TestImplements:
         ctx = compmodel.QuantumContext(state, self.PART)
         op = compops.deterministic_op(2, {0: 1})
         assert compops.implements(self.X1, self.PART, self.PART, op, ctx)
+
+    def test_default_tolerance_is_named_once(self):
+        default = inspect.signature(compops.implements).parameters["tol"].default
+        assert default is compops.IMPLEMENTS_TOL and compops.IMPLEMENTS_TOL == 1e-9
+
 
 
 def test_total_variation():

@@ -241,18 +241,67 @@ class TestFreeEnergies:
     def test_excited_state_value(self):
         assert np.isclose(qstate.helmholtz_free_energy(KET1, self.CTX), 1.0)
 
-    def test_gibbs_level_below_the_support_tolerance_is_refused(self):
-        # tau's upper level, e^-30 / Z ~ 1e-13, counts as its kernel, so the
-        # divergence reads +inf; the free energy is refused, not returned
-        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 30.0])), 1.0)
-        with pytest.raises(NumericHealthError) as info:
-            qstate.alpha_free_energy(np.eye(2) / 2, ctx, 2.0)
-        assert str(info.value) == "alpha free energy at alpha = 2.0 is not finite (inf)"
+    def test_gibbs_level_below_the_support_tolerance_is_no_kernel(self):
+        # tau's upper level, e^-30 / Z ~ 1e-13, lies below the support floor
+        # of a measured spectrum, but tau's spectrum comes from H: each alpha
+        # free energy is the classical Renyi one, -T ln Z + T D_alpha(p || q)
+        energies = np.array([0.0, 30.0])
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag(energies)), 1.0)
+        p = np.array([0.5, 0.5])
+        log_z = np.logaddexp.reduce(-energies)
+        log_q = -energies - log_z
+        for a in (0.5, 2.0, 50.0):
+            renyi = np.logaddexp.reduce(a * np.log(p) + (1.0 - a) * log_q) / (a - 1.0)
+            got = qstate.alpha_free_energy(np.diag(p), ctx, a)
+            assert abs(got - (-log_z + renyi)) <= 1e-9
 
     def test_beta_zero_rejected(self):
         ctx0 = qstate.ThermoContext(QUBIT, 0.0)
         with pytest.raises(ContractError):
             qstate.helmholtz_free_energy(KET0, ctx0)
+
+
+# Gibbs levels e^-30 ~ 1e-13, e^-699 ~ 1e-304 and e^-720, below the
+# smallest normal float, where the weight becomes 0, the kernel
+SMALL_LEVEL_GAPS = {"1e-13": 30.0, "1e-304": 699.0, "subnormal": 720.0}
+SKEW = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+
+
+@pytest.mark.parametrize("level", SMALL_LEVEL_GAPS)
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 50.0, -2.0, 1e300])
+@pytest.mark.parametrize("rho", [np.diag([0.6, 0.4]), SKEW], ids=["diagonal", "non-diagonal"])
+def test_small_gibbs_level_is_finite_or_refused(level, alpha, rho):
+    # finite wherever rho's weight on the level can be taken; a kernel level
+    # (alpha > 1 or < 0) and a sandwiched core past the float range (alpha
+    # = -2 against 1e-304) are refused, and no LinAlgError escapes
+    ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, SMALL_LEVEL_GAPS[level]])), 1.0)
+    refused = (level == "subnormal" and alpha != 0.5) or (level == "1e-304" and alpha == -2.0)
+    if refused:
+        with pytest.raises(NumericHealthError):
+            qstate.alpha_free_energy(rho, ctx, alpha)
+    else:
+        assert math.isfinite(qstate.alpha_free_energy(rho, ctx, alpha))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [qstate.gibbs_state, qstate.log_partition_function,
+     lambda ctx: qstate.alpha_free_energy(np.diag([0.3, 0.3, 0.4]), ctx, 2.0)],
+    ids=["gibbs_state", "log_partition_function", "alpha_free_energy"],
+)
+def test_one_eigendecomposition_of_h_and_none_of_tau(monkeypatch, call):
+    h = np.array([[0.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 2.5]])
+    ctx = qstate.ThermoContext(qstate.Hamiltonian(h), 0.8)
+    tau = qstate.gibbs_state(ctx)
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *args, real=real: seen.append(a) or real(a, *args)
+        )
+    call(ctx)
+    assert sum(np.array_equal(a, h) for a in seen) == 1
+    assert not any(np.allclose(a, tau) for a in seen)
 
 
 class TestMutualInformation:

@@ -144,6 +144,23 @@ class TestCurve:
         with pytest.raises(ContractError):
             resource.ThermomajorizationCurve(((0.0, 0.0), (1.0, 0.9), (0.5, 1.0)))
 
+    @pytest.mark.parametrize(
+        "points",
+        [((0, 0), (math.nan, 0.5), (math.inf, 1.0)), ((0, 0), (1.0, math.nan), (2.0, 1.0)),
+         ((math.nan, 0), (1.0, 1.0)), ((0, 0), (1.0, 1.0), (math.inf, 1.0))],
+        ids=["nan-and-inf-x", "nan-y", "nan-start", "inf-end"],
+    )
+    def test_non_finite_point_is_refused(self, points):
+        with pytest.raises(ContractError, match="curve points must be finite"):
+            resource.ThermomajorizationCurve(points)
+
+    def test_points_are_one_float_array(self):
+        c = resource.thermomaj_curve(HALF, E2, 1.0)
+        assert c.points.dtype == np.float64 and c.points.shape == (3, 2)
+        assert c.xs.tolist() == c.points[:, 0].tolist()
+        assert c.ys.tolist() == c.points[:, 1].tolist()
+        assert c.partition_weight == c.points[-1, 0] and type(c.partition_weight) is float
+
 
 class TestFeasibility:
     def test_reflexive(self):
@@ -286,9 +303,9 @@ class TestSecondLaws:
             resource.second_laws_check(rho, tau, self.CTX)
 
     def test_non_finite_margin_is_refused(self):
-        # both free energies read +inf against a Gibbs level ~1e-13 (the
-        # support tolerance is 1e-12), and inf - inf is nan
-        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 30.0])), 1.0)
+        # the Gibbs weight e^-800 underflows to 0, the kernel, so both free
+        # energies read +inf, and inf - inf is nan
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1.0)
         rho = np.diag([0.5, 0.5])
         with pytest.raises(NumericHealthError) as info:
             resource.second_laws_check(rho, rho, ctx, (2.0,))
@@ -301,8 +318,9 @@ class TestSecondLaws:
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_one_gibbs_state_and_per_alpha_margins_bit_for_bit(self, monkeypatch, d):
-        # the check takes the Gibbs state and every spectrum once, and each
-        # margin is the difference of two alpha_free_energy calls
+        # the check takes one eigendecomposition of H, none of the Gibbs
+        # state, and each margin is the difference of two alpha_free_energy
+        # calls
         gen = rng(800 + d)
         ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag(gen.uniform(0, 2, d))), 0.7)
         rho_in, rho_out = (np.diag(random_distribution(gen, d)).astype(complex) for _ in "ab")
@@ -311,11 +329,16 @@ class TestSecondLaws:
             a: qstate.alpha_free_energy(rho_in, ctx, a) - qstate.alpha_free_energy(rho_out, ctx, a)
             for a in grid
         }
-        calls = []
-        gibbs = qstate.gibbs_state
-        monkeypatch.setattr(qstate, "gibbs_state", lambda c: calls.append(c) or gibbs(c))
+        h, tau = ctx.hamiltonian.matrix, qstate.gibbs_state(ctx)
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, *args, real=real: seen.append(a) or real(a, *args)
+            )
         _, margins = resource.second_laws_check(rho_in, rho_out, ctx, grid)
-        assert calls == [ctx]
+        assert sum(np.array_equal(a, h) for a in seen) == 1
+        assert not any(np.allclose(a, tau) for a in seen)
         assert list(margins) == list(grid)
         assert all(
             np.float64(margins[a]).tobytes() == np.float64(expect[a]).tobytes() for a in grid
@@ -338,3 +361,24 @@ class TestResetCycle:
         assert np.isclose(v.margin, -1.3132616875182228)
         assert np.isclose(v.free_energy_in, -0.31326168751822286)
         assert np.isclose(v.free_energy_out, 1.0)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["forward-binds", "return-binds"])
+    def test_one_free_energy_per_state(self, monkeypatch, swap):
+        # the return leg swaps the forward leg's free energies: two Helmholtz
+        # evaluations per cycle, and the verdict of two full legs bit for bit
+        tau = qstate.gibbs_state(QUBIT_CTX)
+        states = (KET1, tau)[::-1] if swap else (KET1, tau)
+        legs = [
+            resource.cto_feasible_general(a, b, QUBIT_CTX, 1e-4) for a, b in (states, states[::-1])
+        ]
+        binding = min(legs, key=lambda leg: leg.margin)
+        calls = []
+        helmholtz = qstate.helmholtz_free_energy
+        monkeypatch.setattr(
+            qstate, "helmholtz_free_energy", lambda *a: calls.append(a) or helmholtz(*a)
+        )
+        v = resource.compute_reset_cycle_verdict(*states, QUBIT_CTX, 1e-4)
+        assert len(calls) == 2
+        assert v.free_energy_in == binding.free_energy_in
+        assert v.free_energy_out == binding.free_energy_out
+        assert v.qmi == 2e-4
