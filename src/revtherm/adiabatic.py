@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericHealthError, require_finite
+from .errors import ContractError, NumericHealthError, require_finite, require_positive
 
 __all__ = ["AdiabaticParams", "e_diss", "optimal_ttr", "min_e_diss", "efficiency_bound", "sweep"]
 
@@ -34,10 +34,7 @@ class AdiabaticParams:
 
     def __post_init__(self):
         for name in ("e_sig", "tau_r", "tau_e", "c_sw", "c_lk"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0.0:
-                raise ContractError(f"{name} must be strictly positive, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, require_positive(getattr(self, name), name))
         if self.tau_r_adj >= self.tau_e_adj:
             raise ContractError(
                 "adjusted relaxation time must stay below the adjusted "
@@ -65,9 +62,7 @@ def _leakage(p: AdiabaticParams, t):
 
 def e_diss(p: AdiabaticParams, t_tr: float) -> float:
     """Total dissipation per transition: switching plus leakage."""
-    t = float(t_tr)
-    if not np.isfinite(t) or t <= 0.0:
-        raise ContractError(f"transition time must be positive, got {t_tr!r}")
+    t = require_positive(t_tr, "transition time")
     if not p.tau_r < t < p.tau_e:
         warnings.warn(
             f"transition time {t!r} outside the model window "
@@ -128,8 +123,8 @@ def sweep(p: AdiabaticParams, t_min: float, t_max: float, n_points: int) -> np.n
     bitwise sum of the two loss columns. No validity-window warnings here;
     sweeps are exploratory by design. An overflowing cell raises NumericHealthError.
     """
-    t_min, t_max = float(t_min), float(t_max)
-    if not (0.0 < t_min < t_max) or not np.isfinite(t_max):
+    t_min, t_max = require_positive(t_min, "t_min"), require_positive(t_max, "t_max")
+    if not t_min < t_max:
         raise ContractError(f"need 0 < t_min < t_max, got ({t_min!r}, {t_max!r})")
     n = int(n_points)
     if n < 1:

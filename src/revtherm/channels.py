@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg, qstate
-from .errors import ContractError
+from .errors import ContractError, require_nonnegative, require_positive
 
 __all__ = [
     "DilationSpec", "apply_dilation", "KrausSet", "extract_system_kraus", "extract_env_kraus",
@@ -170,7 +170,7 @@ def conditional_landauer_bound(rho_in, rho_out, temperature: float) -> float:
     Equals -T * (S(rho_out) - S(rho_in)); zero for entropy-preserving
     resets, T*ln2 for erasing a maximally mixed bit to a pure one.
     """
-    t = qstate.require_nonnegative(temperature, "temperature")
+    t = require_nonnegative(temperature, "temperature")
     return -t * (qstate.von_neumann_entropy(rho_out) - qstate.von_neumann_entropy(rho_in))
 
 
@@ -335,11 +335,9 @@ def heat_mgf(env_kraus: KrausSet, tau_e) -> float:
 
 def jensen_heat_bound(mgf_value: float, temperature: float) -> float:
     """-T ln<exp(-beta Q)>, a lower bound on the average dissipated heat."""
-    m = float(mgf_value)
-    if m <= 0.0:
-        raise ContractError("moment-generating function must be positive")
+    m = require_positive(mgf_value, "moment-generating function")
     # + 0.0 keeps the m == 1 case from reporting -0.0
-    return -qstate.require_nonnegative(temperature, "temperature") * float(np.log(m)) + 0.0
+    return -require_nonnegative(temperature, "temperature") * float(np.log(m)) + 0.0
 
 
 def _env_heat(spec: DilationSpec, rho_s) -> tuple:
@@ -364,10 +362,11 @@ def heat_decomposition(spec: DilationSpec, rho_s, beta: float) -> dict:
     beta_q = -beta*(E'_E - E_E) (beta times the heat released by the
     environment). mutual_info and rel_entropy_env are nonnegative, so the
     heat dumped into the environment always covers the system entropy drop.
-    env_state is interpreted as thermal at the given beta; it must be full
-    rank so its logarithm exists; beta = 0 (a maximally mixed bath) gives beta_q = 0.
+    beta is only validated (finite, >= 0): every term is read from env_state
+    through ln tau_E, so beta_q is beta times the heat only for a Gibbs
+    env_state at beta. env_state must be full rank so its logarithm exists.
     """
-    qstate.require_nonnegative(beta, "beta")
+    require_nonnegative(beta, "beta")
     rho_s, joint, rho_e_out, beta_q = _env_heat(spec, rho_s)
     rho_s_out = qlinalg.partial_trace(joint, (spec.d_s, spec.d_e), keep=0)
     delta_s_system = qstate.von_neumann_entropy(rho_s) - qstate.von_neumann_entropy(rho_s_out)

@@ -4,7 +4,8 @@ The CLI maps these onto its exit-code contract: ShapeError and
 ContractError are invalid-input conditions (exit 3), and a
 NumericHealthError is a numerical breakdown (exit 5), NonDiagonalizable
 included: gksl's null-space projector raises it on a Jordan chain or a
-failed null-space solve. require_finite is the gate of a computed number.
+failed null-space solve. require_finite is the gate of a computed number,
+require_nonnegative and require_positive the two rules of a real scalar input.
 """
 
 
@@ -29,3 +30,19 @@ def require_finite(x: float, what: str) -> float:
     if not abs(x) < float("inf"):
         raise NumericHealthError(f"{what} is not finite ({x})")
     return x
+
+
+def require_nonnegative(value, what: str) -> float:
+    """value as a float, refused with ContractError unless finite and >= 0."""
+    v = float(value)
+    if not 0.0 <= v < float("inf"):
+        raise ContractError(f"{what} must be finite and >= 0, got {v}")
+    return v
+
+
+def require_positive(value, what: str) -> float:
+    """value as a float, refused with ContractError unless finite and > 0."""
+    v = float(value)
+    if not 0.0 < v < float("inf"):
+        raise ContractError(f"{what} must be finite and > 0, got {v}")
+    return v

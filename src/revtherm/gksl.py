@@ -56,6 +56,7 @@ import numpy as np
 
 from . import compmodel, qlinalg, qstate
 from .errors import ContractError, NonDiagonalizable, NumericHealthError, ShapeError
+from .errors import require_nonnegative, require_positive
 
 __all__ = [
     "Lindbladian", "SuperoperatorMatrix", "build_superoperator", "trajectory", "propagate",
@@ -77,7 +78,6 @@ EIGENBASIS_COND_GATE = 1e6
 PA_SUPPORT_TOL = 1e-10
 TRAJECTORY_TRACE_TOL = 1e-9
 TRAJECTORY_EIG_FLOOR = -1e-8
-CROSS_BLOCK_RTOL = 1e-10
 DEPHASED_FRACTION = 1e-6
 
 # Largest h ||L|| for which the degree-m Taylor polynomial of exp(h L) has
@@ -155,15 +155,11 @@ class Lindbladian:
     def __post_init__(self):
         h = self.hamiltonian.matrix
         object.__setattr__(self, "hamiltonian", qstate.Hamiltonian((h + h.conj().T) / 2.0))
-        d = self.hamiltonian.dim
-        clean = []
-        for f, kappa in self.jumps:
-            f = qlinalg.as_square(f, d, "jump operator")
-            kappa = float(kappa)
-            if kappa < 0.0 or not np.isfinite(kappa):
-                raise ContractError(f"jump rate {kappa!r} must be nonnegative")
-            clean.append((f, kappa))
-        object.__setattr__(self, "jumps", tuple(clean))
+        clean = tuple(
+            (qlinalg.as_square(f, self.dim, "jump operator"), require_nonnegative(k, "jump rate"))
+            for f, k in self.jumps
+        )
+        object.__setattr__(self, "jumps", clean)
 
     @property
     def dim(self) -> int:
@@ -945,9 +941,7 @@ def _cesaro_average(
     samples = int(samples)
     if samples < 1:
         raise ContractError("sample count must be positive")
-    horizon = float(horizon)
-    if horizon <= 0.0 or not np.isfinite(horizon):
-        raise ContractError("horizon must be positive and finite")
+    horizon = require_positive(horizon, "horizon")
     if dec is None:
         dec = decompose(l)
     elif dec.dim != l.dim:
@@ -1154,13 +1148,13 @@ def decompose(l: Lindbladian, tol=None) -> AsymptoticDecomposition:
     projector on column-stacked operators, is mapped back only when a
     caller reads it.
     """
-    if tol is not None and not tol > 0.0:
-        raise ContractError(f"asymptotic tolerance {tol!r} must be positive")
+    if tol is not None:
+        tol = require_positive(tol, "asymptotic tolerance")
     components, blocks = _components(l, SPLIT_MIN_ORDER, _coarse_labels(l))
     n = l.dim**2
     evals, right, inverses = qlinalg._eig_blocks(blocks)
     evals = np.asarray(_assemble(components, evals, n), dtype=complex)
-    tol = ASYMPTOTIC_RTOL * max(1.0, float(np.abs(evals).max())) if tol is None else float(tol)
+    tol = ASYMPTOTIC_RTOL * max(1.0, float(np.abs(evals).max())) if tol is None else tol
     worst = float(evals.real.max())
     if worst > tol:
         raise NumericHealthError(
@@ -1239,14 +1233,12 @@ def four_corners(a, dec: AsymptoticDecomposition):
 def dfs_commutes(op, partition: compmodel.BasisPartition) -> bool:
     """Does the operator respect the block structure entrywise?
 
-    True iff every cross-block entry has modulus at most
-    1e-10 * max(1, ||op||); such operators act within the decoherence-free
-    blocks and cannot change the computational state.
+    True iff compmodel.validate_block_diagonal: every cross-block entry is at
+    most 1e-10 * max(1, ||op||). Such an operator acts within the
+    decoherence-free blocks and cannot change the computational state.
     """
     op = qlinalg.as_square(op, partition.dim, "operator")
-    off = op - compmodel.pinch(op, partition)
-    bound = CROSS_BLOCK_RTOL * max(1.0, qlinalg.hs_norm(op))
-    return bool(np.abs(off).max() <= bound)
+    return compmodel.validate_block_diagonal(op, partition)
 
 
 def split_comp_noncomp(op, partition: compmodel.BasisPartition):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .errors import ContractError, require_finite
+from .errors import ContractError, require_finite, require_nonnegative
 
 __all__ = [
     "Hamiltonian", "ThermoContext", "check_density_matrix", "require_state", "require_distribution",
@@ -102,15 +102,6 @@ def require_unitary(u, d: int, what: str = "operator") -> np.ndarray:
     if qlinalg.hs_norm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARITY_ATOL:
         raise ContractError(f"{what} is not unitary within tolerance")
     return u
-
-
-def require_nonnegative(value, what: str) -> float:
-    """value as a float, refused unless finite and >= 0: the one rule for an
-    inverse temperature beta and for a temperature T."""
-    v = float(value)
-    if not 0.0 <= v < math.inf:
-        raise ContractError(f"{what} must be finite and >= 0, got {v}")
-    return v
 
 
 def _clipped_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,6 +218,8 @@ def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
     """alpha_rre given rho, its clipped spectrum r = (wr, vr) and sigma's s =
     (ws, vs), whose kernel is exactly 0: the one formula, which
     alpha_free_energy and resource.second_laws_check share."""
+    if not math.isfinite(alpha):
+        raise ContractError(f"alpha must be finite, got {alpha!r}")
     if alpha == 1.0:
         return _relative_entropy(r, s)
     if alpha == 0.0 or alpha == -1.0:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import qlinalg, qstate
 from .errors import ContractError, NumericHealthError, ShapeError, require_finite
+from .errors import require_nonnegative
 
 __all__ = [
     "beta_order", "ThermomajorizationCurve", "thermomaj_curve", "thermomaj_feasible",
@@ -44,7 +45,7 @@ def _check_classical_input(p, energies, beta: float) -> tuple[np.ndarray, np.nda
         raise ShapeError(f"{p.size} probabilities vs {e.size} energies")
     if not np.all(np.isfinite(e)):
         raise ContractError("energies must be finite")
-    qstate.require_nonnegative(beta, "beta")
+    require_nonnegative(beta, "beta")
     return qstate.require_distribution(p, "p"), e
 
 
@@ -82,7 +83,10 @@ class ThermomajorizationCurve:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        try:
+            pts = np.array(self.points, dtype=float)
+        except ValueError:  # ragged rows or a cell that is not a number
+            raise ContractError("curve points are not an (n, 2) array of numbers") from None
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ContractError(f"curve needs at least two (x, y) points, got shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -186,11 +190,10 @@ def cto_feasible_general(
     The budget is a free engineering parameter of the catalyst construction
     (arbitrarily small but nonzero); it is reported, not derived.
     """
-    if float(qmi_budget) < 0.0:
-        raise ContractError("qmi budget must be nonnegative")
+    qmi = require_nonnegative(qmi_budget, "qmi budget")
     f_in = qstate.helmholtz_free_energy(rho_in, ctx)
     f_out = qstate.helmholtz_free_energy(rho_out, ctx)
-    return CtoVerdict(float(f_in), float(f_out), float(qmi_budget))
+    return CtoVerdict(float(f_in), float(f_out), qmi)
 
 
 def _require_commuting(rho, ctx: qstate.ThermoContext, what: str):
@@ -249,4 +252,4 @@ def compute_reset_cycle_verdict(
     forward = cto_feasible_general(rho_reset, rho_computed, ctx, qmi_per_step)
     backward = CtoVerdict(forward.free_energy_out, forward.free_energy_in, forward.qmi)
     binding = forward if forward.margin <= backward.margin else backward
-    return CtoVerdict(binding.free_energy_in, binding.free_energy_out, 2.0 * float(qmi_per_step))
+    return CtoVerdict(binding.free_energy_in, binding.free_energy_out, 2.0 * forward.qmi)

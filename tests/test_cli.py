@@ -392,7 +392,7 @@ class TestExitCodes:
                 {"task": "gksl-asymptotic", "payload": MINIMAL["gksl-asymptotic"]},
                 ("tol",),
                 -1,
-                "asymptotic tolerance -1.0 must be positive",
+                "asymptotic tolerance must be finite and > 0, got -1.0",
             ),
             (
                 {"task": "thermo-check", "payload": MINIMAL["thermo-check"]},

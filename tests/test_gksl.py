@@ -1321,7 +1321,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_nonpositive_tol_rejected(self, tol):
-        with pytest.raises(ContractError, match="must be positive"):
+        with pytest.raises(ContractError, match="must be finite and > 0"):
             gksl.decompose(damping(0.8), tol)
 
     def test_d24_generic_is_fast(self):

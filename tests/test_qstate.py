@@ -152,6 +152,12 @@ class TestAlphaRRE:
     P = np.diag([0.7, 0.3])
     TAU = np.diag([1.0 / (1.0 + math.exp(-1.0)), math.exp(-1.0) / (1.0 + math.exp(-1.0))])
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_refused(self, alpha):
+        # an input error (exit 3), not a numeric failure of the sandwiched core
+        with pytest.raises(ContractError, match=f"alpha must be finite, got {alpha!r}"):
+            qstate.alpha_rre(self.P, self.TAU, alpha)
+
     @pytest.mark.parametrize(
         "alpha,expect",
         [

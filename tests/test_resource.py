@@ -154,6 +154,12 @@ class TestCurve:
         with pytest.raises(ContractError, match="curve points must be finite"):
             resource.ThermomajorizationCurve(points)
 
+    @pytest.mark.parametrize("points", [((0, 0), (1, 1, 2)), ((0, 0), ("x", 1.0))],
+                             ids=["ragged", "not-a-number"])
+    def test_points_not_a_float_array_are_refused(self, points):
+        with pytest.raises(ContractError, match="not an \\(n, 2\\) array of numbers"):
+            resource.ThermomajorizationCurve(points)
+
     def test_points_are_one_float_array(self):
         c = resource.thermomaj_curve(HALF, E2, 1.0)
         assert c.points.dtype == np.float64 and c.points.shape == (3, 2)
