@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg, qstate
-from .errors import ContractError, require_nonnegative, require_positive
+from .errors import ContractError, require_finite, require_nonnegative, require_positive
 
 __all__ = [
     "DilationSpec", "apply_dilation", "KrausSet", "extract_system_kraus", "extract_env_kraus",
@@ -337,7 +337,8 @@ def jensen_heat_bound(mgf_value: float, temperature: float) -> float:
     """-T ln<exp(-beta Q)>, a lower bound on the average dissipated heat."""
     m = require_positive(mgf_value, "moment-generating function")
     # + 0.0 keeps the m == 1 case from reporting -0.0
-    return -require_nonnegative(temperature, "temperature") * float(np.log(m)) + 0.0
+    bound = -require_nonnegative(temperature, "temperature") * float(np.log(m)) + 0.0
+    return require_finite(bound, "Jensen heat bound")
 
 
 def _env_heat(spec: DilationSpec, rho_s) -> tuple:

@@ -104,33 +104,39 @@ def require_unitary(u, d: int, what: str = "operator") -> np.ndarray:
     return u
 
 
+def _clip(w: np.ndarray) -> np.ndarray:
+    """A measured spectrum with the PSD noise floor clipped to zero."""
+    if w.min() < -EIG_CLIP:
+        raise ContractError(f"state has eigenvalue {w.min():.3e} below -{EIG_CLIP}")
+    return np.clip(w, 0.0, None)
+
+
 def _clipped_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition with the PSD noise floor clipped to zero."""
     w, v = np.linalg.eigh(rho)
-    if w.min() < -EIG_CLIP:
-        raise ContractError(f"state has eigenvalue {w.min():.3e} below -{EIG_CLIP}")
-    return np.clip(w, 0.0, None), v
+    return _clip(w), v
 
 
-def _gibbs_spectrum(ctx: ThermoContext) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gibbs eigenvalues p, eigenvectors v and ln Z from one eig_hermitian(H),
-    the ground energy factored out. A weight below the smallest normal float
-    keeps only a few significant bits, so it becomes 0, the kernel."""
+def _gibbs_spectrum(ctx: ThermoContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Energies w (ascending), the Gibbs eigenvalues p of those levels, their
+    eigenvectors v and ln Z from one eig_hermitian(H), the ground energy
+    factored out. A weight below the smallest normal float keeps only a few
+    significant bits, so it becomes 0, the kernel."""
     w, v = qlinalg.eig_hermitian(ctx.hamiltonian.matrix)
     weights = np.exp(-ctx.beta * (w - w.min()))
     weights[weights < np.finfo(float).tiny] = 0.0
-    return weights / weights.sum(), v, float(np.log(weights.sum()) - ctx.beta * w.min())
+    return w, weights / weights.sum(), v, float(np.log(weights.sum()) - ctx.beta * w.min())
 
 
 def gibbs_state(ctx: ThermoContext) -> np.ndarray:
     """Thermal state e^{-beta H} / Tr e^{-beta H}; beta = 0 gives I/d."""
-    p, v, _ = _gibbs_spectrum(ctx)
+    _, p, v, _ = _gibbs_spectrum(ctx)
     return (v * p) @ v.conj().T
 
 
 def log_partition_function(ctx: ThermoContext) -> float:
     """ln Tr e^{-beta H}, evaluated with the ground energy factored out."""
-    return require_finite(_gibbs_spectrum(ctx)[2], "ln Z")
+    return require_finite(_gibbs_spectrum(ctx)[3], "ln Z")
 
 
 def evolve_unitary(rho, u) -> np.ndarray:
@@ -214,16 +220,22 @@ def alpha_rre(rho, sigma, alpha: float) -> float:
     return _alpha_rre(*_spectra(rho, sigma), alpha)
 
 
-def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
-    """alpha_rre given rho, its clipped spectrum r = (wr, vr) and sigma's s =
-    (ws, vs), whose kernel is exactly 0: the one formula, which
-    alpha_free_energy and resource.second_laws_check share."""
+def _require_alpha(alpha: float) -> float:
+    """alpha, refused unless finite and outside {0, -1}, where no branch is defined."""
     if not math.isfinite(alpha):
         raise ContractError(f"alpha must be finite, got {alpha!r}")
-    if alpha == 1.0:
-        return _relative_entropy(r, s)
     if alpha == 0.0 or alpha == -1.0:
         raise ContractError(f"alpha = {alpha} is outside the defined branches")
+    return alpha
+
+
+def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
+    """alpha_rre given rho, its clipped spectrum r = (wr, vr) and sigma's s =
+    (ws, vs), whose kernel is exactly 0: the general route, for states that
+    need not commute, which alpha_free_energy takes. Commuting states against
+    a Gibbs state take _gibbs_rre_grid instead."""
+    if _require_alpha(alpha) == 1.0:
+        return _relative_entropy(r, s)
     (wr, vr), (ws, vs) = r, s
     tr_rho = float(wr.sum())
     coeff = math.copysign(1.0, alpha) / (alpha - 1.0)
@@ -271,6 +283,76 @@ def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
     return coeff * alpha * float(top) + coeff * (log_val - math.log(tr_rho))
 
 
+def _gibbs_rre_grid(states, ctx: ThermoContext, alphas) -> tuple[float, np.ndarray]:
+    """ln Z and alpha_rre(rho, tau) for each state rho commuting with H (rows)
+    at every alpha of the grid (columns): one eigvals per state, none per alpha.
+
+    rho and H share an eigenbasis, so N = rho + i(H - c)/s, with H centred on
+    c and its spread scaled to at most [-1, 1] by s (never scaled up, as the
+    commutation gate is absolute below ||H|| ~ 1), is normal with eigenvalues
+    p_k + i(E_k - c)/s. Sorted by imaginary part they pair each eigenvalue of
+    rho with the Gibbs weight q_k of its level, degenerate levels included,
+    and no eigenvector is taken.
+    """
+    w, q, _, log_z = _gibbs_spectrum(ctx)
+    centre, spread = (w[-1] + w[0]) / 2.0, max((w[-1] - w[0]) / 2.0, 1.0)
+    levels = 1j * (ctx.hamiltonian.matrix - centre * np.eye(w.size)) / spread
+    lam = np.linalg.eigvals(np.stack(states) + levels)
+    paired = np.take_along_axis(lam.real, np.argsort(lam.imag, axis=1, kind="stable"), axis=1)
+    p = np.array([_clip(row) for row in paired])
+    alphas = np.array([_require_alpha(a) for a in alphas], dtype=float)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)  # -inf on the kernel
+    return log_z, _classical_rre_grid(p, log_q, alphas)
+
+
+def _classical_rre_grid(p: np.ndarray, log_q: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """D_alpha(p || q) for each row of clipped spectra p at every alpha, where
+    log_q = ln q on the same levels (-inf on the kernel of q), in log space:
+
+        D_alpha = sgn(alpha)/(alpha - 1)
+                  * [logsumexp_k(alpha ln p_k + (1 - alpha) ln q_k) - ln sum_k p_k]
+
+    and sum_k p_k (ln p_k - ln q_k) at alpha = 1. +inf exactly where
+    _alpha_rre's branches give it: at alpha = 1 when the mass on the kernel
+    exceeds _SUPPORT_VIOLATION; at |alpha| > 1 when q has a kernel; at
+    -1 < alpha < 0 when the floored p has a zero, and at alpha < -1 when the
+    sandwiched core p_k q_k^((1 - alpha)/alpha) has a level on the floor; at
+    0 < alpha < 1 when the supports are disjoint. As in that route, p is
+    floored by _support on 0 < |alpha| < 1 and only clipped elsewhere. Each
+    term is taken divided by max(|alpha|, 1), so none leaves the float range
+    however large |alpha| is.
+    """
+    kernel = np.isneginf(log_q)
+    a = alphas[:, None]
+    scale = np.maximum(np.abs(a), 1.0)
+    nz = p > 0.0
+    # log 0, the masked inf - inf, alpha = 1 and terms far below the largest
+    # are expected here; every entry they touch is masked or set below
+    with np.errstate(all="ignore"):
+        coeff = np.sign(alphas) / (alphas - 1.0)
+        log_p, log_floored = np.log(p), np.log(_support(p))
+        logs = np.where(np.abs(a) < 1.0, log_floored[:, None], log_p[:, None])
+        terms = np.where(
+            np.isfinite(logs) & ~kernel, (a / scale) * (logs - log_q) + log_q / scale, -np.inf
+        )
+        top = terms.max(axis=2)
+        empty = np.isneginf(top)
+        shift = np.where(empty, 0.0, top)
+        rest = np.log(np.exp(scale * (terms - shift[..., None])).sum(axis=2))
+        d = coeff * scale[:, 0] * shift + coeff * (rest - np.log(p.sum(axis=1))[:, None])
+        core = np.exp(log_p[:, None] + (1.0 - a) / a * log_q)
+        d_one = np.where(nz, p * log_p, 0.0).sum(axis=1)
+        d_one -= np.where(nz & ~kernel, p * log_q, 0.0).sum(axis=1)
+    inf = empty | ((np.abs(alphas) > 1.0) & kernel.any())
+    inf |= (alphas > -1.0) & (alphas < 0.0) & np.isneginf(log_floored).any(axis=1)[:, None]
+    inf |= (alphas < -1.0) & ~_support(core).all(axis=2)
+    d[inf] = math.inf
+    d_one[p[:, kernel].sum(axis=1) > _SUPPORT_VIOLATION] = math.inf
+    d[:, alphas == 1.0] = d_one[:, None]
+    return d
+
+
 def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
     """F(rho) = Tr[H rho] - T S(rho); minimized uniquely by the Gibbs state."""
     h = ctx.hamiltonian.matrix
@@ -283,7 +365,7 @@ def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
 def alpha_free_energy(rho, ctx: ThermoContext, alpha: float) -> float:
     """F_alpha(rho) = -T ln Z + T * S_alpha(rho || tau)."""
     t = ctx.temperature
-    p, v, log_z = _gibbs_spectrum(ctx)
+    _, p, v, log_z = _gibbs_spectrum(ctx)
     rho = qlinalg.as_square(rho, p.size, "state")
     f = -t * log_z + t * _alpha_rre(rho, _clipped_spectrum(rho), (p, v), alpha)
     return require_finite(f, f"alpha free energy at alpha = {alpha!r}")

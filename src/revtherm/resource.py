@@ -15,6 +15,7 @@ not degenerate; pick explicitly when it matters.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,21 +218,24 @@ def second_laws_check(
     Valid for states commuting with the Hamiltonian (enforced). Returns the
     overall verdict and the per-alpha margins F_a(in) - F_a(out); a grid pass
     is a necessary-condition sample of the full family, not a proof. Each
-    margin is that of qstate.alpha_free_energy bit for bit, but the Gibbs
-    spectrum, ln Z and the spectra of both states are taken once per check,
-    not once per alpha.
+    state's spectrum is paired with the Gibbs spectrum once, and every alpha
+    is taken from the pairs in one log-space pass (qstate._gibbs_rre_grid),
+    so the number of eigendecompositions does not depend on the grid. Each
+    margin agrees with the difference of two qstate.alpha_free_energy calls,
+    the general sandwiched route, to rounding, and stays finite where that
+    route's core overflows.
     """
     rho_in = _require_commuting(rho_in, ctx, "input state")
     rho_out = _require_commuting(rho_out, ctx, "output state")
     t = ctx.temperature
-    p, v, log_z = qstate._gibbs_spectrum(ctx)
+    grid = [float(a) for a in alphas]
+    log_z, divergences = qstate._gibbs_rre_grid((rho_in, rho_out), ctx, grid)
     free = -t * log_z
-    states = [(rho, qstate._clipped_spectrum(rho)) for rho in (rho_in, rho_out)]
     margins: dict[float, float] = {}
-    for alpha in alphas:
-        a = float(alpha)
-        f_in, f_out = (free + t * qstate._alpha_rre(rho, s, (p, v), a) for rho, s in states)
-        margins[a] = require_finite(float(f_in - f_out), f"second-laws margin at alpha = {a!r}")
+    for a, d_in, d_out in zip(grid, *divergences.tolist()):
+        margins[a] = require_finite(
+            (free + t * d_in) - (free + t * d_out), f"second-laws margin at alpha = {a!r}"
+        )
     ok = all(m >= -FEASIBILITY_TOL for m in margins.values())
     return ok, margins
 
@@ -247,8 +251,13 @@ def compute_reset_cycle_verdict(
     The reported free energies are those of the binding (smaller-margin)
     leg, so the verdict is feasible iff both legs are; the return leg swaps
     the forward one's free energies, and the total correlation charge is
-    twice the per-step budget.
+    twice the per-step budget, so a budget past half the float range is refused.
     """
+    if require_nonnegative(qmi_per_step, "qmi budget") > sys.float_info.max / 2.0:
+        raise ContractError(
+            f"qmi budget must be <= {sys.float_info.max / 2.0!r} for a cycle, which charges "
+            f"it twice, got {float(qmi_per_step)!r}"
+        )
     forward = cto_feasible_general(rho_reset, rho_computed, ctx, qmi_per_step)
     backward = CtoVerdict(forward.free_energy_out, forward.free_energy_in, forward.qmi)
     binding = forward if forward.margin <= backward.margin else backward

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revtherm import channels, qlinalg, qstate
-from revtherm.errors import ContractError, ShapeError
+from revtherm.errors import ContractError, NumericHealthError, ShapeError
 
 from helpers import random_density, random_hermitian, random_unitary, rng
 
@@ -278,6 +278,13 @@ class TestHeat:
                 rho_e = qlinalg.partial_trace(joint, (2, 2), keep=1)
                 avg = float(np.real(np.trace((rho_e - tau) @ h_e)))
                 assert jensen <= avg + 1e-9
+
+    def test_jensen_bound_past_the_float_range_is_refused(self):
+        # T |ln m| ~ 6.9e310 for finite inputs: refused, not inf
+        with pytest.raises(NumericHealthError, match="Jensen heat bound is not finite"):
+            channels.jensen_heat_bound(1e-300, 1e308)
+        bound = channels.jensen_heat_bound(1e-300, 1e305)
+        assert bound == pytest.approx(1e305 * 300 * math.log(10))
 
     def test_decomposition_frozen_erasure(self):
         env_ctx = two_level_env_ctx()

@@ -554,6 +554,32 @@ class TestExitCodes:
         assert len(second_laws["margins"]) == len(resource.DEFAULT_ALPHA_GRID)
         assert all(math.isfinite(m) for m in second_laws["margins"].values())
 
+    def test_tiny_gibbs_level_at_alpha_minus_2_is_0(self, tmp_path):
+        # tau's upper level is e^-699 ~ 2.7e-304: at alpha = -2 the margin
+        # comes from the log-space sum, where a sandwiched core would overflow
+        payload = {
+            **MINIMAL["cto-check"],
+            "rho_in": diag_matrix(0.6, 0.4),
+            "rho_out": diag_matrix(0.6, 0.4),
+            "hamiltonian": diag_matrix(0.0, 699.0),
+            "alphas": [-2, 0.5, 2],
+        }
+        r = invoke(["cto-check", "--scenario", write_scenario(tmp_path, "cto-check", payload)])
+        assert r.exit_code == 0, r.stderr
+        second_laws = json.loads(r.stdout)["outputs"]["second_laws"]
+        assert second_laws["pass"] is True
+        assert list(second_laws["margins"].values()) == [0.0, 0.0, 0.0]
+
+    def test_cycle_budget_past_half_the_float_range_is_3(self, tmp_path):
+        # the cycle charges the budget twice; 2e308 is past the float range
+        payload = {**MINIMAL["cto-check"], "cycle": True, "qmi_budget": 1e308}
+        r = invoke(["cto-check", "--scenario", write_scenario(tmp_path, "cto-check", payload)])
+        assert r.exit_code == 3
+        assert r.stderr == (
+            "error: contract violation: qmi budget must be <= 8.988465674311579e+307 for a "
+            "cycle, which charges it twice, got 1e+308\n"
+        )
+
     def test_huge_state_count_without_rows_is_0(self, tmp_path):
         p = write_scenario(tmp_path, "classify", {"n_states": 10**30, "rows": {}})
         r = invoke(["classify", "--scenario", p])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from revtherm import qstate, resource
 from revtherm.errors import ContractError, NumericHealthError, ShapeError
 
-from helpers import random_distribution, rng
+from helpers import random_distribution, random_hermitian, random_unitary, rng
 
 E2 = np.array([0.0, 3.0])
 HALF = np.array([0.5, 0.5])
@@ -323,10 +324,10 @@ class TestSecondLaws:
         assert ok and set(margins) == {0.5, 2.0}
 
     @pytest.mark.parametrize("d", [2, 4, 8])
-    def test_one_gibbs_state_and_per_alpha_margins_bit_for_bit(self, monkeypatch, d):
+    def test_one_gibbs_state_and_margins_agree_with_alpha_free_energy(self, monkeypatch, d):
         # the check takes one eigendecomposition of H, none of the Gibbs
         # state, and each margin is the difference of two alpha_free_energy
-        # calls
+        # calls to rounding: the two are different formulas
         gen = rng(800 + d)
         ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag(gen.uniform(0, 2, d))), 0.7)
         rho_in, rho_out = (np.diag(random_distribution(gen, d)).astype(complex) for _ in "ab")
@@ -336,19 +337,165 @@ class TestSecondLaws:
             for a in grid
         }
         h, tau = ctx.hamiltonian.matrix, qstate.gibbs_state(ctx)
-        seen = []
-        for name in ("eigh", "eigvalsh"):
+        seen, calls = [], []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             real = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda a, *args, real=real: seen.append(a) or real(a, *args)
-            )
+
+            def counted(a, *args, real=real, name=name):
+                calls.append(name)
+                if name in ("eigh", "eigvalsh"):
+                    seen.append(a)
+                return real(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
         _, margins = resource.second_laws_check(rho_in, rho_out, ctx, grid)
         assert sum(np.array_equal(a, h) for a in seen) == 1
         assert not any(np.allclose(a, tau) for a in seen)
         assert list(margins) == list(grid)
-        assert all(
-            np.float64(margins[a]).tobytes() == np.float64(expect[a]).tobytes() for a in grid
-        )
+        assert all(abs(margins[a] - expect[a]) <= 1e-12 * max(1.0, abs(expect[a])) for a in grid)
+        # as many eigendecompositions for one alpha as for twelve
+        per_grid = len(calls)
+        calls.clear()
+        resource.second_laws_check(rho_in, rho_out, ctx, (2.0,))
+        assert len(grid) == 12 and len(calls) == per_grid
+
+    def test_tiny_gibbs_level_at_alpha_minus_2_gives_the_finite_margin(self):
+        # tau's upper level is e^-699 ~ 2.7e-304; the sandwiched core
+        # sigma^-0.75 rho sigma^-0.75 would overflow, the log-space sum does not:
+        # the margin is ln(0.6^-2 q_0^3 + 0.4^-2 q_1^3) / 3 - 0 with q_0 = 1
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 699.0])), 1.0)
+        tau = qstate.gibbs_state(ctx)
+        ok, margins = resource.second_laws_check(np.diag([0.6, 0.4]), tau, ctx, (-2.0,))
+        assert ok
+        assert abs(margins[-2.0] - 0.3405504158439938) <= 1e-12
+
+    def test_alpha_at_the_float_range_gives_the_limit_margin(self):
+        # alpha * ln(p/q) would pass the float range at |alpha| = 1e308; the
+        # margins sit at their D_max and D_min limits, as at |alpha| = 1e300
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 1.0, 2.5])), 1.0)
+        grid = (1e300, 1e308, -1e300, -1e308)
+        rho_in, rho_out = np.diag([0.7, 0.2, 0.1]), np.diag([0.1, 0.3, 0.6])
+        _, m = resource.second_laws_check(rho_in, rho_out, ctx, grid)
+        assert m[1e308] == pytest.approx(m[1e300], abs=1e-12)
+        assert m[-1e308] == pytest.approx(m[-1e300], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rho_in,rho_out,ctx",
+        [
+            # a zero of rho: +inf at -1 < alpha < 0 and, through the core, at alpha < -1
+            (np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), CTX),
+            # 1e-13 sits on the 1e-12 floor; the core 1e-13 q_1^((1 - alpha)/alpha)
+            # is 9.7e-13 at alpha = -3, on it, and 1.3e-12 at alpha = -2, off it
+            (np.diag([1.0 - 1e-13, 1e-13]), np.diag([0.5, 0.5]), CTX),
+            # q_1 ~ 9e-14 lifts the core far off the floor at every alpha < -1
+            (np.diag([1.0 - 1e-13, 1e-13]), np.diag([0.5, 0.5]),
+             qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 30.0])), 1.0)),
+            # tau has a kernel: +inf at |alpha| > 1, and at alpha = 1 for weight there
+            (np.diag([0.5, 0.5]), np.diag([1.0, 0.0]),
+             qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1.0)),
+            # 1e-11 on the kernel is below _SUPPORT_VIOLATION: finite at alpha = 1
+            (np.diag([1.0 - 1e-11, 1e-11]), np.diag([1.0, 0.0]),
+             qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1.0)),
+            # disjoint supports at 0 < alpha < 1
+            (np.diag([0.0, 1.0]), np.diag([1.0, 0.0]),
+             qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1.0)),
+        ],
+        ids=["zero", "on-the-floor", "core-off-the-floor", "kernel", "kernel-below-violation",
+             "disjoint"],
+    )
+    def test_inf_pattern_is_that_of_alpha_free_energy(self, rho_in, rho_out, ctx):
+        for a in (-3.0, -2.0, -0.5, 0.25, 0.5, 1.0, 2.0, 50.0):
+            free = []
+            for rho in (rho_in, rho_out):
+                try:
+                    free.append(qstate.alpha_free_energy(rho, ctx, a))
+                except NumericHealthError:
+                    free.append(math.inf)
+            try:
+                m = resource.second_laws_check(rho_in, rho_out, ctx, (a,))[1][a]
+            except NumericHealthError:
+                m = math.inf
+            assert math.isfinite(m) == all(math.isfinite(f) for f in free), a
+            if math.isfinite(m):
+                assert abs(m - (free[0] - free[1])) <= 1e-12 * max(1.0, abs(m)), a
+
+    def test_alpha_refusals_keep_their_messages(self):
+        tau = qstate.gibbs_state(self.CTX)
+        for a, line in ((0.0, "alpha = 0.0 is outside"), (-1.0, "alpha = -1.0 is outside"),
+                        (math.nan, "alpha must be finite, got nan")):
+            with pytest.raises(ContractError, match=line):
+                resource.second_laws_check(tau, tau, self.CTX, (2.0, a))
+        with pytest.raises(ContractError, match="state has eigenvalue -1.000e-09 below -1e-10"):
+            resource.second_laws_check(np.diag([1.0 + 1e-9, -1e-9]), tau, self.CTX)
+
+
+def _log_gibbs(energies, beta):
+    x = -beta * np.asarray(energies, dtype=float)
+    top = x.max()
+    return x - (top + math.log(math.fsum(np.exp(x - top))))
+
+
+def _classical_rre(p, log_q, alpha):
+    """The classical Renyi divergence of paired spectra, summed in log space."""
+    p = np.asarray(p, dtype=float)
+    if alpha == 1.0:
+        return math.fsum(p * (np.log(p) - log_q))
+    x = alpha * np.log(p) + (1.0 - alpha) * log_q
+    top = x.max()
+    log_sum = top + math.log(math.fsum(np.exp(x - top)))
+    return math.copysign(1.0, alpha) / (alpha - 1.0) * (log_sum - math.log(math.fsum(p)))
+
+
+def _second_laws_case(kind):
+    """(rho_in, rho_out, ctx, p_in, p_out, energies, tolerance) for one analytic
+    pair: rho = U diag(p) U+ and H = U diag(E) U+."""
+    gen = rng(3030)
+    d, beta = 6, 0.8
+    energies = np.sort(gen.uniform(0.0, 2.0, d))
+    p_in, p_out = random_distribution(gen, d), random_distribution(gen, d)
+    u = random_unitary(gen, d)
+    tol = 1e-12
+    blocks = np.eye(d, dtype=complex), np.eye(d, dtype=complex)
+    if kind == "diagonal":
+        u = np.eye(d)
+    elif kind == "degenerate":
+        # a threefold level, and each state rotated inside it
+        energies = np.array([0.0, 0.7, 0.7, 0.7, 1.3, 2.0])
+        for v in blocks:
+            v[1:4, 1:4] = random_unitary(gen, 3)
+    elif kind == "gibbs":
+        p_in = np.exp(_log_gibbs(energies, beta))
+    rho_in, rho_out = (
+        u @ v @ np.diag(p) @ v.conj().T @ u.conj().T for v, p in zip(blocks, (p_in, p_out))
+    )
+    if kind == "perturbed":
+        rho_in = rho_in + 1e-12 * random_hermitian(gen, d)
+        tol = resource.FEASIBILITY_TOL
+    h = qstate.Hamiltonian((u * energies) @ u.conj().T)
+    return rho_in, rho_out, qstate.ThermoContext(h, beta), p_in, p_out, energies, tol
+
+
+class TestSecondLawsReference:
+    GRID = resource.DEFAULT_ALPHA_GRID + (-0.5, -2.0, 7.0)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "haar", "degenerate", "gibbs", "perturbed"])
+    def test_margins_are_the_classical_renyi_ones(self, kind):
+        rho_in, rho_out, ctx, p_in, p_out, energies, tol = _second_laws_case(kind)
+        grid = self.GRID + ((1000.0, -1000.0, 1e300) if kind == "diagonal" else ())
+        log_q = _log_gibbs(energies, ctx.beta)
+        _, margins = resource.second_laws_check(rho_in, rho_out, ctx, grid)
+        assert list(margins) == list(grid)
+        for a in grid:
+            expect = ctx.temperature * (
+                _classical_rre(p_in, log_q, a) - _classical_rre(p_out, log_q, a)
+            )
+            assert abs(margins[a] - expect) <= tol * max(1.0, abs(expect)), a
+        # the general sandwiched route, within the same tolerance
+        for a in self.GRID:
+            expect = qstate.alpha_free_energy(rho_in, ctx, a) - qstate.alpha_free_energy(
+                rho_out, ctx, a
+            )
+            assert abs(margins[a] - expect) <= tol * max(1.0, abs(expect)), a
 
 
 class TestResetCycle:
@@ -367,6 +514,14 @@ class TestResetCycle:
         assert np.isclose(v.margin, -1.3132616875182228)
         assert np.isclose(v.free_energy_in, -0.31326168751822286)
         assert np.isclose(v.free_energy_out, 1.0)
+
+    def test_budget_past_half_the_float_range_is_refused(self):
+        # the cycle charges twice the budget: half the float range is the most it takes
+        tau = qstate.gibbs_state(QUBIT_CTX)
+        half = sys.float_info.max / 2.0
+        assert resource.compute_reset_cycle_verdict(tau, tau, QUBIT_CTX, half).qmi == 2.0 * half
+        with pytest.raises(ContractError, match="^qmi budget must be <= .* for a cycle"):
+            resource.compute_reset_cycle_verdict(tau, tau, QUBIT_CTX, 1e308)
 
     @pytest.mark.parametrize("swap", [False, True], ids=["forward-binds", "return-binds"])
     def test_one_free_energy_per_state(self, monkeypatch, swap):
