@@ -165,11 +165,22 @@ def von_neumann_entropy(rho) -> float:
 _SUPPORT_TOL = 1e-12
 # Overlap mass of rho on ker(sigma) above which the divergence is +inf.
 _SUPPORT_VIOLATION = 1e-10
+# rho commutes with H when ||[rho, H]||_HS <= COMMUTATOR_RTOL max(1, ||rho|| ||H||).
+COMMUTATOR_RTOL = 1e-10
+# Within this distance of 1 every alpha-divergence is D + (alpha - 1) V / 2, where
+# 1/(alpha - 1) would amplify the log-sum's rounding past the expansion's error.
+_NEAR_ONE = 3e-6
 
 
 def _support(w: np.ndarray) -> np.ndarray:
     """A measured spectrum with every eigenvalue at or below _SUPPORT_TOL set to 0."""
     return np.where(w > _SUPPORT_TOL, w, 0.0)
+
+
+def _commutes(rho: np.ndarray, h: np.ndarray) -> bool:
+    """Does rho commute with h within COMMUTATOR_RTOL?"""
+    scale = max(1.0, qlinalg.hs_norm(rho) * qlinalg.hs_norm(h))
+    return qlinalg.hs_norm(rho @ h - h @ rho) <= COMMUTATOR_RTOL * scale
 
 
 def _spectra(rho, sigma) -> tuple[np.ndarray, tuple, tuple]:
@@ -199,23 +210,52 @@ def _relative_entropy(r: tuple, s: tuple) -> float:
     return s_term - cross
 
 
-def _pseudo_power(w: np.ndarray, v: np.ndarray, exponent: float) -> np.ndarray | None:
-    """Matrix power on the support; None when a negative power is singular."""
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if exponent < 0.0 and not pos.all():
-        return None
-    out[pos] = w[pos] ** exponent
-    return (v * out) @ v.conj().T
+def _pairs(wr: np.ndarray, vr: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> tuple:
+    """The Nussbaum-Szkola pairs of rho = (wr, vr) and sigma = (ws, vs) for
+    _renyi_sum, flattened: x_ij = ln r_i - ln s_j, y_ij = ln s_j + ln |<r_i|s_j>|^2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r, log_s = np.log(wr)[:, None], np.log(ws)[None, :]
+        return (log_r - log_s).ravel(), (log_s + 2.0 * np.log(np.abs(vr.conj().T @ vs))).ravel()
+
+
+def _renyi_sum(alpha, x: np.ndarray, y, tr, d_one=None) -> np.ndarray:
+    """sgn(alpha)/(alpha - 1) * [ln sum exp(alpha x + y) - ln tr], the one
+    log-space sum behind every alpha != 1 divergence, over the last axis of
+    x and y (alpha broadcasts against the others). Pairs where x or y is not
+    finite are left out; +inf where none is left. Each term is taken divided
+    by max(|alpha|, 1), so none leaves the float range whatever alpha is.
+    Within _NEAR_ONE of 1 the value is D + (alpha - 1) V / 2 about the alpha = 1
+    value d_one = D, with V = sum P (x - D)^2 over the pairs P = e^(x + y).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    scale = np.maximum(np.abs(alpha), 1.0)
+    near = (np.abs(alpha - 1.0) < _NEAR_ONE) & (alpha != 1.0)
+    # inf - inf, alpha = 1 and terms far below the largest are masked or vanish
+    with np.errstate(all="ignore"):
+        a, s = (alpha / scale)[..., None], scale[..., None]
+        terms = np.where(np.isfinite(x) & np.isfinite(y), a * x + y / s, -np.inf)
+        top = terms.max(axis=-1)
+        empty = np.isneginf(top)
+        shift = np.where(empty, 0.0, top)
+        rest = np.log(np.exp(s * (terms - shift[..., None])).sum(axis=-1))
+        coeff = np.sign(alpha) / (alpha - 1.0)
+        d = np.where(empty, math.inf, coeff * scale * shift + coeff * (rest - np.log(tr)))
+        if near.any():  # V = 0 where D = +inf, which the expansion keeps
+            one = np.asarray(d_one, dtype=float)
+            dev = (x - one[..., None]) ** 2
+            v = np.where(np.isfinite(dev) & np.isfinite(y), np.exp(x + y) * dev, 0.0).sum(axis=-1)
+            d = np.where(near, one + (alpha - 1.0) * v / 2.0, d)
+    return d
 
 
 def alpha_rre(rho, sigma, alpha: float) -> float:
     """Renyi relative divergence of order alpha, in nats.
 
-    Three branches: the direct trace form on 0 < |alpha| < 1, the sandwiched
-    form on |alpha| > 1, and the alpha = 1 limit Tr[rho(ln rho - ln sigma)].
-    alpha in {0, -1} is outside every branch. Support incompatibilities
-    return +inf.
+    The Petz form Tr[rho^alpha sigma^(1 - alpha)] on 0 < |alpha| < 1 and the
+    sandwiched form on |alpha| > 1, summed in log space; the limit
+    Tr[rho(ln rho - ln sigma)] at alpha = 1, and within _NEAR_ONE of it
+    D + (alpha - 1) V / 2, V the relative-entropy variance. alpha in {0, -1}
+    is outside every branch. Support incompatibilities return +inf.
     """
     return _alpha_rre(*_spectra(rho, sigma), alpha)
 
@@ -232,55 +272,29 @@ def _require_alpha(alpha: float) -> float:
 def _alpha_rre(rho: np.ndarray, r: tuple, s: tuple, alpha: float) -> float:
     """alpha_rre given rho, its clipped spectrum r = (wr, vr) and sigma's s =
     (ws, vs), whose kernel is exactly 0: the general route, for states that
-    need not commute, which alpha_free_energy takes. Commuting states against
-    a Gibbs state take _gibbs_rre_grid instead."""
+    need not commute. _renyi_sum takes the pairs of the floored rho on
+    0 < |alpha| < 1 and within _NEAR_ONE of 1, and the spectrum of the core
+    sigma^e rho sigma^e, e = (1/alpha - 1)/2, on the rest of |alpha| > 1."""
     if _require_alpha(alpha) == 1.0:
         return _relative_entropy(r, s)
     (wr, vr), (ws, vs) = r, s
-    tr_rho = float(wr.sum())
-    coeff = math.copysign(1.0, alpha) / (alpha - 1.0)
-
-    if abs(alpha) < 1.0:
-        rho_a = _pseudo_power(_support(wr), vr, alpha)
-        sig_b = _pseudo_power(ws, vs, 1.0 - alpha)
-        if rho_a is None or sig_b is None:
-            return math.inf
-        val = float(np.trace(rho_a @ sig_b).real)
-        if val <= 0.0:
-            # Orthogonal supports: the trace functional vanishes.
-            return math.inf
-        return coeff * math.log(val / tr_rho)
-
-    # Sandwiched branch. The reference state is raised to (1-alpha)/(2 alpha),
-    # a negative exponent for alpha > 1, so rho must live inside supp(sigma).
-    support_sigma = ws > 0.0
-    if not support_sigma.all():
-        proj = (vs[:, support_sigma]) @ (vs[:, support_sigma].conj().T)
-        if abs(float(np.trace(proj @ rho).real) - tr_rho) > _SUPPORT_VIOLATION:
-            return math.inf
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-    sig_half = _pseudo_power(ws, vs, exponent)
-    if sig_half is None:
+    floored = _support(wr)
+    # e < 0 for every |alpha| > 1, and rho^alpha is a negative power for alpha < 0
+    if (abs(alpha) > 1.0 and not ws.all()) or (-1.0 < alpha < 0.0 and not floored.all()):
         return math.inf
+    near = abs(alpha - 1.0) < _NEAR_ONE
+    if abs(alpha) < 1.0 or near:
+        d_one = _relative_entropy(r, s) if near else None
+        return float(_renyi_sum(alpha, *_pairs(floored, vr, ws, vs), wr.sum(), d_one))
     with np.errstate(over="ignore", invalid="ignore"):  # a core past the float range is refused
-        core = sig_half @ rho @ sig_half
+        sig_e = (vs * ws ** ((1.0 / alpha - 1.0) / 2.0)) @ vs.conj().T
+        core = sig_e @ rho @ sig_e
         core = (core + core.conj().T) / 2.0
         require_finite(float(np.abs(core).max()), f"sandwiched core at alpha = {alpha!r}")
     wc = np.clip(np.linalg.eigh(core)[0], 0.0, None)
     if alpha < 0.0 and not _support(wc).all():
         return math.inf
-    wc = wc[wc > 0.0]
-    if not wc.size:
-        return math.inf
-    with np.errstate(over="ignore", under="ignore"):
-        val = float(np.sum(wc ** alpha))
-    if 0.0 < val < math.inf:
-        return coeff * math.log(val / tr_rho)
-    # over- or underflow: the same sum in log space, shifted by its largest term
-    logs = np.log(wc)
-    top = logs.max() if alpha > 0.0 else logs.min()
-    log_val = math.log(float(np.sum(np.exp(alpha * (logs - top)))))
-    return coeff * alpha * float(top) + coeff * (log_val - math.log(tr_rho))
+    return float(_renyi_sum(alpha, np.log(wc[wc > 0.0]), 0.0, wr.sum()))
 
 
 def _gibbs_rre_grid(states, ctx: ThermoContext, alphas) -> tuple[float, np.ndarray]:
@@ -308,47 +322,32 @@ def _gibbs_rre_grid(states, ctx: ThermoContext, alphas) -> tuple[float, np.ndarr
 
 def _classical_rre_grid(p: np.ndarray, log_q: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """D_alpha(p || q) for each row of clipped spectra p at every alpha, where
-    log_q = ln q on the same levels (-inf on the kernel of q), in log space:
+    log_q = ln q on the same levels (-inf on the kernel of q): _renyi_sum of
+    alpha ln p_k + (1 - alpha) ln q_k against ln sum_k p_k, sum_k p_k (ln p_k -
+    ln q_k) at alpha = 1, and within _NEAR_ONE of 1 D + (alpha - 1) V / 2.
 
-        D_alpha = sgn(alpha)/(alpha - 1)
-                  * [logsumexp_k(alpha ln p_k + (1 - alpha) ln q_k) - ln sum_k p_k]
-
-    and sum_k p_k (ln p_k - ln q_k) at alpha = 1. +inf exactly where
-    _alpha_rre's branches give it: at alpha = 1 when the mass on the kernel
-    exceeds _SUPPORT_VIOLATION; at |alpha| > 1 when q has a kernel; at
-    -1 < alpha < 0 when the floored p has a zero, and at alpha < -1 when the
-    sandwiched core p_k q_k^((1 - alpha)/alpha) has a level on the floor; at
-    0 < alpha < 1 when the supports are disjoint. As in that route, p is
-    floored by _support on 0 < |alpha| < 1 and only clipped elsewhere. Each
-    term is taken divided by max(|alpha|, 1), so none leaves the float range
-    however large |alpha| is.
+    +inf where _alpha_rre gives it: at alpha = 1 for kernel mass above
+    _SUPPORT_VIOLATION, at |alpha| > 1 for any kernel of q, at -1 < alpha < 0
+    for a zero of the floored p, at alpha < -1 for a level of the core
+    p_k q_k^((1 - alpha)/alpha) on the floor, at 0 < alpha < 1 for disjoint
+    supports. As there, p is floored by _support on 0 < |alpha| < 1.
     """
     kernel = np.isneginf(log_q)
     a = alphas[:, None]
-    scale = np.maximum(np.abs(a), 1.0)
     nz = p > 0.0
-    # log 0, the masked inf - inf, alpha = 1 and terms far below the largest
-    # are expected here; every entry they touch is masked or set below
-    with np.errstate(all="ignore"):
-        coeff = np.sign(alphas) / (alphas - 1.0)
+    # log 0 and the masked -inf - -inf are expected; _renyi_sum leaves them out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_p, log_floored = np.log(p), np.log(_support(p))
-        logs = np.where(np.abs(a) < 1.0, log_floored[:, None], log_p[:, None])
-        terms = np.where(
-            np.isfinite(logs) & ~kernel, (a / scale) * (logs - log_q) + log_q / scale, -np.inf
-        )
-        top = terms.max(axis=2)
-        empty = np.isneginf(top)
-        shift = np.where(empty, 0.0, top)
-        rest = np.log(np.exp(scale * (terms - shift[..., None])).sum(axis=2))
-        d = coeff * scale[:, 0] * shift + coeff * (rest - np.log(p.sum(axis=1))[:, None])
+        x = np.where(np.abs(a) < 1.0, log_floored[:, None], log_p[:, None]) - log_q
         core = np.exp(log_p[:, None] + (1.0 - a) / a * log_q)
         d_one = np.where(nz, p * log_p, 0.0).sum(axis=1)
         d_one -= np.where(nz & ~kernel, p * log_q, 0.0).sum(axis=1)
-    inf = empty | ((np.abs(alphas) > 1.0) & kernel.any())
-    inf |= (alphas > -1.0) & (alphas < 0.0) & np.isneginf(log_floored).any(axis=1)[:, None]
+    d_one[p[:, kernel].sum(axis=1) > _SUPPORT_VIOLATION] = math.inf
+    d = _renyi_sum(alphas, x, log_q, p.sum(axis=1)[:, None], d_one[:, None])
+    inf = (alphas > -1.0) & (alphas < 0.0) & np.isneginf(log_floored).any(axis=1)[:, None]
+    inf |= (np.abs(alphas) > 1.0) & kernel.any()
     inf |= (alphas < -1.0) & ~_support(core).all(axis=2)
     d[inf] = math.inf
-    d_one[p[:, kernel].sum(axis=1) > _SUPPORT_VIOLATION] = math.inf
     d[:, alphas == 1.0] = d_one[:, None]
     return d
 
@@ -363,12 +362,17 @@ def helmholtz_free_energy(rho, ctx: ThermoContext) -> float:
 
 
 def alpha_free_energy(rho, ctx: ThermoContext, alpha: float) -> float:
-    """F_alpha(rho) = -T ln Z + T * S_alpha(rho || tau)."""
+    """F_alpha(rho) = -T ln Z + T * S_alpha(rho || tau): for rho commuting with
+    H on the route of resource.second_laws_check, else on that of alpha_rre."""
     t = ctx.temperature
-    _, p, v, log_z = _gibbs_spectrum(ctx)
-    rho = qlinalg.as_square(rho, p.size, "state")
-    f = -t * log_z + t * _alpha_rre(rho, _clipped_spectrum(rho), (p, v), alpha)
-    return require_finite(f, f"alpha free energy at alpha = {alpha!r}")
+    rho = qlinalg.as_square(rho, ctx.hamiltonian.dim, "state")
+    if _commutes(rho, ctx.hamiltonian.matrix):
+        log_z, d = _gibbs_rre_grid((rho,), ctx, (alpha,))
+        d = float(d[0, 0])
+    else:
+        _, p, v, log_z = _gibbs_spectrum(ctx)
+        d = _alpha_rre(rho, _clipped_spectrum(rho), (p, v), alpha)
+    return require_finite(-t * log_z + t * d, f"alpha free energy at alpha = {alpha!r}")
 
 
 def quantum_mutual_information(rho_ab, dims: tuple[int, int]) -> float:

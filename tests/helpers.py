@@ -1,5 +1,6 @@
 """Shared generators for the test suite. All randomness is seeded."""
 
+import decimal
 import math
 
 import numpy as np
@@ -36,6 +37,21 @@ def unvec(v) -> np.ndarray:
     v = np.asarray(v)
     d = math.isqrt(v.size)
     return v.reshape(d, d, order="F")
+
+
+def decimal_renyi(p, log_q, alpha: float) -> float:
+    """ln(sum_k p_k^alpha q_k^(1 - alpha) / sum_k p_k) / (alpha - 1) for alpha > 0,
+    in 50-digit decimal arithmetic: a reference near alpha = 1, where a float
+    log-sum loses its digits to the factor 1/(alpha - 1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = decimal.Decimal(alpha)
+        terms = [
+            (a * decimal.Decimal(pk).ln() + (1 - a) * decimal.Decimal(lq)).exp()
+            for pk, lq in zip(np.ravel(p).tolist(), np.ravel(log_q).tolist())
+        ]
+        total = sum(decimal.Decimal(pk) for pk in np.ravel(p).tolist())
+        return float((sum(terms) / total).ln() / (a - 1))
 
 
 def random_distribution(gen, n: int) -> np.ndarray:

@@ -570,6 +570,22 @@ class TestExitCodes:
         assert second_laws["pass"] is True
         assert list(second_laws["margins"].values()) == [0.0, 0.0, 0.0]
 
+    def test_alpha_next_to_1_gives_the_alpha_1_margin(self, tmp_path):
+        # at 1 + 1e-15, 1/(alpha - 1) would multiply the log-sum's rounding
+        # by 1e15; next to 1 the margin is D + (alpha - 1) V / 2 instead
+        payload = {
+            **MINIMAL["cto-check"],
+            "rho_in": diag_matrix(0.1, 0.3, 0.6),
+            "rho_out": diag_matrix(0.7, 0.2, 0.1),
+            "hamiltonian": diag_matrix(0.0, 1.0, 2.5),
+            "alphas": [1.000000000000001, 1],
+        }
+        r = invoke(["cto-check", "--scenario", write_scenario(tmp_path, "cto-check", payload)])
+        assert r.exit_code == 0, r.stderr
+        margins = json.loads(r.stdout)["outputs"]["second_laws"]["margins"]
+        assert margins["1.0"] == 1.2538728276865576
+        assert abs(margins["1.000000000000001"] - margins["1.0"]) <= 1e-9
+
     def test_cycle_budget_past_half_the_float_range_is_3(self, tmp_path):
         # the cycle charges the budget twice; 2e308 is past the float range
         payload = {**MINIMAL["cto-check"], "cycle": True, "qmi_budget": 1e308}

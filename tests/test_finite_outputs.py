@@ -142,6 +142,15 @@ def numbers(value):
     return found
 
 
+@pytest.mark.parametrize("alpha,limit", [(1e308, 24.738720540757246), (-1e308, 11.631738221077114)])
+def test_alpha_rre_at_the_float_range_is_its_limit(alpha, limit):
+    # the general route reads at |alpha| = 1e308 as at 1e300, the limit given:
+    # no term of the sum, and no core exponent, leaves the float range
+    at_1e300 = qstate.alpha_rre(NEAR_PURE, SKEWED, math.copysign(1e300, alpha))
+    assert at_1e300 == pytest.approx(limit, rel=1e-15)
+    assert qstate.alpha_rre(NEAR_PURE, SKEWED, alpha) == pytest.approx(limit, rel=1e-12)
+
+
 def test_every_callable_has_a_row():
     surface = {
         f"{mod.__name__.split('.')[-1]}.{name}"

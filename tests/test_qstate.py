@@ -6,7 +6,7 @@ import pytest
 from revtherm import channels, compops, qlinalg, qstate, resource
 from revtherm.errors import ContractError, NumericHealthError, ShapeError
 
-from helpers import random_density, random_distribution, random_unitary, rng
+from helpers import decimal_renyi, random_density, random_distribution, random_unitary, rng
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -199,10 +199,39 @@ class TestAlphaRRE:
         [(1.5, 0.4498009219282165), (50.0, 0.5856364502968572), (1208.0, 0.5876993736712508),
          (-2.0, 0.8459995789666899), (-440.0, 1.604216631044091)],
     )
-    def test_finite_sum_keeps_the_direct_form(self, alpha, direct):
-        # frozen values of the direct form, bit for bit, up to the edge of overflow
+    def test_finite_sum_agrees_with_the_direct_form(self, alpha, direct):
+        # frozen values of the direct form, up to the edge of overflow: the
+        # log-space sum meets them to an ulp or two
         rho, sigma = np.diag([0.9, 0.1]), np.eye(2) / 2
-        assert qstate.alpha_rre(rho, sigma, alpha) == direct
+        assert abs(qstate.alpha_rre(rho, sigma, alpha) - direct) <= 1e-15 * abs(direct)
+
+    @pytest.mark.parametrize("alpha", [1.0 + s * t for t in (1e-15, 1e-12, 1e-9) for s in (-1, 1)])
+    def test_next_to_1_is_the_decimal_value(self, alpha):
+        # sigma = R diag(s) R^T with the rational rotation R = ((0.6, -0.8), (0.8, 0.6))
+        # does not commute with rho = diag(r). Reference: the Petz sum over the
+        # pairs P_ij = r_i R_ij^2, Q_ij = s_j R_ij^2 at 50 digits; the sandwiched
+        # form (alpha > 1) differs from it by O((alpha - 1)^2), below 1e-17 here
+        r, s = np.array([0.7, 0.3]), np.array([0.2, 0.8])
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        overlap = rot**2
+        expect = decimal_renyi(r[:, None] * overlap, np.log(s[None, :] * overlap), alpha)
+        got = qstate.alpha_rre(np.diag(r), (rot * s) @ rot.T, alpha)
+        assert abs(got - expect) <= 1e-13 * max(1.0, abs(expect))
+
+    @pytest.mark.parametrize(
+        "alpha", [1e308, -1e308, 1000.0, -1000.0, -2.0, -0.5, 0.25, 0.5, 1.0 - 1e-12, 1.0 + 1e-12,
+                  1.5, 50.0],
+    )
+    def test_general_route_agrees_with_the_classical_grid(self, alpha):
+        # the Petz pairs and the sandwiched core against the grid's pairs, on
+        # diagonal full-rank pairs; the sum's own cancellation error next to
+        # _NEAR_ONE is above this bound, so no alpha sits there
+        gen = rng(31)
+        for _ in range(50):
+            p, q = gen.dirichlet(np.ones(4)), gen.dirichlet(np.ones(4))
+            grid = qstate._classical_rre_grid(p[None, :], np.log(q), np.array([alpha]))[0, 0]
+            got = qstate.alpha_rre(np.diag(p), np.diag(q), alpha)
+            assert abs(got - grid) <= 1e-13 * max(1.0, abs(grid)), (p, q)
 
     def test_support_violation(self):
         assert qstate.alpha_rre(KET1, KET0, 2.0) == math.inf
@@ -261,6 +290,33 @@ class TestFreeEnergies:
             got = qstate.alpha_free_energy(np.diag(p), ctx, a)
             assert abs(got - (-log_z + renyi)) <= 1e-9
 
+    def test_alpha_at_the_float_range_gives_the_limits(self):
+        # alpha * ln(p / q) is past the float range at |alpha| = 1e308: the
+        # differences sit at their D_max and D_min limits
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 1.0, 2.5])), 1.0)
+        rho_in, rho_out = np.diag([0.7, 0.2, 0.1]), np.diag([0.1, 0.3, 0.6])
+        for alpha, limit in ((1e308, -1.79175946922805), (-1e308, -1.69314718055995)):
+            diff = qstate.alpha_free_energy(rho_in, ctx, alpha) - qstate.alpha_free_energy(
+                rho_out, ctx, alpha
+            )
+            assert abs(diff - limit) <= 1e-12, alpha
+
+    def test_rotated_commuting_state_at_alpha_minus_2(self):
+        # rho = U diag(p) U+ and H = U diag(E) U+ commute, so F_alpha is
+        # -T ln Z + T D_alpha(p || q) with q the Gibbs weights of E; the
+        # sandwiched core of such a rho was refused or wrong at alpha = -2
+        gen = rng(4)
+        for _ in range(40):
+            d, beta = int(gen.integers(2, 7)), float(gen.uniform(0.0, 40.0))
+            energies, p = gen.uniform(0.0, 3.0, d), gen.dirichlet(np.ones(d))
+            u = random_unitary(gen, d)
+            ctx = qstate.ThermoContext(qstate.Hamiltonian((u * energies) @ u.conj().T), beta)
+            log_z = np.logaddexp.reduce(-beta * energies)
+            renyi = np.logaddexp.reduce(-2.0 * np.log(p) + 3.0 * (-beta * energies - log_z)) / 3.0
+            got = qstate.alpha_free_energy((u * p) @ u.conj().T, ctx, -2.0)
+            expect = (-log_z + renyi) / beta
+            assert abs(got - expect) <= 1e-9 * max(1.0, abs(renyi)), (d, beta)
+
     def test_beta_zero_rejected(self):
         ctx0 = qstate.ThermoContext(QUBIT, 0.0)
         with pytest.raises(ContractError):
@@ -278,13 +334,17 @@ SKEW = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
 @pytest.mark.parametrize("rho", [np.diag([0.6, 0.4]), SKEW], ids=["diagonal", "non-diagonal"])
 def test_small_gibbs_level_is_finite_or_refused(level, alpha, rho):
     # finite wherever rho's weight on the level can be taken; a kernel level
-    # (alpha > 1 or < 0) and a sandwiched core past the float range (alpha
-    # = -2 against 1e-304) are refused, and no LinAlgError escapes
+    # (alpha > 1 or < 0) and, off the diagonal, a sandwiched core past the
+    # float range (alpha = -2 against 1e-304) are refused, and no LinAlgError
+    # escapes. The diagonal rho commutes with H and takes the log-space pairs.
     ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, SMALL_LEVEL_GAPS[level]])), 1.0)
-    refused = (level == "subnormal" and alpha != 0.5) or (level == "1e-304" and alpha == -2.0)
-    if refused:
+    tiny_at_minus_2 = level == "1e-304" and alpha == -2.0
+    if (level == "subnormal" and alpha != 0.5) or (tiny_at_minus_2 and rho is SKEW):
         with pytest.raises(NumericHealthError):
             qstate.alpha_free_energy(rho, ctx, alpha)
+    elif tiny_at_minus_2:
+        # ln(0.6^-2 + 0.4^-2 q_1^3) / 3, as the second-laws margin against tau
+        assert abs(qstate.alpha_free_energy(rho, ctx, alpha) - 0.3405504158439938) <= 1e-12
     else:
         assert math.isfinite(qstate.alpha_free_energy(rho, ctx, alpha))
 

@@ -7,7 +7,7 @@ import pytest
 from revtherm import qstate, resource
 from revtherm.errors import ContractError, NumericHealthError, ShapeError
 
-from helpers import random_distribution, random_hermitian, random_unitary, rng
+from helpers import decimal_renyi, random_distribution, random_hermitian, random_unitary, rng
 
 E2 = np.array([0.0, 3.0])
 HALF = np.array([0.5, 0.5])
@@ -327,7 +327,7 @@ class TestSecondLaws:
     def test_one_gibbs_state_and_margins_agree_with_alpha_free_energy(self, monkeypatch, d):
         # the check takes one eigendecomposition of H, none of the Gibbs
         # state, and each margin is the difference of two alpha_free_energy
-        # calls to rounding: the two are different formulas
+        # calls, which take the same route for commuting states
         gen = rng(800 + d)
         ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag(gen.uniform(0, 2, d))), 0.7)
         rho_in, rho_out = (np.diag(random_distribution(gen, d)).astype(complex) for _ in "ab")
@@ -352,7 +352,7 @@ class TestSecondLaws:
         assert sum(np.array_equal(a, h) for a in seen) == 1
         assert not any(np.allclose(a, tau) for a in seen)
         assert list(margins) == list(grid)
-        assert all(abs(margins[a] - expect[a]) <= 1e-12 * max(1.0, abs(expect[a])) for a in grid)
+        assert margins == expect
         # as many eigendecompositions for one alpha as for twelve
         per_grid = len(calls)
         calls.clear()
@@ -477,20 +477,22 @@ def _second_laws_case(kind):
 
 class TestSecondLawsReference:
     GRID = resource.DEFAULT_ALPHA_GRID + (-0.5, -2.0, 7.0)
+    # next to 1, where the float reference loses its digits: a 50-digit one
+    NEXT_TO_1 = tuple(1.0 + s * t for t in (1e-15, 1e-12, 1e-9) for s in (-1.0, 1.0))
 
     @pytest.mark.parametrize("kind", ["diagonal", "haar", "degenerate", "gibbs", "perturbed"])
     def test_margins_are_the_classical_renyi_ones(self, kind):
         rho_in, rho_out, ctx, p_in, p_out, energies, tol = _second_laws_case(kind)
-        grid = self.GRID + ((1000.0, -1000.0, 1e300) if kind == "diagonal" else ())
+        grid = self.GRID + self.NEXT_TO_1
+        grid += (1000.0, -1000.0, 1e300) if kind == "diagonal" else ()
         log_q = _log_gibbs(energies, ctx.beta)
         _, margins = resource.second_laws_check(rho_in, rho_out, ctx, grid)
         assert list(margins) == list(grid)
         for a in grid:
-            expect = ctx.temperature * (
-                _classical_rre(p_in, log_q, a) - _classical_rre(p_out, log_q, a)
-            )
+            rre = decimal_renyi if a in self.NEXT_TO_1 else _classical_rre
+            expect = ctx.temperature * (rre(p_in, log_q, a) - rre(p_out, log_q, a))
             assert abs(margins[a] - expect) <= tol * max(1.0, abs(expect)), a
-        # the general sandwiched route, within the same tolerance
+        # alpha_free_energy, within the same tolerance
         for a in self.GRID:
             expect = qstate.alpha_free_energy(rho_in, ctx, a) - qstate.alpha_free_energy(
                 rho_out, ctx, a
