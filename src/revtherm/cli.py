@@ -144,30 +144,54 @@ def _array_of(kind, what):
     return read
 
 
-_vector = _array_of(_number, "numbers")
+_numbers = _array_of(_number, "numbers")
 _indices = _array_of(_int, "indices")
 _blocks = _array_of(_indices, "index blocks")
+
+
+def _decoded(node, shape_ok, leaves) -> np.ndarray | None:
+    """node as a float array from one np.array call, or None for the walk.
+
+    The array is taken when shape_ok(array) holds, every leaf in
+    leaves(node) is exactly an int or a float (numpy would also take
+    booleans and numeric strings) and every value lies strictly inside the
+    float range. An int just past the largest float rounds onto it, so a
+    value on the bound is left to the walk, which refuses that int.
+    """
+    try:
+        a = np.array(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (
+        shape_ok(a)
+        and (np.abs(a) < sys.float_info.max).all()
+        and set(map(type, leaves(node))) <= {int, float}
+    ):
+        return a
+    return None
+
+
+def _vector(node, path) -> np.ndarray:
+    """A nonempty array of finite numbers as a float vector: one np.array
+    call (_decoded) when that reads it, else the walk of _numbers, which
+    names the first bad element."""
+    a = _decoded(node, lambda a: a.ndim == 1 and a.size > 0, lambda v: v)
+    return a if a is not None else np.array(_numbers(node, path))
 
 
 def _matrix(node, path) -> np.ndarray:
     """A nonempty row-major array of [re, im] pairs as a complex matrix.
 
-    One np.array call decodes it when the result is an (n, m, 2) array of
-    finite numbers and every leaf is exactly an int or a float (numpy would
-    also take booleans and numeric strings). Any other input takes the walk
-    below, which names the first bad row or cell.
+    One np.array call (_decoded) reads it when the result is an (n, m, 2)
+    array. Any other input takes the walk below, which names the first bad
+    row or cell.
     """
-    try:
-        a = np.array(node, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        a = None
-    if (
-        a is not None
-        and a.ndim == 3
-        and a.shape[2] == 2
-        and np.isfinite(a).all()
-        and set(map(type, chain.from_iterable(chain.from_iterable(node)))) <= {int, float}
-    ):
+    a = _decoded(
+        node,
+        lambda a: a.ndim == 3 and a.shape[2] == 2,
+        lambda v: chain.from_iterable(chain.from_iterable(v)),
+    )
+    if a is not None:
         return a.view(complex)[..., 0]
     if not isinstance(node, list) or not node:
         raise SchemaViolation(path, "expected a nonempty array of rows")

@@ -35,7 +35,10 @@ class BasisPartition:
 
     blocks lists the per-computational-state index sets; the catch-all
     block (all unassigned indices) is exposed as b_perp and participates
-    as a regular outcome whenever it is nonempty.
+    as a regular outcome whenever it is nonempty. The outcome blocks, each
+    also as an index array, the same-block mask (entry (i, j) is True iff
+    i and j lie in one outcome block) and the index-by-block indicator are
+    built once, at construction.
     """
 
     dim: int
@@ -56,21 +59,32 @@ class BasisPartition:
                 if i in seen:
                     raise ContractError(f"index {i} appears in two blocks")
                 seen.add(i)
+        perp = tuple(i for i in range(self.dim) if i not in seen)
+        outcomes = self.blocks + ((perp,) if perp else ())
+        labels = [0] * self.dim  # the outcome block of each basis index
+        for c, b in enumerate(outcomes):
+            for i in b:
+                labels[i] = c
+        labels = np.array(labels, dtype=np.intp)
+        object.__setattr__(self, "_perp", perp)
+        object.__setattr__(self, "_outcomes", outcomes)
+        object.__setattr__(self, "_indices", tuple(np.array(b, dtype=np.intp) for b in outcomes))
+        object.__setattr__(self, "_same_block", labels[:, None] == labels)
+        # _indicator[i, c] = 1.0 iff basis index i lies in outcome block c
+        object.__setattr__(self, "_indicator", (labels[:, None] == np.arange(len(outcomes))).astype(float))
 
     @property
     def b_perp(self) -> tuple[int, ...]:
-        assigned = {i for b in self.blocks for i in b}
-        return tuple(i for i in range(self.dim) if i not in assigned)
+        return self._perp
 
     @property
     def outcome_blocks(self) -> tuple[tuple[int, ...], ...]:
         """blocks plus the catch-all, when the catch-all is nonempty."""
-        perp = self.b_perp
-        return self.blocks + ((perp,) if perp else ())
+        return self._outcomes
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcome_blocks)
+        return len(self._outcomes)
 
 
 def offblock_norm(a, partition: BasisPartition) -> float:
@@ -80,13 +94,10 @@ def offblock_norm(a, partition: BasisPartition) -> float:
 
 
 def pinch(a, partition: BasisPartition) -> np.ndarray:
-    """Zero every cross-block entry (the fully decohered operator)."""
+    """Zero every cross-block entry (the fully decohered operator): one
+    select through the partition's same-block mask."""
     a = qlinalg.as_square(a, partition.dim, "operator")
-    out = np.zeros_like(a)
-    for b in partition.outcome_blocks:
-        idx = np.asarray(b)
-        out[np.ix_(idx, idx)] = a[np.ix_(idx, idx)]
-    return out
+    return np.where(partition._same_block, a, 0.0)
 
 
 def validate_block_diagonal(rho, partition: BasisPartition) -> bool:
@@ -115,10 +126,24 @@ class QuantumContext:
 
 
 def block_masses(rho, partition: BasisPartition) -> np.ndarray:
-    """Diagonal mass in each outcome block (no block-diagonality required)."""
+    """Diagonal mass in each outcome block (no block-diagonality required),
+    each summed over the block's stored index array, in the block's order."""
     rho = qlinalg.as_square(rho, partition.dim, "state")
     diag = np.real(np.diag(rho))
-    return np.array([diag[list(b)].sum() for b in partition.outcome_blocks])
+    return np.array([diag[idx].sum() for idx in partition._indices])
+
+
+def _occupied_stacks(rho: np.ndarray, partition: BasisPartition, masses: np.ndarray, tol: float):
+    """For each size of the outcome blocks whose mass exceeds tol: the
+    numbers of those blocks, in block order, and the stack of their
+    diagonal blocks of rho, each divided by its mass."""
+    by_size: dict[int, list[int]] = {}
+    for c, idx in enumerate(partition._indices):
+        if masses[c] > tol:
+            by_size.setdefault(idx.size, []).append(c)
+    for cs in by_size.values():
+        idx = np.stack([partition._indices[c] for c in cs])
+        yield cs, rho[idx[:, :, None], idx[:, None, :]] / masses[cs][:, None, None]
 
 
 def computational_distribution(ctx: QuantumContext) -> np.ndarray:
@@ -135,17 +160,22 @@ def entropy_decompose(ctx: QuantumContext) -> tuple[float, float, float]:
     of the fine-grained state given the computational outcome. On
     block-diagonal states the identity S_total = H_C + S_nc is exact; for
     diagonal states S_nc reduces to the classical conditional entropy.
+
+    The spectra of the occupied blocks (mass above MASS_TOL) come from one
+    stacked eigh per block size; they are clipped and summed block by
+    block, in block order, as von_neumann_entropy would.
     """
     p = computational_distribution(ctx)
     s_total = qstate.von_neumann_entropy(ctx.state)
     h_c = qstate.shannon_entropy(p)
+    spectra = {}
+    for cs, stack in _occupied_stacks(ctx.state, ctx.partition, p, MASS_TOL):
+        spectra.update(zip(cs, np.linalg.eigh(stack)[0]))
     s_nc = 0.0
-    for mass, b in zip(p, ctx.partition.outcome_blocks):
-        if mass <= MASS_TOL:
-            continue
-        idx = np.asarray(b)
-        block = ctx.state[np.ix_(idx, idx)] / mass
-        s_nc += mass * qstate.von_neumann_entropy(block)
+    for c in sorted(spectra):
+        w = qstate._clip(spectra[c])
+        nz = w[w > 0.0]
+        s_nc += p[c] * float(-np.sum(nz * np.log(nz)))
     return s_total, h_c, float(s_nc)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import compmodel, qstate
+from . import compmodel, qlinalg, qstate
 from .errors import ContractError, ShapeError
 
 __all__ = [
@@ -199,6 +199,17 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+def _refused_states(stack: np.ndarray) -> np.ndarray:
+    """For each matrix of the stack, in one pass: would
+    qstate.check_density_matrix refuse it (Hermiticity, unit trace, the
+    -EIG_CLIP eigenvalue floor)?"""
+    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    off_trace = np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0)
+    lowest = np.linalg.eigvalsh(stack).min(axis=1)
+    return ~(skew <= qlinalg.HERMITICITY_RTOL * scale) | (off_trace > 1e-10) | (lowest < -qstate.EIG_CLIP)
+
+
 def implements(
     u,
     p_in: compmodel.BasisPartition,
@@ -214,6 +225,15 @@ def implements(
     distribution over the output partition is compared row-by-row against
     the operation (total-variation distance <= tol). Output coherences are
     deliberately ignored: only block masses are compared.
+
+    Every block's output masses come from one product,
+    1_out^T Re((U pinch(rho)) o conj(U)) 1_in, its columns divided by the
+    input masses, and the renormalized occupied blocks are screened for
+    qstate.check_density_matrix in one stack per block size. The occupied
+    blocks are then walked in block order: the first that lies outside the
+    operation's domain, fails the density-matrix check, meets a U that is
+    not unitary (checked once, at the first occupied block) or misses its
+    row decides.
     """
     if ctx.partition != p_in:
         raise ContractError("context partition differs from the input partition")
@@ -223,14 +243,23 @@ def implements(
             f"{p_in.n_outcomes}/{p_out.n_outcomes} outcomes"
         )
     masses = compmodel.block_masses(ctx.state, p_in)
-    for i, mass in enumerate(masses):
-        if mass <= SUPPORT_TOL:
-            continue
+    blocks = {}
+    for cs, stack in compmodel._occupied_stacks(ctx.state, p_in, masses, SUPPORT_TOL):
+        blocks.update(zip(cs, zip(stack, _refused_states(stack))))
+    flows = None
+    for i in sorted(blocks):
         if i not in op.rows:
             raise ContractError(f"occupied block {i} outside the operation domain")
-        restricted = compmodel.restrict_context(ctx, i)
-        evolved = qstate.evolve_unitary(restricted.state, u)
-        out_masses = compmodel.block_masses(evolved, p_out)
-        if total_variation(out_masses, op.rows[i]) > tol:
+        block, refused = blocks[i]
+        if refused:
+            qstate.check_density_matrix(block)
+        if flows is None:
+            d = p_in.dim
+            u = qstate.require_unitary(u, d, "operator")
+            if p_out.dim != d:
+                raise ShapeError(f"state is {(d, d)}, expected {(p_out.dim, p_out.dim)}")
+            moved = (u @ compmodel.pinch(ctx.state, p_in) * u.conj()).real
+            flows = p_out._indicator.T @ moved @ p_in._indicator
+        if total_variation(flows[:, i] / masses[i], op.rows[i]) > tol:
             return False
     return True

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 
+from revtherm import compmodel, compops, qstate
+from revtherm.errors import ContractError, ShapeError
+
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -109,3 +112,142 @@ def thermal_ladder(d: int, nbar: float = 0.5, omega: float = 1.0, gamma: float =
     h = omega * np.diag(np.arange(float(d)))
     jumps = ((a, gamma * (nbar + 1.0)), (a.T.copy(), gamma * nbar))
     return h, jumps, float(np.log1p(1.0 / nbar) / omega)
+
+
+def diag_matrix(*diag):
+    n = len(diag)
+    return [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+# One small passing scenario for each task without a bundled file. Every
+# optional field is present so that the field-mutation test reaches it.
+MINIMAL = {
+    "classify": {
+        "n_states": 2,
+        "rows": {"0": [0.0, 1.0], "1": [1.0, 0.0]},
+        "input_dist": [0.25, 0.75],
+        "over": [0, 1],
+    },
+    "entropy-decompose": {"state": diag_matrix(0.5, 0.5), "blocks": [[0], [1]]},
+    "implements-check": {
+        "unitary": diag_matrix(1.0, 1.0),
+        "state": diag_matrix(0.3, 0.7),
+        "p_in_blocks": [[0], [1]],
+        "p_out_blocks": [[0], [1]],
+        "op": {"n_states": 2, "rows": {"0": [1.0, 0.0], "1": [0.0, 1.0]}},
+    },
+    "thermo-check": {
+        "p_in": [0.5, 0.5],
+        "p_out": [0.5, 0.5],
+        "energies": [0.0, 1.0],
+        "beta": 1.0,
+        "convention": "standard",
+    },
+    "cto-check": {
+        "rho_in": diag_matrix(0.2, 0.8),
+        "rho_out": diag_matrix(0.2, 0.8),
+        "hamiltonian": diag_matrix(0.0, 1.0),
+        "beta": 1.0,
+        "qmi_budget": 0.0,
+        "cycle": False,
+        "second_laws": True,
+        "alphas": [0.5, 2.0],
+    },
+    "gksl-asymptotic": {
+        "hamiltonian": diag_matrix(0.0, 0.0),
+        "jumps": [{"operator": diag_matrix(1.0, -1.0), "rate": 0.25}],
+        "tol": 1e-8,
+        "cesaro": {"horizon": 1e5, "samples": 100000},
+        "state": diag_matrix(0.5, 0.5),
+        "h_inf": diag_matrix(0.0, 0.0),
+        "s": 1.0,
+    },
+}
+
+
+def random_partition(gen, d: int, catch_all: bool) -> compmodel.BasisPartition:
+    """A partition of d indices into blocks of mixed sizes, singletons
+    likely, with each block's indices and the blocks themselves in shuffled
+    order. With catch_all, one to d // 3 indices are left unassigned."""
+    perm = gen.permutation(d).tolist()
+    assigned = d - int(gen.integers(1, max(1, d // 3) + 1)) if catch_all else d
+    cuts = sorted(gen.choice(np.arange(1, assigned), size=int(gen.integers(0, assigned)), replace=False))
+    blocks = [perm[a:b] for a, b in zip([0, *cuts], [*cuts, assigned])]
+    return compmodel.BasisPartition(d, [blocks[i] for i in gen.permutation(len(blocks))])
+
+
+def random_block_state(gen, partition, empty=()) -> np.ndarray:
+    """A density matrix supported on the partition's outcome blocks, each
+    block of random rank; the outcome blocks numbered in empty get mass 0."""
+    masses = random_distribution(gen, partition.n_outcomes)
+    masses[list(empty)] = 0.0
+    rho = np.zeros((partition.dim, partition.dim), dtype=complex)
+    for mass, b in zip(masses / masses.sum(), partition.outcome_blocks):
+        idx = np.asarray(b)
+        rho[np.ix_(idx, idx)] = mass * random_density(gen, idx.size, int(gen.integers(1, idx.size + 1)))
+    return rho
+
+
+# Per-block loops behind compmodel's one-pass kernels: the references they
+# must match.
+
+
+def pinch_loop(a, partition) -> np.ndarray:
+    """compmodel.pinch block by block, each block copied through np.ix_."""
+    a = np.asarray(a, dtype=complex)
+    out = np.zeros_like(a)
+    for b in partition.outcome_blocks:
+        idx = np.asarray(b)
+        out[np.ix_(idx, idx)] = a[np.ix_(idx, idx)]
+    return out
+
+
+def block_masses_loop(rho, partition) -> np.ndarray:
+    """compmodel.block_masses as one list(b) sum per block."""
+    diag = np.real(np.diag(np.asarray(rho, dtype=complex)))
+    return np.array([diag[list(b)].sum() for b in partition.outcome_blocks])
+
+
+def entropy_decompose_loop(ctx) -> tuple[float, float, float]:
+    """compmodel.entropy_decompose with one von_neumann_entropy per block."""
+    p = np.clip(block_masses_loop(ctx.state, ctx.partition), 0.0, None)
+    s_total = qstate.von_neumann_entropy(ctx.state)
+    h_c = qstate.shannon_entropy(p)
+    s_nc = 0.0
+    for mass, b in zip(p, ctx.partition.outcome_blocks):
+        if mass <= compmodel.MASS_TOL:
+            continue
+        idx = np.asarray(b)
+        s_nc += mass * qstate.von_neumann_entropy(ctx.state[np.ix_(idx, idx)] / mass)
+    return s_total, h_c, float(s_nc)
+
+
+def implements_walk(u, p_in, p_out, op, ctx, tol=compops.IMPLEMENTS_TOL) -> bool:
+    """compops.implements block by block: each occupied block conditioned
+    on through restrict_context, then evolved through evolve_unitary."""
+    if ctx.partition != p_in:
+        raise ContractError("context partition differs from the input partition")
+    if op.n_states != p_in.n_outcomes or op.n_states != p_out.n_outcomes:
+        raise ShapeError(
+            f"operation over {op.n_states} states vs partitions with "
+            f"{p_in.n_outcomes}/{p_out.n_outcomes} outcomes"
+        )
+    for i, mass in enumerate(block_masses_loop(ctx.state, p_in)):
+        if mass <= compops.SUPPORT_TOL:
+            continue
+        if i not in op.rows:
+            raise ContractError(f"occupied block {i} outside the operation domain")
+        restricted = compmodel.restrict_context(ctx, i)
+        evolved = qstate.evolve_unitary(restricted.state, u)
+        out_masses = compmodel.block_masses(evolved, p_out)
+        if compops.total_variation(out_masses, op.rows[i]) > tol:
+            return False
+    return True
+
+
+def outcome(f, *args, **kwargs):
+    """f's return value, or the type and text of the exception it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)

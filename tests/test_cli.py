@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import revtherm
 from revtherm import cli, gksl, qlinalg, resource
 
-from helpers import leaking, random_density, rng
+from helpers import MINIMAL, diag_matrix, leaking, random_density, rng
 from make_goldens import bundled
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
@@ -46,56 +46,6 @@ def load_report(path):
 def load_scenario(name: str) -> dict:
     return json.loads((SCENARIOS / name).read_text())
 
-
-def diag_matrix(*diag):
-    n = len(diag)
-    return [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
-
-
-# One small passing scenario for each task without a bundled file. Every
-# optional field is present so that the field-mutation test reaches it.
-MINIMAL = {
-    "classify": {
-        "n_states": 2,
-        "rows": {"0": [0.0, 1.0], "1": [1.0, 0.0]},
-        "input_dist": [0.25, 0.75],
-        "over": [0, 1],
-    },
-    "entropy-decompose": {"state": diag_matrix(0.5, 0.5), "blocks": [[0], [1]]},
-    "implements-check": {
-        "unitary": diag_matrix(1.0, 1.0),
-        "state": diag_matrix(0.3, 0.7),
-        "p_in_blocks": [[0], [1]],
-        "p_out_blocks": [[0], [1]],
-        "op": {"n_states": 2, "rows": {"0": [1.0, 0.0], "1": [0.0, 1.0]}},
-    },
-    "thermo-check": {
-        "p_in": [0.5, 0.5],
-        "p_out": [0.5, 0.5],
-        "energies": [0.0, 1.0],
-        "beta": 1.0,
-        "convention": "standard",
-    },
-    "cto-check": {
-        "rho_in": diag_matrix(0.2, 0.8),
-        "rho_out": diag_matrix(0.2, 0.8),
-        "hamiltonian": diag_matrix(0.0, 1.0),
-        "beta": 1.0,
-        "qmi_budget": 0.0,
-        "cycle": False,
-        "second_laws": True,
-        "alphas": [0.5, 2.0],
-    },
-    "gksl-asymptotic": {
-        "hamiltonian": diag_matrix(0.0, 0.0),
-        "jumps": [{"operator": diag_matrix(1.0, -1.0), "rate": 0.25}],
-        "tol": 1e-8,
-        "cesaro": {"horizon": 1e5, "samples": 100000},
-        "state": diag_matrix(0.5, 0.5),
-        "h_inf": diag_matrix(0.0, 0.0),
-        "s": 1.0,
-    },
-}
 
 # Stand-in for the JSON literal 1e309, which Python reads as inf; json.dumps
 # would write inf as Infinity instead.
@@ -815,7 +765,8 @@ class TestRemainingTasks:
         args = ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)]
         r = CliRunner().invoke(cli.main, args)
         assert r.exit_code == 0, r.stderr
-        assert built == [doc["p_in"], doc["p_out"]]
+        # the payload's vectors reach the library as float arrays
+        assert [b.tolist() for b in built] == [doc["p_in"], doc["p_out"]]
 
     def test_thermo_check_256_levels_writes_the_bytes_of_point_lists(self, tmp_path):
         # the curves reach the emitter as (n, 2) arrays; the report keeps the
@@ -1453,6 +1404,56 @@ class TestMatrixCells:
         assert m.dtype == complex and m.shape == (2, 2)
         assert np.array_equal(m.view(float), ref.view(float))
         assert math.copysign(1.0, m[0, 0].imag) == -1.0
+
+
+# The smallest int that rounds onto the largest float but lies past it
+PAST_MAX_FLOAT = 2**1024 - 2**970 - 1
+
+
+class TestVectorCells:
+    """Each malformed number array exits 3 with the walk's error line."""
+
+    CELL = "error: invalid scenario: payload.p_in[1]: expected a finite number"
+    WHOLE = "error: invalid scenario: payload.p_in: expected a nonempty array of numbers"
+    CASES = {
+        "bool": ("[0.5, true]", CELL),
+        "numeric-string": ('[0.5, "0.5"]', CELL),
+        "null": ("[0.5, null]", CELL),
+        "NaN": ("[0.5, NaN]", CELL),
+        "Infinity": ("[0.5, -Infinity]", CELL),
+        "10**400": (f"[0.5, {10**400}]", CELL),
+        "past-max-float": (f"[0.5, {PAST_MAX_FLOAT}]", CELL),
+        "nested": ("[0.5, [0.5]]", CELL),
+        "nested-all": ("[[0.5], [0.5]]", "error: invalid scenario: payload.p_in[0]: expected a finite number"),
+        "empty": ("[]", WHOLE),
+        "object": ('{"0": 0.5}', WHOLE),
+        "string": ('"[0.5, 0.5]"', WHOLE),
+        "bare-number": ("0.5", WHOLE),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bad_vector_is_3_and_named(self, tmp_path, name):
+        literal, message = self.CASES[name]
+        doc = {"task": "thermo-check", "payload": dict(MINIMAL["thermo-check"], p_in="<here>")}
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(doc).replace('"<here>"', literal))
+        out = tmp_path / "report.json"
+        r = invoke(["thermo-check", "--scenario", str(p), "--out", str(out)])
+        assert r.exit_code == 3 and isinstance(r.exception, SystemExit)
+        assert r.stderr == message + "\n"
+        assert not out.exists()
+
+    def test_well_formed_vector_decodes_as_the_walk(self):
+        node = [1, -0.0, 2**53 + 1, 2**60 + 3, -(2**64) - 1, 10**300, 5e-324, 1.7976931348623157e308]
+        v = cli._vector(node, "v")
+        assert v.dtype == float and v.shape == (len(node),)
+        assert v.tobytes() == np.array([float(x) for x in node]).tobytes()
+
+    def test_int_past_the_largest_float_is_refused_in_a_matrix(self):
+        with pytest.raises(cli.SchemaViolation, match=r"m\[0\]\[0\]: expected an \[re, im\] pair"):
+            cli._matrix([[[PAST_MAX_FLOAT, 0]]], "m")
+        m = cli._matrix([[[1.7976931348623157e308, -1.7976931348623157e308]]], "m")
+        assert m[0, 0] == complex(1.7976931348623157e308, -1.7976931348623157e308)
 
 
 def test_complex_matrix_encoding_matches_the_per_entry_loop():

@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from revtherm import compmodel, qstate
+from revtherm import compmodel, gksl, qlinalg, qstate
 from revtherm.errors import ContractError, ShapeError
 
-from helpers import random_density, random_distribution, rng
+from helpers import (
+    block_masses_loop,
+    entropy_decompose_loop,
+    pinch_loop,
+    random_block_state,
+    random_complex,
+    random_density,
+    random_distribution,
+    random_partition,
+    rng,
+)
 
 
 def block_diag_state(gen, partition):
@@ -178,3 +188,97 @@ def test_computational_distribution_sums_to_one():
     p = compmodel.computational_distribution(ctx)
     assert np.isclose(p.sum(), 1.0)
     assert p.shape == (3,)
+
+
+# Seeded partitions of 1-9 indices, with and without a catch-all block, and
+# a block-diagonal state on each with its last one or two outcome blocks
+# unoccupied where there is room.
+def partition_cases(seed: int, n: int = 40):
+    gen = rng(seed)
+    for k in range(n):
+        d = int(gen.integers(1, 10))
+        part = random_partition(gen, d, catch_all=d > 1 and k % 2 == 0)
+        empty = range(part.n_outcomes)[-(k % 3):] if k % 3 and part.n_outcomes > k % 3 else ()
+        yield gen, part, random_block_state(gen, part, empty)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstBlockLoops:
+    """The one-pass kernels against the per-block loops in helpers."""
+
+    def test_pinch_and_masses_match_bit_for_bit(self):
+        for gen, part, rho in partition_cases(41):
+            a = random_complex(gen, (part.dim, part.dim))
+            for m in (a, rho):
+                assert same_bits(compmodel.pinch(m, part), pinch_loop(m, part))
+                assert same_bits(compmodel.block_masses(m, part), block_masses_loop(m, part))
+            assert compmodel.offblock_norm(a, part) == qlinalg.hs_norm(a - pinch_loop(a, part))
+
+    def test_entropy_decompose_matches_bit_for_bit(self):
+        seen_empty = False
+        for _, part, rho in partition_cases(42):
+            ctx = compmodel.QuantumContext(rho, part)
+            seen_empty |= bool((compmodel.computational_distribution(ctx) == 0.0).any())
+            assert compmodel.entropy_decompose(ctx) == entropy_decompose_loop(ctx)
+        assert seen_empty
+
+    def test_gksl_partition_checks_match_the_loop_pinch(self):
+        for gen, part, rho in partition_cases(43):
+            # cross-block entries of a few sizes about the 1e-10 gate
+            leak = random_complex(gen, (part.dim, part.dim)) * 10.0 ** -gen.integers(6, 14)
+            op = pinch_loop(random_complex(gen, (part.dim, part.dim)), part) + leak
+            noncomp, comp = gksl.split_comp_noncomp(op, part)
+            assert same_bits(noncomp, pinch_loop(op, part))
+            assert same_bits(comp, op - pinch_loop(op, part))
+            gate = compmodel.BLOCK_DIAG_RTOL * max(1.0, qlinalg.hs_norm(op))
+            assert gksl.dfs_commutes(op, part) == bool(np.all(np.abs(op - pinch_loop(op, part)) <= gate))
+            initial = qlinalg.hs_norm(op - pinch_loop(op, part))
+            residual = qlinalg.hs_norm(rho + leak - pinch_loop(rho + leak, part))
+            assert gksl.dephasing_check(part, op, rho + leak) == {
+                "residual_coherence": residual,
+                "classical": residual <= max(gksl.DEPHASED_FRACTION * initial, 1e-12),
+            }
+
+    def test_light_block_below_the_floor_is_refused_alike(self):
+        # the state is within the -1e-10 floor; its light block renormalized is not
+        part = compmodel.BasisPartition(3, [(0,), (1, 2)])
+        rho = np.diag([1.0 - 1e-9, 5e-10, 5e-10]).astype(complex)
+        rho[1, 2] = rho[2, 1] = 5.5e-10
+        ctx = compmodel.QuantumContext(rho, part)
+        with pytest.raises(ContractError, match=r"^state has eigenvalue -5\.000e-02 below -1e-10$"):
+            compmodel.entropy_decompose(ctx)
+        with pytest.raises(ContractError, match=r"^state has eigenvalue -5\.000e-02 below -1e-10$"):
+            entropy_decompose_loop(ctx)
+
+
+class TestWorkCounts:
+    def test_outcome_blocks_is_built_once(self):
+        part = compmodel.BasisPartition(5, [(3, 0), (2,)])
+        assert part.outcome_blocks is part.outcome_blocks
+        assert part.b_perp is part.b_perp
+        assert part.outcome_blocks == ((3, 0), (2,), (1, 4))
+
+    def test_entropy_decompose_takes_one_eigh_per_block_size(self, monkeypatch):
+        # occupied sizes 1, 2 and 3, one of them twice; the size-4 block is empty
+        part = compmodel.BasisPartition(12, [(0,), (1, 2), (3, 4, 5), (6, 7), (8, 9, 10, 11)])
+        ctx = compmodel.QuantumContext(random_block_state(rng(44), part, empty=(4,)), part)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        compmodel.entropy_decompose(ctx)
+        assert sorted(calls) == [(1, 1, 1), (1, 3, 3), (2, 2, 2), (12, 12)]
+
+    def test_partitions_compare_by_dim_and_blocks(self):
+        a = compmodel.BasisPartition(4, [(1, 0), (2,)])
+        assert a == compmodel.BasisPartition(4, [[1, 0], [2]])
+        assert hash(a) == hash(compmodel.BasisPartition(4, [(1, 0), (2,)]))
+        assert a != compmodel.BasisPartition(4, [(0, 1), (2,)])

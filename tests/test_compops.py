@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from revtherm import compmodel, compops
+from revtherm import compmodel, compops, qstate
 from revtherm.errors import ContractError, ShapeError
 
-from helpers import rng
+from helpers import (
+    block_masses_loop,
+    implements_walk,
+    outcome,
+    random_block_state,
+    random_partition,
+    random_unitary,
+    rng,
+)
 
 
 class TestStochasticOp:
@@ -234,6 +242,121 @@ class TestImplements:
         default = inspect.signature(compops.implements).parameters["tol"].default
         assert default is compops.IMPLEMENTS_TOL and compops.IMPLEMENTS_TOL == 1e-9
 
+
+
+def implements_cases(seed: int, n: int = 60):
+    """Seeded (u, p_in, p_out, op, ctx) for implements and its block walk.
+
+    Each occupied block's row is its exact output masses under a unitary,
+    or those moved by 1e-6, or missing from the domain; the unitary is
+    sometimes scaled off unitarity or of the wrong size, and the output
+    partition is the input one or its blocks moved by a permutation.
+    """
+    gen = rng(seed)
+    for k in range(n):
+        d = int(gen.integers(1, 9))
+        p_in = random_partition(gen, d, catch_all=d > 1 and k % 2 == 0)
+        empty = (p_in.n_outcomes - 1,) if p_in.n_outcomes > 1 and k % 3 == 0 else ()
+        ctx = compmodel.QuantumContext(random_block_state(gen, p_in, empty), p_in)
+        perm = gen.permutation(d)
+        p_out = p_in if k % 4 else compmodel.BasisPartition(d, [perm[list(b)] for b in p_in.outcome_blocks])
+        u = random_unitary(gen, d)
+        masses = block_masses_loop(ctx.state, p_in)
+        rows = {}
+        for i in range(p_in.n_outcomes):
+            row = np.eye(p_in.n_outcomes)[0]
+            if masses[i] > compops.SUPPORT_TOL:
+                evolved = qstate.evolve_unitary(compmodel.restrict_context(ctx, i).state, u)
+                row = block_masses_loop(evolved, p_out)
+            kind = gen.choice(["exact", "exact", "exact", "moved", "missing"])
+            if kind == "moved":
+                row = (1.0 - 1e-6) * row + 1e-6 * np.eye(row.size)[np.argmin(row)]
+            if kind != "missing":
+                rows[i] = row
+        op = compops.StochasticOp(p_in.n_outcomes, rows)
+        if k % 7 == 3:
+            u = u * (1.0 + 1e-6)
+        elif k % 11 == 5:
+            u = random_unitary(gen, d + 1)
+        yield u, p_in, p_out, op, ctx
+
+
+class TestImplementsAgainstBlockWalk:
+    """implements against restrict_context plus evolve_unitary per block."""
+
+    def test_same_verdict_and_same_error(self):
+        seen = set()
+        for case in implements_cases(51):
+            got = outcome(compops.implements, *case)
+            assert got == outcome(implements_walk, *case)
+            seen.add(got if isinstance(got, bool) else got[1].split()[0])
+        assert {True, False, "occupied", "operator"} <= seen
+
+    def test_block_0_misses_its_row_before_block_1_is_outside(self):
+        ctx = TestImplements().ctx()
+        op = compops.StochasticOp(2, {0: [1.0, 0.0]})  # X1 sends block 0 to 1
+        args = (TestImplements.X1, ctx.partition, ctx.partition, op, ctx)
+        assert compops.implements(*args) is False
+        assert implements_walk(*args) is False
+
+    def test_domain_wins_over_a_non_unitary_u(self):
+        ctx = TestImplements().ctx()
+        op = compops.deterministic_op(2, {1: 0})
+        args = (2.0 * TestImplements.X1, ctx.partition, ctx.partition, op, ctx)
+        message = r"^occupied block 0 outside the operation domain$"
+        with pytest.raises(ContractError, match=message):
+            compops.implements(*args)
+        with pytest.raises(ContractError, match=message):
+            implements_walk(*args)
+
+    def test_light_block_below_the_floor_is_refused(self):
+        # rho passes the -1e-10 floor; its light block renormalized dips to -0.05
+        part = compmodel.BasisPartition(3, [(0,), (1, 2)])
+        rho = np.diag([1.0 - 1e-9, 5e-10, 5e-10]).astype(complex)
+        rho[1, 2] = rho[2, 1] = 5.5e-10
+        ctx = compmodel.QuantumContext(rho, part)
+        args = (np.eye(3), part, part, compops.deterministic_op(2, [0, 1]), ctx)
+        message = r"^negative eigenvalue -5\.000e-02 below -1e-10$"
+        with pytest.raises(ContractError, match=message):
+            compops.implements(*args)
+        with pytest.raises(ContractError, match=message):
+            implements_walk(*args)
+
+    def test_non_unitary_u_alone(self):
+        ctx = TestImplements().ctx()
+        op = compops.deterministic_op(2, [1, 0])
+        args = (TestImplements.X1 * (1.0 + 1e-9), ctx.partition, ctx.partition, op, ctx)
+        message = r"^operator is not unitary within tolerance$"
+        with pytest.raises(ContractError, match=message):
+            compops.implements(*args)
+        with pytest.raises(ContractError, match=message):
+            implements_walk(*args)
+
+    def test_output_partition_of_another_size(self):
+        p_in = compmodel.BasisPartition(3, [(0,)])
+        p_out = compmodel.BasisPartition(4, [(0,)])
+        ctx = compmodel.QuantumContext(np.eye(3, dtype=complex) / 3.0, p_in)
+        args = (np.eye(3), p_in, p_out, compops.deterministic_op(2, [0, 1]), ctx)
+        assert outcome(compops.implements, *args) == (ShapeError, "state is (3, 3), expected (4, 4)")
+        assert outcome(implements_walk, *args) == outcome(compops.implements, *args)
+
+
+class TestImplementsWorkCounts:
+    def test_one_unitarity_check_and_no_context_per_block(self, monkeypatch):
+        part = compmodel.BasisPartition(6, [(0,), (1, 2), (3,), (4, 5)])
+        ctx = compmodel.QuantumContext(random_block_state(rng(52), part), part)
+        op = compops.deterministic_op(4, range(4))
+        checks, contexts = [], []
+        require_unitary = qstate.require_unitary
+
+        def counted(*args, **kwargs):
+            checks.append(args)
+            return require_unitary(*args, **kwargs)
+
+        monkeypatch.setattr(qstate, "require_unitary", counted)
+        monkeypatch.setattr(compmodel.QuantumContext, "__post_init__", lambda self: contexts.append(self))
+        assert compops.implements(np.eye(6), part, part, op, ctx)
+        assert len(checks) == 1 and contexts == []
 
 
 def test_total_variation():

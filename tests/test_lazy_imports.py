@@ -6,6 +6,7 @@ imported every module already.
 """
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,9 +16,13 @@ from pathlib import Path
 import pytest
 
 import revtherm
+from revtherm import cli
+
+from helpers import MINIMAL
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 MODULES = ("qlinalg", "qstate", "compmodel", "compops", "resource", "channels", "gksl", "adiabatic")
 
@@ -87,41 +92,49 @@ def test_cli_and_landauer_load_only_their_modules(tmp_path):
     assert seen["first_access"] and seen["wrapped"] and seen["unwrapped"]
 
 
-def test_gksl_tasks_load_only_their_modules(tmp_path):
-    asymptotic = tmp_path / "asymptotic.json"
-    asymptotic.write_text(
-        json.dumps(
-            {
-                "task": "gksl-asymptotic",
-                "payload": {
-                    "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-                    "jumps": [
-                        {"operator": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "rate": 0.5}
-                    ],
-                },
-            }
-        )
-    )
+def startup_table() -> dict[str, set[str]]:
+    """Task -> the library modules it loads, read from README.md's
+    start-up table."""
+    rows: dict[str, set[str]] = {}
+    for line in (ROOT / "README.md").read_text().split("### Start-up", 1)[1].splitlines():
+        if line.startswith("| `"):
+            tasks, modules = line.strip("|").split("|")
+            for task in re.findall(r"`([^`]+)`", tasks):
+                rows[task] = set(re.findall(r"`([^`]+)`", modules))
+        elif rows:
+            break
+    return rows
+
+
+STARTUP = startup_table()
+
+# The bundled scenario of each task that has one; the others run MINIMAL.
+BUNDLED = {"landauer": "erasure_bit", "gksl-evolve": "dephasing", "adiabatic-sweep": "adiabatic"}
+
+
+def test_startup_table_covers_every_task():
+    assert set(STARTUP) == set(cli.main.commands) - {"batch"}
+    assert set(STARTUP) == set(BUNDLED) | set(MINIMAL)
+
+
+@pytest.mark.parametrize("task", sorted(STARTUP))
+def test_task_loads_only_its_modules(tmp_path, task):
+    scenario = SCENARIOS / f"{BUNDLED[task]}.json" if task in BUNDLED else tmp_path / "scenario.json"
+    if task not in BUNDLED:
+        scenario.write_text(json.dumps({"task": task, "payload": MINIMAL[task]}))
     seen = fresh(
         """
-        evolve = run("gksl-evolve", "--scenario", sys.argv[1], "--out", sys.argv[3],
-                     "--csv-dir", sys.argv[4])
-        asymptotic = run("gksl-asymptotic", "--scenario", sys.argv[2], "--out", sys.argv[3])
-        print(json.dumps({"codes": [evolve, asymptotic], "loaded": loaded()}))
+        code = run(sys.argv[1], "--scenario", sys.argv[2], "--out", sys.argv[3],
+                   "--csv-dir", sys.argv[4])
+        print(json.dumps({"code": code, "loaded": loaded()}))
         """,
-        str(SCENARIOS / "dephasing.json"),
-        str(asymptotic),
+        task,
+        str(scenario),
         str(tmp_path / "report.json"),
         str(tmp_path),
     )
-    assert seen["codes"] == [0, 0]
-    # no channels, adiabatic, compops or resource
-    assert set(seen["loaded"]) == BASE | {
-        "revtherm.qlinalg",
-        "revtherm.qstate",
-        "revtherm.compmodel",
-        "revtherm.gksl",
-    }
+    assert seen["code"] == 0
+    assert set(seen["loaded"]) == BASE | {f"revtherm.{m}" for m in STARTUP[task]}
 
 
 def test_submodule_names_are_the_modules():
