@@ -13,6 +13,7 @@ terms. Entropies in nats, k_B = 1, so bounds carry units of temperature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ __all__ = [
     "DilationSpec", "apply_dilation", "KrausSet", "extract_system_kraus", "extract_env_kraus",
     "apply_kraus", "non_unitality", "conditional_landauer_bound", "ResetScenario",
     "swap_unitary", "basis_transposition", "unconditional_landauer_bound", "simulate_reset",
-    "heat_mgf", "jensen_heat_bound", "heat_decomposition", "partovi_check", "BOUND_TOL",
+    "reset_heat", "heat_mgf", "jensen_heat_bound", "heat_decomposition", "partovi_check", "BOUND_TOL",
 ]
 
 COMPLETENESS_TOL = 1e-9
@@ -257,26 +258,45 @@ def unconditional_landauer_bound(scenario: ResetScenario) -> float:
     additionally pays T times the Shannon entropy of the mixture it cannot
     observe. For entropy-preserving resets the bound is exactly T * H({p_l}).
     """
-    t = scenario.env_ctx.temperature
-    s_target = qstate.von_neumann_entropy(scenario.target)
+    return _unconditional_bound(scenario, *_entropies(scenario))
+
+
+def _entropies(scenario: ResetScenario) -> tuple[float, list]:
+    """S(target) and S(rho_l) of each input state, each taken once."""
+    s_states = [qstate.von_neumann_entropy(rho) for _, rho in scenario.states]
+    return qstate.von_neumann_entropy(scenario.target), s_states
+
+
+def _unconditional_bound(scenario: ResetScenario, s_target: float, s_states: list) -> float:
+    """unconditional_landauer_bound from the entropies of _entropies."""
     p = scenario.probabilities
-    avg_delta_s = sum(
-        pi * (s_target - qstate.von_neumann_entropy(rho))
-        for pi, (_, rho) in zip(p, scenario.states)
-    )
-    return -t * (avg_delta_s - qstate.shannon_entropy(p))
+    avg_delta_s = sum(pi * (s_target - s) for pi, s in zip(p, s_states))
+    return -scenario.env_ctx.temperature * (avg_delta_s - qstate.shannon_entropy(p))
 
 
-def simulate_reset(scenario: ResetScenario) -> dict:
-    """Run the reset unitaries against the thermal environment.
+class _Bath(NamedTuple):
+    """The Gibbs state tau of H_E, the weights q of its levels, their
+    eigenvectors v and ln q, all from one eigendecomposition of H_E."""
 
-    Returns per-state and average environment energy increases, the bound
-    matching the scenario mode, and whether the average satisfies it. In
-    conditional mode all joint final states must coincide: a conditional
-    protocol must leave no record of which state it erased.
-    """
+    tau: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    log_q: np.ndarray
+
+
+def _gibbs_bath(env_ctx: qstate.ThermoContext) -> _Bath:
+    """The _Bath of env_ctx. ln q = -beta (E - E_0) - ln Z' is finite on a
+    level whose weight underflowed to 0, so ln tau exists at every beta."""
+    w, q, v, _ = qstate._gibbs_spectrum(env_ctx)
+    shifted = -env_ctx.beta * (w - w[0])
+    return _Bath((v * q) @ v.conj().T, q, v, shifted - np.log(np.exp(shifted).sum()))
+
+
+def _reset(scenario: ResetScenario, bath: _Bath) -> tuple[dict, list]:
+    """simulate_reset's report and the joint final state of each input, the
+    environment starting in bath.tau."""
     env_ctx = scenario.env_ctx
-    tau_e = qstate.gibbs_state(env_ctx)
+    tau_e = bath.tau
     h_e = env_ctx.hamiltonian.matrix
     d_s, d_e = scenario.d_s, env_ctx.hamiltonian.dim
     e_env_in = float(np.real(np.trace(tau_e @ h_e)))
@@ -297,18 +317,84 @@ def simulate_reset(scenario: ResetScenario) -> dict:
                 raise ContractError(
                     f"conditional resets reach different joint finals (gap {gap:.3e})"
                 )
+    s_target, s_states = _entropies(scenario)
+    if scenario.mode == "conditional":
+        # conditional_landauer_bound of each input, S(target) taken once
         t = env_ctx.temperature
-        bound = sum(
-            p * conditional_landauer_bound(rho, scenario.target, t) for p, rho in scenario.states
-        )
+        bound = sum(p * (-t * (s_target - s)) for (p, _), s in zip(scenario.states, s_states))
     else:
-        bound = unconditional_landauer_bound(scenario)
+        bound = _unconditional_bound(scenario, s_target, s_states)
     average = float(np.dot(scenario.probabilities, delta_e))
-    return {
+    report = {
         "delta_e_per_state": [float(x) for x in delta_e],
         "average_delta_e": average,
         "bound": float(bound),
         "satisfied": bool(average >= bound - BOUND_TOL),
+    }
+    return report, joint_finals
+
+
+def simulate_reset(scenario: ResetScenario) -> dict:
+    """Run the reset unitaries against the thermal environment.
+
+    Returns per-state and average environment energy increases, the bound
+    matching the scenario mode, and whether the average satisfies it. In
+    conditional mode all joint final states must coincide: a conditional
+    protocol must leave no record of which state it erased.
+    """
+    return _reset(scenario, _gibbs_bath(scenario.env_ctx))[0]
+
+
+def reset_heat(scenario: ResetScenario) -> tuple[dict, dict]:
+    """simulate_reset(scenario) and the heat analysis of the same reset, in one pass.
+
+    Needs one shared unitary U. The heat is that of the average input
+    rho_S = sum_l p_l rho_l: its joint state U (rho_S x tau_E) U+ is the
+    p-weighted sum of the joint states the reset builds, and every term is
+    read from that state and from the one Gibbs spectrum of H_E, so ln tau_E
+    exists at any beta. The analysis is {"mgf", "decomposition", "partovi"}:
+    heat_mgf of extract_env_kraus(U, rho_S), here Tr[Tr_S[U (rho_S x 1) U+]
+    tau_E] / Tr tau_E with no Kraus set; heat_decomposition's four terms; and
+    partovi_check's verdict, which is -D(rho'_E || tau_E) <= BOUND_TOL.
+    """
+    if len(scenario.unitaries) != 1:
+        raise ContractError("heat analysis needs a single shared unitary")
+    bath = _gibbs_bath(scenario.env_ctx)
+    report, joints = _reset(scenario, bath)
+    p = scenario.probabilities
+    rho_s = sum(pl * rho for pl, (_, rho) in zip(p, scenario.states))
+    joint = sum(pl * j for pl, j in zip(p, joints))
+    dims = (scenario.d_s, scenario.env_ctx.hamiltonian.dim)
+    decomposition = _heat_split(joint, rho_s, dims, bath)
+    u = scenario.unitaries[0]
+    # sum N N+ over extract_env_kraus's set, in closed form; the division by
+    # the rounded Tr tau keeps a unital environment channel at exactly 1
+    n_sum = qlinalg.partial_trace(
+        u @ qlinalg.tensor(rho_s, np.eye(dims[1])) @ u.conj().T, dims, keep=1
+    )
+    heat = {
+        "mgf": _mgf(complex(np.sum(n_sum * bath.tau.T) / np.trace(bath.tau))),
+        "decomposition": decomposition,
+        "partovi": bool(-decomposition["rel_entropy_env"] <= BOUND_TOL),
+    }
+    return report, heat
+
+
+def _heat_split(joint: np.ndarray, rho_s: np.ndarray, dims: tuple, bath: _Bath) -> dict:
+    """heat_decomposition's four terms from the joint state U (rho_s x tau) U+.
+    U is unitary, so S(joint) = S(rho_s) + S(tau)."""
+    tau_e, q, v, log_q = bath
+    log_tau = (v * log_q) @ v.conj().T
+    rho_s_out = qlinalg.partial_trace(joint, dims, keep=0)
+    rho_e_out = qlinalg.partial_trace(joint, dims, keep=1)
+    s_in = qstate.von_neumann_entropy(rho_s)
+    s_s_out = qstate.von_neumann_entropy(rho_s_out)
+    s_e_out = qstate.von_neumann_entropy(rho_e_out)
+    return {
+        "delta_s_system": s_in - s_s_out,
+        "mutual_info": s_s_out + s_e_out - (s_in - float(np.dot(q, log_q))),
+        "rel_entropy_env": -s_e_out - float(np.real(np.trace(rho_e_out @ log_tau))),
+        "beta_q": float(np.real(np.trace((rho_e_out - tau_e) @ log_tau))),
     }
 
 
@@ -327,7 +413,11 @@ def heat_mgf(env_kraus: KrausSet, tau_e) -> float:
     """
     tau_e = qstate.require_state(tau_e, env_kraus.dim, "environment state")
     acc = sum(n @ n.conj().T for n in env_kraus.operators)
-    val = complex(np.trace(acc @ tau_e))
+    return _mgf(complex(np.trace(acc @ tau_e)))
+
+
+def _mgf(val: complex) -> float:
+    """The moment-generating function's value, refused unless real and positive."""
     if abs(val.imag) > 1e-10 or val.real <= 0.0:
         raise ContractError(f"moment-generating function came out as {val!r}")
     return float(val.real)

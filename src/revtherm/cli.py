@@ -60,6 +60,13 @@ MAX_CSV_CELLS = 1_000_000
 # generator alone at d = 100); x86-64, one BLAS thread.
 MAX_ASYMPTOTIC_DIM = 32
 
+# Cap on landauer's joint dimension d_s * d_e, refused before any unitary or
+# joint state is built. At the cap a heat call (d_s = d_e = 32, swap, two
+# input states) took 1.0 s and 154 MB of peak memory; time grows as
+# (d_s d_e)^3 and memory as (d_s d_e)^2 (6.6 s and 488 MB at 2,025); x86-64,
+# one BLAS thread.
+MAX_JOINT_DIM = 1024
+
 
 class SchemaViolation(Exception):
     """Payload field missing or of the wrong shape; message names the path."""
@@ -256,13 +263,35 @@ def _float_text(cells: np.ndarray, where=lambda i: ""):
     return map(float.__repr__, cells.ravel().tolist())
 
 
+class _Cells(np.ndarray):
+    """A float array that carries the text of its cells, made by the one
+    _float_text pass that also wrote a CSV file of the same call, so the
+    report formats no cell twice. The text stands for the bytes it was made
+    from: an array changed since, or a view of one, is formatted anew."""
+
+    text = made_from = None
+
+
+def _with_text(a: np.ndarray, text: list) -> _Cells:
+    """a as _Cells, text the float text of its cells in C order."""
+    cells = a.view(_Cells)
+    cells.text, cells.made_from = text, a.tobytes()
+    return cells
+
+
 def _emit_array(a: np.ndarray, newline: str, out: list):
     """_emit of a float array as a nested list: every cell through one
-    _float_text pass, then each axis joined from the innermost out."""
+    _float_text pass, or the text _Cells carries, then each axis joined from
+    the innermost out."""
     if not a.size:
         _emit(a.tolist(), newline, out)
         return
-    text = list(_float_text(a, lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape))))
+    if isinstance(a, _Cells) and a.made_from == a.tobytes():
+        text = a.text
+    else:
+        text = list(_float_text(
+            a, lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape))
+        ))
     for axis in range(a.ndim - 1, -1, -1):
         inner, n = newline + "  " * (axis + 1), a.shape[axis]
         close = inner[:-2] + "]"
@@ -339,13 +368,36 @@ def _csv_cell(name: str, header: str, row: int, column: int) -> str:
     return f"{name} data row {row + 1}, column {header.split(',')[column]}"
 
 
+def _csv_text(header: str, rows) -> str:
+    """The text of a CSV file: the header, then each row's cell texts."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def _table_text(name: str, header: str, cells: np.ndarray):
+    """_float_text of a float table's cells, a non-finite one named by its
+    data row and column of CSV file name."""
+    k = header.count(",") + 1
+    return _float_text(cells, lambda i: _csv_cell(name, header, *divmod(i, k)))
+
+
 def _csv_table(name: str, header: str, rows) -> str:
     """The text of CSV file name: header, then the float table rows; a
-    non-finite cell raises _NonFinite naming its data row and column."""
+    non-finite cell raises _NonFinite naming its data row and column. Each
+    cell's text lives only until its row is joined."""
     k = header.count(",") + 1
     cells = np.asarray(rows, dtype=float)
-    text = _float_text(cells, lambda i: _csv_cell(name, header, *divmod(i, k)))
-    return "\n".join([header] + [",".join(islice(text, k)) for _ in range(cells.size // k)]) + "\n"
+    text = _table_text(name, header, cells)
+    return _csv_text(header, (islice(text, k) for _ in range(cells.size // k)))
+
+
+def _shared_table(name: str, header: str, rows) -> tuple[_Cells, str]:
+    """_csv_table's text, and rows as a report array that carries the same
+    cell texts."""
+    k = header.count(",") + 1
+    cells = np.asarray(rows, dtype=float)
+    text = list(_table_text(name, header, cells))
+    csv = _csv_text(header, (text[i : i + k] for i in range(0, len(text), k)))
+    return _with_text(cells, text), csv
 
 
 @functools.lru_cache(maxsize=8)
@@ -366,7 +418,12 @@ def _trajectory_layout(d: int):
 
 def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     """The _csv_table text of trajectory.csv, rows t, then re, im of every
-    entry of each state in row-major order, byte for byte.
+    entry of each state in row-major order, byte for byte."""
+    return _csv_text(*_trajectory_cells(times, states))
+
+
+def _trajectory_cells(times: np.ndarray, states: np.ndarray) -> tuple[str, np.ndarray]:
+    """The header of trajectory.csv and the text of its cells, an object array.
 
     States are Hermitian, and formatting is the floor of the table, so a
     cell below the diagonal reuses the text of its mirror when that gives
@@ -392,7 +449,7 @@ def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     text[:, lower] = np.where(same, text[:, mirror], text[:, lower])
     r, k = np.nonzero(flipped)
     text[r, lower[k] + 1] = [c[1:] if c[0] == "-" else "-" + c for c in text[r, mirror[k] + 1]]
-    return "\n".join([header] + [",".join(row) for row in text.tolist()]) + "\n"
+    return header, text
 
 
 def _write_all(files: list):
@@ -533,6 +590,11 @@ def _handle_landauer(payload, div, tol):
     h_e = _get(payload, "env_hamiltonian", "payload", _matrix)
     beta = _get(payload, "beta", "payload", _number)
     d_s, d_e = states[0][1].shape[0], h_e.shape[0]
+    if d_s * d_e > MAX_JOINT_DIM:
+        raise SchemaViolation(
+            "payload.env_hamiltonian",
+            f"joint dimension {d_s} x {d_e} = {d_s * d_e} exceeds the cap of {MAX_JOINT_DIM}",
+        )
     unitaries = [
         _reset_unitary(node, f"payload.unitaries[{i}]", d_s, d_e)
         for i, node in enumerate(_get(payload, "unitaries", "payload", _array))
@@ -545,7 +607,10 @@ def _handle_landauer(payload, div, tol):
     scenario = channels.ResetScenario(
         states=tuple(states), target=target, env_ctx=env_ctx, mode=mode, unitaries=unitaries
     )
-    sim = channels.simulate_reset(scenario)
+    if heat:
+        sim, split = channels.reset_heat(scenario)
+    else:
+        sim = channels.simulate_reset(scenario)
     outputs = {
         "mode": mode,
         "temperature": float(env_ctx.temperature),
@@ -557,26 +622,20 @@ def _handle_landauer(payload, div, tol):
     passed = sim["satisfied"]
     tolerances = {"bound_slack": channels.BOUND_TOL}
     if heat:
-        tau_e = qstate.gibbs_state(env_ctx)
-        mixture = sum(p * rho for p, rho in scenario.states)
-        spec = channels.DilationSpec(d_s, d_e, unitaries[0], tau_e)
-        env_kraus = channels.extract_env_kraus(unitaries[0], mixture, (d_s, d_e))
-        mgf = channels.heat_mgf(env_kraus, tau_e)
-        jensen = channels.jensen_heat_bound(mgf, env_ctx.temperature)
-        decomp = channels.heat_decomposition(spec, mixture, beta)
+        jensen = channels.jensen_heat_bound(split["mgf"], env_ctx.temperature)
+        decomp = split["decomposition"]
         identity_residual = abs(sum(decomp.values()))
-        partovi = channels.partovi_check(spec, mixture)
         outputs["heat"] = {
-            "mgf": float(mgf),
+            "mgf": split["mgf"],
             "jensen_bound": jensen / div,
             "decomposition": {k: v / div for k, v in decomp.items()},
             "identity_residual": identity_residual / div,
-            "partovi": partovi,
+            "partovi": split["partovi"],
         }
         tolerances["heat_identity"] = 1e-9
         passed = bool(
             passed
-            and partovi
+            and split["partovi"]
             and identity_residual <= tolerances["heat_identity"]
             and jensen <= sim["average_delta_e"] + channels.BOUND_TOL
         )
@@ -595,18 +654,15 @@ def _handle_thermo_check(payload, div, tol):
     curve_in = resource.thermomaj_curve(p_in, energies, beta, convention)
     curve_out = resource.thermomaj_curve(p_out, energies, beta, convention)
     feasible = curve_in.majorizes(curve_out)
-    # points are (n, 2) arrays: the emitter writes each curve in one pass
     outputs = {
         "feasible": feasible,
         "convention": convention,
         "partition_weight": curve_in.partition_weight,
-        "curve_in": curve_in.points,
-        "curve_out": curve_out.points,
     }
-    csvs = {
-        "curve_in.csv": _csv_table("curve_in.csv", "x,y", curve_in.points),
-        "curve_out.csv": _csv_table("curve_out.csv", "x,y", curve_out.points),
-    }
+    csvs = {}
+    # each curve's (n, 2) points are formatted once, for its CSV and the report
+    for key, curve in (("curve_in", curve_in), ("curve_out", curve_out)):
+        outputs[key], csvs[f"{key}.csv"] = _shared_table(f"{key}.csv", "x,y", curve.points)
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 
 
@@ -705,11 +761,7 @@ def _handle_gksl_evolve(payload, div, tol):
     states = gksl.trajectory(l, state, times)
     trajectory = states[:n]
     max_drift = np.abs(np.trace(trajectory, axis1=1, axis2=2).real - 1.0).max()
-    outputs = {
-        "n_points": n,
-        "max_trace_drift": float(max_drift),
-        "final_state": _encode_complex_matrix(trajectory[-1]),
-    }
+    outputs = {"n_points": n, "max_trace_drift": float(max_drift)}
     passed = True
     tolerances = {"trace": gksl.TRAJECTORY_TRACE_TOL}
     if blocks is not None:
@@ -720,7 +772,11 @@ def _handle_gksl_evolve(payload, div, tol):
         }
         tolerances["dephased_fraction"] = gksl.DEPHASED_FRACTION
         passed = check["classical"]
-    return outputs, passed, tolerances, {"trajectory.csv": _trajectory_csv(times[:n], trajectory)}
+    header, text = _trajectory_cells(times[:n], trajectory)
+    # the final state is the trajectory's last row: its text is the CSV's
+    final_state = _encode_complex_matrix(trajectory[-1])
+    outputs["final_state"] = _with_text(final_state, text[-1, 1:].tolist())
+    return outputs, passed, tolerances, {"trajectory.csv": _csv_text(header, text.tolist())}
 
 
 def _handle_gksl_asymptotic(payload, div, tol):

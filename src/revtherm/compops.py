@@ -43,23 +43,38 @@ class StochasticOp:
     rows: dict[int, np.ndarray]
 
     def __post_init__(self):
+        """Each row, in dict order, is checked for its index, its length, a
+        negative entry and its sum; the first row to fail a check is refused.
+        Index and length are walked row by row up to the first failure; the
+        entries of the rows before it are checked in one stack."""
         if self.n_states < 0:
             raise ContractError(f"n_states must be nonnegative, got {self.n_states}")
-        clean: dict[int, np.ndarray] = {}
+        keys, arrays, misfit = [], [], None
         for i, row in self.rows.items():
             i = int(i)
             if not 0 <= i < self.n_states:
-                raise ContractError(f"row index {i} outside 0..{self.n_states - 1}")
+                misfit = ContractError(f"row index {i} outside 0..{self.n_states - 1}")
+                break
             r = np.asarray(row, dtype=float).reshape(-1)
             if r.size != self.n_states:
-                raise ShapeError(f"row {i} has length {r.size}, expected {self.n_states}")
-            # written so that NaN fails both tests
-            if not r.min() >= -ROW_SUM_TOL:
-                raise ContractError(f"row {i} has negative entry {r.min():.3e}")
-            if not abs(r.sum() - 1.0) <= ROW_SUM_TOL:
-                raise ContractError(f"row {i} sums to {r.sum()!r}")
-            clean[i] = np.clip(r, 0.0, None)
-        object.__setattr__(self, "rows", clean)
+                misfit = ShapeError(f"row {i} has length {r.size}, expected {self.n_states}")
+                break
+            keys.append(i)
+            arrays.append(r)
+        stack = np.array(arrays) if arrays else np.empty((0, 0))
+        # written so that NaN fails both tests; initial lets no row mean no minimum
+        negative = ~(stack.min(axis=1, initial=np.inf) >= -ROW_SUM_TOL)
+        off_sum = ~(np.abs(stack.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
+        failed = np.flatnonzero(negative | off_sum)
+        if failed.size:
+            k = int(failed[0])
+            r = arrays[k]
+            if negative[k]:
+                raise ContractError(f"row {keys[k]} has negative entry {r.min():.3e}")
+            raise ContractError(f"row {keys[k]} sums to {r.sum()!r}")
+        if misfit is not None:
+            raise misfit
+        object.__setattr__(self, "rows", dict(zip(keys, np.clip(stack, 0.0, None))))
 
     @property
     def domain(self) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
 """Shared generators for the test suite. All randomness is seeded."""
 
+import collections
 import decimal
 import math
 
 import numpy as np
 
-from revtherm import compmodel, compops, qstate
+from revtherm import channels, compmodel, compops, qstate
 from revtherm.errors import ContractError, ShapeError
 
 
@@ -243,6 +244,64 @@ def implements_walk(u, p_in, p_out, op, ctx, tol=compops.IMPLEMENTS_TOL) -> bool
         if compops.total_variation(out_masses, op.rows[i]) > tol:
             return False
     return True
+
+
+def stochastic_rows_loop(n_states, rows) -> dict:
+    """compops.StochasticOp's row checks one row at a time, in dict order:
+    index, length, negative entry, sum. The clipped rows by index."""
+    clean = {}
+    for i, row in rows.items():
+        i = int(i)
+        if not 0 <= i < n_states:
+            raise ContractError(f"row index {i} outside 0..{n_states - 1}")
+        r = np.asarray(row, dtype=float).reshape(-1)
+        if r.size != n_states:
+            raise ShapeError(f"row {i} has length {r.size}, expected {n_states}")
+        if not r.min() >= -compops.ROW_SUM_TOL:
+            raise ContractError(f"row {i} has negative entry {r.min():.3e}")
+        if not abs(r.sum() - 1.0) <= compops.ROW_SUM_TOL:
+            raise ContractError(f"row {i} sums to {r.sum()!r}")
+        clean[i] = np.clip(r, 0.0, None)
+    return clean
+
+
+def random_rows(gen, n_states: int) -> dict:
+    """Rows of a stochastic operation by state index, in shuffled order,
+    about one set in three spoiled at a random row: an index out of range,
+    a wrong length, a negative entry, a NaN or a sum off by 1e-9."""
+    keys = gen.permutation(n_states)[: int(gen.integers(0, n_states + 1))].tolist()
+    rows = {k: random_distribution(gen, n_states) for k in keys}
+    if keys and gen.random() < 0.35:
+        k = keys[int(gen.integers(len(keys)))]
+        flaw = int(gen.integers(5))
+        if flaw == 0:
+            rows[n_states + k] = rows.pop(k)
+        elif flaw == 1:
+            rows[k] = np.append(rows[k], 0.0)
+        elif flaw == 2:
+            rows[k][0] -= 1e-3
+        elif flaw == 3:
+            rows[k][-1] = math.nan
+        else:
+            rows[k] = rows[k] * (1.0 + 1e-9)
+    return rows
+
+
+def count_work(monkeypatch) -> collections.Counter:
+    """Counts, by name, of the eigendecompositions (np.linalg's eigh,
+    eigvalsh and eig) and the joint-state builds (channels._evolve_joint)
+    made while the monkeypatch holds."""
+    counts = collections.Counter()
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "eig"),
+                        (channels, "_evolve_joint")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 def outcome(f, *args, **kwargs):

@@ -329,3 +329,93 @@ class TestHeat:
         for _ in range(8):
             spec = thermal_spec(gen, 2, 2, beta=1.4)
             assert channels.partovi_check(spec, random_density(gen, 2))
+
+
+class TestResetHeat:
+    """reset_heat against its reference, the per-dilation functions run on
+    the average input state: heat_decomposition, partovi_check and the
+    Jensen bound of heat_mgf over extract_env_kraus."""
+
+    @staticmethod
+    def random_reset(gen):
+        """A reset with one shared unitary: 1-3 unconditional inputs, or one
+        conditional. The reference reads ln tau_E from the measured spectrum
+        of tau_E, whose error on a level of weight q is about 1e-16 / q, so
+        H_E is scaled to keep every weight above 1e-4."""
+        d_s, d_e = int(gen.integers(2, 6)), int(gen.integers(2, 6))
+        n = int(gen.integers(1, 4))
+        mode = "conditional" if n == 1 and gen.random() < 0.5 else "unconditional"
+        h_e = random_hermitian(gen, d_e) / math.sqrt(d_e)
+        env_ctx = qstate.ThermoContext(qstate.Hamiltonian(h_e), float(gen.uniform(0.2, 1.5)))
+        p = gen.random(n) + 0.1
+        return channels.ResetScenario(
+            states=tuple((float(pl), random_density(gen, d_s)) for pl in p / p.sum()),
+            target=random_density(gen, d_s),
+            env_ctx=env_ctx,
+            mode=mode,
+            unitaries=(random_unitary(gen, d_s * d_e),),
+        )
+
+    def test_matches_the_reference_on_seeded_dilations(self):
+        gen = rng(72)
+        modes = set()
+        for _ in range(60):
+            sc = self.random_reset(gen)
+            modes.add(sc.mode)
+            env_ctx, u = sc.env_ctx, sc.unitaries[0]
+            dims = (sc.d_s, env_ctx.hamiltonian.dim)
+            assert qstate._gibbs_spectrum(env_ctx)[1].min() > 1e-4
+            report, heat = channels.reset_heat(sc)
+            assert report == channels.simulate_reset(sc)
+
+            tau = qstate.gibbs_state(env_ctx)
+            mixture = sum(pl * rho for pl, rho in sc.states)
+            spec = channels.DilationSpec(*dims, u, tau)
+            expect = channels.heat_decomposition(spec, mixture, env_ctx.beta)
+            assert list(heat["decomposition"]) == list(expect)
+            for key, value in expect.items():
+                assert heat["decomposition"][key] == pytest.approx(value, abs=1e-12), key
+            assert heat["partovi"] == channels.partovi_check(spec, mixture)
+            t = env_ctx.temperature
+            mgf = channels.heat_mgf(channels.extract_env_kraus(u, mixture, dims), tau)
+            assert heat["mgf"] == pytest.approx(mgf, abs=1e-12)
+            assert channels.jensen_heat_bound(heat["mgf"], t) == pytest.approx(
+                channels.jensen_heat_bound(mgf, t), abs=1e-12
+            )
+        assert modes == {"conditional", "unconditional"}
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 30.0, 100.0, 400.0])
+    def test_erasure_at_large_beta_is_exact(self, beta):
+        # swap erasure of a fair bit into a two-level bath of gap 2: rho'_E is
+        # I/2, so every term has a closed form in x = exp(-2 beta), whose
+        # level's weight underflows to 0 at beta = 400
+        sc = swap_scenario()
+        sc = channels.ResetScenario(
+            sc.states, sc.target, two_level_env_ctx(beta=beta), sc.mode, sc.unitaries
+        )
+        _, heat = channels.reset_heat(sc)
+        x = math.exp(-2.0 * beta)
+        log_q = np.array([-math.log1p(x), -2.0 * beta - math.log1p(x)])
+        q = np.array([1.0, x]) / (1.0 + x)
+        entropy = float(-np.dot(q, log_q))
+        expect = {
+            "delta_s_system": math.log(2.0) - entropy,
+            "mutual_info": 0.0,
+            "rel_entropy_env": -math.log(2.0) - log_q.sum() / 2.0,
+            "beta_q": log_q.sum() / 2.0 + entropy,
+        }
+        for key, value in expect.items():
+            assert heat["decomposition"][key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+        assert abs(sum(heat["decomposition"].values())) <= 1e-12 * beta
+        assert heat["mgf"] == 1.0 and heat["partovi"]
+
+    def test_needs_one_shared_unitary(self):
+        sc = channels.ResetScenario(
+            states=((0.5, KET0), (0.5, KET1)),
+            target=KET0,
+            env_ctx=two_level_env_ctx(),
+            mode="conditional",
+            unitaries=(np.eye(4), channels.basis_transposition(4, [(0, 2), (1, 3)])),
+        )
+        with pytest.raises(ContractError, match="heat analysis needs a single shared unitary"):
+            channels.reset_heat(sc)

@@ -14,9 +14,17 @@ import pytest
 from click.testing import CliRunner
 
 import revtherm
-from revtherm import cli, gksl, qlinalg, resource
+from revtherm import channels, cli, gksl, qlinalg, resource
 
-from helpers import MINIMAL, diag_matrix, leaking, random_density, rng
+from helpers import (
+    MINIMAL,
+    count_work,
+    diag_matrix,
+    leaking,
+    random_density,
+    random_hermitian,
+    rng,
+)
 from make_goldens import bundled
 
 SCENARIOS = resources.files("revtherm") / "scenarios"
@@ -1079,6 +1087,149 @@ class Reached(Exception):
 
 def reached(*args, **kwargs):
     raise Reached(args)
+
+
+class TestLandauer:
+    @staticmethod
+    def swap_payload(d, seed=0):
+        """A heat call shaped like the bench's landauer-swap-36 at d = 6: two
+        pure inputs reset into a d-level bath by the swap."""
+        gen = rng(seed)
+        basis = np.eye(d)
+        return {
+            "mode": "unconditional",
+            "states": [{"p": 0.3, "state": complex_matrix(np.diag(basis[1]))},
+                       {"p": 0.7, "state": complex_matrix(np.diag(basis[d - 1]))}],
+            "target": complex_matrix(np.diag(basis[0])),
+            "env_hamiltonian": complex_matrix(random_hermitian(gen, d) / math.sqrt(d)),
+            "beta": 1.2,
+            "unitaries": [{"swap": True}],
+            "heat": True,
+        }
+
+    def test_heat_takes_the_reset_joint_states(self, tmp_path, monkeypatch):
+        # one eigh of H_E serves the reset, its bound and the split; the heat
+        # adds one entropy each for rho_S, rho'_S and rho'_E and no joint
+        # build (the separate heat functions took 25 eigendecompositions and
+        # 4 joint builds on this input)
+        counts = count_work(monkeypatch)
+        p = write_scenario(tmp_path, "landauer", self.swap_payload(6))
+        r = CliRunner().invoke(cli.main, ["landauer", "--scenario", p])
+        assert r.exit_code == 0, r.stderr
+        assert counts["eigh"] + counts["eigvalsh"] + counts["eig"] <= 12
+        assert counts["_evolve_joint"] == 2
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 30.0, 100.0, 400.0])
+    def test_bundled_erasure_at_large_beta(self, tmp_path, beta):
+        payload = {**load_scenario("erasure_bit.json")["payload"], "beta": beta}
+        out = tmp_path / "report.json"
+        p = write_scenario(tmp_path, "landauer", payload)
+        r = CliRunner().invoke(cli.main, ["landauer", "--scenario", p, "--out", str(out)])
+        assert r.exit_code == 0, r.stderr
+        heat = load_report(out)["outputs"]["heat"]
+        numbers = [heat["mgf"], heat["jensen_bound"], *heat["decomposition"].values()]
+        assert all(math.isfinite(v) for v in numbers)
+        assert heat["identity_residual"] <= 1e-9
+        assert heat["partovi"] is True
+
+    def test_joint_dimension_cap(self, tmp_path, monkeypatch):
+        # refused from the shapes alone, before the unitary is built; the
+        # cap itself goes on to build it
+        monkeypatch.setattr(channels, "basis_transposition", reached)
+        cap = cli.MAX_JOINT_DIM
+        runs = {}
+        for d in (33, 32):
+            payload = {
+                "mode": "unconditional",
+                "states": [{"p": 1.0, "state": diag_matrix(*[1.0 / d] * d)}],
+                "target": diag_matrix(1.0, *[0.0] * (d - 1)),
+                "env_hamiltonian": diag_matrix(*range(d)),
+                "beta": 1.0,
+                "unitaries": [{"transpositions": []}],
+                "heat": True,
+            }
+            p = write_scenario(tmp_path, "landauer", payload, name=f"d{d}.json")
+            runs[d] = invoke(["landauer", "--scenario", p])
+        assert 32 * 32 == cap
+        assert runs[33].exit_code == 3
+        assert runs[33].stderr == (
+            "error: invalid scenario: payload.env_hamiltonian: "
+            f"joint dimension 33 x 33 = 1089 exceeds the cap of {cap}\n"
+        )
+        assert isinstance(runs[32].exception, Reached)
+
+
+class TestOneTextPerCell:
+    """A float that reaches both a CSV file and the report is formatted once."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        sizes = []
+        original = cli._float_text
+
+        def counted(cells, *args):
+            sizes.append(np.size(cells))
+            return original(cells, *args)
+
+        monkeypatch.setattr(cli, "_float_text", counted)
+        return sizes
+
+    def test_thermo_check_curves(self, tmp_path, formatted):
+        n = 40
+        gen = rng(16)
+        doc = {
+            "p_in": (lambda w: (w / w.sum()).tolist())(gen.uniform(0.1, 1.0, n)),
+            "p_out": [1.0 / n] * n,
+            "energies": gen.uniform(0.0, 3.0, n).tolist(),
+            "beta": 0.7,
+        }
+        p = write_scenario(tmp_path, "thermo-check", doc)
+        r = CliRunner().invoke(cli.main, ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)])
+        assert r.exit_code in (0, 4), r.stderr
+        # each curve's (n + 1) x 2 points once, then partition_weight and the tolerance
+        assert formatted == [2 * (n + 1), 2 * (n + 1), 1, 1]
+        report = json.loads(r.stdout)
+        for key in ("curve_in", "curve_out"):
+            rows = (tmp_path / f"{key}.csv").read_text().splitlines()[1:]
+            assert [[float(v) for v in row.split(",")] for row in rows] == report["outputs"][key]
+
+    def test_gksl_evolve_final_state(self, tmp_path, formatted):
+        doc = load_scenario("dephasing.json")
+        out = tmp_path / "report.json"
+        p = write_scenario(tmp_path, "gksl-evolve", doc["payload"])
+        r = CliRunner().invoke(cli.main, ["gksl-evolve", "--scenario", p, "--out", str(out)])
+        assert r.exit_code == 0, r.stderr
+        # the trajectory's cells in one call; every later call formats one
+        # report number, none the final state's 2 d^2 cells
+        assert set(formatted[1:]) == {1}
+        last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")[1:]
+        final = load_report(out)["outputs"]["final_state"]
+        assert [float(v) for v in last] == list(np.ravel(final))
+
+    def test_changed_cells_are_formatted_anew(self, tmp_path, monkeypatch):
+        # a handler that changes a curve after its CSV was written: the
+        # report shows the new value, as json.dumps would
+        handler = cli._HANDLERS["thermo-check"]
+
+        def changed(payload, units, tol):
+            outputs, passed, tolerances, csvs = handler(payload, units, tol)
+            outputs["curve_in"][1][0] = 0.125
+            return outputs, passed, tolerances, csvs
+
+        monkeypatch.setitem(cli._HANDLERS, "thermo-check", changed)
+        p = write_scenario(tmp_path, "thermo-check", MINIMAL["thermo-check"])
+        args = ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 0, r.stderr
+        assert json.loads(r.stdout)["outputs"]["curve_in"][1][0] == 0.125
+
+    def test_carried_text_stands_for_its_bytes(self):
+        cells = cli._with_text(np.array([1.0, 2.0]), ["one", "two"])
+        assert cli._report_text({"x": cells}) == '{\n  "x": [\n    one,\n    two\n  ]\n}\n'
+        # a view carries no text of its own
+        assert cli._report_text({"x": cells[1:]}) == '{\n  "x": [\n    2.0\n  ]\n}\n'
+        cells[0] = -0.0
+        assert cli._report_text({"x": cells}) == '{\n  "x": [\n    -0.0,\n    2.0\n  ]\n}\n'
 
 
 class TestGridCaps:

@@ -14,8 +14,10 @@ from helpers import (
     outcome,
     random_block_state,
     random_partition,
+    random_rows,
     random_unitary,
     rng,
+    stochastic_rows_loop,
 )
 
 
@@ -45,6 +47,40 @@ class TestStochasticOp:
         # no states at all is a valid, empty operation
         empty = compops.StochasticOp(0, {})
         assert empty.domain == () and compops.is_reversible(empty)
+
+    KINDS = ("outside", "length", "negative", "sums")
+
+    def test_rows_match_the_per_row_loop(self):
+        # one stacked pass over the entries: the same rows bit for bit, or the
+        # same refusal of the same row, as checking one row at a time
+        gen = rng(40)
+        refused = set()
+        for _ in range(300):
+            n = int(gen.integers(1, 14))
+            rows = random_rows(gen, n)
+            expect = outcome(stochastic_rows_loop, n, rows)
+            got = outcome(compops.StochasticOp, n, rows)
+            if isinstance(expect, tuple):
+                assert got == expect
+                refused.add(next(w for w in self.KINDS if w in expect[1]))
+            else:
+                assert list(got.rows) == list(expect)
+                for i, row in expect.items():
+                    assert got.rows[i].tobytes() == row.tobytes()
+        # every refusal occurs (a NaN is refused as a negative entry)
+        assert refused == set(self.KINDS)
+
+    def test_first_failing_row_decides(self):
+        # a later row's bad index loses to an earlier row's bad sum, and an
+        # earlier row's bad index to a later row's negative entry
+        with pytest.raises(ContractError, match=r"^row 0 sums to (np\.float64\()?0\.9\)?$"):
+            compops.StochasticOp(2, {0: [0.5, 0.4], 7: [1.0, 0.0]})
+        with pytest.raises(ContractError, match=r"^row index 7 outside 0\.\.1$"):
+            compops.StochasticOp(2, {7: [1.0, 0.0], 0: [1.5, -0.5]})
+        with pytest.raises(ShapeError, match=r"^row 1 has length 3, expected 2$"):
+            compops.StochasticOp(2, {0: [1.0, 0.0], 1: [1.0, 0.0, 0.0], 5: [0.5, 0.4]})
+        with pytest.raises(ContractError, match=r"^row 1 has negative entry -5\.000e-01$"):
+            compops.StochasticOp(2, {0: [1.0, 0.0], 1: [1.5, -0.5], 2: [1.0]})
 
     def test_deterministic_builder(self):
         op = compops.deterministic_op(3, [1, 2, 0])
