@@ -13,7 +13,10 @@ failure, a non-finite report number or CSV cell included (no report or CSV
 written).
 
 The report text is that of json.dumps(report, sort_keys=True, indent=2),
-written in one pass by _report_text.
+written in one pass by _report_text. A float array in a report is written
+as the nested list of its cells; an object array is text already formatted,
+its cells written as they are: a table that is both a CSV file and a report
+field is one such array, so each of its floats is formatted once.
 
 Complex matrices are encoded as nested [re, im] pairs, row-major. CSV side
 files use '.' decimals, '\\n' line endings, and a mandatory header row.
@@ -263,31 +266,15 @@ def _float_text(cells: np.ndarray, where=lambda i: ""):
     return map(float.__repr__, cells.ravel().tolist())
 
 
-class _Cells(np.ndarray):
-    """A float array that carries the text of its cells, made by the one
-    _float_text pass that also wrote a CSV file of the same call, so the
-    report formats no cell twice. The text stands for the bytes it was made
-    from: an array changed since, or a view of one, is formatted anew."""
-
-    text = made_from = None
-
-
-def _with_text(a: np.ndarray, text: list) -> _Cells:
-    """a as _Cells, text the float text of its cells in C order."""
-    cells = a.view(_Cells)
-    cells.text, cells.made_from = text, a.tobytes()
-    return cells
-
-
 def _emit_array(a: np.ndarray, newline: str, out: list):
-    """_emit of a float array as a nested list: every cell through one
-    _float_text pass, or the text _Cells carries, then each axis joined from
-    the innermost out."""
+    """_emit of an array as a nested list: the cells of an object array as
+    the text they are, those of a float array through one _float_text pass,
+    then each axis joined from the innermost out."""
     if not a.size:
         _emit(a.tolist(), newline, out)
         return
-    if isinstance(a, _Cells) and a.made_from == a.tobytes():
-        text = a.text
+    if a.dtype == object:
+        text = a.ravel().tolist()
     else:
         text = list(_float_text(
             a, lambda i: "".join(f"[{k}]" for k in np.unravel_index(i, a.shape))
@@ -303,9 +290,9 @@ def _emit_array(a: np.ndarray, newline: str, out: list):
 def _emit(node, newline: str, out: list):
     """Append node's text in the layout of json.dumps(sort_keys=True,
     indent=2) to out; newline is a line break plus the indent of node's
-    level, and its items go two spaces deeper. A float array is written as
-    the nested list of its cells. A non-finite float raises _NonFinite,
-    which names its path."""
+    level, and its items go two spaces deeper. An array is written as the
+    nested list of its cells (_emit_array). A non-finite float raises
+    _NonFinite, which names its path."""
     if isinstance(node, str):
         out.append(encode_basestring_ascii(node))
     elif node is None:
@@ -356,7 +343,7 @@ def _emit(node, newline: str, out: list):
 
 def _report_text(report: dict) -> str:
     """json.dumps(report, sort_keys=True, indent=2) + "\n", written in one
-    pass, float arrays as nested lists; a non-finite float raises a
+    pass, arrays as nested lists; a non-finite float raises a
     NumericHealthError that names its path."""
     out = []
     _emit(report, "\n", out)
@@ -390,16 +377,6 @@ def _csv_table(name: str, header: str, rows) -> str:
     return _csv_text(header, (islice(text, k) for _ in range(cells.size // k)))
 
 
-def _shared_table(name: str, header: str, rows) -> tuple[_Cells, str]:
-    """_csv_table's text, and rows as a report array that carries the same
-    cell texts."""
-    k = header.count(",") + 1
-    cells = np.asarray(rows, dtype=float)
-    text = list(_table_text(name, header, cells))
-    csv = _csv_text(header, (text[i : i + k] for i in range(0, len(text), k)))
-    return _with_text(cells, text), csv
-
-
 @functools.lru_cache(maxsize=8)
 def _trajectory_layout(d: int):
     """The trajectory CSV header for d x d states, then the columns of the
@@ -416,14 +393,9 @@ def _trajectory_layout(d: int):
     return header, *columns
 
 
-def _trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
-    """The _csv_table text of trajectory.csv, rows t, then re, im of every
-    entry of each state in row-major order, byte for byte."""
-    return _csv_text(*_trajectory_cells(times, states))
-
-
 def _trajectory_cells(times: np.ndarray, states: np.ndarray) -> tuple[str, np.ndarray]:
-    """The header of trajectory.csv and the text of its cells, an object array.
+    """The header of trajectory.csv and the text of its cells, an object
+    array: rows t, then re, im of every entry of each state in row-major order.
 
     States are Hermitian, and formatting is the floor of the table, so a
     cell below the diagonal reuses the text of its mirror when that gives
@@ -660,9 +632,11 @@ def _handle_thermo_check(payload, div, tol):
         "partition_weight": curve_in.partition_weight,
     }
     csvs = {}
-    # each curve's (n, 2) points are formatted once, for its CSV and the report
+    # each curve's (n, 2) points are formatted once: the CSV's rows are the report's
     for key, curve in (("curve_in", curve_in), ("curve_out", curve_out)):
-        outputs[key], csvs[f"{key}.csv"] = _shared_table(f"{key}.csv", "x,y", curve.points)
+        name = f"{key}.csv"
+        text = np.array(list(_table_text(name, "x,y", curve.points)), dtype=object).reshape(-1, 2)
+        outputs[key], csvs[name] = text, _csv_text("x,y", text.tolist())
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 
 
@@ -774,8 +748,8 @@ def _handle_gksl_evolve(payload, div, tol):
         passed = check["classical"]
     header, text = _trajectory_cells(times[:n], trajectory)
     # the final state is the trajectory's last row: its text is the CSV's
-    final_state = _encode_complex_matrix(trajectory[-1])
-    outputs["final_state"] = _with_text(final_state, text[-1, 1:].tolist())
+    d = trajectory.shape[1]
+    outputs["final_state"] = text[-1, 1:].reshape(d, d, 2)
     return outputs, passed, tolerances, {"trajectory.csv": _csv_text(header, text.tolist())}
 
 

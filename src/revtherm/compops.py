@@ -216,13 +216,14 @@ def total_variation(p, q) -> float:
 
 def _refused_states(stack: np.ndarray) -> np.ndarray:
     """For each matrix of the stack, in one pass: would
-    qstate.check_density_matrix refuse it (Hermiticity, unit trace, the
-    -EIG_CLIP eigenvalue floor)?"""
+    qstate.check_density_matrix refuse it (Hermiticity, unit trace within
+    TRACE_ATOL, the -EIG_CLIP eigenvalue floor)?"""
     scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
     skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
     off_trace = np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0)
     lowest = np.linalg.eigvalsh(stack).min(axis=1)
-    return ~(skew <= qlinalg.HERMITICITY_RTOL * scale) | (off_trace > 1e-10) | (lowest < -qstate.EIG_CLIP)
+    return (~(skew <= qlinalg.HERMITICITY_RTOL * scale) | (off_trace > qstate.TRACE_ATOL)
+            | (lowest < -qstate.EIG_CLIP))
 
 
 def implements(

@@ -71,9 +71,9 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def is_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(h: np.ndarray) -> bool:
     h = np.asarray(h)
-    return hs_norm(h - h.conj().T) <= rtol * max(1.0, hs_norm(h))
+    return hs_norm(h - h.conj().T) <= HERMITICITY_RTOL * max(1.0, hs_norm(h))
 
 
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -28,6 +28,9 @@ EIG_CLIP = 1e-10
 
 UNITARITY_ATOL = 1e-10
 
+# A density matrix's trace must lie within TRACE_ATOL of 1.
+TRACE_ATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Hamiltonian:
@@ -66,11 +69,11 @@ class ThermoContext:
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    """Validate hermiticity, positivity (>= -1e-10), and unit trace (within 1e-10)."""
+    """Validate hermiticity, positivity (>= -EIG_CLIP), and unit trace (within TRACE_ATOL)."""
     rho = qlinalg.require_hermitian(rho, "density matrix")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise ContractError(f"trace {tr} differs from 1 beyond 1e-10")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ContractError(f"trace {tr} differs from 1 beyond {TRACE_ATOL}")
     w = np.linalg.eigvalsh(rho)
     if w.min() < -EIG_CLIP:
         raise ContractError(f"negative eigenvalue {w.min():.3e} below -{EIG_CLIP}")

@@ -1206,30 +1206,46 @@ class TestOneTextPerCell:
         final = load_report(out)["outputs"]["final_state"]
         assert [float(v) for v in last] == list(np.ravel(final))
 
-    def test_changed_cells_are_formatted_anew(self, tmp_path, monkeypatch):
-        # a handler that changes a curve after its CSV was written: the
-        # report shows the new value, as json.dumps would
-        handler = cli._HANDLERS["thermo-check"]
+    @staticmethod
+    def report_cells(text: str, key: str) -> list:
+        """The cell strings of the report's outputs[key], read as written."""
+        return list(np.ravel(json.loads(text, parse_float=str)["outputs"][key]))
 
-        def changed(payload, units, tol):
-            outputs, passed, tolerances, csvs = handler(payload, units, tol)
-            outputs["curve_in"][1][0] = 0.125
-            return outputs, passed, tolerances, csvs
-
-        monkeypatch.setitem(cli._HANDLERS, "thermo-check", changed)
-        p = write_scenario(tmp_path, "thermo-check", MINIMAL["thermo-check"])
-        args = ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)]
-        r = CliRunner().invoke(cli.main, args)
-        assert r.exit_code == 0, r.stderr
-        assert json.loads(r.stdout)["outputs"]["curve_in"][1][0] == 0.125
-
-    def test_carried_text_stands_for_its_bytes(self):
-        cells = cli._with_text(np.array([1.0, 2.0]), ["one", "two"])
-        assert cli._report_text({"x": cells}) == '{\n  "x": [\n    one,\n    two\n  ]\n}\n'
-        # a view carries no text of its own
-        assert cli._report_text({"x": cells[1:]}) == '{\n  "x": [\n    2.0\n  ]\n}\n'
-        cells[0] = -0.0
-        assert cli._report_text({"x": cells}) == '{\n  "x": [\n    -0.0,\n    2.0\n  ]\n}\n'
+    def test_report_cells_are_csv_cells(self, tmp_path):
+        # byte for byte, signed zeros included: a report cell is its CSV
+        # cell's text, not a second formatting of the same float
+        n = 30
+        gen = rng(17)
+        doc = {
+            "p_in": (lambda w: (w / w.sum()).tolist())(gen.uniform(0.1, 1.0, n)),
+            "p_out": [1.0 / n] * n,
+            "energies": gen.uniform(0.0, 3.0, n).tolist(),
+            "beta": 0.7,
+        }
+        p = write_scenario(tmp_path, "thermo-check", doc)
+        r = CliRunner().invoke(cli.main, ["thermo-check", "--scenario", p, "--csv-dir", str(tmp_path)])
+        assert r.exit_code in (0, 4), r.stderr
+        for key in ("curve_in", "curve_out"):
+            rows = (tmp_path / f"{key}.csv").read_text().splitlines()[1:]
+            cells = [cell for row in rows for cell in row.split(",")]
+            assert self.report_cells(r.stdout, key) == cells
+            assert len(cells) == 2 * (n + 1)
+        # at t = 0 the state's signed zeros reach the final state as they are
+        signed = {
+            "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "state": [[[0.5, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 0.0]]],
+            "times": [0.0],
+        }
+        finals = []
+        for payload in (load_scenario("dephasing.json")["payload"], signed):
+            p = write_scenario(tmp_path, "gksl-evolve", payload)
+            args = ["gksl-evolve", "--scenario", p, "--csv-dir", str(tmp_path)]
+            r = CliRunner().invoke(cli.main, args)
+            assert r.exit_code == 0, r.stderr
+            last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")[1:]
+            assert self.report_cells(r.stdout, "final_state") == last
+            finals.append(last)
+        assert "-0.0" in finals[1] and "0.0" in finals[1]
 
 
 class TestGridCaps:
@@ -1651,7 +1667,11 @@ class TestReportText:
 
     @staticmethod
     def reference(report) -> str:
-        return json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        # a text array reads back through float, whose repr is its text
+        def cells(a):
+            return (a.astype(float) if a.dtype == object else a).tolist()
+
+        return json.dumps(report, sort_keys=True, indent=2, default=cells) + "\n"
 
     def test_matches_json_dumps_on_every_scenario_report(self, tmp_path, monkeypatch):
         reports = []
@@ -1731,6 +1751,10 @@ class TestTrajectoryCsv:
     """The trajectory writer gives the bytes of repr on every cell."""
 
     @staticmethod
+    def csv(times, states) -> str:
+        return cli._csv_text(*cli._trajectory_cells(times, states))
+
+    @staticmethod
     def reference(times, states) -> str:
         n, d = states.shape[:2]
         names = [str(i).zfill(len(str(d - 1))) for i in range(d)]
@@ -1761,7 +1785,7 @@ class TestTrajectoryCsv:
         for _ in range(5):
             states = self.hermitian_stack(gen, n, d)
             times = np.sort(gen.choice([0.0, 1e-300, 0.5, 3.0, 1e16], size=n))
-            assert cli._trajectory_csv(times, states) == self.reference(times, states)
+            assert self.csv(times, states) == self.reference(times, states)
 
     def test_signed_zero_pairs(self):
         # every pairing of +0.0 and -0.0 across the diagonal, in re and im
@@ -1771,7 +1795,7 @@ class TestTrajectoryCsv:
             [[[0.5, u], [v, 0.5]] for u in cells for v in cells], dtype=complex
         )
         times = np.arange(len(states), dtype=float)
-        assert cli._trajectory_csv(times, states) == self.reference(times, states)
+        assert self.csv(times, states) == self.reference(times, states)
 
     def test_non_hermitian_stack_formats_every_cell(self):
         # no cell below the diagonal matches its mirror, so each one takes
@@ -1779,7 +1803,7 @@ class TestTrajectoryCsv:
         gen = rng(31)
         states = gen.normal(size=(6, 5, 5)) + 1j * gen.normal(size=(6, 5, 5))
         times = np.linspace(0.0, 2.0, 6)
-        assert cli._trajectory_csv(times, states) == self.reference(times, states)
+        assert self.csv(times, states) == self.reference(times, states)
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -1799,30 +1823,30 @@ class TestTrajectoryCsv:
         for at, value in cells:
             states[at] = value
         with pytest.raises(cli.NumericHealthError) as info:
-            cli._trajectory_csv(np.linspace(0.0, 2.0, 6), states)
+            self.csv(np.linspace(0.0, 2.0, 6), states)
         assert str(info.value) == "trajectory.csv " + message
 
     def test_list_of_integer_times(self):
         states = self.hermitian_stack(rng(32), 3, 3)
-        assert cli._trajectory_csv([0, 2, 5], states) == self.reference([0.0, 2.0, 5.0], states)
+        assert self.csv([0, 2, 5], states) == self.reference([0.0, 2.0, 5.0], states)
 
     def test_header_names_are_distinct(self):
         # both indices are padded to the width of d - 1, so (1, 11) and
         # (11, 1) no longer both read re_111
         state = np.eye(12, dtype=complex)[None] / 12
-        header = cli._trajectory_csv([0.0], state).splitlines()[0].split(",")
+        header = self.csv([0.0], state).splitlines()[0].split(",")
         assert len(header) == 1 + 2 * 144 == len(set(header))
         assert header[:3] == ["t", "re_0000", "im_0000"]
         assert {"re_0111", "re_1101"} <= set(header)
         # up to d = 10 each index keeps one digit
-        header = cli._trajectory_csv([0.0], np.eye(10, dtype=complex)[None] / 10).splitlines()[0]
+        header = self.csv([0.0], np.eye(10, dtype=complex)[None] / 10).splitlines()[0]
         assert header.endswith(",re_98,im_98,re_99,im_99")
 
 
 class TestNonFiniteOutput:
     """A non-finite output exits 5, names its field, and writes no file."""
 
-    MESSAGE = "error: numeric health: outputs.curve_in[1][0] is not finite (nan)\n"
+    MESSAGE = "error: numeric health: outputs.partition_weight is not finite (nan)\n"
 
     @pytest.fixture
     def poisoned(self, monkeypatch, tmp_path):
@@ -1830,7 +1854,7 @@ class TestNonFiniteOutput:
 
         def poisoned_handler(payload, units, tol):
             outputs, passed, tolerances, csvs = handler(payload, units, tol)
-            outputs["curve_in"][1][0] = math.nan
+            outputs["partition_weight"] = math.nan
             return outputs, passed, tolerances, csvs
 
         monkeypatch.setitem(cli._HANDLERS, "thermo-check", poisoned_handler)

@@ -126,6 +126,15 @@ class TestEntropies:
         with pytest.raises(ContractError):
             qstate.check_density_matrix(np.diag([1.5, -0.5]))
 
+    def test_trace_gate_is_shared(self):
+        # check_density_matrix and compops' stacked check refuse at one gate
+        over, under = 1.0 + 3 * qstate.TRACE_ATOL, 1.0 + qstate.TRACE_ATOL / 3
+        stack = np.array([np.diag([over, 0.0]), np.diag([under, 0.0])], dtype=complex)
+        assert compops._refused_states(stack).tolist() == [True, False]
+        qstate.check_density_matrix(stack[1])
+        with pytest.raises(ContractError, match=r"differs from 1 beyond 1e-10$"):
+            qstate.check_density_matrix(stack[0])
+
 
 class TestRelativeEntropy:
     def test_self_is_zero(self):
