@@ -13,7 +13,6 @@ terms. Entropies in nats, k_B = 1, so bounds carry units of temperature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -274,29 +273,10 @@ def _unconditional_bound(scenario: ResetScenario, s_target: float, s_states: lis
     return -scenario.env_ctx.temperature * (avg_delta_s - qstate.shannon_entropy(p))
 
 
-class _Bath(NamedTuple):
-    """The Gibbs state tau of H_E, the weights q of its levels, their
-    eigenvectors v and ln q, all from one eigendecomposition of H_E."""
-
-    tau: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    log_q: np.ndarray
-
-
-def _gibbs_bath(env_ctx: qstate.ThermoContext) -> _Bath:
-    """The _Bath of env_ctx. ln q = -beta (E - E_0) - ln Z' is finite on a
-    level whose weight underflowed to 0, so ln tau exists at every beta."""
-    w, q, v, _ = qstate._gibbs_spectrum(env_ctx)
-    shifted = -env_ctx.beta * (w - w[0])
-    return _Bath((v * q) @ v.conj().T, q, v, shifted - np.log(np.exp(shifted).sum()))
-
-
-def _reset(scenario: ResetScenario, bath: _Bath) -> tuple[dict, list]:
+def _reset(scenario: ResetScenario, tau_e: np.ndarray) -> tuple[dict, list]:
     """simulate_reset's report and the joint final state of each input, the
-    environment starting in bath.tau."""
+    environment starting in tau_e."""
     env_ctx = scenario.env_ctx
-    tau_e = bath.tau
     h_e = env_ctx.hamiltonian.matrix
     d_s, d_e = scenario.d_s, env_ctx.hamiltonian.dim
     e_env_in = float(np.real(np.trace(tau_e @ h_e)))
@@ -342,7 +322,7 @@ def simulate_reset(scenario: ResetScenario) -> dict:
     conditional mode all joint final states must coincide: a conditional
     protocol must leave no record of which state it erased.
     """
-    return _reset(scenario, _gibbs_bath(scenario.env_ctx))[0]
+    return _reset(scenario, qstate.gibbs_state(scenario.env_ctx))[0]
 
 
 def reset_heat(scenario: ResetScenario) -> tuple[dict, dict]:
@@ -359,13 +339,14 @@ def reset_heat(scenario: ResetScenario) -> tuple[dict, dict]:
     """
     if len(scenario.unitaries) != 1:
         raise ContractError("heat analysis needs a single shared unitary")
-    bath = _gibbs_bath(scenario.env_ctx)
-    report, joints = _reset(scenario, bath)
+    gibbs = qstate._gibbs_spectrum(scenario.env_ctx)
+    tau_e = gibbs.tau
+    report, joints = _reset(scenario, tau_e)
     p = scenario.probabilities
     rho_s = sum(pl * rho for pl, (_, rho) in zip(p, scenario.states))
     joint = sum(pl * j for pl, j in zip(p, joints))
     dims = (scenario.d_s, scenario.env_ctx.hamiltonian.dim)
-    decomposition = _heat_split(joint, rho_s, dims, bath)
+    decomposition = _heat_split(joint, rho_s, dims, gibbs)
     u = scenario.unitaries[0]
     # sum N N+ over extract_env_kraus's set, in closed form; the division by
     # the rounded Tr tau keeps a unital environment channel at exactly 1
@@ -373,18 +354,19 @@ def reset_heat(scenario: ResetScenario) -> tuple[dict, dict]:
         u @ qlinalg.tensor(rho_s, np.eye(dims[1])) @ u.conj().T, dims, keep=1
     )
     heat = {
-        "mgf": _mgf(complex(np.sum(n_sum * bath.tau.T) / np.trace(bath.tau))),
+        "mgf": _mgf(complex(np.sum(n_sum * tau_e.T) / np.trace(tau_e))),
         "decomposition": decomposition,
         "partovi": bool(-decomposition["rel_entropy_env"] <= BOUND_TOL),
     }
     return report, heat
 
 
-def _heat_split(joint: np.ndarray, rho_s: np.ndarray, dims: tuple, bath: _Bath) -> dict:
-    """heat_decomposition's four terms from the joint state U (rho_s x tau) U+.
+def _heat_split(joint: np.ndarray, rho_s: np.ndarray, dims: tuple, gibbs: qstate._Gibbs) -> dict:
+    """heat_decomposition's four terms from the joint state U (rho_s x tau) U+,
+    tau and ln tau read from gibbs, the record of qstate._gibbs_spectrum.
     U is unitary, so S(joint) = S(rho_s) + S(tau)."""
-    tau_e, q, v, log_q = bath
-    log_tau = (v * log_q) @ v.conj().T
+    tau_e = gibbs.tau
+    log_tau = (gibbs.v * gibbs.log_p) @ gibbs.v.conj().T
     rho_s_out = qlinalg.partial_trace(joint, dims, keep=0)
     rho_e_out = qlinalg.partial_trace(joint, dims, keep=1)
     s_in = qstate.von_neumann_entropy(rho_s)
@@ -392,7 +374,7 @@ def _heat_split(joint: np.ndarray, rho_s: np.ndarray, dims: tuple, bath: _Bath) 
     s_e_out = qstate.von_neumann_entropy(rho_e_out)
     return {
         "delta_s_system": s_in - s_s_out,
-        "mutual_info": s_s_out + s_e_out - (s_in - float(np.dot(q, log_q))),
+        "mutual_info": s_s_out + s_e_out - (s_in - float(np.dot(gibbs.p, gibbs.log_p))),
         "rel_entropy_env": -s_e_out - float(np.real(np.trace(rho_e_out @ log_tau))),
         "beta_q": float(np.real(np.trace((rho_e_out - tau_e) @ log_tau))),
     }

@@ -162,8 +162,8 @@ def entropy_decompose(ctx: QuantumContext) -> tuple[float, float, float]:
     diagonal states S_nc reduces to the classical conditional entropy.
 
     The spectra of the occupied blocks (mass above MASS_TOL) come from one
-    stacked eigh per block size; they are clipped and summed block by
-    block, in block order, as von_neumann_entropy would.
+    stacked eigh per block size; each block's entropy is qstate._entropy of
+    its spectrum, summed in block order.
     """
     p = computational_distribution(ctx)
     s_total = qstate.von_neumann_entropy(ctx.state)
@@ -173,9 +173,7 @@ def entropy_decompose(ctx: QuantumContext) -> tuple[float, float, float]:
         spectra.update(zip(cs, np.linalg.eigh(stack)[0]))
     s_nc = 0.0
     for c in sorted(spectra):
-        w = qstate._clip(spectra[c])
-        nz = w[w > 0.0]
-        s_nc += p[c] * float(-np.sum(nz * np.log(nz)))
+        s_nc += p[c] * qstate._entropy(spectra[c])
     return s_total, h_c, float(s_nc)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import compmodel, qlinalg, qstate
+from . import compmodel, qstate
 from .errors import ContractError, ShapeError
 
 __all__ = [
@@ -214,18 +214,6 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _refused_states(stack: np.ndarray) -> np.ndarray:
-    """For each matrix of the stack, in one pass: would
-    qstate.check_density_matrix refuse it (Hermiticity, unit trace within
-    TRACE_ATOL, the -EIG_CLIP eigenvalue floor)?"""
-    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-    skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
-    off_trace = np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0)
-    lowest = np.linalg.eigvalsh(stack).min(axis=1)
-    return (~(skew <= qlinalg.HERMITICITY_RTOL * scale) | (off_trace > qstate.TRACE_ATOL)
-            | (lowest < -qstate.EIG_CLIP))
-
-
 def implements(
     u,
     p_in: compmodel.BasisPartition,
@@ -261,7 +249,7 @@ def implements(
     masses = compmodel.block_masses(ctx.state, p_in)
     blocks = {}
     for cs, stack in compmodel._occupied_stacks(ctx.state, p_in, masses, SUPPORT_TOL):
-        blocks.update(zip(cs, zip(stack, _refused_states(stack))))
+        blocks.update(zip(cs, zip(stack, qstate._refused_states(stack))))
     flows = None
     for i in sorted(blocks):
         if i not in op.rows:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,17 @@ def check_density_matrix(rho) -> np.ndarray:
     return rho
 
 
+def _refused_states(stack: np.ndarray) -> np.ndarray:
+    """For each matrix of the stack, in one pass: would check_density_matrix
+    refuse it (Hermiticity, unit trace, the -EIG_CLIP eigenvalue floor)?"""
+    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    off_trace = np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0)
+    lowest = np.linalg.eigvalsh(stack).min(axis=1)
+    return (~(skew <= qlinalg.HERMITICITY_RTOL * scale) | (off_trace > TRACE_ATOL)
+            | (lowest < -EIG_CLIP))
+
+
 def require_state(rho, d: int, what: str = "state") -> np.ndarray:
     """A d x d density matrix (ShapeError on the shape, else check_density_matrix)."""
     return check_density_matrix(qlinalg.as_square(rho, d, what))
@@ -120,26 +132,45 @@ def _clipped_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _clip(w), v
 
 
-def _gibbs_spectrum(ctx: ThermoContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Energies w (ascending), the Gibbs eigenvalues p of those levels, their
-    eigenvectors v and ln Z from one eig_hermitian(H), the ground energy
-    factored out. A weight below the smallest normal float keeps only a few
-    significant bits, so it becomes 0, the kernel."""
+class _Gibbs(NamedTuple):
+    """A Gibbs state: energies w (ascending), the weights p and eigenvectors v
+    of those levels, ln Z and ln p, which is -beta (E - E_0) - ln(Z e^(beta E_0))
+    where p underflowed to 0 (tau's kernel), so finite wherever beta (E - E_0) is."""
+
+    w: np.ndarray
+    p: np.ndarray
+    v: np.ndarray
+    log_z: float
+    log_p: np.ndarray
+
+    @property
+    def tau(self) -> np.ndarray:
+        return (self.v * self.p) @ self.v.conj().T
+
+
+def _gibbs_spectrum(ctx: ThermoContext) -> _Gibbs:
+    """The _Gibbs of ctx from one eig_hermitian(H), the ground energy factored
+    out: the one place a Gibbs weight or its logarithm is made. A weight below
+    the smallest normal float keeps only a few significant bits, so it is 0."""
     w, v = qlinalg.eig_hermitian(ctx.hamiltonian.matrix)
-    weights = np.exp(-ctx.beta * (w - w.min()))
-    weights[weights < np.finfo(float).tiny] = 0.0
-    return w, weights / weights.sum(), v, float(np.log(weights.sum()) - ctx.beta * w.min())
+    # beta (E - E_0) past the float range gives ln p = -inf; log 0 is not selected
+    with np.errstate(over="ignore", divide="ignore"):
+        shifted = -ctx.beta * (w - w.min())
+        weights = np.exp(shifted)
+        weights[weights < np.finfo(float).tiny] = 0.0
+        log_zs, p = np.log(weights.sum()), weights / weights.sum()
+        log_p = np.where(p > 0.0, np.log(p), shifted - log_zs)
+    return _Gibbs(w, p, v, float(log_zs - ctx.beta * w.min()), log_p)
 
 
 def gibbs_state(ctx: ThermoContext) -> np.ndarray:
     """Thermal state e^{-beta H} / Tr e^{-beta H}; beta = 0 gives I/d."""
-    _, p, v, _ = _gibbs_spectrum(ctx)
-    return (v * p) @ v.conj().T
+    return _gibbs_spectrum(ctx).tau
 
 
 def log_partition_function(ctx: ThermoContext) -> float:
     """ln Tr e^{-beta H}, evaluated with the ground energy factored out."""
-    return require_finite(_gibbs_spectrum(ctx)[3], "ln Z")
+    return require_finite(_gibbs_spectrum(ctx).log_z, "ln Z")
 
 
 def evolve_unitary(rho, u) -> np.ndarray:
@@ -149,18 +180,20 @@ def evolve_unitary(rho, u) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
+def _entropy(w: np.ndarray) -> float:
+    """-sum w ln w in nats of a spectrum clipped by _clip, with 0 ln 0 = 0."""
+    nz = w[_clip(w) > 0.0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
 def shannon_entropy(p) -> float:
     """-sum p ln p in nats, with 0 ln 0 = 0."""
-    p = require_distribution(np.ravel(p), "probabilities")
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return _entropy(require_distribution(np.ravel(p), "probabilities"))
 
 
 def von_neumann_entropy(rho) -> float:
     """Shannon entropy of the eigenvalue spectrum, in nats."""
-    w, _ = _clipped_spectrum(qlinalg.as_square(rho, None, "state"))
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return _entropy(np.linalg.eigh(qlinalg.as_square(rho, None, "state"))[0])
 
 
 # Support floor of a spectrum measured by eigh: eigenvalues at or below
@@ -308,19 +341,18 @@ def _gibbs_rre_grid(states, ctx: ThermoContext, alphas) -> tuple[float, np.ndarr
     c and its spread scaled to at most [-1, 1] by s (never scaled up, as the
     commutation gate is absolute below ||H|| ~ 1), is normal with eigenvalues
     p_k + i(E_k - c)/s. Sorted by imaginary part they pair each eigenvalue of
-    rho with the Gibbs weight q_k of its level, degenerate levels included,
-    and no eigenvector is taken.
+    rho with the Gibbs weight of its level, degenerate levels included, and
+    no eigenvector is taken. The weights enter as ln p of _gibbs_spectrum,
+    -inf only where beta (E - E_0) itself overflows.
     """
-    w, q, _, log_z = _gibbs_spectrum(ctx)
+    w = (gibbs := _gibbs_spectrum(ctx)).w
     centre, spread = (w[-1] + w[0]) / 2.0, max((w[-1] - w[0]) / 2.0, 1.0)
     levels = 1j * (ctx.hamiltonian.matrix - centre * np.eye(w.size)) / spread
     lam = np.linalg.eigvals(np.stack(states) + levels)
     paired = np.take_along_axis(lam.real, np.argsort(lam.imag, axis=1, kind="stable"), axis=1)
     p = np.array([_clip(row) for row in paired])
     alphas = np.array([_require_alpha(a) for a in alphas], dtype=float)
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)  # -inf on the kernel
-    return log_z, _classical_rre_grid(p, log_q, alphas)
+    return gibbs.log_z, _classical_rre_grid(p, gibbs.log_p, alphas)
 
 
 def _classical_rre_grid(p: np.ndarray, log_q: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -373,8 +405,8 @@ def alpha_free_energy(rho, ctx: ThermoContext, alpha: float) -> float:
         log_z, d = _gibbs_rre_grid((rho,), ctx, (alpha,))
         d = float(d[0, 0])
     else:
-        _, p, v, log_z = _gibbs_spectrum(ctx)
-        d = _alpha_rre(rho, _clipped_spectrum(rho), (p, v), alpha)
+        gibbs = _gibbs_spectrum(ctx)
+        log_z, d = gibbs.log_z, _alpha_rre(rho, _clipped_spectrum(rho), (gibbs.p, gibbs.v), alpha)
     return require_finite(-t * log_z + t * d, f"alpha free energy at alpha = {alpha!r}")
 
 

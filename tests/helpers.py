@@ -44,18 +44,22 @@ def unvec(v) -> np.ndarray:
 
 
 def decimal_renyi(p, log_q, alpha: float) -> float:
-    """ln(sum_k p_k^alpha q_k^(1 - alpha) / sum_k p_k) / (alpha - 1) for alpha > 0,
-    in 50-digit decimal arithmetic: a reference near alpha = 1, where a float
-    log-sum loses its digits to the factor 1/(alpha - 1)."""
+    """sgn(alpha) ln(sum_k p_k^alpha q_k^(1 - alpha) / sum_k p_k) / (alpha - 1)
+    in 50-digit decimal arithmetic, the sum taken about its largest term so
+    that no exponent leaves the decimal range: a reference near alpha = 1,
+    where a float log-sum loses its digits to the factor 1/(alpha - 1), and
+    at orders as large as 1e300."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         a = decimal.Decimal(alpha)
-        terms = [
-            (a * decimal.Decimal(pk).ln() + (1 - a) * decimal.Decimal(lq)).exp()
+        logs = [
+            a * decimal.Decimal(pk).ln() + (1 - a) * decimal.Decimal(lq)
             for pk, lq in zip(np.ravel(p).tolist(), np.ravel(log_q).tolist())
         ]
+        top = max(logs)
+        log_sum = top + sum((t - top).exp() for t in logs).ln()
         total = sum(decimal.Decimal(pk) for pk in np.ravel(p).tolist())
-        return float((sum(terms) / total).ln() / (a - 1))
+        return float((log_sum - total.ln()) / (a - 1) * (1 if alpha > 0 else -1))
 
 
 def random_distribution(gen, n: int) -> np.ndarray:

@@ -512,6 +512,34 @@ class TestExitCodes:
         assert len(second_laws["margins"]) == len(resource.DEFAULT_ALPHA_GRID)
         assert all(math.isfinite(m) for m in second_laws["margins"].values())
 
+    @pytest.mark.parametrize("beta,code", [(1.0, 0), (1e308, 5)])
+    def test_gibbs_level_past_the_underflow(self, tmp_path, beta, code):
+        # tau's upper weight e^-800 underflows to 0, yet ln tau keeps the level:
+        # every margin is finite and the alpha = 1 one is the Helmholtz margin.
+        # At beta = 1e308, beta * 800 itself overflows and the level is tau's
+        # kernel, where both states have mass: D_1 is +inf twice, refused
+        payload = {
+            **MINIMAL["cto-check"],
+            "rho_in": diag_matrix(0.9, 0.1),
+            "rho_out": diag_matrix(0.95, 0.05),
+            "hamiltonian": diag_matrix(0.0, 800.0),
+            "beta": beta,
+        }
+        del payload["alphas"]
+        r = invoke(["cto-check", "--scenario", write_scenario(tmp_path, "cto-check", payload)])
+        assert r.exit_code == code, r.stderr
+        if code == 5:
+            assert r.stderr == (
+                "error: numeric health: second-laws margin at alpha = 1.0 is not finite (nan)\n"
+            )
+            return
+        outputs = json.loads(r.stdout)["outputs"]
+        margins = outputs["second_laws"]["margins"]
+        assert outputs["second_laws"]["pass"] is True
+        assert len(margins) == len(resource.DEFAULT_ALPHA_GRID)
+        assert all(math.isfinite(m) for m in margins.values())
+        assert abs(margins["1.0"] - outputs["margin"]) <= 1e-12 * abs(outputs["margin"])
+
     def test_tiny_gibbs_level_at_alpha_minus_2_is_0(self, tmp_path):
         # tau's upper level is e^-699 ~ 2.7e-304: at alpha = -2 the margin
         # comes from the log-space sum, where a sandwiched core would overflow

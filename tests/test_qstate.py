@@ -127,10 +127,10 @@ class TestEntropies:
             qstate.check_density_matrix(np.diag([1.5, -0.5]))
 
     def test_trace_gate_is_shared(self):
-        # check_density_matrix and compops' stacked check refuse at one gate
+        # check_density_matrix and its stacked screen refuse at one gate
         over, under = 1.0 + 3 * qstate.TRACE_ATOL, 1.0 + qstate.TRACE_ATOL / 3
         stack = np.array([np.diag([over, 0.0]), np.diag([under, 0.0])], dtype=complex)
-        assert compops._refused_states(stack).tolist() == [True, False]
+        assert qstate._refused_states(stack).tolist() == [True, False]
         qstate.check_density_matrix(stack[1])
         with pytest.raises(ContractError, match=r"differs from 1 beyond 1e-10$"):
             qstate.check_density_matrix(stack[0])
@@ -342,15 +342,21 @@ SKEW = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 50.0, -2.0, 1e300])
 @pytest.mark.parametrize("rho", [np.diag([0.6, 0.4]), SKEW], ids=["diagonal", "non-diagonal"])
 def test_small_gibbs_level_is_finite_or_refused(level, alpha, rho):
-    # finite wherever rho's weight on the level can be taken; a kernel level
-    # (alpha > 1 or < 0) and, off the diagonal, a sandwiched core past the
-    # float range (alpha = -2 against 1e-304) are refused, and no LinAlgError
-    # escapes. The diagonal rho commutes with H and takes the log-space pairs.
+    # finite wherever rho's weight on the level can be taken, and no
+    # LinAlgError escapes. The diagonal rho commutes with H and takes the
+    # log-space pairs, where the subnormal level keeps ln q = -720 - ln Z'.
+    # Off the diagonal that level is tau's kernel (refused at alpha > 1 or
+    # < 0), and a sandwiched core past the float range (alpha = -2 against
+    # 1e-304) is refused.
     ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, SMALL_LEVEL_GAPS[level]])), 1.0)
     tiny_at_minus_2 = level == "1e-304" and alpha == -2.0
-    if (level == "subnormal" and alpha != 0.5) or (tiny_at_minus_2 and rho is SKEW):
+    if rho is SKEW and ((level == "subnormal" and alpha != 0.5) or tiny_at_minus_2):
         with pytest.raises(NumericHealthError):
             qstate.alpha_free_energy(rho, ctx, alpha)
+    elif level == "subnormal" and rho is not SKEW:
+        # ln Z = ln(1 + e^-720) is 0 in floats, so F_alpha = D_alpha(rho || tau)
+        expect = decimal_renyi([0.6, 0.4], [0.0, -720.0], alpha)
+        assert abs(qstate.alpha_free_energy(rho, ctx, alpha) - expect) <= 1e-12 * abs(expect)
     elif tiny_at_minus_2:
         # ln(0.6^-2 + 0.4^-2 q_1^3) / 3, as the second-laws margin against tau
         assert abs(qstate.alpha_free_energy(rho, ctx, alpha) - 0.3405504158439938) <= 1e-12

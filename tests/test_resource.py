@@ -310,13 +310,35 @@ class TestSecondLaws:
             resource.second_laws_check(rho, tau, self.CTX)
 
     def test_non_finite_margin_is_refused(self):
-        # the Gibbs weight e^-800 underflows to 0, the kernel, so both free
-        # energies read +inf, and inf - inf is nan
+        # rho's own kernel makes D_alpha(rho || tau) +inf at -1 < alpha < 0, so
+        # both free energies read +inf, and inf - inf is nan
         ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1.0)
-        rho = np.diag([0.5, 0.5])
+        rho = np.diag([1.0, 0.0])
         with pytest.raises(NumericHealthError) as info:
-            resource.second_laws_check(rho, rho, ctx, (2.0,))
-        assert str(info.value) == "second-laws margin at alpha = 2.0 is not finite (nan)"
+            resource.second_laws_check(rho, rho, ctx, (2.0, -0.5))
+        assert str(info.value) == "second-laws margin at alpha = -0.5 is not finite (nan)"
+
+    def test_overflowing_gibbs_exponent_is_the_kernel(self):
+        # beta (E - E_0) = 8e310 overflows, so ln tau is -inf on the upper
+        # level: both states have mass there, and both D_1 are +inf
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1e308)
+        with pytest.raises(NumericHealthError) as info:
+            resource.second_laws_check(np.diag([0.9, 0.1]), np.diag([0.95, 0.05]), ctx)
+        assert str(info.value) == "second-laws margin at alpha = 1.0 is not finite (nan)"
+
+    def test_underflowed_gibbs_weight_gives_finite_margins(self):
+        # e^-800 underflows to 0 in tau, but ln tau keeps -800 - ln Z' there:
+        # every margin is the decimal one, and at alpha = 1 the Helmholtz one
+        ctx = qstate.ThermoContext(qstate.Hamiltonian(np.diag([0.0, 800.0])), 1.0)
+        p_in, p_out, log_q = [0.9, 0.1], [0.95, 0.05], [0.0, -800.0]
+        ok, margins = resource.second_laws_check(np.diag(p_in), np.diag(p_out), ctx)
+        assert ok
+        helmholtz = resource.cto_feasible_general(np.diag(p_in), np.diag(p_out), ctx, 0.0).margin
+        assert abs(margins[1.0] - helmholtz) <= 1e-12 * abs(helmholtz)
+        for a, m in margins.items():
+            rre = _classical_rre if a == 1.0 else decimal_renyi
+            expect = rre(p_in, log_q, a) - rre(p_out, log_q, a)
+            assert abs(m - expect) <= 1e-12 * abs(expect), a
 
     def test_custom_grid(self):
         tau = qstate.gibbs_state(self.CTX)
