@@ -6,7 +6,8 @@ inputs: keys are sorted, floats use their shortest round-trip form, no
 timestamps or absolute paths are embedded, and the input file is echoed
 only as a content hash.
 
-Exit codes: 0 success; 1 scenario file unreadable; 2 malformed JSON;
+Exit codes: 0 success; 1 scenario file unreadable, or an output not
+writable, two outputs at one path included; 2 malformed JSON;
 3 schema or contract violation (field path in the message); 4 a
 feasibility or bound check failed, report still emitted; 5 numeric health
 failure, a non-finite report number or CSV cell included (no report or CSV
@@ -18,8 +19,13 @@ as the nested list of its cells; an object array is text already formatted,
 its cells written as they are: a table that is both a CSV file and a report
 field is one such array, so each of its floats is formatted once.
 
-Complex matrices are encoded as nested [re, im] pairs, row-major. CSV side
-files use '.' decimals, '\\n' line endings, and a mandatory header row.
+Complex matrices are encoded as nested [re, im] pairs, row-major. Every CSV
+side file has one layout, _csv_text's: a mandatory header row, then one line
+per data row of its cells' text joined by ',', '.' decimals and '\\n' line
+endings. A float table's cells reach it as text from one _float_text pass:
+the sweep's grouped into rows by _table_rows, the curves' and the
+trajectory's as the rows of the text arrays their reports share.
+
 With --units bits, entropic output fields (entropies and beta-weighted
 heat terms) are divided by ln 2; plain energies and free energies are
 never rescaled, and all internal computation stays in nats.
@@ -35,7 +41,7 @@ import math
 import os
 import sys
 import warnings
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -51,9 +57,10 @@ _UNITS = {"nats": 1.0, "bits": LN2}  # --units: the divisor of entropic outputs
 # Cap on the cells of a CSV side file whose rows are a grid's points, the
 # trajectory's (1 + 2 d^2 columns) and the sweep's (4): the point count is
 # refused above it before the grid is built. At the cap a call took
-# 0.6-1.5 s and 100-160 MB of peak memory from decode to write:
-# gksl-evolve at d = 2 (111,111 points), 8 and 16 (march route), and
-# adiabatic-sweep (250,000 points); x86-64, one BLAS thread.
+# 0.8-1.3 s from decode to write (median of 3 in-process calls) and 74-127 MB
+# of tracemalloc peak: gksl-evolve at d = 2 (111,111 points, even grid), 8
+# (7,751) and 16 (1,949; both march route), and adiabatic-sweep (250,000
+# points); x86-64, one BLAS thread.
 MAX_CSV_CELLS = 1_000_000
 
 # Cap on gksl-asymptotic's dimension d, refused before the d^2 x d^2
@@ -356,25 +363,20 @@ def _csv_cell(name: str, header: str, row: int, column: int) -> str:
 
 
 def _csv_text(header: str, rows) -> str:
-    """The text of a CSV file: the header, then each row's cell texts."""
+    """The text of a CSV file, laid out by the one rule of every CSV side
+    file: the header, then each row's cell texts joined by ',', each line
+    ended by '\\n'."""
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def _table_text(name: str, header: str, cells: np.ndarray):
-    """_float_text of a float table's cells, a non-finite one named by its
-    data row and column of CSV file name."""
+def _table_rows(name: str, header: str, cells: np.ndarray):
+    """The rows of a float table's cell texts, each a tuple of header's
+    column count: one _float_text pass over the cells in C order, grouped
+    into rows by zip. A non-finite cell raises _NonFinite, named by its data
+    row and column of CSV file name, before any text is made."""
     k = header.count(",") + 1
-    return _float_text(cells, lambda i: _csv_cell(name, header, *divmod(i, k)))
-
-
-def _csv_table(name: str, header: str, rows) -> str:
-    """The text of CSV file name: header, then the float table rows; a
-    non-finite cell raises _NonFinite naming its data row and column. Each
-    cell's text lives only until its row is joined."""
-    k = header.count(",") + 1
-    cells = np.asarray(rows, dtype=float)
-    text = _table_text(name, header, cells)
-    return _csv_text(header, (islice(text, k) for _ in range(cells.size // k)))
+    text = _float_text(cells, lambda i: _csv_cell(name, header, *divmod(i, k)))
+    return zip(*[text] * k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -556,7 +558,7 @@ def _handle_landauer(payload, div, tol):
     from . import channels, qstate
     mode = _get(payload, "mode", "payload", _string)
     if mode not in ("conditional", "unconditional"):
-        raise SchemaViolation("payload.mode", f"unknown mode {mode!r}")
+        raise SchemaViolation("payload.mode", f"unknown mode {str.__repr__(mode)}")
     states = _get(payload, "states", "payload", _array_of(_weighted_state, "states"))
     target = _get(payload, "target", "payload", _matrix)
     h_e = _get(payload, "env_hamiltonian", "payload", _matrix)
@@ -622,7 +624,9 @@ def _handle_thermo_check(payload, div, tol):
     beta = _get(payload, "beta", "payload", _number)
     convention = _get(payload, "convention", "payload", _string, "paper")
     if convention not in ("paper", "standard"):
-        raise SchemaViolation("payload.convention", f"unknown convention {convention!r}")
+        raise SchemaViolation(
+            "payload.convention", f"unknown convention {str.__repr__(convention)}"
+        )
     curve_in = resource.thermomaj_curve(p_in, energies, beta, convention)
     curve_out = resource.thermomaj_curve(p_out, energies, beta, convention)
     feasible = curve_in.majorizes(curve_out)
@@ -635,7 +639,7 @@ def _handle_thermo_check(payload, div, tol):
     # each curve's (n, 2) points are formatted once: the CSV's rows are the report's
     for key, curve in (("curve_in", curve_in), ("curve_out", curve_out)):
         name = f"{key}.csv"
-        text = np.array(list(_table_text(name, "x,y", curve.points)), dtype=object).reshape(-1, 2)
+        text = np.array(list(_table_rows(name, "x,y", curve.points)), dtype=object)
         outputs[key], csvs[name] = text, _csv_text("x,y", text.tolist())
     return outputs, feasible, {"feasibility": resource.FEASIBILITY_TOL}, csvs
 
@@ -819,7 +823,8 @@ def _handle_adiabatic_sweep(payload, div, tol):
     tolerances = {"optimum_identity": 1e-12, "grid_floor": 1e-9}
     closed_form_ok = abs(at_opt - floor) <= tolerances["optimum_identity"] * max(1.0, floor)
     passed = bool(closed_form_ok and grid_min >= floor - tolerances["grid_floor"])
-    csvs = {"sweep.csv": _csv_table("sweep.csv", "t_tr,e_sw,e_lk,e_diss", table)}
+    header = "t_tr,e_sw,e_lk,e_diss"
+    csvs = {"sweep.csv": _csv_text(header, _table_rows("sweep.csv", header, table))}
     return outputs, passed, tolerances, csvs
 
 
@@ -861,7 +866,7 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
         return 2
     try:
         if units not in _UNITS:
-            raise SchemaViolation("--units", f"unknown unit {units!r}")
+            raise SchemaViolation("--units", f"unknown unit {str.__repr__(units)}")
         if tol is not None and (not math.isfinite(tol) or tol <= 0.0):
             raise SchemaViolation("--tol", "tolerance must be a positive number")
         declared = _get(doc, "task", "$", _string)
@@ -869,10 +874,11 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
             task = declared
         elif declared != task:
             raise SchemaViolation(
-                "$.task", f"scenario declares {declared!r}, command runs {task!r}"
+                "$.task",
+                f"scenario declares {str.__repr__(declared)}, command runs {str.__repr__(task)}",
             )
         if task not in _HANDLERS:
-            raise SchemaViolation("$.task", f"unknown task {task!r}")
+            raise SchemaViolation("$.task", f"unknown task {str.__repr__(task)}")
         payload = _get(doc, "payload", "$", _object)
         outputs, passed, tolerances, csvs = _HANDLERS[task](payload, _UNITS[units], tol)
         report = {
@@ -898,7 +904,17 @@ def _invoke(task, scenario_path, out, units, tol, csv_dir, csv_prefix="") -> int
     target_dir = Path(csv_dir) if csv_dir else (Path(out).parent if out else Path("."))
     files = [(target_dir / (csv_prefix + name), csvs[name]) for name in sorted(csvs)]
     if out:
-        files.append((Path(out), text))
+        out_path = Path(out)
+        for path, _ in files:
+            # two outputs at one path would be staged to one temporary file;
+            # realpath, unlike Path.resolve, does not raise on a symlink loop
+            if path.name == out_path.name and (
+                os.path.realpath(path.parent) == os.path.realpath(out_path.parent)
+            ):
+                click.echo(f"error: cannot write output: the report {out} and the CSV "
+                           f"file {path.name} are one path", err=True)
+                return 1
+        files.append((out_path, text))
     try:
         _write_all(files)
     except OSError as exc:
@@ -949,7 +965,7 @@ def batch(scenarios, out_dir, units, tol):
         stem = Path(path).stem
         if stem in first:
             raise click.BadParameter(
-                f"{first[stem]} and {path} share the stem {stem!r}; "
+                f"{first[stem]} and {path} share the stem {str.__repr__(stem)}; "
                 "their outputs would overwrite each other",
                 param_hint="'--scenario'",
             )

@@ -2,6 +2,8 @@ import ast
 import copy
 import json
 import math
+import re
+import string
 import subprocess
 import sys
 import time
@@ -1389,6 +1391,46 @@ class TestWriteFailures:
         self.check_one_error_line(r)
         assert blocker.read_text() == "kept"
 
+    def test_out_at_the_trajectory_csv_is_1(self, tmp_path, monkeypatch):
+        # a relative --out beside the CSV, as the default --csv-dir puts it
+        monkeypatch.chdir(tmp_path)
+        args = ["gksl-evolve", "--scenario", scenario("dephasing.json")]
+        r = CliRunner().invoke(cli.main, args + ["--out", "trajectory.csv"])
+        self.check_one_error_line(r)
+        assert r.stderr == (
+            "error: cannot write output: the report trajectory.csv and the CSV file "
+            "trajectory.csv are one path\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_at_the_sweep_csv_in_csv_dir_is_1(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["adiabatic-sweep", "--scenario", scenario("adiabatic.json"), "--out", str(out)]
+        r = CliRunner().invoke(cli.main, args + ["--csv-dir", str(tmp_path)])
+        self.check_one_error_line(r)
+        assert r.stderr == (
+            f"error: cannot write output: the report {out} and the CSV file sweep.csv "
+            "are one path\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_at_the_csv_through_a_linked_directory_is_1(self, tmp_path):
+        (tmp_path / "link").symlink_to(tmp_path)
+        out = tmp_path / "link" / "trajectory.csv"
+        args = ["gksl-evolve", "--scenario", scenario("dephasing.json"), "--out", str(out)]
+        r = CliRunner().invoke(cli.main, args + ["--csv-dir", str(tmp_path)])
+        self.check_one_error_line(r)
+        assert r.stderr.endswith("and the CSV file trajectory.csv are one path\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    def test_out_through_a_symlink_loop_is_1(self, tmp_path):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        args = ["gksl-evolve", "--scenario", scenario("dephasing.json"), "--csv-dir", str(tmp_path)]
+        r = CliRunner().invoke(cli.main, args + ["--out", str(tmp_path / "a" / "trajectory.csv")])
+        self.check_one_error_line(r)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
     def test_batch_goes_on_after_a_write_failure(self, tmp_path):
         out_dir = tmp_path / "batch"
         (out_dir / "erasure_bit.report.json").mkdir(parents=True)
@@ -1871,6 +1913,37 @@ class TestTrajectoryCsv:
         assert header.endswith(",re_98,im_98,re_99,im_99")
 
 
+class TestFloatTableCsv:
+    """A float table's CSV (_table_rows laid out by _csv_text) gives the bytes
+    of repr on every cell."""
+
+    @staticmethod
+    def reference(header, rows) -> str:
+        return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+    @pytest.mark.parametrize(
+        "header",
+        ["x", "x,y", "t_tr,e_sw,e_lk,e_diss", "a,b,c,d,e,f,g"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    def test_seeded_tables(self, header, n):
+        gen = rng(10 * n + header.count(","))
+        k = header.count(",") + 1
+        for _ in range(5):
+            cells = gen.normal(size=(n, k)) * 10.0 ** gen.integers(-300, 300, size=(n, k))
+            mask = gen.uniform(size=cells.shape) < 0.5
+            cells[mask] = gen.choice(TestTrajectoryCsv.SPECIAL, size=mask.sum())
+            text = cli._csv_text(header, cli._table_rows("table.csv", header, cells))
+            assert text == self.reference(header, cells.tolist())
+
+    def test_every_special_value_in_one_row(self):
+        header = ",".join(f"c{i}" for i in range(len(TestTrajectoryCsv.SPECIAL)))
+        cells = np.array([TestTrajectoryCsv.SPECIAL])
+        text = cli._csv_text(header, cli._table_rows("table.csv", header, cells))
+        assert text == self.reference(header, cells.tolist())
+        assert text.splitlines()[1].split(",")[1:3] == ["-0.0", "5e-324"]
+
+
 class TestNonFiniteOutput:
     """A non-finite output exits 5, names its field, and writes no file."""
 
@@ -1991,21 +2064,50 @@ class TestNonFiniteCsvCell:
     def test_cell_is_named_by_row_and_column(self):
         rows = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, math.nan]])
         with pytest.raises(cli.NumericHealthError) as info:
-            cli._csv_table("curve_in.csv", "x,y", rows)
+            cli._csv_text("x,y", cli._table_rows("curve_in.csv", "x,y", rows))
         assert str(info.value) == "curve_in.csv data row 3, column y is not finite (nan)"
+
+
+# a printf conversion of "%" formatting with the r type; "%%" is a literal %
+PERCENT_R = re.compile(r"%(\([^)]*\))?[-#0 +]*(\*|\d+)?(\.(\*|\d+)?)?[hlL]?r")
+
+
+def template_repr(template: str) -> bool:
+    """Whether str.format of template converts a field with !r, in a
+    nested format spec too."""
+    try:
+        fields = list(string.Formatter().parse(template))
+    except ValueError:  # no valid template formats anything
+        return False
+    return any(
+        conversion == "r" or (spec and template_repr(spec))
+        for _, name, spec, conversion in fields
+        if name is not None
+    )
 
 
 def float_formatters(source: str) -> set:
     """The top-level functions of source, and the methods of its classes as
     Class.method, that name float.__repr__ or the builtin repr, to call it
-    or to pass it on;
-    "<module>" for any other top-level statement that does."""
+    or to pass it on, or that format through repr by a template: f"{x!r}",
+    "%r" % x or "{!r}".format(x);
+    "<module>" for any other top-level statement that does. A str is
+    quoted with str.__repr__, which takes no float."""
+
+    def is_text(n):
+        return isinstance(n, ast.Constant) and isinstance(n.value, str)
 
     def formats(node):
         return any(
             (isinstance(n, ast.Attribute) and n.attr == "__repr__"
              and isinstance(n.value, ast.Name) and n.value.id == "float")
             or (isinstance(n, ast.Name) and n.id == "repr")
+            or (isinstance(n, ast.FormattedValue) and n.conversion == ord("r"))
+            or (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) and is_text(n.left)
+                and PERCENT_R.search(n.left.value.replace("%%", "")) is not None)
+            or (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("format", "format_map") and is_text(n.func.value)
+                and template_repr(n.func.value.value))
             for n in ast.walk(node)
         )
 
@@ -2029,7 +2131,23 @@ def test_one_function_formats_floats():
         "class C:\n    def __str__(self):\n        return f'({repr(self.value)})'\n",
         "KEYS = {repr(a): a for a in (0.5, 2.0)}\n",
         "def text(v):\n    return (lambda x: float.__repr__(x))(v)\n",
+        "def percent(v):\n    return 'v=%r' % v\n",
+        "def keyed(v):\n    return '%(v)-8r' % {'v': v}\n",
+        "def fstring(v):\n    return f'{v!r}'\n",
+        "def nested(v, w):\n    return f'{v:>{w!r}}'\n",
+        "def template(v):\n    return '{!r}'.format(v)\n",
+        "def spec(v, w):\n    return '{0:{1!r}}'.format(v, w)\n",
+        "def mapped(v):\n    return '{v!r}'.format_map({'v': v})\n",
     ]
     assert float_formatters("".join(probes)) == {
-        "_float_text", "table", "C.__str__", "<module>", "text"
+        "_float_text", "table", "C.__str__", "<module>", "text", "percent", "keyed",
+        "fstring", "nested", "template", "spec", "mapped",
     }
+    # and none in a template that converts by str or quotes a str
+    quiet = [
+        "def literal(v):\n    return '100%%r' % ()\n",
+        "def plain(v):\n    return f'{v}, {v!s}, %s' % v + '{!s}'.format(v)\n",
+        "def quoted(s):\n    return f'unknown {str.__repr__(s)}'\n",
+        "def broken(v):\n    return '{!r'.format(v)\n",
+    ]
+    assert float_formatters("".join(quiet)) == set()
